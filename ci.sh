@@ -55,6 +55,9 @@ cargo clippy -p spring-cli --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo check springbench (the frozen benchmark builds against this API)"
+cargo check --offline --all-targets --manifest-path springbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -78,7 +81,7 @@ echo "==> differential fuzz (every variant x bare/engine/runner)"
 fuzz_seed="${SPRING_FUZZ_SEED:-1592642302}"   # 0x5EED_CAFE, the default seed
 cargo run --release -q -p spring-cli -- fuzz --seed "$fuzz_seed" --iters 500
 
-echo "==> hot-swap differential fuzz (sharded swap vs prefix/suffix oracle)"
+echo "==> hot-swap differential fuzz (runner swap vs prefix/suffix oracle)"
 cargo run --release -q -p spring-cli -- fuzz --swap --seed "$fuzz_seed" --iters 100
 
 echo "==> cargo doc (warnings are errors)"

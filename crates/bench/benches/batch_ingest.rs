@@ -59,9 +59,10 @@ fn bench_engine_batches() {
     }
 }
 
-/// Threaded runner: one stream fanned out to [`PATTERNS`] attachments
-/// over 1 or 4 workers, with the frame size pinned to the push size so
-/// every `push_batch` call enqueues exactly one frame per worker.
+/// Threaded runner: one stream with [`PATTERNS`] attachments on a 1- or
+/// 4-worker runner (the stream's worker owns all of them; the other
+/// workers idle), with the frame size pinned to the push size so every
+/// `push_batch` call enqueues exactly one frame.
 fn bench_runner_batches() {
     for workers in [1usize, 4] {
         let b = Bench::new(format!("batch_ingest_runner_w{workers}"));

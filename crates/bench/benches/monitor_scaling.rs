@@ -1,17 +1,13 @@
 //! Monitoring-engine ablation (DESIGN.md §6): per-sample cost as the
 //! number of attached queries grows — the "multiple streams, multiple
-//! patterns" deployment the paper motivates — plus the threaded runner's
-//! ingestion cost as the worker count varies.
+//! patterns" deployment the paper motivates. The threaded runner's
+//! scaling over workers is measured by the `shard_scaling` bench.
 
 use std::hint::black_box;
-use std::sync::Arc;
 
 use spring_bench::harness::Bench;
-use spring_core::{Spring, SpringConfig};
 use spring_data::util::sine;
-use spring_monitor::{
-    CountingSink, GapPolicy, QueryId, Runner, RunnerAttachment, SpringEngine, StreamId,
-};
+use spring_monitor::{GapPolicy, SpringEngine};
 
 fn bench_attachment_scaling() {
     let b = Bench::new("engine_attachments");
@@ -55,48 +51,7 @@ fn bench_stream_fanout() {
     }
 }
 
-/// Threaded-runner ingestion: the same 16 attachments (4 streams × 4
-/// patterns) sharded over 1, 2, or 4 workers. Uses [`CountingSink`] so
-/// the sink adds two atomic increments per match rather than a mutex +
-/// allocation, keeping the measurement about the runner itself.
-fn bench_runner_workers() {
-    let b = Bench::new("runner_workers");
-    const STREAMS: usize = 4;
-    const PATTERNS: usize = 4;
-    for workers in [1usize, 2, 4] {
-        let mut attachments: Vec<RunnerAttachment<Spring>> = Vec::new();
-        for s in 0..STREAMS {
-            for p in 0..PATTERNS {
-                let pattern = sine(64, 12.0 + p as f64, 1.0, 0.0);
-                let monitor = Spring::new(&pattern, SpringConfig::new(1.0)).expect("valid query");
-                attachments.push(RunnerAttachment::new(
-                    StreamId(s as u32),
-                    QueryId(p as u32),
-                    monitor,
-                    GapPolicy::Skip,
-                ));
-            }
-        }
-        let sink = Arc::new(CountingSink::new(attachments.len()));
-        let runner = Runner::spawn(attachments, workers, sink.clone()).unwrap();
-        let mut t = 0u64;
-        b.bench_elems(&format!("w{workers}"), (STREAMS * PATTERNS) as u64, || {
-            // One sample per stream per iteration; each fans out to
-            // PATTERNS attachments.
-            for s in 0..STREAMS {
-                runner
-                    .push(StreamId(s as u32), &((t as f64 * 0.05).sin()))
-                    .unwrap();
-            }
-            t += 1;
-        });
-        runner.shutdown().unwrap();
-        black_box(sink.total());
-    }
-}
-
 fn main() {
     bench_attachment_scaling();
     bench_stream_fanout();
-    bench_runner_workers();
 }

@@ -1,22 +1,22 @@
-//! Shard-scaling ablation (DESIGN.md §6f): end-to-end throughput of a
-//! [`ShardedRunner`] as the shard count sweeps {1, 2, 4, 8} and the
-//! frame size {1, 64}.
+//! Worker-scaling ablation (DESIGN.md §6f): end-to-end throughput of a
+//! [`Runner`] as the worker count (`--shards`) sweeps {1, 2, 4, 8} and
+//! the frame size {1, 64}.
 //!
 //! The workload is 64 independent streams, each with its own monitor,
-//! hashed across the shards. Every timed iteration pushes [`REPS`]
-//! frames to every stream and then drains the shards with one sync
-//! barrier per shard (one representative stream each — a shard's single
-//! worker processes its queue in FIFO order, so syncing any stream it
-//! owns drains everything enqueued before it). The measurement is
-//! therefore *processing* throughput, not enqueue throughput: the DP
-//! work really runs inside the timed region.
+//! hashed across the workers. Every timed iteration pushes [`REPS`]
+//! frames to every stream and then drains the workers with one sync
+//! barrier each (one representative stream per worker — a worker
+//! processes its queue in FIFO order, so syncing any stream it owns
+//! drains everything enqueued before it). The measurement is therefore
+//! *processing* throughput, not enqueue throughput: the DP work really
+//! runs inside the timed region.
 //!
 //! What to expect: at batch 64 the per-frame fixed costs are amortized
-//! and the work is DP-bound, so throughput scales with shards until the
-//! machine runs out of cores (on a single-core host every shard count
+//! and the work is DP-bound, so throughput scales with workers until the
+//! machine runs out of cores (on a single-core host every worker count
 //! converges to the same rate — the scaling is real parallelism, not a
-//! per-shard constant). At batch 1 the per-message costs dominate and
-//! sharding buys much less, which is the point of the comparison.
+//! per-worker constant). At batch 1 the per-message costs dominate and
+//! more workers buy much less, which is the point of the comparison.
 //!
 //! `ci.sh --quick` captures these results in BENCH_SMOKE.json and warns
 //! when they regress >25% against the committed baseline.
@@ -27,13 +27,13 @@ use std::sync::Arc;
 use spring_bench::harness::Bench;
 use spring_core::{Spring, SpringConfig};
 use spring_data::util::sine;
-use spring_monitor::{CountingSink, GapPolicy, QueryId, RunnerAttachment, ShardedRunner, StreamId};
+use spring_monitor::{CountingSink, GapPolicy, QueryId, Runner, RunnerAttachment, StreamId};
 
-/// Independent streams hashed across the shards.
+/// Independent streams hashed across the workers.
 const STREAMS: u32 = 64;
 const SHARDS: [usize; 4] = [1, 2, 4, 8];
 const BATCHES: [usize; 2] = [1, 64];
-/// Frames pushed to every stream per timed iteration, so the per-shard
+/// Frames pushed to every stream per timed iteration, so the per-worker
 /// sync barrier at the end of the iteration is amortized across real
 /// work.
 const REPS: usize = 8;
@@ -64,14 +64,14 @@ fn main() {
                 ));
             }
             let sink = Arc::new(CountingSink::new(attachments.len()));
-            let mut runner = ShardedRunner::spawn(attachments, shards, 1, sink.clone()).unwrap();
+            let mut runner = Runner::spawn(attachments, shards, sink.clone()).unwrap();
             runner.set_max_batch(batch);
-            // One representative stream per shard: syncing it drains that
-            // shard's whole queue (single FIFO worker per shard).
+            // One representative stream per worker: syncing it drains
+            // that worker's whole FIFO queue.
             let mut reps: Vec<Option<StreamId>> = vec![None; shards];
             for s in 0..STREAMS {
                 let stream = StreamId(s);
-                reps[runner.shard_of(stream)].get_or_insert(stream);
+                reps[runner.worker_of(stream)].get_or_insert(stream);
             }
             let reps: Vec<StreamId> = reps.into_iter().flatten().collect();
             let mut t = 0u64;

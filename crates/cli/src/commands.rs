@@ -11,8 +11,8 @@ use spring_data::{MaskedChirp, Seismic, Sunspots, Temperature, TimeSeries};
 use spring_dtw::constraint::{dtw_constrained, GlobalConstraint};
 use spring_dtw::{dtw_distance_with, dtw_with_path, Kernel};
 use spring_monitor::{
-    GapPolicy, Metrics, QueryId, RestartPolicy, RunnerAttachment, ShardedRunner, StreamId,
-    TickRecorder, TraceEventKind, TraceHandle, Tracer, VecSink,
+    GapPolicy, Metrics, QueryId, RestartPolicy, Runner, RunnerAttachment, StreamId, TickRecorder,
+    TraceEventKind, TraceHandle, Tracer, VecSink,
 };
 
 use crate::args::{ArgError, Parsed};
@@ -66,7 +66,7 @@ USAGE:
                    [--shards N [--linger-ms MS]] [--trace OUT.json]
                    (--batch: samples stepped per ingestion batch, default 64;
                     output is identical for every N — --batch 1 is the
-                    per-sample loop. --shards: run through the sharded
+                    per-sample loop. --shards: run through an N-worker
                     runner instead of the inline monitor — the transcript
                     is identical; --linger-ms bounds how long a partial
                     frame may wait before being flushed. --trace: write a
@@ -80,8 +80,9 @@ USAGE:
                    [--shards N] [--linger-ms MS] [--max-conns N] [--trace-dir DIR]
                    (one acceptor thread multiplexes all connections through a
                     readiness event loop; HTTP `GET /metrics` on the same port
-                    serves Prometheus text; connections are routed to --shards
-                    runner shards by stream-id hash, default min(8, cores);
+                    serves Prometheus text; connections are placed on one of
+                    --shards runner workers by stream-id hash, default
+                    min(8, cores);
                     --max-conns caps concurrent connections, default 1024;
                     --trace-dir enables the flight recorder: `GET /trace`,
                     the `trace dump` verb, and automatic postmortem dumps
@@ -89,11 +90,11 @@ USAGE:
   spring generate  maskedchirp|temperature|kursk|sunspots --out DIR [--seed N] [--small]
   spring fuzz      [--seed N] [--iters N] [--swap]
                    (differential conformance: every monitor variant through the bare
-                    monitor, engine, 1/2/4-worker runner, and 1/2/4-shard sharded
-                    runner vs the naive oracles; mismatches are shrunk and printed
-                    with a replayable seed. --swap instead hot-swaps a query
-                    mid-stream across 1/2/4 shards and demands exact agreement
-                    with a freshly rebuilt monitor after the swap point)
+                    monitor, the engine, and a three-stream runner on 1/2/4 workers
+                    vs the naive oracles; mismatches are shrunk and printed with a
+                    replayable seed. --swap instead hot-swaps a query mid-stream
+                    across 1/2/4 workers and demands exact agreement with a
+                    freshly rebuilt monitor after the swap point)
   spring help
 
 monitor/bestmatch read one value per line from --stream or stdin
@@ -516,7 +517,7 @@ fn write_trace_export(
 }
 
 /// `spring monitor --shards N` — the same monitoring run, deployed
-/// through a [`ShardedRunner`] instead of the inline monitor loop.
+/// through a [`Runner`] of `N` workers instead of the inline monitor loop.
 ///
 /// The printed transcript is identical to the inline path: matches in
 /// stream order (the trailing pending-group match tagged
@@ -547,17 +548,16 @@ fn monitor_sharded(
     // NaN never reaches the attachment (gaps are resolved CLI-side
     // below), so the runner-side gap policy is irrelevant.
     let attachment = RunnerAttachment::new(stream_id, QueryId(0), monitor, GapPolicy::Skip);
-    // `--trace`: every shard's worker and supervisor record into their
-    // own rings (`shardI-worker-N` tracks in the export).
+    // `--trace`: every worker and supervisor records into its own ring
+    // (`worker-N` / `supervisor-N` tracks in the export).
     let trace_out = p.get("trace").map(std::path::PathBuf::from);
     let tracer = Tracer::new();
     if trace_out.is_some() {
         tracer.set_enabled(true);
     }
-    let mut runner = ShardedRunner::spawn_with_observability(
+    let mut runner = Runner::spawn_with_observability(
         vec![attachment],
         shards,
-        1,
         sink.clone(),
         metrics.clone(),
         RestartPolicy::default(),
@@ -593,7 +593,7 @@ fn monitor_sharded(
         }
         Ok(())
     })?;
-    // Flush the trailing partial frame and wait for the shard to drain,
+    // Flush the trailing partial frame and wait for the worker to drain,
     // so `mid` below holds exactly the in-stream matches; everything the
     // finish adds afterwards is the pending-group (stream end) match.
     if push_err.is_none() {
@@ -825,8 +825,8 @@ pub fn generate(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// replay command.
 ///
 /// `--swap` runs the query hot-swap differential instead: each scenario
-/// swaps one query mid-stream through `ShardedRunner::swap_query`
-/// (shards 1/2/4 × batch 1/64) and demands exact agreement with a
+/// swaps one query mid-stream through `Runner::swap_query`
+/// (workers 1/2/4 × batch 1/64) and demands exact agreement with a
 /// freshly rebuilt monitor after the swap point, while co-resident
 /// queries stay bit-identical to the unswapped run.
 pub fn fuzz(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -843,7 +843,7 @@ pub fn fuzz(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(
             out,
             "fuzz --swap: seed {seed}, {iters} hot-swap scenarios x 2 variants x \
-             sharded s=1,2,4 x batch 1,64 vs prefix/suffix bare composition"
+             runner w=1,2,4 x batch 1,64 vs prefix/suffix bare composition"
         )?;
         return match spring_testkit::differential::fuzz_swaps(seed, iters) {
             Ok(n) => {
@@ -855,8 +855,8 @@ pub fn fuzz(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
     writeln!(
         out,
-        "fuzz: seed {seed}, {iters} scenarios x 6 variants x (bare | engine | runner w=1,2,4 \
-         | sharded s=1,2,4) x (per-sample | batch 1,3,64; sharded: batch 1,64)"
+        "fuzz: seed {seed}, {iters} scenarios x 6 variants x (bare | engine \
+         | 3-stream runner w=1,2,4) x (per-sample | batch 1,3,64)"
     )?;
     match spring_testkit::differential::fuzz(seed, iters) {
         Ok(n) => {
@@ -1034,10 +1034,10 @@ mod tests {
             return;
         }
         // Inline path: `step_batch` spans + match instants on one track.
-        // Sharded path: the worker's frame spans on `shardI-worker-N`.
+        // Sharded path: the worker's frame spans on `worker-N`.
         for (file, extra, track) in [
             ("inline.json", "", "monitor"),
-            ("sharded.json", " --shards 2", "shard"),
+            ("sharded.json", " --shards 2", "worker-"),
         ] {
             let path = dir.join(file);
             let mut out = Vec::new();
@@ -1129,7 +1129,7 @@ mod tests {
 
     #[test]
     fn sharded_monitor_transcript_matches_the_inline_monitor() {
-        // `--shards N` deploys the same run through the ShardedRunner;
+        // `--shards N` deploys the same run through an N-worker Runner;
         // the printed transcript must be byte-identical to the inline
         // path for every shard count, batch size, and linger setting —
         // including the `(stream end)` tag on the pending-group match

@@ -21,7 +21,7 @@
 //! small state machine: a [`ProtoParser`] accumulates partial reads
 //! into protocol lines (bounded — an unterminated line is cut off at
 //! [`proto::MAX_LINE_BYTES`] with a protocol error), decoded samples
-//! are pushed into a server-wide [`ShardedRunner`], and everything the
+//! are pushed into a server-wide [`Runner`], and everything the
 //! client should see is staged in a per-connection write buffer flushed
 //! as the socket allows. A slow or dead client therefore never stalls
 //! the loop: its buffer fills, its reads pause (backpressure), and past
@@ -30,15 +30,15 @@
 //!
 //! Barrier operations — the flush/sync that orders an `error:` line or
 //! the final `done` line *after* every match for samples pushed before
-//! it — block on shard queues, so they run on one **completion
+//! it — block on worker queues, so they run on one **completion
 //! thread**, never on the acceptor. While a connection waits for its
 //! barrier its reads stay paused, which preserves the blocking
 //! implementation's per-connection ordering exactly; other connections
 //! keep streaming.
 //!
-//! Matches are delivered by the shard workers through the serve sink
+//! Matches are delivered by the runner workers through the serve sink
 //! straight into the owning connection's write buffer, then the
-//! reactor is woken to flush. Per stream, delivery order is the shard
+//! reactor is woken to flush. Per stream, delivery order is the owning
 //! worker's confirmation order, as before.
 //!
 //! Connections whose first line is an HTTP request line (`GET <path>
@@ -46,7 +46,7 @@
 //! server-wide [`Metrics`] registry in the Prometheus text exposition
 //! format (including `spring_connections_open`,
 //! `spring_conn_read_bytes_total`, `spring_conn_parse_errors_total`,
-//! `spring_conn_dropped_total` and the per-shard `spring_shard_*`
+//! `spring_conn_dropped_total` and the per-worker `spring_shard_*`
 //! series), anything else a 404.
 //!
 //! `--shards`, `--batch`, and `--linger-ms` keep their semantics
@@ -71,7 +71,7 @@ use spring_core::{MonitorSpec, ScalarMonitor};
 use spring_dtw::Kernel;
 use spring_monitor::reactor::{self, Interest, Reactor, Ready, Waker};
 use spring_monitor::{
-    AttachmentId, Event, GapPolicy, MatchSink, Metrics, QueryId, RunnerAttachment, ShardedRunner,
+    AttachmentId, Event, GapPolicy, MatchSink, Metrics, QueryId, Runner, RunnerAttachment,
     StreamId, TraceEventKind, TraceHandle, Tracer,
 };
 
@@ -116,11 +116,11 @@ pub struct ServeOptions {
     /// are still delivered at every frame flush, and a client EOF
     /// flushes the trailing partial frame immediately.
     pub batch: usize,
-    /// Runner shards connections are hashed across (`--shards`,
+    /// Runner workers connections are hashed across (`--shards`,
     /// clamped to ≥ 1).
     pub shards: usize,
     /// Optional linger deadline for partial frames (`--linger-ms`):
-    /// with it, a partial frame is flushed by the shard's janitor once
+    /// with it, a partial frame is flushed by the runner's janitor once
     /// it is this old, instead of waiting for the frame to fill.
     pub linger: Option<Duration>,
     /// Concurrent-connection cap (`--max-conns`): connections beyond it
@@ -215,7 +215,7 @@ impl OutBuf {
 }
 
 /// One connection's server-side state shared across threads: the event
-/// loop flushes `out`, the shard workers (via [`ServeSink`]) and the
+/// loop flushes `out`, the runner workers (via [`ServeSink`]) and the
 /// completion thread append to it.
 #[derive(Debug, Default)]
 struct ConnShared {
@@ -287,7 +287,7 @@ impl MatchSink for ServeSink {
 }
 
 /// Barrier work the acceptor must never block on: flush/sync against
-/// the shard queues to order client-visible lines after in-flight
+/// the worker queues to order client-visible lines after in-flight
 /// matches. Processed in submission order by the completion thread.
 enum Job {
     /// A protocol error line: drain the stream's in-flight samples,
@@ -326,9 +326,9 @@ enum Note {
 }
 
 /// Everything shared between the acceptor, the completion thread, and
-/// the shard workers' sink.
+/// the runner workers' sink.
 struct ServerState {
-    runner: ShardedRunner<ScalarMonitor>,
+    runner: Runner<ScalarMonitor>,
     sink: Arc<ServeSink>,
     metrics: Arc<Metrics>,
     notes: Mutex<Vec<Note>>,
@@ -378,7 +378,7 @@ impl ServerState {
 }
 
 /// The completion thread: runs every barrier job in order. Each sync
-/// blocks only on the owning shard's queue, so a busy shard delays
+/// blocks only on the owning worker's queue, so a busy worker delays
 /// completions, never the acceptor.
 fn completion_loop(jobs: mpsc::Receiver<Job>, srv: Arc<ServerState>) {
     while let Ok(job) = jobs.recv() {
@@ -406,7 +406,7 @@ fn completion_loop(jobs: mpsc::Receiver<Job>, srv: Arc<ServerState>) {
                 error_line,
             } => {
                 // Flush the trailing partial frame and wait for the
-                // shard to drain it, so every in-stream match is
+                // worker to drain it, so every in-stream match is
                 // delivered (and counted) before the stream-end flush.
                 let _ = srv.runner.flush(stream);
                 let _ = srv.runner.sync(stream);
@@ -505,7 +505,7 @@ struct EventLoop<'a> {
     accepting: bool,
     next_stream: u32,
     /// The acceptor thread's flight-recorder ring (reactor wakeups,
-    /// connection open/close, shard routing, backpressure).
+    /// connection open/close, worker placement, backpressure).
     trace: TraceHandle,
 }
 
@@ -726,7 +726,7 @@ impl EventLoop<'_> {
                             conn.session = true;
                             self.trace.instant(
                                 TraceEventKind::ShardRoute,
-                                self.srv.runner.shard_of(conn.stream_id) as u64,
+                                self.srv.runner.worker_of(conn.stream_id) as u64,
                             );
                         }
                         Err(e) => {
@@ -782,7 +782,7 @@ impl EventLoop<'_> {
                 }
                 ProtoEvent::Command(cmd) => {
                     // Control verbs run inline on the acceptor: they
-                    // only enqueue against the shard queues (like
+                    // only enqueue against the worker queues (like
                     // `push`), never sync, so they cannot stall the
                     // loop. The reply lands in the issuing connection's
                     // buffer, in order with its other lines.
@@ -1068,7 +1068,7 @@ pub fn serve_listener(
     // budget (best-effort: the kernel clamps to somaxconn, and on
     // failure the listener just keeps its default backlog).
     let _ = reactor::widen_listen_backlog(&listener, opts.max_conns.max(128));
-    // One registry and one sharded runner for the whole server: every
+    // One registry and one runner for the whole server: every
     // connection's attachment feeds them, and any `GET /metrics`
     // connection scrapes the registry.
     let metrics = Arc::new(Metrics::new());
@@ -1083,10 +1083,9 @@ pub fn serve_listener(
         tracer.set_enabled(true);
         tracer.set_postmortem_dir(opts.trace_dir.clone());
     }
-    let mut runner = ShardedRunner::spawn_with_observability(
+    let mut runner = Runner::spawn_with_observability(
         Vec::new(),
         opts.shards.max(1),
-        1,
         Arc::clone(&sink) as Arc<dyn MatchSink>,
         Some(Arc::clone(&metrics)),
         spring_monitor::RestartPolicy::default(),
@@ -1141,7 +1140,7 @@ pub fn serve_listener(
     }
     .run();
     // Retire the completion thread (it drains queued barriers first),
-    // then the shards.
+    // then the runner.
     drop(jobs_tx);
     let _ = completion.join();
     if let Ok(state) = Arc::try_unwrap(srv) {
@@ -1153,9 +1152,9 @@ pub fn serve_listener(
     result
 }
 
-/// Default shard count: one per core, capped at 8 (a shard is a full
-/// runner — channels, supervisor, checkpoints — so more than a handful
-/// only pays off with very many connections).
+/// Default worker count (`--shards`): one per core, capped at 8 (each
+/// worker has its own channel, supervisor and checkpoints, so more than
+/// a handful only pays off with very many connections).
 fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -1482,8 +1481,8 @@ mod tests {
         assert!(http.contains("spring_connections_open 1"), "{http}");
         assert!(!http.contains("spring_conn_read_bytes_total 0\n"), "{http}");
         assert!(http.contains("spring_conn_parse_errors_total 0"), "{http}");
-        // The sharded runner's per-shard series are exposed too, and the
-        // connection's 7 ticks all landed on its owning shard.
+        // The per-worker `spring_shard_*` series are exposed too, and the
+        // connection's 7 ticks all landed on its owning worker.
         assert!(
             http.contains("spring_shard_ticks_total{shard=\"0\"}"),
             "{http}"

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! [`Monitor`] captures that shape so the multi-stream engine, the
-//! sharded runner, and the CLI can be written **once**, generically,
+//! threaded runner, and the CLI can be written **once**, generically,
 //! instead of once per variant. The associated [`Monitor::Sample`] type
 //! distinguishes scalar monitors (`Sample = f64`) from vector monitors
 //! (`Sample = [f64]`); carry-forward buffering works for both through

@@ -16,18 +16,15 @@
 //! * [`sink`] — pluggable match consumers: collect into a vector, call a
 //!   closure, forward over a channel, or count atomically
 //!   ([`CountingSink`]).
-//! * [`runner`] — a threaded [`Runner`]`<M>` that shards attachments
-//!   across worker threads and fans incoming samples out to them over
-//!   bounded channels, for deployments where one core cannot sustain
-//!   `streams × queries × O(m)` per tick. Worker failures surface as
-//!   [`MonitorError::WorkerLost`] instead of silent sample loss.
-//!   Attachments can be added and removed at runtime, and an optional
-//!   linger deadline bounds match latency on slow streams.
-//! * [`sharded`] — a [`ShardedRunner`]`<M>` stacking several
-//!   independent `Runner`s: streams are routed by a deterministic
-//!   FNV-1a hash of their id, so per-stream buffers, checkpoints,
-//!   supervision, and backpressure are per-shard with no cross-shard
-//!   locking.
+//! * [`runner`] — a threaded [`Runner`]`<M>`: one set of worker
+//!   threads, each stream placed on one worker by a deterministic FNV-1a
+//!   hash of its id, for deployments where one core cannot sustain
+//!   `streams × queries × O(m)` per tick. Each worker owns its streams'
+//!   pending frames, checkpoints, supervision and backpressure, so
+//!   pushes to streams on different workers share no lock. Worker
+//!   failures surface as [`MonitorError::WorkerLost`] instead of silent
+//!   sample loss; attachments can be added and removed at runtime, and
+//!   an optional linger deadline bounds match latency on slow streams.
 //! * [`metrics`] — dependency-free observability: atomic counters,
 //!   gauges, and fixed-bucket histograms behind a shared [`Metrics`]
 //!   registry (tick latency, match counts, detection delay, queue
@@ -59,10 +56,8 @@ pub mod metrics;
 #[cfg(feature = "reactor")]
 pub mod reactor;
 pub mod runner;
-pub mod sharded;
 pub mod sink;
 pub mod trace;
-pub mod vector_engine;
 
 /// Evaluates a named fault-injection site (see [`failpoints`]).
 ///
@@ -100,9 +95,10 @@ pub use engine::{
 };
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot, ShardMetrics,
-    ShardSnapshot, TickRecorder, WorkerMetrics, WorkerSnapshot,
+    ShardSnapshot, TickRecorder,
 };
-pub use runner::{RestartPolicy, Runner, RunnerAttachment, CHECKPOINT_EVERY, DEFAULT_MAX_BATCH};
-pub use sharded::ShardedRunner;
+pub use runner::{
+    RestartPolicy, Runner, RunnerAttachment, ShardedRunner, CHECKPOINT_EVERY, DEFAULT_MAX_BATCH,
+};
 pub use sink::{ChannelSink, CountingSink, FnSink, MatchSink, VecSink};
 pub use trace::{EventKind as TraceEventKind, TraceHandle, TraceSnapshot, Tracer};

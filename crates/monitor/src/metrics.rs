@@ -34,12 +34,13 @@
 //! | `spring_batch_len` | histogram | samples | frame sizes seen by the batched ingestion path |
 //! | `spring_worker_lost_total` | counter | workers | runner workers lost (panic or ingest error) |
 //! | `spring_worker_restarts_total` | counter | workers | lost workers restarted by the runner supervisor |
-//! | `spring_runner_queue_depth` | gauge | messages | queued samples across all runner workers |
-//! | `spring_worker_ticks_total{worker=…}` | counter | messages | samples processed per worker |
-//! | `spring_worker_queue_depth{worker=…}` | gauge | messages | queued samples per worker |
-//! | `spring_shard_ticks_total{shard=…}` | counter | samples | samples processed per runner shard |
-//! | `spring_shard_queue_depth{shard=…}` | gauge | messages | queued samples per runner shard |
-//! | `spring_shard_restarts_total{shard=…}` | counter | workers | supervisor restarts inside each shard |
+//! | `spring_runner_queue_depth` | gauge | messages | queued messages across all runner workers (sum of the shard gauges) |
+//! | `spring_shard_ticks_total{shard=…}` | counter | samples | samples processed by runner worker `shard` |
+//! | `spring_shard_queue_depth{shard=…}` | gauge | messages | messages queued to runner worker `shard` |
+//! | `spring_shard_restarts_total{shard=…}` | counter | workers | supervisor restarts of runner worker `shard` |
+//!
+//! A runner worker is labelled `shard` because it owns a hash partition
+//! of the streams: `--shards N` spawns `N` workers.
 //!
 //! # Overhead budget
 //!
@@ -267,30 +268,17 @@ impl HistogramSnapshot {
     }
 }
 
-/// Per-runner-worker hot-path metrics; registered into a [`Metrics`]
-/// via [`Metrics::register_worker`].
+/// Hot-path metrics of one [`crate::Runner`] worker (the `shard`
+/// label: each worker owns a hash partition of the streams); registered
+/// into a [`Metrics`] via [`Metrics::register_shard`].
 #[derive(Debug, Default)]
-pub struct WorkerMetrics {
-    /// Sample messages processed by this worker.
+pub struct ShardMetrics {
+    /// Samples processed by this worker.
     pub ticks: Counter,
     /// Messages currently queued to this worker (incremented by the
     /// pusher before send, decremented by the worker on receive).
     pub queue_depth: Gauge,
-}
-
-/// Per-shard hot-path metrics for a [`crate::ShardedRunner`];
-/// registered into a [`Metrics`] via [`Metrics::register_shard`].
-///
-/// A shard aggregates its workers: each worker mirrors its tick and
-/// queue-depth updates into its shard's handle, so per-shard load and
-/// backpressure are visible without walking the worker list.
-#[derive(Debug, Default)]
-pub struct ShardMetrics {
-    /// Sample messages processed by this shard's workers.
-    pub ticks: Counter,
-    /// Messages currently queued across this shard's workers.
-    pub queue_depth: Gauge,
-    /// Supervisor restarts of workers inside this shard.
+    /// Supervisor restarts of this worker.
     pub restarts: Counter,
 }
 
@@ -353,8 +341,6 @@ pub struct Metrics {
     shared_queries: Mutex<HashMap<u64, (usize, usize)>>,
     /// Registered runner workers (read-locked only for snapshots; the
     /// hot path goes through each worker's own `Arc`).
-    workers: RwLock<Vec<Arc<WorkerMetrics>>>,
-    /// Registered runner shards (same locking discipline as `workers`).
     shards: RwLock<Vec<Arc<ShardMetrics>>>,
     /// Registry creation time (`spring_uptime_seconds`).
     started: std::time::Instant,
@@ -399,7 +385,6 @@ impl Default for Metrics {
             conn_read_bytes: Counter::new(),
             conn_parse_errors: Counter::new(),
             conn_dropped: Counter::new(),
-            workers: RwLock::new(Vec::new()),
             shards: RwLock::new(Vec::new()),
             started: std::time::Instant::now(),
         }
@@ -413,16 +398,6 @@ impl Metrics {
     }
 
     /// Registers one runner worker and returns its hot-path handle.
-    pub fn register_worker(&self) -> Arc<WorkerMetrics> {
-        let wm = Arc::new(WorkerMetrics::default());
-        self.workers
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(Arc::clone(&wm));
-        wm
-    }
-
-    /// Registers one runner shard and returns its hot-path handle.
     pub fn register_shard(&self) -> Arc<ShardMetrics> {
         let sm = Arc::new(ShardMetrics::default());
         self.shards
@@ -481,16 +456,6 @@ impl Metrics {
 
     /// A consistent point-in-time view of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let workers = self
-            .workers
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|w| WorkerSnapshot {
-                ticks: w.ticks.get(),
-                queue_depth: w.queue_depth.get(),
-            })
-            .collect();
         let shards = self
             .shards
             .read()
@@ -520,7 +485,6 @@ impl Metrics {
             conn_parse_errors_total: self.conn_parse_errors.get(),
             conn_dropped_total: self.conn_dropped.get(),
             uptime_seconds: self.started.elapsed().as_secs_f64(),
-            workers,
             shards,
         }
     }
@@ -531,23 +495,14 @@ impl Metrics {
     }
 }
 
-/// Point-in-time view of one runner worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerSnapshot {
-    /// Sample messages processed so far.
-    pub ticks: u64,
-    /// Messages queued at snapshot time.
-    pub queue_depth: u64,
-}
-
-/// Point-in-time view of one runner shard.
+/// Point-in-time view of one runner worker (`shard` label).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSnapshot {
-    /// Samples processed by this shard so far.
+    /// Samples processed by this worker so far.
     pub ticks: u64,
-    /// Messages queued across this shard's workers at snapshot time.
+    /// Messages queued to this worker at snapshot time.
     pub queue_depth: u64,
-    /// Supervisor restarts inside this shard so far.
+    /// Supervisor restarts of this worker so far.
     pub restarts: u64,
 }
 
@@ -588,9 +543,8 @@ pub struct MetricsSnapshot {
     pub conn_dropped_total: u64,
     /// Seconds since the registry was created.
     pub uptime_seconds: f64,
-    /// Per-worker views (empty outside runner deployments).
-    pub workers: Vec<WorkerSnapshot>,
-    /// Per-shard views (empty outside sharded-runner deployments).
+    /// Per-worker views, indexed by the `shard` label (empty outside
+    /// runner deployments).
     pub shards: Vec<ShardSnapshot>,
 }
 
@@ -607,7 +561,7 @@ fn fmt_le(v: f64) -> String {
 impl MetricsSnapshot {
     /// Total queued messages across all workers.
     pub fn runner_queue_depth(&self) -> u64 {
-        self.workers.iter().map(|w| w.queue_depth).sum()
+        self.shards.iter().map(|sh| sh.queue_depth).sum()
     }
 
     /// Renders the snapshot in the Prometheus text exposition format
@@ -721,7 +675,7 @@ impl MetricsSnapshot {
         scalar(
             "spring_runner_queue_depth",
             "gauge",
-            "Queued sample messages across all runner workers.",
+            "Queued messages across all runner workers.",
             self.runner_queue_depth(),
         );
         let mut histogram = |name: &str, help: &str, h: &HistogramSnapshot| {
@@ -748,32 +702,10 @@ impl MetricsSnapshot {
             "Frame sizes (samples per batch) seen by the batched ingestion path.",
             &self.batch_len,
         );
-        if !self.workers.is_empty() {
-            let _ = writeln!(
-                s,
-                "# HELP spring_worker_ticks_total Sample messages processed per runner worker."
-            );
-            let _ = writeln!(s, "# TYPE spring_worker_ticks_total counter");
-            for (i, w) in self.workers.iter().enumerate() {
-                let _ = writeln!(s, "spring_worker_ticks_total{{worker=\"{i}\"}} {}", w.ticks);
-            }
-            let _ = writeln!(
-                s,
-                "# HELP spring_worker_queue_depth Queued sample messages per runner worker."
-            );
-            let _ = writeln!(s, "# TYPE spring_worker_queue_depth gauge");
-            for (i, w) in self.workers.iter().enumerate() {
-                let _ = writeln!(
-                    s,
-                    "spring_worker_queue_depth{{worker=\"{i}\"}} {}",
-                    w.queue_depth
-                );
-            }
-        }
         if !self.shards.is_empty() {
             let _ = writeln!(
                 s,
-                "# HELP spring_shard_ticks_total Samples processed per runner shard."
+                "# HELP spring_shard_ticks_total Samples processed per runner worker (shard)."
             );
             let _ = writeln!(s, "# TYPE spring_shard_ticks_total counter");
             for (i, sh) in self.shards.iter().enumerate() {
@@ -781,7 +713,7 @@ impl MetricsSnapshot {
             }
             let _ = writeln!(
                 s,
-                "# HELP spring_shard_queue_depth Queued sample messages per runner shard."
+                "# HELP spring_shard_queue_depth Queued messages per runner worker (shard)."
             );
             let _ = writeln!(s, "# TYPE spring_shard_queue_depth gauge");
             for (i, sh) in self.shards.iter().enumerate() {
@@ -793,7 +725,7 @@ impl MetricsSnapshot {
             }
             let _ = writeln!(
                 s,
-                "# HELP spring_shard_restarts_total Supervisor restarts inside each runner shard."
+                "# HELP spring_shard_restarts_total Supervisor restarts per runner worker (shard)."
             );
             let _ = writeln!(s, "# TYPE spring_shard_restarts_total counter");
             for (i, sh) in self.shards.iter().enumerate() {
@@ -877,12 +809,6 @@ impl MetricsSnapshot {
         }
         if self.worker_restarts_total > 0 {
             row("worker restarts", self.worker_restarts_total.to_string());
-        }
-        for (i, w) in self.workers.iter().enumerate() {
-            row(
-                &format!("worker {i}"),
-                format!("{} ticks, queue depth {}", w.ticks, w.queue_depth),
-            );
         }
         for (i, sh) in self.shards.iter().enumerate() {
             row(
@@ -1190,7 +1116,7 @@ mod tests {
         metrics.ticks.add(7);
         metrics.record_match(&hit(5, 5));
         metrics.tick_latency.observe(3e-6);
-        let w = metrics.register_worker();
+        let w = metrics.register_shard();
         w.ticks.add(9);
         w.queue_depth.add(2);
         let text = metrics.to_prometheus();
@@ -1208,8 +1134,9 @@ mod tests {
             "spring_tick_latency_seconds",
             "spring_detection_delay_ticks",
             "spring_batch_len",
-            "spring_worker_ticks_total",
-            "spring_worker_queue_depth",
+            "spring_shard_ticks_total",
+            "spring_shard_queue_depth",
+            "spring_shard_restarts_total",
             "spring_build_info",
             "spring_uptime_seconds",
         ] {
@@ -1243,7 +1170,7 @@ mod tests {
             text.contains("spring_tick_latency_seconds_bucket{le=\"+Inf\"} 1"),
             "{text}"
         );
-        assert!(text.contains("spring_worker_ticks_total{worker=\"0\"} 9"));
+        assert!(text.contains("spring_shard_ticks_total{shard=\"0\"} 9"));
         assert!(text.contains("spring_runner_queue_depth 2"));
     }
 

@@ -1,86 +1,47 @@
 //! Threaded monitoring runner, generic over any [`Monitor`].
 //!
-//! Shards attachments across worker threads: each worker owns the
-//! monitor states of its shard (no locking on the hot path) and receives
-//! the samples of the streams it watches over a bounded channel. Matches
-//! go to a shared [`MatchSink`]. Each worker drives the same
-//! `Attachment` gap-policy/tick code path as the single-threaded
-//! [`crate::Engine`], so the two deployments report identical events.
+//! A [`Runner`] owns `N` worker threads and places every stream on one
+//! of them: worker `fnv1a_u64(stream) % N` ([`spring_util::hash`],
+//! stable across processes and restarts). That worker owns all of the
+//! stream's attachments, so each (stream, query) pair keeps the paper's
+//! `O(m)` time and space per tick (Theorem 2) with no cross-thread
+//! coordination. Workers drive the same `Attachment` gap-policy/tick
+//! path as the single-threaded [`crate::Engine`], so both report
+//! identical events; matches go to a shared [`MatchSink`].
 //!
-//! Scaling model: with `A` attachments of query length `m` spread over
-//! `w` workers, each incoming sample costs `O(A·m / w)` on the critical
-//! path — the `monitor_scaling` bench measures exactly this. To scale
-//! across *streams* (separate pending buffers, routes, checkpoints, and
-//! backpressure per group of streams), stack a [`crate::ShardedRunner`]
-//! on top: it hashes stream ids over several independent `Runner`s.
+//! Each worker has its own stream table (pending frames and attachment
+//! counts behind the worker's own lock), bounded channel, checkpoint,
+//! replay log and supervisor slot: pushes to streams on different
+//! workers share no lock, and backpressure and recovery stay with the
+//! worker that owns the stream. A stream has a table entry only while
+//! it has attachments — pushes to an unwatched stream are dropped
+//! without creating state, and the last detach removes the entry.
 //!
-//! # Framed channels
+//! **Frames.** Channels carry frames of up to [`Runner::max_batch`]
+//! consecutive samples of one stream, shared as `Arc<[_]>` by the
+//! channel and the replay log. Flushing is linger-free by default: a
+//! partial frame waits for [`Runner::flush`], [`Runner::finish_stream`]
+//! or [`Runner::shutdown`] (`max_batch = 1` is per-sample messaging),
+//! unless [`Runner::set_linger`] starts a janitor with a deadline.
+//! Attach, detach, swap and sync travel the same logged message path,
+//! so a restarted worker reconstructs them.
 //!
-//! Worker channels carry *frames* — `Frame { stream, samples }`
-//! messages of up to [`Runner::max_batch`] samples (default
-//! [`DEFAULT_MAX_BATCH`]) — so the channel/locking cost is paid per
-//! batch instead of per tick. [`Runner::push`] appends to a per-stream
-//! pending buffer and sends a frame when it fills;
-//! [`Runner::push_batch`] hands over whole slices. Flushing is
-//! **linger-free by default**: no timer holds samples back — a partial
-//! frame is flushed by [`Runner::finish_stream`] and
-//! [`Runner::shutdown`] (and can be forced any time with
-//! [`Runner::flush`]), so `max_batch = 1` reproduces the old per-sample
-//! messaging exactly. [`Runner::set_linger`] opts into a deadline: a
-//! janitor thread flushes partial frames older than the configured
-//! linger, bounding match latency on slow streams. Checkpoints, the
-//! replay log, and at-least-once redelivery all operate at frame
-//! granularity.
-//!
-//! # Dynamic attachments
-//!
-//! [`Runner::attach`] and [`Runner::detach`] add and remove
-//! (stream, query) attachments while the runner is live, from `&self` —
-//! long-lived deployments (`spring serve`) attach one monitor per
-//! connection. Attach/detach travel through the same logged, replayed
-//! message path as frames, so a worker restart reconstructs them.
-//! [`Runner::sync`] is a barrier: it returns once every worker watching
-//! a stream has drained the messages enqueued before the call, which is
-//! how a caller knows all matches for its pushed samples have reached
-//! the sink.
-//!
-//! # Failure handling and supervision
-//!
-//! A worker can stop for two reasons, and the runner treats them very
-//! differently:
-//!
-//! * **Ingestion errors** (e.g. [`GapPolicy::Fail`] on a missing value)
-//!   are deliberate: the lowest-ranked one (see below) is recorded and
-//!   returned by [`Runner::shutdown`]; the worker is *not* restarted,
-//!   and pushes to its streams report [`MonitorError::WorkerLost`].
-//! * **Panics** (a crashing sink, an injected fault) are infrastructure
-//!   failures: a built-in supervisor restarts the worker with capped
-//!   exponential backoff ([`RestartPolicy`]), restores its shard from
-//!   the last in-memory checkpoint (each worker forks its attachment
-//!   states every [`CHECKPOINT_EVERY`] messages), and replays the
-//!   logged message tail so **no sample — and therefore no match — is
-//!   dropped** (paper Theorem 2's "no false dismissal" guarantee
-//!   survives worker crashes). Delivery to the sink is *at least once*:
-//!   a match confirmed between the checkpoint and the crash is emitted
-//!   again on replay. Restarts are observable as
-//!   `spring_worker_restarts_total`; once a worker exhausts
-//!   [`RestartPolicy::max_restarts`] it is permanently lost and
-//!   [`Runner::shutdown`] reports [`MonitorError::WorkerLost`].
-//!
-//! [`Runner::shutdown`] drains every queue before joining: pending
-//! partial frames are flushed in ascending `StreamId` order (HashMap
-//! iteration order would make the surfaced error run-dependent when
-//! several streams hold failing samples), dead workers are healed
-//! (restart + replay) first so samples queued at crash time are still
-//! processed, and when several workers record errors the *lowest
-//! ranked* one is returned deterministically: `MissingSample` ordered
-//! by (stream, tick) before other ingestion errors before
+//! **Failures.** An ingestion error (e.g. [`GapPolicy::Fail`] on a
+//! missing value) stops its worker deliberately: it is not restarted,
+//! and pushes to its streams report [`MonitorError::WorkerLost`]. A
+//! panic is an infrastructure failure: the supervisor restarts the
+//! worker with capped backoff ([`RestartPolicy`]) from its last
+//! checkpoint (every [`CHECKPOINT_EVERY`] messages) and replays the
+//! logged tail, so no match is dropped (delivery is at least once).
+//! [`Runner::shutdown`] flushes pending frames in ascending `StreamId`
+//! order, heals dead workers, and returns the *lowest ranked* error:
+//! `MissingSample` by (stream, tick), then other ingestion errors, then
 //! [`MonitorError::WorkerLost`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -90,7 +51,7 @@ use crate::engine::{
     validate_query_samples, Attachment, AttachmentBuilder, AttachmentId, GapPolicy, MonitorError,
     Owned, QueryId, StreamId,
 };
-use crate::metrics::{Metrics, ShardMetrics, WorkerMetrics};
+use crate::metrics::{Metrics, ShardMetrics};
 use crate::sink::MatchSink;
 use crate::trace::{EventKind as TraceKind, TraceHandle, Tracer};
 
@@ -98,14 +59,20 @@ use crate::trace::{EventKind as TraceKind, TraceHandle, Tracer};
 /// bursty producers.
 const QUEUE_DEPTH: usize = 1024;
 
-/// A worker forks its shard into the supervisor checkpoint every this
-/// many processed messages (frames), bounding both the replay tail and
-/// the supervisor log to `O(CHECKPOINT_EVERY + QUEUE_DEPTH)` entries.
+/// A worker forks its attachments into the supervisor checkpoint every
+/// this many processed messages, bounding both the replay tail and the
+/// supervisor log to `O(CHECKPOINT_EVERY + QUEUE_DEPTH)` entries.
 pub const CHECKPOINT_EVERY: u64 = 64;
 
 /// Default frame size for [`Runner::push`] batching: samples buffered
 /// per stream before a frame is enqueued. See [`Runner::set_max_batch`].
 pub const DEFAULT_MAX_BATCH: usize = 64;
+
+/// The worker that owns `stream` among `workers`: FNV-1a over the id's
+/// little-endian bytes, mod the worker count.
+fn worker_of(stream: StreamId, workers: usize) -> usize {
+    (spring_util::hash::fnv1a_u64(u64::from(stream.0)) % workers as u64) as usize
+}
 
 /// How a [`Runner`] treats a worker thread lost to a panic.
 ///
@@ -209,6 +176,24 @@ impl<M: Monitor> RunnerAttachment<M> {
     pub fn swappable(&self) -> bool {
         self.builder.is_some()
     }
+
+    /// The worker-side attachment under `id`, recording into `metrics`.
+    fn into_attachment(self, id: AttachmentId, metrics: Option<&Arc<Metrics>>) -> Attachment<M> {
+        let mut att = Attachment::new(
+            id,
+            self.stream,
+            self.query_id,
+            self.monitor,
+            self.gap_policy,
+        );
+        if let Some(build) = self.builder {
+            att = att.with_builder(build);
+        }
+        if let Some(m) = metrics {
+            att.set_metrics(m);
+        }
+        att
+    }
 }
 
 impl RunnerAttachment<spring_core::Spring<spring_dtw::Kernel>> {
@@ -234,75 +219,54 @@ impl RunnerAttachment<spring_core::Spring<spring_dtw::Kernel>> {
     }
 }
 
-/// A barrier one [`Runner::sync`] call shares with the workers it
-/// waits on: each worker arrives when it dequeues its `Sync` message.
-///
-/// Arrival is saturating (a restart replays the logged `Sync`, so a
-/// worker may arrive twice) — the barrier is exact in fault-free runs
-/// and never blocks forever under the at-least-once replay.
+/// The barrier one [`Runner::sync`] call shares with the stream's
+/// worker. Arrival is idempotent: a restart replays the logged `Sync`,
+/// so the worker may arrive twice.
+#[derive(Default)]
 struct SyncPoint {
-    remaining: Mutex<usize>,
+    arrived: Mutex<bool>,
     cv: Condvar,
 }
 
 impl SyncPoint {
-    fn new(workers: usize) -> Self {
-        SyncPoint {
-            remaining: Mutex::new(workers),
-            cv: Condvar::new(),
-        }
-    }
-
     fn arrive(&self) {
-        let mut r = self
-            .remaining
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *r = r.saturating_sub(1);
+        *self.arrived.lock().unwrap_or_else(PoisonError::into_inner) = true;
         self.cv.notify_all();
     }
 
-    /// Waits up to `timeout`; `true` once every worker has arrived.
+    /// Waits up to `timeout`; `true` once the worker has arrived.
     fn wait_for(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut r = self
-            .remaining
-            .lock()
+        let arrived = self.arrived.lock().unwrap_or_else(PoisonError::into_inner);
+        let (arrived, _) = self
+            .cv
+            .wait_timeout_while(arrived, timeout, |a| !*a)
             .unwrap_or_else(PoisonError::into_inner);
-        while *r > 0 {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            let (g, _) = self
-                .cv
-                .wait_timeout(r, left)
-                .unwrap_or_else(PoisonError::into_inner);
-            r = g;
-        }
-        true
+        *arrived
     }
 }
 
+/// A batch of consecutive samples, shared between the channel and the
+/// replay log without copying.
+type Frame<M> = Arc<[Owned<M>]>;
+
 enum Msg<M: Monitor> {
-    /// A batch of consecutive samples of one stream (the unit of
-    /// channel traffic, checkpointing, and replay).
+    /// Consecutive samples of one stream (the unit of channel traffic,
+    /// checkpointing, and replay).
     Frame {
         stream: StreamId,
-        samples: Vec<Owned<M>>,
+        samples: Frame<M>,
     },
     FinishStream(StreamId),
-    /// Add an attachment to the receiving worker's shard (logged and
-    /// replayed like a frame, so restarts reconstruct it).
+    /// Add an attachment to the receiving worker (logged and replayed
+    /// like a frame, so restarts reconstruct it).
     Attach(Box<Attachment<M>>),
-    /// Remove an attachment from the receiving worker's shard.
+    /// Remove an attachment from the receiving worker.
     Detach(AttachmentId),
     /// Re-point every attachment of `query` at new pattern samples
-    /// (logged and replayed like a frame, so restarts re-apply the
-    /// swap at the same position in the message order).
+    /// (replayed at the same position in the message order).
     Swap {
         query: QueryId,
-        samples: Vec<Owned<M>>,
+        samples: Frame<M>,
         generation: u64,
     },
     /// Arrive at the barrier (see [`Runner::sync`]).
@@ -310,6 +274,8 @@ enum Msg<M: Monitor> {
     Shutdown,
 }
 
+/// Cloning (for the replay log) shares frame and swap payloads; only an
+/// attachment is forked.
 impl<M: Monitor + Clone> Clone for Msg<M>
 where
     Owned<M>: Clone,
@@ -318,7 +284,7 @@ where
         match self {
             Msg::Frame { stream, samples } => Msg::Frame {
                 stream: *stream,
-                samples: samples.clone(),
+                samples: Arc::clone(samples),
             },
             Msg::FinishStream(stream) => Msg::FinishStream(*stream),
             Msg::Attach(att) => Msg::Attach(Box::new(att.fork())),
@@ -329,7 +295,7 @@ where
                 generation,
             } => Msg::Swap {
                 query: *query,
-                samples: samples.clone(),
+                samples: Arc::clone(samples),
                 generation: *generation,
             },
             Msg::Sync(point) => Msg::Sync(Arc::clone(point)),
@@ -345,19 +311,18 @@ struct WorkerShared<M: Monitor> {
     failed: AtomicBool,
     /// Messages whose effects are contained in `checkpoint`.
     applied: AtomicU64,
-    /// The worker's forked shard as of `applied` messages.
+    /// The worker's forked attachments as of `applied` messages.
     checkpoint: Mutex<Vec<Attachment<M>>>,
 }
 
-/// Supervisor-side state of one worker (behind a mutex so `push` can
-/// heal from `&self`).
+/// Supervisor-side state of one worker.
 struct WorkerSlot<M: Monitor> {
     sender: SyncSender<Msg<M>>,
     handle: Option<JoinHandle<()>>,
     /// Messages sent since the last checkpoint, with absolute sequence
     /// numbers — the replay tail for a restart.
     log: VecDeque<(u64, Msg<M>)>,
-    /// Total routed (non-`Shutdown`) messages; the next sequence number.
+    /// Total non-`Shutdown` messages sent; the next sequence number.
     sent: u64,
     /// Restarts consumed so far.
     restarts: u32,
@@ -366,92 +331,72 @@ struct WorkerSlot<M: Monitor> {
     shared: Arc<WorkerShared<M>>,
 }
 
-/// Everything a worker thread needs besides its shard and channel —
-/// bundled so spawning and healing share one construction site.
-struct WorkerCtx<M: Monitor> {
-    sink: Arc<dyn MatchSink>,
-    error: Arc<Mutex<Option<MonitorError>>>,
-    wm: Option<Arc<WorkerMetrics>>,
-    /// Shard-level mirror of the worker gauges (set when this runner is
-    /// one shard of a [`crate::ShardedRunner`]).
-    sm: Option<Arc<ShardMetrics>>,
-    metrics: Option<Arc<Metrics>>,
-    shared: Arc<WorkerShared<M>>,
-    /// This incarnation's flight-recorder ring (each restart registers
-    /// a fresh ring under the same label, so the dead incarnation's
-    /// final events survive for the postmortem dump).
-    trace: TraceHandle,
-}
-
-/// The runner state shared between the [`Runner`] handle, its workers'
-/// supervisor paths, and the optional linger janitor thread.
-struct Core<M: Monitor> {
-    slots: Vec<Mutex<WorkerSlot<M>>>,
-    /// Worker indices interested in each stream (write-locked only by
-    /// attach/detach; routing takes the read lock).
-    routes: RwLock<HashMap<StreamId, Vec<usize>>>,
-    /// Owning worker, stream, and query of every live attachment — the
-    /// attach/detach bookkeeping from which routes are recomputed and
-    /// swap targets are found.
-    homes: Mutex<HashMap<AttachmentId, (usize, StreamId, QueryId)>>,
-    /// Current hot-swap generation per query id (`0` until the first
-    /// [`Runner::swap_query`]).
-    generations: Mutex<HashMap<QueryId, u64>>,
-    /// Per-stream sample buffers awaiting a full frame (flushed at
-    /// `max_batch`, on `finish_stream`, `flush`, `shutdown`, and — when
-    /// a linger is configured — by the janitor on deadline).
-    pending: Mutex<HashMap<StreamId, PendingBuf<M>>>,
-    /// Samples per frame before a buffer is flushed (≥ 1).
-    max_batch: AtomicUsize,
-    /// Linger deadline for partial frames, nanoseconds; `0` = off.
-    linger: AtomicU64,
-    /// Next id handed out by [`Runner::attach`].
-    next_attachment: AtomicU32,
-    /// Lowest-ranked ingestion error recorded by any worker.
-    error: Arc<Mutex<Option<MonitorError>>>,
-    /// Per-worker observability handles (aligned with `slots`; reused
-    /// across restarts so worker indices stay stable).
-    worker_metrics: Vec<Option<Arc<WorkerMetrics>>>,
-    /// Shard-level aggregate gauges (sharded deployments only).
-    shard_metrics: Option<Arc<ShardMetrics>>,
-    metrics: Option<Arc<Metrics>>,
-    sink: Arc<dyn MatchSink>,
-    restart: RestartPolicy,
-    /// Flight recorder shared across the deployment (`None` = no
-    /// tracing). Also the source of postmortem dumps on worker loss.
-    tracer: Option<Tracer>,
-    /// Label prefix for this runner's rings (a [`crate::ShardedRunner`]
-    /// passes `shardN-` so tracks stay distinguishable fleet-wide).
-    trace_prefix: String,
-    /// Per-worker supervisor rings (aligned with `slots`; written only
-    /// with the matching slot lock held, preserving the single-writer
-    /// ring contract across concurrent healers).
-    sup_trace: Vec<TraceHandle>,
-}
-
-/// One stream's samples awaiting a full frame.
-struct PendingBuf<M: Monitor> {
-    samples: Vec<Owned<M>>,
-    /// When the oldest buffered sample arrived (stamped only while a
+/// One stream's entry in its worker's table.
+struct StreamEntry<M: Monitor> {
+    /// Samples awaiting a full frame.
+    pending: Vec<Owned<M>>,
+    /// When the oldest pending sample arrived (stamped only while a
     /// linger deadline is configured — the linger-free hot path takes
     /// no clock reads).
     since: Option<Instant>,
+    /// Live attachments; the entry is removed when this reaches zero.
+    attached: usize,
 }
 
-impl<M: Monitor> Default for PendingBuf<M> {
+impl<M: Monitor> Default for StreamEntry<M> {
     fn default() -> Self {
-        PendingBuf {
-            samples: Vec::new(),
+        StreamEntry {
+            pending: Vec::new(),
             since: None,
+            attached: 0,
         }
     }
 }
 
-impl<M: Monitor> PendingBuf<M> {
-    fn take(&mut self) -> Vec<Owned<M>> {
-        self.since = None;
-        std::mem::take(&mut self.samples)
-    }
+/// One worker as the runner sees it. Lock order: `streams`, then `slot`.
+struct Worker<M: Monitor> {
+    slot: Mutex<WorkerSlot<M>>,
+    /// The streams placed on this worker that have attachments.
+    streams: Mutex<HashMap<StreamId, StreamEntry<M>>>,
+    /// `spring_shard_*{shard=…}` series of this worker.
+    metrics: Option<Arc<ShardMetrics>>,
+    /// Supervisor ring, written only with `slot` locked (single writer).
+    sup_trace: TraceHandle,
+}
+
+/// Everything a worker thread needs besides its attachments and channel.
+struct WorkerCtx<M: Monitor> {
+    sink: Arc<dyn MatchSink>,
+    error: Arc<Mutex<Option<MonitorError>>>,
+    shard: Option<Arc<ShardMetrics>>,
+    metrics: Option<Arc<Metrics>>,
+    shared: Arc<WorkerShared<M>>,
+    /// This incarnation's ring (each restart registers a fresh one under
+    /// the same label, so the dead incarnation's events survive).
+    trace: TraceHandle,
+}
+
+/// The runner state shared between the [`Runner`] handle and the
+/// optional linger janitor thread.
+struct Core<M: Monitor> {
+    workers: Vec<Worker<M>>,
+    /// Stream and query of every live attachment (control path only).
+    homes: Mutex<HashMap<AttachmentId, (StreamId, QueryId)>>,
+    /// Current hot-swap generation per query id.
+    generations: Mutex<HashMap<QueryId, u64>>,
+    /// Samples per frame (≥ 1).
+    max_batch: AtomicUsize,
+    /// Linger deadline for partial frames, nanoseconds; `0` = off.
+    linger: AtomicU64,
+    next_attachment: AtomicU32,
+    /// Lowest-ranked ingestion error recorded by any worker.
+    error: Arc<Mutex<Option<MonitorError>>>,
+    metrics: Option<Arc<Metrics>>,
+    sink: Arc<dyn MatchSink>,
+    restart: RestartPolicy,
+    /// Flight recorder (`None` = no tracing); also the source of
+    /// postmortem dumps on worker loss.
+    tracer: Option<Tracer>,
 }
 
 /// The linger janitor: a thread flushing overdue partial frames.
@@ -460,18 +405,20 @@ struct Janitor {
     handle: JoinHandle<()>,
 }
 
-/// A running pool of monitor workers.
+/// A running pool of monitor workers, with streams placed by id hash.
 ///
 /// Samples are pushed from any thread via [`Runner::push`]; matches
 /// arrive at the sink from worker threads. Attachments can be added and
 /// removed at runtime ([`Runner::attach`] / [`Runner::detach`]). Call
-/// [`Runner::shutdown`] to flush, join, and learn about any worker
-/// failure. Workers lost to panics are restarted from their last
-/// checkpoint per the configured [`RestartPolicy`].
+/// [`Runner::shutdown`] to flush, join, and learn about any failure.
 pub struct Runner<M: Monitor> {
     core: Arc<Core<M>>,
     janitor: Option<Janitor>,
 }
+
+/// [`Runner`] under the name of the former two-level sharded API, for
+/// callers written against it (such as the benchmark's layer replays).
+pub type ShardedRunner<M> = Runner<M>;
 
 impl<M: Monitor> Drop for Runner<M> {
     fn drop(&mut self) {
@@ -484,8 +431,8 @@ impl<M: Monitor> Drop for Runner<M> {
 }
 
 /// Increments `spring_worker_lost_total` when the worker thread exits
-/// abnormally: either after recording an ingestion error (`lost` set) or
-/// while unwinding from a panic (e.g. a panicking sink).
+/// abnormally: after recording an ingestion error (`lost` set) or while
+/// unwinding from a panic.
 struct WorkerLostGuard {
     metrics: Option<Arc<Metrics>>,
     lost: bool,
@@ -501,128 +448,105 @@ impl Drop for WorkerLostGuard {
     }
 }
 
-/// The worker thread body: drains its channel, drives the shard, and
-/// forks a checkpoint every [`CHECKPOINT_EVERY`] messages.
+fn ring(tracer: &Option<Tracer>, label: &str) -> TraceHandle {
+    tracer
+        .as_ref()
+        .map_or_else(TraceHandle::off, |t| t.register(label))
+}
+
+/// The worker thread body: drains its channel, drives its attachments,
+/// and forks a checkpoint every [`CHECKPOINT_EVERY`] messages.
 fn spawn_worker<M>(
-    mut shard: Vec<Attachment<M>>,
+    mut atts: Vec<Attachment<M>>,
     rx: Receiver<Msg<M>>,
     ctx: WorkerCtx<M>,
 ) -> JoinHandle<()>
 where
     M: Monitor + Clone + Send + 'static,
-    Owned<M>: Clone + Send,
+    Owned<M>: Clone + Send + Sync,
 {
     thread::spawn(move || {
-        // Constructed inside the thread so its `Drop` runs here: a
-        // panicking sink (or a recorded ingestion error) bumps
-        // `spring_worker_lost_total` exactly once per lost worker.
+        // Constructed inside the thread so its `Drop` runs here.
         let mut guard = WorkerLostGuard {
             metrics: ctx.metrics.clone(),
             lost: false,
         };
+        let deliver = |event: &crate::engine::Event| {
+            crate::fail_point!("runner::sink");
+            ctx.trace.instant(TraceKind::Match, event.m.end);
+            ctx.sink.on_match(event);
+        };
         // Messages applied by this incarnation, continuing the absolute
-        // count from the checkpoint the shard was forked at.
+        // count from the checkpoint it was forked at.
         let mut applied = ctx.shared.applied.load(Ordering::Acquire);
         'recv: for msg in rx {
             crate::fail_point!("runner::worker::recv");
-            // Shutdown messages are not routed (and not counted into the
-            // depth gauges), so only routed messages decrement them.
+            // Shutdown is never counted into the depth gauge.
             if !matches!(msg, Msg::Shutdown) {
-                if let Some(wm) = &ctx.wm {
-                    wm.queue_depth.add(-1);
-                }
-                if let Some(sm) = &ctx.sm {
+                if let Some(sm) = &ctx.shard {
                     sm.queue_depth.add(-1);
                 }
             }
+            let mut failure = None;
             match msg {
                 Msg::Frame { stream, samples } => {
                     crate::fail_point!("runner::worker::frame");
                     let frame_span = ctx.trace.now();
                     let mut processed = 0u64;
-                    let mut failed = false;
                     // Sample-major, like the Engine: each tick runs
                     // through every attachment before the next tick.
-                    'frame: for value in &samples {
+                    'frame: for value in samples.iter() {
                         processed += 1;
-                        for att in shard.iter_mut().filter(|a| a.stream == stream) {
+                        for att in atts.iter_mut().filter(|a| a.stream == stream) {
                             match att.ingest(std::borrow::Borrow::borrow(value)) {
-                                Ok(Some(event)) => {
-                                    crate::fail_point!("runner::sink");
-                                    ctx.trace.instant(TraceKind::Match, event.m.end);
-                                    ctx.sink.on_match(&event);
-                                }
+                                Ok(Some(event)) => deliver(&event),
                                 Ok(None) => {}
                                 Err(e) => {
-                                    record_error(&ctx.error, e);
-                                    // Deliberate stop: tell the
-                                    // supervisor not to restart; the
-                                    // frame tail is dropped with the
+                                    // The frame tail is dropped with the
                                     // rest of the stream.
-                                    ctx.shared.failed.store(true, Ordering::Release);
-                                    failed = true;
+                                    failure = Some(e);
                                     break 'frame;
                                 }
                             }
                         }
                     }
                     ctx.trace.span(frame_span, TraceKind::Frame, processed);
-                    if let Some(wm) = &ctx.wm {
-                        wm.ticks.add(processed);
-                    }
-                    if let Some(sm) = &ctx.sm {
+                    if let Some(sm) = &ctx.shard {
                         sm.ticks.add(processed);
-                    }
-                    if failed {
-                        // Drop the receiver so later pushes fail fast.
-                        guard.lost = true;
-                        break 'recv;
                     }
                 }
                 Msg::FinishStream(stream) => {
                     let flush_span = ctx.trace.now();
-                    for att in shard.iter_mut().filter(|a| a.stream == stream) {
+                    for att in atts.iter_mut().filter(|a| a.stream == stream) {
                         if let Some(event) = att.flush() {
-                            crate::fail_point!("runner::sink");
-                            ctx.trace.instant(TraceKind::Match, event.m.end);
-                            ctx.sink.on_match(&event);
+                            deliver(&event);
                         }
                     }
                     ctx.trace
                         .span(flush_span, TraceKind::Flush, u64::from(stream.0));
                 }
                 Msg::Attach(att) => {
-                    // Replays are pruned against the checkpoint, so a
-                    // duplicate can't normally arrive — the guard keeps
-                    // a duplicated Attach from double-counting anyway.
-                    if !shard.iter().any(|a| a.id == att.id) {
-                        shard.push(*att);
+                    // Replays are pruned against the checkpoint; the
+                    // guard keeps a duplicated Attach from counting twice.
+                    if !atts.iter().any(|a| a.id == att.id) {
+                        atts.push(*att);
                     }
                 }
-                Msg::Detach(id) => shard.retain(|a| a.id != id),
+                Msg::Detach(id) => atts.retain(|a| a.id != id),
                 Msg::Swap {
                     query,
                     samples,
                     generation,
                 } => {
-                    let mut failed = false;
-                    for att in shard.iter_mut().filter(|a| a.query == query) {
-                        if let Err(e) = att.apply_swap(&samples, generation) {
-                            // A rebuild that fails (no stored recipe, or
-                            // the builder rejects the new pattern) is an
-                            // ingestion-class error: deliberate stop, no
-                            // restart, surfaced at shutdown.
-                            record_error(&ctx.error, e);
-                            ctx.shared.failed.store(true, Ordering::Release);
-                            failed = true;
-                            break;
-                        }
+                    // A failed rebuild (no stored recipe, or a rejected
+                    // pattern) is an ingestion-class error.
+                    failure = atts
+                        .iter_mut()
+                        .filter(|a| a.query == query)
+                        .find_map(|a| a.apply_swap(&samples, generation).err());
+                    if failure.is_none() {
+                        ctx.trace.instant(TraceKind::QuerySwap, generation);
                     }
-                    if failed {
-                        guard.lost = true;
-                        break 'recv;
-                    }
-                    ctx.trace.instant(TraceKind::QuerySwap, generation);
                 }
                 Msg::Sync(point) => {
                     let sync_span = ctx.trace.now();
@@ -631,11 +555,20 @@ where
                 }
                 Msg::Shutdown => break,
             }
+            if let Some(e) = failure {
+                // Deliberate stop: record the error, tell the supervisor
+                // not to restart, and drop the receiver so later pushes
+                // fail fast.
+                record_error(&ctx.error, e);
+                ctx.shared.failed.store(true, Ordering::Release);
+                guard.lost = true;
+                break 'recv;
+            }
             applied += 1;
             let behind = applied - ctx.shared.applied.load(Ordering::Relaxed);
             if behind >= CHECKPOINT_EVERY {
                 let cp_span = ctx.trace.now();
-                let fork: Vec<Attachment<M>> = shard.iter().map(Attachment::fork).collect();
+                let fork: Vec<Attachment<M>> = atts.iter().map(Attachment::fork).collect();
                 *ctx.shared
                     .checkpoint
                     .lock()
@@ -650,10 +583,10 @@ where
 impl<M> Runner<M>
 where
     M: Monitor + Clone + Send + 'static,
-    Owned<M>: Clone + Send,
+    Owned<M>: Clone + Send + Sync,
 {
-    /// Spawns `workers` threads sharing out `attachments` round-robin,
-    /// with the default [`RestartPolicy`].
+    /// Spawns `workers` threads, placing each attachment on the worker
+    /// that owns its stream, with the default [`RestartPolicy`].
     ///
     /// # Errors
     /// Fails when `workers == 0`.
@@ -662,53 +595,50 @@ where
         workers: usize,
         sink: Arc<dyn MatchSink>,
     ) -> Result<Self, MonitorError> {
-        Runner::spawn_with_policy(attachments, workers, sink, None, RestartPolicy::default())
-    }
-
-    /// [`Runner::spawn`] with an observability registry: every worker
-    /// registers a [`WorkerMetrics`] (per-worker tick counter + queue
-    /// depth gauge), each attachment records ticks/matches/latency/
-    /// memory, abnormal worker exits bump `spring_worker_lost_total`,
-    /// and supervisor restarts bump `spring_worker_restarts_total`.
-    ///
-    /// # Errors
-    /// Fails when `workers == 0`.
-    pub fn spawn_with_metrics(
-        attachments: Vec<RunnerAttachment<M>>,
-        workers: usize,
-        sink: Arc<dyn MatchSink>,
-        metrics: Option<Arc<Metrics>>,
-    ) -> Result<Self, MonitorError> {
-        Runner::spawn_with_policy(
+        Runner::spawn_with_observability(
             attachments,
             workers,
             sink,
-            metrics,
+            None,
             RestartPolicy::default(),
+            None,
         )
     }
 
-    /// Fully explicit constructor: metrics registry and worker
-    /// [`RestartPolicy`] ([`RestartPolicy::none`] restores the
-    /// unsupervised fail-fast behavior).
+    /// The benchmark's entry point (springbench's in-process layer
+    /// replays call it with this exact signature): spawns
+    /// `shards × workers_per_shard` workers with a metrics registry and
+    /// the default [`RestartPolicy`].
     ///
     /// # Errors
-    /// Fails when `workers == 0`.
-    pub fn spawn_with_policy(
+    /// Fails when `shards == 0` or `workers_per_shard == 0`.
+    pub fn spawn_with_metrics(
         attachments: Vec<RunnerAttachment<M>>,
-        workers: usize,
+        shards: usize,
+        workers_per_shard: usize,
         sink: Arc<dyn MatchSink>,
         metrics: Option<Arc<Metrics>>,
-        restart: RestartPolicy,
     ) -> Result<Self, MonitorError> {
-        Runner::spawn_with_observability(attachments, workers, sink, metrics, restart, None)
+        Runner::spawn_with_observability(
+            attachments,
+            shards.saturating_mul(workers_per_shard),
+            sink,
+            metrics,
+            RestartPolicy::default(),
+            None,
+        )
     }
 
-    /// [`Runner::spawn_with_policy`] plus a flight recorder: each worker
-    /// incarnation records frame/checkpoint/flush spans and match
-    /// instants into its own `worker-N` ring, and the supervisor records
-    /// restart instants and replay spans into `supervisor-N` — dumped to
-    /// the tracer's postmortem directory whenever a worker is lost.
+    /// The fully explicit constructor.
+    ///
+    /// * `metrics`: worker `i` reports
+    ///   `spring_shard_{ticks_total,queue_depth,restarts_total}{shard="i"}`,
+    ///   attachments record ticks/matches/latency/memory, and worker
+    ///   losses and restarts bump `spring_worker_{lost,restarts}_total`.
+    /// * `restart`: supervision ([`RestartPolicy::none`] fails fast).
+    /// * `tracer`: worker `i` records spans and match instants into a
+    ///   `worker-{i}` ring, its supervisor restarts and replays into
+    ///   `supervisor-{i}`; the tracer dumps a postmortem on worker loss.
     ///
     /// # Errors
     /// Fails when `workers == 0`.
@@ -720,131 +650,88 @@ where
         restart: RestartPolicy,
         tracer: Option<Tracer>,
     ) -> Result<Self, MonitorError> {
-        let prepared = attachments
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| (AttachmentId(i as u32), a))
-            .collect();
-        Runner::spawn_prepared(prepared, workers, sink, metrics, restart, None, tracer, "")
-    }
-
-    /// The innermost constructor: attachment ids are caller-assigned
-    /// (a [`crate::ShardedRunner`] keeps ids globally unique across its
-    /// shards) and an optional [`ShardMetrics`] mirror aggregates this
-    /// runner's worker gauges at shard granularity.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn spawn_prepared(
-        attachments: Vec<(AttachmentId, RunnerAttachment<M>)>,
-        workers: usize,
-        sink: Arc<dyn MatchSink>,
-        metrics: Option<Arc<Metrics>>,
-        restart: RestartPolicy,
-        shard_metrics: Option<Arc<ShardMetrics>>,
-        tracer: Option<Tracer>,
-        trace_prefix: &str,
-    ) -> Result<Self, MonitorError> {
         if workers == 0 {
             return Err(MonitorError::Spring(
                 spring_core::SpringError::InvalidQuery("runner needs at least one worker".into()),
             ));
         }
-        let mut shards: Vec<Vec<Attachment<M>>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut routes: HashMap<StreamId, Vec<usize>> = HashMap::new();
-        let mut homes: HashMap<AttachmentId, (usize, StreamId, QueryId)> = HashMap::new();
-        let mut next_id: u32 = 0;
-        for (i, (id, spec)) in attachments.into_iter().enumerate() {
-            let worker = i % workers;
-            next_id = next_id.max(id.0.saturating_add(1));
-            let mut attachment = Attachment::new(
-                id,
-                spec.stream,
-                spec.query_id,
-                spec.monitor,
-                spec.gap_policy,
-            );
-            if let Some(build) = spec.builder {
-                attachment = attachment.with_builder(build);
-            }
-            if let Some(metrics) = &metrics {
-                attachment.set_metrics(metrics);
-            }
-            homes.insert(id, (worker, spec.stream, spec.query_id));
-            shards[worker].push(attachment);
-            let entry = routes.entry(spec.stream).or_default();
-            if !entry.contains(&worker) {
-                entry.push(worker);
-            }
+        let mut placed: Vec<Vec<Attachment<M>>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut tables: Vec<HashMap<StreamId, StreamEntry<M>>> =
+            (0..workers).map(|_| HashMap::new()).collect();
+        let mut homes = HashMap::new();
+        let next_id = attachments.len() as u32;
+        for (i, spec) in attachments.into_iter().enumerate() {
+            let id = AttachmentId(i as u32);
+            let w = worker_of(spec.stream, workers);
+            homes.insert(id, (spec.stream, spec.query_id));
+            tables[w].entry(spec.stream).or_default().attached += 1;
+            placed[w].push(spec.into_attachment(id, metrics.as_ref()));
         }
-        let error = Arc::new(Mutex::new(None));
-        let mut slots = Vec::with_capacity(workers);
-        let mut worker_metrics = Vec::with_capacity(workers);
-        let mut sup_trace = Vec::with_capacity(workers);
-        for (w, shard) in shards.into_iter().enumerate() {
-            let wm = metrics.as_ref().map(|m| m.register_worker());
-            worker_metrics.push(wm.clone());
-            sup_trace.push(match &tracer {
-                Some(t) => t.register(&format!("{trace_prefix}supervisor-{w}")),
-                None => TraceHandle::off(),
-            });
-            // Checkpoint 0: the shard's initial state, so a crash before
-            // the first periodic checkpoint can still replay from tick 0.
-            let shared = Arc::new(WorkerShared {
-                failed: AtomicBool::new(false),
-                applied: AtomicU64::new(0),
-                checkpoint: Mutex::new(shard.iter().map(Attachment::fork).collect()),
-            });
-            let (tx, rx) = sync_channel::<Msg<M>>(QUEUE_DEPTH);
-            let ctx = WorkerCtx {
-                sink: Arc::clone(&sink),
-                error: Arc::clone(&error),
-                wm,
-                sm: shard_metrics.clone(),
-                metrics: metrics.clone(),
-                shared: Arc::clone(&shared),
-                trace: match &tracer {
-                    Some(t) => t.register(&format!("{trace_prefix}worker-{w}")),
-                    None => TraceHandle::off(),
-                },
-            };
-            let handle = spawn_worker(shard, rx, ctx);
-            slots.push(Mutex::new(WorkerSlot {
-                sender: tx,
-                handle: Some(handle),
-                log: VecDeque::new(),
-                sent: 0,
-                restarts: 0,
-                dead: false,
-                shared,
-            }));
+        let mut receivers = Vec::with_capacity(workers);
+        let workers: Vec<Worker<M>> = tables
+            .into_iter()
+            .zip(&placed)
+            .enumerate()
+            .map(|(w, (streams, atts))| {
+                let (tx, rx) = sync_channel(QUEUE_DEPTH);
+                receivers.push(rx);
+                Worker {
+                    slot: Mutex::new(WorkerSlot {
+                        sender: tx,
+                        handle: None,
+                        log: VecDeque::new(),
+                        sent: 0,
+                        restarts: 0,
+                        dead: false,
+                        // Checkpoint 0: the initial state, so a crash
+                        // before the first periodic checkpoint can still
+                        // replay from tick 0.
+                        shared: Arc::new(WorkerShared {
+                            failed: AtomicBool::new(false),
+                            applied: AtomicU64::new(0),
+                            checkpoint: Mutex::new(atts.iter().map(Attachment::fork).collect()),
+                        }),
+                    }),
+                    streams: Mutex::new(streams),
+                    metrics: metrics.as_ref().map(|m| m.register_shard()),
+                    sup_trace: ring(&tracer, &format!("supervisor-{w}")),
+                }
+            })
+            .collect();
+        let core = Core {
+            workers,
+            homes: Mutex::new(homes),
+            generations: Mutex::new(HashMap::new()),
+            max_batch: AtomicUsize::new(DEFAULT_MAX_BATCH),
+            linger: AtomicU64::new(0),
+            next_attachment: AtomicU32::new(next_id),
+            error: Arc::new(Mutex::new(None)),
+            metrics,
+            sink,
+            restart,
+            tracer,
+        };
+        for (w, (atts, rx)) in placed.into_iter().zip(receivers).enumerate() {
+            let mut slot = core.lock_slot(w);
+            slot.handle = Some(core.start_worker(w, &slot.shared, atts, rx));
         }
         Ok(Runner {
-            core: Arc::new(Core {
-                slots,
-                routes: RwLock::new(routes),
-                homes: Mutex::new(homes),
-                generations: Mutex::new(HashMap::new()),
-                pending: Mutex::new(HashMap::new()),
-                max_batch: AtomicUsize::new(DEFAULT_MAX_BATCH),
-                linger: AtomicU64::new(0),
-                next_attachment: AtomicU32::new(next_id),
-                error,
-                worker_metrics,
-                shard_metrics,
-                metrics,
-                sink,
-                restart,
-                tracer,
-                trace_prefix: trace_prefix.to_string(),
-                sup_trace,
-            }),
+            core: Arc::new(core),
             janitor: None,
         })
     }
 
+    /// The index of the worker that owns `stream` (a pure function of
+    /// the stream id and the worker count — the `shard` label of its
+    /// metrics).
+    pub fn worker_of(&self, stream: StreamId) -> usize {
+        worker_of(stream, self.core.workers.len())
+    }
+
     /// Sets the frame size: [`Runner::push`] buffers this many samples
-    /// per stream before enqueuing a frame (clamped to ≥ 1;
-    /// `1` reproduces per-sample messaging exactly). Call before
-    /// pushing; changing it mid-stream only affects future frames.
+    /// per stream before enqueuing a frame (clamped to ≥ 1; `1`
+    /// reproduces per-sample messaging exactly). Changing it mid-stream
+    /// only affects future frames.
     pub fn set_max_batch(&mut self, max_batch: usize) {
         self.core
             .max_batch
@@ -857,13 +744,9 @@ where
     }
 
     /// Sets the linger deadline for partial frames: a janitor thread
-    /// flushes any stream whose pending buffer has been non-empty for
-    /// at least `linger`, bounding match latency on slow streams.
-    /// `Duration::ZERO` (the default) disables lingering — partial
-    /// frames then wait for [`Runner::flush`]/[`Runner::finish_stream`]/
-    /// [`Runner::shutdown`] exactly as before, so at `max_batch = 1`
-    /// (where no partial frame ever exists) a configured linger changes
-    /// nothing about the transcript.
+    /// flushes any pending frame at least `linger` old, bounding match
+    /// latency on slow streams. `Duration::ZERO` (the default) disables
+    /// it; at `max_batch = 1` a linger changes nothing.
     pub fn set_linger(&mut self, linger: Duration) {
         let nanos = u64::try_from(linger.as_nanos()).unwrap_or(u64::MAX);
         self.core.linger.store(nanos, Ordering::Relaxed);
@@ -875,24 +758,20 @@ where
                 let (lock, cv) = &*stop2;
                 let mut stopped = lock.lock().unwrap_or_else(PoisonError::into_inner);
                 while !*stopped {
-                    let nanos = core.linger.load(Ordering::Relaxed);
                     // Wake about twice per linger so a frame overstays
                     // its deadline by at most ~50%.
-                    let interval = if nanos == 0 {
-                        Duration::from_millis(50)
-                    } else {
-                        Duration::from_nanos(nanos / 2)
-                            .clamp(Duration::from_millis(1), Duration::from_millis(50))
-                    };
-                    let (g, _) = cv
-                        .wait_timeout(stopped, interval)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    stopped = g;
-                    if *stopped {
-                        break;
-                    }
                     let nanos = core.linger.load(Ordering::Relaxed);
-                    if nanos > 0 {
+                    let interval = match nanos {
+                        0 => Duration::from_millis(50),
+                        n => Duration::from_nanos(n / 2)
+                            .clamp(Duration::from_millis(1), Duration::from_millis(50)),
+                    };
+                    stopped = cv
+                        .wait_timeout(stopped, interval)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
+                    let nanos = core.linger.load(Ordering::Relaxed);
+                    if !*stopped && nanos > 0 {
                         core.flush_lingering(Duration::from_nanos(nanos));
                     }
                 }
@@ -906,163 +785,262 @@ where
         Duration::from_nanos(self.core.linger.load(Ordering::Relaxed))
     }
 
-    /// Adds an attachment while the runner is live, on the least-loaded
-    /// worker (fewest attachments), and returns its id. The attachment
-    /// sees every sample pushed to its stream *after* this call returns.
+    /// Adds an attachment on the worker that owns its stream and
+    /// returns its id. The attachment sees exactly the samples pushed
+    /// to its stream *after* this call returns: samples still pending
+    /// for the stream's existing attachments are flushed to them first.
     ///
     /// # Errors
-    /// [`MonitorError::WorkerLost`] when the chosen worker is
-    /// permanently lost.
+    /// [`MonitorError::WorkerLost`] when that worker is permanently lost.
     pub fn attach(&self, spec: RunnerAttachment<M>) -> Result<AttachmentId, MonitorError> {
-        let id = AttachmentId(self.core.next_attachment.fetch_add(1, Ordering::Relaxed));
-        self.core.attach_with_id(id, spec)?;
+        let core = &self.core;
+        let id = AttachmentId(core.next_attachment.fetch_add(1, Ordering::Relaxed));
+        let (stream, query) = (spec.stream, spec.query_id);
+        let attachment = spec.into_attachment(id, core.metrics.as_ref());
+        let w = worker_of(stream, core.workers.len());
+        let mut streams = core.lock_streams(w);
+        let entry = streams.entry(stream).or_default();
+        // Pending samples belong to the stream's existing attachments;
+        // the FIFO channel then delivers every later frame after the
+        // Attach.
+        let sent = core
+            .flush_entry(w, stream, entry)
+            .and_then(|()| core.send(w, Msg::Attach(Box::new(attachment))));
+        if let Err(e) = sent {
+            if entry.attached == 0 {
+                streams.remove(&stream);
+            }
+            return Err(e);
+        }
+        entry.attached += 1;
+        drop(streams);
+        core.lock_homes().insert(id, (stream, query));
         Ok(id)
     }
 
-    /// [`Runner::attach`] with a caller-assigned id (the
-    /// [`crate::ShardedRunner`] allocates ids globally).
-    pub(crate) fn attach_with_id(
-        &self,
-        id: AttachmentId,
-        spec: RunnerAttachment<M>,
-    ) -> Result<(), MonitorError> {
-        self.core.attach_with_id(id, spec)
-    }
-
-    /// Removes a live attachment: flushes its stream's pending partial
-    /// frame (so buffered samples are still monitored), detaches the
-    /// monitor, and drops the route if it was the stream's last watcher.
+    /// Removes a live attachment: flushes its stream's pending frame (so
+    /// buffered samples are still monitored), detaches the monitor, and
+    /// drops the stream's table entry if it was the last attachment.
     ///
     /// # Errors
     /// [`MonitorError::UnknownAttachment`] for an id never attached (or
     /// already detached); [`MonitorError::WorkerLost`] when the owning
     /// worker is permanently lost.
     pub fn detach(&self, id: AttachmentId) -> Result<(), MonitorError> {
-        self.core.detach(id)
+        let core = &self.core;
+        let (stream, _) = core
+            .lock_homes()
+            .remove(&id)
+            .ok_or(MonitorError::UnknownAttachment(id))?;
+        let w = worker_of(stream, core.workers.len());
+        let mut streams = core.lock_streams(w);
+        if let Some(entry) = streams.get_mut(&stream) {
+            // Buffered samples still belong to the attachment. A lost
+            // worker surfaces on the Detach send below either way.
+            let _ = core.flush_entry(w, stream, entry);
+            entry.attached -= 1;
+            if entry.attached == 0 {
+                streams.remove(&stream);
+            }
+        }
+        core.send(w, Msg::Detach(id))
     }
 
     /// Atomically re-points every attachment of `query` at a new
     /// pattern, returning the query's new generation.
     ///
-    /// The swap lands on a **frame boundary**: affected streams'
-    /// pending partial frames are flushed first (those samples are
-    /// monitored under the old pattern), then a swap control message is
-    /// enqueued to every owning worker through the same logged,
-    /// replayed path as frames — so per worker the swap point in the
-    /// sample order is exact, checkpoints capture post-swap monitors,
-    /// and a worker restart re-applies the swap at the same position.
-    /// Each attachment is rebuilt from its stored recipe
-    /// ([`RunnerAttachment::with_builder`] /
-    /// [`RunnerAttachment::spring`]) with fresh DP state — exactly as
-    /// if it had been detached and re-attached with the new pattern.
+    /// The swap lands on a **frame boundary**: affected streams' pending
+    /// frames are flushed first (monitored under the old pattern), then
+    /// a logged, replayed swap message goes to every owning worker, so
+    /// the swap point in each stream is exact across restarts. Each
+    /// attachment is rebuilt from its stored recipe
+    /// ([`RunnerAttachment::with_builder`]) with fresh DP state, exactly
+    /// as if it had been detached and re-attached.
     ///
     /// # Errors
     /// Invalid patterns (empty, non-finite, ragged channels) are
-    /// rejected up front with no state change.
-    /// [`MonitorError::WorkerLost`] when an owning worker is
-    /// permanently lost; an attachment without a stored recipe fails
-    /// worker-side and surfaces at [`Runner::shutdown`].
+    /// rejected up front with no state change;
+    /// [`MonitorError::WorkerLost`] when an owning worker is permanently
+    /// lost. An attachment without a recipe fails worker-side and
+    /// surfaces at [`Runner::shutdown`].
     pub fn swap_query(&self, query: QueryId, samples: &[Owned<M>]) -> Result<u64, MonitorError> {
-        self.core.swap_query(query, samples, true)
-    }
-
-    /// [`Runner::swap_query`] with the metric bump made optional: a
-    /// [`crate::ShardedRunner`] broadcasts one logical swap to every
-    /// shard but must count it once.
-    pub(crate) fn swap_query_recorded(
-        &self,
-        query: QueryId,
-        samples: &[Owned<M>],
-        record_metrics: bool,
-    ) -> Result<u64, MonitorError> {
-        self.core.swap_query(query, samples, record_metrics)
+        let core = &self.core;
+        validate_query_samples::<M>(samples)?;
+        let streams: BTreeSet<StreamId> = core
+            .lock_homes()
+            .values()
+            .filter(|&&(_, q)| q == query)
+            .map(|&(s, _)| s)
+            .collect();
+        // Frame boundary: buffered samples were pushed before the swap.
+        // A lost worker surfaces below either way.
+        for &s in &streams {
+            let _ = core.with_stream(s, |w, entry| core.flush_entry(w, s, entry));
+        }
+        let generation = {
+            let mut gens = core
+                .generations
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let g = gens.entry(query).or_insert(0);
+            *g += 1;
+            *g
+        };
+        let workers: BTreeSet<usize> = streams
+            .iter()
+            .map(|&s| worker_of(s, core.workers.len()))
+            .collect();
+        let samples = Frame::<M>::from(samples);
+        let mut lost = false;
+        for w in workers {
+            let msg = Msg::Swap {
+                query,
+                samples: Arc::clone(&samples),
+                generation,
+            };
+            lost |= core.send(w, msg).is_err();
+        }
+        if let Some(m) = &core.metrics {
+            m.query_swaps.inc();
+            m.query_generation.set(generation);
+        }
+        if lost {
+            Err(MonitorError::WorkerLost)
+        } else {
+            Ok(generation)
+        }
     }
 
     /// The current hot-swap generation of `query` (`0` until its first
     /// [`Runner::swap_query`]).
     pub fn query_generation(&self, query: QueryId) -> u64 {
-        self.core.query_generation(query)
+        *self
+            .core
+            .generations
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&query)
+            .unwrap_or(&0)
     }
 
-    /// Barrier: returns once every worker watching `stream` has drained
-    /// all messages enqueued for it before this call — at which point
-    /// every match implied by previously pushed (and flushed) samples
-    /// has reached the sink. Samples still in the pending buffer are
-    /// *not* flushed; call [`Runner::flush`] first when that matters.
+    /// Barrier: returns once the worker owning `stream` has drained all
+    /// messages enqueued before this call — at which point every match
+    /// implied by previously flushed samples has reached the sink.
+    /// Pending samples are *not* flushed; call [`Runner::flush`] first
+    /// when that matters. Returns at once for an unwatched stream.
     ///
     /// # Errors
-    /// [`MonitorError::WorkerLost`] when a watching worker is
-    /// permanently lost before arriving.
+    /// [`MonitorError::WorkerLost`] when the worker is permanently lost
+    /// before arriving.
     pub fn sync(&self, stream: StreamId) -> Result<(), MonitorError> {
-        self.core.sync(stream)
+        let core = &self.core;
+        let w = worker_of(stream, core.workers.len());
+        if !core.lock_streams(w).contains_key(&stream) {
+            return Ok(());
+        }
+        let point = Arc::new(SyncPoint::default());
+        core.send(w, Msg::Sync(Arc::clone(&point)))?;
+        while !point.wait_for(Duration::from_millis(50)) {
+            // Not arrived within the poll interval: make sure the worker
+            // is still alive (a healed worker re-arrives via the
+            // replayed Sync in its log).
+            let mut slot = core.lock_slot(w);
+            let gone = slot.handle.as_ref().is_none_or(|h| h.is_finished());
+            if slot.dead || (gone && core.heal(w, &mut slot).is_err()) {
+                return Err(MonitorError::WorkerLost);
+            }
+        }
+        Ok(())
     }
 
-    /// Pushes one sample to `stream`: the sample joins the stream's
-    /// pending buffer, and a frame is enqueued to every watching worker
-    /// once [`Runner::max_batch`] samples have accumulated.
-    ///
-    /// Blocks briefly when a worker's queue is full (backpressure).
-    /// With `max_batch > 1` a reported error may concern a sample from
-    /// an *earlier* push of the same stream (the frame that just
-    /// flushed); [`Runner::shutdown`] still surfaces the recorded
-    /// ingestion error either way.
+    /// Pushes one sample to `stream`'s pending frame, enqueued once
+    /// [`Runner::max_batch`] samples have accumulated (blocking briefly
+    /// when the worker's queue is full). A stream without attachments
+    /// drops the sample and keeps no state.
     ///
     /// # Errors
-    /// [`MonitorError::WorkerLost`] when a watching worker is
-    /// permanently lost (recorded ingestion error, or a panic loop that
-    /// exhausted the restart budget).
+    /// [`MonitorError::WorkerLost`] when the owning worker is
+    /// permanently lost (recorded ingestion error, or restart budget
+    /// exhausted); with `max_batch > 1` the error may concern an earlier
+    /// push of the same stream.
     pub fn push(&self, stream: StreamId, sample: &M::Sample) -> Result<(), MonitorError> {
-        self.core.push(stream, sample)
+        let core = &self.core;
+        core.with_stream(stream, |w, entry| {
+            core.stamp(entry);
+            entry.pending.push(sample.to_owned());
+            if entry.pending.len() >= core.max_batch.load(Ordering::Relaxed) {
+                core.flush_entry(w, stream, entry)?;
+            }
+            Ok(())
+        })
     }
 
     /// Pushes a whole slice of samples to `stream` (batch form of
-    /// [`Runner::push`]): samples join the pending buffer and full
-    /// frames are enqueued as it fills.
+    /// [`Runner::push`]); whole frames are cut straight from the slice.
     ///
     /// # Errors
     /// [`MonitorError::WorkerLost`] — see [`Runner::push`].
     pub fn push_batch(&self, stream: StreamId, samples: &[Owned<M>]) -> Result<(), MonitorError> {
-        self.core.push_batch(stream, samples)
+        let core = &self.core;
+        let max_batch = core.max_batch.load(Ordering::Relaxed);
+        core.with_stream(stream, |w, entry| {
+            let mut rest = samples;
+            while !rest.is_empty() {
+                if entry.pending.is_empty() && rest.len() >= max_batch {
+                    let (frame, tail) = rest.split_at(max_batch);
+                    core.send_frame(w, stream, frame.into())?;
+                    rest = tail;
+                } else {
+                    let room = max_batch.saturating_sub(entry.pending.len()).max(1);
+                    let (head, tail) = rest.split_at(room.min(rest.len()));
+                    core.stamp(entry);
+                    entry.pending.extend_from_slice(head);
+                    rest = tail;
+                    if entry.pending.len() >= max_batch {
+                        core.flush_entry(w, stream, entry)?;
+                    }
+                }
+            }
+            Ok(())
+        })
     }
 
     /// Enqueues the stream's pending partial frame immediately (a no-op
-    /// when nothing is buffered). [`Runner::finish_stream`] and
-    /// [`Runner::shutdown`] call this implicitly.
+    /// when nothing is buffered).
     ///
     /// # Errors
     /// [`MonitorError::WorkerLost`] — see [`Runner::push`].
     pub fn flush(&self, stream: StreamId) -> Result<(), MonitorError> {
-        self.core.flush(stream)
+        self.core
+            .with_stream(stream, |w, entry| self.core.flush_entry(w, stream, entry))
     }
 
     /// Flushes the stream's pending frame, then its attachments' pending
     /// group optima.
     ///
     /// # Errors
-    /// [`MonitorError::WorkerLost`] when a watching worker is
-    /// permanently lost.
+    /// [`MonitorError::WorkerLost`] — see [`Runner::push`].
     pub fn finish_stream(&self, stream: StreamId) -> Result<(), MonitorError> {
-        self.core.finish_stream(stream)
+        self.core.with_stream(stream, |w, entry| {
+            self.core.flush_entry(w, stream, entry)?;
+            self.core.send(w, Msg::FinishStream(stream))
+        })
     }
 
     /// Drains all queues, stops the workers, and joins them.
     ///
-    /// Pending partial frames are flushed first, in ascending
-    /// `StreamId` order (deterministic error precedence). Dead workers
-    /// are healed (restarted from checkpoint + replayed) before the
-    /// drain, so every queued sample is processed unless a worker is
-    /// permanently lost — in which case the error below is returned and
-    /// some samples may not have been monitored.
+    /// Pending frames are flushed first, in ascending `StreamId` order
+    /// (deterministic error precedence). Dead workers are healed before
+    /// the drain, so every queued sample is processed unless a worker is
+    /// permanently lost.
     ///
     /// # Errors
     /// The lowest-ranked ingestion error recorded by any worker
     /// ([`MonitorError::MissingSample`] ordered by (stream, tick) first),
-    /// or [`MonitorError::WorkerLost`] when a worker was permanently
-    /// lost (panic with supervision off, or restart budget exhausted).
+    /// or [`MonitorError::WorkerLost`] when a worker was permanently lost.
     pub fn shutdown(self) -> Result<(), MonitorError> {
         // Dropping the handle joins the janitor first, so no flush races
-        // the drain; the workers keep running — the core keeps them
-        // alive until it finishes the drain below.
+        // the drain; the core keeps the workers alive until it is done.
         let core = Arc::clone(&self.core);
         drop(self);
         core.shutdown()
@@ -1072,449 +1050,202 @@ where
 impl<M> Core<M>
 where
     M: Monitor + Clone + Send + 'static,
-    Owned<M>: Clone + Send,
+    Owned<M>: Clone + Send + Sync,
 {
-    fn push(&self, stream: StreamId, sample: &M::Sample) -> Result<(), MonitorError> {
-        let max_batch = self.max_batch.load(Ordering::Relaxed);
-        let mut pending = self.lock_pending();
-        let buf = pending.entry(stream).or_default();
-        if buf.samples.is_empty() && self.linger.load(Ordering::Relaxed) > 0 {
-            buf.since = Some(Instant::now());
-        }
-        buf.samples.push(sample.to_owned());
-        if buf.samples.len() >= max_batch {
-            let frame = buf.take();
-            return self.send_frame(stream, frame);
-        }
-        Ok(())
-    }
-
-    fn push_batch(&self, stream: StreamId, samples: &[Owned<M>]) -> Result<(), MonitorError> {
-        if samples.is_empty() {
-            return Ok(());
-        }
-        let max_batch = self.max_batch.load(Ordering::Relaxed);
-        let mut pending = self.lock_pending();
-        let buf = pending.entry(stream).or_default();
-        if buf.samples.is_empty() && self.linger.load(Ordering::Relaxed) > 0 {
-            buf.since = Some(Instant::now());
-        }
-        buf.samples.extend(samples.iter().cloned());
-        while buf.samples.len() >= max_batch {
-            let frame: Vec<Owned<M>> = buf.samples.drain(..max_batch).collect();
-            self.send_frame(stream, frame)?;
-        }
-        if buf.samples.is_empty() {
-            buf.since = None;
-        }
-        Ok(())
-    }
-
-    fn flush(&self, stream: StreamId) -> Result<(), MonitorError> {
-        let mut pending = self.lock_pending();
-        self.flush_locked(&mut pending, stream)
-    }
-
-    /// Flushes `stream`'s pending frame with the buffer lock held (so
-    /// frame order per stream is total even across pusher threads).
-    fn flush_locked(
-        &self,
-        pending: &mut HashMap<StreamId, PendingBuf<M>>,
-        stream: StreamId,
-    ) -> Result<(), MonitorError> {
-        match pending.get_mut(&stream) {
-            Some(buf) if !buf.samples.is_empty() => {
-                let frame = buf.take();
-                self.send_frame(stream, frame)
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Janitor body: flushes every stream whose partial frame is older
-    /// than `linger`, in `StreamId` order. A lost worker is left for the
-    /// pusher to discover — the janitor only bounds latency.
-    fn flush_lingering(&self, linger: Duration) {
-        let mut pending = self.lock_pending();
-        let mut due: Vec<StreamId> = pending
-            .iter()
-            .filter(|(_, buf)| {
-                !buf.samples.is_empty() && buf.since.is_some_and(|t| t.elapsed() >= linger)
-            })
-            .map(|(&s, _)| s)
-            .collect();
-        due.sort_unstable();
-        for s in due {
-            let _ = self.flush_locked(&mut pending, s);
-        }
-    }
-
-    /// Enqueues one frame to every worker watching `stream`.
-    fn send_frame(&self, stream: StreamId, samples: Vec<Owned<M>>) -> Result<(), MonitorError> {
-        if let Some(m) = &self.metrics {
-            m.record_batch(samples.len());
-        }
-        self.route(stream, |s| Msg::Frame {
-            stream: s,
-            samples: samples.clone(),
-        })
-    }
-
-    fn finish_stream(&self, stream: StreamId) -> Result<(), MonitorError> {
-        let mut pending = self.lock_pending();
-        self.flush_locked(&mut pending, stream)?;
-        self.route(stream, Msg::FinishStream)
-    }
-
     fn lock_slot(&self, w: usize) -> MutexGuard<'_, WorkerSlot<M>> {
-        self.slots[w].lock().unwrap_or_else(PoisonError::into_inner)
+        self.workers[w]
+            .slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_pending(&self) -> MutexGuard<'_, HashMap<StreamId, PendingBuf<M>>> {
-        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock_streams(&self, w: usize) -> MutexGuard<'_, HashMap<StreamId, StreamEntry<M>>> {
+        self.workers[w]
+            .streams
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_homes(&self) -> MutexGuard<'_, HashMap<AttachmentId, (usize, StreamId, QueryId)>> {
+    fn lock_homes(&self) -> MutexGuard<'_, HashMap<AttachmentId, (StreamId, QueryId)>> {
         self.homes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Workers currently routed for `stream`.
-    fn watchers(&self, stream: StreamId) -> Vec<usize> {
-        self.routes
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&stream)
-            .cloned()
-            .unwrap_or_default()
+    /// Runs `f` on `stream`'s table entry with its worker's table locked
+    /// (so frame order per stream is total across pusher threads); `Ok`
+    /// without calling `f` when the stream has no attachments.
+    fn with_stream(
+        &self,
+        stream: StreamId,
+        f: impl FnOnce(usize, &mut StreamEntry<M>) -> Result<(), MonitorError>,
+    ) -> Result<(), MonitorError> {
+        let w = worker_of(stream, self.workers.len());
+        match self.lock_streams(w).get_mut(&stream) {
+            Some(entry) => f(w, entry),
+            None => Ok(()),
+        }
+    }
+
+    /// Stamps the linger clock when `entry` is about to go non-empty.
+    fn stamp(&self, entry: &mut StreamEntry<M>) {
+        if entry.pending.is_empty() && self.linger.load(Ordering::Relaxed) > 0 {
+            entry.since = Some(Instant::now());
+        }
+    }
+
+    /// Enqueues `entry`'s pending frame (a no-op when empty); the
+    /// buffer keeps its capacity for the next frame.
+    fn flush_entry(
+        &self,
+        w: usize,
+        stream: StreamId,
+        entry: &mut StreamEntry<M>,
+    ) -> Result<(), MonitorError> {
+        if entry.pending.is_empty() {
+            return Ok(());
+        }
+        let frame = Frame::<M>::from(entry.pending.as_slice());
+        entry.pending.clear();
+        entry.since = None;
+        self.send_frame(w, stream, frame)
+    }
+
+    fn send_frame(
+        &self,
+        w: usize,
+        stream: StreamId,
+        samples: Frame<M>,
+    ) -> Result<(), MonitorError> {
+        if let Some(m) = &self.metrics {
+            m.record_batch(samples.len());
+        }
+        self.send(w, Msg::Frame { stream, samples })
+    }
+
+    /// Janitor body: flushes every stream whose partial frame is older
+    /// than `linger`. A lost worker is left for the pusher to discover —
+    /// the janitor only bounds latency.
+    fn flush_lingering(&self, linger: Duration) {
+        for w in 0..self.workers.len() {
+            let mut streams = self.lock_streams(w);
+            for (&stream, entry) in streams.iter_mut() {
+                if entry.since.is_some_and(|t| t.elapsed() >= linger) {
+                    let _ = self.flush_entry(w, stream, entry);
+                }
+            }
+        }
+    }
+
+    /// Sends one message to worker `w`.
+    fn send(&self, w: usize, msg: Msg<M>) -> Result<(), MonitorError> {
+        let mut slot = self.lock_slot(w);
+        if slot.dead || !self.enqueue(w, &mut slot, msg) {
+            Err(MonitorError::WorkerLost)
+        } else {
+            Ok(())
+        }
     }
 
     /// Enqueues one message to worker `w` with its slot locked: logs it,
-    /// bumps the depth gauges, sends, and heals on a dead channel.
+    /// bumps the depth gauge, sends, and heals on a dead channel.
     /// `false` when the worker is (or became) permanently lost.
     fn enqueue(&self, w: usize, slot: &mut WorkerSlot<M>, m: Msg<M>) -> bool {
-        // Drop log entries already covered by a checkpoint.
         prune_log(slot);
         slot.sent += 1;
-        let seq = slot.sent;
-        slot.log.push_back((seq, m.clone()));
-        // Depth is incremented *before* the send so the worker's
-        // decrement (which can only happen after the send) never
-        // transiently underflows the gauges.
-        if let Some(wm) = &self.worker_metrics[w] {
-            wm.queue_depth.add(1);
-        }
-        if let Some(sm) = &self.shard_metrics {
+        slot.log.push_back((slot.sent, m.clone()));
+        // Incremented *before* the send so the worker's decrement never
+        // transiently underflows the gauge.
+        if let Some(sm) = &self.workers[w].metrics {
             sm.queue_depth.add(1);
         }
-        // A worker only stops receiving after Shutdown, a recorded
-        // error, or a panic — a failed send means it is gone: try to
-        // heal it (the message is already in the log, so a successful
-        // heal replays it).
+        // A failed send means the worker is gone: heal it (the message
+        // is already logged, so a successful heal replays it).
         !(slot.sender.send(m).is_err() && self.heal(w, slot).is_err())
     }
 
-    fn route(
+    /// Spawns an incarnation of worker `w` over `atts`, reading `rx`.
+    fn start_worker(
         &self,
-        stream: StreamId,
-        mut msg: impl FnMut(StreamId) -> Msg<M>,
-    ) -> Result<(), MonitorError> {
-        let mut lost = false;
-        for w in self.watchers(stream) {
-            let mut slot = self.lock_slot(w);
-            if slot.dead {
-                lost = true;
-                continue;
-            }
-            if !self.enqueue(w, &mut slot, msg(stream)) {
-                lost = true;
-            }
-        }
-        if lost {
-            Err(MonitorError::WorkerLost)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn attach_with_id(
-        &self,
-        id: AttachmentId,
-        spec: RunnerAttachment<M>,
-    ) -> Result<(), MonitorError> {
-        let stream = spec.stream;
-        // Least-loaded worker, lowest index on ties.
-        let w = {
-            let homes = self.lock_homes();
-            let mut counts = vec![0usize; self.slots.len()];
-            for &(wk, _, _) in homes.values() {
-                counts[wk] += 1;
-            }
-            counts
-                .iter()
-                .enumerate()
-                .min_by_key(|&(i, c)| (*c, i))
-                .map(|(i, _)| i)
-                .expect("runner has at least one worker")
+        w: usize,
+        shared: &Arc<WorkerShared<M>>,
+        atts: Vec<Attachment<M>>,
+        rx: Receiver<Msg<M>>,
+    ) -> JoinHandle<()> {
+        let ctx = WorkerCtx {
+            sink: Arc::clone(&self.sink),
+            error: Arc::clone(&self.error),
+            shard: self.workers[w].metrics.clone(),
+            metrics: self.metrics.clone(),
+            shared: Arc::clone(shared),
+            trace: ring(&self.tracer, &format!("worker-{w}")),
         };
-        let query_id = spec.query_id;
-        let mut attachment = Attachment::new(id, stream, query_id, spec.monitor, spec.gap_policy);
-        if let Some(build) = spec.builder {
-            attachment = attachment.with_builder(build);
-        }
-        if let Some(m) = &self.metrics {
-            attachment.set_metrics(m);
-        }
-        {
-            let mut slot = self.lock_slot(w);
-            if slot.dead || !self.enqueue(w, &mut slot, Msg::Attach(Box::new(attachment))) {
-                return Err(MonitorError::WorkerLost);
-            }
-        }
-        self.lock_homes().insert(id, (w, stream, query_id));
-        // Route added *after* the Attach is enqueued: the channel is
-        // FIFO, so any frame routed from here on reaches the worker
-        // after the attachment exists.
-        let mut routes = self.routes.write().unwrap_or_else(PoisonError::into_inner);
-        let entry = routes.entry(stream).or_default();
-        if !entry.contains(&w) {
-            entry.push(w);
-        }
-        Ok(())
-    }
-
-    fn detach(&self, id: AttachmentId) -> Result<(), MonitorError> {
-        let (w, stream, _) = self
-            .lock_homes()
-            .remove(&id)
-            .ok_or(MonitorError::UnknownAttachment(id))?;
-        // Buffered samples still belong to the attachment: flush before
-        // it leaves. A lost worker surfaces below either way.
-        let _ = self.flush(stream);
-        let sent = {
-            let mut slot = self.lock_slot(w);
-            !slot.dead && self.enqueue(w, &mut slot, Msg::Detach(id))
-        };
-        // Recompute the stream's route from the remaining attachments.
-        let workers: Vec<usize> = {
-            let homes = self.lock_homes();
-            let mut ws: Vec<usize> = homes
-                .values()
-                .filter(|&&(_, s, _)| s == stream)
-                .map(|&(wk, _, _)| wk)
-                .collect();
-            ws.sort_unstable();
-            ws.dedup();
-            ws
-        };
-        let mut routes = self.routes.write().unwrap_or_else(PoisonError::into_inner);
-        if workers.is_empty() {
-            routes.remove(&stream);
-        } else {
-            routes.insert(stream, workers);
-        }
-        drop(routes);
-        if sent {
-            Ok(())
-        } else {
-            Err(MonitorError::WorkerLost)
-        }
-    }
-
-    fn swap_query(
-        &self,
-        query: QueryId,
-        samples: &[Owned<M>],
-        record_metrics: bool,
-    ) -> Result<u64, MonitorError> {
-        validate_query_samples::<M>(samples)?;
-        // Affected streams and owning workers, from the registry.
-        let (streams, workers) = {
-            let homes = self.lock_homes();
-            let mut streams: Vec<StreamId> = Vec::new();
-            let mut workers: Vec<usize> = Vec::new();
-            for &(wk, s, q) in homes.values() {
-                if q == query {
-                    streams.push(s);
-                    workers.push(wk);
-                }
-            }
-            streams.sort_unstable();
-            streams.dedup();
-            workers.sort_unstable();
-            workers.dedup();
-            (streams, workers)
-        };
-        // Frame boundary: buffered samples were pushed before the swap,
-        // so they are monitored under the old pattern. A lost worker
-        // surfaces below either way.
-        for &s in &streams {
-            let _ = self.flush(s);
-        }
-        let generation = {
-            let mut gens = self
-                .generations
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let g = gens.entry(query).or_insert(0);
-            *g += 1;
-            *g
-        };
-        let mut lost = false;
-        for w in workers {
-            let mut slot = self.lock_slot(w);
-            if slot.dead {
-                lost = true;
-                continue;
-            }
-            let msg = Msg::Swap {
-                query,
-                samples: samples.to_vec(),
-                generation,
-            };
-            if !self.enqueue(w, &mut slot, msg) {
-                lost = true;
-            }
-        }
-        if record_metrics {
-            if let Some(m) = &self.metrics {
-                m.query_swaps.inc();
-                m.query_generation.set(generation);
-            }
-        }
-        if lost {
-            Err(MonitorError::WorkerLost)
-        } else {
-            Ok(generation)
-        }
-    }
-
-    fn query_generation(&self, query: QueryId) -> u64 {
-        *self
-            .generations
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&query)
-            .unwrap_or(&0)
-    }
-
-    fn sync(&self, stream: StreamId) -> Result<(), MonitorError> {
-        let workers = self.watchers(stream);
-        if workers.is_empty() {
-            return Ok(());
-        }
-        let point = Arc::new(SyncPoint::new(workers.len()));
-        self.route(stream, |_| Msg::Sync(Arc::clone(&point)))?;
-        loop {
-            if point.wait_for(Duration::from_millis(50)) {
-                return Ok(());
-            }
-            // Not everyone arrived within the poll interval: make sure
-            // the stragglers are still alive (a healed worker re-arrives
-            // via the replayed Sync in its log).
-            for &w in &workers {
-                let mut slot = self.lock_slot(w);
-                if slot.dead {
-                    return Err(MonitorError::WorkerLost);
-                }
-                if slot.handle.as_ref().is_none_or(|h| h.is_finished())
-                    && self.heal(w, &mut slot).is_err()
-                {
-                    return Err(MonitorError::WorkerLost);
-                }
-            }
-        }
+        spawn_worker(atts, rx, ctx)
     }
 
     /// Restarts a dead worker from its last checkpoint and replays the
     /// log tail. Called with the slot lock held; on `Err` the worker is
     /// permanently lost (`slot.dead`).
     fn heal(&self, w: usize, slot: &mut WorkerSlot<M>) -> Result<(), MonitorError> {
+        let worker = &self.workers[w];
         'attempt: loop {
-            // Collect the dead thread (its panic payload is dropped; the
-            // in-thread guard already counted the loss).
+            // Collect the dead thread (the in-thread guard already
+            // counted the loss).
             if let Some(handle) = slot.handle.take() {
                 let _ = handle.join();
             }
-            if slot.shared.failed.load(Ordering::Acquire) {
-                // Ingestion error: deliberate stop, never restarted; the
-                // recorded error surfaces at shutdown.
+            let reason = if slot.shared.failed.load(Ordering::Acquire) {
+                // Ingestion error: deliberate stop, never restarted.
+                Some("ingest-error")
+            } else if slot.restarts >= self.restart.max_restarts {
+                Some("restarts-exhausted")
+            } else {
+                None
+            };
+            if let Some(reason) = reason {
                 slot.dead = true;
-                self.postmortem(w, "ingest-error");
-                return Err(MonitorError::WorkerLost);
-            }
-            if slot.restarts >= self.restart.max_restarts {
-                slot.dead = true;
-                self.postmortem(w, "restarts-exhausted");
+                self.postmortem(w, reason);
                 return Err(MonitorError::WorkerLost);
             }
             slot.restarts += 1;
-            self.sup_trace[w].instant(TraceKind::WorkerRestart, w as u64);
+            worker.sup_trace.instant(TraceKind::WorkerRestart, w as u64);
             if let Some(m) = &self.metrics {
                 m.worker_restarts.inc();
             }
-            if let Some(sm) = &self.shard_metrics {
+            if let Some(sm) = &worker.metrics {
                 sm.restarts.inc();
+                // Messages queued at crash time died with the channel;
+                // the replay below re-counts what it resends.
+                sm.queue_depth.set(0);
             }
             thread::sleep(self.restart.backoff(slot.restarts));
-            // The worker is dead and we hold its slot lock, so nothing
-            // races the gauges: reset the worker's (messages queued at
-            // crash time were incremented but never dequeued) and give
-            // the same amount back to the shard mirror; the replay below
-            // re-increments per message it resends.
-            if let Some(wm) = &self.worker_metrics[w] {
-                let stale = wm.queue_depth.get();
-                wm.queue_depth.set(0);
-                if let Some(sm) = &self.shard_metrics {
-                    sm.queue_depth.add(-(stale as i64));
-                }
-            }
             prune_log(slot);
-            // Respawn from the checkpointed shard …
-            let shard: Vec<Attachment<M>> = {
-                let cp = slot
-                    .shared
-                    .checkpoint
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                cp.iter().map(Attachment::fork).collect()
-            };
-            let (tx, rx) = sync_channel::<Msg<M>>(QUEUE_DEPTH);
-            let ctx = WorkerCtx {
-                sink: Arc::clone(&self.sink),
-                error: Arc::clone(&self.error),
-                wm: self.worker_metrics[w].clone(),
-                sm: self.shard_metrics.clone(),
-                metrics: self.metrics.clone(),
-                shared: Arc::clone(&slot.shared),
-                trace: match &self.tracer {
-                    Some(t) => t.register(&format!("{}worker-{w}", self.trace_prefix)),
-                    None => TraceHandle::off(),
-                },
-            };
-            let handle = spawn_worker(shard, rx, ctx);
+            let atts: Vec<Attachment<M>> = slot
+                .shared
+                .checkpoint
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .iter()
+                .map(Attachment::fork)
+                .collect();
+            let (tx, rx) = sync_channel(QUEUE_DEPTH);
+            slot.handle = Some(self.start_worker(w, &slot.shared, atts, rx));
             slot.sender = tx;
-            slot.handle = Some(handle);
-            // … and replay the uncheckpointed tail. Delivery is at least
-            // once: a match confirmed between the checkpoint and the
-            // crash is emitted to the sink again here.
-            let replay_span = self.sup_trace[w].now();
-            let replayed = slot.log.len() as u64;
+            // Replay the uncheckpointed tail (at-least-once delivery: a
+            // match confirmed between the checkpoint and the crash is
+            // emitted again here).
+            let replay_span = worker.sup_trace.now();
             for (_, m) in &slot.log {
-                if let Some(wm) = &self.worker_metrics[w] {
-                    wm.queue_depth.add(1);
-                }
-                if let Some(sm) = &self.shard_metrics {
+                if let Some(sm) = &worker.metrics {
                     sm.queue_depth.add(1);
                 }
                 if slot.sender.send(m.clone()).is_err() {
-                    // Died again mid-replay; spend another restart.
-                    continue 'attempt;
+                    continue 'attempt; // died again mid-replay
                 }
             }
-            self.sup_trace[w].span(replay_span, TraceKind::Replay, replayed);
-            // The healed timeline — the dead incarnation's final events,
-            // the restart instant, the replay — is exactly what a
-            // postmortem should hold; dump it while it is fresh.
+            worker
+                .sup_trace
+                .span(replay_span, TraceKind::Replay, slot.log.len() as u64);
+            // The dead incarnation's final events, the restart, and the
+            // replay are exactly what a postmortem should hold.
             self.postmortem(w, "worker-restarted");
             return Ok(());
         }
@@ -1524,30 +1255,27 @@ where
     /// effort; a no-op without a tracer or a postmortem directory).
     fn postmortem(&self, w: usize, reason: &str) {
         if let Some(t) = &self.tracer {
-            let _ = t.postmortem_dump(&format!("{}{reason}-worker-{w}", self.trace_prefix));
+            let _ = t.postmortem_dump(&format!("{reason}-worker-{w}"));
         }
     }
 
     fn shutdown(&self) -> Result<(), MonitorError> {
-        // Flush every stream's pending partial frame first — nothing
-        // buffered at the pusher may be dropped. Ascending StreamId
-        // order: HashMap iteration order varies per process, and the
-        // first frame to reach a failing worker decides which error
-        // surfaces.
+        // Flush every pending frame first, in ascending StreamId order:
+        // the first frame to reach a failing worker decides which error
+        // it records.
+        let mut streams: Vec<StreamId> = (0..self.workers.len())
+            .flat_map(|w| self.lock_streams(w).keys().copied().collect::<Vec<_>>())
+            .collect();
+        streams.sort_unstable();
         let mut flush_err = None;
-        {
-            let mut pending = self.lock_pending();
-            let mut streams: Vec<StreamId> = pending.keys().copied().collect();
-            streams.sort_unstable();
-            for s in streams {
-                if let Err(e) = self.flush_locked(&mut pending, s) {
-                    flush_err.get_or_insert(e);
-                }
+        for s in streams {
+            if let Err(e) = self.with_stream(s, |w, entry| self.flush_entry(w, s, entry)) {
+                flush_err.get_or_insert(e);
             }
         }
         let mut permanent = false;
-        for (w, slot) in self.slots.iter().enumerate() {
-            let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        for w in 0..self.workers.len() {
+            let mut slot = self.lock_slot(w);
             loop {
                 if slot.dead {
                     permanent = true;
@@ -1555,24 +1283,22 @@ where
                 }
                 let finished = slot.handle.as_ref().is_none_or(|h| h.is_finished());
                 // A thread gone before Shutdown died abnormally: heal it
-                // so its queued/unreplayed samples are still processed.
+                // so its queued samples are still processed, then retry.
                 if finished || slot.sender.send(Msg::Shutdown).is_err() {
                     if self.heal(w, &mut slot).is_err() {
                         permanent = true;
                         break;
                     }
-                    continue; // healed: re-attempt the Shutdown send
+                    continue;
                 }
                 let handle = slot.handle.take().expect("live worker has a join handle");
-                match handle.join() {
-                    Ok(()) => break, // drained cleanly
-                    Err(_) => {
-                        // Panicked while draining; heal and re-drain.
-                        if self.heal(w, &mut slot).is_err() {
-                            permanent = true;
-                            break;
-                        }
-                    }
+                if handle.join().is_ok() {
+                    break;
+                }
+                // Panicked while draining; heal and re-drain.
+                if self.heal(w, &mut slot).is_err() {
+                    permanent = true;
+                    break;
                 }
             }
         }
@@ -1581,13 +1307,11 @@ where
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .take();
-        match recorded {
-            Some(e) => Err(e),
-            None if permanent => Err(MonitorError::WorkerLost),
-            None => match flush_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            },
+        match (recorded, flush_err) {
+            (Some(e), _) => Err(e),
+            (None, _) if permanent => Err(MonitorError::WorkerLost),
+            (None, Some(e)) => Err(e),
+            (None, None) => Ok(()),
         }
     }
 }
@@ -1604,7 +1328,7 @@ fn prune_log<M: Monitor>(slot: &mut WorkerSlot<M>) {
 /// same error regardless of scheduling: missing samples (ordered by
 /// stream, then tick) rank before other ingestion errors, which rank
 /// before [`MonitorError::WorkerLost`].
-pub(crate) fn error_rank(e: &MonitorError) -> (u8, u64, u64) {
+fn error_rank(e: &MonitorError) -> (u8, u64, u64) {
     match e {
         MonitorError::MissingSample { stream, tick } => (0, u64::from(stream.0), *tick),
         MonitorError::WorkerLost => (2, 0, 0),
@@ -1635,189 +1359,205 @@ mod tests {
     fn spike_stream(spike_at: &[usize], len: usize) -> Vec<f64> {
         let mut v = vec![50.0; len];
         for &s in spike_at {
-            v[s] = 0.0;
-            v[s + 1] = 10.0;
-            v[s + 2] = 0.0;
+            v[s..s + 3].copy_from_slice(&[0.0, 10.0, 0.0]);
         }
         v
     }
 
-    fn spike_attachment(stream: StreamId, qid: u32) -> RunnerAttachment<Spring<Kernel>> {
-        RunnerAttachment::spring(
-            stream,
-            QueryId(qid),
-            &[0.0, 10.0, 0.0],
-            1.0,
-            GapPolicy::Skip,
-        )
-        .unwrap()
+    fn attachment(stream: u32, qid: u32, gap: GapPolicy) -> RunnerAttachment<Spring<Kernel>> {
+        RunnerAttachment::spring(StreamId(stream), QueryId(qid), &[0.0, 10.0, 0.0], 1.0, gap)
+            .unwrap()
+    }
+
+    fn spike_attachment(stream: u32, qid: u32) -> RunnerAttachment<Spring<Kernel>> {
+        attachment(stream, qid, GapPolicy::Skip)
+    }
+
+    /// A runner over `atts` recording into a fresh registry.
+    fn metered(
+        atts: Vec<RunnerAttachment<Spring<Kernel>>>,
+        workers: usize,
+        sink: Arc<dyn MatchSink>,
+    ) -> (SpringRunner, Arc<Metrics>) {
+        let metrics = Arc::new(Metrics::new());
+        let runner =
+            SpringRunner::spawn_with_metrics(atts, workers, 1, sink, Some(metrics.clone()))
+                .unwrap();
+        (runner, metrics)
+    }
+
+    /// Pushes `values` to `stream` one sample at a time, then finishes it.
+    fn feed(runner: &SpringRunner, stream: u32, values: &[f64]) {
+        for x in values {
+            runner.push(StreamId(stream), x).unwrap();
+        }
+        runner.finish_stream(StreamId(stream)).unwrap();
+    }
+
+    fn starts(events: &[Event]) -> Vec<u64> {
+        events.iter().map(|e| e.m.start).collect()
+    }
+
+    /// Live stream-table entries across all workers.
+    fn table_len(runner: &SpringRunner) -> usize {
+        (0..runner.core.workers.len())
+            .map(|w| runner.core.lock_streams(w).len())
+            .sum()
     }
 
     #[test]
     fn single_worker_end_to_end() {
         let sink = Arc::new(VecSink::new());
-        let runner =
-            SpringRunner::spawn(vec![spike_attachment(StreamId(0), 0)], 1, sink.clone()).unwrap();
-        for x in spike_stream(&[4, 15], 25) {
-            runner.push(StreamId(0), &x).unwrap();
-        }
-        runner.finish_stream(StreamId(0)).unwrap();
+        let runner = SpringRunner::spawn(vec![spike_attachment(0, 0)], 1, sink.clone()).unwrap();
+        feed(&runner, 0, &spike_stream(&[4, 15], 25));
         runner.shutdown().unwrap();
-        let events = sink.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].m.start, 5);
-        assert_eq!(events[1].m.start, 16);
+        assert_eq!(starts(&sink.events()), vec![5, 16]);
     }
 
     #[test]
-    fn many_workers_many_streams() {
-        let sink = Arc::new(VecSink::new());
-        let n_streams = 6;
-        let attachments: Vec<_> = (0..n_streams)
-            .map(|s| spike_attachment(StreamId(s), s))
-            .collect();
-        let runner = SpringRunner::spawn(attachments, 3, sink.clone()).unwrap();
-        for s in 0..n_streams {
-            for x in spike_stream(&[3 + s as usize], 20) {
-                runner.push(StreamId(s), &x).unwrap();
+    fn streams_match_identically_across_worker_counts() {
+        let run = |workers: usize| {
+            let sink = Arc::new(VecSink::new());
+            let atts = (0..8).map(|s| spike_attachment(s, s)).collect();
+            let runner = SpringRunner::spawn(atts, workers, sink.clone()).unwrap();
+            for s in 0..8 {
+                feed(&runner, s, &spike_stream(&[3 + s as usize], 24));
             }
-            runner.finish_stream(StreamId(s)).unwrap();
+            runner.shutdown().unwrap();
+            let mut got: Vec<(u32, u64, u64)> = sink
+                .events()
+                .iter()
+                .map(|e| (e.stream.0, e.m.start, e.m.end))
+                .collect();
+            got.sort_unstable();
+            got
+        };
+        let one = run(1);
+        let expected: Vec<_> = (0..8u32)
+            .map(|s| (s, 4 + u64::from(s), 6 + u64::from(s)))
+            .collect();
+        assert_eq!(one, expected);
+        assert_eq!(one, run(2));
+        assert_eq!(one, run(4));
+    }
+
+    #[test]
+    fn placement_is_pinned_to_fnv1a_mod_workers() {
+        // `--shards N` placement must not drift: these are
+        // fnv1a_u64(id) % n for ids 0..8.
+        let sink = Arc::new(VecSink::new());
+        for (n, expected) in [(2, [1, 0, 1, 0, 1, 0, 1, 0]), (4, [1, 0, 3, 2, 1, 0, 3, 2])] {
+            let runner = SpringRunner::spawn(Vec::new(), n, sink.clone()).unwrap();
+            let got: Vec<usize> = (0..8).map(|s| runner.worker_of(StreamId(s))).collect();
+            assert_eq!(got, expected, "n = {n}");
+            // Deterministic and total: consecutive ids reach every worker.
+            let hit: std::collections::HashSet<usize> =
+                (0..64).map(|s| runner.worker_of(StreamId(s))).collect();
+            assert_eq!(hit.len(), n);
+            runner.shutdown().unwrap();
         }
+    }
+
+    #[test]
+    fn spawn_with_metrics_spawns_shards_times_workers_per_shard() {
+        let sink = Arc::new(VecSink::new());
+        let metrics = Arc::new(Metrics::new());
+        let runner: ShardedRunner<Spring<Kernel>> =
+            ShardedRunner::spawn_with_metrics(Vec::new(), 2, 2, sink, Some(metrics.clone()))
+                .unwrap();
+        assert_eq!(runner.core.workers.len(), 4);
+        assert_eq!(runner.worker_of(StreamId(2)), 3);
         runner.shutdown().unwrap();
-        let events = sink.events();
-        assert_eq!(events.len(), n_streams as usize);
-        for s in 0..n_streams {
-            let ev = events.iter().find(|e| e.stream == StreamId(s)).unwrap();
-            assert_eq!(ev.m.start, 4 + s as u64);
-        }
+        assert_eq!(metrics.snapshot().shards.len(), 4);
     }
 
     #[test]
     fn per_stream_event_order_is_preserved() {
         let sink = Arc::new(VecSink::new());
-        let runner =
-            SpringRunner::spawn(vec![spike_attachment(StreamId(0), 0)], 1, sink.clone()).unwrap();
-        for x in spike_stream(&[3, 10, 17, 24], 32) {
-            runner.push(StreamId(0), &x).unwrap();
-        }
-        runner.finish_stream(StreamId(0)).unwrap();
+        let atts = vec![spike_attachment(0, 0), spike_attachment(1, 1)];
+        let runner = SpringRunner::spawn(atts, 2, sink.clone()).unwrap();
+        feed(&runner, 0, &spike_stream(&[3, 10, 17, 24], 32));
         runner.shutdown().unwrap();
-        let starts: Vec<u64> = sink.events().iter().map(|e| e.m.start).collect();
-        assert_eq!(starts, vec![4, 11, 18, 25]);
+        assert_eq!(starts(&sink.events()), vec![4, 11, 18, 25]);
     }
 
     #[test]
     fn zero_workers_rejected() {
         let sink = Arc::new(VecSink::new());
-        assert!(SpringRunner::spawn(vec![], 0, sink).is_err());
+        assert!(SpringRunner::spawn(vec![], 0, sink.clone()).is_err());
+        assert!(SpringRunner::spawn_with_metrics(vec![], 0, 1, sink.clone(), None).is_err());
+        assert!(SpringRunner::spawn_with_metrics(vec![], 2, 0, sink, None).is_err());
     }
 
     #[test]
     fn shutdown_with_no_traffic_joins_cleanly() {
         let sink = Arc::new(VecSink::new());
-        let runner = SpringRunner::spawn(vec![spike_attachment(StreamId(0), 0)], 4, sink).unwrap();
+        let runner = SpringRunner::spawn(vec![spike_attachment(0, 0)], 4, sink).unwrap();
         runner.shutdown().unwrap();
     }
 
     #[test]
     fn fail_policy_error_is_recorded_and_surfaced_at_shutdown() {
         let sink = Arc::new(VecSink::new());
-        let att = RunnerAttachment::spring(
-            StreamId(0),
-            QueryId(0),
-            &[0.0, 10.0, 0.0],
-            1.0,
-            GapPolicy::Fail,
-        )
-        .unwrap();
-        let runner = SpringRunner::spawn(vec![att], 1, sink).unwrap();
+        let runner = SpringRunner::spawn(vec![attachment(0, 0, GapPolicy::Fail)], 1, sink).unwrap();
         runner.push(StreamId(0), &1.0).unwrap();
         // The worker records the error and stops; the push itself may
         // still succeed (the queue accepts it before processing).
         let _ = runner.push(StreamId(0), &f64::NAN);
-        assert_eq!(
-            runner.shutdown(),
-            Err(MonitorError::MissingSample {
-                stream: StreamId(0),
-                tick: 2
-            })
-        );
+        let expected = MonitorError::MissingSample {
+            stream: StreamId(0),
+            tick: 2,
+        };
+        assert_eq!(runner.shutdown(), Err(expected));
     }
 
     #[test]
     fn shutdown_surfaces_the_lowest_stream_error_deterministically() {
-        // Regression: two Fail-policy attachments on streams 5 and 1
-        // share one worker, and both buffers hold a NaN at shutdown.
-        // Whichever frame the drain sends first decides the surfaced
-        // error — so the drain must flush in StreamId order, not the
-        // run-dependent HashMap iteration order.
-        for _ in 0..8 {
+        // Regression: Fail-policy attachments on several streams, every
+        // buffer holding a NaN at shutdown. On a shared worker the first
+        // frame the drain sends decides the recorded error, so the drain
+        // must flush in StreamId order (not HashMap order); across
+        // workers the lowest (stream, tick) must win regardless of which
+        // worker fails first.
+        let order = [5, 1, 4, 2, 3];
+        for workers in [1, 1, 1, 4, 4, 4] {
             let sink = Arc::new(VecSink::new());
-            let atts = vec![
-                RunnerAttachment::spring(
-                    StreamId(5),
-                    QueryId(0),
-                    &[0.0, 10.0, 0.0],
-                    1.0,
-                    GapPolicy::Fail,
-                )
-                .unwrap(),
-                RunnerAttachment::spring(
-                    StreamId(1),
-                    QueryId(1),
-                    &[0.0, 10.0, 0.0],
-                    1.0,
-                    GapPolicy::Fail,
-                )
-                .unwrap(),
-            ];
-            let runner = SpringRunner::spawn(atts, 1, sink).unwrap();
-            runner.push(StreamId(5), &f64::NAN).unwrap();
-            runner.push(StreamId(1), &f64::NAN).unwrap();
-            assert_eq!(
-                runner.shutdown(),
-                Err(MonitorError::MissingSample {
-                    stream: StreamId(1),
-                    tick: 1
-                })
-            );
+            let atts = order
+                .iter()
+                .map(|&s| attachment(s, s, GapPolicy::Fail))
+                .collect();
+            let runner = SpringRunner::spawn(atts, workers, sink).unwrap();
+            for s in order {
+                runner.push(StreamId(s), &f64::NAN).unwrap();
+            }
+            let expected = MonitorError::MissingSample {
+                stream: StreamId(1),
+                tick: 1,
+            };
+            assert_eq!(runner.shutdown(), Err(expected), "workers = {workers}");
         }
     }
 
     #[test]
     fn pushes_after_a_worker_dies_report_worker_lost() {
         let sink = Arc::new(VecSink::new());
-        let att = RunnerAttachment::spring(
-            StreamId(0),
-            QueryId(0),
-            &[0.0, 10.0, 0.0],
-            1.0,
-            GapPolicy::Fail,
-        )
-        .unwrap();
-        let runner = SpringRunner::spawn(vec![att], 1, sink).unwrap();
+        let runner = SpringRunner::spawn(vec![attachment(0, 0, GapPolicy::Fail)], 1, sink).unwrap();
         let _ = runner.push(StreamId(0), &f64::NAN);
         // The worker drops its receiver once the error is recorded, so a
         // later push fails fast instead of deadlocking on a full queue —
         // and the supervisor refuses to restart after ingestion errors.
-        let mut lost = false;
-        for _ in 0..100_000 {
-            if runner.push(StreamId(0), &1.0).is_err() {
-                lost = true;
-                break;
-            }
+        let lost = (0..100_000).any(|_| {
             thread::yield_now();
-        }
+            runner.push(StreamId(0), &1.0).is_err()
+        });
         assert!(lost, "push kept succeeding after the worker died");
         assert!(runner.shutdown().is_err());
     }
 
     #[test]
     fn panicking_sink_surfaces_worker_lost_on_shutdown() {
-        let sink = Arc::new(FnSink(|_: &crate::engine::Event| {
-            panic!("sink exploded");
-        }));
-        let runner = SpringRunner::spawn(vec![spike_attachment(StreamId(0), 0)], 1, sink).unwrap();
+        let sink = Arc::new(FnSink(|_: &Event| panic!("sink exploded")));
+        let runner = SpringRunner::spawn(vec![spike_attachment(0, 0)], 1, sink).unwrap();
         for x in spike_stream(&[2], 8) {
             let _ = runner.push(StreamId(0), &x);
         }
@@ -1833,14 +1573,12 @@ mod tests {
         let monitor = VectorSpring::with_kernel(&rows, 1.0, Kernel::Squared).unwrap();
         let att = RunnerAttachment::new(StreamId(0), QueryId(0), monitor, GapPolicy::Skip);
         let runner = Runner::spawn(vec![att], 2, sink.clone()).unwrap();
-        for _ in 0..3 {
-            runner.push(StreamId(0), &[40.0, 40.0][..]).unwrap();
-        }
-        for row in &rows {
-            runner.push(StreamId(0), row.as_slice()).unwrap();
-        }
-        for _ in 0..3 {
-            runner.push(StreamId(0), &[40.0, 40.0][..]).unwrap();
+        let quiet = [40.0, 40.0];
+        let rows = [&quiet[..]; 3]
+            .into_iter()
+            .chain(rows.iter().map(Vec::as_slice));
+        for row in rows.chain([&quiet[..]; 3]) {
+            runner.push(StreamId(0), row).unwrap();
         }
         runner.finish_stream(StreamId(0)).unwrap();
         runner.shutdown().unwrap();
@@ -1850,37 +1588,144 @@ mod tests {
         assert_eq!(events[0].variant, spring_core::MonitorVariant::Vector);
     }
 
-    // ---- dynamic attachments / sync ------------------------------------
+    // ---- dynamic attachments / stream table / sync ----------------------
 
     #[test]
     fn attach_detach_and_sync_at_runtime() {
         let sink = Arc::new(VecSink::new());
-        let mut runner = SpringRunner::spawn(Vec::new(), 2, sink.clone()).unwrap();
+        let mut runner = SpringRunner::spawn(Vec::new(), 3, sink.clone()).unwrap();
         runner.set_max_batch(1);
-        let id = runner.attach(spike_attachment(StreamId(7), 3)).unwrap();
+        // Streams 7 and 8 live on different workers.
+        assert_ne!(runner.worker_of(StreamId(7)), runner.worker_of(StreamId(8)));
+        let a = runner.attach(spike_attachment(7, 3)).unwrap();
+        let b = runner.attach(spike_attachment(8, 4)).unwrap();
+        assert_ne!(a, b);
         for x in spike_stream(&[4], 12) {
             runner.push(StreamId(7), &x).unwrap();
+            runner.push(StreamId(8), &x).unwrap();
         }
         // The barrier guarantees the match has reached the sink.
         runner.sync(StreamId(7)).unwrap();
-        let events = sink.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].attachment, id);
-        assert_eq!(events[0].query, QueryId(3));
-        assert_eq!(events[0].m.start, 5);
-        runner.detach(id).unwrap();
-        // Detached: pushes to the stream are silently unrouted, and the
-        // id cannot be detached twice.
+        runner.sync(StreamId(8)).unwrap();
+        let mut events = sink.events();
+        events.sort_by_key(|e| e.stream);
+        assert_eq!(starts(&events), vec![5, 5]);
+        assert_eq!((events[0].attachment, events[0].query), (a, QueryId(3)));
+        assert_eq!((events[1].attachment, events[1].query), (b, QueryId(4)));
+        runner.detach(a).unwrap();
+        // Detached: pushes to the stream are dropped, and the id cannot
+        // be detached twice.
         runner.push(StreamId(7), &1.0).unwrap();
-        assert_eq!(runner.detach(id), Err(MonitorError::UnknownAttachment(id)));
+        assert_eq!(runner.detach(a), Err(MonitorError::UnknownAttachment(a)));
+        runner.detach(b).unwrap();
+        assert_eq!(table_len(&runner), 0);
         runner.shutdown().unwrap();
-        assert_eq!(sink.events().len(), 1);
+        assert_eq!(sink.events().len(), 2);
+    }
+
+    #[test]
+    fn session_churn_leaves_no_stream_state_behind() {
+        // Regression: the runner used to keep a pending buffer for every
+        // stream it had ever seen, so a server's memory grew with the
+        // number of sessions.
+        let sink = Arc::new(VecSink::new());
+        let runner = SpringRunner::spawn(Vec::new(), 2, sink.clone()).unwrap();
+        for s in 0..10_000 {
+            let id = runner.attach(spike_attachment(s, 0)).unwrap();
+            runner.push_batch(StreamId(s), &[50.0, 0.0, 10.0]).unwrap();
+            feed(&runner, s, &[0.0]);
+            runner.detach(id).unwrap();
+        }
+        assert_eq!(table_len(&runner), 0);
+        runner.shutdown().unwrap();
+        assert_eq!(sink.events().len(), 10_000);
+    }
+
+    #[test]
+    fn samples_pushed_before_attach_never_reach_the_monitor() {
+        let sink = Arc::new(VecSink::new());
+        let (runner, metrics) = metered(Vec::new(), 1, sink.clone());
+        // Unattached pushes create no state …
+        for _ in 0..10 {
+            runner.push(StreamId(0), &50.0).unwrap();
+        }
+        assert_eq!(table_len(&runner), 0);
+        // … and the monitor's tick count starts at the first push after
+        // the attach.
+        runner.attach(spike_attachment(0, 0)).unwrap();
+        feed(&runner, 0, &spike_stream(&[4], 12));
+        runner.shutdown().unwrap();
+        assert_eq!(metrics.snapshot().ticks_total, 12);
+        let events = sink.events();
+        assert_eq!(
+            (events.len(), events[0].m.start, events[0].m.end),
+            (1, 5, 7)
+        );
+    }
+
+    #[test]
+    fn attach_flushes_pending_samples_to_the_existing_attachments_only() {
+        let sink = Arc::new(VecSink::new());
+        let runner = SpringRunner::spawn(vec![spike_attachment(0, 0)], 1, sink.clone()).unwrap();
+        // A spike buffered in the pending frame (default max_batch 64)
+        // when the second attachment arrives: only query 0 may see it.
+        for x in spike_stream(&[2], 8) {
+            runner.push(StreamId(0), &x).unwrap();
+        }
+        runner.attach(spike_attachment(0, 1)).unwrap();
+        feed(&runner, 0, &spike_stream(&[2], 8));
+        runner.shutdown().unwrap();
+        let mut got: Vec<(u32, u64)> = sink
+            .events()
+            .iter()
+            .map(|e| (e.query.0, e.m.start))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![(0, 3), (0, 11), (1, 3)]);
+    }
+
+    #[test]
+    fn control_calls_on_unwatched_streams_are_no_ops() {
+        let sink = Arc::new(VecSink::new());
+        let runner = SpringRunner::spawn(Vec::new(), 2, sink).unwrap();
+        runner.push_batch(StreamId(3), &[1.0, 2.0]).unwrap();
+        runner.flush(StreamId(3)).unwrap();
+        runner.finish_stream(StreamId(3)).unwrap();
+        runner.sync(StreamId(42)).unwrap();
+        assert_eq!(table_len(&runner), 0);
+        runner.shutdown().unwrap();
+    }
+
+    #[test]
+    fn shard_metrics_add_up_and_drain() {
+        let sink = Arc::new(VecSink::new());
+        let atts = (0..8).map(|s| spike_attachment(s, s)).collect();
+        let (mut runner, metrics) = metered(atts, 4, sink);
+        runner.set_max_batch(8);
+        for s in 0..8 {
+            feed(&runner, s, &spike_stream(&[5], 32));
+        }
+        runner.shutdown().unwrap();
+        let snap = metrics.snapshot();
+        assert_eq!(snap.shards.len(), 4);
+        // One attachment per stream: per-worker ticks regroup exactly
+        // the attachment ticks.
+        let shard_ticks: u64 = snap.shards.iter().map(|s| s.ticks).sum();
+        assert_eq!((shard_ticks, snap.ticks_total), (8 * 32, 8 * 32));
+        for (i, s) in snap.shards.iter().enumerate() {
+            assert_eq!((s.queue_depth, s.restarts), (0, 0), "shard {i}");
+        }
+        let text = snap.to_prometheus();
+        assert!(text.contains("spring_shard_ticks_total{shard=\"0\"}"));
+        assert!(text.contains("spring_shard_queue_depth{shard=\"3\"}"));
+        assert!(text.contains("spring_shard_restarts_total{shard=\"1\"}"));
+        assert!(!text.contains("spring_worker_ticks_total"));
     }
 
     #[test]
     fn sync_on_an_unwatched_stream_returns_immediately() {
         let sink = Arc::new(VecSink::new());
-        let runner = SpringRunner::spawn(Vec::new(), 1, sink).unwrap();
+        let runner = SpringRunner::spawn(vec![spike_attachment(0, 0)], 1, sink).unwrap();
         runner.sync(StreamId(42)).unwrap();
         runner.shutdown().unwrap();
     }
@@ -1893,14 +1738,10 @@ mod tests {
         let sink = Arc::new(FlakySink::new(1));
         let mut runner = SpringRunner::spawn(Vec::new(), 1, sink.clone()).unwrap();
         runner.set_max_batch(1);
-        runner.attach(spike_attachment(StreamId(0), 0)).unwrap();
-        for x in spike_stream(&[4, 15], 25) {
-            runner.push(StreamId(0), &x).unwrap();
-        }
-        runner.finish_stream(StreamId(0)).unwrap();
+        runner.attach(spike_attachment(0, 0)).unwrap();
+        feed(&runner, 0, &spike_stream(&[4, 15], 25));
         runner.shutdown().unwrap();
-        let starts: Vec<u64> = sink.inner.events().iter().map(|e| e.m.start).collect();
-        assert_eq!(starts, vec![5, 16]);
+        assert_eq!(starts(&sink.inner.events()), vec![5, 16]);
     }
 
     // ---- linger --------------------------------------------------------
@@ -1909,11 +1750,11 @@ mod tests {
     fn linger_flushes_partial_frames_without_an_explicit_flush() {
         let sink = Arc::new(VecSink::new());
         let mut runner =
-            SpringRunner::spawn(vec![spike_attachment(StreamId(0), 0)], 1, sink.clone()).unwrap();
+            SpringRunner::spawn(vec![spike_attachment(0, 0)], 1, sink.clone()).unwrap();
         runner.set_linger(Duration::from_millis(5));
         assert_eq!(runner.linger(), Duration::from_millis(5));
         // 7 samples ≪ DEFAULT_MAX_BATCH: without a linger these would
-        // sit in the pending buffer until finish/shutdown.
+        // sit in the pending frame until finish/shutdown.
         for x in spike_stream(&[2], 7) {
             runner.push(StreamId(0), &x).unwrap();
         }
@@ -1930,20 +1771,15 @@ mod tests {
     fn linger_transcript_matches_linger_free_at_batch_one() {
         // At max_batch = 1 no partial frame ever exists, so a configured
         // linger must not change the transcript in any way.
-        let stream = spike_stream(&[3, 10, 17], 26);
         let run = |linger: Option<Duration>| {
             let sink = Arc::new(VecSink::new());
             let mut runner =
-                SpringRunner::spawn(vec![spike_attachment(StreamId(0), 0)], 1, sink.clone())
-                    .unwrap();
+                SpringRunner::spawn(vec![spike_attachment(0, 0)], 1, sink.clone()).unwrap();
             runner.set_max_batch(1);
             if let Some(d) = linger {
                 runner.set_linger(d);
             }
-            for x in &stream {
-                runner.push(StreamId(0), x).unwrap();
-            }
-            runner.finish_stream(StreamId(0)).unwrap();
+            feed(&runner, 0, &spike_stream(&[3, 10, 17], 26));
             runner.shutdown().unwrap();
             sink.events()
                 .iter()
@@ -1986,41 +1822,32 @@ mod tests {
 
     #[test]
     fn supervisor_restarts_a_worker_killed_by_a_flaky_sink() {
-        let metrics = Arc::new(Metrics::new());
         let sink = Arc::new(FlakySink::new(1));
-        let runner = SpringRunner::spawn_with_policy(
-            vec![spike_attachment(StreamId(0), 0)],
-            1,
-            sink.clone(),
-            Some(Arc::clone(&metrics)),
-            RestartPolicy::default(),
-        )
-        .unwrap();
+        let (runner, metrics) = metered(vec![spike_attachment(0, 0)], 1, sink.clone());
         // Two spikes: the first match panics the sink and kills the
         // worker; the supervisor must restart + replay so both matches
         // are delivered anyway.
-        for x in spike_stream(&[4, 15], 25) {
-            runner.push(StreamId(0), &x).unwrap();
-        }
-        runner.finish_stream(StreamId(0)).unwrap();
+        feed(&runner, 0, &spike_stream(&[4, 15], 25));
         runner.shutdown().unwrap();
-        let starts: Vec<u64> = sink.inner.events().iter().map(|e| e.m.start).collect();
-        assert_eq!(starts, vec![5, 16], "no match may be dropped");
+        let got = starts(&sink.inner.events());
+        assert_eq!(got, vec![5, 16], "no match may be dropped");
         let snap = metrics.snapshot();
-        assert_eq!(snap.worker_lost_total, 1);
-        assert_eq!(snap.worker_restarts_total, 1);
+        assert_eq!((snap.worker_lost_total, snap.worker_restarts_total), (1, 1));
+        assert_eq!(snap.shards[0].restarts, 1);
         assert_eq!(snap.runner_queue_depth(), 0, "gauge must recover to 0");
     }
 
     #[test]
     fn supervision_off_keeps_the_fail_fast_behavior() {
         let sink = Arc::new(FlakySink::new(1));
-        let runner = SpringRunner::spawn_with_policy(
-            vec![spike_attachment(StreamId(0), 0)],
+        let atts = vec![spike_attachment(0, 0)];
+        let runner = SpringRunner::spawn_with_observability(
+            atts,
             1,
             sink.clone(),
             None,
             RestartPolicy::none(),
+            None,
         )
         .unwrap();
         for x in spike_stream(&[4], 12) {
@@ -2035,214 +1862,140 @@ mod tests {
         // Long quiet stream first so several checkpoints are taken, then
         // a crash right at the match: the replay tail must still contain
         // the spike (no false dismissal after recovery).
-        let metrics = Arc::new(Metrics::new());
         let sink = Arc::new(FlakySink::new(1));
-        let runner = SpringRunner::spawn_with_metrics(
-            vec![spike_attachment(StreamId(0), 0)],
-            1,
-            sink.clone(),
-            Some(Arc::clone(&metrics)),
-        )
-        .unwrap();
+        let (runner, metrics) = metered(vec![spike_attachment(0, 0)], 1, sink.clone());
         let len = (CHECKPOINT_EVERY * 5 + 17) as usize;
-        let spike_at = len - 6;
-        for x in spike_stream(&[spike_at], len) {
-            runner.push(StreamId(0), &x).unwrap();
-        }
-        runner.finish_stream(StreamId(0)).unwrap();
+        feed(&runner, 0, &spike_stream(&[len - 6], len));
         runner.shutdown().unwrap();
-        let starts: Vec<u64> = sink.inner.events().iter().map(|e| e.m.start).collect();
-        assert_eq!(starts, vec![spike_at as u64 + 1]);
+        assert_eq!(starts(&sink.inner.events()), vec![len as u64 - 5]);
         assert_eq!(metrics.snapshot().worker_restarts_total, 1);
     }
 
     #[test]
     fn worker_restart_mid_frame_drops_and_duplicates_nothing() {
         // Regression (frame-granular recovery): two matches land inside
-        // ONE frame, and the sink panics on the first delivery — i.e.
-        // the worker dies *mid-frame*. The supervisor must restart from
-        // the pre-frame checkpoint and replay the whole frame, so the
-        // final match set is exactly {first, second}: the first match is
-        // not dropped (its delivery panicked before being recorded) and
-        // neither match is duplicated (replay re-runs the frame once
-        // against the pre-frame state).
-        let metrics = Arc::new(Metrics::new());
+        // ONE frame, and the sink panics on the first delivery — the
+        // worker dies *mid-frame*. The supervisor must restart from the
+        // pre-frame checkpoint and replay the whole frame once, so the
+        // final match set is exactly {first, second}.
         let sink = Arc::new(FlakySink::new(1));
-        let mut runner = SpringRunner::spawn_with_metrics(
-            vec![spike_attachment(StreamId(0), 0)],
-            1,
-            sink.clone(),
-            Some(Arc::clone(&metrics)),
-        )
-        .unwrap();
+        let (mut runner, metrics) = metered(vec![spike_attachment(0, 0)], 1, sink.clone());
         runner.set_max_batch(32);
-        // 25 samples with spikes at 4 and 15: both matches sit inside a
-        // single 25-sample frame (flushed by finish_stream).
-        for x in spike_stream(&[4, 15], 25) {
-            runner.push(StreamId(0), &x).unwrap();
-        }
-        runner.finish_stream(StreamId(0)).unwrap();
+        // Both spikes sit inside one 25-sample frame (flushed by finish).
+        feed(&runner, 0, &spike_stream(&[4, 15], 25));
         runner.shutdown().unwrap();
-        let starts: Vec<u64> = sink.inner.events().iter().map(|e| e.m.start).collect();
+        let got = starts(&sink.inner.events());
         assert_eq!(
-            starts,
+            got,
             vec![5, 16],
-            "mid-frame restart must neither drop nor duplicate matches"
+            "mid-frame restart must neither drop nor duplicate"
         );
         let snap = metrics.snapshot();
         assert_eq!(snap.worker_restarts_total, 1);
         assert_eq!(snap.runner_queue_depth(), 0);
-        // Replay re-processed the frame, so worker tick totals may
-        // exceed the stream length — but never undercount it.
-        let worker_ticks: u64 = snap.workers.iter().map(|w| w.ticks).sum();
-        assert!(worker_ticks >= 25);
+        // Replay re-processed the frame, so worker ticks may exceed the
+        // stream length — but never undercount it.
+        assert!(snap.shards[0].ticks >= 25);
     }
+
+    // ---- framing -------------------------------------------------------
 
     #[test]
     fn max_batch_one_reproduces_per_sample_messaging() {
-        // `--batch 1` compatibility: every push flushes immediately, so
-        // nothing sits in the pending buffer and the event sequence is
-        // identical to the historical per-sample channel protocol.
-        let metrics = Arc::new(Metrics::new());
+        // `--batch 1`: every push flushes immediately, so nothing sits in
+        // the pending frame and the event sequence is the per-sample one.
         let sink = Arc::new(VecSink::new());
-        let mut runner = SpringRunner::spawn_with_metrics(
-            vec![spike_attachment(StreamId(0), 0)],
-            1,
-            sink.clone(),
-            Some(Arc::clone(&metrics)),
-        )
-        .unwrap();
+        let (mut runner, metrics) = metered(vec![spike_attachment(0, 0)], 1, sink.clone());
         runner.set_max_batch(1);
-        for x in spike_stream(&[3, 10], 20) {
-            runner.push(StreamId(0), &x).unwrap();
-        }
-        runner.finish_stream(StreamId(0)).unwrap();
+        feed(&runner, 0, &spike_stream(&[3, 10], 20));
         runner.shutdown().unwrap();
-        let starts: Vec<u64> = sink.events().iter().map(|e| e.m.start).collect();
-        assert_eq!(starts, vec![4, 11]);
-        let snap = metrics.snapshot();
-        // 20 one-sample frames were recorded.
-        assert_eq!(snap.batch_len.count, 20);
-        assert_eq!(snap.batch_len.sum, 20.0);
+        assert_eq!(starts(&sink.events()), vec![4, 11]);
+        let batches = metrics.snapshot().batch_len;
+        assert_eq!((batches.count, batches.sum), (20, 20.0));
     }
 
     #[test]
     fn explicit_flush_enqueues_a_partial_frame() {
-        let metrics = Arc::new(Metrics::new());
         let sink = Arc::new(VecSink::new());
-        let runner = SpringRunner::spawn_with_metrics(
-            vec![spike_attachment(StreamId(0), 0)],
-            1,
-            sink.clone(),
-            Some(Arc::clone(&metrics)),
-        )
-        .unwrap();
+        let (runner, metrics) = metered(vec![spike_attachment(0, 0)], 1, sink.clone());
         // 7 samples < DEFAULT_MAX_BATCH: buffered until the explicit
-        // flush, which sends one 7-sample frame.
+        // flush, which sends one 7-sample frame; a second flush of the
+        // empty buffer is a no-op.
         for x in spike_stream(&[2], 7) {
             runner.push(StreamId(0), &x).unwrap();
         }
         runner.flush(StreamId(0)).unwrap();
-        // Flushing an empty buffer is a no-op.
         runner.flush(StreamId(0)).unwrap();
         runner.shutdown().unwrap();
         assert_eq!(sink.events().len(), 1);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.batch_len.count, 1);
-        assert_eq!(snap.batch_len.sum, 7.0);
+        let batches = metrics.snapshot().batch_len;
+        assert_eq!((batches.count, batches.sum), (1, 7.0));
     }
 
     #[test]
     fn push_batch_fills_and_flushes_full_frames() {
-        let metrics = Arc::new(Metrics::new());
         let sink = Arc::new(VecSink::new());
-        let mut runner = SpringRunner::spawn_with_metrics(
-            vec![spike_attachment(StreamId(0), 0)],
-            1,
-            sink.clone(),
-            Some(Arc::clone(&metrics)),
-        )
-        .unwrap();
+        let (mut runner, metrics) = metered(vec![spike_attachment(0, 0)], 1, sink.clone());
         runner.set_max_batch(8);
-        let stream = spike_stream(&[3, 12], 20);
-        runner.push_batch(StreamId(0), &stream).unwrap();
+        runner
+            .push_batch(StreamId(0), &spike_stream(&[3, 12], 20))
+            .unwrap();
         runner.finish_stream(StreamId(0)).unwrap();
         runner.shutdown().unwrap();
-        let starts: Vec<u64> = sink.events().iter().map(|e| e.m.start).collect();
-        assert_eq!(starts, vec![4, 13]);
-        let snap = metrics.snapshot();
+        assert_eq!(starts(&sink.events()), vec![4, 13]);
         // 20 samples at max_batch 8 ⇒ frames of 8, 8, then 4 (flushed
         // by finish_stream).
-        assert_eq!(snap.batch_len.count, 3);
-        assert_eq!(snap.batch_len.sum, 20.0);
-        let worker_ticks: u64 = snap.workers.iter().map(|w| w.ticks).sum();
-        assert_eq!(worker_ticks, 20);
+        let snap = metrics.snapshot();
+        assert_eq!((snap.batch_len.count, snap.batch_len.sum), (3, 20.0));
+        assert_eq!(snap.shards[0].ticks, 20);
+    }
+
+    #[test]
+    fn push_batch_tops_up_a_partial_frame_before_cutting_whole_frames() {
+        let sink = Arc::new(VecSink::new());
+        let (mut runner, metrics) = metered(vec![spike_attachment(0, 0)], 1, sink.clone());
+        runner.set_max_batch(8);
+        let values = spike_stream(&[1, 12, 19], 23);
+        for x in &values[..3] {
+            runner.push(StreamId(0), x).unwrap();
+        }
+        runner.push_batch(StreamId(0), &values[3..]).unwrap();
+        runner.finish_stream(StreamId(0)).unwrap();
+        runner.shutdown().unwrap();
+        // The frames are the same consecutive 8-sample cuts a per-sample
+        // feed makes: 3 + 5, then 8, then the 7-sample tail.
+        assert_eq!(starts(&sink.events()), vec![2, 13, 20]);
+        let batches = metrics.snapshot().batch_len;
+        assert_eq!((batches.count, batches.sum), (3, 23.0));
     }
 
     #[test]
     fn shutdown_drains_queued_samples_before_joining() {
         // Regression: push a burst and shut down immediately — every
-        // queued tick must still be processed (drain-before-join).
-        let n = 600u64;
-        let metrics = Arc::new(Metrics::new());
+        // queued tick must still be processed (drain-before-join),
+        // including the finish marker and the spike at the very tail.
+        let n = 600;
         let sink = Arc::new(VecSink::new());
-        let runner = SpringRunner::spawn_with_metrics(
-            vec![spike_attachment(StreamId(0), 0)],
-            1,
-            sink.clone(),
-            Some(Arc::clone(&metrics)),
-        )
-        .unwrap();
-        for i in 0..n {
-            let x = if i == n - 3 {
-                0.0
-            } else if i == n - 2 {
-                10.0
-            } else if i == n - 1 {
-                0.0
-            } else {
-                50.0
-            };
-            runner.push(StreamId(0), &x).unwrap();
-        }
-        // The finish marker is queued like any other message — nothing
-        // below waits for the worker to reach it.
-        runner.finish_stream(StreamId(0)).unwrap();
+        let (runner, metrics) = metered(vec![spike_attachment(0, 0)], 1, sink.clone());
+        feed(&runner, 0, &spike_stream(&[n - 3], n));
         runner.shutdown().unwrap();
         let snap = metrics.snapshot();
-        let worker_ticks: u64 = snap.workers.iter().map(|w| w.ticks).sum();
-        assert_eq!(worker_ticks, n, "all queued samples must be drained");
+        assert_eq!(snap.shards[0].ticks, n as u64, "all queued samples drained");
         assert_eq!(snap.runner_queue_depth(), 0);
-        // The spike at the stream tail was only queued, never explicitly
-        // awaited — the drain must still confirm it.
-        assert_eq!(sink.events().len(), 1);
-        assert_eq!(sink.events()[0].m.start, n - 2);
+        assert_eq!(starts(&sink.events()), vec![n as u64 - 2]);
     }
 
     #[test]
     fn shutdown_drains_even_across_a_mid_drain_panic() {
-        let n = 40u64;
-        let metrics = Arc::new(Metrics::new());
         // Panic on the first delivery: it happens *during* the drain
         // (shutdown already sent), so the heal-and-redrain path runs.
         let sink = Arc::new(FlakySink::new(1));
-        let runner = SpringRunner::spawn_with_metrics(
-            vec![spike_attachment(StreamId(0), 0)],
-            1,
-            sink.clone(),
-            Some(Arc::clone(&metrics)),
-        )
-        .unwrap();
-        let mut stream = vec![50.0; n as usize];
-        stream[5] = 0.0;
-        stream[6] = 10.0;
-        stream[7] = 0.0;
-        for x in &stream {
-            runner.push(StreamId(0), x).unwrap();
+        let (runner, metrics) = metered(vec![spike_attachment(0, 0)], 1, sink.clone());
+        for x in spike_stream(&[5], 40) {
+            runner.push(StreamId(0), &x).unwrap();
         }
         runner.shutdown().unwrap();
-        let starts: Vec<u64> = sink.inner.events().iter().map(|e| e.m.start).collect();
-        assert_eq!(starts, vec![6]);
+        assert_eq!(starts(&sink.inner.events()), vec![6]);
         let snap = metrics.snapshot();
         assert!(snap.worker_restarts_total >= 1);
         assert_eq!(snap.runner_queue_depth(), 0);
@@ -2250,36 +2003,28 @@ mod tests {
 
     // ---- query hot-swap ------------------------------------------------
 
-    const OLD_PATTERN: [f64; 3] = [0.0, 10.0, 0.0];
     const NEW_PATTERN: [f64; 3] = [5.0, -5.0, 5.0];
 
-    /// Runs 4 streams under `OLD_PATTERN`, re-points query 0 at
-    /// `NEW_PATTERN` mid-stream — via `swap_query` or via
+    /// Runs 8 streams over 4 workers under the spike pattern, re-points
+    /// query 0 at `NEW_PATTERN` mid-stream — via `swap_query` or via
     /// detach-all/re-attach-all — then runs a suffix matching the new
-    /// pattern. Returns the (stream, query, start, end, distance-bits)
-    /// transcript, sorted.
-    fn swap_transcript(via_detach: bool) -> Vec<(u32, u32, u64, u64, u64)> {
+    /// pattern. Returns the sorted (stream, query, start, end,
+    /// distance-bits) transcript.
+    fn swap_transcript(via_detach: bool, metrics: &Arc<Metrics>) -> Vec<(u32, u32, u64, u64, u64)> {
         let sink = Arc::new(VecSink::new());
-        let mut runner = SpringRunner::spawn(Vec::new(), 2, sink.clone()).unwrap();
+        let mut runner =
+            SpringRunner::spawn_with_metrics(Vec::new(), 4, 1, sink.clone(), Some(metrics.clone()))
+                .unwrap();
         runner.set_max_batch(1);
-        let mut ids = Vec::new();
-        for s in 0..4u32 {
-            let att = RunnerAttachment::spring(
-                StreamId(s),
-                QueryId(0),
-                &OLD_PATTERN,
-                1.0,
-                GapPolicy::Skip,
-            )
-            .unwrap();
-            ids.push(runner.attach(att).unwrap());
+        let ids: Vec<_> = (0..8)
+            .map(|s| runner.attach(spike_attachment(s, 0)).unwrap())
+            .collect();
+        for s in 0..8 {
+            runner
+                .push_batch(StreamId(s), &spike_stream(&[3], 10))
+                .unwrap();
         }
-        for s in 0..4u32 {
-            for x in spike_stream(&[3], 10) {
-                runner.push(StreamId(s), &x).unwrap();
-            }
-        }
-        for s in 0..4u32 {
+        for s in 0..8 {
             runner.sync(StreamId(s)).unwrap();
         }
         if via_detach {
@@ -2297,27 +2042,20 @@ mod tests {
             }
         } else {
             assert_eq!(runner.swap_query(QueryId(0), &NEW_PATTERN).unwrap(), 1);
+            assert_eq!(runner.query_generation(QueryId(0)), 1);
         }
-        for s in 0..4u32 {
-            let mut suffix = vec![50.0; 10];
-            suffix[4..7].copy_from_slice(&NEW_PATTERN);
-            for x in suffix {
-                runner.push(StreamId(s), &x).unwrap();
-            }
-            runner.finish_stream(StreamId(s)).unwrap();
+        let mut suffix = vec![50.0; 10];
+        suffix[4..7].copy_from_slice(&NEW_PATTERN);
+        for s in 0..8 {
+            feed(&runner, s, &suffix);
         }
         runner.shutdown().unwrap();
-        let mut transcript: Vec<(u32, u32, u64, u64, u64)> = sink
+        let mut transcript: Vec<_> = sink
             .events()
             .iter()
             .map(|e| {
-                (
-                    e.stream.0,
-                    e.query.0,
-                    e.m.start,
-                    e.m.end,
-                    e.m.distance.to_bits(),
-                )
+                let m = &e.m;
+                (e.stream.0, e.query.0, m.start, m.end, m.distance.to_bits())
             })
             .collect();
         transcript.sort_unstable();
@@ -2326,18 +2064,23 @@ mod tests {
 
     #[test]
     fn swap_query_transcript_matches_detach_all_reattach_all() {
-        let swapped = swap_transcript(false);
+        let swap_metrics = Arc::new(Metrics::new());
+        let swapped = swap_transcript(false, &swap_metrics);
         // One old-pattern match and one new-pattern match per stream.
-        assert_eq!(swapped.len(), 8);
-        assert_eq!(swapped, swap_transcript(true));
+        assert_eq!(swapped.len(), 16);
+        let detach_metrics = Arc::new(Metrics::new());
+        assert_eq!(swapped, swap_transcript(true, &detach_metrics));
+        // One swap over four workers counts once.
+        let snap = swap_metrics.snapshot();
+        assert_eq!((snap.query_swaps_total, snap.query_generation), (1, 1));
+        assert_eq!(detach_metrics.snapshot().query_swaps_total, 0);
     }
 
     #[test]
     fn swap_query_flushes_buffered_samples_under_the_old_pattern() {
         let sink = Arc::new(VecSink::new());
-        let runner =
-            SpringRunner::spawn(vec![spike_attachment(StreamId(0), 0)], 1, sink.clone()).unwrap();
-        // Default max_batch (64): this spike sits in the pending buffer.
+        let runner = SpringRunner::spawn(vec![spike_attachment(0, 0)], 1, sink.clone()).unwrap();
+        // Default max_batch (64): this spike sits in the pending frame.
         for x in spike_stream(&[2], 8) {
             runner.push(StreamId(0), &x).unwrap();
         }
@@ -2345,13 +2088,9 @@ mod tests {
         runner.sync(StreamId(0)).unwrap();
         // The swap flushed the partial frame first, so the buffered
         // spike was monitored under the old pattern.
-        assert_eq!(sink.events().len(), 1);
-        assert_eq!(sink.events()[0].m.start, 3);
+        assert_eq!(starts(&sink.events()), vec![3]);
         // From here on the new pattern is live, with fresh DP state.
-        runner
-            .push_batch(StreamId(0), &[50.0, 7.0, -7.0, 50.0])
-            .unwrap();
-        runner.finish_stream(StreamId(0)).unwrap();
+        feed(&runner, 0, &[50.0, 7.0, -7.0, 50.0]);
         runner.shutdown().unwrap();
         let events = sink.events();
         assert_eq!(events.len(), 2);
@@ -2360,28 +2099,16 @@ mod tests {
 
     #[test]
     fn swap_is_replayed_across_a_worker_restart() {
-        let metrics = Arc::new(Metrics::new());
         let sink = Arc::new(FlakySink::new(1));
-        let mut runner = SpringRunner::spawn_with_metrics(
-            vec![spike_attachment(StreamId(0), 0)],
-            1,
-            sink.clone(),
-            Some(Arc::clone(&metrics)),
-        )
-        .unwrap();
+        let (mut runner, metrics) = metered(vec![spike_attachment(0, 0)], 1, sink.clone());
         runner.set_max_batch(1);
-        for _ in 0..5 {
-            runner.push(StreamId(0), &50.0).unwrap();
-        }
+        runner.push_batch(StreamId(0), &[50.0; 5]).unwrap();
         runner.swap_query(QueryId(0), &[7.0, -7.0]).unwrap();
         // The first delivered match panics the sink, killing the worker
         // *after* the swap was applied but with the last checkpoint
         // predating it: the restart must re-apply the logged Swap so the
-        // rebuilt shard still matches the new pattern.
-        runner
-            .push_batch(StreamId(0), &[50.0, 7.0, -7.0, 50.0])
-            .unwrap();
-        runner.finish_stream(StreamId(0)).unwrap();
+        // rebuilt worker still matches the new pattern.
+        feed(&runner, 0, &[50.0, 7.0, -7.0, 50.0]);
         runner.shutdown().unwrap();
         let events = sink.inner.events();
         assert_eq!(events.len(), 1);
@@ -2392,12 +2119,8 @@ mod tests {
     #[test]
     fn swap_on_a_prebuilt_monitor_surfaces_an_error_at_shutdown() {
         let sink = Arc::new(VecSink::new());
-        let monitor = Spring::with_kernel(
-            &OLD_PATTERN,
-            spring_core::SpringConfig::new(1.0),
-            Kernel::Squared,
-        )
-        .unwrap();
+        let config = spring_core::SpringConfig::new(1.0);
+        let monitor = Spring::with_kernel(&[0.0, 10.0, 0.0], config, Kernel::Squared).unwrap();
         let att = RunnerAttachment::new(StreamId(0), QueryId(0), monitor, GapPolicy::Skip);
         assert!(!att.swappable());
         let runner = SpringRunner::spawn(vec![att], 1, sink).unwrap();
@@ -2409,23 +2132,13 @@ mod tests {
 
     #[test]
     fn swap_query_validates_patterns_and_tracks_generations() {
-        let metrics = Arc::new(Metrics::new());
         let sink = Arc::new(VecSink::new());
-        let runner = SpringRunner::spawn_with_metrics(
-            vec![spike_attachment(StreamId(0), 0)],
-            1,
-            sink,
-            Some(Arc::clone(&metrics)),
-        )
-        .unwrap();
+        let (runner, metrics) = metered(vec![spike_attachment(0, 0)], 1, sink);
         assert_eq!(runner.query_generation(QueryId(0)), 0);
         assert!(runner.swap_query(QueryId(0), &[]).is_err());
         assert!(runner.swap_query(QueryId(0), &[f64::NAN]).is_err());
-        assert_eq!(
-            runner.query_generation(QueryId(0)),
-            0,
-            "rejected swaps must not allocate a generation"
-        );
+        let rejected = runner.query_generation(QueryId(0));
+        assert_eq!(rejected, 0, "rejected swaps must not allocate a generation");
         assert_eq!(runner.swap_query(QueryId(0), &[1.0, 2.0]).unwrap(), 1);
         assert_eq!(runner.swap_query(QueryId(0), &[3.0, 4.0]).unwrap(), 2);
         assert_eq!(runner.query_generation(QueryId(0)), 2);
@@ -2433,7 +2146,6 @@ mod tests {
         assert_eq!(runner.swap_query(QueryId(9), &[1.0]).unwrap(), 1);
         runner.shutdown().unwrap();
         let snap = metrics.snapshot();
-        assert_eq!(snap.query_swaps_total, 3);
-        assert_eq!(snap.query_generation, 1);
+        assert_eq!((snap.query_swaps_total, snap.query_generation), (3, 1));
     }
 }

@@ -23,7 +23,7 @@ fn runner_snapshots_are_internally_consistent_for_1_2_4_workers() {
     for workers in [1usize, 2, 4] {
         let metrics = Arc::new(Metrics::new());
         let n_streams = 6usize;
-        // One attachment per stream: every push routes to exactly one
+        // One attachment per stream: every push reaches exactly one
         // worker, so attachment-ticks and worker-ticks must agree.
         let attachments = (0..n_streams)
             .map(|i| {
@@ -41,6 +41,7 @@ fn runner_snapshots_are_internally_consistent_for_1_2_4_workers() {
         let runner = Runner::spawn_with_metrics(
             attachments,
             workers,
+            1,
             Arc::<CountingSink>::clone(&sink),
             Some(Arc::clone(&metrics)),
         )
@@ -61,8 +62,8 @@ fn runner_snapshots_are_internally_consistent_for_1_2_4_workers() {
         let snap = metrics.snapshot();
         let expected = (n_streams * pushes_per_stream) as u64;
         assert_eq!(snap.ticks_total, expected, "workers={workers}");
-        assert_eq!(snap.workers.len(), workers, "workers={workers}");
-        let worker_sum: u64 = snap.workers.iter().map(|w| w.ticks).sum();
+        assert_eq!(snap.shards.len(), workers, "workers={workers}");
+        let worker_sum: u64 = snap.shards.iter().map(|w| w.ticks).sum();
         assert_eq!(worker_sum, expected, "workers={workers}");
         // Everything enqueued was drained before shutdown completed.
         assert_eq!(snap.runner_queue_depth(), 0, "workers={workers}");
@@ -263,7 +264,7 @@ fn prometheus_exposition_is_valid_and_complete() {
     .unwrap()];
     let sink = Arc::new(CountingSink::new(1));
     let runner =
-        Runner::spawn_with_metrics(attachments, 1, sink, Some(Arc::clone(&metrics))).unwrap();
+        Runner::spawn_with_metrics(attachments, 1, 1, sink, Some(Arc::clone(&metrics))).unwrap();
     for t in 0..100 {
         runner.push(StreamId(0), &value_at(t)).unwrap();
     }
@@ -282,13 +283,14 @@ fn prometheus_exposition_is_valid_and_complete() {
         "spring_runner_queue_depth",
         "spring_tick_latency_seconds",
         "spring_detection_delay_ticks",
-        "spring_worker_ticks_total",
-        "spring_worker_queue_depth",
+        "spring_shard_ticks_total",
+        "spring_shard_queue_depth",
+        "spring_shard_restarts_total",
     ] {
         assert!(text.contains(family), "missing family {family}:\n{text}");
     }
     assert!(
-        text.contains("spring_worker_ticks_total{worker=\"0\"} 100"),
+        text.contains("spring_shard_ticks_total{shard=\"0\"} 100"),
         "{text}"
     );
 }
@@ -329,6 +331,7 @@ mod under_fault {
             let mut runner = Runner::spawn_with_metrics(
                 attachments,
                 2,
+                1,
                 Arc::<CountingSink>::clone(&sink),
                 Some(Arc::clone(&metrics)),
             )
@@ -361,7 +364,7 @@ mod under_fault {
         // The restarted worker drained everything: queues return to zero
         // and the tick counters still add up to every sample pushed.
         assert_eq!(faulted.runner_queue_depth(), 0);
-        assert!(faulted.workers.iter().all(|w| w.queue_depth == 0));
+        assert!(faulted.shards.iter().all(|w| w.queue_depth == 0));
         // Delivery is at-least-once across a restart: every fault-free
         // match arrives, possibly with replay duplicates.
         assert!(

@@ -7,13 +7,11 @@
 //! 1. a **bare monitor** stepped by hand (gap policy applied inline),
 //! 2. the single-threaded [`MixedEngine`], per-sample **and** batched
 //!    (`push_batch` with batch sizes 1, 3, and 64),
-//! 3. the threaded [`Runner`] with 1, 2, and 4 workers, per-sample
-//!    **and** batched (`push_batch` over the same batch sizes, with the
-//!    frame size pinned to the batch),
-//! 4. the [`ShardedRunner`] with 1, 2, and 4 shards (batch sizes 1 and
-//!    64), carrying *three* streams that each hold the full scenario —
-//!    so shard routing, per-shard buffers, and cross-shard error
-//!    precedence are all exercised,
+//! 3. the threaded [`Runner`] with 1, 2, and 4 workers × frame sizes
+//!    1, 3, and 64, carrying *three* streams that each hold the full
+//!    scenario (one fed per sample through `push`, two through
+//!    `push_batch`) — so stream placement, per-worker buffers, and
+//!    cross-worker error precedence are all exercised,
 //!
 //! — and demands bit-identical match streams from all of them. On top of
 //! the cross-layer equality, variant-specific **oracle checks** compare
@@ -37,13 +35,12 @@
 use std::fmt;
 use std::sync::Arc;
 
-use spring_core::monitor::{Monitor, MonitorSpec};
+use spring_core::monitor::{Monitor, MonitorSpec, ScalarMonitor};
 use spring_core::naive::all_subsequence_distances;
 use spring_core::{Match, NaiveMonitor};
 use spring_dtw::{dtw_distance, Kernel, Squared};
 use spring_monitor::{
-    GapPolicy, MixedEngine, MonitorError, QueryId, Runner, RunnerAttachment, ShardedRunner,
-    StreamId, VecSink,
+    GapPolicy, MixedEngine, MonitorError, QueryId, Runner, RunnerAttachment, StreamId, VecSink,
 };
 use spring_util::Rng;
 
@@ -52,17 +49,14 @@ use crate::scenario::Scenario;
 /// Worker counts exercised for every scenario.
 pub const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Shard counts exercised for every scenario on the sharded-runner path.
-pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Batch sizes exercised on the sharded-runner path: the per-sample
+/// Frame sizes exercised on the hot-swap path: the per-sample
 /// degenerate and the production default (a smaller cross product than
-/// [`BATCH_SIZES`], which the plain runner already sweeps).
-pub const SHARD_BATCHES: [usize; 2] = [1, 64];
+/// [`BATCH_SIZES`], which the plain runner path already sweeps).
+pub const SWAP_BATCHES: [usize; 2] = [1, 64];
 
-/// Streams fed through the sharded runner, each carrying the full
-/// scenario stream, so several shards see real traffic and the
-/// cross-shard error precedence is exercised.
+/// Streams fed through the runner, each carrying the full scenario
+/// stream, so several workers see real traffic and the cross-worker
+/// error precedence is exercised.
 const N_STREAMS: u32 = 3;
 
 /// Batch sizes exercised for every scenario on the batched ingestion
@@ -75,8 +69,7 @@ pub const BATCH_SIZES: [usize; 3] = [1, 3, 64];
 /// seed is supplied, so local failures are immediately reproducible.
 pub const DEFAULT_FUZZ_SEED: u64 = 0x5EED_CAFE;
 
-/// Attachments per runner run (same stream, distinct query ids), so
-/// multi-worker runs actually shard.
+/// Attachments per runner stream (distinct query ids).
 const N_ATTACH: usize = 3;
 
 /// Absolute tolerance for distance comparisons between independently
@@ -200,154 +193,85 @@ pub fn run_engine_batched(
     Ok(out)
 }
 
-/// How the stream is fed to the [`Runner`] in [`run_runner_with`].
-#[derive(Clone, Copy)]
-enum Feed {
-    /// One `Runner::push` per raw sample (the historical path).
-    PerSample,
-    /// `Runner::push_batch` over `batch`-sized chunks, with the frame
-    /// size (`max_batch`) pinned to the same value so every full chunk
-    /// becomes exactly one frame per worker.
-    Batched(usize),
-}
-
-fn run_runner_with(
-    sc: &Scenario,
-    spec: MonitorSpec,
+/// Spawns a runner over `workers` workers with `N_STREAMS` streams of
+/// `N_ATTACH` attachments each (built by `attach(stream, query)`) and
+/// the frame size pinned to `batch`.
+fn spawn_runner(
     workers: usize,
-    feed: Feed,
-) -> Result<Vec<Vec<Match>>, MonitorError> {
-    let mut attachments = Vec::with_capacity(N_ATTACH);
-    for k in 0..N_ATTACH {
-        let monitor = spec.build(&sc.query, Kernel::Squared)?;
-        attachments.push(RunnerAttachment::new(
-            StreamId(0),
-            QueryId(k as u32),
-            monitor,
-            sc.gap_policy,
-        ));
+    batch: usize,
+    attach: impl Fn(u32, u32) -> Result<RunnerAttachment<ScalarMonitor>, MonitorError>,
+) -> Result<(Runner<ScalarMonitor>, Arc<VecSink>), MonitorError> {
+    let mut attachments = Vec::with_capacity(N_STREAMS as usize * N_ATTACH);
+    for s in 0..N_STREAMS {
+        for k in 0..N_ATTACH as u32 {
+            attachments.push(attach(s, k)?);
+        }
     }
     let sink = Arc::new(VecSink::new());
     let mut runner = Runner::spawn(attachments, workers, sink.clone())?;
-    let mut push_err = None;
-    match feed {
-        Feed::PerSample => {
-            for &x in &sc.stream {
-                if let Err(e) = runner.push(StreamId(0), &x) {
-                    push_err = Some(e);
-                    break;
-                }
-            }
-        }
-        Feed::Batched(batch) => {
-            runner.set_max_batch(batch);
-            for chunk in sc.stream.chunks(batch.max(1)) {
-                if let Err(e) = runner.push_batch(StreamId(0), chunk) {
-                    push_err = Some(e);
-                    break;
-                }
-            }
-        }
-    }
-    if push_err.is_none() {
-        if let Err(e) = runner.finish_stream(StreamId(0)) {
-            push_err = Some(e);
-        }
-    }
-    // The recorded worker error (surfaced by shutdown) takes precedence
-    // over the secondary WorkerLost a push may have observed.
-    runner.shutdown()?;
-    if let Some(e) = push_err {
-        return Err(e);
-    }
-    let mut per = vec![Vec::new(); N_ATTACH];
-    for e in sink.events() {
-        per[e.query.0 as usize].push(e.m);
-    }
-    Ok(per)
-}
-
-/// Runs `spec` over the scenario through the threaded runner with
-/// `N_ATTACH` identical attachments, returning the match stream of
-/// each attachment separately (all must agree with the bare run).
-pub fn run_runner(
-    sc: &Scenario,
-    spec: MonitorSpec,
-    workers: usize,
-) -> Result<Vec<Vec<Match>>, MonitorError> {
-    run_runner_with(sc, spec, workers, Feed::PerSample)
-}
-
-/// Like [`run_runner`], but feeds the stream through
-/// [`Runner::push_batch`] in `batch`-sized chunks with the frame size
-/// pinned to `batch`.
-pub fn run_runner_batched(
-    sc: &Scenario,
-    spec: MonitorSpec,
-    workers: usize,
-    batch: usize,
-) -> Result<Vec<Vec<Match>>, MonitorError> {
-    run_runner_with(sc, spec, workers, Feed::Batched(batch))
-}
-
-/// Runs `spec` over the scenario through a [`ShardedRunner`]:
-/// `N_STREAMS` streams (ids 0, 1, 2 — hashed across the shards) each
-/// carry the full scenario stream and each hold `N_ATTACH` identical
-/// attachments, with one worker per shard and the frame size pinned to
-/// `batch`. Returns every (stream, attachment) match stream separately;
-/// all of them must agree with the bare run, and a failing scenario must
-/// surface stream 0's error (the lowest-ranked across shards — exactly
-/// the bare error).
-pub fn run_sharded(
-    sc: &Scenario,
-    spec: MonitorSpec,
-    shards: usize,
-    batch: usize,
-) -> Result<Vec<Vec<Match>>, MonitorError> {
-    let mut attachments = Vec::with_capacity(N_STREAMS as usize * N_ATTACH);
-    for s in 0..N_STREAMS {
-        for k in 0..N_ATTACH {
-            let monitor = spec.build(&sc.query, Kernel::Squared)?;
-            attachments.push(RunnerAttachment::new(
-                StreamId(s),
-                QueryId(k as u32),
-                monitor,
-                sc.gap_policy,
-            ));
-        }
-    }
-    let sink = Arc::new(VecSink::new());
-    let mut runner = ShardedRunner::spawn(attachments, shards, 1, sink.clone())?;
     runner.set_max_batch(batch);
-    let mut push_err = None;
-    // Round-robin the chunks across the streams so the shards interleave.
-    'push: for chunk in sc.stream.chunks(batch.max(1)) {
-        for s in 0..N_STREAMS {
-            if let Err(e) = runner.push_batch(StreamId(s), chunk) {
-                push_err = Some(e);
-                break 'push;
-            }
+    Ok((runner, sink))
+}
+
+/// Pushes `samples` to every stream in `batch`-sized chunks, round-robin
+/// so the workers interleave: stream 0 one sample at a time through
+/// [`Runner::push`], the others whole chunks through
+/// [`Runner::push_batch`].
+fn feed(runner: &Runner<ScalarMonitor>, samples: &[f64], batch: usize) -> Result<(), MonitorError> {
+    for chunk in samples.chunks(batch.max(1)) {
+        for x in chunk {
+            runner.push(StreamId(0), x)?;
+        }
+        for s in 1..N_STREAMS {
+            runner.push_batch(StreamId(s), chunk)?;
         }
     }
-    if push_err.is_none() {
-        for s in 0..N_STREAMS {
-            if let Err(e) = runner.finish_stream(StreamId(s)) {
-                push_err = Some(e);
-                break;
-            }
-        }
-    }
+    Ok(())
+}
+
+/// Finishes every stream after `fed`, shuts the runner down, and
+/// returns every (stream, attachment) match stream separately.
+fn collect(
+    runner: Runner<ScalarMonitor>,
+    sink: &VecSink,
+    fed: Result<(), MonitorError>,
+) -> Result<Vec<Vec<Match>>, MonitorError> {
+    let fed = fed.and_then(|()| (0..N_STREAMS).try_for_each(|s| runner.finish_stream(StreamId(s))));
     // The recorded (lowest-ranked) worker error takes precedence over
     // the secondary WorkerLost a push may have observed.
     runner.shutdown()?;
-    if let Some(e) = push_err {
-        return Err(e);
-    }
+    fed?;
     let mut per = vec![Vec::new(); N_STREAMS as usize * N_ATTACH];
     for e in sink.events() {
         per[e.stream.0 as usize * N_ATTACH + e.query.0 as usize].push(e.m);
     }
     Ok(per)
+}
+
+/// Runs `spec` over the scenario through a [`Runner`] of `workers`
+/// workers with frame size `batch`: `N_STREAMS` streams (ids 0, 1, 2 —
+/// hashed across the workers) each carry the full scenario stream and
+/// hold `N_ATTACH` identical attachments. Returns every (stream,
+/// attachment) match stream separately; all must agree with the bare
+/// run, and a failing scenario must surface stream 0's error (the
+/// lowest-ranked across workers — exactly the bare error).
+pub fn run_runner(
+    sc: &Scenario,
+    spec: MonitorSpec,
+    workers: usize,
+    batch: usize,
+) -> Result<Vec<Vec<Match>>, MonitorError> {
+    let (runner, sink) = spawn_runner(workers, batch, |s, k| {
+        let monitor = spec.build(&sc.query, Kernel::Squared)?;
+        Ok(RunnerAttachment::new(
+            StreamId(s),
+            QueryId(k),
+            monitor,
+            sc.gap_policy,
+        ))
+    })?;
+    let fed = feed(&runner, &sc.stream, batch);
+    collect(runner, &sink, fed)
 }
 
 /// Query id targeted by the swap differential: the middle of the
@@ -386,79 +310,35 @@ pub fn run_bare_swapped(
     Ok(out)
 }
 
-/// Like [`run_sharded`], but hot-swaps query `SWAPPED_QUERY` to `new_query`
-/// after `swap_at` samples of every stream have been pushed. The swap
-/// goes through [`ShardedRunner::swap_query`] — one fleet-wide control
-/// message, flushed to a frame boundary per stream — while the other
-/// query ids keep running the original pattern.
-pub fn run_sharded_swapped(
+/// Like [`run_runner`], but hot-swaps query `SWAPPED_QUERY` to
+/// `new_query` after `swap_at` samples of every stream have been
+/// pushed. The swap goes through [`Runner::swap_query`] — one control
+/// message per owning worker, flushed to a frame boundary per stream —
+/// while the other query ids keep running the original pattern.
+pub fn run_runner_swapped(
     sc: &Scenario,
     spec: MonitorSpec,
     new_query: &[f64],
     swap_at: usize,
-    shards: usize,
+    workers: usize,
     batch: usize,
 ) -> Result<Vec<Vec<Match>>, MonitorError> {
-    let mut attachments = Vec::with_capacity(N_STREAMS as usize * N_ATTACH);
-    for s in 0..N_STREAMS {
-        for k in 0..N_ATTACH {
-            let monitor = spec.build(&sc.query, Kernel::Squared)?;
-            attachments.push(
-                RunnerAttachment::new(StreamId(s), QueryId(k as u32), monitor, sc.gap_policy)
-                    .with_builder(move |q| spec.build(q, Kernel::Squared)),
-            );
-        }
-    }
-    let sink = Arc::new(VecSink::new());
-    let mut runner = ShardedRunner::spawn(attachments, shards, 1, sink.clone())?;
-    runner.set_max_batch(batch);
-    let swap_at = swap_at.min(sc.stream.len());
-    let (prefix, suffix) = sc.stream.split_at(swap_at);
-    let mut push_err = None;
-    'prefix: for chunk in prefix.chunks(batch.max(1)) {
-        for s in 0..N_STREAMS {
-            if let Err(e) = runner.push_batch(StreamId(s), chunk) {
-                push_err = Some(e);
-                break 'prefix;
-            }
-        }
-    }
-    if push_err.is_none() {
-        if let Err(e) = runner.swap_query(QueryId(SWAPPED_QUERY), new_query) {
-            push_err = Some(e);
-        }
-    }
-    if push_err.is_none() {
-        'suffix: for chunk in suffix.chunks(batch.max(1)) {
-            for s in 0..N_STREAMS {
-                if let Err(e) = runner.push_batch(StreamId(s), chunk) {
-                    push_err = Some(e);
-                    break 'suffix;
-                }
-            }
-        }
-    }
-    if push_err.is_none() {
-        for s in 0..N_STREAMS {
-            if let Err(e) = runner.finish_stream(StreamId(s)) {
-                push_err = Some(e);
-                break;
-            }
-        }
-    }
-    runner.shutdown()?;
-    if let Some(e) = push_err {
-        return Err(e);
-    }
-    let mut per = vec![Vec::new(); N_STREAMS as usize * N_ATTACH];
-    for e in sink.events() {
-        per[e.stream.0 as usize * N_ATTACH + e.query.0 as usize].push(e.m);
-    }
-    Ok(per)
+    let (runner, sink) = spawn_runner(workers, batch, |s, k| {
+        let monitor = spec.build(&sc.query, Kernel::Squared)?;
+        Ok(
+            RunnerAttachment::new(StreamId(s), QueryId(k), monitor, sc.gap_policy)
+                .with_builder(move |q| spec.build(q, Kernel::Squared)),
+        )
+    })?;
+    let (prefix, suffix) = sc.stream.split_at(swap_at.min(sc.stream.len()));
+    let fed = feed(&runner, prefix, batch)
+        .and_then(|()| runner.swap_query(QueryId(SWAPPED_QUERY), new_query))
+        .and_then(|_| feed(&runner, suffix, batch));
+    collect(runner, &sink, fed)
 }
 
-/// The swap differential for one scenario: across shard counts
-/// [`SHARD_COUNTS`] × batch sizes [`SHARD_BATCHES`], the hot-swapped
+/// The swap differential for one scenario: across worker counts
+/// [`WORKER_COUNTS`] × frame sizes [`SWAP_BATCHES`], the hot-swapped
 /// query's match stream must equal the prefix-old/suffix-new bare
 /// composition **exactly** (bit-identical distances), and every
 /// untouched query must equal the plain full-stream bare run. Covers
@@ -476,10 +356,10 @@ pub fn verify_swap(sc: &Scenario, new_query: &[f64], swap_at: usize) -> Result<(
     for spec in specs {
         let bare_full = run_bare(sc, spec);
         let bare_swapped = run_bare_swapped(sc, spec, new_query, swap_at);
-        for shards in SHARD_COUNTS {
-            for batch in SHARD_BATCHES {
-                let label = format!("{spec:?}: swapped sharded({shards} shards, batch {batch})");
-                match run_sharded_swapped(sc, spec, new_query, swap_at, shards, batch) {
+        for workers in WORKER_COUNTS {
+            for batch in SWAP_BATCHES {
+                let label = format!("{spec:?}: swapped runner({workers} workers, batch {batch})");
+                match run_runner_swapped(sc, spec, new_query, swap_at, workers, batch) {
                     Ok(per) => {
                         for (slot, ms) in per.iter().enumerate() {
                             let k = (slot % N_ATTACH) as u32;
@@ -643,25 +523,11 @@ fn verify_spec(sc: &Scenario, spec: MonitorSpec) -> Result<(), String> {
         )?;
     }
     for workers in WORKER_COUNTS {
-        check_runner_against_bare(
-            &bare,
-            run_runner(sc, spec, workers),
-            &format!("{spec:?}: runner({workers} workers)"),
-        )?;
         for batch in BATCH_SIZES {
             check_runner_against_bare(
                 &bare,
-                run_runner_batched(sc, spec, workers, batch),
+                run_runner(sc, spec, workers, batch),
                 &format!("{spec:?}: runner({workers} workers, batch {batch})"),
-            )?;
-        }
-    }
-    for shards in SHARD_COUNTS {
-        for batch in SHARD_BATCHES {
-            check_runner_against_bare(
-                &bare,
-                run_sharded(sc, spec, shards, batch),
-                &format!("{spec:?}: sharded({shards} shards, batch {batch})"),
             )?;
         }
     }
@@ -1023,20 +889,11 @@ mod tests {
         for batch in BATCH_SIZES {
             assert_eq!(run_engine_batched(&sc, spec, batch).unwrap_err(), bare);
         }
+        // The runner surfaces the lowest-ranked error across workers —
+        // stream 0's, which is exactly the bare error.
         for workers in WORKER_COUNTS {
-            assert_eq!(run_runner(&sc, spec, workers).unwrap_err(), bare);
             for batch in BATCH_SIZES {
-                assert_eq!(
-                    run_runner_batched(&sc, spec, workers, batch).unwrap_err(),
-                    bare
-                );
-            }
-        }
-        // The sharded runner surfaces the lowest-ranked error across
-        // shards — stream 0's, which is exactly the bare error.
-        for shards in SHARD_COUNTS {
-            for batch in SHARD_BATCHES {
-                assert_eq!(run_sharded(&sc, spec, shards, batch).unwrap_err(), bare);
+                assert_eq!(run_runner(&sc, spec, workers, batch).unwrap_err(), bare);
             }
         }
         // And verify() as a whole accepts the error-equivalence.
@@ -1068,7 +925,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_runner_agrees_with_bare_across_workers_and_batches() {
+    fn runner_agrees_with_bare_across_workers_and_batches() {
         let sc = spike_scenario();
         let spec = MonitorSpec::Spring {
             epsilon: sc.epsilon,
@@ -1076,27 +933,10 @@ mod tests {
         let bare = run_bare(&sc, spec).unwrap();
         for workers in WORKER_COUNTS {
             for batch in BATCH_SIZES {
-                let per = run_runner_batched(&sc, spec, workers, batch).unwrap();
+                let per = run_runner(&sc, spec, workers, batch).unwrap();
+                assert_eq!(per.len(), N_STREAMS as usize * N_ATTACH);
                 for (k, ms) in per.iter().enumerate() {
-                    assert_eq!(ms, &bare, "workers {workers} batch {batch} attachment {k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_runner_agrees_with_bare_across_shards_and_batches() {
-        let sc = spike_scenario();
-        let spec = MonitorSpec::Spring {
-            epsilon: sc.epsilon,
-        };
-        let bare = run_bare(&sc, spec).unwrap();
-        for shards in SHARD_COUNTS {
-            for batch in SHARD_BATCHES {
-                let per = run_sharded(&sc, spec, shards, batch).unwrap();
-                assert_eq!(per.len(), 3 * N_ATTACH);
-                for (k, ms) in per.iter().enumerate() {
-                    assert_eq!(ms, &bare, "shards {shards} batch {batch} slot {k}");
+                    assert_eq!(ms, &bare, "workers {workers} batch {batch} slot {k}");
                 }
             }
         }
@@ -1139,7 +979,7 @@ mod tests {
         // second spike's flanks: [50, 0, 50]? No — pick the second
         // spike reversed-compatible pattern so it still fires.
         let new_query = [0.0, 10.0, 0.0];
-        let per = run_sharded_swapped(&sc, spec, &new_query, 12, 2, 1).unwrap();
+        let per = run_runner_swapped(&sc, spec, &new_query, 12, 2, 1).unwrap();
         let bare_swapped = run_bare_swapped(&sc, spec, &new_query, 12).unwrap();
         let bare_full = run_bare(&sc, spec).unwrap();
         // Full run sees both spikes; the swapped run sees the first

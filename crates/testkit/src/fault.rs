@@ -13,7 +13,7 @@ use spring_core::monitor::MonitorSpec;
 use spring_core::Match;
 use spring_monitor::failpoints::{self, FailAction, FailRule};
 
-use crate::differential::{run_runner, run_runner_batched, run_sharded, run_sharded_swapped};
+use crate::differential::{run_runner, run_runner_swapped};
 use crate::scenario::Scenario;
 
 /// One deterministic fault to inject into a runner run.
@@ -84,32 +84,28 @@ fn normalize(mut per: Vec<Vec<Match>>) -> Vec<Vec<(u64, u64, u64)>> {
         .collect()
 }
 
-/// Runs the scenario's plain-SPRING spec through a 2-worker runner with
-/// `fault` armed, and checks the deduplicated match set of every
-/// attachment equals the fault-free run's.
-///
-/// `batch` selects the ingestion path: `None` pushes per sample
-/// ([`run_runner`], default framing), `Some(n)` pushes `n`-sized slices
-/// with the frame size pinned to `n` ([`run_runner_batched`]).
+/// Runs the scenario's plain-SPRING spec through a 2-worker
+/// [`run_runner`] (three streams, frame size `batch`) with `fault`
+/// armed, and checks the deduplicated match set of every (stream,
+/// attachment) slot equals the fault-free run's. The failpoint fires in
+/// whichever worker hits the site first, so that worker's supervisor
+/// alone must recover while the other keeps streaming.
 ///
 /// Uses the global failpoint registry: hold
 /// [`failpoints::exclusive`] around calls in multi-test binaries.
 pub fn verify_under_fault_with(
     sc: &Scenario,
     fault: FaultPlan,
-    batch: Option<usize>,
+    batch: usize,
 ) -> Result<(), String> {
     let spec = MonitorSpec::Spring {
         epsilon: sc.epsilon,
     };
-    let run = |sc: &Scenario| match batch {
-        None => run_runner(sc, spec, 2),
-        Some(n) => run_runner_batched(sc, spec, 2, n),
-    };
     failpoints::clear();
-    let clean = run(sc).map_err(|e| format!("fault-free run failed: {e}"))?;
+    let clean =
+        run_runner(sc, spec, 2, batch).map_err(|e| format!("fault-free run failed: {e}"))?;
     fault.arm();
-    let faulted = run(sc);
+    let faulted = run_runner(sc, spec, 2, batch);
     failpoints::clear();
     let faulted = faulted.map_err(|e| format!("faulted run failed: {e} ({fault:?})"))?;
     let (clean, faulted) = (normalize(clean), normalize(faulted));
@@ -121,13 +117,13 @@ pub fn verify_under_fault_with(
     Ok(())
 }
 
-/// [`verify_under_fault_with`] on the per-sample ingestion path.
+/// [`verify_under_fault_with`] at the default frame size.
 pub fn verify_under_fault(sc: &Scenario, fault: FaultPlan) -> Result<(), String> {
-    verify_under_fault_with(sc, fault, None)
+    verify_under_fault_with(sc, fault, spring_monitor::DEFAULT_MAX_BATCH)
 }
 
 /// Fault conformance for the hot-swap path: runs
-/// [`run_sharded_swapped`] (2 shards, frame size `batch`, swap after
+/// [`run_runner_swapped`] (2 workers, frame size `batch`, swap after
 /// `swap_at` samples) with `fault` armed and demands the deduplicated
 /// per-slot match sets equal the fault-free swapped run's.
 ///
@@ -151,52 +147,16 @@ pub fn verify_swap_under_fault(
         epsilon: sc.epsilon,
     };
     failpoints::clear();
-    let clean = run_sharded_swapped(sc, spec, new_query, swap_at, 2, batch)
+    let clean = run_runner_swapped(sc, spec, new_query, swap_at, 2, batch)
         .map_err(|e| format!("fault-free swapped run failed: {e}"))?;
     fault.arm();
-    let faulted = run_sharded_swapped(sc, spec, new_query, swap_at, 2, batch);
+    let faulted = run_runner_swapped(sc, spec, new_query, swap_at, 2, batch);
     failpoints::clear();
     let faulted = faulted.map_err(|e| format!("faulted swapped run failed: {e} ({fault:?})"))?;
     let (clean, faulted) = (normalize(clean), normalize(faulted));
     if clean != faulted {
         return Err(format!(
             "swapped match sets diverge under {fault:?}\n  fault-free: {clean:?}\n  faulted:    {faulted:?}"
-        ));
-    }
-    Ok(())
-}
-
-/// The sharded analogue of [`verify_under_fault_with`]: runs the
-/// scenario through a 2-shard [`spring_monitor::ShardedRunner`]
-/// (one worker per shard, frame size `batch`) with `fault` armed.
-///
-/// The failpoint fires in whichever shard's worker hits the site first,
-/// so the fault lands *inside one shard* while the others keep running —
-/// the supervisor of that shard alone must recover, and the
-/// deduplicated match set of every (stream, attachment) slot must still
-/// equal the fault-free run's.
-///
-/// Uses the global failpoint registry: hold
-/// [`failpoints::exclusive`] around calls in multi-test binaries.
-pub fn verify_under_fault_sharded(
-    sc: &Scenario,
-    fault: FaultPlan,
-    batch: usize,
-) -> Result<(), String> {
-    let spec = MonitorSpec::Spring {
-        epsilon: sc.epsilon,
-    };
-    failpoints::clear();
-    let clean =
-        run_sharded(sc, spec, 2, batch).map_err(|e| format!("fault-free run failed: {e}"))?;
-    fault.arm();
-    let faulted = run_sharded(sc, spec, 2, batch);
-    failpoints::clear();
-    let faulted = faulted.map_err(|e| format!("faulted run failed: {e} ({fault:?})"))?;
-    let (clean, faulted) = (normalize(clean), normalize(faulted));
-    if clean != faulted {
-        return Err(format!(
-            "sharded match sets diverge under {fault:?}\n  fault-free: {clean:?}\n  faulted:    {faulted:?}"
         ));
     }
     Ok(())

@@ -9,8 +9,7 @@
 use spring_monitor::failpoints;
 use spring_monitor::GapPolicy;
 use spring_testkit::fault::{
-    verify_swap_under_fault, verify_under_fault, verify_under_fault_sharded,
-    verify_under_fault_with, FaultPlan,
+    verify_swap_under_fault, verify_under_fault, verify_under_fault_with, FaultPlan,
 };
 use spring_testkit::Scenario;
 use spring_util::Rng;
@@ -53,11 +52,10 @@ fn frame_boundary_panic_preserves_the_deduped_match_set() {
     // containing a spike) must be recovered without loss or duplication.
     for batch in [3usize, 32, 64] {
         for after in [0u64, 1, 3] {
-            verify_under_fault_with(&sc, FaultPlan::FramePanic { after }, Some(batch)).unwrap();
+            verify_under_fault_with(&sc, FaultPlan::FramePanic { after }, batch).unwrap();
         }
     }
-    // And on the per-sample path, where the default frame size does the
-    // batching internally.
+    // And at the default frame size.
     for after in [0u64, 1, 2] {
         verify_under_fault(&sc, FaultPlan::FramePanic { after }).unwrap();
     }
@@ -82,19 +80,19 @@ fn slow_sink_backpressure_changes_nothing() {
 }
 
 #[test]
-fn worker_loss_inside_one_shard_loses_no_matches() {
+fn worker_loss_inside_one_worker_loses_no_matches() {
     let _guard = failpoints::exclusive();
     let sc = spike_scenario(200, &[10, 80, 150]);
-    // The panic fires inside whichever shard's worker hits the site
-    // first; that shard's supervisor alone must recover while the other
-    // shard keeps streaming — the combined deduped match set across all
-    // (stream, attachment) slots must match the fault-free run.
+    // The panic fires inside whichever worker hits the site first; that
+    // worker's supervisor alone must recover while the other keeps
+    // streaming — the combined deduped match set across all (stream,
+    // attachment) slots must match the fault-free run.
     for batch in [1usize, 64] {
         for after in [5u64, 40] {
-            verify_under_fault_sharded(&sc, FaultPlan::WorkerPanic { after }, batch).unwrap();
+            verify_under_fault_with(&sc, FaultPlan::WorkerPanic { after }, batch).unwrap();
         }
-        verify_under_fault_sharded(&sc, FaultPlan::FramePanic { after: 1 }, batch).unwrap();
-        verify_under_fault_sharded(&sc, FaultPlan::SinkPanic { after: 0 }, batch).unwrap();
+        verify_under_fault_with(&sc, FaultPlan::FramePanic { after: 1 }, batch).unwrap();
+        verify_under_fault_with(&sc, FaultPlan::SinkPanic { after: 0 }, batch).unwrap();
     }
 }
 

@@ -132,9 +132,10 @@ fn json_checkpoint_resumes_identically_at_every_cut_point() {
 }
 
 /// Splits the run at `cut`, restores the JSON snapshot, and streams the
-/// tail through a [`ShardedRunner`] instead of stepping inline: the
-/// restored monitor is attached to whichever shard owns its stream id,
-/// and the combined match stream must still equal the uninterrupted run.
+/// tail through a [`Runner`] of `shards` workers instead of stepping
+/// inline: the restored monitor is attached to whichever worker owns its
+/// stream id, and the combined match stream must still equal the
+/// uninterrupted run.
 fn sharded_tail_run(
     values: &[f64],
     query: &[f64],
@@ -142,7 +143,7 @@ fn sharded_tail_run(
     cut: usize,
     shards: usize,
 ) -> Vec<Match> {
-    use spring::monitor::{GapPolicy, QueryId, RunnerAttachment, ShardedRunner, StreamId, VecSink};
+    use spring::monitor::{GapPolicy, QueryId, Runner, RunnerAttachment, StreamId, VecSink};
     let mut first = Spring::new(query, SpringConfig::new(eps)).unwrap();
     let mut got: Vec<Match> = values[..cut]
         .iter()
@@ -156,7 +157,7 @@ fn sharded_tail_run(
     let stream = StreamId(7);
     let sink = std::sync::Arc::new(VecSink::new());
     let attachment = RunnerAttachment::new(stream, QueryId(0), restored, GapPolicy::Skip);
-    let runner = ShardedRunner::spawn(vec![attachment], shards, 1, sink.clone()).unwrap();
+    let runner = Runner::spawn(vec![attachment], shards, sink.clone()).unwrap();
     for &x in &values[cut..] {
         runner.push(stream, &x).unwrap();
     }
@@ -169,9 +170,9 @@ fn sharded_tail_run(
 #[test]
 fn sharded_tail_after_a_json_checkpoint_resumes_identically_at_every_cut_point() {
     // Same property as above, but the post-restore half of the stream
-    // runs through the sharded runner stack (shard routing, framing,
+    // runs through a multi-worker runner (stream placement, framing,
     // worker checkpoints, end-of-stream flush) rather than inline steps
-    // — a process restart picked up by a sharded deployment.
+    // — a process restart picked up by a multi-worker deployment.
     use spring_testkit::Scenario;
     let mut rng = spring_util::Rng::seed_from_u64(0x5A4D_C4E1);
     let mut checked = 0usize;
