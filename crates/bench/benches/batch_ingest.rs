@@ -5,9 +5,13 @@
 //! Batch 1 is the historical per-sample path (one bounds check, one
 //! attachment-index resolution, and — for the runner — one channel
 //! message per tick); larger batches amortize those fixed costs across
-//! the frame, which is where the speedup comes from. The DP recurrence
-//! itself is identical at every batch size, so per-sample times converge
-//! once the fixed costs are amortized away.
+//! the frame and let each attachment step whole runs with the wavefront
+//! kernel, which is where the speedup comes from.
+//!
+//! The runner rows time processing, not enqueue: every timed iteration
+//! pushes [`RUNNER_SAMPLES`] samples in `push_batch` calls of the batch
+//! size, then waits on a `sync` barrier, so the workers' DP work runs
+//! inside the timed region (as in `shard_scaling`).
 //!
 //! `ci.sh --quick` captures these results in BENCH_SMOKE.json and warns
 //! when they regress >25% against the committed baseline.
@@ -24,6 +28,8 @@ use spring_monitor::{
 
 const BATCHES: [usize; 4] = [1, 4, 64, 1024];
 const PATTERNS: usize = 4;
+/// Samples pushed per timed runner iteration before the drain barrier.
+const RUNNER_SAMPLES: usize = 1024;
 
 /// Fills `samples` with the next `samples.len()` ticks of a slow sine
 /// (no matches at ε = 1.0, keeping the measurement about ingestion, not
@@ -62,7 +68,9 @@ fn bench_engine_batches() {
 /// Threaded runner: one stream with [`PATTERNS`] attachments on a 1- or
 /// 4-worker runner (the stream's worker owns all of them; the other
 /// workers idle), with the frame size pinned to the push size so every
-/// `push_batch` call enqueues exactly one frame.
+/// `push_batch` call enqueues exactly one frame, and a `sync` after
+/// [`RUNNER_SAMPLES`] samples that waits until the worker has stepped
+/// them all.
 fn bench_runner_batches() {
     for workers in [1usize, 4] {
         let b = Bench::new(format!("batch_ingest_runner_w{workers}"));
@@ -83,9 +91,12 @@ fn bench_runner_batches() {
             runner.set_max_batch(batch);
             let mut t = 0u64;
             let mut samples = vec![0.0f64; batch];
-            b.bench_elems(&format!("b{batch}"), batch as u64, || {
-                refill(&mut samples, &mut t);
-                runner.push_batch(StreamId(0), &samples).unwrap();
+            b.bench_elems(&format!("b{batch}"), RUNNER_SAMPLES as u64, || {
+                for _ in 0..RUNNER_SAMPLES / batch {
+                    refill(&mut samples, &mut t);
+                    runner.push_batch(StreamId(0), &samples).unwrap();
+                }
+                runner.sync(StreamId(0)).unwrap();
             });
             runner.shutdown().unwrap();
             black_box(sink.total());

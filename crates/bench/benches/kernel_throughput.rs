@@ -1,9 +1,11 @@
-//! Throughput of the STWM column kernel: the two-phase SoA kernel
-//! (`Spring::step_batch` / `Stwm::step`) against the branchy scalar
-//! reference loop (`Spring::step_reference`), at the issue's anchor
-//! points m ∈ {64, 256} with 64-sample frames. The `soa_vs_ref` group
-//! reports the speedup directly; the `kernel_throughput` group feeds
-//! the CI smoke baseline (elements/s = query cells per second).
+//! Throughput of the STWM kernels over the same 64-sample frames, at
+//! m ∈ {64, 256, 1024}: the wavefront frame kernel
+//! (`Spring::step_batch`, what the engine and runner workers run), the
+//! two-phase SoA column kernel one sample at a time (`Spring::step`),
+//! and the branchy scalar reference loop (`Spring::step_reference`).
+//! The printed lines report frame-vs-column and frame-vs-reference
+//! speedups; the `kernel_throughput` group feeds the CI smoke baseline
+//! (elements/s = query cells per second).
 //!
 //! Build with `--features simd` to measure the explicit `core::arch`
 //! min-select instead of the portable chunked lanes. All three paths
@@ -48,6 +50,25 @@ fn bench_step_batch(b: &Bench, m: usize) -> f64 {
     )
 }
 
+/// Per-sample `Spring::step` over the same frames: the SoA column
+/// kernel without the wavefront.
+fn bench_column(b: &Bench, m: usize) -> f64 {
+    let (query, values) = fixtures(m);
+    let mut spring = Spring::new(&query, SpringConfig::new(100.0)).unwrap();
+    let frames: Vec<&[f64]> = values.chunks_exact(BATCH).collect();
+    let mut i = 0;
+    b.bench_elems(
+        &format!("column_batch{BATCH}_m{m}"),
+        (m * BATCH) as u64,
+        || {
+            for &x in black_box(frames[i % frames.len()]) {
+                black_box(spring.step(x));
+            }
+            i += 1;
+        },
+    )
+}
+
 /// The scalar reference loop over the same frames: the pre-SoA column.
 fn bench_reference(b: &Bench, m: usize) -> f64 {
     let (query, values) = fixtures(m);
@@ -71,10 +92,13 @@ fn main() {
     let mut lines = Vec::new();
     for m in [64usize, 256, 1_024] {
         let soa = bench_step_batch(&b, m);
+        let column = bench_column(&b, m);
         let reference = bench_reference(&b, m);
         lines.push(format!(
-            "kernel_throughput: m={m:<5} soa {:>10}/frame  reference {:>10}/frame  speedup {:.2}x",
+            "kernel_throughput: m={m:<5} frame {:>10}  column {:>10} ({:.2}x)  reference {:>10} ({:.2}x)",
             fmt_time(soa),
+            fmt_time(column),
+            column / soa,
             fmt_time(reference),
             reference / soa
         ));

@@ -9,7 +9,7 @@
 use spring_dtw::kernels::{DistanceKernel, Squared};
 
 use crate::error::SpringError;
-use crate::kernel::{self, Frame};
+use crate::kernel;
 use crate::mem::MemoryUse;
 use crate::stwm::Stwm;
 use crate::types::Match;
@@ -26,8 +26,6 @@ pub struct BestMatch<K: DistanceKernel = Squared> {
     /// Whether [`Monitor::finish`](crate::Monitor::finish) already
     /// reported the best (keeps the trait-level flush idempotent).
     flushed: bool,
-    /// Wavefront frame for `step_batch` (empty until the first batch).
-    frame: Frame,
 }
 
 impl BestMatch<Squared> {
@@ -47,7 +45,6 @@ impl<K: DistanceKernel> BestMatch<K> {
             best_end: 0,
             found_at: 0,
             flushed: false,
-            frame: Frame::default(),
         })
     }
 
@@ -105,7 +102,7 @@ impl<K: DistanceKernel> BestMatch<K> {
 
 impl<K: DistanceKernel> MemoryUse for BestMatch<K> {
     fn bytes_used(&self) -> usize {
-        self.stwm.bytes_used() + self.frame.bytes()
+        self.stwm.bytes_used()
     }
 }
 
@@ -131,30 +128,32 @@ impl<K: DistanceKernel> crate::monitor::Monitor for BestMatch<K> {
     /// per-sample stepping.
     fn step_batch(&mut self, samples: &[f64], out: &mut Vec<Match>) -> Result<(), SpringError> {
         let _ = out; // never reports mid-stream
-        for chunk in samples.chunks(kernel::FRAME_COLS) {
-            let bad = chunk.iter().position(|x| !x.is_finite());
-            let valid = &chunk[..bad.unwrap_or(chunk.len())];
-            if !valid.is_empty() {
-                let t0 = self.stwm.tick();
-                self.stwm.fill_frame(valid, &mut self.frame);
-                for j in 1..=valid.len() {
-                    let (dm, sm) = self.frame.current(j);
-                    if dm < self.best_distance {
-                        self.best_distance = dm;
-                        self.best_start = sm;
-                        self.best_end = t0 + j as u64;
-                        self.found_at = t0 + j as u64;
+        kernel::with_frame(|frame| {
+            for chunk in samples.chunks(kernel::FRAME_COLS) {
+                let bad = chunk.iter().position(|x| !x.is_finite());
+                let valid = &chunk[..bad.unwrap_or(chunk.len())];
+                if !valid.is_empty() {
+                    let t0 = self.stwm.tick();
+                    self.stwm.fill_frame(valid, frame);
+                    for j in 1..=valid.len() {
+                        let (dm, sm) = frame.current(j);
+                        if dm < self.best_distance {
+                            self.best_distance = dm;
+                            self.best_start = sm;
+                            self.best_end = t0 + j as u64;
+                            self.found_at = t0 + j as u64;
+                        }
                     }
+                    self.stwm.commit_frame(frame);
                 }
-                self.stwm.commit_frame(&self.frame);
+                if bad.is_some() {
+                    return Err(SpringError::NonFiniteInput {
+                        tick: self.stwm.tick() + 1,
+                    });
+                }
             }
-            if bad.is_some() {
-                return Err(SpringError::NonFiniteInput {
-                    tick: self.stwm.tick() + 1,
-                });
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn finish(&mut self) -> Option<Match> {

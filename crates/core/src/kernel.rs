@@ -51,6 +51,8 @@
 //! hosted `miri` CI job runs the kernel tests under Miri to keep it
 //! UB-clean.
 
+use std::cell::RefCell;
+
 use spring_dtw::kernels::DistanceKernel;
 
 use crate::stwm::Step;
@@ -278,13 +280,14 @@ const DIAG_STRIDE: usize = FRAME_COLS + 1;
 /// too. `Monitor::step_batch` ingests each frame with
 /// [`crate::stwm::Stwm::fill_frame`], runs the reporting policy over
 /// the stored columns (strided, early-exit scans), and commits the last
-/// column back to the rolling matrix.
+/// column back to the rolling matrix. The frame itself is per-thread
+/// scratch ([`with_frame`]), not per-monitor state.
 ///
 /// Every cell is computed by the same expression in the same order as
 /// the scalar reference (`base + min⁻(left, down, diag)` with Eq. (8)
 /// tie-breaking), just in a different *schedule* — cell values depend
 /// only on predecessor cells, so the result is bit-identical.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Frame {
     d: Vec<f64>,
     s: Vec<u64>,
@@ -307,17 +310,20 @@ impl Frame {
         (j + i) * DIAG_STRIDE + j
     }
 
-    /// (Re)sizes storage for query length `m` and marks `w` live
-    /// columns. Capacity covers [`FRAME_COLS`] columns regardless of
-    /// `w`, so ragged final chunks never reallocate.
+    /// Sizes storage for query length `m` and marks `w` live columns.
+    /// Grow-only: one frame serves every monitor on its thread, so a
+    /// shorter query reuses a longer one's block (cell indices do not
+    /// depend on `m`, and rows past `m` are never read back). Capacity
+    /// covers [`FRAME_COLS`] columns regardless of `w`, so ragged final
+    /// chunks never reallocate.
     fn ensure(&mut self, m: usize, w: usize) {
         debug_assert!((1..=FRAME_COLS).contains(&w));
         let need = (m + FRAME_COLS + 1) * DIAG_STRIDE;
-        if self.d.len() != need {
+        if self.d.len() < need {
             self.d.resize(need, f64::INFINITY);
             self.s.resize(need, 0);
         }
-        if self.tmp_pd.len() != m + 1 {
+        if self.tmp_pd.len() < m + 1 {
             self.tmp_pd.resize(m + 1, f64::INFINITY);
             self.tmp_ps.resize(m + 1, 0);
             self.tmp_cd.resize(m + 1, f64::INFINITY);
@@ -396,14 +402,21 @@ impl Frame {
         self.copy_col(j, &mut d, &mut s);
         (d, s)
     }
+}
 
-    /// Heap bytes held by the frame (for `MemoryUse`).
-    pub(crate) fn bytes(&self) -> usize {
-        self.d.capacity() * std::mem::size_of::<f64>()
-            + self.s.capacity() * std::mem::size_of::<u64>()
-            + (self.tmp_pd.capacity() + self.tmp_cd.capacity()) * std::mem::size_of::<f64>()
-            + (self.tmp_ps.capacity() + self.tmp_cs.capacity()) * std::mem::size_of::<u64>()
-    }
+thread_local! {
+    /// The wavefront scratch of every `step_batch` on this thread. A
+    /// frame holds no state between batches (each fill reloads lane 0
+    /// from the monitor's rolling column), so one per thread serves all
+    /// of its monitors, and a monitor keeps only the two DP columns the
+    /// paper's Lemma 4 counts.
+    static FRAME: RefCell<Frame> = RefCell::new(Frame::default());
+}
+
+/// Runs `f` on this thread's wavefront [`Frame`]. Not reentrant: `f`
+/// must not call back into a batch step.
+pub(crate) fn with_frame<R>(f: impl FnOnce(&mut Frame) -> R) -> R {
+    FRAME.with_borrow_mut(f)
 }
 
 /// Fills a frame of `w = xs.len()` columns by anti-diagonal wavefront.
@@ -608,6 +621,7 @@ pub(crate) fn refill_frame_tail<K: DistanceKernel>(
     from: usize,
     scratch: &mut Scratch,
 ) {
+    let rows = frame.m + 1;
     let mut pd = std::mem::take(&mut frame.tmp_pd);
     let mut ps = std::mem::take(&mut frame.tmp_ps);
     let mut cd = std::mem::take(&mut frame.tmp_cd);
@@ -619,10 +633,10 @@ pub(crate) fn refill_frame_tail<K: DistanceKernel>(
             query,
             xs[j - 1],
             t0 + j as u64,
-            &mut pd,
-            &mut ps,
-            &mut cd,
-            &mut cs,
+            &mut pd[..rows],
+            &mut ps[..rows],
+            &mut cd[..rows],
+            &mut cs[..rows],
             scratch,
         );
         frame.scatter_col(j, &cd, &cs);
@@ -1106,6 +1120,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn thread_frame_reused_by_a_shorter_query_stays_bit_exact() {
+        // The per-thread frame grows to the longest query and is not
+        // cleared: a shorter query then runs over a block full of the
+        // longer one's cells and must still match a fresh frame.
+        let mut rng = Rng::seed_from_u64(0x7F4A3);
+        let long: Vec<f64> = (0..12).map(|_| rng.f64_range(-5.0, 5.0)).collect();
+        let short: Vec<f64> = (0..3).map(|_| rng.f64_range(-5.0, 5.0)).collect();
+        let xs: Vec<f64> = (0..FRAME_COLS).map(|_| rng.f64_range(-5.0, 5.0)).collect();
+        let fill = |query: &[f64], frame: &mut Frame| {
+            let m = query.len();
+            let qrev: Vec<f64> = query.iter().rev().copied().collect();
+            let (d_prev, s_prev) = (vec![1.5; m + 1], vec![3u64; m + 1]);
+            fill_frame(Squared, query, &qrev, &xs, 4, &d_prev, &s_prev, frame);
+            (1..=FRAME_COLS)
+                .map(|j| frame.col_vec(j))
+                .collect::<Vec<_>>()
+        };
+        let bits = |cols: Vec<(Vec<f64>, Vec<u64>)>| -> Vec<(Vec<u64>, Vec<u64>)> {
+            cols.into_iter()
+                .map(|(d, s)| (d.iter().map(|v| v.to_bits()).collect(), s))
+                .collect()
+        };
+        with_frame(|frame| fill(&long, frame));
+        let reused = bits(with_frame(|frame| fill(&short, frame)));
+        let fresh = bits(fill(&short, &mut Frame::default()));
+        assert_eq!(reused, fresh);
     }
 
     #[test]

@@ -117,6 +117,9 @@ pub trait Monitor {
     ///
     /// Samples are the *owned* form (`f64` / `Vec<f64>`) so carry-forward
     /// buffers and framed channels can hand their storage over directly.
+    /// A match's [`Match::reported_at`] is the [`tick`](Monitor::tick)
+    /// of the sample that confirmed it; the frame-at-a-time engine and
+    /// runner use it to put each match back in its place in the frame.
     ///
     /// # Errors
     /// On the first invalid sample the error is returned immediately:

@@ -96,9 +96,6 @@ pub struct Spring<K: DistanceKernel = Squared> {
     policy: DisjointPolicy,
     /// Total matches reported (monitoring statistic).
     reported: u64,
-    /// Wavefront frame for `step_batch`; empty until the first batch,
-    /// then a fixed `O(m)` block reused for every frame.
-    frame: Frame,
     /// Query generation this monitor was built against (bumped by the
     /// fleet-wide hot-swap path; recorded in checkpoints so replay can
     /// tell pre- from post-swap state).
@@ -124,7 +121,6 @@ impl<K: DistanceKernel> Spring<K> {
             stwm: Stwm::with_kernel(query, kernel)?,
             policy: DisjointPolicy::new(config.epsilon),
             reported: 0,
-            frame: Frame::default(),
             generation: 0,
         })
     }
@@ -146,7 +142,6 @@ impl<K: DistanceKernel> Spring<K> {
             stwm: Stwm::with_query_ref(query, kernel)?,
             policy: DisjointPolicy::new(config.epsilon),
             reported: 0,
-            frame: Frame::default(),
             generation: 0,
         })
     }
@@ -269,28 +264,22 @@ impl<K: DistanceKernel> Spring<K> {
     /// report invalidates its column, so the (rare) tail after a report
     /// is recomputed with the per-column kernel before the walk
     /// continues. Bit-identical to calling [`Spring::step`] per sample.
-    fn step_frame(&mut self, xs: &[f64], out: &mut Vec<Match>) {
+    fn step_frame(&mut self, xs: &[f64], frame: &mut Frame, out: &mut Vec<Match>) {
         let t0 = self.stwm.tick();
-        self.stwm.fill_frame(xs, &mut self.frame);
+        self.stwm.fill_frame(xs, frame);
         let w = xs.len();
         for j in 1..=w {
             let t = t0 + j as u64;
-            let report = self.policy.step(
-                t,
-                &mut FrameOps {
-                    frame: &mut self.frame,
-                    j,
-                },
-            );
+            let report = self.policy.step(t, &mut FrameOps { frame, j });
             if let Some(m) = report {
                 self.reported += 1;
                 out.push(m);
                 if j < w {
-                    self.stwm.refill_frame_tail(xs, &mut self.frame, j + 1);
+                    self.stwm.refill_frame_tail(xs, frame, j + 1);
                 }
             }
         }
-        self.stwm.commit_frame(&self.frame);
+        self.stwm.commit_frame(frame);
     }
 
     /// Declares the end of the stream: reports the still-pending group
@@ -304,7 +293,7 @@ impl<K: DistanceKernel> Spring<K> {
 
 impl<K: DistanceKernel> MemoryUse for Spring<K> {
     fn bytes_used(&self) -> usize {
-        self.stwm.bytes_used() + self.frame.bytes()
+        self.stwm.bytes_used()
     }
 }
 
@@ -323,27 +312,39 @@ impl<K: DistanceKernel> crate::monitor::Monitor for Spring<K> {
     /// `kernel::FRAME_COLS` (8) columns via the anti-diagonal wavefront
     /// kernel, which pipelines up to a frame's worth of independent
     /// min/add chains instead of serializing on one column's — see
-    /// `crate::kernel::Frame`. Bit-identical to per-sample stepping
-    /// (same matches, same column bits). Matches append to the
-    /// caller-owned `out`; after the first batch the steady state
-    /// allocates nothing.
+    /// `crate::kernel::Frame`. Only full frames take the wavefront: a
+    /// ragged chunk never reaches its full-width diagonals, and the
+    /// frame's fixed costs (loading and committing the rolling column
+    /// through diagonal-major storage, one slice setup per diagonal)
+    /// make it no faster than the per-sample column kernel, or slower
+    /// (≈2.5× per sample for a 1-sample frame, ≈1.2× for 4 samples, on
+    /// an x86-64 core), so a ragged chunk is stepped column by column.
+    /// Bit-identical to per-sample stepping (same matches, same column
+    /// bits). Matches append to the caller-owned `out`. The frame is
+    /// the thread's shared scratch (`crate::kernel::with_frame`), so
+    /// after the first batch on a thread the steady state allocates
+    /// nothing.
     fn step_batch(&mut self, samples: &[f64], out: &mut Vec<Match>) -> Result<(), SpringError> {
-        for chunk in samples.chunks(kernel::FRAME_COLS) {
-            // The error contract consumes every sample before the first
-            // non-finite one, so a poisoned chunk still ingests its
-            // valid prefix.
-            let bad = chunk.iter().position(|x| !x.is_finite());
-            let valid = &chunk[..bad.unwrap_or(chunk.len())];
-            if !valid.is_empty() {
-                self.step_frame(valid, out);
+        kernel::with_frame(|frame| {
+            for chunk in samples.chunks(kernel::FRAME_COLS) {
+                // The error contract consumes every sample before the
+                // first non-finite one, so a poisoned chunk still
+                // ingests its valid prefix.
+                let bad = chunk.iter().position(|x| !x.is_finite());
+                let valid = &chunk[..bad.unwrap_or(chunk.len())];
+                if valid.len() == kernel::FRAME_COLS {
+                    self.step_frame(valid, frame, out);
+                } else {
+                    out.extend(valid.iter().filter_map(|&x| self.step(x)));
+                }
+                if bad.is_some() {
+                    return Err(SpringError::NonFiniteInput {
+                        tick: self.stwm.tick() + 1,
+                    });
+                }
             }
-            if bad.is_some() {
-                return Err(SpringError::NonFiniteInput {
-                    tick: self.stwm.tick() + 1,
-                });
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn finish(&mut self) -> Option<Match> {
@@ -367,10 +368,10 @@ impl<K: DistanceKernel> crate::monitor::Monitor for Spring<K> {
     }
 
     fn memory_cells(&self) -> usize {
-        // Per-attachment cells only: DP columns + scratch + frame. The
-        // shared pattern is reported once per query through
-        // `shared_memory_cells`, not once per attachment.
-        self.stwm.attachment_cells() + self.frame.bytes() / std::mem::size_of::<f64>()
+        // Per-attachment cells only: DP columns + scratch (the batch
+        // frame is per-thread). The shared pattern is reported once per
+        // query through `shared_memory_cells`, not once per attachment.
+        self.stwm.attachment_cells()
     }
 
     fn shared_memory_cells(&self) -> usize {
@@ -624,6 +625,70 @@ mod tests {
                 "batch={batch}: final distance column diverges"
             );
             assert_eq!(a.stwm().starts(), b.stwm().starts(), "batch={batch}");
+        }
+    }
+
+    #[test]
+    fn memory_cells_do_not_depend_on_the_stepping_path() {
+        // The batch frame is per-thread scratch, so a monitor driven by
+        // `step_batch` holds exactly the state of one driven by `step`.
+        use crate::monitor::Monitor as _;
+        let query: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
+        let stream: Vec<f64> = (0..500).map(|i| (i as f64 * 0.07).cos()).collect();
+        let mut a = Spring::new(&query, SpringConfig::new(1.0)).unwrap();
+        let mut b = Spring::new(&query, SpringConfig::new(1.0)).unwrap();
+        let fresh = a.memory_cells();
+        for &x in &stream {
+            a.step(x);
+        }
+        let mut out = Vec::new();
+        b.step_batch(&stream, &mut out).unwrap();
+        assert_eq!(a.memory_cells(), fresh);
+        assert_eq!(b.memory_cells(), fresh);
+        assert_eq!(a.memory_use(), b.memory_use());
+    }
+
+    #[test]
+    fn one_thread_frame_serves_monitors_of_every_query_length() {
+        // Monitors of different `m` take turns on this thread's frame,
+        // one full frame plus a ragged tail at a time, longest first so
+        // the shorter ones run on a grown, previously used block.
+        use crate::monitor::Monitor as _;
+        let stream: Vec<f64> = (0..400)
+            .map(|i| (i as f64 * 0.21).sin() * 5.0 + ((i * 7 % 11) as f64) * 0.1)
+            .collect();
+        let make = |m: usize| {
+            let query: Vec<f64> = (0..m).map(|i| (i as f64 * 0.21).sin() * 5.0).collect();
+            Spring::new(&query, SpringConfig::new(m as f64 * 0.4)).unwrap()
+        };
+        let lengths = [96usize, 3, 17, 40];
+        let mut batched: Vec<Spring> = lengths.iter().map(|&m| make(m)).collect();
+        let mut stepped: Vec<Spring> = lengths.iter().map(|&m| make(m)).collect();
+        let mut got = vec![Vec::new(); lengths.len()];
+        for chunk in stream.chunks(kernel::FRAME_COLS + 5) {
+            for (mon, out) in batched.iter_mut().zip(&mut got) {
+                mon.step_batch(chunk, out).unwrap();
+            }
+        }
+        for (k, mon) in stepped.iter_mut().enumerate() {
+            let expect: Vec<Match> = stream.iter().filter_map(|&x| mon.step(x)).collect();
+            assert!(!expect.is_empty(), "m={}: workload must match", lengths[k]);
+            assert_eq!(got[k], expect, "m={}", lengths[k]);
+            assert_eq!(
+                batched[k]
+                    .stwm()
+                    .distances()
+                    .iter()
+                    .map(|d| d.to_bits())
+                    .collect::<Vec<_>>(),
+                mon.stwm()
+                    .distances()
+                    .iter()
+                    .map(|d| d.to_bits())
+                    .collect::<Vec<_>>(),
+                "m={}: final column",
+                lengths[k]
+            );
         }
     }
 

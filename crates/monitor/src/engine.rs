@@ -13,10 +13,11 @@
 //!   vector streams (paper Sec. 5.3).
 //!
 //! Missing samples (any sample `M::is_missing` reports true, e.g. NaN)
-//! are handled per attachment via a [`GapPolicy`]. The per-tick gap
-//! handling and tick bookkeeping live in one shared code path
-//! (`Attachment::ingest`) used by both this engine and the threaded
-//! [`crate::Runner`].
+//! are handled per attachment via a [`GapPolicy`]. The gap handling and
+//! tick bookkeeping live in one shared code path: `Attachment::ingest`
+//! for one sample ([`Engine::push`]) and `Attachment::ingest_frame` for
+//! a frame, used by both [`Engine::push_batch`] and the threaded
+//! [`crate::Runner`]'s workers.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -178,9 +179,10 @@ pub(crate) fn validate_query_samples<M: Monitor>(samples: &[Owned<M>]) -> Result
 
 /// One (stream, query) attachment: a monitor plus its gap handling.
 ///
-/// This is the code path shared by [`Engine::push`] and the
-/// [`crate::Runner`] worker loop, so single- and multi-threaded
-/// deployments behave identically tick for tick.
+/// This is the code path shared by [`Engine::push`],
+/// [`Engine::push_batch`] and the [`crate::Runner`] worker loop, so
+/// single- and multi-threaded deployments behave identically tick for
+/// tick.
 pub(crate) struct Attachment<M: Monitor> {
     pub(crate) id: AttachmentId,
     pub(crate) stream: StreamId,
@@ -243,6 +245,15 @@ impl<M: Monitor> Attachment<M> {
         rec
     }
 
+    /// Offset of the first sample in `samples` this attachment rejects:
+    /// a missing one under [`GapPolicy::Fail`].
+    fn first_rejected(&self, samples: &[Owned<M>]) -> Option<usize> {
+        if self.gap_policy != GapPolicy::Fail {
+            return None;
+        }
+        samples.iter().position(|s| M::is_missing(s.borrow()))
+    }
+
     fn event(&self, m: Match) -> Event {
         Event {
             stream: self.stream,
@@ -260,6 +271,99 @@ impl<M: Monitor> Attachment<M> {
             "attachment::ingest",
             MonitorError::Injected("attachment::ingest")
         );
+        self.step_one(sample)
+    }
+
+    /// Consumes one frame of raw samples: each run of present samples
+    /// is stepped with one [`Monitor::step_batch`] and counted once by
+    /// the recorder; missing samples take [`Attachment::ingest`]'s
+    /// per-sample gap path. Events are appended to `scratch` tagged with
+    /// their frame offset and this attachment's `rank`.
+    ///
+    /// # Errors
+    /// `(offset, error)` of the first failing sample. Samples before it
+    /// are consumed and their events appended, as a per-sample
+    /// [`Attachment::ingest`] loop would leave them.
+    pub(crate) fn ingest_frame(
+        &mut self,
+        samples: &[Owned<M>],
+        rank: usize,
+        scratch: &mut FrameScratch,
+    ) -> Result<(), (usize, MonitorError)> {
+        crate::fail_point!(
+            "attachment::ingest",
+            (0, MonitorError::Injected("attachment::ingest"))
+        );
+        let mut at = 0;
+        while at < samples.len() {
+            let rest = &samples[at..];
+            let run = rest
+                .iter()
+                .position(|s| M::is_missing(s.borrow()))
+                .unwrap_or(rest.len());
+            if run == 0 {
+                let hit = self.step_one(rest[0].borrow()).map_err(|e| (at, e))?;
+                scratch.events.extend(hit.map(|event| FrameEvent {
+                    offset: at,
+                    rank,
+                    event,
+                }));
+                at += 1;
+            } else {
+                self.step_run(&rest[..run], at, rank, scratch)?;
+                at += run;
+            }
+        }
+        Ok(())
+    }
+
+    /// Steps a run of present samples starting at frame offset `at`
+    /// through [`Monitor::step_batch`].
+    fn step_run(
+        &mut self,
+        run: &[Owned<M>],
+        at: usize,
+        rank: usize,
+        scratch: &mut FrameScratch,
+    ) -> Result<(), (usize, MonitorError)> {
+        let started = self
+            .recorder
+            .as_mut()
+            .and_then(|rec| rec.begin_frame(run.len()));
+        let before = self.monitor.tick();
+        scratch.hits.clear();
+        let stepped = self.monitor.step_batch(run, &mut scratch.hits);
+        let consumed = match stepped {
+            Ok(()) => run.len(),
+            Err(_) => (self.monitor.tick() - before) as usize,
+        };
+        // Like `step_one`, a failing sample still counts as seen.
+        self.ticks += (consumed + usize::from(stepped.is_err())) as u64;
+        if matches!(self.gap_policy, GapPolicy::CarryForward) {
+            let last: &M::Sample = run[consumed.min(run.len() - 1)].borrow();
+            self.last_observed = Some(last.to_owned());
+        }
+        for hit in &scratch.hits {
+            // A match is reported at the tick of the step that confirmed
+            // it, which places it within the run.
+            let offset = hit.reported_at.saturating_sub(before + 1) as usize;
+            scratch.events.push(FrameEvent {
+                offset: at + offset.min(run.len() - 1),
+                rank,
+                event: self.event(*hit),
+            });
+        }
+        let monitor = &self.monitor;
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.record_run(started, consumed as u64, &scratch.hits, || {
+                (monitor.memory_use(), monitor.memory_cells())
+            });
+        }
+        stepped.map_err(|e| (at + consumed, e.into()))
+    }
+
+    /// [`Attachment::ingest`] past its failpoint.
+    fn step_one(&mut self, sample: &M::Sample) -> Result<Option<Event>, MonitorError> {
         self.ticks += 1;
         let started = self.recorder.as_mut().and_then(TickRecorder::begin_tick);
         let missing = M::is_missing(sample);
@@ -372,6 +476,75 @@ impl<M: Monitor> Attachment<M> {
     }
 }
 
+/// An event produced inside a frame, tagged with its place in
+/// sample-major order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameEvent {
+    /// Offset within the frame of the sample that confirmed it.
+    pub(crate) offset: usize,
+    /// Position of its attachment among the stream's attachments.
+    pub(crate) rank: usize,
+    pub(crate) event: Event,
+}
+
+/// Reusable buffers of frame-at-a-time ingestion: one per engine and
+/// per runner worker, so the steady state allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct FrameScratch {
+    /// One run's matches from [`Monitor::step_batch`].
+    hits: Vec<Match>,
+    /// The frame's events; sample-major after [`ingest_frame`].
+    pub(crate) events: Vec<FrameEvent>,
+}
+
+/// Steps one frame of a stream through its attachments (`indices` into
+/// `attachments`, in attach order) one attachment at a time, then sorts
+/// `scratch.events` into the order a sample-major loop produces them:
+/// by frame offset, then attachment.
+///
+/// # Errors
+/// `(offset, error)` of the first failure in sample-major order. Every
+/// attachment that a per-sample loop would have run before the failure
+/// has ingested through `offset`; the others stopped just before it;
+/// `scratch.events` holds exactly the events produced before the
+/// failure. A missing sample under [`GapPolicy::Fail`] is found before
+/// any attachment steps, so the state and the metrics are exactly a
+/// per-sample loop's; an unforeseen failure (a monitor error, an
+/// injected fault) can leave attachments ranked before it further on.
+pub(crate) fn ingest_frame<M: Monitor>(
+    attachments: &mut [Attachment<M>],
+    indices: &[usize],
+    samples: &[Owned<M>],
+    scratch: &mut FrameScratch,
+) -> Result<(), (usize, MonitorError)> {
+    scratch.events.clear();
+    // The first (offset, rank) a Fail attachment rejects.
+    let mut stop = indices
+        .iter()
+        .enumerate()
+        .filter_map(|(rank, &i)| attachments[i].first_rejected(samples).map(|k| (k, rank)))
+        .min();
+    let mut failure = None;
+    for (rank, &i) in indices.iter().enumerate() {
+        // Attachments up to the stopping one still see the stopping
+        // tick; the ones after it stop before it.
+        let len = match stop {
+            Some((k, r)) if rank <= r => k + 1,
+            Some((k, _)) => k,
+            None => samples.len(),
+        };
+        if let Err((k, e)) = attachments[i].ingest_frame(&samples[..len], rank, scratch) {
+            stop = Some((k, rank));
+            failure = Some((k, e));
+            scratch.events.retain(|ev| (ev.offset, ev.rank) < (k, rank));
+        }
+    }
+    scratch
+        .events
+        .sort_unstable_by_key(|ev| (ev.offset, ev.rank));
+    failure.map_or(Ok(()), Err)
+}
+
 /// Monitors any number of streams against any number of query patterns,
 /// each attachment an independent monitor of type `M`.
 ///
@@ -408,6 +581,8 @@ pub struct Engine<M: Monitor> {
     /// Flight-recorder hook (see [`Engine::set_tracer`]); the default
     /// [`TraceHandle::off`] keeps ingestion trace-free.
     trace: TraceHandle,
+    /// [`Engine::push_batch`]'s reused frame buffers.
+    frame: FrameScratch,
 }
 
 /// Engine over the paper's plain disjoint-query monitor.
@@ -434,6 +609,7 @@ impl<M: Monitor> Default for Engine<M> {
             arena: Arc::new(QueryArena::new()),
             metrics: None,
             trace: TraceHandle::off(),
+            frame: FrameScratch::default(),
         }
     }
 }
@@ -766,10 +942,13 @@ impl<M: Monitor> Engine<M> {
     /// confirmed event to the caller-owned `out` in tick order.
     ///
     /// Semantically identical to calling [`Engine::push`] once per
-    /// sample, but the dispatch cost is paid per *batch*: the stream
-    /// state and attachment indices are resolved once, the channel width
-    /// is hoisted, and matches are written into `out` — the steady state
-    /// performs zero per-tick heap allocations.
+    /// sample, but the work is done a frame at a time: the stream state
+    /// and attachment indices are resolved once, the channel width is
+    /// checked up front, each attachment steps its runs of present
+    /// samples with one [`Monitor::step_batch`] (the wavefront kernel
+    /// for SPRING monitors), and the events are merged back into
+    /// sample-major order. The steady state performs zero per-tick heap
+    /// allocations.
     ///
     /// # Errors
     /// On the first failing sample the error is returned immediately.
@@ -788,6 +967,7 @@ impl<M: Monitor> Engine<M> {
             by_stream,
             metrics,
             trace,
+            frame,
             ..
         } = self;
         let state = streams
@@ -798,39 +978,38 @@ impl<M: Monitor> Engine<M> {
         }
         // Frame-granular span (one per batch, not per tick): recorded
         // whenever tracing is enabled.
-        let frame = trace.now();
+        let frame_span = trace.now();
         let indices: &[usize] = by_stream.get(&stream).map_or(&[], Vec::as_slice);
-        let expected = state.channels;
-        for sample in samples {
-            let sample: &M::Sample = sample.borrow();
-            if let Some(expected) = expected {
-                let found = M::sample_dim(sample);
-                if found != expected {
-                    return Err(MonitorError::Spring(SpringError::DimensionMismatch {
-                        expected,
-                        found,
-                    }));
-                }
-            }
-            state.ticks += 1;
-            let tick_mark = out.len();
-            for &idx in indices {
-                match attachments[idx].ingest(sample) {
-                    Ok(Some(ev)) => {
-                        trace.instant(TraceKind::Match, ev.m.end);
-                        out.push(ev);
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        // Per-sample `push` drops same-tick events from
-                        // earlier attachments on error; mirror that.
-                        out.truncate(tick_mark);
-                        return Err(e);
-                    }
-                }
-            }
+        // A sample of the wrong width fails before any attachment sees
+        // it, so the frame is cut there.
+        let misfit = state.channels.and_then(|expected| {
+            samples
+                .iter()
+                .map(|s| M::sample_dim(s.borrow()))
+                .enumerate()
+                .find(|&(_, found)| found != expected)
+                .map(|(at, found)| {
+                    let e = SpringError::DimensionMismatch { expected, found };
+                    (at, MonitorError::Spring(e))
+                })
+        });
+        let fit = misfit.as_ref().map_or(samples.len(), |&(at, _)| at);
+        let (end, seen, result) = match ingest_frame(attachments, indices, &samples[..fit], frame) {
+            // A failing tick is counted, like per-sample `push`.
+            Err((at, e)) => (at, at + 1, Err(e)),
+            Ok(()) => match misfit {
+                Some((at, e)) => (at, at, Err(e)),
+                None => (fit, fit, Ok(())),
+            },
+        };
+        state.ticks += seen as u64;
+        // Per-sample `push` drops the failing tick's events.
+        for ev in frame.events.iter().take_while(|ev| ev.offset < end) {
+            trace.instant(TraceKind::Match, ev.event.m.end);
+            out.push(ev.event);
         }
-        trace.span(frame, TraceKind::Frame, samples.len() as u64);
+        result?;
+        trace.span(frame_span, TraceKind::Frame, samples.len() as u64);
         Ok(())
     }
 

@@ -25,10 +25,10 @@
 //! | `spring_ticks_total` | counter | samples | attachment-ticks ingested |
 //! | `spring_matches_total` | counter | matches | confirmed matches (incl. end-of-stream flushes) |
 //! | `spring_missing_samples_total` | counter | samples | NaN/non-finite readings seen |
-//! | `spring_tick_latency_seconds` | histogram | seconds | per-attachment `step` latency (sampled 1/64) |
+//! | `spring_tick_latency_seconds` | histogram | seconds | per-attachment time per tick, sampled 1/64: a single `step` on the per-sample path, a sampled frame's mean per tick on the batched paths (engine `push_batch`, runner workers) |
 //! | `spring_detection_delay_ticks` | histogram | ticks | `t_confirm − t_e` per match (paper "output time") |
-//! | `spring_memory_bytes` | gauge | bytes | live algorithmic state across monitors |
-//! | `spring_memory_cells` | gauge | cells | live DTW cells — the `O(m)` quantity of Theorem 2 |
+//! | `spring_memory_bytes` | gauge | bytes | live algorithmic state across monitors (the per-thread batch frame is scratch, not counted) |
+//! | `spring_memory_cells` | gauge | cells | live DTW cells — the `O(m)` quantity of Theorem 2 (DP columns only, no frames) |
 //! | `spring_query_swaps_total` | counter | swaps | fleet-wide query hot-swaps applied |
 //! | `spring_query_generation` | gauge | generation | latest query generation published by a hot-swap |
 //! | `spring_batch_len` | histogram | samples | frame sizes seen by the batched ingestion path |
@@ -312,7 +312,7 @@ pub struct Metrics {
     /// Latest query generation published by a hot-swap
     /// (`spring_query_generation`).
     pub query_generation: Gauge,
-    /// Sampled per-attachment step latency
+    /// Sampled per-attachment time per tick
     /// (`spring_tick_latency_seconds`).
     pub tick_latency: Histogram,
     /// Per-match `reported_at − end` (`spring_detection_delay_ticks`).
@@ -936,12 +936,27 @@ impl TickRecorder {
         hits: &[Match],
         memory: impl FnOnce() -> (usize, usize),
     ) {
+        if ticks > 0 {
+            self.metrics.record_batch(ticks as usize);
+        }
+        self.metrics.missing.add(missing);
+        self.record_run(started, ticks, hits, memory);
+    }
+
+    /// [`TickRecorder::record_frame`] for a run of present samples,
+    /// without the `spring_batch_len` observation: the engine and the
+    /// runner record the frame size once per frame, and count each
+    /// attachment's runs here.
+    #[inline]
+    pub(crate) fn record_run(
+        &mut self,
+        started: Option<Instant>,
+        ticks: u64,
+        hits: &[Match],
+        memory: impl FnOnce() -> (usize, usize),
+    ) {
         let m = &self.metrics;
         m.ticks.add(ticks);
-        m.missing.add(missing);
-        if ticks > 0 {
-            m.record_batch(ticks as usize);
-        }
         for hit in hits {
             m.record_match(hit);
         }

@@ -5,9 +5,13 @@
 //! stable across processes and restarts). That worker owns all of the
 //! stream's attachments, so each (stream, query) pair keeps the paper's
 //! `O(m)` time and space per tick (Theorem 2) with no cross-thread
-//! coordination. Workers drive the same `Attachment` gap-policy/tick
-//! path as the single-threaded [`crate::Engine`], so both report
-//! identical events; matches go to a shared [`MatchSink`].
+//! coordination. Workers ingest a frame at a time through the same
+//! `Attachment::ingest_frame` path as [`crate::Engine::push_batch`]:
+//! each attachment steps the frame's runs of present samples with one
+//! `Monitor::step_batch` (the wavefront kernel for SPRING monitors),
+//! and the frame's events are merged back into sample-major order (by
+//! tick, then attachment) before they reach the shared [`MatchSink`],
+//! so the sink sees exactly a per-sample loop's sequence.
 //!
 //! Each worker has its own stream table (pending frames and attachment
 //! counts behind the worker's own lock), bounded channel, checkpoint,
@@ -48,8 +52,8 @@ use std::time::{Duration, Instant};
 use spring_core::monitor::Monitor;
 
 use crate::engine::{
-    validate_query_samples, Attachment, AttachmentBuilder, AttachmentId, GapPolicy, MonitorError,
-    Owned, QueryId, StreamId,
+    ingest_frame, validate_query_samples, Attachment, AttachmentBuilder, AttachmentId,
+    FrameScratch, GapPolicy, MonitorError, Owned, QueryId, StreamId,
 };
 use crate::metrics::{Metrics, ShardMetrics};
 use crate::sink::MatchSink;
@@ -479,6 +483,10 @@ where
         // Messages applied by this incarnation, continuing the absolute
         // count from the checkpoint it was forked at.
         let mut applied = ctx.shared.applied.load(Ordering::Acquire);
+        // Reused per frame: the stream's attachment positions and the
+        // frame's events.
+        let mut indices: Vec<usize> = Vec::new();
+        let mut frame = FrameScratch::default();
         'recv: for msg in rx {
             crate::fail_point!("runner::worker::recv");
             // Shutdown is never counted into the depth gauge.
@@ -492,27 +500,32 @@ where
                 Msg::Frame { stream, samples } => {
                     crate::fail_point!("runner::worker::frame");
                     let frame_span = ctx.trace.now();
-                    let mut processed = 0u64;
-                    // Sample-major, like the Engine: each tick runs
-                    // through every attachment before the next tick.
-                    'frame: for value in samples.iter() {
-                        processed += 1;
-                        for att in atts.iter_mut().filter(|a| a.stream == stream) {
-                            match att.ingest(std::borrow::Borrow::borrow(value)) {
-                                Ok(Some(event)) => deliver(&event),
-                                Ok(None) => {}
-                                Err(e) => {
-                                    // The frame tail is dropped with the
-                                    // rest of the stream.
-                                    failure = Some(e);
-                                    break 'frame;
-                                }
-                            }
+                    indices.clear();
+                    indices.extend(
+                        atts.iter()
+                            .enumerate()
+                            .filter(|(_, a)| a.stream == stream)
+                            .map(|(i, _)| i),
+                    );
+                    // Frame-at-a-time, like the Engine: each attachment
+                    // steps the whole frame, and the sink gets the
+                    // events back in sample-major order.
+                    let processed = match ingest_frame(&mut atts, &indices, &samples, &mut frame) {
+                        Ok(()) => samples.len(),
+                        Err((at, e)) => {
+                            // The frame tail is dropped with the rest of
+                            // the stream.
+                            failure = Some(e);
+                            at + 1
                         }
+                    };
+                    for ev in &frame.events {
+                        deliver(&ev.event);
                     }
-                    ctx.trace.span(frame_span, TraceKind::Frame, processed);
+                    ctx.trace
+                        .span(frame_span, TraceKind::Frame, processed as u64);
                     if let Some(sm) = &ctx.shard {
-                        sm.ticks.add(processed);
+                        sm.ticks.add(processed as u64);
                     }
                 }
                 Msg::FinishStream(stream) => {
