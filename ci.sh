@@ -29,17 +29,15 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy (simd + failpoints features)"
+echo "==> cargo clippy (failpoints feature)"
 cargo clippy --workspace --all-targets \
-  --features spring/simd,spring-testkit/simd,spring-testkit/failpoints,spring-cli/failpoints \
+  --features spring-testkit/failpoints,spring-cli/failpoints \
   -- -D warnings
 
-echo "==> cargo clippy (spring-monitor without the reactor/trace features)"
-# Built standalone the crate drops its only unsafe module and must stay
-# warning-free under forbid(unsafe_code); the workspace build above
-# always unifies `reactor` (via spring-cli) and `trace` (via
-# spring-bench) in, so this is the one place the reactor-less,
-# stub-recorder configuration is checked.
+echo "==> cargo clippy (spring-monitor without the trace feature)"
+# The workspace build above always unifies `trace` in (via
+# spring-bench), so this is the one place the crate's own targets are
+# checked against the stub recorder.
 cargo clippy -p spring-monitor --all-targets -- -D warnings
 
 echo "==> cargo clippy (trace feature matrix: flight recorder on and off)"
@@ -61,10 +59,7 @@ cargo check --offline --all-targets --manifest-path springbench/Cargo.toml
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test (simd feature: explicit SIMD kernel paths)"
-cargo test -q -p spring-core -p spring-testkit --features simd
-
-echo "==> cargo test (spring-monitor without the reactor/trace features)"
+echo "==> cargo test (spring-monitor without the trace feature)"
 cargo test -q -p spring-monitor
 
 echo "==> cargo test (failpoints + trace: fault injection and postmortems)"
@@ -88,20 +83,18 @@ echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 if [ "$miri" -eq 1 ]; then
-  echo "==> miri (kernel + snapshot tests, simd feature)"
+  echo "==> miri (kernel + snapshot tests)"
   # Pinned seed so local runs match the hosted job's default layout
   # randomization; the hosted job also varies it across runs.
   if rustup run nightly cargo miri --version >/dev/null 2>&1; then
     MIRIFLAGS="${MIRIFLAGS:--Zmiri-seed=2007}" \
-      rustup run nightly cargo miri test -p spring-core --features simd \
-        --lib -- kernel snapshot
-    # The reactor feature carries spring-monitor's only unsafe code (the
-    # raw syscall shims); socket-driving tests are `#[cfg_attr(miri,
+      rustup run nightly cargo miri test -p spring-core --lib -- kernel snapshot
+    # The reactor carries spring-monitor's only unsafe code (the raw
+    # syscall shims); socket-driving tests are `#[cfg_attr(miri,
     # ignore)]`, so this interprets the pure reactor logic and keeps the
     # unsafe module inside Miri's build graph.
     MIRIFLAGS="${MIRIFLAGS:--Zmiri-seed=2007}" \
-      rustup run nightly cargo miri test -p spring-monitor --features reactor \
-        --lib -- reactor
+      rustup run nightly cargo miri test -p spring-monitor --lib -- reactor
     # The trace rings are lock-free (seqlock-style slots, atomic
     # tickets); Miri checks the concurrent-writer test for data races
     # and torn reads at reduced iteration counts.
@@ -125,7 +118,7 @@ if [ "$quick" -eq 1 ]; then
     echo "--> cargo bench --bench $b (smoke)"
     before="$(wc -l < "$jsonl" 2>/dev/null || echo 0)"
     SPRING_BENCH_SMOKE=1 SPRING_BENCH_JSON="$jsonl" \
-      cargo bench -p spring-bench --bench "$b" --features simd --quiet
+      cargo bench -p spring-bench --bench "$b" --quiet
     after="$(wc -l < "$jsonl")"
     if [ "$after" -le "$before" ]; then
       echo "ERROR: bench $b emitted no JSON result line" \

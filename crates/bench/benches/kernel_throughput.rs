@@ -7,9 +7,9 @@
 //! speedups; the `kernel_throughput` group feeds the CI smoke baseline
 //! (elements/s = query cells per second).
 //!
-//! Build with `--features simd` to measure the explicit `core::arch`
-//! min-select instead of the portable chunked lanes. All three paths
-//! are bit-identical; only the time differs.
+//! On x86-64 the frame and column kernels run the explicit `core::arch`
+//! selects at the widest width the CPU reports. All three paths are
+//! bit-identical; only the time differs.
 
 use std::hint::black_box;
 

@@ -122,17 +122,11 @@ fn parse_kernel(p: &Parsed) -> Result<Kernel, CliError> {
     }
 }
 
-/// How `monitor` treats NaN readings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Gap {
-    Skip,
-    Carry,
-}
-
-fn parse_gap(p: &Parsed) -> Result<Gap, CliError> {
+/// How `monitor` treats NaN readings (`--gap skip|carry`).
+fn parse_gap(p: &Parsed) -> Result<GapPolicy, CliError> {
     match p.get("gap") {
-        None | Some("skip") => Ok(Gap::Skip),
-        Some("carry") => Ok(Gap::Carry),
+        None | Some("skip") => Ok(GapPolicy::Skip),
+        Some("carry") => Ok(GapPolicy::CarryForward),
         Some(other) => Err(CliError::Args(ArgError::BadValue(
             "--gap".into(),
             other.into(),
@@ -418,7 +412,7 @@ pub fn monitor(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             buf.push(v);
         } else {
             match (gap, last) {
-                (Gap::Carry, Some(prev)) => {
+                (GapPolicy::CarryForward, Some(prev)) => {
                     missing_in_buf += 1;
                     buf.push(prev);
                 }
@@ -521,14 +515,15 @@ fn write_trace_export(
 ///
 /// The printed transcript is identical to the inline path: matches in
 /// stream order (the trailing pending-group match tagged
-/// `(stream end)`), then the `N match(es) over T ticks` summary. Gap
-/// handling stays CLI-side — only finite values are pushed — so the
-/// attachment sees exactly the samples the inline monitor would step.
+/// `(stream end)`), then the `N match(es) over T ticks` summary. Every
+/// reading is pushed and the attachment resolves gaps under the `--gap`
+/// policy, so it steps exactly the samples the inline monitor would and
+/// its `--stats` recorder counts the missing ones.
 fn monitor_sharded(
     p: &Parsed,
     shards: usize,
     kernel: Kernel,
-    gap: Gap,
+    gap: GapPolicy,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
     if p.get("resume").is_some() || p.get("checkpoint").is_some() {
@@ -545,9 +540,7 @@ fn monitor_sharded(
     let metrics = p.has("stats").then(|| std::sync::Arc::new(Metrics::new()));
     let sink = std::sync::Arc::new(VecSink::new());
     let stream_id = StreamId(0);
-    // NaN never reaches the attachment (gaps are resolved CLI-side
-    // below), so the runner-side gap policy is irrelevant.
-    let attachment = RunnerAttachment::new(stream_id, QueryId(0), monitor, GapPolicy::Skip);
+    let attachment = RunnerAttachment::new(stream_id, QueryId(0), monitor, gap);
     // `--trace`: every worker and supervisor records into its own ring
     // (`worker-N` / `supervisor-N` tracks in the export).
     let trace_out = p.get("trace").map(std::path::PathBuf::from);
@@ -572,22 +565,18 @@ fn monitor_sharded(
     if let Some(ms) = p.get_parsed::<u64>("linger-ms", "integer")? {
         runner.set_linger(std::time::Duration::from_millis(ms));
     }
+    // `ticks` counts the samples the monitor steps: present readings,
+    // plus carried ones once a reading has been seen.
     let mut ticks = 0u64;
-    let mut last = None;
+    let mut seen = false;
     let mut push_err = None;
     for_each_value(open_stream(p)?, |v| {
-        let x = if v.is_finite() {
-            last = Some(v);
-            v
-        } else {
-            match (gap, last) {
-                (Gap::Carry, Some(prev)) => prev,
-                _ => return Ok(()), // skip
-            }
-        };
-        ticks += 1;
+        seen |= v.is_finite();
+        if v.is_finite() || (gap == GapPolicy::CarryForward && seen) {
+            ticks += 1;
+        }
         if push_err.is_none() {
-            if let Err(e) = runner.push(stream_id, &x) {
+            if let Err(e) = runner.push(stream_id, &v) {
                 push_err = Some(e);
             }
         }
@@ -1171,6 +1160,29 @@ mod tests {
                 reference.clone()
             };
             assert_eq!(got, want, "{extra} diverged from the inline monitor");
+        }
+        // `--stats` agrees too, bar the rows that measure the deployment
+        // (latency, frames, memory) or exist only under `--shards`.
+        let stats = |text: String| -> Vec<String> {
+            let own = ["tick latency", "ingest batches", "live memory", "shard "];
+            text.lines()
+                .filter(|l| !own.iter().any(|k| l.starts_with(k)))
+                .map(str::to_owned)
+                .collect()
+        };
+        for gap in ["", " --gap carry"] {
+            let want = stats(run(&format!(" --stats{gap}")));
+            assert!(
+                want.contains(&format!("{:<28} 1", "missing samples")),
+                "{want:?}"
+            );
+            for shards in [" --shards 1", " --shards 2"] {
+                let got = stats(run(&format!(" --stats{gap}{shards}")));
+                assert_eq!(
+                    got, want,
+                    "--stats{gap}{shards} diverged from the inline monitor"
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

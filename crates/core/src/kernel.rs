@@ -40,15 +40,18 @@
 //!
 //! ## SIMD
 //!
-//! With the `simd` cargo feature on `x86_64`, the lane-phase min-select
-//! runs on `core::arch` intrinsics (AVX2 when the CPU has it, SSE2
-//! otherwise) — that is the one place autovectorizers struggle, because
-//! the `u64` start lane must be blended under the `f64` comparison
-//! mask. The base-distance fill and the carry phase stay in portable
-//! Rust (the former autovectorizes, the latter is a serial chain). The
-//! `simd` module is the only `unsafe` code in the crate and is gated by
-//! `#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]`; the
-//! hosted `miri` CI job runs the kernel tests under Miri to keep it
+//! On every `x86_64` build the two Eq. (8) selects — the column
+//! min-select and the frame's diagonal select — run on `core::arch`
+//! intrinsics at the widest width the CPU reports at runtime (AVX-512F,
+//! AVX2, or the SSE2 baseline). That is the one place autovectorizers
+//! struggle, because the `u64` start lane must be blended under the
+//! `f64` comparison mask. The base-distance fill and the carry phase
+//! stay in portable Rust (the former autovectorizes, the latter is a
+//! serial chain). Other targets run the portable select loops, which
+//! stay compiled on `x86_64` too so the bit-exactness tests pin every
+//! lane width against the reference. The `simd` module is the only
+//! `unsafe` code in the crate (which is otherwise `deny(unsafe_code)`);
+//! the hosted `miri` CI job runs the kernel tests under Miri to keep it
 //! UB-clean.
 
 use std::cell::RefCell;
@@ -61,6 +64,25 @@ use crate::stwm::Step;
 /// or two AVX2 vectors of `f64`, and a multiple of every narrower lane
 /// count, so the autovectorizer can pick whatever the target offers.
 const LANES: usize = 8;
+
+/// The lanes the two Eq. (8) selects run on: `Some(level)` is the
+/// explicit x86-64 SIMD path at a [`simd::level`] width, `None` the
+/// portable loops (every other target). The field is private to this
+/// module, so a SIMD level is never wider than the CPU reported: the
+/// SIMD paths rely on that.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lanes(Option<u8>);
+
+/// The widest lanes this CPU runs the frame's diagonal select on. Probed
+/// once per frame, not per diagonal: the detection macro's atomic load
+/// is measurable at small `m`.
+pub(crate) fn lanes() -> Lanes {
+    #[cfg(target_arch = "x86_64")]
+    let lanes = Lanes(Some(simd::level()));
+    #[cfg(not(target_arch = "x86_64"))]
+    let lanes = Lanes(None);
+    lanes
+}
 
 /// Reusable scratch lanes for the two-phase column fill, sized `m + 1`
 /// to share the column indexing (index 0 is unused padding for the star
@@ -105,40 +127,36 @@ fn fill_base<K: DistanceKernel>(kernel: K, query: &[f64], x: f64, base: &mut [f6
 
 /// Lane-phase min-select over a full previous column (`len m + 1`):
 /// for `i = 1 ..= m`, `dd[i] = min⁻(d_prev[i], d_prev[i−1])` with
-/// `sd[i]` following the mask. Dispatches to the SIMD path when built
-/// with `--features simd` on x86_64.
+/// `sd[i]` following the mask. On x86_64 it takes the SIMD path, AVX2
+/// when the CPU reports it (probed per column), SSE2 otherwise.
 #[inline]
 pub(crate) fn min_select(d_prev: &[f64], s_prev: &[u64], dd: &mut [f64], sd: &mut [u64]) {
+    #[cfg(target_arch = "x86_64")]
+    let lanes = Lanes(Some(u8::from(is_x86_feature_detected!("avx2"))));
+    #[cfg(not(target_arch = "x86_64"))]
+    let lanes = Lanes(None);
+    min_select_on(lanes, d_prev, s_prev, dd, sd);
+}
+
+/// [`min_select`] on the given lanes.
+#[inline]
+fn min_select_on(lanes: Lanes, d_prev: &[f64], s_prev: &[u64], dd: &mut [f64], sd: &mut [u64]) {
     let m = d_prev.len() - 1;
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        simd::min_select(
-            &d_prev[1..],
-            &d_prev[..m],
-            &s_prev[1..],
-            &s_prev[..m],
-            &mut dd[1..m + 1],
-            &mut sd[1..m + 1],
-        );
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        min_select_portable(
-            &d_prev[1..],
-            &d_prev[..m],
-            &s_prev[1..],
-            &s_prev[..m],
-            &mut dd[1..m + 1],
-            &mut sd[1..m + 1],
-        );
+    let (down, diag) = (&d_prev[1..], &d_prev[..m]);
+    let (sdown, sdiag) = (&s_prev[1..], &s_prev[..m]);
+    let (dd, sd) = (&mut dd[1..m + 1], &mut sd[1..m + 1]);
+    match lanes.0 {
+        #[cfg(target_arch = "x86_64")]
+        Some(level) => simd::min_select(level, down, diag, sdown, sdiag, dd, sd),
+        _ => min_select_portable(down, diag, sdown, sdiag, dd, sd),
     }
 }
 
 /// Portable chunked min-select: `dd[i] = down[i]` if `down[i] ≤ diag[i]`
 /// else `diag[i]`, the start lane blended under the same mask. The
 /// fixed-width inner loop has no carried dependency, so LLVM unrolls
-/// and vectorizes it at whatever width the target supports.
-#[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(dead_code))]
+/// and vectorizes it at whatever width the target supports. The SIMD
+/// paths finish their remainder lanes with it.
 fn min_select_portable(
     down: &[f64],
     diag: &[f64],
@@ -419,12 +437,14 @@ pub(crate) fn with_frame<R>(f: impl FnOnce(&mut Frame) -> R) -> R {
     FRAME.with_borrow_mut(f)
 }
 
-/// Fills a frame of `w = xs.len()` columns by anti-diagonal wavefront.
+/// Fills a frame of `w = xs.len()` columns by anti-diagonal wavefront,
+/// running the diagonal select on `lanes` (see [`lanes`]).
 /// `d_prev`/`s_prev` is the incoming rolling column for tick `t0`
 /// (loaded into frame lane 0); the caller's tick is NOT advanced —
 /// commit happens after the reporting policy has walked the columns.
 #[allow(clippy::too_many_arguments)] // query + qrev arrive as arena borrows
 pub(crate) fn fill_frame<K: DistanceKernel>(
+    lanes: Lanes,
     kernel: K,
     query: &[f64],
     qrev: &[f64],
@@ -476,11 +496,6 @@ pub(crate) fn fill_frame<K: DistanceKernel>(
     // the loop is branch-free, gather-free elementwise SoA code.
     let mut xw = [0.0f64; DIAG_STRIDE];
     xw[1..=w].copy_from_slice(xs);
-    // Resolve the CPU-feature dispatch once per frame, not per diagonal.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    let level = simd::level();
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    let level = 0u8;
     for k in 3..=(w + m) {
         let j_lo = if k > m { k - m } else { 1 };
         let j_hi = (k - 2).min(w);
@@ -518,7 +533,7 @@ pub(crate) fn fill_frame<K: DistanceKernel>(
             };
             wave_full(
                 kernel,
-                level,
+                lanes,
                 (&xw[1..]).try_into().unwrap(),
                 q,
                 (&p1_d[..DIAG_STRIDE]).try_into().unwrap(),
@@ -530,33 +545,22 @@ pub(crate) fn fill_frame<K: DistanceKernel>(
             );
         } else {
             // Ramp-up/ramp-down diagonals: a handful of cells at the
-            // frame's corners, shared by every width `w`.
-            let lanes = j_hi - j_lo + 1;
-            let left_d = &p1_d[j_lo..j_lo + lanes];
-            let left_s = &p1_s[j_lo..j_lo + lanes];
-            let down_d = &p1_d[j_lo - 1..j_lo - 1 + lanes];
-            let down_s = &p1_s[j_lo - 1..j_lo - 1 + lanes];
-            let diag_d = &p2_d[j_lo - 1..j_lo - 1 + lanes];
-            let diag_s = &p2_s[j_lo - 1..j_lo - 1 + lanes];
-            let cur_d = &mut tail_d[j_lo..j_lo + lanes];
-            let cur_s = &mut tail_s[j_lo..j_lo + lanes];
-            let q = &qrev[q0..q0 + lanes];
-            let x = &xw[j_lo..j_lo + lanes];
-            for idx in 0..lanes {
-                let base = kernel.dist(x[idx], q[idx]);
-                let left = left_d[idx];
-                let down = down_d[idx];
-                let diag = diag_d[idx];
-                // Eq. (8) split exactly as in `carry`: down-vs-diag
-                // first (down preferred on ties), then left (preferred
-                // on ties).
-                let take_down = down <= diag;
-                let dd = if take_down { down } else { diag };
-                let sd = if take_down { down_s[idx] } else { diag_s[idx] };
-                let take_left = left <= dd;
-                cur_d[idx] = base + if take_left { left } else { dd };
-                cur_s[idx] = if take_left { left_s[idx] } else { sd };
+            // frame's corners (lanes `j_lo ..= j_hi`), shared by every
+            // width `w`.
+            let (lo, hi) = (j_lo, j_hi + 1);
+            let mut base = [0.0f64; FRAME_COLS];
+            for (b, (&x, &q)) in base.iter_mut().zip(xw[lo..hi].iter().zip(&qrev[q0..])) {
+                *b = kernel.dist(x, q);
             }
+            diag_select_portable(
+                &base[..hi - lo],
+                &p1_d[lo - 1..hi],
+                &p1_s[lo - 1..hi],
+                &p2_d[lo - 1..hi - 1],
+                &p2_s[lo - 1..hi - 1],
+                &mut tail_d[lo..hi],
+                &mut tail_s[lo..hi],
+            );
         }
     }
 }
@@ -566,13 +570,12 @@ pub(crate) fn fill_frame<K: DistanceKernel>(
 /// `j` is frame column `j + 1`: `left = p1_d[j+1]`, `down = p1_d[j]`,
 /// `diag = p2_d[j]`. The base distances are a straight elementwise loop
 /// (autovectorizes); the Eq. (8) select — a `u64` lane blended under an
-/// `f64` comparison mask — dispatches to the explicit SIMD path when
-/// built with `--features simd`.
+/// `f64` comparison mask — runs on `lanes`.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn wave_full<K: DistanceKernel>(
     kernel: K,
-    level: u8,
+    lanes: Lanes,
     x: &[f64; FRAME_COLS],
     q: &[f64; FRAME_COLS],
     p1_d: &[f64; DIAG_STRIDE],
@@ -586,24 +589,44 @@ fn wave_full<K: DistanceKernel>(
     for j in 0..FRAME_COLS {
         base[j] = kernel.dist(x[j], q[j]);
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        simd::diag_select(level, &base, p1_d, p1_s, p2_d, p2_s, cur_d, cur_s);
+    match lanes.0 {
+        #[cfg(target_arch = "x86_64")]
+        Some(level) => simd::diag_select(level, &base, p1_d, p1_s, p2_d, p2_s, cur_d, cur_s),
+        _ => diag_select_portable(&base, p1_d, p1_s, p2_d, p2_s, cur_d, cur_s),
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        let _ = level;
-        for j in 0..FRAME_COLS {
-            let left = p1_d[j + 1];
-            let down = p1_d[j];
-            let diag = p2_d[j];
-            let take_down = down <= diag;
-            let dd = if take_down { down } else { diag };
-            let sd = if take_down { p1_s[j] } else { p2_s[j] };
-            let take_left = left <= dd;
-            cur_d[j] = base[j] + if take_left { left } else { dd };
-            cur_s[j] = if take_left { p1_s[j + 1] } else { sd };
-        }
+}
+
+/// Portable Eq. (8) select over the `cur_d.len()` lanes of one
+/// anti-diagonal, indexed as in [`wave_full`] (`p1` windows hold one
+/// more lane than the output). Split exactly as in `carry`: down-vs-diag
+/// first (down preferred on ties), then left (preferred on ties). The
+/// frame's ramp diagonals always run it; full diagonals only where
+/// there is no SIMD path.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn diag_select_portable(
+    base: &[f64],
+    p1_d: &[f64],
+    p1_s: &[u64],
+    p2_d: &[f64],
+    p2_s: &[u64],
+    cur_d: &mut [f64],
+    cur_s: &mut [u64],
+) {
+    // Exact-length windows, so the lane loop carries no bounds checks.
+    let n = cur_d.len();
+    let (base, p2_d, p2_s, cur_s) = (&base[..n], &p2_d[..n], &p2_s[..n], &mut cur_s[..n]);
+    let (p1_d, p1_s) = (&p1_d[..=n], &p1_s[..=n]);
+    for j in 0..n {
+        let left = p1_d[j + 1];
+        let down = p1_d[j];
+        let diag = p2_d[j];
+        let take_down = down <= diag;
+        let dd = if take_down { down } else { diag };
+        let sd = if take_down { p1_s[j] } else { p2_s[j] };
+        let take_left = left <= dd;
+        cur_d[j] = base[j] + if take_left { left } else { dd };
+        cur_s[j] = if take_left { p1_s[j + 1] } else { sd };
     }
 }
 
@@ -689,19 +712,25 @@ pub(crate) fn fill_column_reference<K: DistanceKernel>(
     }
 }
 
-/// Explicit x86-64 SIMD min-select: the only `unsafe` in the crate,
-/// compiled only with `--features simd`. AVX2 (4 × f64) when the CPU
-/// reports it, SSE2 (2 × f64, part of the x86-64 baseline) otherwise.
-/// Every operation is an element-wise IEEE compare/blend, so results
-/// are bit-identical to the portable path at any width.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+/// Explicit x86-64 SIMD selects: the only `unsafe` in the crate,
+/// compiled on every x86_64 build. AVX-512F (8 × f64), AVX2 (4 × f64)
+/// or SSE2 (2 × f64, part of the x86-64 baseline), chosen at runtime
+/// from the CPU's features. Every operation is an element-wise IEEE
+/// compare/blend, so results are bit-identical to the portable path at
+/// any width.
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
     use core::arch::x86_64::*;
 
-    /// Dispatches on runtime CPU features (cached by `std_detect`).
+    use super::{min_select_portable, DIAG_STRIDE, FRAME_COLS};
+
+    /// Min-select at `level` (AVX2 for 1 and above, SSE2 for 0), which
+    /// must not exceed what the CPU reports (see [`super::Lanes`]); the
+    /// lanes past the last full vector go through the portable loop.
     #[inline]
     pub(super) fn min_select(
+        level: u8,
         down: &[f64],
         diag: &[f64],
         sdown: &[u64],
@@ -710,16 +739,27 @@ mod simd {
         sd: &mut [u64],
     ) {
         // SAFETY: sse2 is unconditionally part of the x86-64 baseline;
-        // the avx2 path is only entered when the CPU reports avx2.
-        unsafe {
-            if is_x86_feature_detected!("avx2") {
-                min_select_avx2(down, diag, sdown, sdiag, dd, sd);
+        // the avx2 path is only entered when the caller's probe
+        // reported avx2 (`level ≥ 1`).
+        let i = unsafe {
+            if level >= 1 {
+                min_select_avx2(down, diag, sdown, sdiag, dd, sd)
             } else {
-                min_select_sse2(down, diag, sdown, sdiag, dd, sd);
+                min_select_sse2(down, diag, sdown, sdiag, dd, sd)
             }
-        }
+        };
+        min_select_portable(
+            &down[i..],
+            &diag[i..],
+            &sdown[i..],
+            &sdiag[i..],
+            &mut dd[i..],
+            &mut sd[i..],
+        );
     }
 
+    /// Fills whole 4-lane vectors and returns how many lanes it filled.
+    ///
     /// # Safety
     /// Requires AVX2. All slices must hold at least `dd.len()` elements
     /// (guaranteed by the caller's subslicing of `m + 1` columns).
@@ -731,7 +771,7 @@ mod simd {
         sdiag: &[u64],
         dd: &mut [f64],
         sd: &mut [u64],
-    ) {
+    ) -> usize {
         let n = dd.len();
         let mut i = 0;
         while i + 4 <= n {
@@ -751,9 +791,11 @@ mod simd {
             _mm256_storeu_si256(sd.as_mut_ptr().add(i) as *mut __m256i, sbest);
             i += 4;
         }
-        tail(down, diag, sdown, sdiag, dd, sd, i);
+        i
     }
 
+    /// Fills whole 2-lane vectors and returns how many lanes it filled.
+    ///
     /// # Safety
     /// SSE2 is part of the x86-64 baseline; slice bounds as above.
     #[target_feature(enable = "sse2")]
@@ -764,7 +806,7 @@ mod simd {
         sdiag: &[u64],
         dd: &mut [f64],
         sd: &mut [u64],
-    ) {
+    ) -> usize {
         let n = dd.len();
         let mut i = 0;
         while i + 2 <= n {
@@ -780,14 +822,12 @@ mod simd {
             _mm_storeu_si128(sd.as_mut_ptr().add(i) as *mut __m128i, sbest);
             i += 2;
         }
-        tail(down, diag, sdown, sdiag, dd, sd, i);
+        i
     }
 
-    use super::{DIAG_STRIDE, FRAME_COLS};
-
-    /// Widest usable lane width, probed once per frame by `fill_frame`
-    /// (the detection macro's atomic load is measurable at small `m`).
-    /// 2 = AVX-512F (one 8 × f64 op per diagonal), 1 = AVX2, 0 = SSE2.
+    /// Widest usable lane width, probed once per frame by
+    /// [`super::lanes`]. 2 = AVX-512F (one 8 × f64 op per diagonal),
+    /// 1 = AVX2, 0 = SSE2.
     #[inline]
     pub(super) fn level() -> u8 {
         if is_x86_feature_detected!("avx512f") {
@@ -928,26 +968,6 @@ mod simd {
             _mm_storeu_si128(cur_s.as_mut_ptr().add(o) as *mut __m128i, sbest);
         }
     }
-
-    /// Scalar remainder shared by both widths.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn tail(
-        down: &[f64],
-        diag: &[f64],
-        sdown: &[u64],
-        sdiag: &[u64],
-        dd: &mut [f64],
-        sd: &mut [u64],
-        mut i: usize,
-    ) {
-        while i < dd.len() {
-            let take_down = down[i] <= diag[i];
-            dd[i] = if take_down { down[i] } else { diag[i] };
-            sd[i] = if take_down { sdown[i] } else { sdiag[i] };
-            i += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -956,59 +976,65 @@ mod tests {
     use spring_dtw::kernels::{Absolute, Squared};
     use spring_util::Rng;
 
+    /// Every lane implementation this build can run: the portable loops,
+    /// then each explicit SIMD level the CPU reports (SSE2, AVX2,
+    /// AVX-512F), so one build pins all of them.
+    fn every_lanes() -> Vec<Lanes> {
+        let simd = lanes().0.into_iter().flat_map(|top| (0..=top).map(Some));
+        std::iter::once(None).chain(simd).map(Lanes).collect()
+    }
+
     /// Drives a reference column and a kernel column side by side over
-    /// the same inputs and demands bit-identical lanes after every tick.
+    /// the same inputs, once per lane width ([`every_lanes`]), and
+    /// demands bit-identical lanes after every tick.
     fn assert_bit_exact(query: &[f64], stream: &[f64], invalidate_every: Option<usize>) {
         let m = query.len();
-        let mut rd_prev = vec![f64::INFINITY; m + 1];
-        let mut rd_cur = vec![f64::INFINITY; m + 1];
-        let mut rs_prev = vec![0u64; m + 1];
-        let mut rs_cur = vec![0u64; m + 1];
-        let mut kd_prev = rd_prev.clone();
-        let mut kd_cur = rd_cur.clone();
-        let mut ks_prev = rs_prev.clone();
-        let mut ks_cur = rs_cur.clone();
-        let mut scratch = Scratch::new(m);
-        for (tick, &x) in stream.iter().enumerate() {
-            let t = tick as u64 + 1;
-            fill_column_reference(
-                Squared,
-                query,
-                x,
-                t,
-                &mut rd_prev,
-                &mut rs_prev,
-                &mut rd_cur,
-                &mut rs_cur,
-                |_, _| {},
-            );
-            fill_column(
-                Squared,
-                query,
-                x,
-                t,
-                &mut kd_prev,
-                &mut ks_prev,
-                &mut kd_cur,
-                &mut ks_cur,
-                &mut scratch,
-            );
-            let rbits: Vec<u64> = rd_cur.iter().map(|d| d.to_bits()).collect();
-            let kbits: Vec<u64> = kd_cur.iter().map(|d| d.to_bits()).collect();
-            assert_eq!(rbits, kbits, "distance lanes diverge at t = {t}");
-            assert_eq!(rs_cur, ks_cur, "start lanes diverge at t = {t}");
-            std::mem::swap(&mut rd_cur, &mut rd_prev);
-            std::mem::swap(&mut rs_cur, &mut rs_prev);
-            std::mem::swap(&mut kd_cur, &mut kd_prev);
-            std::mem::swap(&mut ks_cur, &mut ks_prev);
-            // Mimic the disjoint reset: knock identical cells to +∞ on
-            // both sides so the kernel is exercised on post-reset
-            // columns full of infinities.
-            if let Some(every) = invalidate_every {
-                if tick % every == every - 1 {
-                    for i in (1..=m).step_by(2) {
-                        rd_prev[i] = f64::INFINITY;
-                        kd_prev[i] = f64::INFINITY;
+        for lanes in every_lanes() {
+            let mut rd_prev = vec![f64::INFINITY; m + 1];
+            let mut rd_cur = vec![f64::INFINITY; m + 1];
+            let mut rs_prev = vec![0u64; m + 1];
+            let mut rs_cur = vec![0u64; m + 1];
+            let mut kd_prev = rd_prev.clone();
+            let mut kd_cur = rd_cur.clone();
+            let mut ks_prev = rs_prev.clone();
+            let mut ks_cur = rs_cur.clone();
+            let mut scratch = Scratch::new(m);
+            for (tick, &x) in stream.iter().enumerate() {
+                let t = tick as u64 + 1;
+                fill_column_reference(
+                    Squared,
+                    query,
+                    x,
+                    t,
+                    &mut rd_prev,
+                    &mut rs_prev,
+                    &mut rd_cur,
+                    &mut rs_cur,
+                    |_, _| {},
+                );
+                // `fill_column_with`'s phases, the min-select on `lanes`.
+                (kd_prev[0], ks_prev[0], kd_cur[0], ks_cur[0]) = (0.0, t, 0.0, t);
+                let Scratch { base, dd, sd } = &mut scratch;
+                fill_base(Squared, query, x, base);
+                min_select_on(lanes, &kd_prev, &ks_prev, dd, sd);
+                carry(base, dd, sd, &mut kd_cur, &mut ks_cur);
+                let rbits: Vec<u64> = rd_cur.iter().map(|d| d.to_bits()).collect();
+                let kbits: Vec<u64> = kd_cur.iter().map(|d| d.to_bits()).collect();
+                assert_eq!(rbits, kbits, "{lanes:?}: distance lanes diverge at t = {t}");
+                assert_eq!(rs_cur, ks_cur, "{lanes:?}: start lanes diverge at t = {t}");
+                std::mem::swap(&mut rd_cur, &mut rd_prev);
+                std::mem::swap(&mut rs_cur, &mut rs_prev);
+                std::mem::swap(&mut kd_cur, &mut kd_prev);
+                std::mem::swap(&mut ks_cur, &mut ks_prev);
+                // Mimic the disjoint reset: knock identical cells to +∞ on
+                // both sides so the kernel is exercised on post-reset
+                // columns full of infinities.
+                if let Some(every) = invalidate_every {
+                    if tick % every == every - 1 {
+                        for i in (1..=m).step_by(2) {
+                            rd_prev[i] = f64::INFINITY;
+                            kd_prev[i] = f64::INFINITY;
+                        }
                     }
                 }
             }
@@ -1073,52 +1099,88 @@ mod tests {
     fn frame_matches_reference_bit_for_bit_for_every_width_and_m() {
         // The wavefront schedule must reproduce the reference columns
         // exactly — including frames wider than the query (m < w), the
-        // single-column frame (w = 1), and ragged final chunks.
+        // single-column frame (w = 1), and ragged final chunks — on every
+        // lane width, for random reals and for an integer grid that
+        // forces exact ties.
         let mut rng = Rng::seed_from_u64(0xF7A3E);
-        for m in [1usize, 2, 3, 5, 7, 8, 9, 16, 33, 64] {
-            for w in 1..=FRAME_COLS {
-                let query: Vec<f64> = (0..m).map(|_| rng.f64_range(-5.0, 5.0)).collect();
-                let stream: Vec<f64> = (0..97).map(|_| rng.f64_range(-5.0, 5.0)).collect();
-                let mut rd_prev = vec![f64::INFINITY; m + 1];
-                let mut rd_cur = vec![f64::INFINITY; m + 1];
-                let mut rs_prev = vec![0u64; m + 1];
-                let mut rs_cur = vec![0u64; m + 1];
-                let mut fd_prev = rd_prev.clone();
-                let mut fs_prev = rs_prev.clone();
-                let mut frame = Frame::default();
-                let mut t0 = 0u64;
-                for chunk in stream.chunks(w) {
-                    let qrev: Vec<f64> = query.iter().rev().copied().collect();
-                    fill_frame(
-                        Squared, &query, &qrev, chunk, t0, &fd_prev, &fs_prev, &mut frame,
-                    );
-                    for (j, &x) in chunk.iter().enumerate() {
-                        let t = t0 + j as u64 + 1;
-                        fill_column_reference(
-                            Squared,
-                            &query,
-                            x,
-                            t,
-                            &mut rd_prev,
-                            &mut rs_prev,
-                            &mut rd_cur,
-                            &mut rs_cur,
-                            |_, _| {},
-                        );
-                        let (fd, fs) = frame.col_vec(j + 1);
-                        assert_eq!(
-                            rd_cur.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                            fd.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                            "m={m} w={w}: distance column diverges at t = {t}"
-                        );
-                        assert_eq!(rs_cur, fs, "m={m} w={w}: start column diverges at t = {t}");
-                        std::mem::swap(&mut rd_cur, &mut rd_prev);
-                        std::mem::swap(&mut rs_cur, &mut rs_prev);
+        for grid in [false, true] {
+            let mut draw = |n: usize| -> Vec<f64> {
+                (0..n)
+                    .map(|_| match grid {
+                        false => rng.f64_range(-5.0, 5.0),
+                        true => rng.u64_below(5) as f64,
+                    })
+                    .collect()
+            };
+            for m in [1usize, 2, 3, 5, 7, 8, 9, 16, 33, 64] {
+                for w in 1..=FRAME_COLS {
+                    let query = draw(m);
+                    let stream = draw(97);
+                    for lanes in every_lanes() {
+                        assert_frames_bit_exact(lanes, &query, &stream, w);
                     }
-                    frame.copy_col(frame.width(), &mut fd_prev, &mut fs_prev);
-                    t0 += chunk.len() as u64;
                 }
             }
+        }
+    }
+
+    /// [`fill_frame`] with the squared kernel, `qrev` derived from `query`.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_sq(
+        lanes: Lanes,
+        query: &[f64],
+        xs: &[f64],
+        t0: u64,
+        d_prev: &[f64],
+        s_prev: &[u64],
+        frame: &mut Frame,
+    ) {
+        let qrev: Vec<f64> = query.iter().rev().copied().collect();
+        fill_frame(lanes, Squared, query, &qrev, xs, t0, d_prev, s_prev, frame);
+    }
+
+    /// Steps `stream` through frames of `w` columns on `lanes` and
+    /// through the reference, demanding bit-identical columns.
+    fn assert_frames_bit_exact(lanes: Lanes, query: &[f64], stream: &[f64], w: usize) {
+        let m = query.len();
+        let mut rd_prev = vec![f64::INFINITY; m + 1];
+        let mut rd_cur = vec![f64::INFINITY; m + 1];
+        let mut rs_prev = vec![0u64; m + 1];
+        let mut rs_cur = vec![0u64; m + 1];
+        let mut fd_prev = rd_prev.clone();
+        let mut fs_prev = rs_prev.clone();
+        let mut frame = Frame::default();
+        let mut t0 = 0u64;
+        for chunk in stream.chunks(w) {
+            fill_sq(lanes, query, chunk, t0, &fd_prev, &fs_prev, &mut frame);
+            for (j, &x) in chunk.iter().enumerate() {
+                let t = t0 + j as u64 + 1;
+                fill_column_reference(
+                    Squared,
+                    query,
+                    x,
+                    t,
+                    &mut rd_prev,
+                    &mut rs_prev,
+                    &mut rd_cur,
+                    &mut rs_cur,
+                    |_, _| {},
+                );
+                let (fd, fs) = frame.col_vec(j + 1);
+                assert_eq!(
+                    rd_cur.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                    fd.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                    "{lanes:?} m={m} w={w}: distance column diverges at t = {t}"
+                );
+                assert_eq!(
+                    rs_cur, fs,
+                    "{lanes:?} m={m} w={w}: start column diverges at t = {t}"
+                );
+                std::mem::swap(&mut rd_cur, &mut rd_prev);
+                std::mem::swap(&mut rs_cur, &mut rs_prev);
+            }
+            frame.copy_col(frame.width(), &mut fd_prev, &mut fs_prev);
+            t0 += chunk.len() as u64;
         }
     }
 
@@ -1133,9 +1195,8 @@ mod tests {
         let xs: Vec<f64> = (0..FRAME_COLS).map(|_| rng.f64_range(-5.0, 5.0)).collect();
         let fill = |query: &[f64], frame: &mut Frame| {
             let m = query.len();
-            let qrev: Vec<f64> = query.iter().rev().copied().collect();
             let (d_prev, s_prev) = (vec![1.5; m + 1], vec![3u64; m + 1]);
-            fill_frame(Squared, query, &qrev, &xs, 4, &d_prev, &s_prev, frame);
+            fill_sq(lanes(), query, &xs, 4, &d_prev, &s_prev, frame);
             (1..=FRAME_COLS)
                 .map(|j| frame.col_vec(j))
                 .collect::<Vec<_>>()
@@ -1162,8 +1223,7 @@ mod tests {
         let d_prev = vec![f64::INFINITY; m + 1];
         let s_prev = vec![0u64; m + 1];
         let mut frame = Frame::default();
-        let qrev: Vec<f64> = query.iter().rev().copied().collect();
-        fill_frame(Squared, &query, &qrev, &xs, 0, &d_prev, &s_prev, &mut frame);
+        fill_sq(lanes(), &query, &xs, 0, &d_prev, &s_prev, &mut frame);
         let cut = 3;
         let te = 2;
         frame.invalidate(cut, te);
@@ -1215,8 +1275,7 @@ mod tests {
         let d_prev = vec![f64::INFINITY; 3];
         let s_prev = vec![0u64; 3];
         let mut frame = Frame::default();
-        let qrev: Vec<f64> = query.iter().rev().copied().collect();
-        fill_frame(Squared, &query, &qrev, &xs, 0, &d_prev, &s_prev, &mut frame);
+        fill_sq(lanes(), &query, &xs, 0, &d_prev, &s_prev, &mut frame);
         for j in 1..=4 {
             let (d, s) = frame.col_vec(j);
             assert_eq!(frame.current(j), (d[2], s[2]));

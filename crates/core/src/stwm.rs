@@ -176,6 +176,7 @@ impl<K: DistanceKernel> Stwm<K> {
     /// `xs.len()` consecutive [`Stwm::step`]s.
     pub(crate) fn fill_frame(&self, xs: &[f64], frame: &mut kernel::Frame) {
         kernel::fill_frame(
+            kernel::lanes(),
             self.kernel,
             self.query.samples(),
             self.query.qrev(),

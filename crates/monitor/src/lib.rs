@@ -42,18 +42,16 @@
 
 #![warn(missing_docs)]
 // The one sanctioned exception to the no-unsafe rule is the reactor's
-// raw syscall shim module (`reactor::sys`), compiled only under
-// `--features reactor` and carrying its own `#[allow(unsafe_code)]` —
-// the same gating discipline as spring-core's `simd` feature. Without
-// the feature the whole crate is `unsafe`-free under both attributes.
-#![cfg_attr(not(feature = "reactor"), forbid(unsafe_code))]
-#![cfg_attr(feature = "reactor", deny(unsafe_code))]
+// raw syscall shim module (`reactor::sys`), compiled on Unix targets and
+// carrying its own `#[allow(unsafe_code)]` — the same discipline as
+// spring-core's `kernel::simd`. Every other module is `unsafe`-free.
+#![deny(unsafe_code)]
 
 pub mod engine;
 #[cfg(feature = "failpoints")]
 pub mod failpoints;
 pub mod metrics;
-#[cfg(feature = "reactor")]
+#[cfg(unix)]
 pub mod reactor;
 pub mod runner;
 pub mod sink;

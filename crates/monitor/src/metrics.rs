@@ -356,9 +356,6 @@ pub fn build_features() -> String {
     if cfg!(feature = "trace") {
         names.push("trace");
     }
-    if cfg!(feature = "reactor") {
-        names.push("reactor");
-    }
     if cfg!(feature = "failpoints") {
         names.push("failpoints");
     }

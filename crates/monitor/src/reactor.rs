@@ -1,4 +1,4 @@
-//! A tiny in-tree readiness reactor (`reactor` cargo feature).
+//! A tiny in-tree readiness reactor (Unix targets).
 //!
 //! `spring serve` multiplexes thousands of sensor connections through a
 //! single acceptor thread. The standard library has no readiness API,
@@ -14,10 +14,9 @@
 //!
 //! The syscall surface lives in the private `sys` submodule, the crate's one
 //! sanctioned unsafe region: raw `extern "C"` prototypes against the
-//! platform libc (which `std` already links), no `libc` crate. It is
-//! compiled only under `--features reactor` — without the feature the
-//! crate remains `forbid(unsafe_code)`, exactly like `spring-core`'s
-//! `simd` feature — and the enclosing crate is `deny(unsafe_code)` so
+//! platform libc (which `std` already links), no `libc` crate. Like
+//! `spring-core`'s `kernel::simd`, it carries its own
+//! `#[allow(unsafe_code)]` inside a `deny(unsafe_code)` crate, so
 //! nothing outside `sys` can add more.
 //!
 //! # Model
@@ -39,12 +38,6 @@
 //! The reactor never owns the descriptors it watches: callers keep
 //! their `TcpListener`/`TcpStream` values and must
 //! [`Reactor::deregister`] before closing them.
-
-#[cfg(not(unix))]
-compile_error!(
-    "spring-monitor's `reactor` feature needs a Unix readiness syscall \
-     (epoll or poll); build without `--features reactor` on this target"
-);
 
 use std::collections::HashMap;
 use std::io;

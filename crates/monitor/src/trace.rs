@@ -29,7 +29,7 @@
 //! Tracing follows the 1-in-64 sampling discipline of the metrics
 //! layer ([`crate::metrics::LATENCY_SAMPLE_EVERY`]): per-tick spans go
 //! through [`TraceHandle::sampled_now`], which samples 1 in
-//! [`Tracer::set_sample_every`] ticks; frame-granular spans and rare
+//! [`DEFAULT_SAMPLE_EVERY`] ticks; frame-granular spans and rare
 //! instants are recorded whenever tracing is enabled. With tracing
 //! disabled (the default) every hook is one branch on a relaxed
 //! atomic; without the `trace` feature the whole module is a zero-size
@@ -70,7 +70,7 @@ pub const AVAILABLE: bool = false;
 /// Default per-ring capacity, in events (~200 KiB per track).
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
-/// Default span sampling period, mirroring the metrics discipline
+/// Per-tick span sampling period, mirroring the metrics discipline
 /// ([`crate::metrics::LATENCY_SAMPLE_EVERY`]).
 pub const DEFAULT_SAMPLE_EVERY: u64 = 64;
 
@@ -415,7 +415,6 @@ mod real {
     struct Inner {
         epoch: Instant,
         enabled: AtomicBool,
-        sample_every: AtomicU64,
         capacity: usize,
         rings: Mutex<Vec<(String, Arc<TraceRing>)>>,
         postmortem_dir: Mutex<Option<PathBuf>>,
@@ -423,7 +422,7 @@ mod real {
     }
 
     /// The shared trace registry: hands out per-thread rings, owns the
-    /// monotonic epoch and the enable/sampling knobs, snapshots and
+    /// monotonic epoch and the enable switch, snapshots and
     /// exports every ring. Cheap to clone (an `Arc`).
     #[derive(Clone)]
     pub struct Tracer {
@@ -449,7 +448,6 @@ mod real {
                 inner: Arc::new(Inner {
                     epoch: Instant::now(),
                     enabled: AtomicBool::new(false),
-                    sample_every: AtomicU64::new(super::DEFAULT_SAMPLE_EVERY),
                     capacity: capacity.max(1),
                     rings: Mutex::new(Vec::new()),
                     postmortem_dir: Mutex::new(None),
@@ -467,12 +465,6 @@ mod real {
         /// Whether recording is currently on.
         pub fn enabled(&self) -> bool {
             self.inner.enabled.load(Ordering::Relaxed)
-        }
-
-        /// Sets the per-tick span sampling period (default
-        /// [`super::DEFAULT_SAMPLE_EVERY`]; `1` records every tick).
-        pub fn set_sample_every(&self, n: u64) {
-            self.inner.sample_every.store(n.max(1), Ordering::Relaxed);
         }
 
         /// Directory for [`Tracer::postmortem_dump`] files (`None`
@@ -611,7 +603,8 @@ mod real {
         }
 
         /// Sampled span start for per-tick hot paths: counts every
-        /// call, returns a timestamp for 1 in `sample_every` of them
+        /// call, returns a timestamp for 1 in
+        /// [`super::DEFAULT_SAMPLE_EVERY`] of them
         /// (the first sampled call is tick 1, mirroring
         /// [`crate::metrics::TickRecorder`]).
         pub fn sampled_now(&mut self) -> Option<u64> {
@@ -620,9 +613,7 @@ mod real {
                 return None;
             }
             self.ticks += 1;
-            let every = inner.sample_every.load(Ordering::Relaxed);
-            // `1 % every` so a period of 1 records every tick.
-            if self.ticks % every == 1 % every {
+            if self.ticks % super::DEFAULT_SAMPLE_EVERY == 1 {
                 Some(inner.epoch.elapsed().as_nanos() as u64)
             } else {
                 None
@@ -684,9 +675,6 @@ mod stub {
         pub fn enabled(&self) -> bool {
             false
         }
-
-        /// Inert: see the `trace`-enabled documentation.
-        pub fn set_sample_every(&self, _n: u64) {}
 
         /// Inert: see the `trace`-enabled documentation.
         pub fn set_postmortem_dir(&self, _dir: Option<PathBuf>) {}
@@ -808,11 +796,11 @@ mod tests {
         let tracer = Tracer::with_capacity(1024);
         tracer.set_enabled(true);
         let mut h = tracer.register("t");
-        let sampled = (0..256).filter(|_| h.sampled_now().is_some()).count();
-        assert_eq!(sampled, 4); // ticks 1, 65, 129, 193
-        tracer.set_sample_every(1);
-        let every = (0..32).filter(|_| h.sampled_now().is_some()).count();
-        assert_eq!(every, 32);
+        let sampled: Vec<u64> = (1..=256).filter(|_| h.sampled_now().is_some()).collect();
+        assert_eq!(sampled, [1, 65, 129, 193]);
+        // The period is fixed: every further 64 ticks sample exactly once.
+        let next = (0..DEFAULT_SAMPLE_EVERY).filter(|_| h.sampled_now().is_some());
+        assert_eq!(next.count(), 1); // tick 257
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! must agree with the scalar Eq. (7)/(8) reference **bit-for-bit**
 //! (`f64::to_bits`), not just approximately, across the generated
 //! scenario grid — NaN-gap bursts, plateaus, coarse tie grids, and
-//! `ε = 0` thresholds. Built with `--features simd` this exercises the
-//! explicit SSE2/AVX2/AVX-512 lanes; without it, the portable ones.
+//! `ε = 0` thresholds. On x86-64 this exercises the explicit
+//! SSE2/AVX2/AVX-512 lanes the CPU reports; elsewhere, the portable
+//! ones (pinned on x86-64 too by the kernel's own unit tests).
 //!
 //! Also covers checkpoint cross-compatibility: a snapshot written by a
 //! reference-stepped monitor restores into the frame path (and vice
