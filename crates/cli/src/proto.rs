@@ -334,6 +334,19 @@ impl ProtoParser {
     }
 
     fn line(&mut self, raw: &[u8], out: &mut VecDeque<ProtoEvent>) {
+        // Fast path for the common numeric line. A line drawn only from
+        // `[0-9.+-eE]` is ASCII with no padding, and cannot be HTTP, a
+        // comment or a verb, so the general path below would reach the
+        // same `parse::<f64>` with the same text.
+        if !raw.is_empty() && raw.iter().all(|&b| is_numeric_byte(b)) {
+            self.first_line = false;
+            let line = std::str::from_utf8(raw).expect("numeric-alphabet bytes are ASCII");
+            out.push_back(match line.parse::<f64>() {
+                Ok(v) => ProtoEvent::Sample(v),
+                Err(_) => ProtoEvent::Error(format!("`{line}` is not a number")),
+            });
+            return;
+        }
         let text = String::from_utf8_lossy(raw);
         let line = text.trim();
         if self.first_line {
@@ -359,6 +372,12 @@ impl ProtoParser {
             Err(_) => out.push_back(ProtoEvent::Error(format!("`{line}` is not a number"))),
         }
     }
+}
+
+/// The bytes of [`ProtoParser`]'s numeric fast path: digits, `.`, signs
+/// and exponent markers.
+fn is_numeric_byte(b: u8) -> bool {
+    matches!(b, b'0'..=b'9' | b'.' | b'+' | b'-' | b'e' | b'E')
 }
 
 /// The serve path's gap policy: missing (non-finite) readings repeat

@@ -21,12 +21,14 @@
 //! small state machine: a [`ProtoParser`] accumulates partial reads
 //! into protocol lines (bounded — an unterminated line is cut off at
 //! [`proto::MAX_LINE_BYTES`] with a protocol error), decoded samples
-//! are pushed into a server-wide [`Runner`], and everything the
-//! client should see is staged in a per-connection write buffer flushed
-//! as the socket allows. A slow or dead client therefore never stalls
-//! the loop: its buffer fills, its reads pause (backpressure), and past
-//! a hard cap the connection is dropped
-//! (`spring_conn_dropped_total`).
+//! are pushed into a server-wide [`Runner`] a run at a time (every
+//! sample between two non-sample lines goes in with one
+//! [`Runner::push_batch`], so commands, errors and EOF keep their place
+//! between samples), and everything the client should see is staged in
+//! a per-connection write buffer flushed as the socket allows. A slow
+//! or dead client therefore never stalls the loop: its buffer fills,
+//! its reads pause (backpressure), and past a hard cap the connection
+//! is dropped (`spring_conn_dropped_total`).
 //!
 //! Barrier operations — the flush/sync that orders an `error:` line or
 //! the final `done` line *after* every match for samples pushed before
@@ -504,6 +506,11 @@ struct EventLoop<'a> {
     accept_limit: Option<usize>,
     accepting: bool,
     next_stream: u32,
+    /// The sample run [`EventLoop::process`] hands to
+    /// [`Runner::push_batch`]. One buffer serves every connection: the
+    /// loop is single-threaded and each run is pushed before the next
+    /// is collected.
+    run: Vec<f64>,
     /// The acceptor thread's flight-recorder ring (reactor wakeups,
     /// connection open/close, worker placement, backpressure).
     trace: TraceHandle,
@@ -757,13 +764,23 @@ impl EventLoop<'_> {
                     conn.pending.clear();
                 }
                 ProtoEvent::Sample(v) => {
-                    // Missing readings carry the last observation
-                    // (sensors hold); leading gaps are dropped.
-                    let Some(x) = conn.carry.resolve(v) else {
+                    // This sample and every sample queued directly
+                    // behind it go to the runner as one run. Any other
+                    // event ends the run, so commands, error drains and
+                    // EOF keep their place between samples. Missing
+                    // readings carry the last observation (sensors
+                    // hold); leading gaps are dropped.
+                    self.run.clear();
+                    self.run.extend(conn.carry.resolve(v));
+                    while let Some(&ProtoEvent::Sample(v)) = conn.pending.front() {
+                        conn.pending.pop_front();
+                        self.run.extend(conn.carry.resolve(v));
+                    }
+                    if self.run.is_empty() {
                         continue;
-                    };
-                    conn.ticks += 1;
-                    if let Err(e) = self.srv.runner.push(conn.stream_id, &x) {
+                    }
+                    conn.ticks += self.run.len() as u64;
+                    if let Err(e) = self.srv.runner.push_batch(conn.stream_id, &self.run) {
                         // Fatal for this stream: report and run the
                         // end-of-stream sequence, like the blocking
                         // loop's `break`.
@@ -783,9 +800,9 @@ impl EventLoop<'_> {
                 ProtoEvent::Command(cmd) => {
                     // Control verbs run inline on the acceptor: they
                     // only enqueue against the worker queues (like
-                    // `push`), never sync, so they cannot stall the
-                    // loop. The reply lands in the issuing connection's
-                    // buffer, in order with its other lines.
+                    // `push_batch`), never sync, so they cannot stall
+                    // the loop. The reply lands in the issuing
+                    // connection's buffer, in order with its other lines.
                     let reply = match self.run_command(cmd) {
                         Ok(line) => line,
                         Err(msg) => format!("error: {msg}"),
@@ -1132,6 +1149,7 @@ pub fn serve_listener(
         accept_limit,
         accepting: true,
         next_stream: 0,
+        run: Vec::new(),
         trace: if tracing {
             tracer.register("reactor")
         } else {
@@ -1623,6 +1641,81 @@ mod tests {
             response.contains("done 1 match(es) over 9 ticks"),
             "{response}"
         );
+    }
+
+    #[test]
+    fn sample_runs_keep_commands_and_errors_in_wire_order() {
+        // Samples reach the runner a run at a time; every other line
+        // ends a run. Pipelined or line by line, the swap and the
+        // error lines must keep their exact tick positions: match A is
+        // confirmed by the sample just before `oops`, match B by the
+        // sample just after `nope`, and post-swap ticks count from the
+        // swap.
+        const SESSION: [&str; 22] = [
+            "NaN", // leading gap: dropped
+            "50",
+            "50",
+            "query update 0 1 2 3",
+            "9",
+            "1",
+            "2",
+            "3",
+            "9", // confirms A (post-swap ticks 2..=4)
+            "oops",
+            "1",
+            "2",
+            "3",
+            "nope",
+            "9", // confirms B (ticks 6..=8)
+            "1",
+            "2",
+            "NaN", // carries 2 forward: C is 1 2 2 3
+            "3",
+            "9", // confirms C (ticks 10..=13)
+            "50",
+            "50",
+        ];
+        let expected = "ok query 0 generation 1\n\
+            match ticks 2..=4 len 3 distance 0.000000 reported_at 5\n\
+            error: `oops` is not a number\n\
+            error: `nope` is not a number\n\
+            match ticks 6..=8 len 3 distance 0.000000 reported_at 9\n\
+            match ticks 10..=13 len 4 distance 0.000000 reported_at 14\n\
+            done 3 match(es) over 18 ticks\n";
+        let lines: Vec<Vec<u8>> = SESSION
+            .iter()
+            .map(|l| format!("{l}\n").into_bytes())
+            .collect();
+        let later_nan = SESSION.iter().rposition(|&l| l == "NaN").unwrap();
+        let framings: [Vec<Vec<u8>>; 3] = [
+            vec![lines.concat()],
+            lines.clone(),
+            // The later `NaN` opens the second write.
+            vec![lines[..later_nan].concat(), lines[later_nan..].concat()],
+        ];
+        for batch in [3, 1] {
+            for writes in &framings {
+                let mut options = opts(vec![0.0, 9.0, 0.0], 1.0);
+                options.batch = batch;
+                let (addr, server) = start_with(options);
+                let mut conn = TcpStream::connect(addr).unwrap();
+                conn.set_nodelay(true).unwrap();
+                for w in writes {
+                    conn.write_all(w).unwrap();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                conn.shutdown(std::net::Shutdown::Write).unwrap();
+                let mut response = String::new();
+                conn.read_to_string(&mut response).unwrap();
+                server.join().unwrap();
+                assert_eq!(
+                    response,
+                    expected,
+                    "--batch {batch}, {} write(s)",
+                    writes.len()
+                );
+            }
+        }
     }
 
     #[test]

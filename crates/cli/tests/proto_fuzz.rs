@@ -90,8 +90,15 @@ fn same(a: &[ProtoEvent], b: &[ProtoEvent]) -> bool {
         })
 }
 
+/// Lines drawn only from the parser's numeric fast-path alphabet
+/// `[0-9.+-eE]`: some parse as `f64`, some are errors.
+const NUMERIC_ALPHABET_LINES: [&str; 10] = [
+    "-.5", "+3e-2", "007", "1e400", "1e", "--1", ".", "1.2.3", "e5", "-",
+];
+
 /// One seeded line-soup blob: valid floats, NaN, garbage, comments,
-/// blank lines, CRLF endings, non-UTF-8 bytes, over-long runs, and
+/// blank lines, CRLF endings, non-UTF-8 bytes, over-long runs, lines
+/// from the numeric alphabet (bare or with a trailing `\r`), and
 /// (sometimes) an HTTP first line; possibly missing its final newline.
 fn scenario(rng: &mut Rng) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -100,7 +107,7 @@ fn scenario(rng: &mut Rng) -> Vec<u8> {
     }
     let lines = rng.usize_range(1, 16);
     for _ in 0..lines {
-        match rng.u64_below(10) {
+        match rng.u64_below(12) {
             0 => bytes.extend_from_slice(b"\n"),                  // blank
             1 => bytes.extend_from_slice(b"# comment line\n"),    // comment
             2 => bytes.extend_from_slice(b"NaN\n"),               // gap marker
@@ -120,6 +127,24 @@ fn scenario(rng: &mut Rng) -> Vec<u8> {
             7 => {
                 let v = rng.f64_range(-1e6, 1e6);
                 bytes.extend_from_slice(format!("  {v} \r\n").as_bytes()); // padded + CRLF
+            }
+            8 | 9 => {
+                // Numeric alphabet only: a listed line, or random bytes
+                // from the alphabet. A trailing `\r` sends the same
+                // text down the general path.
+                if rng.u64_below(2) == 0 {
+                    let i = rng.usize_range(0, NUMERIC_ALPHABET_LINES.len());
+                    bytes.extend_from_slice(NUMERIC_ALPHABET_LINES[i].as_bytes());
+                } else {
+                    const ALPHABET: &[u8] = b"0123456789.+-eE";
+                    for _ in 0..rng.usize_range(1, 8) {
+                        bytes.push(ALPHABET[rng.usize_range(0, ALPHABET.len())]);
+                    }
+                }
+                if rng.u64_below(2) == 0 {
+                    bytes.push(b'\r');
+                }
+                bytes.push(b'\n');
             }
             _ => {
                 let v = rng.f64_range(-1e3, 1e3);
@@ -209,4 +234,25 @@ fn errors_never_desync_later_samples() {
         .filter(|e| matches!(e, ProtoEvent::Error(_)))
         .count();
     assert_eq!(errors, 3, "{events:?}");
+}
+
+#[test]
+fn numeric_alphabet_lines_match_the_model_on_both_paths() {
+    // Bare, the line takes the parser's numeric fast path; with a
+    // trailing `\r` it takes the general trim-and-parse path. Both
+    // must produce the model's event at every byte-boundary split.
+    for line in NUMERIC_ALPHABET_LINES {
+        for ending in ["\n", "\r\n"] {
+            let bytes = format!("{line}{ending}7\n{line}").into_bytes();
+            let expected = model(&bytes);
+            assert_eq!(expected.len(), 3, "{expected:?}");
+            for cut in 0..=bytes.len() {
+                let got = drive(&bytes, &[cut.max(1), bytes.len()]);
+                assert!(
+                    same(&got, &expected),
+                    "{line:?}{ending:?} split at {cut}\ngot:  {got:?}\nwant: {expected:?}"
+                );
+            }
+        }
+    }
 }

@@ -103,10 +103,51 @@ fn start_server(options: ServeOptions) -> (SocketAddr, std::thread::JoinHandle<(
     (addr, handle)
 }
 
+/// Checks the paper's guarantees on every `match` line of a serve
+/// transcript (`match ticks S..=E len L distance D reported_at T`):
+/// the distance qualifies (d ≤ ε), the report comes no earlier than the
+/// match's last tick, `len` is `E − S + 1`, and — each serve stream
+/// carrying a single attachment — reported matches are disjoint
+/// (Eq. 9). Returns the number of match lines.
+fn assert_paper_guarantees(transcript: &str, context: &str) -> usize {
+    let mut spans: Vec<(u64, u64)> = Vec::new();
+    for line in transcript.lines().filter(|l| l.starts_with("match ")) {
+        let f: Vec<&str> = line.split_whitespace().collect();
+        assert!(
+            f.len() >= 9
+                && f[1] == "ticks"
+                && f[3] == "len"
+                && f[5] == "distance"
+                && f[7] == "reported_at",
+            "{context}: malformed match line `{line}`"
+        );
+        let (start, end) = f[2].split_once("..=").unwrap();
+        let (start, end): (u64, u64) = (start.parse().unwrap(), end.parse().unwrap());
+        let len: u64 = f[4].parse().unwrap();
+        let distance: f64 = f[6].parse().unwrap();
+        let reported_at: u64 = f[8].parse().unwrap();
+        assert!(distance <= EPSILON, "{context}: d > ε in `{line}`");
+        assert!(reported_at >= end, "{context}: reported early in `{line}`");
+        assert_eq!(len, end - start + 1, "{context}: bad len in `{line}`");
+        spans.push((start, end));
+    }
+    spans.sort_unstable();
+    for w in spans.windows(2) {
+        assert!(
+            w[0].1 < w[1].0,
+            "{context}: overlapping reports {:?} and {:?}",
+            w[0],
+            w[1]
+        );
+    }
+    spans.len()
+}
+
 /// The headline check: shards {1,2,4} × batch {1,64}, concurrent
 /// clients mixing clean writes, seeded byte-boundary splits, and slow
 /// readers — every transcript byte-identical (canonicalized) to the
-/// inline monitor run on the same samples.
+/// inline monitor run on the same samples, and every match line
+/// keeping the paper's guarantees.
 #[test]
 fn transcripts_match_inline_monitor_across_configs() {
     let dir = tmpdir("matrix");
@@ -119,6 +160,7 @@ fn transcripts_match_inline_monitor_across_configs() {
     // At least one stream must actually match, or the test is vacuous.
     assert!(expected.iter().any(|m| !m.is_empty()), "{expected:?}");
     let mut rng = Rng::seed_from_u64(0x5EEDED);
+    let mut checked = 0;
     for shards in [1usize, 2, 4] {
         for batch in [1usize, 64] {
             let scripts: Vec<ClientScript> = streams
@@ -150,9 +192,14 @@ fn transcripts_match_inline_monitor_across_configs() {
                     transcript.contains("match(es) over"),
                     "client {i} got no summary under shards={shards} batch={batch}:\n{transcript}"
                 );
+                checked += assert_paper_guarantees(
+                    transcript,
+                    &format!("client {i}, shards={shards} batch={batch}"),
+                );
             }
         }
     }
+    assert!(checked > 0, "no match line was checked");
 }
 
 /// Acceptance criterion: one acceptor thread multiplexes 256 live

@@ -8,9 +8,11 @@
 # file written via SPRING_BENCH_JSON. Every result is one record with
 # "name" and "secs_per_iter".
 #
-# Only the *tracked* bench families gate the comparison — per_tick,
-# batch_ingest, and kernel_throughput, the three that measure the
-# monitor hot path. A tracked bench slower by more than FAIL_PCT fails
+# Only the *tracked* bench families gate the comparison — the rows of
+# the per_tick, batch_ingest and kernel_throughput benches, the three
+# that measure the monitor hot path. The batch_ingest bench names its
+# rows batch_ingest_engine/…, batch_ingest_runner_w1/… and
+# batch_ingest_runner_w4/…, so its family is batch_ingest_<suffix>/. A tracked bench slower by more than FAIL_PCT fails
 # (exit 1); slower by more than WARN_PCT warns. Everything else is
 # reported as context. Smoke timings are a single calibrated batch, so
 # the thresholds are deliberately loose: 35% trips on real regressions
@@ -23,7 +25,7 @@ set -euo pipefail
 
 FAIL_PCT="${BENCH_COMPARE_FAIL_PCT:-35}"
 WARN_PCT="${BENCH_COMPARE_WARN_PCT:-25}"
-TRACKED='^(per_tick|batch_ingest|kernel_throughput)/'
+TRACKED='^(per_tick|batch_ingest_[a-z0-9_]+|kernel_throughput)/'
 
 warn_only=0
 out=""
