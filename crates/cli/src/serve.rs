@@ -30,13 +30,13 @@
 //! its reads pause (backpressure), and past a hard cap the connection
 //! is dropped (`spring_conn_dropped_total`).
 //!
-//! Barrier operations — the flush/sync that orders an `error:` line or
-//! the final `done` line *after* every match for samples pushed before
-//! it — block on worker queues, so they run on one **completion
-//! thread**, never on the acceptor. While a connection waits for its
-//! barrier its reads stay paused, which preserves the blocking
-//! implementation's per-connection ordering exactly; other connections
-//! keep streaming.
+//! An `error:` line or the final `done` line must come *after* every
+//! match for samples pushed before it, so it is written by a
+//! [`Runner::mark`]: a callback the stream's own worker runs in queue
+//! order, behind those samples. Nothing waits for a mark. While one is
+//! in flight the connection's reads stay paused (so command replies
+//! keep their place in the transcript), other connections keep
+//! streaming, and a stalled worker delays only its own streams.
 //!
 //! Matches are delivered by the runner workers through the serve sink
 //! straight into the owning connection's write buffer, then the
@@ -66,7 +66,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
 use spring_core::{MonitorSpec, ScalarMonitor};
@@ -217,8 +217,9 @@ impl OutBuf {
 }
 
 /// One connection's server-side state shared across threads: the event
-/// loop flushes `out`, the runner workers (via [`ServeSink`]) and the
-/// completion thread append to it.
+/// loop flushes `out`; the runner workers append match lines to it (via
+/// [`ServeSink`]) and run the connection's marks, which write its
+/// `error:` and `done` lines and lift `paused`.
 #[derive(Debug, Default)]
 struct ConnShared {
     out: Mutex<OutBuf>,
@@ -228,11 +229,26 @@ struct ConnShared {
     /// delivered after this point come from the pending-group flush and
     /// are tagged `(stream end)`.
     ended: AtomicBool,
+    /// Reads and event processing are suspended: set by the event loop
+    /// when it queues a mark, cleared by that mark once its line is
+    /// written.
+    paused: AtomicBool,
 }
 
 impl ConnShared {
     fn out(&self) -> std::sync::MutexGuard<'_, OutBuf> {
         self.out.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn paused(&self) -> bool {
+        self.paused.load(Ordering::Acquire)
+    }
+
+    /// Lifts the pause (after the mark's line is written) and wakes the
+    /// event loop to act on it.
+    fn resume(&self, waker: &Waker) {
+        self.paused.store(false, Ordering::Release);
+        waker.wake();
     }
 }
 
@@ -242,10 +258,9 @@ impl ConnShared {
 /// *different* streams; per stream, delivery is serialized by the
 /// owning worker, so a connection's match lines stay in confirmation
 /// order.
-#[derive(Default)]
 struct ServeSink {
     conns: RwLock<HashMap<StreamId, Arc<ConnShared>>>,
-    waker: OnceLock<Waker>,
+    waker: Waker,
 }
 
 impl ServeSink {
@@ -282,166 +297,7 @@ impl MatchSink for ServeSink {
         conn.matches.fetch_add(1, Ordering::Relaxed);
         conn.out()
             .push_line(&proto::format_match(&event.m, stream_end));
-        if let Some(waker) = self.waker.get() {
-            waker.wake();
-        }
-    }
-}
-
-/// Barrier work the acceptor must never block on: flush/sync against
-/// the worker queues to order client-visible lines after in-flight
-/// matches. Processed in submission order by the completion thread.
-enum Job {
-    /// A protocol error line: drain the stream's in-flight samples,
-    /// write `error: <line>`, resume reading.
-    Drain {
-        stream: StreamId,
-        token: usize,
-        line: String,
-    },
-    /// Client EOF (or fatal push error): drain, optionally write a
-    /// final error line, finish the stream, write the `done` summary,
-    /// detach.
-    Eof {
-        stream: StreamId,
-        token: usize,
-        ticks: u64,
-        attachment: Option<AttachmentId>,
-        error_line: Option<String>,
-    },
-    /// Connection died mid-stream: detach and deregister, nothing to
-    /// write.
-    Abort {
-        stream: StreamId,
-        attachment: Option<AttachmentId>,
-    },
-}
-
-/// What the completion thread tells the event loop. `stream` guards
-/// against token reuse: a note only applies if the slot still holds
-/// the same stream.
-enum Note {
-    /// The `Drain` barrier completed: resume reading.
-    Resume { token: usize, stream: StreamId },
-    /// The `Eof` sequence completed: flush remaining output and close.
-    Finish { token: usize, stream: StreamId },
-}
-
-/// Everything shared between the acceptor, the completion thread, and
-/// the runner workers' sink.
-struct ServerState {
-    runner: Runner<ScalarMonitor>,
-    sink: Arc<ServeSink>,
-    metrics: Arc<Metrics>,
-    notes: Mutex<Vec<Note>>,
-    waker: Waker,
-    /// Server-wide query table for the `query`/`attach` verbs: id →
-    /// pattern. Seeded with the serve query under id 0; `query update 0`
-    /// therefore hot-swaps every default per-connection attachment.
-    queries: Mutex<HashMap<u32, Vec<f64>>>,
-    /// Attachments created by the `attach` verb, keyed by the target
-    /// stream so the completion thread can detach them when that stream
-    /// ends.
-    extras: Mutex<HashMap<StreamId, Vec<AttachmentId>>>,
-    /// The server-wide flight recorder. Inert (never enabled) without
-    /// `--trace-dir`; a permanent no-op stub without the `trace`
-    /// feature.
-    tracer: Tracer,
-    /// Where `trace dump` snapshots land (`--trace-dir`).
-    trace_dir: Option<std::path::PathBuf>,
-    /// Sequence for `trace dump` file names.
-    trace_dumps: AtomicU64,
-}
-
-impl ServerState {
-    fn note(&self, note: Note) {
-        self.notes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(note);
         self.waker.wake();
-    }
-
-    fn query_pattern(&self, id: u32) -> Option<Vec<f64>> {
-        self.queries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&id)
-            .cloned()
-    }
-
-    fn take_extras(&self, stream: StreamId) -> Vec<AttachmentId> {
-        self.extras
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&stream)
-            .unwrap_or_default()
-    }
-}
-
-/// The completion thread: runs every barrier job in order. Each sync
-/// blocks only on the owning worker's queue, so a busy worker delays
-/// completions, never the acceptor.
-fn completion_loop(jobs: mpsc::Receiver<Job>, srv: Arc<ServerState>) {
-    while let Ok(job) = jobs.recv() {
-        match job {
-            Job::Drain {
-                stream,
-                token,
-                line,
-            } => {
-                // Drain first so the error line lands after the matches
-                // of everything pushed before it, like the blocking
-                // per-sample loop.
-                let _ = srv.runner.flush(stream);
-                let _ = srv.runner.sync(stream);
-                if let Some(conn) = srv.sink.get(stream) {
-                    conn.out().push_line(&format!("error: {line}"));
-                }
-                srv.note(Note::Resume { token, stream });
-            }
-            Job::Eof {
-                stream,
-                token,
-                ticks,
-                attachment,
-                error_line,
-            } => {
-                // Flush the trailing partial frame and wait for the
-                // worker to drain it, so every in-stream match is
-                // delivered (and counted) before the stream-end flush.
-                let _ = srv.runner.flush(stream);
-                let _ = srv.runner.sync(stream);
-                if let Some(conn) = srv.sink.get(stream) {
-                    if let Some(line) = &error_line {
-                        conn.out().push_line(&format!("error: {line}"));
-                    }
-                    conn.ended.store(true, Ordering::Release);
-                    let _ = srv.runner.finish_stream(stream);
-                    let _ = srv.runner.sync(stream);
-                    let count = conn.matches.load(Ordering::Relaxed);
-                    conn.out()
-                        .push_line(&format!("done {count} match(es) over {ticks} ticks"));
-                }
-                if let Some(id) = attachment {
-                    let _ = srv.runner.detach(id);
-                }
-                for id in srv.take_extras(stream) {
-                    let _ = srv.runner.detach(id);
-                }
-                srv.sink.remove(stream);
-                srv.note(Note::Finish { token, stream });
-            }
-            Job::Abort { stream, attachment } => {
-                if let Some(id) = attachment {
-                    let _ = srv.runner.detach(id);
-                }
-                for id in srv.take_extras(stream) {
-                    let _ = srv.runner.detach(id);
-                }
-                srv.sink.remove(stream);
-            }
-        }
     }
 }
 
@@ -469,23 +325,16 @@ struct Conn {
     shared: Arc<ConnShared>,
     parser: ProtoParser,
     /// Protocol events decoded but not yet acted on (processing stops
-    /// while a barrier job is in flight, so ordering survives pauses).
+    /// while a mark is in flight, so ordering survives pauses).
     pending: VecDeque<ProtoEvent>,
     carry: CarryForward,
     stream_id: StreamId,
-    attachment: Option<AttachmentId>,
     /// A non-HTTP first line arrived: monitor attached, samples flow.
     session: bool,
-    /// An `Eof` job was submitted; the completion thread now owns
-    /// detach/deregister for this stream.
-    finishing: bool,
     ticks: u64,
-    /// Reads and event processing suspended until the completion
-    /// thread's note arrives.
-    paused: bool,
     /// The client's write side is done (EOF seen).
     eof: bool,
-    /// Flush remaining output, then close.
+    /// Flush remaining output, then close (once no mark is in flight).
     closing: bool,
     /// Interest currently registered with the reactor.
     registered: Interest,
@@ -498,9 +347,24 @@ struct Conn {
 struct EventLoop<'a> {
     listener: &'a TcpListener,
     opts: &'a ServeOptions,
-    srv: &'a Arc<ServerState>,
-    jobs: &'a mpsc::Sender<Job>,
     reactor: &'a mut Reactor,
+    runner: Runner<ScalarMonitor>,
+    sink: Arc<ServeSink>,
+    metrics: Arc<Metrics>,
+    /// Server-wide query table for the `query`/`attach` verbs: id →
+    /// pattern. Seeded with the serve query under id 0; `query update 0`
+    /// therefore hot-swaps every default per-connection attachment.
+    queries: HashMap<u32, Vec<f64>>,
+    /// Every live session's stream → its attachments (its own first,
+    /// then those the `attach` verb added). A stream leaves when its
+    /// session ends, so `attach` can never target a finished stream.
+    sessions: HashMap<StreamId, Vec<AttachmentId>>,
+    /// The server-wide flight recorder. Inert (never enabled) without
+    /// `--trace-dir`; a permanent no-op stub without the `trace`
+    /// feature.
+    tracer: Tracer,
+    /// Sequence for `trace dump` file names.
+    trace_dumps: u64,
     conns: Vec<Option<Conn>>,
     accepted: usize,
     accept_limit: Option<usize>,
@@ -533,17 +397,6 @@ impl EventLoop<'_> {
             self.reactor.wait(&mut events, Some(WAIT_TIMEOUT))?;
             self.trace
                 .instant(TraceEventKind::ReactorWakeup, events.len() as u64);
-            let notes: Vec<Note> = {
-                let mut guard = self
-                    .srv
-                    .notes
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                std::mem::take(&mut *guard)
-            };
-            for note in notes {
-                self.apply_note(note);
-            }
             for ev in events.iter().copied() {
                 if ev.token == LISTENER_TOKEN {
                     self.accept_burst()?;
@@ -556,25 +409,6 @@ impl EventLoop<'_> {
             for token in 0..self.conns.len() {
                 self.maintain(token);
             }
-        }
-    }
-
-    fn apply_note(&mut self, note: Note) {
-        let (token, stream, finish) = match note {
-            Note::Resume { token, stream } => (token, stream, false),
-            Note::Finish { token, stream } => (token, stream, true),
-        };
-        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
-            return;
-        };
-        if conn.stream_id != stream {
-            return; // the slot was reused; the note is stale
-        }
-        conn.paused = false;
-        if finish {
-            conn.closing = true;
-            conn.finishing = false;
-            conn.attachment = None; // completion thread already detached
         }
     }
 
@@ -601,7 +435,7 @@ impl EventLoop<'_> {
                 let _ = self.reactor.deregister(self.listener.as_raw_fd());
             }
             if self.live() >= self.opts.max_conns.max(1) {
-                self.srv.metrics.conn_dropped.inc();
+                self.metrics.conn_dropped.inc();
                 let mut sock = sock;
                 let _ = sock.write_all(b"error: server at connection capacity\n");
                 if at_limit {
@@ -621,11 +455,8 @@ impl EventLoop<'_> {
                 pending: VecDeque::new(),
                 carry: CarryForward::default(),
                 stream_id,
-                attachment: None,
                 session: false,
-                finishing: false,
                 ticks: 0,
-                paused: false,
                 eof: false,
                 closing: false,
                 registered: Interest::READ,
@@ -648,7 +479,7 @@ impl EventLoop<'_> {
             self.trace
                 .instant(TraceEventKind::ConnOpen, u64::from(stream_id.0));
             self.conns[token] = Some(conn);
-            self.srv.metrics.connections_open.add(1);
+            self.metrics.connections_open.add(1);
         }
         Ok(())
     }
@@ -660,7 +491,7 @@ impl EventLoop<'_> {
         let mut buf = [0u8; READ_CHUNK];
         let mut failed = false;
         for _ in 0..READS_PER_EVENT {
-            if conn.paused || conn.eof || conn.closing {
+            if conn.shared.paused() || conn.eof || conn.closing {
                 break;
             }
             match sys_read(&mut conn.sock, &mut buf) {
@@ -669,9 +500,9 @@ impl EventLoop<'_> {
                     conn.parser.finish(&mut conn.pending);
                 }
                 Ok(n) => {
-                    self.srv.metrics.conn_read_bytes.add(n as u64);
+                    self.metrics.conn_read_bytes.add(n as u64);
                     conn.parser.feed(&buf[..n], &mut conn.pending);
-                    self.process(&mut conn, token);
+                    self.process(&mut conn);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -683,16 +514,16 @@ impl EventLoop<'_> {
             }
         }
         if failed {
-            self.drop_conn(conn, token, true);
+            self.drop_conn(conn, true);
         } else {
-            self.process(&mut conn, token);
+            self.process(&mut conn);
             self.conns[token] = Some(conn);
         }
     }
 
     /// Runs the connection's protocol state machine over its decoded
-    /// events until it empties, pauses on a barrier, or closes.
-    fn process(&mut self, conn: &mut Conn, token: usize) {
+    /// events until it empties, pauses on a mark, or closes.
+    fn process(&mut self, conn: &mut Conn) {
         if !conn.session
             && !conn.closing
             && !conn.parser.awaiting_first_line()
@@ -704,15 +535,10 @@ impl EventLoop<'_> {
             // routing table. The pattern comes from the query table
             // (id 0) so connections opened after a `query update 0` see
             // the swapped pattern from their first sample.
-            let pattern = self
-                .srv
-                .query_pattern(0)
-                .unwrap_or_else(|| self.opts.query.clone());
-            match self.opts.spec.build(&pattern, self.opts.kernel) {
+            let pattern = self.queries.get(&0).unwrap_or(&self.opts.query);
+            match self.opts.spec.build(pattern, self.opts.kernel) {
                 Ok(monitor) => {
-                    self.srv
-                        .sink
-                        .insert(conn.stream_id, Arc::clone(&conn.shared));
+                    self.sink.insert(conn.stream_id, Arc::clone(&conn.shared));
                     let monitor_spec = self.opts.spec;
                     let kernel = self.opts.kernel;
                     let spec = RunnerAttachment::new(
@@ -727,17 +553,17 @@ impl EventLoop<'_> {
                     // The stored recipe lets `query update 0` hot-swap
                     // this attachment in place.
                     .with_builder(move |q| monitor_spec.build(q, kernel));
-                    match self.srv.runner.attach(spec) {
+                    match self.runner.attach(spec) {
                         Ok(id) => {
-                            conn.attachment = Some(id);
+                            self.sessions.insert(conn.stream_id, vec![id]);
                             conn.session = true;
                             self.trace.instant(
                                 TraceEventKind::ShardRoute,
-                                self.srv.runner.worker_of(conn.stream_id) as u64,
+                                self.runner.worker_of(conn.stream_id) as u64,
                             );
                         }
                         Err(e) => {
-                            self.srv.sink.remove(conn.stream_id);
+                            self.sink.remove(conn.stream_id);
                             conn.shared.out().push_line(&format!("error: {e}"));
                             conn.closing = true;
                             conn.pending.clear();
@@ -751,22 +577,22 @@ impl EventLoop<'_> {
                 }
             }
         }
-        while !conn.paused && !conn.closing {
+        while !conn.shared.paused() && !conn.closing {
             let Some(ev) = conn.pending.pop_front() else {
                 break;
             };
             match ev {
                 ProtoEvent::Http(line) => {
-                    conn.shared.out().push_bytes(
-                        http_response(&line, &self.srv.metrics, &self.srv.tracer).as_bytes(),
-                    );
+                    conn.shared
+                        .out()
+                        .push_bytes(http_response(&line, &self.metrics, &self.tracer).as_bytes());
                     conn.closing = true;
                     conn.pending.clear();
                 }
                 ProtoEvent::Sample(v) => {
                     // This sample and every sample queued directly
                     // behind it go to the runner as one run. Any other
-                    // event ends the run, so commands, error drains and
+                    // event ends the run, so commands, error marks and
                     // EOF keep their place between samples. Missing
                     // readings carry the last observation (sensors
                     // hold); leading gaps are dropped.
@@ -780,29 +606,20 @@ impl EventLoop<'_> {
                         continue;
                     }
                     conn.ticks += self.run.len() as u64;
-                    if let Err(e) = self.srv.runner.push_batch(conn.stream_id, &self.run) {
-                        // Fatal for this stream: report and run the
-                        // end-of-stream sequence, like the blocking
-                        // loop's `break`.
+                    if let Err(e) = self.runner.push_batch(conn.stream_id, &self.run) {
+                        // Fatal for this stream: report and end it, like
+                        // the blocking loop's `break`.
                         conn.pending.clear();
                         conn.eof = true;
-                        conn.paused = true;
-                        conn.finishing = true;
-                        let _ = self.jobs.send(Job::Eof {
-                            stream: conn.stream_id,
-                            token,
-                            ticks: conn.ticks,
-                            attachment: conn.attachment.take(),
-                            error_line: Some(e.to_string()),
-                        });
+                        self.end_session(conn, Some(e.to_string()));
                     }
                 }
                 ProtoEvent::Command(cmd) => {
                     // Control verbs run inline on the acceptor: they
                     // only enqueue against the worker queues (like
-                    // `push_batch`), never sync, so they cannot stall
-                    // the loop. The reply lands in the issuing
-                    // connection's buffer, in order with its other lines.
+                    // `push_batch`), never wait on them. The reply lands
+                    // in the issuing connection's buffer, in order with
+                    // its other lines.
                     let reply = match self.run_command(cmd) {
                         Ok(line) => line,
                         Err(msg) => format!("error: {msg}"),
@@ -810,31 +627,56 @@ impl EventLoop<'_> {
                     conn.shared.out().push_line(&reply);
                 }
                 ProtoEvent::Error(line) => {
-                    self.srv.metrics.conn_parse_errors.inc();
-                    conn.paused = true;
-                    let _ = self.jobs.send(Job::Drain {
-                        stream: conn.stream_id,
-                        token,
-                        line,
+                    // The error line goes after the matches of every
+                    // sample before it; reads resume once it is written.
+                    self.metrics.conn_parse_errors.inc();
+                    conn.shared.paused.store(true, Ordering::Release);
+                    let (shared, sink) = (Arc::clone(&conn.shared), Arc::clone(&self.sink));
+                    let _ = self.runner.mark(conn.stream_id, move || {
+                        shared.out().push_line(&format!("error: {line}"));
+                        shared.resume(&sink.waker);
                     });
                 }
             }
         }
-        if !conn.paused && !conn.closing && conn.eof && conn.pending.is_empty() && !conn.finishing {
+        if !conn.shared.paused() && !conn.closing && conn.eof && conn.pending.is_empty() {
             if conn.session {
-                conn.paused = true;
-                conn.finishing = true;
-                let _ = self.jobs.send(Job::Eof {
-                    stream: conn.stream_id,
-                    token,
-                    ticks: conn.ticks,
-                    attachment: conn.attachment.take(),
-                    error_line: None,
-                });
+                self.end_session(conn, None);
             } else {
                 // Connected and hung up without a single line.
                 conn.closing = true;
             }
+        }
+    }
+
+    /// Ends a session without waiting. A mark writes the optional final
+    /// `error:` line and tags the stream-end flush that follows; a
+    /// second mark, behind that flush, writes the `done` line, removes
+    /// the stream from the sink and lets the connection close. The
+    /// stream's attachments are detached behind both.
+    fn end_session(&mut self, conn: &mut Conn, error_line: Option<String>) {
+        let stream = conn.stream_id;
+        conn.closing = true;
+        conn.shared.paused.store(true, Ordering::Release);
+        let shared = Arc::clone(&conn.shared);
+        let _ = self.runner.mark(stream, move || {
+            if let Some(line) = error_line {
+                shared.out().push_line(&format!("error: {line}"));
+            }
+            shared.ended.store(true, Ordering::Release);
+        });
+        let _ = self.runner.finish_stream(stream);
+        let (shared, sink, ticks) = (Arc::clone(&conn.shared), Arc::clone(&self.sink), conn.ticks);
+        let _ = self.runner.mark(stream, move || {
+            let count = shared.matches.load(Ordering::Relaxed);
+            shared
+                .out()
+                .push_line(&format!("done {count} match(es) over {ticks} ticks"));
+            sink.remove(stream);
+            shared.resume(&sink.waker);
+        });
+        for id in self.sessions.remove(&stream).unwrap_or_default() {
+            let _ = self.runner.detach(id);
         }
     }
 
@@ -861,46 +703,29 @@ impl EventLoop<'_> {
                     .spec
                     .build(&values, self.opts.kernel)
                     .map_err(|e| e.to_string())?;
-                let mut table = self
-                    .srv
-                    .queries
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                if table.contains_key(&id) {
+                if self.queries.contains_key(&id) {
                     return Err(format!("query {id} already exists; use `query update`"));
                 }
                 let m = values.len();
-                table.insert(id, values);
+                self.queries.insert(id, values);
                 Ok(format!("ok query {id} added (m={m})"))
             }
             Command::QueryUpdate { id, values } => {
-                if self.srv.query_pattern(id).is_none() {
+                if !self.queries.contains_key(&id) {
                     return Err(format!("unknown query {id}; use `query add` first"));
                 }
                 let generation = self
-                    .srv
                     .runner
                     .swap_query(QueryId(id), &values)
                     .map_err(|e| e.to_string())?;
-                self.srv
-                    .queries
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(id, values);
+                self.queries.insert(id, values);
                 Ok(format!("ok query {id} generation {generation}"))
             }
             Command::QueryDrop { id } => {
                 if id == 0 {
                     return Err("query 0 is the serve default and cannot be dropped".into());
                 }
-                let removed = self
-                    .srv
-                    .queries
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .remove(&id)
-                    .is_some();
-                if removed {
+                if self.queries.remove(&id).is_some() {
                     Ok(format!("ok query {id} dropped"))
                 } else {
                     Err(format!("unknown query {id}"))
@@ -915,53 +740,36 @@ impl EventLoop<'_> {
                     return Err("attach: eps must be a finite non-negative number".into());
                 }
                 let values = self
-                    .srv
-                    .query_pattern(query)
+                    .queries
+                    .get(&query)
                     .ok_or_else(|| format!("unknown query {query}; use `query add` first"))?;
                 let target = StreamId(stream);
-                if self.srv.sink.get(target).is_none() {
+                let Some(attachments) = self.sessions.get_mut(&target) else {
                     return Err(format!("no live stream {stream}"));
-                }
+                };
                 let kernel = self.opts.kernel;
                 let build = move |q: &[f64]| MonitorSpec::Spring { epsilon }.build(q, kernel);
-                let monitor = build(&values).map_err(|e| e.to_string())?;
+                let monitor = build(values).map_err(|e| e.to_string())?;
                 let spec = RunnerAttachment::new(target, QueryId(query), monitor, GapPolicy::Skip)
                     .with_builder(build);
-                let id = self.srv.runner.attach(spec).map_err(|e| e.to_string())?;
-                self.srv
-                    .extras
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entry(target)
-                    .or_default()
-                    .push(id);
-                // The target stream may have ended between the liveness
-                // check and the bookkeeping above; the completion
-                // thread would then never see this extra. Re-check and
-                // undo rather than leak the attachment.
-                if self.srv.sink.get(target).is_none() {
-                    for extra in self.srv.take_extras(target) {
-                        let _ = self.srv.runner.detach(extra);
-                    }
-                    return Err(format!("no live stream {stream}"));
-                }
+                let id = self.runner.attach(spec).map_err(|e| e.to_string())?;
+                attachments.push(id);
                 Ok(format!("ok attach stream {stream} query {query}"))
             }
             Command::TraceDump => {
                 if !spring_monitor::trace::AVAILABLE {
                     return Err("tracing is not compiled in; rebuild with --features trace".into());
                 }
-                let Some(dir) = &self.srv.trace_dir else {
+                let Some(dir) = &self.opts.trace_dir else {
                     return Err("tracing is off; start the server with --trace-dir".into());
                 };
-                let n = self.srv.trace_dumps.fetch_add(1, Ordering::Relaxed);
-                let path = dir.join(format!("trace-{n}.json"));
+                let path = dir.join(format!("trace-{}.json", self.trace_dumps));
+                self.trace_dumps += 1;
                 std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-                self.srv
-                    .tracer
+                self.tracer
                     .write_chrome_json(&path)
                     .map_err(|e| e.to_string())?;
-                let events = self.srv.tracer.snapshot().total_events();
+                let events = self.tracer.snapshot().total_events();
                 Ok(format!(
                     "ok trace dump {} ({events} events)",
                     path.display()
@@ -977,11 +785,14 @@ impl EventLoop<'_> {
         let Some(mut conn) = self.conns.get_mut(token).and_then(Option::take) else {
             return;
         };
-        self.process(&mut conn, token);
+        self.process(&mut conn);
         if self.flush_out(&mut conn).is_err() {
-            self.drop_conn(conn, token, true);
+            self.drop_conn(conn, true);
             return;
         }
+        // Read the pause first: a mark writes its line before lifting
+        // the pause, so a lifted pause implies `out_len` counts the line.
+        let paused = conn.shared.paused();
         let out_len = conn.shared.out().len();
         if out_len > OUT_HARD_LIMIT {
             // A dead reader: its buffer can only grow. Cut it loose.
@@ -989,11 +800,11 @@ impl EventLoop<'_> {
                 TraceEventKind::BackpressureDrop,
                 u64::from(conn.stream_id.0),
             );
-            self.drop_conn(conn, token, true);
+            self.drop_conn(conn, true);
             return;
         }
-        if conn.closing && out_len == 0 && !conn.paused && !conn.finishing {
-            self.drop_conn(conn, token, false);
+        if conn.closing && out_len == 0 && !paused {
+            self.drop_conn(conn, false);
             return;
         }
         let congested = out_len >= OUT_SOFT_LIMIT;
@@ -1007,11 +818,7 @@ impl EventLoop<'_> {
             conn.bp_paused = congested;
         }
         let desired = Interest {
-            readable: !conn.closing
-                && !conn.eof
-                && !conn.paused
-                && !conn.finishing
-                && out_len < OUT_SOFT_LIMIT,
+            readable: !conn.closing && !conn.eof && !paused && out_len < OUT_SOFT_LIMIT,
             writable: out_len > 0,
         };
         if desired != conn.registered {
@@ -1020,7 +827,7 @@ impl EventLoop<'_> {
                 .modify(conn.sock.as_raw_fd(), token, desired)
                 .is_err()
             {
-                self.drop_conn(conn, token, true);
+                self.drop_conn(conn, true);
                 return;
             }
             conn.registered = desired;
@@ -1045,25 +852,24 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Removes a connection: deregisters, closes the socket, and (for
-    /// `dropped` removals of live sessions) routes detach through the
-    /// completion thread. `dropped` distinguishes failures from normal
+    /// Removes a connection: deregisters, closes the socket, and for a
+    /// session aborted before its end detaches its attachments and
+    /// unroutes its stream at once (an ended session's `done` mark has
+    /// done both). `dropped` distinguishes failures from normal
     /// completion in `spring_conn_dropped_total`.
-    fn drop_conn(&mut self, conn: Conn, _token: usize, dropped: bool) {
+    fn drop_conn(&mut self, conn: Conn, dropped: bool) {
         let _ = self.reactor.deregister(conn.sock.as_raw_fd());
         self.trace
             .instant(TraceEventKind::ConnClose, u64::from(conn.stream_id.0));
-        self.srv.metrics.connections_open.add(-1);
+        self.metrics.connections_open.add(-1);
         if dropped {
-            self.srv.metrics.conn_dropped.inc();
+            self.metrics.conn_dropped.inc();
         }
-        if conn.session && !conn.finishing {
-            // The completion thread may still run queued jobs for this
-            // stream; Abort after them detaches and deregisters.
-            let _ = self.jobs.send(Job::Abort {
-                stream: conn.stream_id,
-                attachment: conn.attachment,
-            });
+        if let Some(attachments) = self.sessions.remove(&conn.stream_id) {
+            for id in attachments {
+                let _ = self.runner.detach(id);
+            }
+            self.sink.remove(conn.stream_id);
         }
         // `conn` drops here, closing the socket.
     }
@@ -1089,7 +895,11 @@ pub fn serve_listener(
     // connection's attachment feeds them, and any `GET /metrics`
     // connection scrapes the registry.
     let metrics = Arc::new(Metrics::new());
-    let sink = Arc::new(ServeSink::default());
+    let mut reactor = Reactor::new()?;
+    let sink = Arc::new(ServeSink {
+        conns: RwLock::default(),
+        waker: reactor.waker(),
+    });
     // One flight recorder for the whole server. Without `--trace-dir`
     // it stays disabled and no rings are registered, so every hook is
     // one relaxed-atomic branch; without the `trace` feature it is a
@@ -1113,60 +923,40 @@ pub fn serve_listener(
     if let Some(linger) = opts.linger {
         runner.set_linger(linger);
     }
-    let mut reactor = Reactor::new()?;
-    let waker = reactor.waker();
-    let _ = sink.waker.set(waker.clone());
-    let srv = Arc::new(ServerState {
-        runner,
-        sink,
-        metrics,
-        notes: Mutex::new(Vec::new()),
-        waker,
-        queries: Mutex::new(HashMap::from([(0u32, opts.query.clone())])),
-        extras: Mutex::new(HashMap::new()),
-        trace_dir: opts.trace_dir.clone(),
-        trace_dumps: AtomicU64::new(0),
-        tracer: tracer.clone(),
-    });
-    let (jobs_tx, jobs_rx) = mpsc::channel();
-    let completion = std::thread::spawn({
-        let srv = Arc::clone(&srv);
-        move || completion_loop(jobs_rx, srv)
-    });
     let accept_limit = if opts.once {
         Some(1)
     } else {
         opts.accept_limit
     };
-    let result = EventLoop {
+    let trace = if tracing {
+        tracer.register("reactor")
+    } else {
+        TraceHandle::off()
+    };
+    let mut event_loop = EventLoop {
         listener: &listener,
         opts: &opts,
-        srv: &srv,
-        jobs: &jobs_tx,
         reactor: &mut reactor,
+        runner,
+        sink,
+        metrics,
+        queries: HashMap::from([(0u32, opts.query.clone())]),
+        sessions: HashMap::new(),
+        tracer,
+        trace_dumps: 0,
         conns: Vec::new(),
         accepted: 0,
         accept_limit,
         accepting: true,
         next_stream: 0,
         run: Vec::new(),
-        trace: if tracing {
-            tracer.register("reactor")
-        } else {
-            TraceHandle::off()
-        },
-    }
-    .run();
-    // Retire the completion thread (it drains queued barriers first),
-    // then the runner.
-    drop(jobs_tx);
-    let _ = completion.join();
-    if let Ok(state) = Arc::try_unwrap(srv) {
-        state
-            .runner
-            .shutdown()
-            .map_err(|e| CliError::Compute(e.to_string()))?;
-    }
+        trace,
+    };
+    let result = event_loop.run();
+    event_loop
+        .runner
+        .shutdown()
+        .map_err(|e| CliError::Compute(e.to_string()))?;
     result
 }
 

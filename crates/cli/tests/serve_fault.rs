@@ -1,7 +1,8 @@
 //! Fault conformance for the `spring serve` event loop (`--features
 //! failpoints`): injected socket faults at the `serve::accept`,
 //! `serve::read`, and `serve::write` sites must cost at most the one
-//! connection they hit — never the server, never another connection.
+//! connection they hit — never the server, never another connection —
+//! and a stalled runner worker may delay only the connections it owns.
 //!
 //! Each test serializes on `failpoints::exclusive()` (the registry is
 //! process-global) and asserts the site actually fired, so a renamed
@@ -12,7 +13,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use spring_cli::serve::{serve_listener, ServeOptions};
 use spring_core::MonitorSpec;
@@ -151,5 +152,48 @@ fn delayed_accept_and_read_only_add_latency() {
         begun.elapsed() >= Duration::from_millis(25),
         "delays did not take effect"
     );
+    server.join().unwrap();
+}
+
+#[test]
+fn a_stalled_worker_delays_only_its_own_connections() {
+    let _guard = failpoints::exclusive();
+    // The first frame any worker takes stalls for 1.5 s: stream 0's, on
+    // worker 1 of 2.
+    failpoints::configure(
+        "runner::worker::frame",
+        FailRule::new(FailAction::Delay(1500)).times(1),
+    );
+    let (addr, server) = start(3);
+    let stalled = std::thread::spawn(move || session(addr));
+    std::thread::sleep(Duration::from_millis(150));
+    // Stream 1 lives on worker 0: its session ends while worker 1 is
+    // still stalled.
+    let begun = Instant::now();
+    let quick = session(addr);
+    let took = begun.elapsed();
+    assert!(
+        quick.ends_with("done 1 match(es) over 7 ticks\n"),
+        "{quick}"
+    );
+    assert!(
+        took < Duration::from_millis(700),
+        "stream 1 waited {took:?} behind worker 1's stall"
+    );
+    // Stream 0 has ended (its matches are still queued behind the
+    // stall), so nothing may attach to it any more.
+    let mut control = TcpStream::connect(addr).unwrap();
+    writeln!(control, "attach 0 0 0.5").unwrap();
+    control.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut reply = String::new();
+    control.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("error: no live stream 0\n"), "{reply}");
+    let stalled = stalled.join().unwrap();
+    assert!(
+        stalled.contains("match ticks 3..=5")
+            && stalled.ends_with("done 1 match(es) over 7 ticks\n"),
+        "{stalled}"
+    );
+    assert_eq!(failpoints::fired("runner::worker::frame"), 1);
     server.join().unwrap();
 }

@@ -27,8 +27,9 @@
 //! partial frame waits for [`Runner::flush`], [`Runner::finish_stream`]
 //! or [`Runner::shutdown`] (`max_batch = 1` is per-sample messaging),
 //! unless [`Runner::set_linger`] starts a janitor with a deadline.
-//! Attach, detach, swap and sync travel the same logged message path,
-//! so a restarted worker reconstructs them.
+//! Attach, detach, swap, sync and marks ([`Runner::mark`]: a callback
+//! run in the stream's queue order) travel the same logged message
+//! path, so a restarted worker reconstructs them.
 //!
 //! **Failures.** An ingestion error (e.g. [`GapPolicy::Fail`] on a
 //! missing value) stops its worker deliberately: it is not restarted,
@@ -37,6 +38,8 @@
 //! worker with capped backoff ([`RestartPolicy`]) from its last
 //! checkpoint (every [`CHECKPOINT_EVERY`] messages) and replays the
 //! logged tail, so no match is dropped (delivery is at least once).
+//! Either way the supervisor steps in as soon as the worker exits, so
+//! marks queued behind the failure still run without another call.
 //! [`Runner::shutdown`] flushes pending frames in ascending `StreamId`
 //! order, heals dead workers, and returns the *lowest ranked* error:
 //! `MissingSample` by (stream, tick), then other ingestion errors, then
@@ -45,8 +48,8 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 use spring_core::monitor::Monitor;
@@ -223,9 +226,7 @@ impl RunnerAttachment<spring_core::Spring<spring_dtw::Kernel>> {
     }
 }
 
-/// The barrier one [`Runner::sync`] call shares with the stream's
-/// worker. Arrival is idempotent: a restart replays the logged `Sync`,
-/// so the worker may arrive twice.
+/// The barrier one [`Runner::sync`] call waits on; its mark arrives.
 #[derive(Default)]
 struct SyncPoint {
     arrived: Mutex<bool>,
@@ -246,6 +247,24 @@ impl SyncPoint {
             .wait_timeout_while(arrived, timeout, |a| !*a)
             .unwrap_or_else(PoisonError::into_inner);
         *arrived
+    }
+}
+
+/// The run-once callback of one [`Runner::mark`], shared by the channel
+/// and the replay log: a mark replayed after a restart finds it taken.
+struct Mark(Mutex<Option<Box<dyn FnOnce() + Send>>>);
+
+impl Mark {
+    fn new(f: impl FnOnce() + Send + 'static) -> Arc<Self> {
+        Arc::new(Mark(Mutex::new(Some(Box::new(f)))))
+    }
+
+    /// Runs the callback unless it already ran.
+    fn fire(&self) {
+        let f = self.0.lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(f) = f {
+            f();
+        }
     }
 }
 
@@ -273,8 +292,8 @@ enum Msg<M: Monitor> {
         samples: Frame<M>,
         generation: u64,
     },
-    /// Arrive at the barrier (see [`Runner::sync`]).
-    Sync(Arc<SyncPoint>),
+    /// Run a callback in queue order (see [`Runner::mark`]).
+    Mark(Arc<Mark>),
     Shutdown,
 }
 
@@ -302,7 +321,7 @@ where
                 samples: Arc::clone(samples),
                 generation: *generation,
             },
-            Msg::Sync(point) => Msg::Sync(Arc::clone(point)),
+            Msg::Mark(mark) => Msg::Mark(Arc::clone(mark)),
             Msg::Shutdown => Msg::Shutdown,
         }
     }
@@ -378,6 +397,9 @@ struct WorkerCtx<M: Monitor> {
     /// This incarnation's ring (each restart registers a fresh one under
     /// the same label, so the dead incarnation's events survive).
     trace: TraceHandle,
+    /// Heals this worker once the incarnation on the given thread has
+    /// exited abnormally (see [`Core::revive`]).
+    revive: Box<dyn FnOnce(ThreadId) + Send>,
 }
 
 /// The runner state shared between the [`Runner`] handle and the
@@ -401,6 +423,8 @@ struct Core<M: Monitor> {
     /// Flight recorder (`None` = no tracing); also the source of
     /// postmortem dumps on worker loss.
     tracer: Option<Tracer>,
+    /// This core, for the heals that dying workers request.
+    me: Weak<Core<M>>,
 }
 
 /// The linger janitor: a thread flushing overdue partial frames.
@@ -434,12 +458,14 @@ impl<M: Monitor> Drop for Runner<M> {
     }
 }
 
-/// Increments `spring_worker_lost_total` when the worker thread exits
-/// abnormally: after recording an ingestion error (`lost` set) or while
-/// unwinding from a panic.
+/// Runs when the worker thread exits abnormally — after recording an
+/// ingestion error (`lost` set) or while unwinding from a panic:
+/// increments `spring_worker_lost_total` and hands the heal to a fresh
+/// thread (this one cannot join itself).
 struct WorkerLostGuard {
     metrics: Option<Arc<Metrics>>,
     lost: bool,
+    revive: Option<Box<dyn FnOnce(ThreadId) + Send>>,
 }
 
 impl Drop for WorkerLostGuard {
@@ -447,6 +473,11 @@ impl Drop for WorkerLostGuard {
         if self.lost || thread::panicking() {
             if let Some(m) = &self.metrics {
                 m.worker_lost.inc();
+            }
+            if let Some(revive) = self.revive.take() {
+                let dead = thread::current().id();
+                // Best effort: without the thread, the next send heals.
+                let _ = thread::Builder::new().spawn(move || revive(dead));
             }
         }
     }
@@ -474,6 +505,7 @@ where
         let mut guard = WorkerLostGuard {
             metrics: ctx.metrics.clone(),
             lost: false,
+            revive: Some(ctx.revive),
         };
         let deliver = |event: &crate::engine::Event| {
             crate::fail_point!("runner::sink");
@@ -561,10 +593,10 @@ where
                         ctx.trace.instant(TraceKind::QuerySwap, generation);
                     }
                 }
-                Msg::Sync(point) => {
-                    let sync_span = ctx.trace.now();
-                    point.arrive();
-                    ctx.trace.span(sync_span, TraceKind::Flush, 0);
+                Msg::Mark(mark) => {
+                    let mark_span = ctx.trace.now();
+                    mark.fire();
+                    ctx.trace.span(mark_span, TraceKind::Flush, 0);
                 }
                 Msg::Shutdown => break,
             }
@@ -711,7 +743,7 @@ where
                 }
             })
             .collect();
-        let core = Core {
+        let core = Arc::new_cyclic(|me| Core {
             workers,
             homes: Mutex::new(homes),
             generations: Mutex::new(HashMap::new()),
@@ -723,13 +755,14 @@ where
             sink,
             restart,
             tracer,
-        };
+            me: me.clone(),
+        });
         for (w, (atts, rx)) in placed.into_iter().zip(receivers).enumerate() {
             let mut slot = core.lock_slot(w);
             slot.handle = Some(core.start_worker(w, &slot.shared, atts, rx));
         }
         Ok(Runner {
-            core: Arc::new(core),
+            core,
             janitor: None,
         })
     }
@@ -943,8 +976,7 @@ where
     /// when that matters. Returns at once for an unwatched stream.
     ///
     /// # Errors
-    /// [`MonitorError::WorkerLost`] when the worker is permanently lost
-    /// before arriving.
+    /// [`MonitorError::WorkerLost`] when the worker is permanently lost.
     pub fn sync(&self, stream: StreamId) -> Result<(), MonitorError> {
         let core = &self.core;
         let w = worker_of(stream, core.workers.len());
@@ -952,18 +984,58 @@ where
             return Ok(());
         }
         let point = Arc::new(SyncPoint::default());
-        core.send(w, Msg::Sync(Arc::clone(&point)))?;
+        let arrival = Arc::clone(&point);
+        core.send(w, Msg::Mark(Mark::new(move || arrival.arrive())))?;
         while !point.wait_for(Duration::from_millis(50)) {
             // Not arrived within the poll interval: make sure the worker
-            // is still alive (a healed worker re-arrives via the
-            // replayed Sync in its log).
+            // is still alive (a healed worker arrives via the replayed
+            // mark in its log).
             let mut slot = core.lock_slot(w);
             let gone = slot.handle.as_ref().is_none_or(|h| h.is_finished());
             if slot.dead || (gone && core.heal(w, &mut slot).is_err()) {
                 return Err(MonitorError::WorkerLost);
             }
         }
+        // A worker lost before it reached the mark arrives from `heal`.
+        if core.lock_slot(w).dead {
+            return Err(MonitorError::WorkerLost);
+        }
         Ok(())
+    }
+
+    /// Runs `f` in `stream`'s queue order, without waiting: flushes the
+    /// stream's pending frame and enqueues a mark behind it, and the
+    /// owning worker calls `f` once every match implied by the samples
+    /// pushed before this call has reached the sink.
+    ///
+    /// `f` runs exactly once, also when a restart replays the mark. It
+    /// runs at once on the calling thread when the stream has no
+    /// attachments or its worker is permanently lost; a worker lost
+    /// after the mark was queued runs it from the supervisor. `f` runs
+    /// on a runner thread, so it must not call back into the runner.
+    ///
+    /// # Errors
+    /// [`MonitorError::WorkerLost`] when the owning worker is permanently
+    /// lost (`f` has run by then).
+    pub fn mark(
+        &self,
+        stream: StreamId,
+        f: impl FnOnce() + Send + 'static,
+    ) -> Result<(), MonitorError> {
+        let core = &self.core;
+        let mark = Mark::new(f);
+        let w = worker_of(stream, core.workers.len());
+        let sent = core.lock_streams(w).get_mut(&stream).map(|entry| {
+            core.flush_entry(w, stream, entry)
+                .and_then(|()| core.send(w, Msg::Mark(Arc::clone(&mark))))
+        });
+        match sent {
+            Some(Ok(())) => Ok(()),
+            unsent => {
+                mark.fire();
+                unsent.unwrap_or(Ok(()))
+            }
+        }
     }
 
     /// Pushes one sample to `stream`'s pending frame, enqueued once
@@ -1190,8 +1262,30 @@ where
             metrics: self.metrics.clone(),
             shared: Arc::clone(shared),
             trace: ring(&self.tracer, &format!("worker-{w}")),
+            revive: {
+                let core = Weak::clone(&self.me);
+                Box::new(move |dead| {
+                    if let Some(core) = core.upgrade() {
+                        core.revive(w, dead);
+                    }
+                })
+            },
         };
         spawn_worker(atts, rx, ctx)
+    }
+
+    /// Heals worker `w` after its incarnation on thread `dead` exited
+    /// abnormally, unless a send, sync or shutdown already healed (or
+    /// joined) it.
+    fn revive(&self, w: usize, dead: ThreadId) {
+        let mut slot = self.lock_slot(w);
+        if slot
+            .handle
+            .as_ref()
+            .is_some_and(|h| h.thread().id() == dead)
+        {
+            let _ = self.heal(w, &mut slot);
+        }
     }
 
     /// Restarts a dead worker from its last checkpoint and replays the
@@ -1216,6 +1310,13 @@ where
             if let Some(reason) = reason {
                 slot.dead = true;
                 self.postmortem(w, reason);
+                // No worker will reach the logged tail's marks: run them
+                // here, in order (marks already run are no-ops).
+                for (_, m) in &slot.log {
+                    if let Msg::Mark(mark) = m {
+                        mark.fire();
+                    }
+                }
                 return Err(MonitorError::WorkerLost);
             }
             slot.restarts += 1;
@@ -1634,6 +1735,96 @@ mod tests {
         assert_eq!(table_len(&runner), 0);
         runner.shutdown().unwrap();
         assert_eq!(sink.events().len(), 2);
+    }
+
+    // ---- marks ---------------------------------------------------------
+
+    /// A mark callback that sends `probe()` once it runs, and the
+    /// receiving end.
+    fn probe_mark<T: Send + 'static>(
+        probe: impl FnOnce() -> T + Send + 'static,
+    ) -> (impl FnOnce() + Send + 'static, std::sync::mpsc::Receiver<T>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        (move || tx.send(probe()).unwrap(), rx)
+    }
+
+    const MARK_WAIT: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn mark_sees_every_earlier_match_at_any_max_batch() {
+        for max_batch in [1, 3, 64] {
+            let sink = Arc::new(VecSink::new());
+            let mut runner =
+                SpringRunner::spawn(vec![spike_attachment(0, 0)], 2, sink.clone()).unwrap();
+            runner.set_max_batch(max_batch);
+            // Both spikes are confirmed inside the stream; the tail stays
+            // in the pending frame unless the mark flushes it.
+            runner
+                .push_batch(StreamId(0), &spike_stream(&[3, 12], 20))
+                .unwrap();
+            let seen = sink.clone();
+            let (f, rx) = probe_mark(move || seen.len());
+            runner.mark(StreamId(0), f).unwrap();
+            assert_eq!(rx.recv_timeout(MARK_WAIT), Ok(2), "max_batch {max_batch}");
+            runner.shutdown().unwrap();
+        }
+    }
+
+    #[test]
+    fn mark_runs_once_across_a_worker_restart() {
+        // The first delivery kills the worker after the frame and the
+        // mark are queued. The supervisor heals it without another
+        // runner call, the replay reaches the mark after both matches,
+        // and the mark runs once.
+        let sink = Arc::new(FlakySink::new(1));
+        let (mut runner, metrics) = metered(vec![spike_attachment(0, 0)], 1, sink.clone());
+        runner.set_max_batch(32);
+        runner
+            .push_batch(StreamId(0), &spike_stream(&[4, 15], 25))
+            .unwrap();
+        let runs = Arc::new(AtomicU64::new(0));
+        let (seen, count) = (sink.clone(), Arc::clone(&runs));
+        let (f, rx) = probe_mark(move || {
+            count.fetch_add(1, Ordering::Relaxed);
+            starts(&seen.inner.events())
+        });
+        runner.mark(StreamId(0), f).unwrap();
+        assert_eq!(rx.recv_timeout(MARK_WAIT), Ok(vec![5, 16]));
+        runner.finish_stream(StreamId(0)).unwrap();
+        runner.shutdown().unwrap();
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.snapshot().worker_restarts_total, 1);
+    }
+
+    #[test]
+    fn mark_on_an_unwatched_stream_runs_inline() {
+        let sink = Arc::new(VecSink::new());
+        let runner = SpringRunner::spawn(vec![spike_attachment(0, 0)], 2, sink).unwrap();
+        let caller = thread::current().id();
+        let (f, rx) = probe_mark(move || thread::current().id() == caller);
+        runner.mark(StreamId(42), f).unwrap();
+        assert_eq!(rx.try_recv(), Ok(true), "ran before returning, inline");
+        runner.shutdown().unwrap();
+    }
+
+    #[test]
+    fn mark_on_a_stopped_worker_runs_inline_and_reports_the_loss() {
+        let sink = Arc::new(VecSink::new());
+        let runner = SpringRunner::spawn(vec![attachment(0, 0, GapPolicy::Fail)], 1, sink).unwrap();
+        // The NaN waits in the pending frame; this mark flushes it, and
+        // the worker stops on it before reaching the mark. The mark must
+        // still run, from the supervisor.
+        runner.push(StreamId(0), &f64::NAN).unwrap();
+        let (f, rx) = probe_mark(|| ());
+        let _ = runner.mark(StreamId(0), f);
+        assert_eq!(rx.recv_timeout(MARK_WAIT), Ok(()));
+        // Once the worker is known lost, a mark runs on the caller.
+        assert_eq!(runner.sync(StreamId(0)), Err(MonitorError::WorkerLost));
+        let caller = thread::current().id();
+        let (f, rx) = probe_mark(move || thread::current().id() == caller);
+        assert_eq!(runner.mark(StreamId(0), f), Err(MonitorError::WorkerLost));
+        assert_eq!(rx.try_recv(), Ok(true), "ran before returning, inline");
+        assert!(runner.shutdown().is_err());
     }
 
     #[test]

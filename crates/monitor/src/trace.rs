@@ -90,7 +90,7 @@ pub enum EventKind {
     Checkpoint = 4,
     /// Span: one post-restart log replay (`arg` = messages replayed).
     Replay = 5,
-    /// Span: one flush / sync barrier (`arg` = stream id).
+    /// Span: one stream-end flush (`arg` = stream id) or mark (`arg` = 0).
     Flush = 6,
     /// Instant: a match was emitted (`arg` = match end tick).
     Match = 16,
