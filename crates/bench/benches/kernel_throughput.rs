@@ -5,11 +5,19 @@
 //! and the branchy scalar reference loop (`Spring::step_reference`).
 //! The printed lines report frame-vs-column and frame-vs-reference
 //! speedups; the `kernel_throughput` group feeds the CI smoke baseline
-//! (elements/s = query cells per second).
+//! (elements/s = query cells per second, counting all m rows whether
+//! or not the band computes them).
+//!
+//! The monitors run at ε = 100. On this fixture the ε-band then holds
+//! nearly every row (about 84% of them at m = 1024, all at the smaller
+//! m). The `_fullband` rows repeat the frame and column forms at
+//! ε = `f64::MAX`, where every finite cell is in the band: the worst
+//! case, tracked so the band's bookkeeping cannot quietly slow the full
+//! column down.
 //!
 //! On x86-64 the frame and column kernels run the explicit `core::arch`
-//! selects at the widest width the CPU reports. All three paths are
-//! bit-identical; only the time differs.
+//! selects at the widest width the CPU reports. All three paths report
+//! the same matches; only the time differs.
 
 use std::hint::black_box;
 
@@ -28,15 +36,16 @@ fn fixtures(m: usize) -> (Vec<f64>, Vec<f64>) {
     (query, values)
 }
 
-/// `step_batch` over 64-sample frames: the production hot path.
-fn bench_step_batch(b: &Bench, m: usize) -> f64 {
+/// `step_batch` over 64-sample frames: the production hot path. `tag`
+/// names the threshold in the row name.
+fn bench_step_batch(b: &Bench, m: usize, eps: f64, tag: &str) -> f64 {
     let (query, values) = fixtures(m);
-    let mut spring = Spring::new(&query, SpringConfig::new(100.0)).unwrap();
+    let mut spring = Spring::new(&query, SpringConfig::new(eps)).unwrap();
     let mut out = Vec::new();
     let frames: Vec<&[f64]> = values.chunks_exact(BATCH).collect();
     let mut i = 0;
     b.bench_elems(
-        &format!("soa_batch{BATCH}_m{m}"),
+        &format!("soa_batch{BATCH}_m{m}{tag}"),
         (m * BATCH) as u64,
         || {
             use spring_core::Monitor as _;
@@ -52,13 +61,13 @@ fn bench_step_batch(b: &Bench, m: usize) -> f64 {
 
 /// Per-sample `Spring::step` over the same frames: the SoA column
 /// kernel without the wavefront.
-fn bench_column(b: &Bench, m: usize) -> f64 {
+fn bench_column(b: &Bench, m: usize, eps: f64, tag: &str) -> f64 {
     let (query, values) = fixtures(m);
-    let mut spring = Spring::new(&query, SpringConfig::new(100.0)).unwrap();
+    let mut spring = Spring::new(&query, SpringConfig::new(eps)).unwrap();
     let frames: Vec<&[f64]> = values.chunks_exact(BATCH).collect();
     let mut i = 0;
     b.bench_elems(
-        &format!("column_batch{BATCH}_m{m}"),
+        &format!("column_batch{BATCH}_m{m}{tag}"),
         (m * BATCH) as u64,
         || {
             for &x in black_box(frames[i % frames.len()]) {
@@ -91,8 +100,8 @@ fn main() {
     let b = Bench::new("kernel_throughput");
     let mut lines = Vec::new();
     for m in [64usize, 256, 1_024] {
-        let soa = bench_step_batch(&b, m);
-        let column = bench_column(&b, m);
+        let soa = bench_step_batch(&b, m, 100.0, "");
+        let column = bench_column(&b, m, 100.0, "");
         let reference = bench_reference(&b, m);
         lines.push(format!(
             "kernel_throughput: m={m:<5} frame {:>10}  column {:>10} ({:.2}x)  reference {:>10} ({:.2}x)",
@@ -101,6 +110,17 @@ fn main() {
             column / soa,
             fmt_time(reference),
             reference / soa
+        ));
+    }
+    // Every finite cell is at or below f64::MAX: the whole column.
+    for m in [64usize, 256, 1_024] {
+        let soa = bench_step_batch(&b, m, f64::MAX, "_fullband");
+        let column = bench_column(&b, m, f64::MAX, "_fullband");
+        lines.push(format!(
+            "kernel_throughput: m={m:<5} full band: frame {:>10}  column {:>10} ({:.2}x)",
+            fmt_time(soa),
+            fmt_time(column),
+            column / soa
         ));
     }
     for line in &lines {

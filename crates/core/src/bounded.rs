@@ -121,7 +121,7 @@ impl<K: DistanceKernel> BoundedSpring<K> {
             )));
         }
         Ok(BoundedSpring {
-            stwm: Stwm::with_kernel(query, kernel)?,
+            stwm: Stwm::with_kernel(query, kernel)?.with_band(config.epsilon),
             config,
             policy: DisjointPolicy::new(config.epsilon),
         })
@@ -147,10 +147,10 @@ impl<K: DistanceKernel> BoundedSpring<K> {
         debug_assert!(x.is_finite(), "stream value must be finite");
         self.stwm.step(x);
         let t = self.stwm.tick();
-        let m = self.stwm.query_len();
 
         // Max-length cut: kill any path already spanning > max_len ticks.
-        for i in 1..=m {
+        // Cells above the band top are above ε already.
+        for i in 1..=self.stwm.top() {
             if t + 1 - self.stwm.starts()[i] > self.config.max_len {
                 self.stwm.invalidate(i);
             }
@@ -193,12 +193,11 @@ impl<K: DistanceKernel> crate::monitor::Monitor for BoundedSpring<K> {
     }
 
     /// Optimized batch path: hoists the config loads (`min_len`,
-    /// `max_len`, `m`) out of the frame loop and steps the SoA kernel
+    /// `max_len`) out of the frame loop and steps the banded SoA kernel
     /// directly, keeping its lane scratch warm across the frame. Match
     /// output and the error contract (failing sample leaves the state
     /// untouched) are identical to the per-sample path.
     fn step_batch(&mut self, samples: &[f64], out: &mut Vec<Match>) -> Result<(), SpringError> {
-        let m = self.stwm.query_len();
         let BoundedConfig {
             min_len, max_len, ..
         } = self.config;
@@ -211,7 +210,7 @@ impl<K: DistanceKernel> crate::monitor::Monitor for BoundedSpring<K> {
             self.stwm.step(x);
             let t = self.stwm.tick();
             // Max-length cut: kill any path already spanning > max_len.
-            for i in 1..=m {
+            for i in 1..=self.stwm.top() {
                 if t + 1 - self.stwm.starts()[i] > max_len {
                     self.stwm.invalidate(i);
                 }

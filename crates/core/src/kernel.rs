@@ -23,6 +23,22 @@
 //!    and finish `d(t, i) = base[i] + min(left, dd[i])`, the start lane
 //!    again following the mask.
 //!
+//! ## ε-band
+//!
+//! The disjoint query never needs the value of a cell above ε: costs
+//! are non-negative, so such a cell cannot be reported, cannot block a
+//! report (`dmin ≤ ε`), and cannot feed a cell at or below ε. The
+//! column fill therefore takes a threshold `eps` and one band `top` per
+//! column buffer — every row above a buffer's top holds a value above
+//! `eps` (or `+∞`) — and computes only rows `1 ..= top_prev + 1`, plus
+//! the `left`-only chain a cheap sample can push further up (see
+//! [`fill_column`]). Its column is **ε-equivalent** to the full one:
+//! every cell at or below `eps` is bit-identical in distance and start,
+//! every other cell is above `eps` on both sides. Cells the band
+//! computes keep their values even above `eps`; only stale rows from
+//! two ticks back are overwritten with `+∞`. With `eps = +∞` the band
+//! is the whole column and the contract below is strict bit-exactness.
+//!
 //! ## Reduction-order contract (bit-exactness)
 //!
 //! The split preserves Eq. (8)'s tie order *exactly*: the scalar
@@ -35,8 +51,10 @@
 //! comparison, and the single f64 addition `base + dbest` happens in
 //! the same order in both forms — so scalar reference, portable chunked
 //! kernel, and the explicit SIMD paths produce bit-identical columns
-//! (`f64::to_bits`), which the differential suite pins
-//! (`crates/testkit/tests/kernel_differential.rs`). See DESIGN.md §6g.
+//! (`f64::to_bits`) over the rows they compute, which the unit tests
+//! below pin and the differential suite
+//! (`crates/testkit/tests/kernel_differential.rs`) checks as
+//! ε-equivalence for banded monitors. See DESIGN.md §6g.
 //!
 //! ## SIMD
 //!
@@ -125,20 +143,21 @@ fn fill_base<K: DistanceKernel>(kernel: K, query: &[f64], x: f64, base: &mut [f6
     }
 }
 
-/// Lane-phase min-select over a full previous column (`len m + 1`):
-/// for `i = 1 ..= m`, `dd[i] = min⁻(d_prev[i], d_prev[i−1])` with
-/// `sd[i]` following the mask. On x86_64 it takes the SIMD path, AVX2
-/// when the CPU reports it (probed per column), SSE2 otherwise.
+/// The lanes the column min-select runs on: AVX2 when the CPU reports
+/// it (probed per column), SSE2 otherwise; the portable loop on
+/// non-x86 targets.
 #[inline]
-pub(crate) fn min_select(d_prev: &[f64], s_prev: &[u64], dd: &mut [f64], sd: &mut [u64]) {
+fn column_lanes() -> Lanes {
     #[cfg(target_arch = "x86_64")]
     let lanes = Lanes(Some(u8::from(is_x86_feature_detected!("avx2"))));
     #[cfg(not(target_arch = "x86_64"))]
     let lanes = Lanes(None);
-    min_select_on(lanes, d_prev, s_prev, dd, sd);
+    lanes
 }
 
-/// [`min_select`] on the given lanes.
+/// Lane-phase min-select over a previous-column prefix (`len h + 1`)
+/// on `lanes`: for `i = 1 ..= h`, `dd[i] = min⁻(d_prev[i], d_prev[i−1])`
+/// with `sd[i]` following the mask.
 #[inline]
 fn min_select_on(lanes: Lanes, d_prev: &[f64], s_prev: &[u64], dd: &mut [f64], sd: &mut [u64]) {
     let m = d_prev.len() - 1;
@@ -184,17 +203,25 @@ fn min_select_portable(
     }
 }
 
-/// Carry phase: finishes the column with the in-column *left*
-/// dependency, branchlessly. `d_cur[0]`/`s_cur[0]` must already hold
-/// the star cell `(0, t)`; `base`/`dd`/`sd` are the `m + 1`-sized
-/// scratch lanes. Picking `left` iff `left ≤ dd[i]` reproduces the
-/// Eq. (8) tie order exactly (see the module docs).
+/// Carry phase: finishes rows `1 ..= h` (`h = base.len() − 1`) with
+/// the in-column *left* dependency, branchlessly, and returns the
+/// highest of those rows at or below `eps` (0 if none). `d_cur[0]` /
+/// `s_cur[0]` must already hold the star cell `(0, t)`; `base`/`dd`/`sd`
+/// are the scratch lanes. Picking `left` iff `left ≤ dd[i]` reproduces
+/// the Eq. (8) tie order exactly (see the module docs).
 #[inline]
-pub(crate) fn carry(base: &[f64], dd: &[f64], sd: &[u64], d_cur: &mut [f64], s_cur: &mut [u64]) {
-    let m = base.len() - 1;
+pub(crate) fn carry(
+    base: &[f64],
+    dd: &[f64],
+    sd: &[u64],
+    d_cur: &mut [f64],
+    s_cur: &mut [u64],
+    eps: f64,
+) -> usize {
+    let h = base.len() - 1;
     let mut left = d_cur[0];
     let mut sleft = s_cur[0];
-    for i in 1..=m {
+    for i in 1..=h {
         let take_left = left <= dd[i];
         let dbest = if take_left { left } else { dd[i] };
         let s = if take_left { sleft } else { sd[i] };
@@ -203,58 +230,143 @@ pub(crate) fn carry(base: &[f64], dd: &[f64], sd: &[u64], d_cur: &mut [f64], s_c
         d_cur[i] = left;
         s_cur[i] = s;
     }
+    // Scanned after the loop: one compare while the band is full, a
+    // few rows while it moves, all h only when it collapses. A select
+    // inside the latency-bound loop measured ≈7% slower per full column
+    // (m = 256, x86-64).
+    band_top(&d_cur[..=h], eps)
 }
 
-/// Fills one STWM column with the two-phase SoA kernel. Star cells of
-/// both columns are (re)set to `(0, t)` first, exactly as the scalar
-/// reference does. Bit-exact with [`fill_column_reference`].
+/// The highest row `i ≥ 1` of column `d` with `d[i] ≤ eps` (0 if none),
+/// scanning down from the last row.
+#[inline]
+pub(crate) fn band_top(d: &[f64], eps: f64) -> usize {
+    d[1..].iter().rposition(|&v| v <= eps).map_or(0, |i| i + 1)
+}
+
+/// Fills one STWM column with the two-phase SoA kernel over the ε-band
+/// and returns the column's new band top. Star cells of both columns
+/// are (re)set to `(0, t)` first, exactly as the scalar reference does.
+///
+/// `top_prev` / `top_cur` are the band tops of the two buffers: every
+/// row above a buffer's top holds a value above `eps` (see the module
+/// docs). With `eps = +∞` the band is the whole column and the result
+/// is bit-exact with [`fill_column_reference`]; otherwise it is
+/// ε-equivalent to it.
 #[allow(clippy::too_many_arguments)] // the five lanes ARE the layout
 pub(crate) fn fill_column<K: DistanceKernel>(
     kernel: K,
     query: &[f64],
     x: f64,
     t: u64,
+    eps: f64,
     d_prev: &mut [f64],
     s_prev: &mut [u64],
+    top_prev: usize,
     d_cur: &mut [f64],
     s_cur: &mut [u64],
+    top_cur: usize,
     scratch: &mut Scratch,
-) {
-    fill_column_with(
+) -> usize {
+    fill_column_on(
+        column_lanes(),
         |base| fill_base(kernel, query, x, base),
+        |i| kernel.dist(x, query[i - 1]),
         t,
-        d_prev,
-        s_prev,
-        d_cur,
-        s_cur,
+        eps,
+        (d_prev, s_prev, top_prev),
+        (d_cur, s_cur, top_cur),
         scratch,
-    );
+    )
 }
 
-/// [`fill_column`] generalized over the base-distance row: `fill_base`
-/// receives the full `m + 1` base lane (index 0 unused) and must fill
-/// `base[i] = ‖x − y_i‖` for `i = 1 ..= m`. This is how the
+/// [`fill_column`] generalized over the base distance: `fill_base`
+/// receives a `h + 1`-long prefix of the base lane (index 0 unused) and
+/// must fill `base[i] = ‖x − y_i‖` for `i = 1 ..= h`; `row_dist(i)` is
+/// the same distance for one row (the vertical chain). This is how the
 /// multivariate STWM (`crate::vector`), whose element distance sums
 /// over channels, shares the min-select and carry phases.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_column_with(
     fill_base: impl FnOnce(&mut [f64]),
+    row_dist: impl Fn(usize) -> f64,
     t: u64,
+    eps: f64,
     d_prev: &mut [f64],
     s_prev: &mut [u64],
+    top_prev: usize,
     d_cur: &mut [f64],
     s_cur: &mut [u64],
+    top_cur: usize,
     scratch: &mut Scratch,
-) {
+) -> usize {
+    fill_column_on(
+        column_lanes(),
+        fill_base,
+        row_dist,
+        t,
+        eps,
+        (d_prev, s_prev, top_prev),
+        (d_cur, s_cur, top_cur),
+        scratch,
+    )
+}
+
+/// One column buffer as the band fill sees it: distances, starts, top.
+type BandColumn<'a> = (&'a mut [f64], &'a mut [u64], usize);
+
+/// The banded column fill on `lanes`:
+///
+/// 1. rows `1 ..= h`, `h = min(m, top_prev + 1)`, through the lane and
+///    carry phases; the carry reports the highest of them at or below
+///    `eps`;
+/// 2. if that is row `h` itself, a `left`-only chain climbs on while it
+///    stays at or below `eps` (above row `h` both the down and the
+///    diagonal predecessor lie above the previous column's top, so
+///    `left` wins Eq. (8) strictly);
+/// 3. rows between the last one written and `top_cur` still hold the
+///    buffer's tick-`t−2` values, which may be at or below `eps`: they
+///    become `+∞`.
+///
+/// Computed cells above `eps` keep their values. Returns the new top.
+#[allow(clippy::too_many_arguments)]
+fn fill_column_on(
+    lanes: Lanes,
+    fill_base: impl FnOnce(&mut [f64]),
+    row_dist: impl Fn(usize) -> f64,
+    t: u64,
+    eps: f64,
+    (d_prev, s_prev, top_prev): BandColumn<'_>,
+    (d_cur, s_cur, top_cur): BandColumn<'_>,
+    scratch: &mut Scratch,
+) -> usize {
+    let m = d_cur.len() - 1;
+    let h = m.min(top_prev + 1);
     // Star row: distance 0; a path entering from (t, 0) or diagonally
     // from (t−1, 0) starts its first real element at tick t.
     d_prev[0] = 0.0;
     s_prev[0] = t;
     d_cur[0] = 0.0;
     s_cur[0] = t;
-    fill_base(&mut scratch.base);
-    min_select(d_prev, s_prev, &mut scratch.dd, &mut scratch.sd);
-    carry(&scratch.base, &scratch.dd, &scratch.sd, d_cur, s_cur);
+    let Scratch { base, dd, sd } = scratch;
+    fill_base(&mut base[..=h]);
+    min_select_on(lanes, &d_prev[..=h], &s_prev[..=h], dd, sd);
+    let mut top = carry(&base[..=h], dd, sd, d_cur, s_cur, eps);
+    let mut last = h;
+    if top == h {
+        let (mut left, s) = (d_cur[h], s_cur[h]);
+        while last < m && left <= eps {
+            last += 1;
+            left += row_dist(last);
+            d_cur[last] = left;
+            s_cur[last] = s;
+            top = if left <= eps { last } else { top };
+        }
+    }
+    if top_cur > last {
+        d_cur[last + 1..=top_cur].fill(f64::INFINITY);
+    }
+    top
 }
 
 /// Number of stream samples one [`Frame`] ingests at a time: the lane
@@ -304,7 +416,10 @@ const DIAG_STRIDE: usize = FRAME_COLS + 1;
 /// Every cell is computed by the same expression in the same order as
 /// the scalar reference (`base + min⁻(left, down, diag)` with Eq. (8)
 /// tie-breaking), just in a different *schedule* — cell values depend
-/// only on predecessor cells, so the result is bit-identical.
+/// only on predecessor cells, so the result is bit-identical to the
+/// reference run on the same incoming column. The wavefront fills every
+/// row; a banded monitor takes it only when its band can reach row m
+/// inside the frame.
 #[derive(Debug, Default)]
 pub(crate) struct Frame {
     d: Vec<f64>,
@@ -651,15 +766,20 @@ pub(crate) fn refill_frame_tail<K: DistanceKernel>(
     let mut cs = std::mem::take(&mut frame.tmp_cs);
     frame.copy_col(from - 1, &mut pd, &mut ps);
     for j in from..=frame.w {
+        // The full column: frames are taken only where the band is
+        // (nearly) full, and refills are rare.
         fill_column(
             kernel,
             query,
             xs[j - 1],
             t0 + j as u64,
+            f64::INFINITY,
             &mut pd[..rows],
             &mut ps[..rows],
+            frame.m,
             &mut cd[..rows],
             &mut cs[..rows],
+            frame.m,
             scratch,
         );
         frame.scatter_col(j, &cd, &cs);
@@ -970,6 +1090,31 @@ mod simd {
     }
 }
 
+/// Asserts that column `(d, s)` is ε-equivalent to the reference column
+/// `(rd, rs)`: every cell at or below `eps` on either side has the same
+/// distance bits and start on both, and every other cell is above `eps`
+/// on both.
+#[cfg(test)]
+pub(crate) fn assert_eps_equivalent(
+    eps: f64,
+    (rd, rs): (&[f64], &[u64]),
+    (d, s): (&[f64], &[u64]),
+    ctx: &str,
+) {
+    assert_eq!(rd.len(), d.len(), "{ctx}: column lengths");
+    for i in 0..rd.len() {
+        if rd[i] <= eps || d[i] <= eps {
+            assert_eq!(
+                (rd[i].to_bits(), rs[i]),
+                (d[i].to_bits(), s[i]),
+                "{ctx}: row {i} diverges at or below eps = {eps}: {} vs {}",
+                rd[i],
+                d[i]
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1017,7 +1162,7 @@ mod tests {
                 let Scratch { base, dd, sd } = &mut scratch;
                 fill_base(Squared, query, x, base);
                 min_select_on(lanes, &kd_prev, &ks_prev, dd, sd);
-                carry(base, dd, sd, &mut kd_cur, &mut ks_cur);
+                carry(base, dd, sd, &mut kd_cur, &mut ks_cur, f64::INFINITY);
                 let rbits: Vec<u64> = rd_cur.iter().map(|d| d.to_bits()).collect();
                 let kbits: Vec<u64> = kd_cur.iter().map(|d| d.to_bits()).collect();
                 assert_eq!(rbits, kbits, "{lanes:?}: distance lanes diverge at t = {t}");
@@ -1084,7 +1229,7 @@ mod tests {
         let s_prev = [9u64, 10, 11, 12, 13];
         let mut dd = [0.0; 5];
         let mut sd = [0u64; 5];
-        min_select(&d_prev, &s_prev, &mut dd, &mut sd);
+        min_select_on(column_lanes(), &d_prev, &s_prev, &mut dd, &mut sd);
         // i = 1: down = 2.0 (s 10), diag = 0.0 (s 9) -> diag.
         assert_eq!((dd[1], sd[1]), (0.0, 9));
         // i = 2: down = 2.0 (s 11) ties diag = 2.0 (s 10) -> down.
@@ -1286,6 +1431,197 @@ mod tests {
         }
     }
 
+    /// A banded column pair stepped by [`fill_column_on`] on `lanes`
+    /// beside a full reference pair; asserts ε-equivalence and a tight
+    /// band top after every tick and returns the tops.
+    fn run_band(lanes: Lanes, query: &[f64], stream: &[f64], eps: f64) -> Vec<usize> {
+        let m = query.len();
+        let (mut rd_prev, mut rs_prev) = (vec![f64::INFINITY; m + 1], vec![0u64; m + 1]);
+        let (mut rd_cur, mut rs_cur) = (rd_prev.clone(), rs_prev.clone());
+        let (mut bd_prev, mut bs_prev) = (rd_prev.clone(), rs_prev.clone());
+        let (mut bd_cur, mut bs_cur) = (rd_prev.clone(), rs_prev.clone());
+        let (mut top_prev, mut top_cur) = (0, 0);
+        let mut scratch = Scratch::new(m);
+        let mut tops = Vec::new();
+        for (tick, &x) in stream.iter().enumerate() {
+            let t = tick as u64 + 1;
+            fill_column_reference(
+                Squared,
+                query,
+                x,
+                t,
+                &mut rd_prev,
+                &mut rs_prev,
+                &mut rd_cur,
+                &mut rs_cur,
+                |_, _| {},
+            );
+            top_cur = fill_column_on(
+                lanes,
+                |base| fill_base(Squared, query, x, base),
+                |i| Squared.dist(x, query[i - 1]),
+                t,
+                eps,
+                (&mut bd_prev, &mut bs_prev, top_prev),
+                (&mut bd_cur, &mut bs_cur, top_cur),
+                &mut scratch,
+            );
+            let ctx = format!("{lanes:?} m={m} eps={eps} t={t}");
+            assert_eps_equivalent(eps, (&rd_cur, &rs_cur), (&bd_cur, &bs_cur), &ctx);
+            let live = (1..=m).rev().find(|&i| rd_cur[i] <= eps).unwrap_or(0);
+            assert_eq!(top_cur, live, "{ctx}: band top");
+            tops.push(top_cur);
+            std::mem::swap(&mut rd_cur, &mut rd_prev);
+            std::mem::swap(&mut rs_cur, &mut rs_prev);
+            std::mem::swap(&mut bd_cur, &mut bd_prev);
+            std::mem::swap(&mut bs_cur, &mut bs_prev);
+            std::mem::swap(&mut top_cur, &mut top_prev);
+        }
+        tops
+    }
+
+    #[test]
+    fn band_follows_a_vertical_chain_from_row_one_to_m_in_one_tick() {
+        // A flat query: after noise the band is empty, and the first
+        // sample that meets the query is a zero-cost `left` chain from
+        // row 1 to row m, above the only row the lane phase computes.
+        let m = 12;
+        let query = vec![2.0; m];
+        let mut stream = vec![9.0; 5];
+        stream.extend([2.0, 2.0, 9.0]);
+        for lanes in every_lanes() {
+            let tops = run_band(lanes, &query, &stream, 1.0);
+            assert_eq!(tops, [0, 0, 0, 0, 0, m, m, 0], "{lanes:?}");
+        }
+    }
+
+    #[test]
+    fn band_shrinks_from_m_to_one_and_clears_stale_rows() {
+        // The exact occurrence fills the band to m; the next sample
+        // leaves only row 1 at or below ε. The tick after that writes
+        // rows 1..=2 into the buffer that still holds the occurrence's
+        // column, whose rows 3..=m are at or below ε: the fill must
+        // overwrite them, or they would pass for live cells.
+        let query = [0.0, 3.0, 3.0, 3.0, 3.0, 3.0];
+        let stream = [0.0, 3.0, 3.0, 3.0, 3.0, 3.0, 0.0, 0.0, 0.0];
+        for lanes in every_lanes() {
+            let tops = run_band(lanes, &query, &stream, 1.0);
+            assert_eq!(tops[5..], [6, 1, 1, 1], "{lanes:?}");
+        }
+    }
+
+    #[test]
+    fn band_prefixes_of_every_length_on_every_lane_width() {
+        // Previous columns whose band top is h − 1 make the lane phase
+        // compute exactly h rows, h = 1..=9: every SIMD width's
+        // remainder path. Integer grids force ties; the current buffer
+        // starts with stale cells up to a random top of its own.
+        let mut rng = Rng::seed_from_u64(0xBA4D);
+        let (m, eps, t) = (12usize, 2.0, 40);
+        let grid = |rng: &mut Rng| rng.u64_below(3) as f64;
+        // A column whose rows 1..=top are at or below ε, the rest above.
+        let column = |rng: &mut Rng, top: usize| -> (Vec<f64>, Vec<u64>) {
+            (0..=m)
+                .map(|i| {
+                    let d = match i <= top {
+                        true => rng.u64_below(5) as f64 * 0.5,
+                        false => [2.5, 4.0, f64::INFINITY][rng.u64_below(3) as usize],
+                    };
+                    (d, rng.u64_below(t))
+                })
+                .unzip()
+        };
+        for lanes in every_lanes() {
+            for h in 1..=9usize {
+                for _ in 0..16 {
+                    let query: Vec<f64> = (0..m).map(|_| grid(&mut rng)).collect();
+                    let x = grid(&mut rng);
+                    let (mut d_prev, mut s_prev) = column(&mut rng, h - 1);
+                    let top_cur = rng.u64_below(m as u64 + 1) as usize;
+                    let (mut d_cur, mut s_cur) = column(&mut rng, top_cur);
+                    let (mut rd_prev, mut rs_prev) = (d_prev.clone(), s_prev.clone());
+                    let (mut rd_cur, mut rs_cur) = (d_cur.clone(), s_cur.clone());
+                    fill_column_reference(
+                        Squared,
+                        &query,
+                        x,
+                        t,
+                        &mut rd_prev,
+                        &mut rs_prev,
+                        &mut rd_cur,
+                        &mut rs_cur,
+                        |_, _| {},
+                    );
+                    let top = fill_column_on(
+                        lanes,
+                        |base| fill_base(Squared, &query, x, base),
+                        |i| Squared.dist(x, query[i - 1]),
+                        t,
+                        eps,
+                        (&mut d_prev, &mut s_prev, h - 1),
+                        (&mut d_cur, &mut s_cur, top_cur),
+                        &mut Scratch::new(m),
+                    );
+                    let ctx = format!("{lanes:?} h={h} top_cur={top_cur}");
+                    assert_eps_equivalent(eps, (&rd_cur, &rs_cur), (&d_cur, &s_cur), &ctx);
+                    let live_top = (1..=m).rev().find(|&i| rd_cur[i] <= eps).unwrap_or(0);
+                    assert_eq!(top, live_top, "{ctx}: band top");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_monitor_stays_eps_equivalent_across_every_stepping_path() {
+        // One banded monitor takes turns on `step`, `step_batch` (full
+        // frames on both sides of the wavefront dispatch, and ragged
+        // chunks), `step_reference` and a snapshot restore; its twin
+        // only ever runs the full reference.
+        use crate::monitor::Monitor as _;
+        use crate::{Spring, SpringConfig};
+        let m = 20;
+        let query: Vec<f64> = (0..m).map(|i| (i as f64 * 0.4).sin() * 3.0).collect();
+        let stream: Vec<f64> = (0..240)
+            .map(|i| (i as f64 * 0.4).sin() * 3.0 + ((i * 7 % 5) as f64 - 2.0) * 0.3)
+            .collect();
+        let config = SpringConfig::new(4.0);
+        let mut mon = Spring::new(&query, config).unwrap();
+        let mut twin = Spring::new(&query, config).unwrap();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut fits = [false; 2];
+        for (k, chunk) in stream.chunks(24).enumerate() {
+            want.extend(chunk.iter().filter_map(|&x| twin.step_reference(x)));
+            match k % 4 {
+                0 => got.extend(chunk.iter().filter_map(|&x| mon.step(x))),
+                1 => {
+                    for part in chunk.chunks(FRAME_COLS) {
+                        fits[usize::from(mon.stwm().frame_fits())] = true;
+                        mon.step_batch(part, &mut got).unwrap();
+                    }
+                }
+                2 => got.extend(chunk.iter().filter_map(|&x| mon.step_reference(x))),
+                _ => {
+                    mon = Spring::restore_squared(&mon.snapshot()).unwrap();
+                    for part in chunk.chunks(13) {
+                        mon.step_batch(part, &mut got).unwrap();
+                    }
+                }
+            }
+            let ctx = format!("after chunk {k}");
+            assert_eq!(got, want, "{ctx}: reports");
+            assert_eq!(mon.pending(), twin.pending(), "{ctx}: pending");
+            let (r, b) = (twin.stwm(), mon.stwm());
+            assert_eps_equivalent(
+                4.0,
+                (r.distances(), r.starts()),
+                (b.distances(), b.starts()),
+                &ctx,
+            );
+        }
+        assert!(!want.is_empty(), "the workload must report");
+        assert_eq!(fits, [true, true], "both sides of the frame dispatch");
+    }
+
     #[test]
     fn absolute_kernel_is_also_bit_exact() {
         let query = [0.5, -1.25, 3.0];
@@ -1318,10 +1654,13 @@ mod tests {
                 &query,
                 x,
                 t,
+                f64::INFINITY,
                 &mut kd_prev,
                 &mut ks_prev,
+                m,
                 &mut kd_cur,
                 &mut ks_cur,
+                m,
                 &mut scratch,
             );
             assert_eq!(

@@ -204,6 +204,39 @@ impl SpringSnapshot {
     }
 }
 
+/// Rejects checkpointed columns the kernel cannot hold: lengths that
+/// disagree with the query length `m`, a distance that is NaN or
+/// negative (the column state space is `[0, +∞]`), or a start after the
+/// checkpoint's `tick`.
+fn check_columns(
+    m: usize,
+    tick: u64,
+    distances: &[f64],
+    starts: &[u64],
+) -> Result<(), SpringError> {
+    if distances.len() != m + 1 || starts.len() != m + 1 {
+        return Err(SpringError::InvalidQuery(format!(
+            "snapshot columns have {} / {} entries, query needs {}",
+            distances.len(),
+            starts.len(),
+            m + 1
+        )));
+    }
+    if let Some(i) = distances.iter().position(|d| d.is_nan() || *d < 0.0) {
+        return Err(SpringError::InvalidQuery(format!(
+            "snapshot distance {} at row {i} is negative or NaN",
+            distances[i]
+        )));
+    }
+    if let Some(i) = starts.iter().position(|&s| s > tick) {
+        return Err(SpringError::InvalidQuery(format!(
+            "snapshot start {} at row {i} is after tick {tick}",
+            starts[i]
+        )));
+    }
+    Ok(())
+}
+
 impl<K: DistanceKernel> Spring<K> {
     /// Captures the monitor's complete live state.
     pub fn snapshot(&self) -> SpringSnapshot {
@@ -234,18 +267,16 @@ impl<K: DistanceKernel> Spring<K> {
     ///
     /// # Errors
     /// Rejects snapshots whose column lengths disagree with the query,
-    /// whose tick/candidate fields are inconsistent, or whose query is
-    /// invalid.
+    /// whose columns hold a NaN or negative distance or a start after
+    /// the tick, whose tick/candidate fields are inconsistent, or whose
+    /// query is invalid.
     pub fn restore(snapshot: &SpringSnapshot, kernel: K) -> Result<Self, SpringError> {
-        let m = snapshot.query.len();
-        if snapshot.distances.len() != m + 1 || snapshot.starts.len() != m + 1 {
-            return Err(SpringError::InvalidQuery(format!(
-                "snapshot columns have {} / {} entries, query needs {}",
-                snapshot.distances.len(),
-                snapshot.starts.len(),
-                m + 1
-            )));
-        }
+        check_columns(
+            snapshot.query.len(),
+            snapshot.tick,
+            &snapshot.distances,
+            &snapshot.starts,
+        )?;
         let CandidateState {
             dmin,
             ts,
@@ -380,16 +411,16 @@ impl crate::VectorSpring<Squared> {
     }
 
     /// Resumes a vector monitor from a snapshot.
+    ///
+    /// # Errors
+    /// The same checks as [`Spring::restore`].
     pub fn restore(snapshot: &VectorSnapshot) -> Result<Self, SpringError> {
-        let m = snapshot.query.len();
-        if snapshot.distances.len() != m + 1 || snapshot.starts.len() != m + 1 {
-            return Err(SpringError::InvalidQuery(format!(
-                "snapshot columns have {} / {} entries, query needs {}",
-                snapshot.distances.len(),
-                snapshot.starts.len(),
-                m + 1
-            )));
-        }
+        check_columns(
+            snapshot.query.len(),
+            snapshot.tick,
+            &snapshot.distances,
+            &snapshot.starts,
+        )?;
         let c = snapshot.candidate;
         if c.dmin <= snapshot.epsilon
             && !(c.ts >= 1 && c.ts <= c.te && c.te <= snapshot.tick && c.group_start <= c.group_end)
@@ -523,6 +554,32 @@ mod tests {
             group_end: 99,
         };
         assert!(Spring::restore_squared(&bad).is_err());
+
+        // Column values outside the kernel's state space [0, +∞].
+        for d in [-1.0, -f64::MIN_POSITIVE, f64::NAN, f64::NEG_INFINITY] {
+            let mut bad = good.clone();
+            bad.distances[1] = d;
+            assert!(Spring::restore_squared(&bad).is_err(), "distance {d}");
+        }
+        // A start after the snapshot's tick.
+        let mut bad = good.clone();
+        bad.starts[2] = good.tick + 1;
+        assert!(Spring::restore_squared(&bad).is_err());
+        // Not corrupt: `+∞` cells and starts at the tick itself.
+        let mut fine = good.clone();
+        fine.distances[2] = f64::INFINITY;
+        fine.starts[1] = good.tick;
+        assert!(Spring::restore_squared(&fine).is_ok());
+
+        // The frozen v1 checkpoint with one distance flipped negative:
+        // resumed on [3, 3, 9, 9, 9, 9] it would report a match at
+        // distance −1000.
+        let v1 = include_str!("../tests/fixtures/snapshot_v1.json");
+        let mut bad = SpringSnapshot::parse_json(v1).unwrap();
+        Spring::restore_squared(&bad).expect("the fixture itself restores");
+        bad.distances[3] = -1000.0;
+        let err = Spring::restore_squared(&bad).unwrap_err();
+        assert!(err.to_string().contains("negative"), "{err}");
     }
 
     #[test]
@@ -641,6 +698,15 @@ mod vector_tests {
         assert!(VectorSpring::restore(&bad).is_err());
         let mut bad = good.clone();
         bad.query.clear();
+        assert!(VectorSpring::restore(&bad).is_err());
+        let mut bad = good.clone();
+        bad.distances[1] = -1.0;
+        assert!(VectorSpring::restore(&bad).is_err());
+        let mut bad = good.clone();
+        bad.distances[1] = f64::NAN;
+        assert!(VectorSpring::restore(&bad).is_err());
+        let mut bad = good.clone();
+        bad.starts[1] = good.tick + 1;
         assert!(VectorSpring::restore(&bad).is_err());
     }
 }

@@ -8,7 +8,10 @@
 //! of its best warping path.
 //!
 //! Only two columns (current and previous) are retained — `O(m)` space —
-//! and one column is filled per incoming value — `O(m)` time per tick.
+//! and one column is filled per incoming value — at most `O(m)` time per
+//! tick. A matrix with a finite band threshold `ε` (the disjoint-query
+//! monitors') fills only the rows that can still reach `ε`; see the
+//! ε-band section of `crate::kernel`.
 
 use std::sync::Arc;
 
@@ -25,6 +28,16 @@ use crate::mem::MemoryUse;
 /// queries), [`crate::BestMatch`] (best-match queries), and
 /// [`crate::PathSpring`]. It exposes the freshly computed column after
 /// each [`Stwm::step`], so the policy layers above decide what to report.
+///
+/// A matrix built by [`Stwm::new`] (or the other public constructors)
+/// fills every row, bit-identically to [`Stwm::step_reference`].
+/// [`crate::Spring`] and [`crate::BoundedSpring`] give theirs an
+/// ε-band: every column buffer keeps a `top` row above which every cell
+/// is above ε, and [`Stwm::step`] computes only the rows that can still
+/// reach ε. Their columns are then **ε-equivalent** to the reference:
+/// every cell at or below ε is bit-identical in distance and start, and
+/// every other cell is above ε on both sides, which is all the
+/// disjoint query reads.
 #[derive(Debug, Clone)]
 pub struct Stwm<K: DistanceKernel = Squared> {
     /// The shared immutable query (pattern samples + reversed cache);
@@ -40,6 +53,12 @@ pub struct Stwm<K: DistanceKernel = Squared> {
     s_prev: Vec<u64>,
     /// Current 1-based tick (0 before the first value).
     t: u64,
+    /// Band threshold `ε` (`+∞`: the full column).
+    eps: f64,
+    /// Band tops of the two column buffers: every row above a buffer's
+    /// top holds a value above `eps`. Swapped with the buffers.
+    top_cur: usize,
+    top_prev: usize,
     /// Lane scratch for the two-phase SoA kernel (see `crate::kernel`);
     /// kept in-struct so steady-state stepping never allocates.
     scratch: Scratch,
@@ -89,8 +108,18 @@ impl<K: DistanceKernel> Stwm<K> {
             s_cur: vec![0; m + 1],
             s_prev: vec![0; m + 1],
             t: 0,
+            eps: f64::INFINITY,
+            top_cur: 0,
+            top_prev: 0,
             scratch: Scratch::new(m),
         })
+    }
+
+    /// Gives the matrix an ε-band (see the type docs): the disjoint
+    /// query never reads a cell's value once it is above `eps`.
+    pub(crate) fn with_band(mut self, eps: f64) -> Self {
+        self.eps = eps;
+        self
     }
 
     /// Query length `m`.
@@ -120,29 +149,40 @@ impl<K: DistanceKernel> Stwm<K> {
 
     /// Consumes the next stream value and fills the column for tick
     /// `t + 1`. Equations (7) and (8) of the paper, computed by the
-    /// two-phase SoA kernel (`crate::kernel`) — bit-exact with
-    /// [`Stwm::step_reference`].
+    /// two-phase SoA kernel (`crate::kernel`) over the rows of the
+    /// ε-band — bit-exact with [`Stwm::step_reference`] for an unbanded
+    /// matrix, ε-equivalent to it for a banded one.
     pub fn step(&mut self, x: f64) {
         self.t += 1;
-        kernel::fill_column(
+        self.top_cur = kernel::fill_column(
             self.kernel,
             self.query.samples(),
             x,
             self.t,
+            self.eps,
             &mut self.d_prev,
             &mut self.s_prev,
+            self.top_prev,
             &mut self.d_cur,
             &mut self.s_cur,
+            self.top_cur,
             &mut self.scratch,
         );
-        std::mem::swap(&mut self.d_cur, &mut self.d_prev);
-        std::mem::swap(&mut self.s_cur, &mut self.s_prev);
+        self.swap();
     }
 
-    /// Like [`Stwm::step`], but via the branchy scalar reference loop —
-    /// the executable spec the SoA kernel is pinned against by the
-    /// differential suite. Column contents are bit-identical to
-    /// [`Stwm::step`]'s.
+    /// Makes the freshly filled column the current one.
+    fn swap(&mut self) {
+        std::mem::swap(&mut self.d_cur, &mut self.d_prev);
+        std::mem::swap(&mut self.s_cur, &mut self.s_prev);
+        std::mem::swap(&mut self.top_cur, &mut self.top_prev);
+    }
+
+    /// Like [`Stwm::step`], but via the branchy scalar reference loop
+    /// over every row — the executable spec the SoA kernel is pinned
+    /// against by the differential suite. Column contents are
+    /// bit-identical to [`Stwm::step`]'s on an unbanded matrix and
+    /// ε-equivalent on a banded one.
     pub fn step_reference(&mut self, x: f64) {
         self.step_traced(x, |_, _| {});
     }
@@ -165,15 +205,18 @@ impl<K: DistanceKernel> Stwm<K> {
             &mut self.s_cur,
             trace,
         );
-        std::mem::swap(&mut self.d_cur, &mut self.d_prev);
-        std::mem::swap(&mut self.s_cur, &mut self.s_prev);
+        // Every row computed; the other buffer's top m bounds anything.
+        let m = self.query.len();
+        (self.top_cur, self.top_prev) = (m, m);
+        self.swap();
     }
 
     /// Fills a frame of `xs.len() ≤ FRAME_COLS` columns (ticks
     /// `t+1 ..= t+w`) by the anti-diagonal wavefront kernel, without
     /// advancing the tick — the policy layer walks the stored columns
-    /// first, then calls [`Stwm::commit_frame`]. Bit-identical to
-    /// `xs.len()` consecutive [`Stwm::step`]s.
+    /// first, then calls [`Stwm::commit_frame`]. Computes every row, so
+    /// it is ε-equivalent to `xs.len()` consecutive [`Stwm::step`]s
+    /// (bit-identical on an unbanded matrix).
     pub(crate) fn fill_frame(&self, xs: &[f64], frame: &mut kernel::Frame) {
         kernel::fill_frame(
             kernel::lanes(),
@@ -204,14 +247,30 @@ impl<K: DistanceKernel> Stwm<K> {
     }
 
     /// Adopts the last column of a filled frame as the rolling column
-    /// and advances the tick by the frame width.
+    /// and advances the tick by the frame width. The column's band top
+    /// is its highest row at or below ε, found scanning down from row m.
     pub(crate) fn commit_frame(&mut self, frame: &kernel::Frame) {
         frame.copy_col(frame.width(), &mut self.d_prev, &mut self.s_prev);
         self.t += frame.width() as u64;
+        self.top_prev = kernel::band_top(&self.d_prev, self.eps);
+    }
+
+    /// Whether a frame of [`kernel::FRAME_COLS`] samples should take the
+    /// wavefront: only when the band can reach row m inside the frame.
+    /// A narrower band is cheaper stepped column by column.
+    pub(crate) fn frame_fits(&self) -> bool {
+        self.top_prev + kernel::FRAME_COLS >= self.query.len()
+    }
+
+    /// Band top of the current column: every row above it holds a value
+    /// above ε, so the disjoint query's scans stop there.
+    pub(crate) fn top(&self) -> usize {
+        self.top_prev
     }
 
     /// Distance column of the current tick: `d(t, i)` for `i = 0 ..= m`
-    /// (index 0 is the star row, value 0).
+    /// (index 0 is the star row, value 0). On a banded matrix a cell
+    /// above ε holds some value above ε, not necessarily `d(t, i)`.
     ///
     /// Empty semantics before the first step: all `∞` except the star row.
     pub fn distances(&self) -> &[f64] {
@@ -242,7 +301,8 @@ impl<K: DistanceKernel> Stwm<K> {
 
     /// Restores the current column from a checkpoint (`distances` and
     /// `starts` are full `m + 1` columns including the star row).
-    /// Lengths are the caller's responsibility.
+    /// Lengths are the caller's responsibility. Nothing is clamped: the
+    /// full top m is a valid band for any column.
     pub(crate) fn load_column(&mut self, tick: u64, distances: &[f64], starts: &[u64]) {
         debug_assert_eq!(distances.len(), self.query.len() + 1);
         debug_assert_eq!(starts.len(), self.query.len() + 1);
@@ -251,6 +311,8 @@ impl<K: DistanceKernel> Stwm<K> {
         self.d_cur.fill(f64::INFINITY);
         self.s_cur.fill(0);
         self.t = tick;
+        let m = self.query.len();
+        (self.top_cur, self.top_prev) = (m, m);
     }
 
     /// Resets the matrix to its initial (tick 0) state, keeping the query.
@@ -260,6 +322,7 @@ impl<K: DistanceKernel> Stwm<K> {
         self.s_cur.fill(0);
         self.s_prev.fill(0);
         self.t = 0;
+        (self.top_cur, self.top_prev) = (0, 0);
     }
 }
 

@@ -102,17 +102,22 @@ impl<K: DistanceKernel> VectorStwm<K> {
         let query = self.query.samples();
         let dim = self.dim;
         let kern = self.kernel;
+        // The multivariate STWM is unbanded: ε = +∞ keeps every row.
         kernel::fill_column_with(
             |base| {
                 for (i, b) in base[1..].iter_mut().enumerate() {
                     *b = element_distance(x, &query[i * dim..(i + 1) * dim], kern);
                 }
             },
+            |i| element_distance(x, &query[(i - 1) * dim..i * dim], kern),
             self.t,
+            f64::INFINITY,
             &mut self.d_prev,
             &mut self.s_prev,
+            self.m,
             &mut self.d_cur,
             &mut self.s_cur,
+            self.m,
             &mut self.scratch,
         );
         std::mem::swap(&mut self.d_cur, &mut self.d_prev);

@@ -1,17 +1,20 @@
 //! Differential suite for the SoA STWM kernel (DESIGN.md §6g).
 //!
-//! Pins the reduction-order contract: the two-phase column kernel
+//! Pins the reduction-order contract: the ε-banded column kernel
 //! (`Spring::step`) and the wavefront frame path (`Monitor::step_batch`)
-//! must agree with the scalar Eq. (7)/(8) reference **bit-for-bit**
-//! (`f64::to_bits`), not just approximately, across the generated
-//! scenario grid — NaN-gap bursts, plateaus, coarse tie grids, and
-//! `ε = 0` thresholds. On x86-64 this exercises the explicit
+//! must report exactly the matches of the scalar Eq. (7)/(8) reference,
+//! and keep columns **ε-equivalent** to it: every cell at or below ε is
+//! bit-identical (`f64::to_bits`) in distance and start, and every other
+//! cell is above ε on both sides. This holds across the generated
+//! scenario grid — NaN-gap bursts, plateaus, coarse tie grids, `ε = 0`
+//! thresholds and full-band ones. On x86-64 this exercises the explicit
 //! SSE2/AVX2/AVX-512 lanes the CPU reports; elsewhere, the portable
-//! ones (pinned on x86-64 too by the kernel's own unit tests).
+//! ones (pinned on x86-64 too by the kernel's own unit tests, which
+//! also hold the unbanded kernel to strict bit-exactness).
 //!
 //! Also covers checkpoint cross-compatibility: a snapshot written by a
 //! reference-stepped monitor restores into the frame path (and vice
-//! versa) with bit-identical columns afterwards, so mixed-version
+//! versa) with ε-equivalent columns afterwards, so mixed-version
 //! runner fleets can hand checkpoints across the kernel boundary.
 
 use spring_core::monitor::Monitor;
@@ -24,10 +27,6 @@ use spring_util::Rng;
 /// 500; a little headroom keeps the guarantee under future edits).
 const SCENARIOS: usize = 600;
 
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
 /// Exact (bit-level) report comparison. `Debug` for f64 prints the
 /// shortest round-trip form, which is injective on non-NaN values, so
 /// comparing the rendered matches compares every field exactly.
@@ -35,17 +34,22 @@ fn render(matches: &[Match]) -> Vec<String> {
     matches.iter().map(|m| format!("{m:?}")).collect()
 }
 
+/// ε-equivalence of the two monitors' current columns: a cell at or
+/// below ε on either side has the same bits and start on both.
 fn assert_columns_match(reference: &Spring, other: &Spring, ctx: &str) {
-    assert_eq!(
-        bits(reference.stwm().distances()),
-        bits(other.stwm().distances()),
-        "{ctx}: distance lanes diverged from the scalar reference"
-    );
-    assert_eq!(
-        reference.stwm().starts(),
-        other.stwm().starts(),
-        "{ctx}: start lanes diverged from the scalar reference"
-    );
+    let eps = reference.epsilon();
+    let (rd, rs) = (reference.stwm().distances(), reference.stwm().starts());
+    let (od, os) = (other.stwm().distances(), other.stwm().starts());
+    assert_eq!(rd.len(), od.len(), "{ctx}: column lengths");
+    for i in 0..rd.len() {
+        if rd[i] <= eps || od[i] <= eps {
+            assert_eq!(
+                (rd[i].to_bits(), rs[i]),
+                (od[i].to_bits(), os[i]),
+                "{ctx}: row {i} diverged from the scalar reference at or below eps"
+            );
+        }
+    }
 }
 
 /// The two-phase column kernel against the scalar reference, compared
