@@ -13,7 +13,10 @@
 //! m). The `_fullband` rows repeat the frame and column forms at
 //! ε = `f64::MAX`, where every finite cell is in the band: the worst
 //! case, tracked so the band's bookkeeping cannot quietly slow the full
-//! column down.
+//! column down. The `_idle` rows (m = 64, ε = 100) run the same stream
+//! shifted by [`IDLE_OFFSET`], far from the query: the band stays empty
+//! and every tick takes the idle skip, one distance instead of a column
+//! fill, as on most (attachment, tick) pairs of a many-query server.
 //!
 //! On x86-64 the frame and column kernels run the explicit `core::arch`
 //! selects at the widest width the CPU reports. All three paths report
@@ -27,19 +30,26 @@ use spring_data::MaskedChirp;
 
 const BATCH: usize = 64;
 
-fn fixtures(m: usize) -> (Vec<f64>, Vec<f64>) {
+/// Shift of the `_idle` rows' stream: the chirp stays within ±2, so
+/// every sample is farther than 10 from every query element, and its
+/// squared distance is above ε = 100.
+const IDLE_OFFSET: f64 = 20.0;
+
+/// Query and stream of length-`m` fixtures, the stream shifted by
+/// `offset`.
+fn fixtures(m: usize, offset: f64) -> (Vec<f64>, Vec<f64>) {
     let mut cfg = MaskedChirp::small();
     cfg.query_len = m;
     cfg.stream_len = 4_096;
     let query = cfg.query().values;
-    let values = cfg.generate().0.values;
+    let values = cfg.generate().0.values.iter().map(|v| v + offset).collect();
     (query, values)
 }
 
 /// `step_batch` over 64-sample frames: the production hot path. `tag`
-/// names the threshold in the row name.
-fn bench_step_batch(b: &Bench, m: usize, eps: f64, tag: &str) -> f64 {
-    let (query, values) = fixtures(m);
+/// names the threshold (and offset) in the row name.
+fn bench_step_batch(b: &Bench, m: usize, eps: f64, offset: f64, tag: &str) -> f64 {
+    let (query, values) = fixtures(m, offset);
     let mut spring = Spring::new(&query, SpringConfig::new(eps)).unwrap();
     let mut out = Vec::new();
     let frames: Vec<&[f64]> = values.chunks_exact(BATCH).collect();
@@ -61,8 +71,8 @@ fn bench_step_batch(b: &Bench, m: usize, eps: f64, tag: &str) -> f64 {
 
 /// Per-sample `Spring::step` over the same frames: the SoA column
 /// kernel without the wavefront.
-fn bench_column(b: &Bench, m: usize, eps: f64, tag: &str) -> f64 {
-    let (query, values) = fixtures(m);
+fn bench_column(b: &Bench, m: usize, eps: f64, offset: f64, tag: &str) -> f64 {
+    let (query, values) = fixtures(m, offset);
     let mut spring = Spring::new(&query, SpringConfig::new(eps)).unwrap();
     let frames: Vec<&[f64]> = values.chunks_exact(BATCH).collect();
     let mut i = 0;
@@ -80,7 +90,7 @@ fn bench_column(b: &Bench, m: usize, eps: f64, tag: &str) -> f64 {
 
 /// The scalar reference loop over the same frames: the pre-SoA column.
 fn bench_reference(b: &Bench, m: usize) -> f64 {
-    let (query, values) = fixtures(m);
+    let (query, values) = fixtures(m, 0.0);
     let mut spring = Spring::new(&query, SpringConfig::new(100.0)).unwrap();
     let frames: Vec<&[f64]> = values.chunks_exact(BATCH).collect();
     let mut i = 0;
@@ -100,8 +110,8 @@ fn main() {
     let b = Bench::new("kernel_throughput");
     let mut lines = Vec::new();
     for m in [64usize, 256, 1_024] {
-        let soa = bench_step_batch(&b, m, 100.0, "");
-        let column = bench_column(&b, m, 100.0, "");
+        let soa = bench_step_batch(&b, m, 100.0, 0.0, "");
+        let column = bench_column(&b, m, 100.0, 0.0, "");
         let reference = bench_reference(&b, m);
         lines.push(format!(
             "kernel_throughput: m={m:<5} frame {:>10}  column {:>10} ({:.2}x)  reference {:>10} ({:.2}x)",
@@ -114,8 +124,8 @@ fn main() {
     }
     // Every finite cell is at or below f64::MAX: the whole column.
     for m in [64usize, 256, 1_024] {
-        let soa = bench_step_batch(&b, m, f64::MAX, "_fullband");
-        let column = bench_column(&b, m, f64::MAX, "_fullband");
+        let soa = bench_step_batch(&b, m, f64::MAX, 0.0, "_fullband");
+        let column = bench_column(&b, m, f64::MAX, 0.0, "_fullband");
         lines.push(format!(
             "kernel_throughput: m={m:<5} full band: frame {:>10}  column {:>10} ({:.2}x)",
             fmt_time(soa),
@@ -123,6 +133,14 @@ fn main() {
             column / soa
         ));
     }
+    let soa = bench_step_batch(&b, 64, 100.0, IDLE_OFFSET, "_idle");
+    let column = bench_column(&b, 64, 100.0, IDLE_OFFSET, "_idle");
+    lines.push(format!(
+        "kernel_throughput: m=64    idle: batch {:>10}  column {:>10} ({:.2}x)",
+        fmt_time(soa),
+        fmt_time(column),
+        column / soa
+    ));
     for line in &lines {
         println!("{line}");
     }

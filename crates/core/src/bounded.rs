@@ -142,9 +142,15 @@ impl<K: DistanceKernel> BoundedSpring<K> {
         self.policy.pending()
     }
 
-    /// Consumes the next stream value.
+    /// Consumes the next stream value. Like [`crate::Spring::step`], an
+    /// idle tick (empty ε-band, `‖x − y_1‖ > ε`) fills no column: the
+    /// max-length cut has no row at or below ε to cut, and the policy
+    /// nothing to capture or confirm.
     pub fn step(&mut self, x: f64) -> Option<Match> {
         debug_assert!(x.is_finite(), "stream value must be finite");
+        if self.stwm.skip_idle(std::slice::from_ref(&x)) == 1 {
+            return None;
+        }
         self.stwm.step(x);
         let t = self.stwm.tick();
 
@@ -190,41 +196,6 @@ impl<K: DistanceKernel> crate::monitor::Monitor for BoundedSpring<K> {
             });
         }
         Ok(BoundedSpring::step(self, *sample))
-    }
-
-    /// Optimized batch path: hoists the config loads (`min_len`,
-    /// `max_len`) out of the frame loop and steps the banded SoA kernel
-    /// directly, keeping its lane scratch warm across the frame. Match
-    /// output and the error contract (failing sample leaves the state
-    /// untouched) are identical to the per-sample path.
-    fn step_batch(&mut self, samples: &[f64], out: &mut Vec<Match>) -> Result<(), SpringError> {
-        let BoundedConfig {
-            min_len, max_len, ..
-        } = self.config;
-        for &x in samples {
-            if !x.is_finite() {
-                return Err(SpringError::NonFiniteInput {
-                    tick: self.stwm.tick() + 1,
-                });
-            }
-            self.stwm.step(x);
-            let t = self.stwm.tick();
-            // Max-length cut: kill any path already spanning > max_len.
-            for i in 1..=self.stwm.top() {
-                if t + 1 - self.stwm.starts()[i] > max_len {
-                    self.stwm.invalidate(i);
-                }
-            }
-            let mut ops = BoundedOps {
-                inner: StwmOps(&mut self.stwm),
-                t,
-                min_len,
-            };
-            if let Some(report) = self.policy.step(t, &mut ops) {
-                out.push(report);
-            }
-        }
-        Ok(())
     }
 
     fn finish(&mut self) -> Option<Match> {
@@ -333,6 +304,75 @@ mod tests {
             assert!(m.distance <= cfg.epsilon);
             let exact = spring_dtw::dtw_distance(&stream[m.range0()], &query).unwrap();
             assert!((exact - m.distance).abs() < 1e-9);
+        }
+    }
+
+    /// [`BoundedSpring::step`] on the full reference column: the
+    /// max-length cut and the policy over every row, no idle skip.
+    fn step_reference(bs: &mut BoundedSpring, x: f64) -> Option<Match> {
+        bs.stwm.step_reference(x);
+        let t = bs.stwm.tick();
+        for i in 1..=bs.stwm.query_len() {
+            if t + 1 - bs.stwm.starts()[i] > bs.config.max_len {
+                bs.stwm.invalidate(i);
+            }
+        }
+        let mut ops = BoundedOps {
+            inner: StwmOps(&mut bs.stwm),
+            t,
+            min_len: bs.config.min_len,
+        };
+        bs.policy.step(t, &mut ops)
+    }
+
+    #[test]
+    fn batched_and_per_sample_steps_skip_idle_ticks_like_the_reference() {
+        // Long idle stretches around plain, stretched and too-short
+        // occurrences, so the skip, the max-length cut and the min-length
+        // filter all take turns.
+        use crate::monitor::Monitor as _;
+        let query = [0.0, 9.0, 0.0];
+        let mut stream = Vec::new();
+        for (k, occ) in [
+            &[0.0, 9.0, 0.0][..],
+            &[0.0, 9.0, 9.0, 9.0, 9.0, 9.0, 0.0],
+            &[4.5],
+            &[0.2, 9.0, 0.0, 9.0, 0.1],
+        ]
+        .iter()
+        .cycle()
+        .take(12)
+        .enumerate()
+        {
+            stream.extend(vec![60.0; 5 + 7 * k]);
+            stream.extend(occ.iter());
+        }
+        stream.extend(vec![60.0; 9]);
+        let cfg = BoundedConfig::new(1.0, 2, 5);
+        let mut twin = BoundedSpring::new(&query, cfg).unwrap();
+        let want: Vec<Match> = stream
+            .iter()
+            .filter_map(|&x| step_reference(&mut twin, x))
+            .collect();
+        assert!(!want.is_empty());
+        for batch in [0usize, 1, 3, 8, 64] {
+            let mut mon = BoundedSpring::new(&query, cfg).unwrap();
+            let mut got = Vec::new();
+            if batch == 0 {
+                got.extend(stream.iter().filter_map(|&x| mon.step(x)));
+            } else {
+                for chunk in stream.chunks(batch) {
+                    mon.step_batch(chunk, &mut got).unwrap();
+                }
+            }
+            assert_eq!(got, want, "batch={batch}");
+            assert_eq!(mon.pending(), twin.pending(), "batch={batch}");
+            crate::kernel::assert_eps_equivalent(
+                cfg.epsilon,
+                (twin.stwm.distances(), twin.stwm.starts()),
+                (mon.stwm.distances(), mon.stwm.starts()),
+                &format!("batch={batch}: final column"),
+            );
         }
     }
 

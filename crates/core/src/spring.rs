@@ -93,6 +93,8 @@ impl SpringConfig {
 /// and at most `O(m)` time per tick regardless of how long the stream
 /// has been running (paper Lemma 4): the matrix is ε-banded (see
 /// [`Stwm`]), so a tick computes only the rows that can still reach ε.
+/// An idle tick — empty band and a sample farther than ε from the
+/// query's first element — costs `O(1)`.
 #[derive(Debug, Clone)]
 pub struct Spring<K: DistanceKernel = Squared> {
     stwm: Stwm<K>,
@@ -223,13 +225,17 @@ impl<K: DistanceKernel> Spring<K> {
 
     /// Consumes the next stream value; returns a match if one group's
     /// optimum was confirmed at this tick. Fills only the ε-band of the
-    /// column (see [`Stwm`]): the matches are exactly those of the full
-    /// recurrence, and the column is ε-equivalent to it.
+    /// column (see [`Stwm`]), and no column at all on an idle tick
+    /// (empty band, `‖x − y_1‖ > ε`): the matches are exactly those of
+    /// the full recurrence, and the column is ε-equivalent to it.
     ///
     /// In release builds non-finite inputs corrupt the matrix silently;
     /// use [`Spring::step_checked`] on untrusted input.
     pub fn step(&mut self, x: f64) -> Option<Match> {
         debug_assert!(x.is_finite(), "stream value must be finite");
+        if self.stwm.skip_idle(std::slice::from_ref(&x)) == 1 {
+            return None;
+        }
         self.stwm.step(x);
         self.after_column()
     }
@@ -316,44 +322,51 @@ impl<K: DistanceKernel> crate::monitor::Monitor for Spring<K> {
         self.step_checked(*sample)
     }
 
-    /// Optimized batch path: ingests the samples in frames of
-    /// `kernel::FRAME_COLS` (8) columns. A full frame whose ε-band can
-    /// reach row m inside it (`top + FRAME_COLS ≥ m`) takes the
-    /// anti-diagonal wavefront kernel, which pipelines up to a frame's
-    /// worth of independent min/add chains instead of serializing on
-    /// one column's — see `crate::kernel::Frame`. The wavefront fills
-    /// every row, so a narrower band is stepped column by column
-    /// instead: the banded column kernel computes only the rows that
-    /// can still reach ε. A ragged chunk is stepped column by column
-    /// too: it never reaches the wavefront's full-width diagonals, and
-    /// the frame's fixed costs (loading and committing the rolling
-    /// column through diagonal-major storage, one slice setup per
-    /// diagonal) make it no faster than the column kernel. Same matches
-    /// as per-sample stepping, with ε-equivalent columns. Matches append
-    /// to the caller-owned `out`. The frame is the thread's shared
-    /// scratch (`crate::kernel::with_frame`), so after the first batch
-    /// on a thread the steady state allocates nothing.
+    /// Optimized batch path. Before every frame or column decision it
+    /// consumes the run of idle samples (empty ε-band, `‖x − y_1‖ > ε`)
+    /// with one distance each and no column fill, so a frame starts at
+    /// the first sample that can reach ε. Then, if at least
+    /// `kernel::FRAME_COLS` (8) samples remain and the ε-band can reach
+    /// row m inside a frame (`top + FRAME_COLS ≥ m`), the next 8 take
+    /// the anti-diagonal wavefront kernel, which
+    /// pipelines up to a frame's worth of independent min/add chains
+    /// instead of serializing on one column's — see
+    /// `crate::kernel::Frame`. Otherwise the next sample takes the
+    /// banded column kernel: the wavefront fills every row, so a
+    /// narrower band is cheaper column by column, and a ragged tail
+    /// never reaches the wavefront's full-width diagonals, whose fixed
+    /// costs (loading and committing the rolling column through
+    /// diagonal-major storage, one slice setup per diagonal) make it no
+    /// faster than the column kernel. Same matches as per-sample
+    /// stepping, with ε-equivalent columns. Matches append to the
+    /// caller-owned `out`. The frame is the thread's shared scratch
+    /// (`crate::kernel::with_frame`), so after the first batch on a
+    /// thread the steady state allocates nothing.
     fn step_batch(&mut self, samples: &[f64], out: &mut Vec<Match>) -> Result<(), SpringError> {
+        // The error contract consumes every sample before the first
+        // non-finite one.
+        let bad = samples.iter().position(|x| !x.is_finite());
+        let mut rest = &samples[..bad.unwrap_or(samples.len())];
         kernel::with_frame(|frame| {
-            for chunk in samples.chunks(kernel::FRAME_COLS) {
-                // The error contract consumes every sample before the
-                // first non-finite one, so a poisoned chunk still
-                // ingests its valid prefix.
-                let bad = chunk.iter().position(|x| !x.is_finite());
-                let valid = &chunk[..bad.unwrap_or(chunk.len())];
-                if valid.len() == kernel::FRAME_COLS && self.stwm.frame_fits() {
-                    self.step_frame(valid, frame, out);
-                } else {
-                    out.extend(valid.iter().filter_map(|&x| self.step(x)));
-                }
-                if bad.is_some() {
-                    return Err(SpringError::NonFiniteInput {
-                        tick: self.stwm.tick() + 1,
-                    });
+            while !rest.is_empty() {
+                rest = &rest[self.stwm.skip_idle(rest)..];
+                if rest.len() >= kernel::FRAME_COLS && self.stwm.frame_fits() {
+                    let (head, tail) = rest.split_at(kernel::FRAME_COLS);
+                    self.step_frame(head, frame, out);
+                    rest = tail;
+                } else if let Some((&x, tail)) = rest.split_first() {
+                    self.stwm.step(x);
+                    out.extend(self.after_column());
+                    rest = tail;
                 }
             }
-            Ok(())
-        })
+        });
+        match bad {
+            Some(_) => Err(SpringError::NonFiniteInput {
+                tick: self.stwm.tick() + 1,
+            }),
+            None => Ok(()),
+        }
     }
 
     fn finish(&mut self) -> Option<Match> {
@@ -681,6 +694,181 @@ mod tests {
                 (batched[k].stwm().distances(), batched[k].stwm().starts()),
                 &format!("m={}: final column", lengths[k]),
             );
+        }
+    }
+
+    /// Stepping paths the idle-skip tests compare: 0 is per-sample
+    /// [`Spring::step`], any other value `step_batch` in chunks of it.
+    const PATHS: [usize; 5] = [0, 1, 3, 8, 64];
+
+    /// Drives a monitor over `stream` on one stepping path (see
+    /// [`PATHS`]) beside a [`Spring::step_reference`] twin and checks
+    /// after every call: identical reports, the same tick and pending
+    /// candidate, and ε-equivalent columns, star row included. Returns
+    /// the monitor and its reports.
+    fn against_reference(
+        query: &[f64],
+        stream: &[f64],
+        eps: f64,
+        path: usize,
+    ) -> (Spring, Vec<Match>) {
+        use crate::monitor::Monitor as _;
+        let config = SpringConfig::new(eps);
+        let mut mon = Spring::new(query, config).unwrap();
+        let mut twin = Spring::new(query, config).unwrap();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (k, chunk) in stream.chunks(path.max(1)).enumerate() {
+            want.extend(chunk.iter().filter_map(|&x| twin.step_reference(x)));
+            if path == 0 {
+                got.extend(chunk.iter().filter_map(|&x| mon.step(x)));
+            } else {
+                mon.step_batch(chunk, &mut got).unwrap();
+            }
+            let ctx = format!("eps={eps} path={path} chunk {k}");
+            assert_eq!(got, want, "{ctx}: reports");
+            assert_eq!(mon.tick(), twin.tick(), "{ctx}: tick");
+            assert_eq!(mon.pending(), twin.pending(), "{ctx}: pending");
+            kernel::assert_eps_equivalent(
+                eps,
+                (twin.stwm().distances(), twin.stwm().starts()),
+                (mon.stwm().distances(), mon.stwm().starts()),
+                &ctx,
+            );
+        }
+        (mon, got)
+    }
+
+    #[test]
+    fn a_stream_of_idle_ticks_fills_no_column() {
+        // Every sample is farther than ε from y_1, so no column is ever
+        // filled: rows above 1 keep the construction-time +∞ (the
+        // reference holds large finite values there), while the star
+        // cell and row 1 follow the reference exactly — at ε = 0 the
+        // star cell is itself at or below ε and is compared.
+        let query = [1.0, 2.0, 3.0, 2.0];
+        let stream: Vec<f64> = (0..100).map(|i| 50.0 + (i % 7) as f64).collect();
+        for eps in [0.0, 2.0] {
+            for path in PATHS {
+                let (mon, got) = against_reference(&query, &stream, eps, path);
+                assert!(got.is_empty());
+                let d = mon.stwm().distances();
+                assert_eq!((d[0], mon.stwm().starts()[0]), (0.0, 100));
+                assert_eq!(d[1], (stream[99] - 1.0).powi(2));
+                assert!(d[2..].iter().all(|v| v.is_infinite()), "{d:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_pending_candidate_is_reported_on_time_across_an_idle_stretch() {
+        // The candidate's confirming tick is idle by its sample, but the
+        // skip must wait until the report has fired. Varying the lead-in
+        // moves that tick across every offset of a frame.
+        let query = [0.0, 10.0, 0.0];
+        for lead in 0..10 {
+            let mut stream = vec![50.0; lead];
+            stream.extend([0.5, 10.0, 10.0, 0.0]);
+            stream.extend(vec![50.0; 80]);
+            for path in PATHS {
+                let (mon, got) = against_reference(&query, &stream, 1.0, path);
+                assert_eq!(got.len(), 1, "lead={lead} path={path}");
+                let m = got[0];
+                assert_eq!((m.start, m.end), (lead as u64 + 1, lead as u64 + 4));
+                assert_eq!(m.reported_at, m.end + 1, "lead={lead} path={path}");
+                assert_eq!(mon.pending(), None);
+            }
+        }
+    }
+
+    #[test]
+    fn idle_to_active_at_every_offset_of_a_batch() {
+        // A 12-element query: the band fits a frame only near row m, so
+        // both sides of the frame dispatch run after the idle prefix.
+        let query: Vec<f64> = (0..12).map(|i| (i as f64 * 0.5).sin() * 3.0).collect();
+        for offset in 0..64 {
+            let mut stream = vec![40.0; offset];
+            stream.extend(query.iter().map(|&y| y + 0.1));
+            stream.extend(vec![40.0; 64]);
+            for path in PATHS {
+                let (_, got) = against_reference(&query, &stream, 2.0, path);
+                assert_eq!(
+                    got.first().map(|m| m.start),
+                    Some(offset as u64 + 1),
+                    "offset={offset} path={path}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_sample_stops_an_idle_run_where_per_sample_does() {
+        // The skip must neither swallow the bad sample (an infinite one
+        // is farther than ε from everything) nor stop short of it.
+        use crate::monitor::Monitor;
+        let query = [1.0, 2.0];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [0usize, 1, 7, 8, 9, 30] {
+                let mut stream = vec![50.0; 40];
+                stream[at] = bad;
+                let config = SpringConfig::new(1.0);
+                let mut per_sample = Spring::new(&query, config).unwrap();
+                let err = stream
+                    .iter()
+                    .find_map(|x| Monitor::step(&mut per_sample, x).err())
+                    .unwrap();
+                let mut batched = Spring::new(&query, config).unwrap();
+                let got = batched.step_batch(&stream, &mut Vec::new()).unwrap_err();
+                let ctx = format!("bad={bad} at={at}");
+                assert_eq!(got, err, "{ctx}");
+                assert_eq!(
+                    got,
+                    SpringError::NonFiniteInput {
+                        tick: at as u64 + 1
+                    }
+                );
+                assert_eq!(batched.tick(), at as u64, "{ctx}: consumed prefix");
+                kernel::assert_eps_equivalent(
+                    1.0,
+                    (per_sample.stwm().distances(), per_sample.stwm().starts()),
+                    (batched.stwm().distances(), batched.stwm().starts()),
+                    &ctx,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_single_element_query_skips_and_matches_like_the_reference() {
+        let query = [5.0];
+        let stream: Vec<f64> = (0..200)
+            .map(|i| {
+                if i % 17 < 3 {
+                    5.0 + (i % 17) as f64 * 0.2
+                } else {
+                    30.0
+                }
+            })
+            .collect();
+        for eps in [0.0, 0.1, 1.0] {
+            for path in PATHS {
+                let (_, got) = against_reference(&query, &stream, eps, path);
+                assert!(!got.is_empty(), "eps={eps} path={path}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_distance_overflowing_to_infinity_is_idle_at_eps_max() {
+        // (1e200)² overflows to +∞, the one distance above f64::MAX.
+        let query = [0.0, 1.0];
+        let mut stream = vec![1e200; 20];
+        stream.extend([0.0, 1.0]);
+        stream.extend(vec![-1e200; 20]);
+        for path in PATHS {
+            let (mon, got) = against_reference(&query, &stream, f64::MAX, path);
+            assert_eq!(got.len(), 1, "path={path}");
+            assert_eq!((got[0].start, got[0].end, got[0].distance), (21, 22, 0.0));
+            assert!(mon.stwm().distances()[1].is_infinite());
         }
     }
 

@@ -11,7 +11,9 @@
 //! and one column is filled per incoming value — at most `O(m)` time per
 //! tick. A matrix with a finite band threshold `ε` (the disjoint-query
 //! monitors') fills only the rows that can still reach `ε`; see the
-//! ε-band section of `crate::kernel`.
+//! ε-band section of `crate::kernel`. While that band is empty, a sample
+//! farther than `ε` from the query's first element costs `O(1)`: one
+//! distance, no column fill (`Stwm::skip_idle`).
 
 use std::sync::Arc;
 
@@ -37,7 +39,9 @@ use crate::mem::MemoryUse;
 /// reach ε. Their columns are then **ε-equivalent** to the reference:
 /// every cell at or below ε is bit-identical in distance and start, and
 /// every other cell is above ε on both sides, which is all the
-/// disjoint query reads.
+/// disjoint query reads. While the band is empty (no cell at or below
+/// ε), a tick whose sample lies farther than ε from `y_1` fills no
+/// column at all: it costs one distance (see `Stwm::skip_idle`).
 #[derive(Debug, Clone)]
 pub struct Stwm<K: DistanceKernel = Squared> {
     /// The shared immutable query (pattern samples + reversed cache);
@@ -101,8 +105,9 @@ impl<K: DistanceKernel> Stwm<K> {
         Ok(Stwm {
             query,
             kernel,
-            // Star row: d(t, 0) = 0 for every t. Rows 1..=m start at
-            // d(0, i) = ∞ (no stream value consumed yet).
+            // Every row, the star row included, starts at +∞ (no stream
+            // value consumed yet); the first column fill (or idle skip)
+            // sets the star cell to d(t, 0) = 0.
             d_cur: vec![f64::INFINITY; m + 1],
             d_prev: vec![f64::INFINITY; m + 1],
             s_cur: vec![0; m + 1],
@@ -169,6 +174,51 @@ impl<K: DistanceKernel> Stwm<K> {
             &mut self.scratch,
         );
         self.swap();
+    }
+
+    /// Consumes the longest prefix of `xs` that leaves the ε-band empty
+    /// and returns its length, without filling a column: 0 unless the
+    /// current band is empty (`top == 0`).
+    ///
+    /// With an empty band every row `1 ..= m` of the current column is
+    /// above ε, so row 1 of the next column has the star cells as its
+    /// left and diagonal predecessors and is exactly
+    /// `d(t, 1) = ‖x_t − y_1‖`, starting at `t`. While that distance is
+    /// above ε, every higher row has three predecessors above ε and ends
+    /// above ε too, so the column stays empty and the disjoint policy
+    /// does nothing: no candidate can be pending, because the tick that
+    /// emptied the band found every row above ε ≥ `dmin` and confirmed
+    /// it, and `d_m > ε` captures none. Only the current column's star
+    /// cell and row 1 are written; its other rows are already above ε,
+    /// and the other buffer and both tops keep their (still valid)
+    /// values. With `eps = +∞` no distance is above ε, and a NaN
+    /// distance stops the run.
+    ///
+    /// Samples must be finite: an infinite one would count as idle.
+    pub(crate) fn skip_idle(&mut self, xs: &[f64]) -> usize {
+        if self.top_prev != 0 {
+            return 0;
+        }
+        let (kernel, y1, eps) = (self.kernel, self.query.samples()[0], self.eps);
+        let idle = |x: &f64| kernel.dist(*x, y1) > eps;
+        // Whole chunks first, each tested without an early exit so the
+        // compiler can vectorize the compares; from the first chunk that
+        // holds a busy sample on, one sample at a time.
+        let whole = xs
+            .chunks_exact(kernel::FRAME_COLS)
+            .take_while(|c| c.iter().fold(true, |all, x| all & idle(x)))
+            .count()
+            * kernel::FRAME_COLS;
+        let k = whole + xs[whole..].iter().take_while(|x| idle(x)).count();
+        if k > 0 {
+            self.t += k as u64;
+            // The star cell too: a fresh matrix still holds +∞ in row 0.
+            self.d_prev[0] = 0.0;
+            self.s_prev[0] = self.t;
+            self.d_prev[1] = kernel.dist(xs[k - 1], y1);
+            self.s_prev[1] = self.t;
+        }
+        k
     }
 
     /// Makes the freshly filled column the current one.
@@ -269,10 +319,12 @@ impl<K: DistanceKernel> Stwm<K> {
     }
 
     /// Distance column of the current tick: `d(t, i)` for `i = 0 ..= m`
-    /// (index 0 is the star row, value 0). On a banded matrix a cell
-    /// above ε holds some value above ε, not necessarily `d(t, i)`.
+    /// (index 0 is the star row, value 0 from the first tick on). On a
+    /// banded matrix a cell above ε holds some value above ε, not
+    /// necessarily `d(t, i)`.
     ///
-    /// Empty semantics before the first step: all `∞` except the star row.
+    /// Before the first step (and after [`Stwm::reset`]) every entry,
+    /// the star row included, is `∞`.
     pub fn distances(&self) -> &[f64] {
         // Columns are swapped after each step, so `d_prev` is tick t's.
         &self.d_prev
@@ -500,6 +552,41 @@ mod tests {
             );
             assert_eq!(fast.starts(), reference.starts());
         }
+    }
+
+    #[test]
+    fn a_fresh_matrix_has_no_star_cell_until_the_first_tick() {
+        // Row 0 starts at +∞ like every other row (tick-0 checkpoints
+        // serialise it that way); the first column fill writes (0, 1).
+        let mut stwm = Stwm::new(&[1.0, 2.0]).unwrap();
+        assert!(stwm.distances().iter().all(|d| d.is_infinite()));
+        assert_eq!(stwm.starts()[0], 0);
+        stwm.step(4.0);
+        assert_eq!((stwm.distances()[0], stwm.starts()[0]), (0.0, 1));
+        stwm.reset();
+        assert!(stwm.distances()[0].is_infinite());
+    }
+
+    #[test]
+    fn skip_idle_writes_the_star_cell_and_row_one_only() {
+        let query = [1.0, 2.0, 3.0];
+        let mut stwm = Stwm::new(&query).unwrap().with_band(4.0);
+        // 10 and 20 are idle (distance to y_1 above 4), 2 is not.
+        assert_eq!(stwm.skip_idle(&[10.0, 20.0, 2.0, 30.0]), 2);
+        assert_eq!(stwm.tick(), 2);
+        assert_eq!(stwm.distances()[..2], [0.0, 361.0]);
+        assert_eq!(stwm.starts()[..2], [2, 2]);
+        assert!(stwm.distances()[2..].iter().all(|d| d.is_infinite()));
+        // The band stays empty, so the skip resumes where it stopped...
+        assert_eq!(stwm.skip_idle(&[2.0]), 0);
+        stwm.step(2.0);
+        // ...but not while the band holds a row at or below ε.
+        assert_eq!(stwm.top(), 3);
+        assert_eq!(stwm.skip_idle(&[30.0]), 0);
+        assert_eq!(stwm.tick(), 3);
+        // An unbanded matrix never skips: no distance is above +∞.
+        let mut full = Stwm::new(&query).unwrap();
+        assert_eq!(full.skip_idle(&[1e300, 1e200]), 0);
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! ones (pinned on x86-64 too by the kernel's own unit tests, which
 //! also hold the unbanded kernel to strict bit-exactness).
 //!
+//! A second grid of serving-shaped streams — a random walk far from the
+//! query with warped copies planted after long idle stretches — holds
+//! the idle skip (an empty band costs one distance per tick) to the same
+//! contract on every stepping path, after every batch.
+//!
 //! Also covers checkpoint cross-compatibility: a snapshot written by a
 //! reference-stepped monitor restores into the frame path (and vice
 //! versa) with ε-equivalent columns afterwards, so mixed-version
@@ -117,6 +122,112 @@ fn frame_step_batch_is_bit_exact_with_reference_across_the_scenario_grid() {
             "{ctx}: pending candidate diverged"
         );
     }
+}
+
+/// A smooth query of length `m` around `level`: two sinusoids.
+fn smooth_query(rng: &mut Rng, m: usize, level: f64) -> Vec<f64> {
+    let (a1, a2) = (rng.f64_range(1.0, 2.5), rng.f64_range(0.2, 1.0));
+    let (f1, f2) = (rng.f64_range(0.5, 1.5), rng.f64_range(2.0, 4.0));
+    let phase = rng.f64_range(0.0, std::f64::consts::TAU);
+    (0..m)
+        .map(|i| {
+            let x = std::f64::consts::TAU * i as f64 / m as f64;
+            level + a1 * (f1 * x + phase).sin() + a2 * (f2 * x).sin()
+        })
+        .collect()
+}
+
+/// A time-warped copy of `q`: resampled to 0.7–1.4 × its length by
+/// linear interpolation, plus Gaussian noise of σ = `noise`.
+fn warped_copy(rng: &mut Rng, q: &[f64], noise: f64) -> Vec<f64> {
+    let m = q.len();
+    let len = ((m as f64 * rng.f64_range(0.7, 1.4)).round() as usize).max(1);
+    (0..len)
+        .map(|j| {
+            let pos = if len == 1 {
+                0.0
+            } else {
+                j as f64 * (m - 1) as f64 / (len - 1) as f64
+            };
+            let i = pos.floor() as usize;
+            let v = match q.get(i + 1) {
+                Some(&next) => q[i] + (next - q[i]) * (pos - i as f64),
+                None => q[i],
+            };
+            v + noise * rng.normal()
+        })
+        .collect()
+}
+
+/// A serving-shaped stream: a bounded random walk far from the query
+/// (or, in one scenario of four, close enough for its distance to `y_1`
+/// to cross ε now and then), with warped copies of the query — some
+/// noisy enough to miss ε, some cut short — planted after idle stretches
+/// of up to 60 samples, so a pending candidate is usually followed by a
+/// long run of idle ticks.
+fn idle_heavy_stream(rng: &mut Rng, query: &[f64], near: bool) -> Vec<f64> {
+    let level = query[0] + if near { 4.0 } else { 100.0 };
+    let mut walk = level;
+    let mut stream = Vec::new();
+    for _ in 0..rng.usize_range(2, 7) {
+        for _ in 0..rng.usize_range(0, 60) {
+            walk = (walk + 0.5 * rng.normal()).clamp(level - 3.0, level + 3.0);
+            stream.push(walk);
+        }
+        let noise = rng.f64_range(0.0, 0.4);
+        let mut plant = warped_copy(rng, query, noise);
+        if rng.u64_below(4) == 0 {
+            plant.truncate(rng.usize_range(1, plant.len() + 1));
+        }
+        stream.extend(plant);
+    }
+    stream.extend((0..rng.usize_range(0, 60)).map(|_| walk));
+    stream
+}
+
+/// Long idle stretches on both stepping paths against the scalar
+/// reference: exact reports, ε-equivalent columns (star row included)
+/// and the same pending candidate after every batch. The scenario grid
+/// above keeps values near the query, so idle runs with a candidate
+/// pending are rare there; here they are the common case.
+#[test]
+fn idle_stretches_skip_exactly_on_every_stepping_path() {
+    let mut rng = Rng::seed_from_u64(0xD1FF_0004);
+    let batches = [1usize, 3, 8, 13, 64];
+    let mut reported = 0;
+    for scenario in 0..240 {
+        let m = rng.usize_range(1, 48);
+        let level = rng.f64_range(-10.0, 10.0);
+        let query = smooth_query(&mut rng, m, level);
+        let stream = idle_heavy_stream(&mut rng, &query, scenario % 4 == 3);
+        let eps = [0.0, 0.5, 0.05 * m as f64, 0.5 * m as f64][scenario % 4];
+        let config = SpringConfig::new(eps);
+        for (path, batch) in [0].into_iter().chain(batches).enumerate() {
+            let mut reference = Spring::new(&query, config).unwrap();
+            let mut mon = Spring::new(&query, config).unwrap();
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            for (k, chunk) in stream.chunks(batch.max(1)).enumerate() {
+                want.extend(chunk.iter().filter_map(|&x| reference.step_reference(x)));
+                if batch == 0 {
+                    got.extend(chunk.iter().filter_map(|&x| mon.step(x)));
+                } else {
+                    Monitor::step_batch(&mut mon, chunk, &mut got).unwrap();
+                }
+                let ctx = format!("scenario {scenario} m={m} eps={eps} batch={batch} chunk {k}");
+                assert_eq!(render(&want), render(&got), "{ctx}: reports diverged");
+                assert_columns_match(&reference, &mon, &ctx);
+                assert_eq!(
+                    format!("{:?}", reference.pending()),
+                    format!("{:?}", mon.pending()),
+                    "{ctx}: pending candidate diverged"
+                );
+            }
+            if path == 0 {
+                reported += want.len();
+            }
+        }
+    }
+    assert!(reported > 240, "the planted copies must match: {reported}");
 }
 
 /// Restores a JSON round-tripped snapshot into a fresh monitor.
