@@ -34,21 +34,12 @@ cargo clippy --workspace --all-targets \
   --features spring-testkit/failpoints,spring-cli/failpoints \
   -- -D warnings
 
-echo "==> cargo clippy (spring-monitor without the trace feature)"
-# The workspace build above always unifies `trace` in (via
-# spring-bench), so this is the one place the crate's own targets are
-# checked against the stub recorder.
-cargo clippy -p spring-monitor --all-targets -- -D warnings
-
-echo "==> cargo clippy (trace feature matrix: flight recorder on and off)"
-# With: cli + monitor build the real lock-free rings behind --trace /
-# --trace-dir. Without: spring-cli standalone keeps the inert stub (the
-# workspace row unifies `trace` in via spring-bench, so the stub only
-# compiles in `-p` rows).
-cargo clippy -p spring-monitor -p spring-cli --all-targets \
-  --features spring-monitor/trace,spring-cli/trace,spring-cli/failpoints \
-  -- -D warnings
-cargo clippy -p spring-cli --all-targets -- -D warnings
+echo "==> feature unification (the tested build is the shipped build)"
+# The workspace build (what `cargo test` runs) and `-p spring-cli` (what
+# users and springbench build) must compile spring-monitor with the
+# same features; `--depth 0 -f '{f}'` prints just that feature list.
+monitor_features() { cargo tree --offline -e features -i spring-monitor --depth 0 -f '{f}' "$@"; }
+diff <(monitor_features) <(monitor_features -p spring-cli)
 
 echo "==> cargo build --release"
 cargo build --release
@@ -59,15 +50,11 @@ cargo check --offline --all-targets --manifest-path springbench/Cargo.toml
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test (spring-monitor without the trace feature)"
-cargo test -q -p spring-monitor
-
-echo "==> cargo test (failpoints + trace: fault injection and postmortems)"
-# `trace` rides along so the worker-loss postmortem acceptance test
-# (crates/monitor/tests/postmortem.rs) and the traced serve conformance
-# row run with the real recorder.
+echo "==> cargo test (failpoints: fault injection and postmortems)"
+# Includes the worker-loss postmortem acceptance test
+# (crates/monitor/tests/postmortem.rs).
 cargo test -q -p spring-testkit -p spring-monitor -p spring-cli \
-  --features spring-testkit/failpoints,spring-cli/failpoints,spring-monitor/trace,spring-cli/trace
+  --features spring-testkit/failpoints,spring-cli/failpoints
 
 echo "==> differential fuzz (every variant x bare/engine/runner)"
 # CI sets SPRING_FUZZ_SEED to a varying value (e.g. the run id) so the
@@ -99,8 +86,7 @@ if [ "$miri" -eq 1 ]; then
     # tickets); Miri checks the concurrent-writer test for data races
     # and torn reads at reduced iteration counts.
     MIRIFLAGS="${MIRIFLAGS:--Zmiri-seed=2007}" \
-      rustup run nightly cargo miri test -p spring-monitor --features trace \
-        --lib -- trace
+      rustup run nightly cargo miri test -p spring-monitor --lib -- trace
   else
     echo "WARN: miri unavailable (install with:" \
          "rustup toolchain install nightly --component miri); skipping" >&2

@@ -1,8 +1,8 @@
 //! Throughput of the STWM kernels over the same 64-sample frames, at
 //! m ∈ {64, 256, 1024}: the wavefront frame kernel
-//! (`Spring::step_batch`, what the engine and runner workers run), the
-//! two-phase SoA column kernel one sample at a time (`Spring::step`),
-//! and the branchy scalar reference loop (`Spring::step_reference`).
+//! (`Spring::step_batch`), the two-phase SoA column kernel one sample
+//! at a time (`Spring::step`), and the branchy scalar reference loop
+//! (`Spring::step_reference`).
 //! The printed lines report frame-vs-column and frame-vs-reference
 //! speedups; the `kernel_throughput` group feeds the CI smoke baseline
 //! (elements/s = query cells per second, counting all m rows whether
@@ -17,6 +17,21 @@
 //! shifted by [`IDLE_OFFSET`], far from the query: the band stays empty
 //! and every tick takes the idle skip, one distance instead of a column
 //! fill, as on most (attachment, tick) pairs of a many-query server.
+//!
+//! The engine and runner workers call `step_batch`, but it sends only
+//! part of the (attachment, sample) pairs through the wavefront: a
+//! sample whose ε-band is empty takes the idle skip, and a band that
+//! does not reach row m takes the banded column kernel. Shares per
+//! path with `step_batch(64)` on the springbench seed-1 inputs:
+//!
+//! | workload        | frames | idle skip | banded columns |
+//! |-----------------|--------|-----------|----------------|
+//! | `wire_m16`      | 0.73%  | 99.0%     | 0.30%          |
+//! | `wire_m512`     | 6.8%   | 56.5%     | 36.7%          |
+//! | `fanout_q32`    | 0.27%  | 99.2%     | 0.57%          |
+//! | `session_churn` | 13.4%  | 72.8%     | 13.8%          |
+//!
+//! So the frame rows here bound the kernel's speed, not a server's.
 //!
 //! On x86-64 the frame and column kernels run the explicit `core::arch`
 //! selects at the widest width the CPU reports. All three paths report

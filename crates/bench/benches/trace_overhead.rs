@@ -1,6 +1,6 @@
 //! Overhead of the flight recorder on the monitoring hot path.
 //!
-//! The tracing layer claims (ISSUE / DESIGN §6j):
+//! The tracing layer claims (DESIGN §6j):
 //! * **recorder registered but disabled** — the per-tick cost is one
 //!   branch on a relaxed atomic: ≤ 1% on `Engine::push`;
 //! * **recorder enabled, 1-in-64 span sampling** — the ingest spans ride
@@ -10,8 +10,10 @@
 //! This benchmark measures exactly those claims: the same engine, same
 //! stream, with no tracer / a disabled tracer / an enabled sampled
 //! tracer — plus the raw cost of one ring write and one snapshot.
-//! Budgets are enforced by the hosted bench-compare job; locally the
-//! overhead percentages are printed for eyeballing.
+//! No gate enforces the budgets: `scripts/bench_compare.sh` tracks
+//! other families, and one smoke batch cannot resolve a 1% difference.
+//! The overhead percentages are printed for a full-mode run to check
+//! by eye.
 
 use std::hint::black_box;
 use std::time::Duration;

@@ -70,8 +70,8 @@ USAGE:
                     runner instead of the inline monitor — the transcript
                     is identical; --linger-ms bounds how long a partial
                     frame may wait before being flushed. --trace: write a
-                    Chrome trace-event flight recording of the run, needs
-                    a build with the `trace` feature)
+                    Chrome trace-event flight recording of the run; without
+                    it the recorder stays off)
   spring bestmatch --query Q.csv [--stream S.csv] [--kernel squared|absolute]
   spring topk      --query Q.csv --k N [--stream S.csv] [--kernel squared|absolute]
   spring dtw       A.csv B.csv [--kernel squared|absolute] [--band R] [--path]
@@ -315,13 +315,6 @@ pub fn monitor(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let kernel = parse_kernel(&p)?;
     let gap = parse_gap(&p)?;
     let trace_out = p.get("trace").map(std::path::PathBuf::from);
-    if trace_out.is_some() && !spring_monitor::trace::AVAILABLE {
-        return Err(CliError::Compute(
-            "--trace requires a build with tracing compiled in \
-             (cargo build --features spring-cli/trace)"
-                .into(),
-        ));
-    }
     if let Some(shards) = p.get_parsed::<usize>("shards", "integer")? {
         return monitor_sharded(&p, shards, kernel, gap, out);
     }
@@ -1002,26 +995,10 @@ mod tests {
     }
 
     #[test]
-    fn monitor_trace_flag_writes_a_chrome_trace_or_errors_without_the_feature() {
+    fn monitor_trace_flag_writes_a_chrome_trace() {
         let dir = tmpdir("clitrace");
         let q = write_series(&dir, "q.csv", &[11.0, 6.0, 9.0, 4.0]);
         let s = write_series(&dir, "s.csv", &[5.0, 12.0, 6.0, 10.0, 6.0, 5.0, 13.0]);
-        if !spring_monitor::trace::AVAILABLE {
-            let mut out = Vec::new();
-            let err = monitor(
-                &argv(&format!(
-                    "--query {} --epsilon 15 --stream {} --trace {}",
-                    q.display(),
-                    s.display(),
-                    dir.join("t.json").display()
-                )),
-                &mut out,
-            )
-            .unwrap_err();
-            assert!(err.to_string().contains("trace"), "{err}");
-            std::fs::remove_dir_all(&dir).ok();
-            return;
-        }
         // Inline path: `step_batch` spans + match instants on one track.
         // Sharded path: the worker's frame spans on `worker-N`.
         for (file, extra, track) in [

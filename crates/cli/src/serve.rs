@@ -135,8 +135,7 @@ pub struct ServeOptions {
     pub accept_limit: Option<usize>,
     /// Flight-recorder directory (`--trace-dir`): enables tracing,
     /// receives postmortem dumps on worker loss and `trace dump`
-    /// snapshots. `None` = tracing off (hooks cost one relaxed-atomic
-    /// branch). Requires a build with the `trace` feature.
+    /// snapshots. `None` = tracing off (each hook is one branch).
     pub trace_dir: Option<std::path::PathBuf>,
 }
 
@@ -360,8 +359,7 @@ struct EventLoop<'a> {
     /// session ends, so `attach` can never target a finished stream.
     sessions: HashMap<StreamId, Vec<AttachmentId>>,
     /// The server-wide flight recorder. Inert (never enabled) without
-    /// `--trace-dir`; a permanent no-op stub without the `trace`
-    /// feature.
+    /// `--trace-dir`.
     tracer: Tracer,
     /// Sequence for `trace dump` file names.
     trace_dumps: u64,
@@ -757,9 +755,6 @@ impl EventLoop<'_> {
                 Ok(format!("ok attach stream {stream} query {query}"))
             }
             Command::TraceDump => {
-                if !spring_monitor::trace::AVAILABLE {
-                    return Err("tracing is not compiled in; rebuild with --features trace".into());
-                }
                 let Some(dir) = &self.opts.trace_dir else {
                     return Err("tracing is off; start the server with --trace-dir".into());
                 };
@@ -901,9 +896,8 @@ pub fn serve_listener(
         waker: reactor.waker(),
     });
     // One flight recorder for the whole server. Without `--trace-dir`
-    // it stays disabled and no rings are registered, so every hook is
-    // one relaxed-atomic branch; without the `trace` feature it is a
-    // zero-size stub either way.
+    // it stays disabled and no rings are registered: every handle is
+    // `TraceHandle::off()`, so each hook is one `Option` check.
     let tracer = Tracer::new();
     let tracing = opts.trace_dir.is_some();
     if tracing {
@@ -1016,13 +1010,6 @@ pub fn run_serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         .unwrap_or(DEFAULT_MAX_CONNS)
         .max(1);
     let trace_dir = p.get("trace-dir").map(std::path::PathBuf::from);
-    if trace_dir.is_some() && !spring_monitor::trace::AVAILABLE {
-        return Err(CliError::Usage(
-            "--trace-dir needs a build with the `trace` feature \
-             (cargo build --features trace)"
-                .into(),
-        ));
-    }
     let listener = TcpListener::bind(("127.0.0.1", port))?;
     serve_listener(
         listener,
@@ -1229,7 +1216,9 @@ mod tests {
     fn http_get_metrics_scrapes_prometheus_text() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        // Two connections: one data session, one scrape.
+        // Four connections: one data session, a `/metrics` and a
+        // `/trace` scrape, and a 404. No `--trace-dir`: the recorder is
+        // off, as in every default server.
         let server = std::thread::spawn(move || {
             serve_listener(
                 listener,
@@ -1243,7 +1232,7 @@ mod tests {
                     shards: 2,
                     linger: None,
                     max_conns: 64,
-                    accept_limit: Some(3),
+                    accept_limit: Some(4),
                     trace_dir: None,
                 },
                 &mut Vec::new(),
@@ -1251,13 +1240,20 @@ mod tests {
             .unwrap();
         });
         // A data connection first, so the registry has something to show.
+        // With the recorder off, `trace dump` is refused and the session
+        // goes on: the pattern after it still matches.
         let mut conn = TcpStream::connect(addr).unwrap();
-        for v in [50.0, 50.0, 0.0, 9.0, 0.0, 50.0, 50.0] {
-            writeln!(conn, "{v}").unwrap();
+        for line in ["50", "50", "trace dump", "0", "9", "0", "50", "50"] {
+            writeln!(conn, "{line}").unwrap();
         }
         conn.shutdown(std::net::Shutdown::Write).unwrap();
         let mut response = String::new();
         conn.read_to_string(&mut response).unwrap();
+        assert!(
+            response.contains("error: tracing is off; start the server with --trace-dir\n"),
+            "{response}"
+        );
+        assert!(response.contains("match ticks 3..=5"), "{response}");
         assert!(response.contains("done 1 match(es)"), "{response}");
         // Scrape: the same port answers HTTP.
         let mut scrape = TcpStream::connect(addr).unwrap();
@@ -1272,8 +1268,18 @@ mod tests {
         );
         assert!(http.contains("spring_ticks_total 7"), "{http}");
         assert!(http.contains("spring_matches_total 1"), "{http}");
-        // Build identity and uptime ride along with every scrape.
+        // Build identity and uptime ride along with every scrape. The
+        // feature list names only what this build compiled in.
         assert!(http.contains("spring_build_info{version="), "{http}");
+        let features = if cfg!(feature = "failpoints") {
+            "failpoints"
+        } else {
+            ""
+        };
+        assert!(
+            http.contains(&format!(",features=\"{features}\"}} 1\n")),
+            "{http}"
+        );
         assert!(http.contains("spring_uptime_seconds "), "{http}");
         assert!(
             http.contains("spring_tick_latency_seconds_bucket"),
@@ -1299,6 +1305,25 @@ mod tests {
             http.contains("spring_shard_queue_depth{shard=\"1\"}"),
             "{http}"
         );
+        // `/trace` with the recorder off: a valid chrome-trace document
+        // with no tracks, so nothing but the process-name record.
+        let mut trace = TcpStream::connect(addr).unwrap();
+        write!(trace, "GET /trace HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+        trace.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut http = String::new();
+        trace.read_to_string(&mut http).unwrap();
+        assert!(http.starts_with("HTTP/1.1 200 OK"), "{http}");
+        let body = http.split("\r\n\r\n").nth(1).unwrap();
+        let doc = spring_util::json::Value::parse(body).expect("valid chrome-trace JSON");
+        let events = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
+        assert_eq!(events.len(), 1, "{body}");
+        assert_eq!(
+            events[0].get("name").and_then(|v| v.as_str()),
+            Some("process_name"),
+            "{body}"
+        );
+        let tracks = doc.get("otherData").and_then(|v| v.as_arr()).unwrap();
+        assert!(tracks.is_empty(), "{body}");
         // Unknown paths get a 404, not a protocol error.
         let mut other = TcpStream::connect(addr).unwrap();
         write!(other, "GET /nope HTTP/1.1\r\n\r\n").unwrap();
@@ -1327,23 +1352,15 @@ mod tests {
         conn.shutdown(std::net::Shutdown::Write).unwrap();
         let mut response = String::new();
         BufReader::new(&conn).read_to_string(&mut response).unwrap();
-        if spring_monitor::trace::AVAILABLE {
-            assert!(response.contains("ok trace dump "), "{response}");
-            let dumped = std::fs::read_dir(&dir)
-                .unwrap()
-                .filter_map(|e| e.ok())
-                .find(|e| e.file_name().to_string_lossy().starts_with("trace-"))
-                .expect("trace dump must write a file");
-            let doc =
-                spring_util::json::Value::parse(&std::fs::read_to_string(dumped.path()).unwrap())
-                    .expect("dump must be valid JSON");
-            assert!(doc.get("traceEvents").and_then(|v| v.as_arr()).is_some());
-        } else {
-            assert!(
-                response.contains("tracing is not compiled in"),
-                "{response}"
-            );
-        }
+        assert!(response.contains("ok trace dump "), "{response}");
+        let dumped = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .find(|e| e.file_name().to_string_lossy().starts_with("trace-"))
+            .expect("trace dump must write a file");
+        let doc = spring_util::json::Value::parse(&std::fs::read_to_string(dumped.path()).unwrap())
+            .expect("dump must be valid JSON");
+        assert!(doc.get("traceEvents").and_then(|v| v.as_arr()).is_some());
         // The HTTP endpoint serves the same document live.
         let mut scrape = TcpStream::connect(addr).unwrap();
         write!(scrape, "GET /trace HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
@@ -1356,11 +1373,9 @@ mod tests {
         let body = http.split("\r\n\r\n").nth(1).unwrap();
         let doc = spring_util::json::Value::parse(body).expect("valid chrome-trace JSON");
         let events = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
-        if spring_monitor::trace::AVAILABLE {
-            // The reactor and connection instrumentation recorded real
-            // events (conn_open instants at minimum).
-            assert!(!events.is_empty(), "{body}");
-        }
+        // The reactor and connection instrumentation recorded real
+        // events (conn_open instants at minimum).
+        assert!(!events.is_empty(), "{body}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

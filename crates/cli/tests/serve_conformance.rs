@@ -335,8 +335,8 @@ fn mid_line_disconnect_cleans_up_and_serving_continues() {
 /// Pinned overhead contract: enabling the flight recorder (`--trace-dir`)
 /// must not change a single transcript byte — same scripts, same
 /// configuration, byte-identical responses with tracing off and on.
-/// (Without the `trace` feature the recorder is a stub; the row then
-/// pins that merely setting `trace_dir` is inert.)
+/// The recorder is compiled into every build, so the traced side
+/// always records into real rings.
 #[test]
 fn tracing_enabled_transcripts_are_byte_identical() {
     let dir = tmpdir("traced");

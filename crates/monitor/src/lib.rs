@@ -30,11 +30,11 @@
 //!   registry (tick latency, match counts, detection delay, queue
 //!   depth, live memory), snapshottable as a [`MetricsSnapshot`] or as
 //!   Prometheus text exposition.
-//! * [`trace`] — structured tracing + flight recorder (the `trace`
-//!   feature): lock-free per-thread event rings holding typed spans
-//!   and instants with nanosecond timestamps, exportable as Chrome
-//!   trace-event JSON and dumped automatically on worker loss. Without
-//!   the feature every hook is a zero-size no-op.
+//! * [`trace`] — structured tracing + flight recorder: lock-free
+//!   per-thread event rings holding typed spans and instants with
+//!   nanosecond timestamps, exportable as Chrome trace-event JSON and
+//!   dumped automatically on worker loss. Compiled into every build
+//!   and off until enabled at run time; off, every hook is one branch.
 //!
 //! Per-tick cost per attachment is `O(m)` and memory is `O(m)` — SPRING's
 //! guarantees are preserved independently for every (stream, query) pair,

@@ -286,7 +286,7 @@ pub struct ShardMetrics {
 ///
 /// Create one (usually inside an `Arc`), hand clones to the engine
 /// ([`crate::Engine::set_metrics`]), the runner
-/// ([`crate::Runner::spawn_with_metrics`]), or a manual
+/// ([`crate::Runner::spawn_with_observability`]), or a manual
 /// [`TickRecorder`]; read it at any time via [`Metrics::snapshot`].
 #[derive(Debug)]
 pub struct Metrics {
@@ -349,17 +349,14 @@ pub struct Metrics {
 /// Crate version baked into `spring_build_info{version=…}`.
 pub const BUILD_VERSION: &str = env!("CARGO_PKG_VERSION");
 
-/// Comma-separated optional features compiled into this build, baked
-/// into `spring_build_info{features=…}` (empty string when none).
-pub fn build_features() -> String {
-    let mut names: Vec<&str> = Vec::new();
-    if cfg!(feature = "trace") {
-        names.push("trace");
-    }
+/// The optional feature compiled into this build, baked into
+/// `spring_build_info{features=…}`: `failpoints`, or the empty string.
+pub fn build_features() -> &'static str {
     if cfg!(feature = "failpoints") {
-        names.push("failpoints");
+        "failpoints"
+    } else {
+        ""
     }
-    names.join(",")
 }
 
 impl Default for Metrics {
@@ -1168,9 +1165,8 @@ mod tests {
             .find(|l| l.starts_with("spring_build_info{"))
             .unwrap();
         assert!(info_line.ends_with("} 1"), "{info_line}");
-        assert_eq!(
-            info_line.contains("trace"),
-            crate::trace::AVAILABLE,
+        assert!(
+            info_line.contains(&format!("features=\"{}\"", build_features())),
             "{info_line}"
         );
         assert!(text.contains("spring_uptime_seconds "), "{text}");

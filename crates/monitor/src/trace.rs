@@ -1,5 +1,4 @@
-//! Structured tracing + flight recorder for the SPRING stack (the
-//! `trace` cargo feature).
+//! Structured tracing + flight recorder for the SPRING stack.
 //!
 //! The metrics layer ([`crate::metrics`]) proves *aggregate* health —
 //! counters and histograms answer "how many" and "how slow on
@@ -30,10 +29,13 @@
 //! layer ([`crate::metrics::LATENCY_SAMPLE_EVERY`]): per-tick spans go
 //! through [`TraceHandle::sampled_now`], which samples 1 in
 //! [`DEFAULT_SAMPLE_EVERY`] ticks; frame-granular spans and rare
-//! instants are recorded whenever tracing is enabled. With tracing
-//! disabled (the default) every hook is one branch on a relaxed
-//! atomic; without the `trace` feature the whole module is a zero-size
-//! stub and hooks compile to nothing.
+//! instants are recorded whenever tracing is enabled. The recorder is
+//! compiled into every build and stays off until a caller enables it
+//! (`spring monitor --trace`, `spring serve --trace-dir`): a hook on a
+//! handle with no tracer is one `Option` check, on a disabled tracer
+//! one branch on a relaxed atomic. [`TraceRing`]'s write path is
+//! `#[cold]` and never inlined, so its store sequence stays out of the
+//! engine and worker loops.
 //!
 //! # Ring protocol
 //!
@@ -56,16 +58,10 @@
 //! it whenever a worker is lost, so the first panic in a fleet leaves
 //! a readable timeline instead of nothing.
 
-/// Whether this build carries the real tracing implementation (the
-/// `trace` cargo feature). When `false` every type in this module is a
-/// zero-size no-op stub and the CLI flags report tracing unavailable.
-#[cfg(feature = "trace")]
-pub const AVAILABLE: bool = true;
-/// Whether this build carries the real tracing implementation (the
-/// `trace` cargo feature). When `false` every type in this module is a
-/// zero-size no-op stub and the CLI flags report tracing unavailable.
-#[cfg(not(feature = "trace"))]
-pub const AVAILABLE: bool = false;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
 /// Default per-ring capacity, in events (~200 KiB per track).
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -296,461 +292,351 @@ impl TraceSnapshot {
     }
 }
 
-#[cfg(feature = "trace")]
-mod real {
-    use super::{EventKind, TraceEvent, TraceSnapshot, TrackSnapshot};
-    use std::path::{Path, PathBuf};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, PoisonError};
-    use std::time::Instant;
+/// One ring slot: a per-slot sequence plus the event payload, all
+/// plain atomics so readers can race writers without `unsafe`.
+struct Slot {
+    /// `0` = never written; `2t+1` = ticket `t` in flight;
+    /// `2t+2` = ticket `t` published.
+    seq: AtomicU64,
+    ts: AtomicU64,
+    dur: AtomicU64,
+    kind: AtomicU64,
+    arg: AtomicU64,
+}
 
-    /// One ring slot: a per-slot sequence plus the event payload, all
-    /// plain atomics so readers can race writers without `unsafe`.
-    struct Slot {
-        /// `0` = never written; `2t+1` = ticket `t` in flight;
-        /// `2t+2` = ticket `t` published.
-        seq: AtomicU64,
-        ts: AtomicU64,
-        dur: AtomicU64,
-        kind: AtomicU64,
-        arg: AtomicU64,
-    }
-
-    impl Slot {
-        fn new() -> Slot {
-            Slot {
-                seq: AtomicU64::new(0),
-                ts: AtomicU64::new(0),
-                dur: AtomicU64::new(0),
-                kind: AtomicU64::new(0),
-                arg: AtomicU64::new(0),
-            }
+impl Slot {
+    fn new() -> Slot {
+        Slot {
+            seq: AtomicU64::new(0),
+            ts: AtomicU64::new(0),
+            dur: AtomicU64::new(0),
+            kind: AtomicU64::new(0),
+            arg: AtomicU64::new(0),
         }
     }
+}
 
-    /// A fixed-capacity single-writer / many-reader event ring with
-    /// flight-recorder overwrite semantics (see the [module
-    /// docs](super) for the slot protocol).
-    pub struct TraceRing {
-        head: AtomicU64,
-        slots: Box<[Slot]>,
-    }
+/// A fixed-capacity single-writer / many-reader event ring with
+/// flight-recorder overwrite semantics (see the [module
+/// docs](self) for the slot protocol).
+pub struct TraceRing {
+    head: AtomicU64,
+    slots: Box<[Slot]>,
+}
 
-    impl TraceRing {
-        pub(super) fn new(capacity: usize) -> TraceRing {
-            let capacity = capacity.max(1);
-            TraceRing {
-                head: AtomicU64::new(0),
-                slots: (0..capacity).map(|_| Slot::new()).collect(),
-            }
-        }
-
-        /// Capacity in events.
-        pub fn capacity(&self) -> usize {
-            self.slots.len()
-        }
-
-        /// Total events ever written.
-        pub fn written(&self) -> u64 {
-            self.head.load(Ordering::Relaxed)
-        }
-
-        /// Events lost to wraparound so far (exact: every write past
-        /// capacity overwrites exactly one older event).
-        pub fn dropped(&self) -> u64 {
-            self.written().saturating_sub(self.slots.len() as u64)
-        }
-
-        /// Records one event. Called only by the ring's owning thread.
-        pub(super) fn write(&self, ts_ns: u64, dur_ns: u64, kind: EventKind, arg: u64) {
-            let t = self.head.fetch_add(1, Ordering::Relaxed);
-            let slot = &self.slots[(t % self.slots.len() as u64) as usize];
-            // Odd = in flight. The AcqRel swap keeps the payload stores
-            // below from floating above it; the Release publish keeps
-            // them from floating below.
-            slot.seq.swap(2 * t + 1, Ordering::AcqRel);
-            slot.ts.store(ts_ns, Ordering::Relaxed);
-            slot.dur.store(dur_ns, Ordering::Relaxed);
-            slot.kind.store(u64::from(kind as u8), Ordering::Relaxed);
-            slot.arg.store(arg, Ordering::Relaxed);
-            slot.seq.store(2 * t + 2, Ordering::Release);
-        }
-
-        /// Copies out every consistent event, oldest→newest. Slots
-        /// mid-write (or overwritten between the two sequence reads)
-        /// are skipped, never reported torn.
-        pub fn snapshot(&self) -> (Vec<TraceEvent>, u64, u64) {
-            let mut events = Vec::with_capacity(self.slots.len());
-            for slot in self.slots.iter() {
-                let s1 = slot.seq.load(Ordering::Acquire);
-                if s1 == 0 || s1 % 2 == 1 {
-                    continue; // never written, or in flight
-                }
-                let ts = slot.ts.load(Ordering::Relaxed);
-                let dur = slot.dur.load(Ordering::Relaxed);
-                let kind = slot.kind.load(Ordering::Relaxed);
-                let arg = slot.arg.load(Ordering::Relaxed);
-                // The Release half of this no-op RMW pins the payload
-                // loads above before the re-check.
-                let s2 = slot.seq.fetch_add(0, Ordering::AcqRel);
-                if s1 != s2 {
-                    continue; // overwritten while copying
-                }
-                let Some(kind) = EventKind::from_u8(kind as u8) else {
-                    continue;
-                };
-                events.push(TraceEvent {
-                    ticket: (s1 - 2) / 2,
-                    ts_ns: ts,
-                    dur_ns: dur,
-                    kind,
-                    arg,
-                });
-            }
-            events.sort_unstable_by_key(|e| e.ticket);
-            (events, self.dropped(), self.written())
+impl TraceRing {
+    fn new(capacity: usize) -> TraceRing {
+        let capacity = capacity.max(1);
+        TraceRing {
+            head: AtomicU64::new(0),
+            slots: (0..capacity).map(|_| Slot::new()).collect(),
         }
     }
 
-    struct Inner {
-        epoch: Instant,
-        enabled: AtomicBool,
-        capacity: usize,
-        rings: Mutex<Vec<(String, Arc<TraceRing>)>>,
-        postmortem_dir: Mutex<Option<PathBuf>>,
-        postmortem_seq: AtomicU64,
+    /// Capacity in events.
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
     }
 
-    /// The shared trace registry: hands out per-thread rings, owns the
-    /// monotonic epoch and the enable switch, snapshots and
-    /// exports every ring. Cheap to clone (an `Arc`).
-    #[derive(Clone)]
-    pub struct Tracer {
-        inner: Arc<Inner>,
+    /// Total events ever written.
+    pub fn written(&self) -> u64 {
+        self.head.load(Ordering::Relaxed)
     }
 
-    impl Default for Tracer {
-        fn default() -> Self {
-            Tracer::new()
-        }
+    /// Events lost to wraparound so far (exact: every write past
+    /// capacity overwrites exactly one older event).
+    pub fn dropped(&self) -> u64 {
+        self.written().saturating_sub(self.slots.len() as u64)
     }
 
-    impl Tracer {
-        /// A tracer with the default per-ring capacity
-        /// ([`super::DEFAULT_RING_CAPACITY`]), initially disabled.
-        pub fn new() -> Tracer {
-            Tracer::with_capacity(super::DEFAULT_RING_CAPACITY)
-        }
+    /// Records one event. Called only by the ring's owning thread.
+    /// Cold and out of line: the callers' off path stays one branch.
+    #[cold]
+    #[inline(never)]
+    fn write(&self, ts_ns: u64, dur_ns: u64, kind: EventKind, arg: u64) {
+        let t = self.head.fetch_add(1, Ordering::Relaxed);
+        let slot = &self.slots[(t % self.slots.len() as u64) as usize];
+        // Odd = in flight. The AcqRel swap keeps the payload stores
+        // below from floating above it; the Release publish keeps
+        // them from floating below.
+        slot.seq.swap(2 * t + 1, Ordering::AcqRel);
+        slot.ts.store(ts_ns, Ordering::Relaxed);
+        slot.dur.store(dur_ns, Ordering::Relaxed);
+        slot.kind.store(u64::from(kind as u8), Ordering::Relaxed);
+        slot.arg.store(arg, Ordering::Relaxed);
+        slot.seq.store(2 * t + 2, Ordering::Release);
+    }
 
-        /// A tracer whose rings hold `capacity` events each.
-        pub fn with_capacity(capacity: usize) -> Tracer {
-            Tracer {
-                inner: Arc::new(Inner {
-                    epoch: Instant::now(),
-                    enabled: AtomicBool::new(false),
-                    capacity: capacity.max(1),
-                    rings: Mutex::new(Vec::new()),
-                    postmortem_dir: Mutex::new(None),
-                    postmortem_seq: AtomicU64::new(0),
-                }),
+    /// Copies out every consistent event, oldest→newest. Slots
+    /// mid-write (or overwritten between the two sequence reads)
+    /// are skipped, never reported torn.
+    pub fn snapshot(&self) -> (Vec<TraceEvent>, u64, u64) {
+        let mut events = Vec::with_capacity(self.slots.len());
+        for slot in self.slots.iter() {
+            let s1 = slot.seq.load(Ordering::Acquire);
+            if s1 == 0 || s1 % 2 == 1 {
+                continue; // never written, or in flight
             }
-        }
-
-        /// Turns event recording on or off (a relaxed store; hooks see
-        /// it on their next event).
-        pub fn set_enabled(&self, enabled: bool) {
-            self.inner.enabled.store(enabled, Ordering::Relaxed);
-        }
-
-        /// Whether recording is currently on.
-        pub fn enabled(&self) -> bool {
-            self.inner.enabled.load(Ordering::Relaxed)
-        }
-
-        /// Directory for [`Tracer::postmortem_dump`] files (`None`
-        /// disables postmortems).
-        pub fn set_postmortem_dir(&self, dir: Option<PathBuf>) {
-            *self
-                .inner
-                .postmortem_dir
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = dir;
-        }
-
-        /// Registers a new ring under `label` (one per owning thread /
-        /// component; labels become `chrome://tracing` track names).
-        pub fn register(&self, label: &str) -> TraceHandle {
-            let ring = Arc::new(TraceRing::new(self.inner.capacity));
-            self.inner
-                .rings
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push((label.to_string(), Arc::clone(&ring)));
-            TraceHandle {
-                shared: Some((Arc::clone(&self.inner), ring)),
-                ticks: 0,
+            let ts = slot.ts.load(Ordering::Relaxed);
+            let dur = slot.dur.load(Ordering::Relaxed);
+            let kind = slot.kind.load(Ordering::Relaxed);
+            let arg = slot.arg.load(Ordering::Relaxed);
+            // The Release half of this no-op RMW pins the payload
+            // loads above before the re-check.
+            let s2 = slot.seq.fetch_add(0, Ordering::AcqRel);
+            if s1 != s2 {
+                continue; // overwritten while copying
             }
+            let Some(kind) = EventKind::from_u8(kind as u8) else {
+                continue;
+            };
+            events.push(TraceEvent {
+                ticket: (s1 - 2) / 2,
+                ts_ns: ts,
+                dur_ns: dur,
+                kind,
+                arg,
+            });
         }
+        events.sort_unstable_by_key(|e| e.ticket);
+        (events, self.dropped(), self.written())
+    }
+}
 
-        /// Nanoseconds since the tracer epoch.
-        pub fn now_ns(&self) -> u64 {
-            self.inner.epoch.elapsed().as_nanos() as u64
-        }
+struct Inner {
+    epoch: Instant,
+    enabled: AtomicBool,
+    capacity: usize,
+    rings: Mutex<Vec<(String, Arc<TraceRing>)>>,
+    postmortem_dir: Mutex<Option<PathBuf>>,
+    postmortem_seq: AtomicU64,
+}
 
-        /// Freezes every registered ring.
-        pub fn snapshot(&self) -> TraceSnapshot {
-            let rings: Vec<(String, Arc<TraceRing>)> = self
-                .inner
-                .rings
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone();
-            TraceSnapshot {
-                tracks: rings
-                    .into_iter()
-                    .map(|(label, ring)| {
-                        let (events, dropped, written) = ring.snapshot();
-                        TrackSnapshot {
-                            label,
-                            events,
-                            dropped,
-                            written,
-                        }
-                    })
-                    .collect(),
-            }
-        }
+/// The shared trace registry: hands out per-thread rings, owns the
+/// monotonic epoch and the enable switch, snapshots and
+/// exports every ring. Cheap to clone (an `Arc`).
+#[derive(Clone)]
+pub struct Tracer {
+    inner: Arc<Inner>,
+}
 
-        /// Snapshots every ring and renders Chrome trace-event JSON.
-        pub fn to_chrome_json(&self) -> String {
-            self.snapshot().to_chrome_json()
-        }
+impl Default for Tracer {
+    fn default() -> Self {
+        Tracer::new()
+    }
+}
 
-        /// Writes a postmortem dump (the newest events from every
-        /// ring, as Chrome trace JSON) into the configured directory,
-        /// returning the file path. `None` when no directory is set or
-        /// the write fails — the supervisor must never die on a
-        /// postmortem.
-        pub fn postmortem_dump(&self, reason: &str) -> Option<PathBuf> {
-            let dir = self
-                .inner
-                .postmortem_dir
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone()?;
-            let seq = self.inner.postmortem_seq.fetch_add(1, Ordering::Relaxed);
-            let sanitized: String = reason
-                .chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-                .collect();
-            let path = dir.join(format!("postmortem-{seq}-{sanitized}.json"));
-            std::fs::create_dir_all(&dir).ok()?;
-            std::fs::write(&path, self.to_chrome_json()).ok()?;
-            Some(path)
-        }
+impl Tracer {
+    /// A tracer with the default per-ring capacity
+    /// ([`DEFAULT_RING_CAPACITY`]), initially disabled.
+    pub fn new() -> Tracer {
+        Tracer::with_capacity(DEFAULT_RING_CAPACITY)
+    }
 
-        /// The configured postmortem directory, if any.
-        pub fn postmortem_dir(&self) -> Option<PathBuf> {
-            self.inner
-                .postmortem_dir
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone()
-        }
-
-        /// Writes the current snapshot as Chrome trace JSON to `path`.
-        pub fn write_chrome_json(&self, path: &Path) -> std::io::Result<()> {
-            std::fs::write(path, self.to_chrome_json())
+    /// A tracer whose rings hold `capacity` events each.
+    pub fn with_capacity(capacity: usize) -> Tracer {
+        Tracer {
+            inner: Arc::new(Inner {
+                epoch: Instant::now(),
+                enabled: AtomicBool::new(false),
+                capacity: capacity.max(1),
+                rings: Mutex::new(Vec::new()),
+                postmortem_dir: Mutex::new(None),
+                postmortem_seq: AtomicU64::new(0),
+            }),
         }
     }
 
-    /// A per-thread recording handle: one ring plus the shared knobs.
-    /// All methods are a single relaxed-atomic branch when tracing is
-    /// disabled. The handle is `Send` but intentionally not shared —
-    /// each ring has exactly one writer.
-    pub struct TraceHandle {
-        shared: Option<(Arc<Inner>, Arc<TraceRing>)>,
-        /// Local tick counter driving span sampling.
-        ticks: u64,
+    /// Turns event recording on or off (a relaxed store; hooks see
+    /// it on their next event).
+    pub fn set_enabled(&self, enabled: bool) {
+        self.inner.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    impl TraceHandle {
-        /// A permanently disabled handle (no tracer attached).
-        pub fn off() -> TraceHandle {
-            TraceHandle {
-                shared: None,
-                ticks: 0,
-            }
-        }
+    /// Whether recording is currently on.
+    pub fn enabled(&self) -> bool {
+        self.inner.enabled.load(Ordering::Relaxed)
+    }
 
-        /// Whether events would currently be recorded.
-        pub fn is_enabled(&self) -> bool {
-            match &self.shared {
-                Some((inner, _)) => inner.enabled.load(Ordering::Relaxed),
-                None => false,
-            }
-        }
+    /// Directory for [`Tracer::postmortem_dump`] files (`None`
+    /// disables postmortems).
+    pub fn set_postmortem_dir(&self, dir: Option<PathBuf>) {
+        *self
+            .inner
+            .postmortem_dir
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = dir;
+    }
 
-        /// Span-start timestamp, or `None` when tracing is off (the
-        /// matching [`TraceHandle::span`] then records nothing).
-        pub fn now(&self) -> Option<u64> {
-            match &self.shared {
-                Some((inner, _)) if inner.enabled.load(Ordering::Relaxed) => {
-                    Some(inner.epoch.elapsed().as_nanos() as u64)
-                }
-                _ => None,
-            }
+    /// Registers a new ring under `label` (one per owning thread /
+    /// component; labels become `chrome://tracing` track names).
+    pub fn register(&self, label: &str) -> TraceHandle {
+        let ring = Arc::new(TraceRing::new(self.inner.capacity));
+        self.inner
+            .rings
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push((label.to_string(), Arc::clone(&ring)));
+        TraceHandle {
+            shared: Some((Arc::clone(&self.inner), ring)),
+            ticks: 0,
         }
+    }
 
-        /// Sampled span start for per-tick hot paths: counts every
-        /// call, returns a timestamp for 1 in
-        /// [`super::DEFAULT_SAMPLE_EVERY`] of them
-        /// (the first sampled call is tick 1, mirroring
-        /// [`crate::metrics::TickRecorder`]).
-        pub fn sampled_now(&mut self) -> Option<u64> {
-            let (inner, _) = self.shared.as_ref()?;
-            if !inner.enabled.load(Ordering::Relaxed) {
-                return None;
-            }
-            self.ticks += 1;
-            if self.ticks % super::DEFAULT_SAMPLE_EVERY == 1 {
+    /// Nanoseconds since the tracer epoch.
+    pub fn now_ns(&self) -> u64 {
+        self.inner.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Freezes every registered ring.
+    pub fn snapshot(&self) -> TraceSnapshot {
+        let rings: Vec<(String, Arc<TraceRing>)> = self
+            .inner
+            .rings
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        TraceSnapshot {
+            tracks: rings
+                .into_iter()
+                .map(|(label, ring)| {
+                    let (events, dropped, written) = ring.snapshot();
+                    TrackSnapshot {
+                        label,
+                        events,
+                        dropped,
+                        written,
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    /// Snapshots every ring and renders Chrome trace-event JSON.
+    pub fn to_chrome_json(&self) -> String {
+        self.snapshot().to_chrome_json()
+    }
+
+    /// Writes a postmortem dump (the newest events from every
+    /// ring, as Chrome trace JSON) into the configured directory,
+    /// returning the file path. `None` when no directory is set or
+    /// the write fails — the supervisor must never die on a
+    /// postmortem.
+    pub fn postmortem_dump(&self, reason: &str) -> Option<PathBuf> {
+        let dir = self
+            .inner
+            .postmortem_dir
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()?;
+        let seq = self.inner.postmortem_seq.fetch_add(1, Ordering::Relaxed);
+        let sanitized: String = reason
+            .chars()
+            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
+            .collect();
+        let path = dir.join(format!("postmortem-{seq}-{sanitized}.json"));
+        std::fs::create_dir_all(&dir).ok()?;
+        std::fs::write(&path, self.to_chrome_json()).ok()?;
+        Some(path)
+    }
+
+    /// The configured postmortem directory, if any.
+    pub fn postmortem_dir(&self) -> Option<PathBuf> {
+        self.inner
+            .postmortem_dir
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// Writes the current snapshot as Chrome trace JSON to `path`.
+    pub fn write_chrome_json(&self, path: &Path) -> std::io::Result<()> {
+        std::fs::write(path, self.to_chrome_json())
+    }
+}
+
+/// A per-thread recording handle: one ring plus the shared knobs.
+/// With no tracer ([`TraceHandle::off`]) every method is one `Option`
+/// check; with a disabled tracer, one relaxed-atomic branch. The
+/// handle is `Send` but intentionally not shared — each ring has
+/// exactly one writer.
+pub struct TraceHandle {
+    shared: Option<(Arc<Inner>, Arc<TraceRing>)>,
+    /// Local tick counter driving span sampling.
+    ticks: u64,
+}
+
+impl TraceHandle {
+    /// A permanently disabled handle (no tracer attached).
+    pub fn off() -> TraceHandle {
+        TraceHandle {
+            shared: None,
+            ticks: 0,
+        }
+    }
+
+    /// Whether events would currently be recorded.
+    pub fn is_enabled(&self) -> bool {
+        match &self.shared {
+            Some((inner, _)) => inner.enabled.load(Ordering::Relaxed),
+            None => false,
+        }
+    }
+
+    /// Span-start timestamp, or `None` when tracing is off (the
+    /// matching [`TraceHandle::span`] then records nothing).
+    #[inline]
+    pub fn now(&self) -> Option<u64> {
+        match &self.shared {
+            Some((inner, _)) if inner.enabled.load(Ordering::Relaxed) => {
                 Some(inner.epoch.elapsed().as_nanos() as u64)
-            } else {
-                None
             }
+            _ => None,
         }
+    }
 
-        /// Records a span begun at `started` (from [`TraceHandle::now`]
-        /// or [`TraceHandle::sampled_now`]); no-op when `started` is
-        /// `None`.
-        pub fn span(&self, started: Option<u64>, kind: EventKind, arg: u64) {
-            let Some(ts) = started else { return };
-            if let Some((inner, ring)) = &self.shared {
-                let end = inner.epoch.elapsed().as_nanos() as u64;
-                ring.write(ts, end.saturating_sub(ts), kind, arg);
-            }
+    /// Sampled span start for per-tick hot paths: counts every
+    /// call, returns a timestamp for 1 in
+    /// [`DEFAULT_SAMPLE_EVERY`] of them
+    /// (the first sampled call is tick 1, mirroring
+    /// [`crate::metrics::TickRecorder`]).
+    #[inline]
+    pub fn sampled_now(&mut self) -> Option<u64> {
+        let (inner, _) = self.shared.as_ref()?;
+        if !inner.enabled.load(Ordering::Relaxed) {
+            return None;
         }
+        self.ticks += 1;
+        if self.ticks % DEFAULT_SAMPLE_EVERY == 1 {
+            Some(inner.epoch.elapsed().as_nanos() as u64)
+        } else {
+            None
+        }
+    }
 
-        /// Records an instant event, when tracing is enabled.
-        pub fn instant(&self, kind: EventKind, arg: u64) {
-            if let Some((inner, ring)) = &self.shared {
-                if inner.enabled.load(Ordering::Relaxed) {
-                    ring.write(inner.epoch.elapsed().as_nanos() as u64, 0, kind, arg);
-                }
+    /// Records a span begun at `started` (from [`TraceHandle::now`]
+    /// or [`TraceHandle::sampled_now`]); no-op when `started` is
+    /// `None`.
+    #[inline]
+    pub fn span(&self, started: Option<u64>, kind: EventKind, arg: u64) {
+        let Some(ts) = started else { return };
+        if let Some((inner, ring)) = &self.shared {
+            let end = inner.epoch.elapsed().as_nanos() as u64;
+            ring.write(ts, end.saturating_sub(ts), kind, arg);
+        }
+    }
+
+    /// Records an instant event, when tracing is enabled.
+    #[inline]
+    pub fn instant(&self, kind: EventKind, arg: u64) {
+        if let Some((inner, ring)) = &self.shared {
+            if inner.enabled.load(Ordering::Relaxed) {
+                ring.write(inner.epoch.elapsed().as_nanos() as u64, 0, kind, arg);
             }
         }
     }
 }
-
-#[cfg(feature = "trace")]
-pub use real::{TraceHandle, TraceRing, Tracer};
-
-/// No-op stand-ins when the `trace` feature is off: the same API
-/// surface, every method inert, so instrumentation sites compile to
-/// nothing without a single `#[cfg]` at the call site.
-#[cfg(not(feature = "trace"))]
-mod stub {
-    use super::{EventKind, TraceSnapshot};
-    use std::path::{Path, PathBuf};
-
-    /// Inert tracer stub (build without the `trace` feature).
-    #[derive(Clone, Default)]
-    pub struct Tracer;
-
-    impl Tracer {
-        /// Inert: see the `trace`-enabled documentation.
-        pub fn new() -> Tracer {
-            Tracer
-        }
-
-        /// Inert: see the `trace`-enabled documentation.
-        pub fn with_capacity(_capacity: usize) -> Tracer {
-            Tracer
-        }
-
-        /// Inert: recording can never be enabled in this build.
-        pub fn set_enabled(&self, _enabled: bool) {}
-
-        /// Always `false` in this build.
-        pub fn enabled(&self) -> bool {
-            false
-        }
-
-        /// Inert: see the `trace`-enabled documentation.
-        pub fn set_postmortem_dir(&self, _dir: Option<PathBuf>) {}
-
-        /// Inert: hands out a permanently disabled handle.
-        pub fn register(&self, _label: &str) -> TraceHandle {
-            TraceHandle::off()
-        }
-
-        /// Always `0` in this build.
-        pub fn now_ns(&self) -> u64 {
-            0
-        }
-
-        /// Always empty in this build.
-        pub fn snapshot(&self) -> TraceSnapshot {
-            TraceSnapshot::default()
-        }
-
-        /// An empty (but valid) Chrome trace document.
-        pub fn to_chrome_json(&self) -> String {
-            TraceSnapshot::default().to_chrome_json()
-        }
-
-        /// Always `None` in this build.
-        pub fn postmortem_dump(&self, _reason: &str) -> Option<PathBuf> {
-            None
-        }
-
-        /// Always `None` in this build.
-        pub fn postmortem_dir(&self) -> Option<PathBuf> {
-            None
-        }
-
-        /// Writes the empty Chrome trace document to `path`.
-        pub fn write_chrome_json(&self, path: &Path) -> std::io::Result<()> {
-            std::fs::write(path, self.to_chrome_json())
-        }
-    }
-
-    /// Inert recording handle (build without the `trace` feature).
-    pub struct TraceHandle;
-
-    impl TraceHandle {
-        /// The only handle this build has: permanently disabled.
-        pub fn off() -> TraceHandle {
-            TraceHandle
-        }
-
-        /// Always `false` in this build.
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-
-        /// Always `None` in this build.
-        pub fn now(&self) -> Option<u64> {
-            None
-        }
-
-        /// Always `None` in this build.
-        pub fn sampled_now(&mut self) -> Option<u64> {
-            None
-        }
-
-        /// Inert: see the `trace`-enabled documentation.
-        pub fn span(&self, _started: Option<u64>, _kind: EventKind, _arg: u64) {}
-
-        /// Inert: see the `trace`-enabled documentation.
-        pub fn instant(&self, _kind: EventKind, _arg: u64) {}
-    }
-}
-
-#[cfg(not(feature = "trace"))]
-pub use stub::{TraceHandle, Tracer};
-
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -962,31 +848,5 @@ mod tests {
         }
         assert!(EventKind::Ingest.is_span());
         assert!(!EventKind::Match.is_span());
-    }
-}
-
-#[cfg(all(test, not(feature = "trace")))]
-mod stub_tests {
-    use super::*;
-
-    fn build_has_trace() -> bool {
-        AVAILABLE
-    }
-
-    #[test]
-    fn stub_is_inert_but_api_complete() {
-        assert!(!build_has_trace());
-        let tracer = Tracer::new();
-        tracer.set_enabled(true);
-        assert!(!tracer.enabled());
-        let mut h = tracer.register("t");
-        assert_eq!(h.now(), None);
-        assert_eq!(h.sampled_now(), None);
-        h.span(Some(1), EventKind::Frame, 0);
-        h.instant(EventKind::Match, 0);
-        assert_eq!(tracer.snapshot().total_events(), 0);
-        assert_eq!(tracer.postmortem_dump("x"), None);
-        let json = tracer.to_chrome_json();
-        assert!(json.contains("traceEvents"), "{json}");
     }
 }

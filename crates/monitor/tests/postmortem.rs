@@ -8,8 +8,8 @@
 //! supervisor's `worker_restart` instant, and the `replay` span of the
 //! log replay that rebuilt the worker's state.
 //!
-//! Requires `--features trace,failpoints`.
-#![cfg(all(feature = "trace", feature = "failpoints"))]
+//! Requires `--features failpoints`.
+#![cfg(feature = "failpoints")]
 
 use std::path::PathBuf;
 use std::sync::Arc;
