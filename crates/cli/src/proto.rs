@@ -26,6 +26,14 @@
 //! lossily and reported as a per-line parse error rather than a
 //! connection error (the historical `BufRead::read_line` loop killed
 //! the whole session on the first non-UTF-8 byte).
+//!
+//! A line takes one of two paths. A plain decimal
+//! (`[+-]?digits[.digits]`, at most 15 digits) that starts and ends
+//! inside one read is converted while it is scanned, with one exact
+//! division (`scan_decimal`); every other line is split out and parsed
+//! as text (lossy UTF-8, trim, verb tokenizer, `str::parse`). The scan
+//! is correctly rounded, so both paths give the same event for the same
+//! line.
 
 use std::collections::VecDeque;
 
@@ -109,6 +117,12 @@ pub enum Command {
 /// `Some(Err(_))` for a verb with malformed arguments (the message the
 /// client gets).
 fn parse_command(line: &str) -> Option<Result<Command, String>> {
+    // Every verb starts with one of these bytes. Rejecting on the first
+    // byte spares a sample line that missed the decimal scan (`1e3`,
+    // CRLF endings) the `split_whitespace` pass.
+    if !matches!(line.as_bytes().first(), Some(b'q' | b'a' | b't')) {
+        return None;
+    }
     let mut tokens = line.split_whitespace();
     let verb = tokens.next()?;
     match verb {
@@ -246,10 +260,25 @@ impl ProtoParser {
 
     /// Consumes one read's worth of bytes, appending an event per
     /// protocol decision to `out` in input order.
+    ///
+    /// A line that starts and ends inside `bytes` and reads
+    /// `[+-]?digits[.digits]` with at most 15 digits is converted in
+    /// the same pass that finds its `\n` (see the [module docs](self));
+    /// every other line is split out first and parsed as text. Both
+    /// give the same event, so chunking still never changes the output.
     pub fn feed(&mut self, mut bytes: &[u8], out: &mut VecDeque<ProtoEvent>) {
         while !bytes.is_empty() {
             if self.http {
                 return;
+            }
+            if !self.discarding && self.buf.is_empty() {
+                if let Some((v, len)) = scan_decimal(bytes, self.max_line) {
+                    // A numeric line is never an HTTP request line.
+                    self.first_line = false;
+                    out.push_back(ProtoEvent::Sample(v));
+                    bytes = &bytes[len + 1..]; // past the '\n'
+                    continue;
+                }
             }
             match bytes.iter().position(|&b| b == b'\n') {
                 Some(nl) => {
@@ -334,19 +363,6 @@ impl ProtoParser {
     }
 
     fn line(&mut self, raw: &[u8], out: &mut VecDeque<ProtoEvent>) {
-        // Fast path for the common numeric line. A line drawn only from
-        // `[0-9.+-eE]` is ASCII with no padding, and cannot be HTTP, a
-        // comment or a verb, so the general path below would reach the
-        // same `parse::<f64>` with the same text.
-        if !raw.is_empty() && raw.iter().all(|&b| is_numeric_byte(b)) {
-            self.first_line = false;
-            let line = std::str::from_utf8(raw).expect("numeric-alphabet bytes are ASCII");
-            out.push_back(match line.parse::<f64>() {
-                Ok(v) => ProtoEvent::Sample(v),
-                Err(_) => ProtoEvent::Error(format!("`{line}` is not a number")),
-            });
-            return;
-        }
         let text = String::from_utf8_lossy(raw);
         let line = text.trim();
         if self.first_line {
@@ -374,10 +390,71 @@ impl ProtoParser {
     }
 }
 
-/// The bytes of [`ProtoParser`]'s numeric fast path: digits, `.`, signs
-/// and exponent markers.
-fn is_numeric_byte(b: u8) -> bool {
-    matches!(b, b'0'..=b'9' | b'.' | b'+' | b'-' | b'e' | b'E')
+/// Most digits [`scan_decimal`] accepts: any 15-digit mantissa is below
+/// 10¹⁵ < 2⁵³, so it and every power of ten it is divided by are exact
+/// `f64`s.
+const SCAN_MAX_DIGITS: usize = 15;
+
+/// `10^k` for `k ≤ SCAN_MAX_DIGITS`, each exact in `f64`.
+const POW10: [f64; SCAN_MAX_DIGITS + 1] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
+
+/// Reads one `[+-]?digits[.digits]\n` line from the start of `bytes`
+/// and returns its value and its length without the `\n`. `None` when
+/// the line has any other shape (an exponent, a `\r`, padding, no
+/// digit, more than [`SCAN_MAX_DIGITS`] digits), is longer than
+/// `max_line`, or has no `\n` in `bytes`; the caller then takes the
+/// text path, which accepts or rejects it on its own.
+///
+/// The value is `mantissa / 10^frac_digits`: both operands are exact
+/// `f64`s and IEEE division rounds once, so the result is the correctly
+/// rounded value of the decimal — bit-identical to
+/// `str::parse::<f64>` (Clinger's fast path). `-0` gives `-0.0`, as
+/// `parse` does.
+#[inline]
+fn scan_decimal(bytes: &[u8], max_line: usize) -> Option<(f64, usize)> {
+    let (negative, mut i) = match bytes.first()? {
+        b'-' => (true, 1),
+        b'+' => (false, 1),
+        _ => (false, 0),
+    };
+    let int_start = i;
+    let mut mantissa: u64 = 0;
+    while let Some(&b) = bytes.get(i) {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            break;
+        }
+        if i - int_start == SCAN_MAX_DIGITS {
+            return None;
+        }
+        mantissa = mantissa * 10 + u64::from(d);
+        i += 1;
+    }
+    let int_digits = i - int_start;
+    let mut frac_digits = 0;
+    if bytes.get(i) == Some(&b'.') {
+        i += 1;
+        let frac_start = i;
+        while let Some(&b) = bytes.get(i) {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            if int_digits + (i - frac_start) == SCAN_MAX_DIGITS {
+                return None;
+            }
+            mantissa = mantissa * 10 + u64::from(d);
+            i += 1;
+        }
+        frac_digits = i - frac_start;
+    }
+    if int_digits + frac_digits == 0 || i > max_line || bytes.get(i) != Some(&b'\n') {
+        return None;
+    }
+    let v = mantissa as f64 / POW10[frac_digits];
+    Some((if negative { -v } else { v }, i))
 }
 
 /// The serve path's gap policy: missing (non-finite) readings repeat
@@ -507,6 +584,63 @@ mod tests {
             vec![
                 ProtoEvent::Error("line exceeds 8 bytes".into()),
                 ProtoEvent::Sample(7.0),
+            ]
+        );
+    }
+
+    #[test]
+    fn scanned_line_over_the_cap_is_one_error() {
+        // `500.1234` is a valid scan, but 8 bytes against a 4-byte cap.
+        let mut p = ProtoParser::with_max_line(4);
+        let mut out = VecDeque::new();
+        p.feed(b"500.1234\n7\n", &mut out);
+        let got: Vec<_> = out.into_iter().collect();
+        assert_eq!(
+            got,
+            vec![
+                ProtoEvent::Error("line exceeds 4 bytes".into()),
+                ProtoEvent::Sample(7.0),
+            ]
+        );
+    }
+
+    #[test]
+    fn numeric_first_line_closes_the_sniff_window() {
+        let mut p = ProtoParser::new();
+        let mut out = VecDeque::new();
+        assert!(p.awaiting_first_line());
+        p.feed(b"-0\n", &mut out);
+        assert!(!p.awaiting_first_line());
+        p.feed(b"GET / HTTP/1.1\n", &mut out);
+        assert!(!p.is_http());
+        let got: Vec<_> = out.into_iter().collect();
+        assert!(matches!(got[0], ProtoEvent::Sample(v) if v == 0.0 && v.is_sign_negative()));
+        assert_eq!(
+            got[1],
+            ProtoEvent::Error("`GET / HTTP/1.1` is not a number".into())
+        );
+    }
+
+    #[test]
+    fn numeric_lines_behind_buffered_or_discarded_bytes_match_one_read() {
+        // Split inside a line: the first bytes sit in the buffer, so the
+        // rest of that line takes the text path, and the next the scan.
+        assert_eq!(
+            events(&[b"12", b"3.25\n-4.5\n"], true),
+            events(&[b"123.25\n-4.5\n"], true)
+        );
+        // Behind an over-long line still being discarded: the tail up to
+        // its `\n` is dropped even where it reads as a number.
+        let mut p = ProtoParser::with_max_line(8);
+        let mut out = VecDeque::new();
+        p.feed(b"123456789", &mut out);
+        p.feed(b"5\n6.5\n", &mut out);
+        let got: Vec<_> = out.into_iter().collect();
+        assert_eq!(
+            got,
+            vec![
+                ProtoEvent::Error("line exceeds 8 bytes".into()),
+                ProtoEvent::Sample(6.5),
             ]
         );
     }

@@ -82,10 +82,11 @@ use crate::commands::CliError;
 use crate::proto::{self, CarryForward, Command, ProtoEvent, ProtoParser};
 
 /// Bytes read per `read(2)` call.
-const READ_CHUNK: usize = 4096;
+const READ_CHUNK: usize = 16 * 1024;
 /// Reads per readiness event before yielding to other connections (the
-/// level-triggered reactor re-reports, so nothing is lost).
-const READS_PER_EVENT: usize = 16;
+/// level-triggered reactor re-reports, so nothing is lost): at most
+/// 64 KiB per connection per event.
+const READS_PER_EVENT: usize = 4;
 /// Write-buffer size past which a connection's reads are paused
 /// (backpressure: a slow reader stops feeding its own monitor).
 const OUT_SOFT_LIMIT: usize = 64 * 1024;
@@ -141,11 +142,14 @@ pub struct ServeOptions {
 
 /// Builds one HTTP response: `GET /metrics` serves the Prometheus text
 /// exposition, `GET /trace` a Chrome trace-event JSON snapshot of the
-/// flight recorder, anything else a 404. The connection is closed after
-/// the response (`Connection: close`), so request headers need not be
-/// read.
+/// flight recorder, anything else a 404. A `HEAD` request gets the same
+/// status line and headers, `Content-Length` included, and no body
+/// (RFC 9110 §9.3.2). The connection is closed after the response
+/// (`Connection: close`), so request headers need not be read.
 fn http_response(request_line: &str, metrics: &Metrics, tracer: &Tracer) -> String {
-    let path = request_line.split_whitespace().nth(1).unwrap_or("/");
+    let mut parts = request_line.split_whitespace();
+    let head = parts.next() == Some("HEAD");
+    let path = parts.next().unwrap_or("/");
     let (status, content_type, body) = if path == "/metrics" {
         (
             "200 OK",
@@ -166,8 +170,9 @@ fn http_response(request_line: &str, metrics: &Metrics, tracer: &Tracer) -> Stri
         )
     };
     format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         body.len(),
+        if head { "" } else { &body },
     )
 }
 
@@ -373,6 +378,9 @@ struct EventLoop<'a> {
     /// loop is single-threaded and each run is pushed before the next
     /// is collected.
     run: Vec<f64>,
+    /// The `read(2)` buffer [`EventLoop::on_readable`] fills, reused
+    /// like `run`: each read is parsed before the next.
+    read_buf: Box<[u8]>,
     /// The acceptor thread's flight-recorder ring (reactor wakeups,
     /// connection open/close, worker placement, backpressure).
     trace: TraceHandle,
@@ -486,20 +494,19 @@ impl EventLoop<'_> {
         let Some(mut conn) = self.conns.get_mut(token).and_then(Option::take) else {
             return;
         };
-        let mut buf = [0u8; READ_CHUNK];
         let mut failed = false;
         for _ in 0..READS_PER_EVENT {
             if conn.shared.paused() || conn.eof || conn.closing {
                 break;
             }
-            match sys_read(&mut conn.sock, &mut buf) {
+            match sys_read(&mut conn.sock, &mut self.read_buf) {
                 Ok(0) => {
                     conn.eof = true;
                     conn.parser.finish(&mut conn.pending);
                 }
                 Ok(n) => {
                     self.metrics.conn_read_bytes.add(n as u64);
-                    conn.parser.feed(&buf[..n], &mut conn.pending);
+                    conn.parser.feed(&self.read_buf[..n], &mut conn.pending);
                     self.process(&mut conn);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -944,6 +951,7 @@ pub fn serve_listener(
         accepting: true,
         next_stream: 0,
         run: Vec::new(),
+        read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
         trace,
     };
     let result = event_loop.run();
@@ -1216,9 +1224,9 @@ mod tests {
     fn http_get_metrics_scrapes_prometheus_text() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        // Four connections: one data session, a `/metrics` and a
-        // `/trace` scrape, and a 404. No `--trace-dir`: the recorder is
-        // off, as in every default server.
+        // Five connections: one data session, a `/metrics` and a
+        // `/trace` scrape, a `HEAD /metrics`, and a 404. No
+        // `--trace-dir`: the recorder is off, as in every default server.
         let server = std::thread::spawn(move || {
             serve_listener(
                 listener,
@@ -1232,7 +1240,7 @@ mod tests {
                     shards: 2,
                     linger: None,
                     max_conns: 64,
-                    accept_limit: Some(4),
+                    accept_limit: Some(5),
                     trace_dir: None,
                 },
                 &mut Vec::new(),
@@ -1324,6 +1332,27 @@ mod tests {
         );
         let tracks = doc.get("otherData").and_then(|v| v.as_arr()).unwrap();
         assert!(tracks.is_empty(), "{body}");
+        // `HEAD`: the GET status line and headers, `Content-Length`
+        // included, and not one byte after them.
+        let mut head = TcpStream::connect(addr).unwrap();
+        write!(head, "HEAD /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+        head.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut http = String::new();
+        head.read_to_string(&mut http).unwrap();
+        assert!(http.starts_with("HTTP/1.1 200 OK"), "{http}");
+        let (headers, body) = http.split_once("\r\n\r\n").expect("header terminator");
+        assert_eq!(body, "", "{http}");
+        let length: usize = headers
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .expect("Content-Length header")
+            .parse()
+            .unwrap();
+        assert!(length > 1000, "a GET would carry the exposition: {http}");
+        let (metrics, tracer) = (Metrics::new(), Tracer::new());
+        let get = http_response("GET /nope HTTP/1.1", &metrics, &tracer);
+        let head = http_response("HEAD /nope HTTP/1.1", &metrics, &tracer);
+        assert_eq!(head.as_str(), &get[..get.find("\r\n\r\n").unwrap() + 4]);
         // Unknown paths get a 404, not a protocol error.
         let mut other = TcpStream::connect(addr).unwrap();
         write!(other, "GET /nope HTTP/1.1\r\n\r\n").unwrap();

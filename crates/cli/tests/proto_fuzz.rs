@@ -90,10 +90,39 @@ fn same(a: &[ProtoEvent], b: &[ProtoEvent]) -> bool {
         })
 }
 
-/// Lines drawn only from the parser's numeric fast-path alphabet
-/// `[0-9.+-eE]`: some parse as `f64`, some are errors.
-const NUMERIC_ALPHABET_LINES: [&str; 10] = [
-    "-.5", "+3e-2", "007", "1e400", "1e", "--1", ".", "1.2.3", "e5", "-",
+/// Lines drawn only from `[0-9.+-eE]`: some parse as `f64`, some are
+/// errors. Together they reach every exit of the parser's one-pass
+/// decimal scan: signs, a leading or trailing `.`, a lone `.` or sign,
+/// a sign that is not first, a second `.`, exponents, leading zeros,
+/// `-0`, and 15-digit (scanned) against 16-digit (text path) mantissas,
+/// 2⁵³ ± 1 among them.
+const NUMERIC_ALPHABET_LINES: [&str; 26] = [
+    "-.5",
+    "+3e-2",
+    "007",
+    "1e400",
+    "1e",
+    "--1",
+    ".",
+    "1.2.3",
+    "e5",
+    "-",
+    "+",
+    "+.",
+    "5.",
+    "-0",
+    "+0.0",
+    "1-2",
+    "2E5",
+    "0000000000000.5",
+    "999999999999999",
+    "99999999999999.9",
+    "9999999999999999",
+    ".0000000000000001",
+    "9007199254740991",
+    "900719925474099.3",
+    "9007199254740993",
+    "9.007199254740993",
 ];
 
 /// One seeded line-soup blob: valid floats, NaN, garbage, comments,
@@ -255,4 +284,123 @@ fn numeric_alphabet_lines_match_the_model_on_both_paths() {
             }
         }
     }
+}
+
+/// One seeded line for the scan differential: an optional sign, 0–20
+/// digits with an optional `.` among them (sometimes 2⁵³ ± 1 or a run
+/// of leading zeros), sometimes a stray sign, a second `.`, an
+/// exponent, or a `\r` before the `\n`. Never empty.
+fn decimal_line(rng: &mut Rng, line: &mut Vec<u8>) {
+    const SPECIAL: [&[u8]; 4] = [
+        b"9007199254740991",
+        b"9007199254740993",
+        b"999999999999999",
+        b"1000000000000000",
+    ];
+    line.clear();
+    match rng.u64_below(4) {
+        0 => line.push(b'-'),
+        1 => line.push(b'+'),
+        _ => {}
+    }
+    let digits_at = line.len();
+    if rng.u64_below(8) == 0 {
+        line.extend_from_slice(SPECIAL[rng.usize_range(0, SPECIAL.len())]);
+    } else {
+        let zeros = if rng.u64_below(8) == 0 {
+            rng.usize_range(1, 6)
+        } else {
+            0
+        };
+        line.extend(std::iter::repeat_n(b'0', zeros));
+        for _ in 0..rng.usize_range(0, 21 - zeros) {
+            line.push(b'0' + rng.u64_below(10) as u8);
+        }
+    }
+    if rng.u64_below(4) != 0 {
+        let at = rng.usize_range(digits_at, line.len() + 1);
+        line.insert(at, b'.');
+    }
+    match rng.u64_below(32) {
+        0 => {
+            let at = rng.usize_range(0, line.len() + 1);
+            line.insert(at, b'.');
+        }
+        1 => {
+            let at = rng.usize_range(0, line.len() + 1);
+            line.insert(at, if rng.u64_below(2) == 0 { b'-' } else { b'+' });
+        }
+        2 | 3 => {
+            line.push(if rng.u64_below(2) == 0 { b'e' } else { b'E' });
+            match rng.u64_below(3) {
+                0 => line.push(b'-'),
+                1 => line.push(b'+'),
+                _ => {}
+            }
+            for _ in 0..rng.usize_range(0, 4) {
+                line.push(b'0' + rng.u64_below(10) as u8);
+            }
+        }
+        _ => {}
+    }
+    if line.is_empty() {
+        line.push(b'.');
+    }
+    if rng.u64_below(16) == 0 {
+        line.push(b'\r');
+    }
+    line.push(b'\n');
+}
+
+/// `lines` seeded decimal lines fed in random reads of up to 4 KiB (so
+/// most lines are scanned and some are split across reads) must give
+/// exactly `str::parse`'s result, bit for bit, or its error text.
+fn decimal_differential(seed: u64, lines: usize) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut parser = ProtoParser::new();
+    let mut out = VecDeque::new();
+    let mut blob = Vec::new();
+    let mut want = Vec::new();
+    let mut line = Vec::new();
+    let mut done = 0;
+    while done < lines {
+        blob.clear();
+        want.clear();
+        while blob.len() < 64 * 1024 && done < lines {
+            decimal_line(&mut rng, &mut line);
+            let text = std::str::from_utf8(&line).unwrap().trim();
+            want.push(match text.parse::<f64>() {
+                Ok(v) => Ok(v.to_bits()),
+                Err(_) => Err(format!("`{text}` is not a number")),
+            });
+            blob.extend_from_slice(&line);
+            done += 1;
+        }
+        let mut rest = &blob[..];
+        while !rest.is_empty() {
+            let n = rng.usize_range(1, 4097).min(rest.len());
+            parser.feed(&rest[..n], &mut out);
+            rest = &rest[n..];
+        }
+        assert_eq!(out.len(), want.len(), "seed {seed}: one event per line");
+        for (i, (ev, want)) in out.drain(..).zip(&want).enumerate() {
+            let got = match ev {
+                ProtoEvent::Sample(v) => Ok(v.to_bits()),
+                ProtoEvent::Error(e) => Err(e),
+                other => panic!("seed {seed}: unexpected {other:?}"),
+            };
+            assert_eq!(&got, want, "seed {seed}, line {i} of a block");
+        }
+    }
+}
+
+#[test]
+fn decimal_scan_is_bit_exact_against_str_parse() {
+    // 10⁶ lines in debug builds; `cargo test --release` runs 10⁷.
+    let lines = if cfg!(debug_assertions) {
+        1_000_000
+    } else {
+        10_000_000
+    };
+    decimal_differential(0xD1F7, lines);
 }

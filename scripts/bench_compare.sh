@@ -10,7 +10,8 @@
 #
 # Only the *tracked* bench families gate the comparison — the rows of
 # the per_tick, batch_ingest and kernel_throughput benches, the three
-# that measure the monitor hot path. The batch_ingest bench names its
+# that measure the monitor hot path, and of proto_feed, the serve wire
+# parser. The batch_ingest bench names its
 # rows batch_ingest_engine/…, batch_ingest_runner_w1/… and
 # batch_ingest_runner_w4/…, so its family is batch_ingest_<suffix>/. A tracked bench slower by more than FAIL_PCT fails
 # (exit 1); slower by more than WARN_PCT warns. Everything else is
@@ -25,7 +26,7 @@ set -euo pipefail
 
 FAIL_PCT="${BENCH_COMPARE_FAIL_PCT:-35}"
 WARN_PCT="${BENCH_COMPARE_WARN_PCT:-25}"
-TRACKED='^(per_tick|batch_ingest_[a-z0-9_]+|kernel_throughput)/'
+TRACKED='^(per_tick|batch_ingest_[a-z0-9_]+|kernel_throughput|proto_feed)/'
 
 warn_only=0
 out=""
