@@ -6,10 +6,12 @@
 #             batch (SPRING_BENCH_SMOKE=1) and assemble the results into
 #             BENCH_SMOKE.json — "do the benches still run?", not a
 #             performance measurement.
-#   --miri    additionally run the kernel + snapshot tests under Miri
-#             (needs a nightly toolchain with the miri component; the
-#             stage is skipped with a warning when none is installed,
-#             since the hosted `miri` CI job always runs it).
+#   --miri    additionally run the kernel + snapshot tests under Miri:
+#             they cover spring-core's only unsafe code, the SSE2/AVX2
+#             min-select (needs a nightly toolchain with the miri
+#             component; the stage is skipped with a warning when
+#             none is installed, since the hosted `miri` CI job always
+#             runs it).
 set -euo pipefail
 cd "$(dirname "$0")"
 

@@ -5,8 +5,9 @@
 //! Batch 1 is the historical per-sample path (one bounds check, one
 //! attachment-index resolution, and — for the runner — one channel
 //! message per tick); larger batches amortize those fixed costs across
-//! the frame and let each attachment step whole runs with the wavefront
-//! kernel, which is where the speedup comes from.
+//! the frame and let each attachment step whole runs with one
+//! `step_batch` (idle runs skipped a chunk at a time), which is where
+//! the speedup comes from.
 //!
 //! The runner rows time processing, not enqueue: every timed iteration
 //! pushes [`RUNNER_SAMPLES`] samples in `push_batch` calls of the batch

@@ -1,46 +1,50 @@
 //! Throughput of the STWM kernels over the same 64-sample frames, at
-//! m ∈ {64, 256, 1024}: the wavefront frame kernel
-//! (`Spring::step_batch`), the two-phase SoA column kernel one sample
-//! at a time (`Spring::step`), and the branchy scalar reference loop
-//! (`Spring::step_reference`).
-//! The printed lines report frame-vs-column and frame-vs-reference
+//! m ∈ {64, 256, 1024}: `Spring::step_batch` (the idle skip plus the
+//! banded column kernel, the production hot path), the two-phase SoA
+//! column kernel one sample at a time (`Spring::step`), and the branchy
+//! scalar reference loop (`Spring::step_reference`).
+//! The printed lines report batch-vs-column and batch-vs-reference
 //! speedups; the `kernel_throughput` group feeds the CI smoke baseline
 //! (elements/s = query cells per second, counting all m rows whether
 //! or not the band computes them).
 //!
 //! The monitors run at ε = 100. On this fixture the ε-band then holds
 //! nearly every row (about 84% of them at m = 1024, all at the smaller
-//! m). The `_fullband` rows repeat the frame and column forms at
+//! m). The `_fullband` rows repeat the batch and column forms at
 //! ε = `f64::MAX`, where every finite cell is in the band: the worst
 //! case, tracked so the band's bookkeeping cannot quietly slow the full
 //! column down. The `_idle` rows (m = 64, ε = 100) run the same stream
 //! shifted by [`IDLE_OFFSET`], far from the query: the band stays empty
 //! and every tick takes the idle skip, one distance instead of a column
 //! fill, as on most (attachment, tick) pairs of a many-query server.
+//! The `best_` rows (m ∈ {64, 256}) run `BestMatch` (Problem 1) on the
+//! unshifted stream, per sample (`BestMatch::step`, what
+//! `spring bestmatch` runs) and through `Monitor::step_batch`: a
+//! long-lived monitor, so the band sits at the best distance found so
+//! far, as it does over most of a long stream.
 //!
-//! The engine and runner workers call `step_batch`, but it sends only
-//! part of the (attachment, sample) pairs through the wavefront: a
-//! sample whose ε-band is empty takes the idle skip, and a band that
-//! does not reach row m takes the banded column kernel. Shares per
-//! path with `step_batch(64)` on the springbench seed-1 inputs:
+//! The engine and runner workers call `step_batch`. Shares of the
+//! (attachment, sample) pairs per path with `step_batch(64)` on the
+//! springbench seed-1 inputs:
 //!
-//! | workload        | frames | idle skip | banded columns |
-//! |-----------------|--------|-----------|----------------|
-//! | `wire_m16`      | 0.73%  | 99.0%     | 0.30%          |
-//! | `wire_m512`     | 6.8%   | 56.5%     | 36.7%          |
-//! | `fanout_q32`    | 0.27%  | 99.2%     | 0.57%          |
-//! | `session_churn` | 13.4%  | 72.8%     | 13.8%          |
+//! | workload        | idle skip | banded columns |
+//! |-----------------|-----------|----------------|
+//! | `wire_m16`      | 99.0%     | 1.03%          |
+//! | `wire_m512`     | 56.5%     | 43.5%          |
+//! | `fanout_q32`    | 99.2%     | 0.84%          |
+//! | `session_churn` | 72.8%     | 27.2%          |
 //!
-//! So the frame rows here bound the kernel's speed, not a server's.
+//! So the `soa_` rows here, whose band is nearly full, bound the
+//! kernel's speed, not a server's.
 //!
-//! On x86-64 the frame and column kernels run the explicit `core::arch`
-//! selects at the widest width the CPU reports. All three paths report
-//! the same matches; only the time differs.
+//! On x86-64 the column kernel runs the explicit `core::arch`
+//! min-select (AVX2 where the CPU reports it, else SSE2). All paths
+//! report the same matches; only the time differs.
 
 use std::hint::black_box;
 
 use spring_bench::harness::{fmt_time, Bench};
-use spring_core::{Spring, SpringConfig};
+use spring_core::{BestMatch, Spring, SpringConfig};
 use spring_data::MaskedChirp;
 
 const BATCH: usize = 64;
@@ -61,8 +65,9 @@ fn fixtures(m: usize, offset: f64) -> (Vec<f64>, Vec<f64>) {
     (query, values)
 }
 
-/// `step_batch` over 64-sample frames: the production hot path. `tag`
-/// names the threshold (and offset) in the row name.
+/// `step_batch` over 64-sample frames: the production hot path (idle
+/// skip plus banded columns). `tag` names the threshold (and offset) in
+/// the row name.
 fn bench_step_batch(b: &Bench, m: usize, eps: f64, offset: f64, tag: &str) -> f64 {
     let (query, values) = fixtures(m, offset);
     let mut spring = Spring::new(&query, SpringConfig::new(eps)).unwrap();
@@ -85,7 +90,7 @@ fn bench_step_batch(b: &Bench, m: usize, eps: f64, offset: f64, tag: &str) -> f6
 }
 
 /// Per-sample `Spring::step` over the same frames: the SoA column
-/// kernel without the wavefront.
+/// kernel one call per sample.
 fn bench_column(b: &Bench, m: usize, eps: f64, offset: f64, tag: &str) -> f64 {
     let (query, values) = fixtures(m, offset);
     let mut spring = Spring::new(&query, SpringConfig::new(eps)).unwrap();
@@ -121,6 +126,32 @@ fn bench_reference(b: &Bench, m: usize) -> f64 {
     )
 }
 
+/// `BestMatch` over the same frames, long-lived: per sample
+/// (`best_step_`) or through `Monitor::step_batch` (`best_batch64_`).
+fn bench_best(b: &Bench, m: usize, batched: bool) -> f64 {
+    use spring_core::Monitor as _;
+    let (query, values) = fixtures(m, 0.0);
+    let mut best = BestMatch::new(&query).unwrap();
+    let mut out = Vec::new();
+    let frames: Vec<&[f64]> = values.chunks_exact(BATCH).collect();
+    let mut i = 0;
+    let name = match batched {
+        true => format!("best_batch{BATCH}_m{m}"),
+        false => format!("best_step_m{m}"),
+    };
+    b.bench_elems(&name, (m * BATCH) as u64, || {
+        let frame = black_box(frames[i % frames.len()]);
+        if batched {
+            best.step_batch(frame, &mut out).unwrap();
+        } else {
+            for &x in frame {
+                black_box(best.step(x));
+            }
+        }
+        i += 1;
+    })
+}
+
 fn main() {
     let b = Bench::new("kernel_throughput");
     let mut lines = Vec::new();
@@ -129,7 +160,7 @@ fn main() {
         let column = bench_column(&b, m, 100.0, 0.0, "");
         let reference = bench_reference(&b, m);
         lines.push(format!(
-            "kernel_throughput: m={m:<5} frame {:>10}  column {:>10} ({:.2}x)  reference {:>10} ({:.2}x)",
+            "kernel_throughput: m={m:<5} batch {:>10}  column {:>10} ({:.2}x)  reference {:>10} ({:.2}x)",
             fmt_time(soa),
             fmt_time(column),
             column / soa,
@@ -142,7 +173,7 @@ fn main() {
         let soa = bench_step_batch(&b, m, f64::MAX, 0.0, "_fullband");
         let column = bench_column(&b, m, f64::MAX, 0.0, "_fullband");
         lines.push(format!(
-            "kernel_throughput: m={m:<5} full band: frame {:>10}  column {:>10} ({:.2}x)",
+            "kernel_throughput: m={m:<5} full band: batch {:>10}  column {:>10} ({:.2}x)",
             fmt_time(soa),
             fmt_time(column),
             column / soa
@@ -156,6 +187,16 @@ fn main() {
         fmt_time(column),
         column / soa
     ));
+    for m in [64usize, 256] {
+        let step = bench_best(&b, m, false);
+        let batch = bench_best(&b, m, true);
+        lines.push(format!(
+            "kernel_throughput: m={m:<5} best match: step {:>10}  batch {:>10} ({:.2}x)",
+            fmt_time(step),
+            fmt_time(batch),
+            step / batch
+        ));
+    }
     for line in &lines {
         println!("{line}");
     }

@@ -3,7 +3,7 @@
 //! streams — every (stream, query) pair gets its own attachment built
 //! from the shared [`QueryRef`], so the timed region is exactly the
 //! arena borrow path: per-attachment DP state is allocated, the pattern
-//! and reversed-query cache are not.
+//! is not.
 //!
 //! Reported per configuration:
 //!
@@ -12,7 +12,7 @@
 //! * resident memory-cells — an untimed info line comparing the
 //!   arena-backed fleet (shared cells counted once per distinct query
 //!   fingerprint) against the pre-arena layout that cloned the pattern
-//!   and `qrev` into every attachment.
+//!   into every attachment.
 //!
 //! `ci.sh --quick` captures the timing results in BENCH_SMOKE.json and
 //! warns when they regress >25% against the committed baseline.
@@ -74,7 +74,7 @@ fn main() {
 
             // Untimed memory accounting: shared cells once per distinct
             // fingerprint + per-attachment DP cells, vs the pre-arena
-            // layout where every attachment owned pattern + qrev.
+            // layout where every attachment owned the pattern.
             let fleet = attach_all(&refs, streams);
             let mut seen = HashSet::new();
             let mut shared = 0usize;
@@ -85,7 +85,7 @@ fn main() {
                 }
                 per_attachment += Monitor::memory_cells(monitor);
             }
-            let naive = per_attachment + fleet.len() * 2 * M;
+            let naive = per_attachment + fleet.len() * M;
             println!(
                 "  q{queries}/s{streams}: resident {} cells \
                  (shared {shared} + per-attachment {per_attachment}); \

@@ -2,15 +2,15 @@
 //!
 //! The fleet scenario attaches one query to many streams (or many ε
 //! values to one stream). Before this module every monitor owned a
-//! private copy of the pattern and its derived buffers (reversed-query
-//! cache for the wavefront kernel, z-normalization statistics), so a
-//! fleet cost `O(attachments × m)` for data that never changes after
-//! construction. The arena splits every monitor into:
+//! private copy of the pattern and its derived data (z-normalization
+//! statistics), so a fleet cost `O(attachments × m)` for data that
+//! never changes after construction. The arena splits every monitor
+//! into:
 //!
 //! * an **immutable shared part** — a [`QueryRef`] holding the pattern
-//!   samples, the precomputed reversed-query cache, z-norm statistics
-//!   and an optional default ε, interned behind an [`Arc`] and
-//!   deduplicated by FNV-1a content hash (`spring-util::hash`); and
+//!   samples, z-norm statistics and an optional default ε, interned
+//!   behind an [`Arc`] and deduplicated by FNV-1a content hash
+//!   (`spring-util::hash`); and
 //! * a **mutable per-attachment part** — the DP distance/start columns
 //!   and candidate bookkeeping, which stay inside each monitor.
 //!
@@ -46,11 +46,6 @@ pub struct QueryRef {
     samples: Vec<f64>,
     /// Channels per tick (1 for scalar queries).
     channels: usize,
-    /// The scalar pattern reversed — the wavefront frame kernel reads
-    /// the query back-to-front on every anti-diagonal, so this cache is
-    /// precomputed once per query instead of once per monitor. Empty
-    /// for multivariate queries (the vector path has no frame kernel).
-    qrev: Vec<f64>,
     /// Population mean of the flattened samples.
     mean: f64,
     /// Population standard deviation of the flattened samples.
@@ -99,11 +94,9 @@ impl QueryRef {
         epsilon_default: Option<f64>,
     ) -> Result<Arc<Self>, SpringError> {
         check_query(samples)?;
-        let qrev: Vec<f64> = samples.iter().rev().copied().collect();
         Ok(Arc::new(Self::assemble(
             samples.to_vec(),
             1,
-            qrev,
             epsilon_default,
         )))
     }
@@ -119,15 +112,10 @@ impl QueryRef {
         for row in rows {
             flat.extend_from_slice(row);
         }
-        Ok(Arc::new(Self::assemble(flat, channels, Vec::new(), None)))
+        Ok(Arc::new(Self::assemble(flat, channels, None)))
     }
 
-    fn assemble(
-        samples: Vec<f64>,
-        channels: usize,
-        qrev: Vec<f64>,
-        epsilon_default: Option<f64>,
-    ) -> Self {
+    fn assemble(samples: Vec<f64>, channels: usize, epsilon_default: Option<f64>) -> Self {
         let n = samples.len() as f64;
         let mean = samples.iter().sum::<f64>() / n;
         let var = samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
@@ -135,7 +123,6 @@ impl QueryRef {
         QueryRef {
             samples,
             channels,
-            qrev,
             mean,
             std: var.sqrt(),
             epsilon_default,
@@ -165,11 +152,6 @@ impl QueryRef {
         self.samples.is_empty()
     }
 
-    /// The precomputed reversed pattern (empty for vector queries).
-    pub fn qrev(&self) -> &[f64] {
-        &self.qrev
-    }
-
     /// Population mean of the flattened samples.
     pub fn mean(&self) -> f64 {
         self.mean
@@ -191,11 +173,11 @@ impl QueryRef {
         self.hash
     }
 
-    /// Shared cells this entry holds resident (pattern + reversed
-    /// cache), in `f64`-sized units — the arena-side term of the
+    /// Shared cells this entry holds resident (the pattern), in
+    /// `f64`-sized units — the arena-side term of the
     /// `O(queries·m + attachments·m)` memory bound.
     pub fn cells(&self) -> usize {
-        self.samples.len() + self.qrev.len()
+        self.samples.len()
     }
 
     /// The z-normalized variant of a scalar query, built at most once
@@ -212,8 +194,7 @@ impl QueryRef {
         Arc::clone(self.znormalized.get_or_init(|| {
             let z = crate::znorm::znormalize(&self.samples)
                 .expect("samples were validated at construction");
-            let qrev: Vec<f64> = z.iter().rev().copied().collect();
-            Arc::new(QueryRef::assemble(z, 1, qrev, self.epsilon_default))
+            Arc::new(QueryRef::assemble(z, 1, self.epsilon_default))
         }))
     }
 
@@ -233,7 +214,7 @@ impl QueryRef {
 
 impl MemoryUse for QueryRef {
     fn bytes_used(&self) -> usize {
-        (self.samples.capacity() + self.qrev.capacity()) * std::mem::size_of::<f64>()
+        self.samples.capacity() * std::mem::size_of::<f64>()
             + self
                 .znormalized
                 .get()
@@ -244,7 +225,7 @@ impl MemoryUse for QueryRef {
 /// An interning table of shared queries.
 ///
 /// `intern` deduplicates by content hash: attaching the same pattern to
-/// 64 streams allocates its samples and reversed cache exactly once.
+/// 64 streams allocates its samples exactly once.
 /// The arena hands out [`Arc<QueryRef>`] clones; entries stay resident
 /// until [`QueryArena::gc`] removes the ones no monitor references any
 /// more. All methods take `&self` (the table is internally locked), so
@@ -391,15 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn qrev_is_the_reversed_pattern() {
-        let q = QueryRef::scalar(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(q.qrev(), &[3.0, 2.0, 1.0]);
-        assert_eq!(q.cells(), 6);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.channels(), 1);
-    }
-
-    #[test]
     fn stats_match_the_znorm_definitions() {
         let q = QueryRef::scalar(&[1.0, 2.0, 3.0]).unwrap();
         assert!((q.mean() - 2.0).abs() < 1e-12);
@@ -414,17 +386,15 @@ mod tests {
         assert!(Arc::ptr_eq(&z1, &z2));
         let expect = crate::znorm::znormalize(&[1.0, 5.0, 3.0]).unwrap();
         assert_eq!(z1.samples(), expect.as_slice());
-        let rev: Vec<f64> = expect.iter().rev().copied().collect();
-        assert_eq!(z1.qrev(), rev.as_slice());
     }
 
     #[test]
-    fn vector_queries_flatten_row_major_with_no_qrev() {
+    fn vector_queries_flatten_row_major() {
         let q = QueryRef::vector(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         assert_eq!(q.samples(), &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(q.channels(), 2);
         assert_eq!(q.len(), 2);
-        assert!(q.qrev().is_empty());
+        assert_eq!(q.cells(), 4);
         let arena = QueryArena::new();
         let a = arena
             .intern_vector(&[vec![1.0, 2.0], vec![3.0, 4.0]])

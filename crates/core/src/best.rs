@@ -5,16 +5,27 @@
 //! (Sec. 3.3.1). Unlike the disjoint query there is no threshold and no
 //! confirmation delay — the caller polls [`BestMatch::best`] whenever it
 //! wants the current answer.
+//!
+//! The matrix is ε-banded at ε = the best distance so far (see
+//! [`Stwm`]), the best-so-far pruning of exact DTW motif search: a
+//! warping path's accumulated distance never falls, so a cell above the
+//! current best cannot end a subsequence at or below it. The band keeps
+//! cells *equal* to the best bit-exact, so the earliest-tie rule is the
+//! one an unbanded matrix gives.
 
 use spring_dtw::kernels::{DistanceKernel, Squared};
 
 use crate::error::SpringError;
-use crate::kernel;
 use crate::mem::MemoryUse;
 use crate::stwm::Stwm;
 use crate::types::Match;
 
 /// Streaming best-match monitor over one stream and one query.
+///
+/// Each tick computes only the rows that can still reach the best
+/// distance so far, and none while every row lies above it and the
+/// sample is farther from `y_1` than the best (one distance per tick).
+/// Answers are bit-identical to a full-column matrix's.
 #[derive(Debug, Clone)]
 pub struct BestMatch<K: DistanceKernel = Squared> {
     stwm: Stwm<K>,
@@ -62,6 +73,9 @@ impl<K: DistanceKernel> BestMatch<K> {
     /// best improved at this tick.
     pub fn step(&mut self, x: f64) -> bool {
         debug_assert!(x.is_finite(), "stream value must be finite");
+        if self.stwm.skip_idle(std::slice::from_ref(&x)) == 1 {
+            return false;
+        }
         self.stwm.step(x);
         let dm = self.stwm.current_distance();
         // Strict `<` keeps the *earliest* of equally good subsequences,
@@ -71,6 +85,8 @@ impl<K: DistanceKernel> BestMatch<K> {
             self.best_start = self.stwm.current_start();
             self.best_end = self.stwm.tick();
             self.found_at = self.stwm.tick();
+            // Banding at `≤ best` keeps every tie cell bit-exact.
+            self.stwm.set_band(dm);
             true
         } else {
             false
@@ -121,41 +137,6 @@ impl<K: DistanceKernel> crate::monitor::Monitor for BestMatch<K> {
         Ok(None)
     }
 
-    /// Optimized batch path: best-match queries never mutate the matrix
-    /// between ticks (no invalidation), so this is the wavefront frame
-    /// kernel at its best — fill a whole frame of columns, then reduce
-    /// over the stored column tips `(d_m, s_m)`. Bit-identical to
-    /// per-sample stepping.
-    fn step_batch(&mut self, samples: &[f64], out: &mut Vec<Match>) -> Result<(), SpringError> {
-        let _ = out; // never reports mid-stream
-        kernel::with_frame(|frame| {
-            for chunk in samples.chunks(kernel::FRAME_COLS) {
-                let bad = chunk.iter().position(|x| !x.is_finite());
-                let valid = &chunk[..bad.unwrap_or(chunk.len())];
-                if !valid.is_empty() {
-                    let t0 = self.stwm.tick();
-                    self.stwm.fill_frame(valid, frame);
-                    for j in 1..=valid.len() {
-                        let (dm, sm) = frame.current(j);
-                        if dm < self.best_distance {
-                            self.best_distance = dm;
-                            self.best_start = sm;
-                            self.best_end = t0 + j as u64;
-                            self.found_at = t0 + j as u64;
-                        }
-                    }
-                    self.stwm.commit_frame(frame);
-                }
-                if bad.is_some() {
-                    return Err(SpringError::NonFiniteInput {
-                        tick: self.stwm.tick() + 1,
-                    });
-                }
-            }
-            Ok(())
-        })
-    }
-
     fn finish(&mut self) -> Option<Match> {
         if self.flushed {
             None
@@ -183,6 +164,7 @@ impl<K: DistanceKernel> crate::monitor::Monitor for BestMatch<K> {
 
     fn reset(&mut self) {
         self.stwm.reset();
+        self.stwm.set_band(f64::INFINITY);
         self.best_distance = f64::INFINITY;
         self.best_start = 0;
         self.best_end = 0;
@@ -273,5 +255,66 @@ mod tests {
         assert!(bm.step(5.0)); // first value always improves (∞ → 25)
         assert!(!bm.step(6.0)); // worse, best unchanged
         assert!(bm.step(1.0)); // improves to 1
+    }
+
+    #[test]
+    fn reset_restores_the_full_band() {
+        // The first stream holds an exact occurrence, so the band
+        // tightens to 0; the second never comes within 0 of the query.
+        // After `reset` the band must be +∞ again, or the second
+        // stream's samples would all pass for idle and find nothing.
+        use crate::monitor::Monitor;
+        let query = [1.0, 5.0, 1.0];
+        let mut first = vec![20.0; 5];
+        first.extend(query);
+        first.extend(vec![20.0; 5]);
+        let second: Vec<f64> = (0..30).map(|i| 8.0 + (i % 5) as f64).collect();
+        let mut bm = BestMatch::new(&query).unwrap();
+        for &x in &first {
+            bm.step(x);
+        }
+        assert_eq!(bm.best().unwrap().distance, 0.0);
+        Monitor::reset(&mut bm);
+        let mut fresh = BestMatch::new(&query).unwrap();
+        for &x in &second {
+            assert_eq!(bm.step(x), fresh.step(x), "tick {}", fresh.tick());
+        }
+        assert_eq!(bm.best(), fresh.best());
+        assert!(bm.best().unwrap().distance > 0.0);
+    }
+
+    #[test]
+    fn a_non_finite_sample_stops_a_batch_where_per_sample_does() {
+        // The bad sample lands before the best, on it, and inside the
+        // idle stretch after it, where the band is empty and the skip
+        // runs: a batch must stop at the same tick, with the same error
+        // and the same answer, as per-sample stepping.
+        use crate::monitor::Monitor;
+        let query = [1.0, 5.0, 1.0];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [0usize, 1, 4, 5, 7, 8, 9, 30] {
+                let mut stream = vec![3.0, 2.0, 6.0, 1.0, 5.0, 1.0];
+                stream.extend(vec![50.0; 34]);
+                stream[at] = bad;
+                let mut per_sample = BestMatch::new(&query).unwrap();
+                let err = stream
+                    .iter()
+                    .find_map(|x| Monitor::step(&mut per_sample, x).err())
+                    .unwrap();
+                let mut batched = BestMatch::new(&query).unwrap();
+                let got = batched.step_batch(&stream, &mut Vec::new()).unwrap_err();
+                let ctx = format!("bad={bad} at={at}");
+                assert_eq!(got, err, "{ctx}");
+                assert_eq!(
+                    got,
+                    SpringError::NonFiniteInput {
+                        tick: at as u64 + 1
+                    },
+                    "{ctx}"
+                );
+                assert_eq!(batched.tick(), at as u64, "{ctx}: consumed prefix");
+                assert_eq!(batched.best(), per_sample.best(), "{ctx}");
+            }
+        }
     }
 }

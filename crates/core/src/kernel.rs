@@ -58,45 +58,42 @@
 //!
 //! ## SIMD
 //!
-//! On every `x86_64` build the two Eq. (8) selects — the column
-//! min-select and the frame's diagonal select — run on `core::arch`
-//! intrinsics at the widest width the CPU reports at runtime (AVX-512F,
-//! AVX2, or the SSE2 baseline). That is the one place autovectorizers
+//! On every `x86_64` build the lane phase's Eq. (8) min-select runs on
+//! `core::arch` intrinsics: AVX2 when the CPU reports it at runtime,
+//! the SSE2 baseline otherwise. That is the one place autovectorizers
 //! struggle, because the `u64` start lane must be blended under the
-//! `f64` comparison mask. The base-distance fill and the carry phase
-//! stay in portable Rust (the former autovectorizes, the latter is a
-//! serial chain). Other targets run the portable select loops, which
-//! stay compiled on `x86_64` too so the bit-exactness tests pin every
-//! lane width against the reference. The `simd` module is the only
-//! `unsafe` code in the crate (which is otherwise `deny(unsafe_code)`);
-//! the hosted `miri` CI job runs the kernel tests under Miri to keep it
+//! `f64` comparison mask; with only the portable select the
+//! `kernel_throughput` `column_*` rows measured 1.35–1.7× slower on an
+//! x86-64 host. The base-distance fill and the carry phase stay in
+//! portable Rust (the former autovectorizes, the latter is a serial
+//! chain). Other targets run the portable select loop, which stays
+//! compiled on `x86_64` too so the bit-exactness tests pin every lane
+//! width against the reference. The `simd` module is the only `unsafe`
+//! code in the crate (which is otherwise `deny(unsafe_code)`); the
+//! hosted `miri` CI job runs the kernel tests under Miri to keep it
 //! UB-clean.
-
-use std::cell::RefCell;
 
 use spring_dtw::kernels::DistanceKernel;
 
 use crate::stwm::Step;
 
-/// Portable chunk width of the lane phase: wide enough for one AVX-512
-/// or two AVX2 vectors of `f64`, and a multiple of every narrower lane
-/// count, so the autovectorizer can pick whatever the target offers.
+/// Portable chunk width of the lane phase: two AVX2 vectors of `f64`,
+/// and a multiple of every narrower lane count, so the autovectorizer
+/// can pick whatever the target offers.
 const LANES: usize = 8;
 
-/// The lanes the two Eq. (8) selects run on: `Some(level)` is the
-/// explicit x86-64 SIMD path at a [`simd::level`] width, `None` the
-/// portable loops (every other target). The field is private to this
-/// module, so a SIMD level is never wider than the CPU reported: the
-/// SIMD paths rely on that.
+/// The lanes the column min-select runs on: `Some(avx2)` is the
+/// explicit x86-64 SIMD path (AVX2 when `avx2`, else SSE2), `None` the
+/// portable loop (every other target). Only [`lanes`] builds one with
+/// `avx2` set, after the CPU reported it: the AVX2 path relies on that.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Lanes(Option<u8>);
+struct Lanes(Option<bool>);
 
-/// The widest lanes this CPU runs the frame's diagonal select on. Probed
-/// once per frame, not per diagonal: the detection macro's atomic load
-/// is measurable at small `m`.
-pub(crate) fn lanes() -> Lanes {
+/// The lanes this CPU runs the column min-select on, probed per column.
+#[inline]
+fn lanes() -> Lanes {
     #[cfg(target_arch = "x86_64")]
-    let lanes = Lanes(Some(simd::level()));
+    let lanes = Lanes(Some(is_x86_feature_detected!("avx2")));
     #[cfg(not(target_arch = "x86_64"))]
     let lanes = Lanes(None);
     lanes
@@ -104,8 +101,8 @@ pub(crate) fn lanes() -> Lanes {
 
 /// Reusable scratch lanes for the two-phase column fill, sized `m + 1`
 /// to share the column indexing (index 0 is unused padding for the star
-/// row). Owned by the matrix so `step_batch` amortizes the setup across
-/// a whole frame and the steady state stays allocation-free.
+/// row). Owned by the matrix, so every column fill reuses it and the
+/// steady state stays allocation-free.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch {
     /// `base[i] = ‖x − y_i‖` for `i = 1 ..= m`.
@@ -143,18 +140,6 @@ fn fill_base<K: DistanceKernel>(kernel: K, query: &[f64], x: f64, base: &mut [f6
     }
 }
 
-/// The lanes the column min-select runs on: AVX2 when the CPU reports
-/// it (probed per column), SSE2 otherwise; the portable loop on
-/// non-x86 targets.
-#[inline]
-fn column_lanes() -> Lanes {
-    #[cfg(target_arch = "x86_64")]
-    let lanes = Lanes(Some(u8::from(is_x86_feature_detected!("avx2"))));
-    #[cfg(not(target_arch = "x86_64"))]
-    let lanes = Lanes(None);
-    lanes
-}
-
 /// Lane-phase min-select over a previous-column prefix (`len h + 1`)
 /// on `lanes`: for `i = 1 ..= h`, `dd[i] = min⁻(d_prev[i], d_prev[i−1])`
 /// with `sd[i]` following the mask.
@@ -166,7 +151,7 @@ fn min_select_on(lanes: Lanes, d_prev: &[f64], s_prev: &[u64], dd: &mut [f64], s
     let (dd, sd) = (&mut dd[1..m + 1], &mut sd[1..m + 1]);
     match lanes.0 {
         #[cfg(target_arch = "x86_64")]
-        Some(level) => simd::min_select(level, down, diag, sdown, sdiag, dd, sd),
+        Some(avx2) => simd::min_select(avx2, down, diag, sdown, sdiag, dd, sd),
         _ => min_select_portable(down, diag, sdown, sdiag, dd, sd),
     }
 }
@@ -210,7 +195,7 @@ fn min_select_portable(
 /// are the scratch lanes. Picking `left` iff `left ≤ dd[i]` reproduces
 /// the Eq. (8) tie order exactly (see the module docs).
 #[inline]
-pub(crate) fn carry(
+fn carry(
     base: &[f64],
     dd: &[f64],
     sd: &[u64],
@@ -240,7 +225,7 @@ pub(crate) fn carry(
 /// The highest row `i ≥ 1` of column `d` with `d[i] ≤ eps` (0 if none),
 /// scanning down from the last row.
 #[inline]
-pub(crate) fn band_top(d: &[f64], eps: f64) -> usize {
+fn band_top(d: &[f64], eps: f64) -> usize {
     d[1..].iter().rposition(|&v| v <= eps).map_or(0, |i| i + 1)
 }
 
@@ -269,7 +254,7 @@ pub(crate) fn fill_column<K: DistanceKernel>(
     scratch: &mut Scratch,
 ) -> usize {
     fill_column_on(
-        column_lanes(),
+        lanes(),
         |base| fill_base(kernel, query, x, base),
         |i| kernel.dist(x, query[i - 1]),
         t,
@@ -301,7 +286,7 @@ pub(crate) fn fill_column_with(
     scratch: &mut Scratch,
 ) -> usize {
     fill_column_on(
-        column_lanes(),
+        lanes(),
         fill_base,
         row_dist,
         t,
@@ -369,429 +354,6 @@ fn fill_column_on(
     top
 }
 
-/// Number of stream samples one [`Frame`] ingests at a time: the lane
-/// width of the anti-diagonal wavefront (one AVX-512 vector of `f64`,
-/// four AVX2 vectors, and enough independent work to hide the min/add
-/// latency chain even in scalar code).
-pub(crate) const FRAME_COLS: usize = 8;
-
-/// Lane stride of one diagonal block: lane 0 carries the incoming
-/// previous column, lanes `1 ..= FRAME_COLS` the frame's sample columns.
-const DIAG_STRIDE: usize = FRAME_COLS + 1;
-
-/// A block of [`FRAME_COLS`] STWM columns filled as one unit.
-///
-/// The per-column kernel is latency-bound: `d(t, i)` needs `d(t, i−1)`
-/// through a float min + add chain (~8 cycles/cell on current x86), and
-/// no lane-parallelism inside one column can hide it. Across a block of
-/// consecutive samples, though, the recurrence has a classic wavefront
-/// structure: cells on one anti-diagonal (`column + row = const`)
-/// depend only on the previous two anti-diagonals, so every
-/// anti-diagonal is an *elementwise* lane operation with no carried
-/// dependency at all.
-///
-/// Storage is therefore **diagonal-major**: the cell at column `j`
-/// (0 = the incoming previous column, `1 ..= w` = one per ingested
-/// sample) and row `i` lives at flat index
-/// `(j + i) · DIAG_STRIDE + j`. All three predecessors of the cells on
-/// diagonal `k` — left `(j, i−1)`, down `(j−1, i)`, diag `(j−1, i−1)` —
-/// are then *contiguous windows* of the two previous diagonal blocks,
-/// shifted by at most one lane:
-///
-/// ```text
-///   diag k−2:  [ ·  dg dg dg dg ·  ]      (lanes j_lo−1 .. j_hi−1)
-///   diag k−1:  [ dn ln ln ln ln ln ]      (down: j−1, left: j)
-///   diag k:    [ ·  ◆  ◆  ◆  ◆  ◆  ]  ←  base[j] + min⁻(left, down, diag)
-/// ```
-///
-/// so the inner loop is a pure SoA lane loop over exact-length slices —
-/// no gathers, no bounds checks, and the query is read through a
-/// reversed cache (`qrev`) that makes its diagonal access contiguous
-/// too. `Monitor::step_batch` ingests each frame with
-/// [`crate::stwm::Stwm::fill_frame`], runs the reporting policy over
-/// the stored columns (strided, early-exit scans), and commits the last
-/// column back to the rolling matrix. The frame itself is per-thread
-/// scratch ([`with_frame`]), not per-monitor state.
-///
-/// Every cell is computed by the same expression in the same order as
-/// the scalar reference (`base + min⁻(left, down, diag)` with Eq. (8)
-/// tie-breaking), just in a different *schedule* — cell values depend
-/// only on predecessor cells, so the result is bit-identical to the
-/// reference run on the same incoming column. The wavefront fills every
-/// row; a banded monitor takes it only when its band can reach row m
-/// inside the frame.
-#[derive(Debug, Default)]
-pub(crate) struct Frame {
-    d: Vec<f64>,
-    s: Vec<u64>,
-    /// Query length this frame is sized for.
-    m: usize,
-    /// Live sample columns this frame (`1 ..= w` are valid).
-    w: usize,
-    /// Cold-path column buffers for [`refill_frame_tail`] (previous and
-    /// current column of the per-column kernel).
-    tmp_pd: Vec<f64>,
-    tmp_ps: Vec<u64>,
-    tmp_cd: Vec<f64>,
-    tmp_cs: Vec<u64>,
-}
-
-impl Frame {
-    /// Flat index of (column `j`, row `i`).
-    #[inline]
-    fn at(&self, j: usize, i: usize) -> usize {
-        (j + i) * DIAG_STRIDE + j
-    }
-
-    /// Sizes storage for query length `m` and marks `w` live columns.
-    /// Grow-only: one frame serves every monitor on its thread, so a
-    /// shorter query reuses a longer one's block (cell indices do not
-    /// depend on `m`, and rows past `m` are never read back). Capacity
-    /// covers [`FRAME_COLS`] columns regardless of `w`, so ragged final
-    /// chunks never reallocate.
-    fn ensure(&mut self, m: usize, w: usize) {
-        debug_assert!((1..=FRAME_COLS).contains(&w));
-        let need = (m + FRAME_COLS + 1) * DIAG_STRIDE;
-        if self.d.len() < need {
-            self.d.resize(need, f64::INFINITY);
-            self.s.resize(need, 0);
-        }
-        if self.tmp_pd.len() < m + 1 {
-            self.tmp_pd.resize(m + 1, f64::INFINITY);
-            self.tmp_ps.resize(m + 1, 0);
-            self.tmp_cd.resize(m + 1, f64::INFINITY);
-            self.tmp_cs.resize(m + 1, 0);
-        }
-        self.m = m;
-        self.w = w;
-    }
-
-    /// Live sample columns (`1 ..= width()`).
-    pub(crate) fn width(&self) -> usize {
-        self.w
-    }
-
-    /// Equation (9) over column `j`: every live cell has `d ≥ dmin` or
-    /// starts after `te`. Strided walk with the same early exit as the
-    /// rolling-column scan — unconfirmed columns (the common case while
-    /// a candidate is pending) trip within a few cells; the full-length
-    /// scan only happens on the tick that actually confirms a report.
-    pub(crate) fn confirmed(&self, j: usize, dmin: f64, te: u64) -> bool {
-        let mut idx = self.at(j, 1);
-        for _ in 1..=self.m {
-            if self.d[idx] < dmin && self.s[idx] <= te {
-                return false;
-            }
-            idx += DIAG_STRIDE;
-        }
-        true
-    }
-
-    /// `(d_m, s_m)` of column `j`.
-    pub(crate) fn current(&self, j: usize) -> (f64, u64) {
-        let idx = self.at(j, self.m);
-        (self.d[idx], self.s[idx])
-    }
-
-    /// Disjoint-query reset on column `j`: cells whose path starts at or
-    /// before `te` become `+∞`.
-    pub(crate) fn invalidate(&mut self, j: usize, te: u64) {
-        let mut idx = self.at(j, 1);
-        for _ in 1..=self.m {
-            if self.s[idx] <= te {
-                self.d[idx] = f64::INFINITY;
-            }
-            idx += DIAG_STRIDE;
-        }
-    }
-
-    /// Materializes column `j` into `m + 1`-length row-order buffers
-    /// (star cell first) — the commit and cold-refill paths.
-    pub(crate) fn copy_col(&self, j: usize, d_out: &mut [f64], s_out: &mut [u64]) {
-        let mut idx = self.at(j, 0);
-        for i in 0..=self.m {
-            d_out[i] = self.d[idx];
-            s_out[i] = self.s[idx];
-            idx += DIAG_STRIDE;
-        }
-    }
-
-    /// Writes a row-order column back into diagonal storage (cold
-    /// refill after invalidation).
-    fn scatter_col(&mut self, j: usize, d_in: &[f64], s_in: &[u64]) {
-        let mut idx = self.at(j, 0);
-        for i in 0..=self.m {
-            self.d[idx] = d_in[i];
-            self.s[idx] = s_in[i];
-            idx += DIAG_STRIDE;
-        }
-    }
-
-    /// Column `j` as freshly-allocated row-order vectors (test helper).
-    #[cfg(test)]
-    fn col_vec(&self, j: usize) -> (Vec<f64>, Vec<u64>) {
-        let mut d = vec![0.0; self.m + 1];
-        let mut s = vec![0u64; self.m + 1];
-        self.copy_col(j, &mut d, &mut s);
-        (d, s)
-    }
-}
-
-thread_local! {
-    /// The wavefront scratch of every `step_batch` on this thread. A
-    /// frame holds no state between batches (each fill reloads lane 0
-    /// from the monitor's rolling column), so one per thread serves all
-    /// of its monitors, and a monitor keeps only the two DP columns the
-    /// paper's Lemma 4 counts.
-    static FRAME: RefCell<Frame> = RefCell::new(Frame::default());
-}
-
-/// Runs `f` on this thread's wavefront [`Frame`]. Not reentrant: `f`
-/// must not call back into a batch step.
-pub(crate) fn with_frame<R>(f: impl FnOnce(&mut Frame) -> R) -> R {
-    FRAME.with_borrow_mut(f)
-}
-
-/// Fills a frame of `w = xs.len()` columns by anti-diagonal wavefront,
-/// running the diagonal select on `lanes` (see [`lanes`]).
-/// `d_prev`/`s_prev` is the incoming rolling column for tick `t0`
-/// (loaded into frame lane 0); the caller's tick is NOT advanced —
-/// commit happens after the reporting policy has walked the columns.
-#[allow(clippy::too_many_arguments)] // query + qrev arrive as arena borrows
-pub(crate) fn fill_frame<K: DistanceKernel>(
-    lanes: Lanes,
-    kernel: K,
-    query: &[f64],
-    qrev: &[f64],
-    xs: &[f64],
-    t0: u64,
-    d_prev: &[f64],
-    s_prev: &[u64],
-    frame: &mut Frame,
-) {
-    let m = query.len();
-    let w = xs.len();
-    frame.ensure(m, w);
-    // The reversed-query cache lives in the shared `QueryRef` (one copy
-    // per query, not per monitor); the caller hands both orientations in.
-    debug_assert_eq!(qrev.len(), m, "qrev must mirror the query");
-    // Lane 0: the incoming previous column, spread along the diagonals.
-    for i in 0..=m {
-        frame.d[i * DIAG_STRIDE] = d_prev[i];
-        frame.s[i * DIAG_STRIDE] = s_prev[i];
-    }
-    // Star cells + row 1. Row 1's own predecessors are star cells
-    // (left = diag = 0 with start t), so Eq. (8) reduces to: take the
-    // star (0, t) unless `down` is strictly below zero — impossible for
-    // real distances, but kept for bit-parity with the reference on any
-    // kernel. Sequential in j; only w cells.
-    for j in 1..=w {
-        let t = t0 + j as u64;
-        let star = frame.at(j, 0);
-        frame.d[star] = 0.0;
-        frame.s[star] = t;
-        let base = kernel.dist(xs[j - 1], query[0]);
-        let dn = frame.at(j - 1, 1);
-        let down = frame.d[dn];
-        let (dbest, s) = if 0.0 <= down {
-            (0.0, t)
-        } else if down <= 0.0 {
-            (down, frame.s[dn])
-        } else {
-            (0.0, t)
-        };
-        let r1 = frame.at(j, 1);
-        frame.d[r1] = base + dbest;
-        frame.s[r1] = s;
-    }
-    // Rows 2..=m, one anti-diagonal k = j + i at a time. Split the flat
-    // storage at diagonal k: everything the lane loop reads lives in
-    // the previous two diagonal blocks, everything it writes in the
-    // current one, and all of it as exact-length contiguous windows —
-    // the loop is branch-free, gather-free elementwise SoA code.
-    let mut xw = [0.0f64; DIAG_STRIDE];
-    xw[1..=w].copy_from_slice(xs);
-    for k in 3..=(w + m) {
-        let j_lo = if k > m { k - m } else { 1 };
-        let j_hi = (k - 2).min(w);
-        if j_lo > j_hi {
-            continue;
-        }
-        let (head_d, tail_d) = frame.d.split_at_mut(k * DIAG_STRIDE);
-        let (head_s, tail_s) = frame.s.split_at_mut(k * DIAG_STRIDE);
-        let p1_d = &head_d[(k - 1) * DIAG_STRIDE..];
-        let p1_s = &head_s[(k - 1) * DIAG_STRIDE..];
-        let p2_d = &head_d[(k - 2) * DIAG_STRIDE..(k - 1) * DIAG_STRIDE];
-        let p2_s = &head_s[(k - 2) * DIAG_STRIDE..(k - 1) * DIAG_STRIDE];
-        // Lane j handles row i = k − j, i.e. query[k − j − 1], which is
-        // qrev[m − k + j]: a forward window of the reversed query.
-        let q0 = m + j_lo - k;
-        if j_hi == FRAME_COLS {
-            // Full-width diagonal — the bulk of every full frame. On the
-            // down-ramp (k > m + 1) lanes below `j_lo` map to rows past
-            // `m`: real storage that is never read back, so computing
-            // them on whatever (finite) values sit in the predecessor
-            // lanes beats narrowing the windows. Fixed-size windows:
-            // no bounds checks, full unroll, SIMD-dispatched.
-            let mut qa = [0.0f64; FRAME_COLS];
-            let q: &[f64; FRAME_COLS] = if k <= m + 1 {
-                // All lanes live: the q window is a plain zero-copy ref.
-                (&qrev[m + 1 - k..m + 1 + FRAME_COLS - k])
-                    .try_into()
-                    .unwrap()
-            } else {
-                // Down-ramp: shift the surviving q values up past the
-                // dead lanes (cold: at most FRAME_COLS−1 diagonals/frame).
-                let dead = k - m - 1;
-                qa[dead..].copy_from_slice(&qrev[..FRAME_COLS - dead]);
-                &qa
-            };
-            wave_full(
-                kernel,
-                lanes,
-                (&xw[1..]).try_into().unwrap(),
-                q,
-                (&p1_d[..DIAG_STRIDE]).try_into().unwrap(),
-                (&p1_s[..DIAG_STRIDE]).try_into().unwrap(),
-                (&p2_d[..FRAME_COLS]).try_into().unwrap(),
-                (&p2_s[..FRAME_COLS]).try_into().unwrap(),
-                (&mut tail_d[1..DIAG_STRIDE]).try_into().unwrap(),
-                (&mut tail_s[1..DIAG_STRIDE]).try_into().unwrap(),
-            );
-        } else {
-            // Ramp-up/ramp-down diagonals: a handful of cells at the
-            // frame's corners (lanes `j_lo ..= j_hi`), shared by every
-            // width `w`.
-            let (lo, hi) = (j_lo, j_hi + 1);
-            let mut base = [0.0f64; FRAME_COLS];
-            for (b, (&x, &q)) in base.iter_mut().zip(xw[lo..hi].iter().zip(&qrev[q0..])) {
-                *b = kernel.dist(x, q);
-            }
-            diag_select_portable(
-                &base[..hi - lo],
-                &p1_d[lo - 1..hi],
-                &p1_s[lo - 1..hi],
-                &p2_d[lo - 1..hi - 1],
-                &p2_s[lo - 1..hi - 1],
-                &mut tail_d[lo..hi],
-                &mut tail_s[lo..hi],
-            );
-        }
-    }
-}
-
-/// One full-width anti-diagonal: lanes `1 ..= FRAME_COLS` of diagonal
-/// `k`, with `p1`/`p2` windows of diagonals `k−1`/`k−2`. Array index
-/// `j` is frame column `j + 1`: `left = p1_d[j+1]`, `down = p1_d[j]`,
-/// `diag = p2_d[j]`. The base distances are a straight elementwise loop
-/// (autovectorizes); the Eq. (8) select — a `u64` lane blended under an
-/// `f64` comparison mask — runs on `lanes`.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn wave_full<K: DistanceKernel>(
-    kernel: K,
-    lanes: Lanes,
-    x: &[f64; FRAME_COLS],
-    q: &[f64; FRAME_COLS],
-    p1_d: &[f64; DIAG_STRIDE],
-    p1_s: &[u64; DIAG_STRIDE],
-    p2_d: &[f64; FRAME_COLS],
-    p2_s: &[u64; FRAME_COLS],
-    cur_d: &mut [f64; FRAME_COLS],
-    cur_s: &mut [u64; FRAME_COLS],
-) {
-    let mut base = [0.0f64; FRAME_COLS];
-    for j in 0..FRAME_COLS {
-        base[j] = kernel.dist(x[j], q[j]);
-    }
-    match lanes.0 {
-        #[cfg(target_arch = "x86_64")]
-        Some(level) => simd::diag_select(level, &base, p1_d, p1_s, p2_d, p2_s, cur_d, cur_s),
-        _ => diag_select_portable(&base, p1_d, p1_s, p2_d, p2_s, cur_d, cur_s),
-    }
-}
-
-/// Portable Eq. (8) select over the `cur_d.len()` lanes of one
-/// anti-diagonal, indexed as in [`wave_full`] (`p1` windows hold one
-/// more lane than the output). Split exactly as in `carry`: down-vs-diag
-/// first (down preferred on ties), then left (preferred on ties). The
-/// frame's ramp diagonals always run it; full diagonals only where
-/// there is no SIMD path.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn diag_select_portable(
-    base: &[f64],
-    p1_d: &[f64],
-    p1_s: &[u64],
-    p2_d: &[f64],
-    p2_s: &[u64],
-    cur_d: &mut [f64],
-    cur_s: &mut [u64],
-) {
-    // Exact-length windows, so the lane loop carries no bounds checks.
-    let n = cur_d.len();
-    let (base, p2_d, p2_s, cur_s) = (&base[..n], &p2_d[..n], &p2_s[..n], &mut cur_s[..n]);
-    let (p1_d, p1_s) = (&p1_d[..=n], &p1_s[..=n]);
-    for j in 0..n {
-        let left = p1_d[j + 1];
-        let down = p1_d[j];
-        let diag = p2_d[j];
-        let take_down = down <= diag;
-        let dd = if take_down { down } else { diag };
-        let sd = if take_down { p1_s[j] } else { p2_s[j] };
-        let take_left = left <= dd;
-        cur_d[j] = base[j] + if take_left { left } else { dd };
-        cur_s[j] = if take_left { p1_s[j + 1] } else { sd };
-    }
-}
-
-/// Recomputes frame columns `from ..= w` with the per-column kernel
-/// after a disjoint-query reset invalidated column `from − 1` (reports
-/// are rare; correctness over speed here). Works in the frame's
-/// row-order temp buffers and scatters each rebuilt column back into
-/// diagonal storage.
-pub(crate) fn refill_frame_tail<K: DistanceKernel>(
-    kernel: K,
-    query: &[f64],
-    xs: &[f64],
-    t0: u64,
-    frame: &mut Frame,
-    from: usize,
-    scratch: &mut Scratch,
-) {
-    let rows = frame.m + 1;
-    let mut pd = std::mem::take(&mut frame.tmp_pd);
-    let mut ps = std::mem::take(&mut frame.tmp_ps);
-    let mut cd = std::mem::take(&mut frame.tmp_cd);
-    let mut cs = std::mem::take(&mut frame.tmp_cs);
-    frame.copy_col(from - 1, &mut pd, &mut ps);
-    for j in from..=frame.w {
-        // The full column: frames are taken only where the band is
-        // (nearly) full, and refills are rare.
-        fill_column(
-            kernel,
-            query,
-            xs[j - 1],
-            t0 + j as u64,
-            f64::INFINITY,
-            &mut pd[..rows],
-            &mut ps[..rows],
-            frame.m,
-            &mut cd[..rows],
-            &mut cs[..rows],
-            frame.m,
-            scratch,
-        );
-        frame.scatter_col(j, &cd, &cs);
-        std::mem::swap(&mut pd, &mut cd);
-        std::mem::swap(&mut ps, &mut cs);
-    }
-    frame.tmp_pd = pd;
-    frame.tmp_ps = ps;
-    frame.tmp_cd = cd;
-    frame.tmp_cs = cs;
-}
-
 /// The scalar reference column fill: the Eq. (7)/(8) recurrence as one
 /// branchy loop, with a per-row trace hook for
 /// [`crate::PathSpring`]'s back-pointers. The SoA kernel is pinned
@@ -832,25 +394,24 @@ pub(crate) fn fill_column_reference<K: DistanceKernel>(
     }
 }
 
-/// Explicit x86-64 SIMD selects: the only `unsafe` in the crate,
-/// compiled on every x86_64 build. AVX-512F (8 × f64), AVX2 (4 × f64)
-/// or SSE2 (2 × f64, part of the x86-64 baseline), chosen at runtime
-/// from the CPU's features. Every operation is an element-wise IEEE
-/// compare/blend, so results are bit-identical to the portable path at
-/// any width.
+/// Explicit x86-64 SIMD min-select: the only `unsafe` in the crate,
+/// compiled on every x86_64 build. AVX2 (4 × f64) or SSE2 (2 × f64,
+/// part of the x86-64 baseline), chosen at runtime from the CPU's
+/// features. Every operation is an element-wise IEEE compare/blend, so
+/// results are bit-identical to the portable path at either width.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
     use core::arch::x86_64::*;
 
-    use super::{min_select_portable, DIAG_STRIDE, FRAME_COLS};
+    use super::min_select_portable;
 
-    /// Min-select at `level` (AVX2 for 1 and above, SSE2 for 0), which
-    /// must not exceed what the CPU reports (see [`super::Lanes`]); the
-    /// lanes past the last full vector go through the portable loop.
+    /// Min-select on AVX2 when `avx2` (which the CPU must report, see
+    /// [`super::Lanes`]), on SSE2 otherwise; the lanes past the last
+    /// full vector go through the portable loop.
     #[inline]
     pub(super) fn min_select(
-        level: u8,
+        avx2: bool,
         down: &[f64],
         diag: &[f64],
         sdown: &[u64],
@@ -860,9 +421,9 @@ mod simd {
     ) {
         // SAFETY: sse2 is unconditionally part of the x86-64 baseline;
         // the avx2 path is only entered when the caller's probe
-        // reported avx2 (`level ≥ 1`).
+        // reported avx2.
         let i = unsafe {
-            if level >= 1 {
+            if avx2 {
                 min_select_avx2(down, diag, sdown, sdiag, dd, sd)
             } else {
                 min_select_sse2(down, diag, sdown, sdiag, dd, sd)
@@ -944,150 +505,6 @@ mod simd {
         }
         i
     }
-
-    /// Widest usable lane width, probed once per frame by
-    /// [`super::lanes`]. 2 = AVX-512F (one 8 × f64 op per diagonal),
-    /// 1 = AVX2, 0 = SSE2.
-    #[inline]
-    pub(super) fn level() -> u8 {
-        if is_x86_feature_detected!("avx512f") {
-            2
-        } else if is_x86_feature_detected!("avx2") {
-            1
-        } else {
-            0
-        }
-    }
-
-    /// The full Eq. (8) select for one full-width anti-diagonal: array
-    /// index `j` reads `left = p1_d[j+1]`, `down = p1_d[j]`,
-    /// `diag = p2_d[j]`, picks down-vs-diag first (down on ties) then
-    /// left (left on ties), and stores `base + dbest` plus the winning
-    /// start. Same compare/blend identities as `min_select`, so lanes
-    /// are bit-identical to the portable loop.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn diag_select(
-        level: u8,
-        base: &[f64; FRAME_COLS],
-        p1_d: &[f64; DIAG_STRIDE],
-        p1_s: &[u64; DIAG_STRIDE],
-        p2_d: &[f64; FRAME_COLS],
-        p2_s: &[u64; FRAME_COLS],
-        cur_d: &mut [f64; FRAME_COLS],
-        cur_s: &mut [u64; FRAME_COLS],
-    ) {
-        // SAFETY: sse2 is unconditionally part of the x86-64 baseline;
-        // the avx2/avx512f paths are only entered when the caller's
-        // `level` probe reported the matching CPU feature.
-        unsafe {
-            match level {
-                2 => diag_select_avx512(base, p1_d, p1_s, p2_d, p2_s, cur_d, cur_s),
-                1 => diag_select_avx2(base, p1_d, p1_s, p2_d, p2_s, cur_d, cur_s),
-                _ => diag_select_sse2(base, p1_d, p1_s, p2_d, p2_s, cur_d, cur_s),
-            }
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX-512F. One full diagonal per op: the f64 compares
-    /// produce `__mmask8` predicates, and `mask_blend_pd` /
-    /// `mask_blend_epi64` apply the same lane selection to the distance
-    /// and start planes — bit-identical to the scalar select.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn diag_select_avx512(
-        base: &[f64; FRAME_COLS],
-        p1_d: &[f64; DIAG_STRIDE],
-        p1_s: &[u64; DIAG_STRIDE],
-        p2_d: &[f64; FRAME_COLS],
-        p2_s: &[u64; FRAME_COLS],
-        cur_d: &mut [f64; FRAME_COLS],
-        cur_s: &mut [u64; FRAME_COLS],
-    ) {
-        let left = _mm512_loadu_pd(p1_d.as_ptr().add(1));
-        let down = _mm512_loadu_pd(p1_d.as_ptr());
-        let diag = _mm512_loadu_pd(p2_d.as_ptr());
-        let td = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(down, diag);
-        let dd = _mm512_mask_blend_pd(td, diag, down);
-        let sdn = _mm512_loadu_si512(p1_s.as_ptr() as *const __m512i);
-        let sdg = _mm512_loadu_si512(p2_s.as_ptr() as *const __m512i);
-        let sd = _mm512_mask_blend_epi64(td, sdg, sdn);
-        let tl = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(left, dd);
-        let dbest = _mm512_mask_blend_pd(tl, dd, left);
-        let sl = _mm512_loadu_si512(p1_s.as_ptr().add(1) as *const __m512i);
-        let sbest = _mm512_mask_blend_epi64(tl, sd, sl);
-        let b = _mm512_loadu_pd(base.as_ptr());
-        _mm512_storeu_pd(cur_d.as_mut_ptr(), _mm512_add_pd(b, dbest));
-        _mm512_storeu_si512(cur_s.as_mut_ptr() as *mut __m512i, sbest);
-    }
-
-    /// # Safety
-    /// Requires AVX2. Fixed-size array refs make every `add(o)` below
-    /// in-bounds by construction (`o + 4 ≤ 8`, `o + 1 + 4 ≤ 9`).
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn diag_select_avx2(
-        base: &[f64; FRAME_COLS],
-        p1_d: &[f64; DIAG_STRIDE],
-        p1_s: &[u64; DIAG_STRIDE],
-        p2_d: &[f64; FRAME_COLS],
-        p2_s: &[u64; FRAME_COLS],
-        cur_d: &mut [f64; FRAME_COLS],
-        cur_s: &mut [u64; FRAME_COLS],
-    ) {
-        for o in [0usize, 4] {
-            let left = _mm256_loadu_pd(p1_d.as_ptr().add(o + 1));
-            let down = _mm256_loadu_pd(p1_d.as_ptr().add(o));
-            let diag = _mm256_loadu_pd(p2_d.as_ptr().add(o));
-            let td = _mm256_cmp_pd::<_CMP_LE_OQ>(down, diag);
-            let dd = _mm256_blendv_pd(diag, down, td);
-            let sdn = _mm256_loadu_si256(p1_s.as_ptr().add(o) as *const __m256i);
-            let sdg = _mm256_loadu_si256(p2_s.as_ptr().add(o) as *const __m256i);
-            let sd = _mm256_blendv_epi8(sdg, sdn, _mm256_castpd_si256(td));
-            let tl = _mm256_cmp_pd::<_CMP_LE_OQ>(left, dd);
-            let dbest = _mm256_blendv_pd(dd, left, tl);
-            let sl = _mm256_loadu_si256(p1_s.as_ptr().add(o + 1) as *const __m256i);
-            let sbest = _mm256_blendv_epi8(sd, sl, _mm256_castpd_si256(tl));
-            let b = _mm256_loadu_pd(base.as_ptr().add(o));
-            _mm256_storeu_pd(cur_d.as_mut_ptr().add(o), _mm256_add_pd(b, dbest));
-            _mm256_storeu_si256(cur_s.as_mut_ptr().add(o) as *mut __m256i, sbest);
-        }
-    }
-
-    /// # Safety
-    /// SSE2 is part of the x86-64 baseline; bounds as above (`o + 2 ≤ 8`).
-    #[target_feature(enable = "sse2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn diag_select_sse2(
-        base: &[f64; FRAME_COLS],
-        p1_d: &[f64; DIAG_STRIDE],
-        p1_s: &[u64; DIAG_STRIDE],
-        p2_d: &[f64; FRAME_COLS],
-        p2_s: &[u64; FRAME_COLS],
-        cur_d: &mut [f64; FRAME_COLS],
-        cur_s: &mut [u64; FRAME_COLS],
-    ) {
-        for o in [0usize, 2, 4, 6] {
-            let left = _mm_loadu_pd(p1_d.as_ptr().add(o + 1));
-            let down = _mm_loadu_pd(p1_d.as_ptr().add(o));
-            let diag = _mm_loadu_pd(p2_d.as_ptr().add(o));
-            let td = _mm_cmple_pd(down, diag);
-            let dd = _mm_or_pd(_mm_and_pd(td, down), _mm_andnot_pd(td, diag));
-            let tdi = _mm_castpd_si128(td);
-            let sdn = _mm_loadu_si128(p1_s.as_ptr().add(o) as *const __m128i);
-            let sdg = _mm_loadu_si128(p2_s.as_ptr().add(o) as *const __m128i);
-            let sd = _mm_or_si128(_mm_and_si128(tdi, sdn), _mm_andnot_si128(tdi, sdg));
-            let tl = _mm_cmple_pd(left, dd);
-            let dbest = _mm_or_pd(_mm_and_pd(tl, left), _mm_andnot_pd(tl, dd));
-            let tli = _mm_castpd_si128(tl);
-            let sl = _mm_loadu_si128(p1_s.as_ptr().add(o + 1) as *const __m128i);
-            let sbest = _mm_or_si128(_mm_and_si128(tli, sl), _mm_andnot_si128(tli, sd));
-            let b = _mm_loadu_pd(base.as_ptr().add(o));
-            _mm_storeu_pd(cur_d.as_mut_ptr().add(o), _mm_add_pd(b, dbest));
-            _mm_storeu_si128(cur_s.as_mut_ptr().add(o) as *mut __m128i, sbest);
-        }
-    }
 }
 
 /// Asserts that column `(d, s)` is ε-equivalent to the reference column
@@ -1121,12 +538,18 @@ mod tests {
     use spring_dtw::kernels::{Absolute, Squared};
     use spring_util::Rng;
 
-    /// Every lane implementation this build can run: the portable loops,
-    /// then each explicit SIMD level the CPU reports (SSE2, AVX2,
-    /// AVX-512F), so one build pins all of them.
+    /// Every lane implementation this build can run: the portable loop,
+    /// then each explicit SIMD width the CPU reports (SSE2, AVX2), so one
+    /// build pins all of them.
     fn every_lanes() -> Vec<Lanes> {
-        let simd = lanes().0.into_iter().flat_map(|top| (0..=top).map(Some));
-        std::iter::once(None).chain(simd).map(Lanes).collect()
+        let mut all = vec![Lanes(None)];
+        if let Some(avx2) = lanes().0 {
+            all.push(Lanes(Some(false)));
+            if avx2 {
+                all.push(Lanes(Some(true)));
+            }
+        }
+        all
     }
 
     /// Drives a reference column and a kernel column side by side over
@@ -1229,7 +652,7 @@ mod tests {
         let s_prev = [9u64, 10, 11, 12, 13];
         let mut dd = [0.0; 5];
         let mut sd = [0u64; 5];
-        min_select_on(column_lanes(), &d_prev, &s_prev, &mut dd, &mut sd);
+        min_select_on(lanes(), &d_prev, &s_prev, &mut dd, &mut sd);
         // i = 1: down = 2.0 (s 10), diag = 0.0 (s 9) -> diag.
         assert_eq!((dd[1], sd[1]), (0.0, 9));
         // i = 2: down = 2.0 (s 11) ties diag = 2.0 (s 10) -> down.
@@ -1238,197 +661,6 @@ mod tests {
         assert_eq!((dd[3], sd[3]), (2.0, 11));
         // i = 4: both ∞, tie -> down (s 13).
         assert_eq!((dd[4], sd[4]), (f64::INFINITY, 13));
-    }
-
-    #[test]
-    fn frame_matches_reference_bit_for_bit_for_every_width_and_m() {
-        // The wavefront schedule must reproduce the reference columns
-        // exactly — including frames wider than the query (m < w), the
-        // single-column frame (w = 1), and ragged final chunks — on every
-        // lane width, for random reals and for an integer grid that
-        // forces exact ties.
-        let mut rng = Rng::seed_from_u64(0xF7A3E);
-        for grid in [false, true] {
-            let mut draw = |n: usize| -> Vec<f64> {
-                (0..n)
-                    .map(|_| match grid {
-                        false => rng.f64_range(-5.0, 5.0),
-                        true => rng.u64_below(5) as f64,
-                    })
-                    .collect()
-            };
-            for m in [1usize, 2, 3, 5, 7, 8, 9, 16, 33, 64] {
-                for w in 1..=FRAME_COLS {
-                    let query = draw(m);
-                    let stream = draw(97);
-                    for lanes in every_lanes() {
-                        assert_frames_bit_exact(lanes, &query, &stream, w);
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`fill_frame`] with the squared kernel, `qrev` derived from `query`.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_sq(
-        lanes: Lanes,
-        query: &[f64],
-        xs: &[f64],
-        t0: u64,
-        d_prev: &[f64],
-        s_prev: &[u64],
-        frame: &mut Frame,
-    ) {
-        let qrev: Vec<f64> = query.iter().rev().copied().collect();
-        fill_frame(lanes, Squared, query, &qrev, xs, t0, d_prev, s_prev, frame);
-    }
-
-    /// Steps `stream` through frames of `w` columns on `lanes` and
-    /// through the reference, demanding bit-identical columns.
-    fn assert_frames_bit_exact(lanes: Lanes, query: &[f64], stream: &[f64], w: usize) {
-        let m = query.len();
-        let mut rd_prev = vec![f64::INFINITY; m + 1];
-        let mut rd_cur = vec![f64::INFINITY; m + 1];
-        let mut rs_prev = vec![0u64; m + 1];
-        let mut rs_cur = vec![0u64; m + 1];
-        let mut fd_prev = rd_prev.clone();
-        let mut fs_prev = rs_prev.clone();
-        let mut frame = Frame::default();
-        let mut t0 = 0u64;
-        for chunk in stream.chunks(w) {
-            fill_sq(lanes, query, chunk, t0, &fd_prev, &fs_prev, &mut frame);
-            for (j, &x) in chunk.iter().enumerate() {
-                let t = t0 + j as u64 + 1;
-                fill_column_reference(
-                    Squared,
-                    query,
-                    x,
-                    t,
-                    &mut rd_prev,
-                    &mut rs_prev,
-                    &mut rd_cur,
-                    &mut rs_cur,
-                    |_, _| {},
-                );
-                let (fd, fs) = frame.col_vec(j + 1);
-                assert_eq!(
-                    rd_cur.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                    fd.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                    "{lanes:?} m={m} w={w}: distance column diverges at t = {t}"
-                );
-                assert_eq!(
-                    rs_cur, fs,
-                    "{lanes:?} m={m} w={w}: start column diverges at t = {t}"
-                );
-                std::mem::swap(&mut rd_cur, &mut rd_prev);
-                std::mem::swap(&mut rs_cur, &mut rs_prev);
-            }
-            frame.copy_col(frame.width(), &mut fd_prev, &mut fs_prev);
-            t0 += chunk.len() as u64;
-        }
-    }
-
-    #[test]
-    fn thread_frame_reused_by_a_shorter_query_stays_bit_exact() {
-        // The per-thread frame grows to the longest query and is not
-        // cleared: a shorter query then runs over a block full of the
-        // longer one's cells and must still match a fresh frame.
-        let mut rng = Rng::seed_from_u64(0x7F4A3);
-        let long: Vec<f64> = (0..12).map(|_| rng.f64_range(-5.0, 5.0)).collect();
-        let short: Vec<f64> = (0..3).map(|_| rng.f64_range(-5.0, 5.0)).collect();
-        let xs: Vec<f64> = (0..FRAME_COLS).map(|_| rng.f64_range(-5.0, 5.0)).collect();
-        let fill = |query: &[f64], frame: &mut Frame| {
-            let m = query.len();
-            let (d_prev, s_prev) = (vec![1.5; m + 1], vec![3u64; m + 1]);
-            fill_sq(lanes(), query, &xs, 4, &d_prev, &s_prev, frame);
-            (1..=FRAME_COLS)
-                .map(|j| frame.col_vec(j))
-                .collect::<Vec<_>>()
-        };
-        let bits = |cols: Vec<(Vec<f64>, Vec<u64>)>| -> Vec<(Vec<u64>, Vec<u64>)> {
-            cols.into_iter()
-                .map(|(d, s)| (d.iter().map(|v| v.to_bits()).collect(), s))
-                .collect()
-        };
-        with_frame(|frame| fill(&long, frame));
-        let reused = bits(with_frame(|frame| fill(&short, frame)));
-        let fresh = bits(fill(&short, &mut Frame::default()));
-        assert_eq!(reused, fresh);
-    }
-
-    #[test]
-    fn refill_frame_tail_rebuilds_columns_after_invalidation() {
-        // Invalidate a mid-frame column the way the disjoint reset does,
-        // then demand the recomputed tail match a reference run that saw
-        // the same invalidation.
-        let query = [2.0, 5.0, 1.0, 4.0];
-        let m = query.len();
-        let xs = [1.9, 5.1, 0.8, 4.2, 3.3, 2.1];
-        let d_prev = vec![f64::INFINITY; m + 1];
-        let s_prev = vec![0u64; m + 1];
-        let mut frame = Frame::default();
-        fill_sq(lanes(), &query, &xs, 0, &d_prev, &s_prev, &mut frame);
-        let cut = 3;
-        let te = 2;
-        frame.invalidate(cut, te);
-        let mut scratch = Scratch::new(m);
-        refill_frame_tail(Squared, &query, &xs, 0, &mut frame, cut + 1, &mut scratch);
-        // Reference: per-column loop with the same surgery after col 3.
-        let (mut rd_prev, mut rs_prev) = (d_prev.clone(), s_prev.clone());
-        let mut rd_cur = vec![f64::INFINITY; m + 1];
-        let mut rs_cur = vec![0u64; m + 1];
-        for (j, &x) in xs.iter().enumerate() {
-            let t = j as u64 + 1;
-            fill_column_reference(
-                Squared,
-                &query,
-                x,
-                t,
-                &mut rd_prev,
-                &mut rs_prev,
-                &mut rd_cur,
-                &mut rs_cur,
-                |_, _| {},
-            );
-            std::mem::swap(&mut rd_cur, &mut rd_prev);
-            std::mem::swap(&mut rs_cur, &mut rs_prev);
-            if j + 1 == cut {
-                for i in 1..=m {
-                    if rs_prev[i] <= te {
-                        rd_prev[i] = f64::INFINITY;
-                    }
-                }
-            }
-            if j + 1 >= cut {
-                let (fd, fs) = frame.col_vec(j + 1);
-                assert_eq!(
-                    rd_prev.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                    fd.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                    "column {} after refill",
-                    j + 1
-                );
-                assert_eq!(rs_prev, fs, "starts of column {} after refill", j + 1);
-            }
-        }
-    }
-
-    #[test]
-    fn frame_confirmed_and_current_match_the_column_scan() {
-        let query = [1.0, 3.0];
-        let xs = [0.9, 3.2, 1.1, 2.8];
-        let d_prev = vec![f64::INFINITY; 3];
-        let s_prev = vec![0u64; 3];
-        let mut frame = Frame::default();
-        fill_sq(lanes(), &query, &xs, 0, &d_prev, &s_prev, &mut frame);
-        for j in 1..=4 {
-            let (d, s) = frame.col_vec(j);
-            assert_eq!(frame.current(j), (d[2], s[2]));
-            for (dmin, te) in [(0.5, 1u64), (10.0, 3), (f64::INFINITY, 100)] {
-                let expect = (1..=2).all(|i| d[i] >= dmin || s[i] > te);
-                assert_eq!(frame.confirmed(j, dmin, te), expect, "j={j} dmin={dmin}");
-            }
-        }
     }
 
     /// A banded column pair stepped by [`fill_column_on`] on `lanes`
@@ -1573,10 +805,9 @@ mod tests {
 
     #[test]
     fn one_monitor_stays_eps_equivalent_across_every_stepping_path() {
-        // One banded monitor takes turns on `step`, `step_batch` (full
-        // frames on both sides of the wavefront dispatch, and ragged
-        // chunks), `step_reference` and a snapshot restore; its twin
-        // only ever runs the full reference.
+        // One banded monitor takes turns on `step`, `step_batch` (in
+        // chunks of 8 and ragged chunks of 13), `step_reference` and a
+        // snapshot restore; its twin only ever runs the full reference.
         use crate::monitor::Monitor as _;
         use crate::{Spring, SpringConfig};
         let m = 20;
@@ -1588,14 +819,12 @@ mod tests {
         let mut mon = Spring::new(&query, config).unwrap();
         let mut twin = Spring::new(&query, config).unwrap();
         let (mut got, mut want) = (Vec::new(), Vec::new());
-        let mut fits = [false; 2];
         for (k, chunk) in stream.chunks(24).enumerate() {
             want.extend(chunk.iter().filter_map(|&x| twin.step_reference(x)));
             match k % 4 {
                 0 => got.extend(chunk.iter().filter_map(|&x| mon.step(x))),
                 1 => {
-                    for part in chunk.chunks(FRAME_COLS) {
-                        fits[usize::from(mon.stwm().frame_fits())] = true;
+                    for part in chunk.chunks(8) {
                         mon.step_batch(part, &mut got).unwrap();
                     }
                 }
@@ -1619,7 +848,6 @@ mod tests {
             );
         }
         assert!(!want.is_empty(), "the workload must report");
-        assert_eq!(fits, [true, true], "both sides of the frame dispatch");
     }
 
     #[test]

@@ -64,8 +64,8 @@
 
 #![warn(missing_docs)]
 // The one sanctioned exception to the no-unsafe rule is the explicit
-// x86-64 SIMD selects in `kernel::simd`, compiled on every x86_64 build
-// and carrying their own `#[allow(unsafe_code)]` + safety comments
+// x86-64 SIMD min-select in `kernel::simd`, compiled on every x86_64
+// build and carrying its own `#[allow(unsafe_code)]` + safety comments
 // (UB-checked by the hosted Miri CI job). Every other module is
 // `unsafe`-free.
 #![deny(unsafe_code)]

@@ -182,8 +182,8 @@ pub trait Monitor {
         None
     }
 
-    /// Cells of *shared* arena state this monitor borrows (pattern
-    /// samples + reversed-query cache in a [`crate::QueryRef`]); 0 for
+    /// Cells of *shared* arena state this monitor borrows (the pattern
+    /// samples in a [`crate::QueryRef`]); 0 for
     /// monitors that own a private copy. Fleet accounting counts these
     /// once per [`query_fingerprint`](Monitor::query_fingerprint), not
     /// once per attachment.

@@ -16,7 +16,6 @@
 use spring_dtw::kernels::{DistanceKernel, Squared};
 
 use crate::error::{check_epsilon, SpringError};
-use crate::kernel::{self, Frame};
 use crate::mem::MemoryUse;
 use crate::policy::{ColumnOps, DisjointPolicy};
 use crate::stwm::Stwm;
@@ -48,28 +47,6 @@ impl<K: DistanceKernel> ColumnOps for StwmOps<'_, K> {
 
     fn current(&self) -> (f64, u64) {
         (self.0.current_distance(), self.0.current_start())
-    }
-}
-
-/// [`ColumnOps`] over one stored column of a wavefront [`Frame`] —
-/// lets the reporting policy walk a batch's columns tick by tick
-/// without committing each one to the rolling matrix first.
-struct FrameOps<'a> {
-    frame: &'a mut Frame,
-    j: usize,
-}
-
-impl ColumnOps for FrameOps<'_> {
-    fn confirmed(&self, dmin: f64, te: u64) -> bool {
-        self.frame.confirmed(self.j, dmin, te)
-    }
-
-    fn invalidate(&mut self, te: u64) {
-        self.frame.invalidate(self.j, te);
-    }
-
-    fn current(&self) -> (f64, u64) {
-        self.frame.current(self.j)
     }
 }
 
@@ -131,7 +108,7 @@ impl<K: DistanceKernel> Spring<K> {
     }
 
     /// Monitor over a shared arena entry ([`crate::QueryRef`]): borrows
-    /// the pattern and reversed-query cache, allocating only the
+    /// the pattern, allocating only the
     /// per-attachment DP columns. Bit-identical to the plain
     /// constructors on the same pattern.
     ///
@@ -271,31 +248,6 @@ impl<K: DistanceKernel> Spring<K> {
         report
     }
 
-    /// Ingests one frame of finite samples (`1 ..= FRAME_COLS`): fills
-    /// all columns with the wavefront kernel, then replays the
-    /// capture/confirm policy over the stored columns in tick order. A
-    /// report invalidates its column, so the (rare) tail after a report
-    /// is recomputed with the per-column kernel before the walk
-    /// continues. Same matches as calling [`Spring::step`] per sample,
-    /// with ε-equivalent columns.
-    fn step_frame(&mut self, xs: &[f64], frame: &mut Frame, out: &mut Vec<Match>) {
-        let t0 = self.stwm.tick();
-        self.stwm.fill_frame(xs, frame);
-        let w = xs.len();
-        for j in 1..=w {
-            let t = t0 + j as u64;
-            let report = self.policy.step(t, &mut FrameOps { frame, j });
-            if let Some(m) = report {
-                self.reported += 1;
-                out.push(m);
-                if j < w {
-                    self.stwm.refill_frame_tail(xs, frame, j + 1);
-                }
-            }
-        }
-        self.stwm.commit_frame(frame);
-    }
-
     /// Declares the end of the stream: reports the still-pending group
     /// optimum, if any. Idempotent.
     pub fn finish(&mut self) -> Option<Match> {
@@ -322,45 +274,30 @@ impl<K: DistanceKernel> crate::monitor::Monitor for Spring<K> {
         self.step_checked(*sample)
     }
 
-    /// Optimized batch path. Before every frame or column decision it
-    /// consumes the run of idle samples (empty ε-band, `‖x − y_1‖ > ε`)
-    /// with one distance each and no column fill, so a frame starts at
-    /// the first sample that can reach ε. Then, if at least
-    /// `kernel::FRAME_COLS` (8) samples remain and the ε-band can reach
-    /// row m inside a frame (`top + FRAME_COLS ≥ m`), the next 8 take
-    /// the anti-diagonal wavefront kernel, which
-    /// pipelines up to a frame's worth of independent min/add chains
-    /// instead of serializing on one column's — see
-    /// `crate::kernel::Frame`. Otherwise the next sample takes the
-    /// banded column kernel: the wavefront fills every row, so a
-    /// narrower band is cheaper column by column, and a ragged tail
-    /// never reaches the wavefront's full-width diagonals, whose fixed
-    /// costs (loading and committing the rolling column through
-    /// diagonal-major storage, one slice setup per diagonal) make it no
-    /// faster than the column kernel. Same matches as per-sample
-    /// stepping, with ε-equivalent columns. Matches append to the
-    /// caller-owned `out`. The frame is the thread's shared scratch
-    /// (`crate::kernel::with_frame`), so after the first batch on a
-    /// thread the steady state allocates nothing.
+    /// Batch path: after one scan for the first non-finite sample, a
+    /// loop that consumes the run of idle samples (empty ε-band,
+    /// `‖x − y_1‖ > ε`) with one distance each and no column fill, then
+    /// steps the next sample through the banded column kernel. Same
+    /// matches as per-sample stepping, with ε-equivalent columns.
+    /// Matches append to the caller-owned `out`; the steady state
+    /// allocates nothing.
     fn step_batch(&mut self, samples: &[f64], out: &mut Vec<Match>) -> Result<(), SpringError> {
         // The error contract consumes every sample before the first
-        // non-finite one.
-        let bad = samples.iter().position(|x| !x.is_finite());
+        // non-finite one. A pass without an early exit vectorizes; only
+        // a batch that holds a non-finite sample is scanned for it.
+        let bad = match samples.iter().fold(true, |ok, x| ok & x.is_finite()) {
+            true => None,
+            false => samples.iter().position(|x| !x.is_finite()),
+        };
         let mut rest = &samples[..bad.unwrap_or(samples.len())];
-        kernel::with_frame(|frame| {
-            while !rest.is_empty() {
-                rest = &rest[self.stwm.skip_idle(rest)..];
-                if rest.len() >= kernel::FRAME_COLS && self.stwm.frame_fits() {
-                    let (head, tail) = rest.split_at(kernel::FRAME_COLS);
-                    self.step_frame(head, frame, out);
-                    rest = tail;
-                } else if let Some((&x, tail)) = rest.split_first() {
-                    self.stwm.step(x);
-                    out.extend(self.after_column());
-                    rest = tail;
-                }
+        while !rest.is_empty() {
+            rest = &rest[self.stwm.skip_idle(rest)..];
+            if let Some((&x, tail)) = rest.split_first() {
+                self.stwm.step(x);
+                out.extend(self.after_column());
+                rest = tail;
             }
-        });
+        }
         match bad {
             Some(_) => Err(SpringError::NonFiniteInput {
                 tick: self.stwm.tick() + 1,
@@ -390,9 +327,9 @@ impl<K: DistanceKernel> crate::monitor::Monitor for Spring<K> {
     }
 
     fn memory_cells(&self) -> usize {
-        // Per-attachment cells only: DP columns + scratch (the batch
-        // frame is per-thread). The shared pattern is reported once per
-        // query through `shared_memory_cells`, not once per attachment.
+        // Per-attachment cells only: DP columns + scratch. The shared
+        // pattern is reported once per query through
+        // `shared_memory_cells`, not once per attachment.
         self.stwm.attachment_cells()
     }
 
@@ -430,6 +367,7 @@ impl<K: DistanceKernel> crate::monitor::Monitor for Spring<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel;
 
     fn run(query: &[f64], stream: &[f64], eps: f64) -> Vec<Match> {
         let mut spring = Spring::new(query, SpringConfig::new(eps)).unwrap();
@@ -608,9 +546,9 @@ mod tests {
     #[test]
     fn batched_ingestion_with_frequent_reports_matches_per_sample() {
         // Dense, repeating occurrences force reports (and therefore
-        // column invalidation + frame-tail recomputation) to land on
-        // every in-frame offset across the run. The batched monitor must
-        // report identical matches and leave ε-equivalent columns.
+        // column invalidation) to land on every offset of a batch across
+        // the run. The batched monitor must report identical matches and
+        // leave ε-equivalent columns.
         use crate::monitor::Monitor as _;
         let query = [0.0, 6.0, 0.0];
         let mut stream = Vec::new();
@@ -644,8 +582,8 @@ mod tests {
 
     #[test]
     fn memory_cells_do_not_depend_on_the_stepping_path() {
-        // The batch frame is per-thread scratch, so a monitor driven by
-        // `step_batch` holds exactly the state of one driven by `step`.
+        // A monitor driven by `step_batch` holds exactly the state of
+        // one driven by `step`.
         use crate::monitor::Monitor as _;
         let query: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
         let stream: Vec<f64> = (0..500).map(|i| (i as f64 * 0.07).cos()).collect();
@@ -664,9 +602,9 @@ mod tests {
 
     #[test]
     fn one_thread_frame_serves_monitors_of_every_query_length() {
-        // Monitors of different `m` take turns on this thread's frame,
-        // one full frame plus a ragged tail at a time, longest first so
-        // the shorter ones run on a grown, previously used block.
+        // Monitors of different `m` take turns on one thread, one ragged
+        // batch of 13 samples at a time: each must report what its own
+        // per-sample run reports.
         use crate::monitor::Monitor as _;
         let stream: Vec<f64> = (0..400)
             .map(|i| (i as f64 * 0.21).sin() * 5.0 + ((i * 7 % 11) as f64) * 0.1)
@@ -679,7 +617,7 @@ mod tests {
         let mut batched: Vec<Spring> = lengths.iter().map(|&m| make(m)).collect();
         let mut stepped: Vec<Spring> = lengths.iter().map(|&m| make(m)).collect();
         let mut got = vec![Vec::new(); lengths.len()];
-        for chunk in stream.chunks(kernel::FRAME_COLS + 5) {
+        for chunk in stream.chunks(13) {
             for (mon, out) in batched.iter_mut().zip(&mut got) {
                 mon.step_batch(chunk, out).unwrap();
             }
@@ -763,7 +701,7 @@ mod tests {
     fn a_pending_candidate_is_reported_on_time_across_an_idle_stretch() {
         // The candidate's confirming tick is idle by its sample, but the
         // skip must wait until the report has fired. Varying the lead-in
-        // moves that tick across every offset of a frame.
+        // moves that tick across every offset of a batch.
         let query = [0.0, 10.0, 0.0];
         for lead in 0..10 {
             let mut stream = vec![50.0; lead];
@@ -782,8 +720,9 @@ mod tests {
 
     #[test]
     fn idle_to_active_at_every_offset_of_a_batch() {
-        // A 12-element query: the band fits a frame only near row m, so
-        // both sides of the frame dispatch run after the idle prefix.
+        // A 12-element query planted after an idle prefix of every
+        // length up to a full batch: the skip hands over to the banded
+        // column at every offset.
         let query: Vec<f64> = (0..12).map(|i| (i as f64 * 0.5).sin() * 3.0).collect();
         for offset in 0..64 {
             let mut stream = vec![40.0; offset];

@@ -24,6 +24,10 @@ use crate::error::SpringError;
 use crate::kernel::{self, Scratch};
 use crate::mem::MemoryUse;
 
+/// Samples [`Stwm::skip_idle`] tests per chunk without an early exit:
+/// wide enough for the compares to vectorize.
+const IDLE_CHUNK: usize = 8;
+
 /// Rolling two-column STWM between an evolving stream and a fixed query.
 ///
 /// This type is the shared engine beneath [`crate::Spring`] (disjoint
@@ -34,17 +38,19 @@ use crate::mem::MemoryUse;
 /// A matrix built by [`Stwm::new`] (or the other public constructors)
 /// fills every row, bit-identically to [`Stwm::step_reference`].
 /// [`crate::Spring`] and [`crate::BoundedSpring`] give theirs an
-/// ε-band: every column buffer keeps a `top` row above which every cell
-/// is above ε, and [`Stwm::step`] computes only the rows that can still
+/// ε-band at their ε, and [`crate::BestMatch`] at its best distance so
+/// far (+∞ until the first column, tightened on every improvement):
+/// every column buffer keeps a `top` row above which every cell is
+/// above ε, and [`Stwm::step`] computes only the rows that can still
 /// reach ε. Their columns are then **ε-equivalent** to the reference:
 /// every cell at or below ε is bit-identical in distance and start, and
-/// every other cell is above ε on both sides, which is all the
-/// disjoint query reads. While the band is empty (no cell at or below
-/// ε), a tick whose sample lies farther than ε from `y_1` fills no
-/// column at all: it costs one distance (see `Stwm::skip_idle`).
+/// every other cell is above ε on both sides, which is all either
+/// query reads. While the band is empty (no cell at or below ε), a tick
+/// whose sample lies farther than ε from `y_1` fills no column at all:
+/// it costs one distance (see `Stwm::skip_idle`).
 #[derive(Debug, Clone)]
 pub struct Stwm<K: DistanceKernel = Squared> {
-    /// The shared immutable query (pattern samples + reversed cache);
+    /// The shared immutable query (pattern samples and statistics);
     /// one arena entry may back any number of monitors.
     query: Arc<QueryRef>,
     kernel: K,
@@ -123,8 +129,16 @@ impl<K: DistanceKernel> Stwm<K> {
     /// Gives the matrix an ε-band (see the type docs): the disjoint
     /// query never reads a cell's value once it is above `eps`.
     pub(crate) fn with_band(mut self, eps: f64) -> Self {
-        self.eps = eps;
+        self.set_band(eps);
         self
+    }
+
+    /// Moves the band threshold to `eps`. Lowering it keeps the band
+    /// invariant (a row above `eps` is above any smaller threshold), so
+    /// it takes effect from the next column on. Raising it is sound only
+    /// on a fresh or freshly [`reset`](Stwm::reset) matrix.
+    pub(crate) fn set_band(&mut self, eps: f64) {
+        self.eps = eps;
     }
 
     /// Query length `m`.
@@ -188,7 +202,9 @@ impl<K: DistanceKernel> Stwm<K> {
     /// above ε too, so the column stays empty and the disjoint policy
     /// does nothing: no candidate can be pending, because the tick that
     /// emptied the band found every row above ε ≥ `dmin` and confirmed
-    /// it, and `d_m > ε` captures none. Only the current column's star
+    /// it, and `d_m > ε` captures none. For the best-match query ε is
+    /// the best distance so far, which `d_m > ε` cannot improve on.
+    /// Only the current column's star
     /// cell and row 1 are written; its other rows are already above ε,
     /// and the other buffer and both tops keep their (still valid)
     /// values. With `eps = +∞` no distance is above ε, and a NaN
@@ -205,10 +221,10 @@ impl<K: DistanceKernel> Stwm<K> {
         // compiler can vectorize the compares; from the first chunk that
         // holds a busy sample on, one sample at a time.
         let whole = xs
-            .chunks_exact(kernel::FRAME_COLS)
+            .chunks_exact(IDLE_CHUNK)
             .take_while(|c| c.iter().fold(true, |all, x| all & idle(x)))
             .count()
-            * kernel::FRAME_COLS;
+            * IDLE_CHUNK;
         let k = whole + xs[whole..].iter().take_while(|x| idle(x)).count();
         if k > 0 {
             self.t += k as u64;
@@ -259,57 +275,6 @@ impl<K: DistanceKernel> Stwm<K> {
         let m = self.query.len();
         (self.top_cur, self.top_prev) = (m, m);
         self.swap();
-    }
-
-    /// Fills a frame of `xs.len() ≤ FRAME_COLS` columns (ticks
-    /// `t+1 ..= t+w`) by the anti-diagonal wavefront kernel, without
-    /// advancing the tick — the policy layer walks the stored columns
-    /// first, then calls [`Stwm::commit_frame`]. Computes every row, so
-    /// it is ε-equivalent to `xs.len()` consecutive [`Stwm::step`]s
-    /// (bit-identical on an unbanded matrix).
-    pub(crate) fn fill_frame(&self, xs: &[f64], frame: &mut kernel::Frame) {
-        kernel::fill_frame(
-            kernel::lanes(),
-            self.kernel,
-            self.query.samples(),
-            self.query.qrev(),
-            xs,
-            self.t,
-            &self.d_prev,
-            &self.s_prev,
-            frame,
-        );
-    }
-
-    /// Recomputes frame columns `from ..= w` after a disjoint-query
-    /// reset invalidated column `from − 1` (`xs` is the same slice
-    /// passed to [`Stwm::fill_frame`]).
-    pub(crate) fn refill_frame_tail(&mut self, xs: &[f64], frame: &mut kernel::Frame, from: usize) {
-        kernel::refill_frame_tail(
-            self.kernel,
-            self.query.samples(),
-            xs,
-            self.t,
-            frame,
-            from,
-            &mut self.scratch,
-        );
-    }
-
-    /// Adopts the last column of a filled frame as the rolling column
-    /// and advances the tick by the frame width. The column's band top
-    /// is its highest row at or below ε, found scanning down from row m.
-    pub(crate) fn commit_frame(&mut self, frame: &kernel::Frame) {
-        frame.copy_col(frame.width(), &mut self.d_prev, &mut self.s_prev);
-        self.t += frame.width() as u64;
-        self.top_prev = kernel::band_top(&self.d_prev, self.eps);
-    }
-
-    /// Whether a frame of [`kernel::FRAME_COLS`] samples should take the
-    /// wavefront: only when the band can reach row m inside the frame.
-    /// A narrower band is cheaper stepped column by column.
-    pub(crate) fn frame_fits(&self) -> bool {
-        self.top_prev + kernel::FRAME_COLS >= self.query.len()
     }
 
     /// Band top of the current column: every row above it holds a value
@@ -387,8 +352,8 @@ impl Stwm<Squared> {
 
 impl<K: DistanceKernel> MemoryUse for Stwm<K> {
     fn bytes_used(&self) -> usize {
-        // Shared query entry (pattern + reversed cache; counted in full
-        // here, deduplicated fleet-wide by the cell accounting in
+        // Shared query entry (pattern; counted in full here,
+        // deduplicated fleet-wide by the cell accounting in
         // `Monitor::shared_memory_cells`) + two distance columns + two
         // start columns + kernel scratch lanes.
         self.query.bytes_used()

@@ -176,7 +176,7 @@ impl<K: DistanceKernel> NormalizedSpring<K> {
     }
 
     /// Normalized monitor over a shared arena entry: the z-normalized
-    /// form of the pattern (and its reversed cache) is computed once
+    /// form of the pattern is computed once
     /// per [`crate::QueryRef`] and borrowed by every normalized monitor
     /// attached to it. Bit-identical to [`NormalizedSpring::with_kernel`].
     ///

@@ -1,11 +1,11 @@
 //! Counting-allocator proof of the shared-arena memory contract
-//! (ISSUE: attaching one query to a fleet must allocate the pattern
-//! and the reversed-query cache exactly once, fleet-wide).
+//! (attaching one query to a fleet must allocate the pattern exactly
+//! once, fleet-wide).
 //!
 //! The test wraps the system allocator with a counter keyed on the
 //! *exact* byte size of an `m = 256` pattern (`256 × 8 = 2048` bytes):
-//! interning the pattern into a [`QueryArena`] performs exactly two
-//! such allocations (samples + reversed-query cache), and constructing
+//! interning the pattern into a [`QueryArena`] performs exactly one
+//! such allocation (the samples), and constructing
 //! 64 monitors over the interned [`QueryRef`] performs **zero** — the
 //! per-attachment DP columns are `(m + 1) × 8 = 2056` bytes, so a
 //! regression that re-clones the pattern per attachment trips the
@@ -69,12 +69,12 @@ fn fleet_attachments_share_one_pattern_allocation() {
     let pattern: Vec<f64> = (0..M).map(|i| (i as f64 * 0.37).sin() * 10.0).collect();
     let arena = QueryArena::new();
 
-    // Interning clones the pattern once and builds the reversed-query
-    // cache once: exactly two pattern-sized allocations.
+    // Interning clones the pattern once: exactly one pattern-sized
+    // allocation.
     let (query, during_intern) = pattern_sized_allocs_during(|| arena.intern(&pattern).unwrap());
     assert_eq!(
-        during_intern, 2,
-        "intern must allocate the pattern and its reversed cache exactly once each"
+        during_intern, 1,
+        "intern must allocate the pattern exactly once"
     );
 
     // A whole fleet of monitors over the interned entry allocates DP

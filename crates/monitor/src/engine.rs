@@ -945,10 +945,10 @@ impl<M: Monitor> Engine<M> {
     /// sample, but the work is done a frame at a time: the stream state
     /// and attachment indices are resolved once, the channel width is
     /// checked up front, each attachment steps its runs of present
-    /// samples with one [`Monitor::step_batch`] (the wavefront kernel
-    /// for SPRING monitors), and the events are merged back into
-    /// sample-major order. The steady state performs zero per-tick heap
-    /// allocations.
+    /// samples with one [`Monitor::step_batch`] (idle skip plus the
+    /// banded column kernel for SPRING monitors), and the events are
+    /// merged back into sample-major order. The steady state performs
+    /// zero per-tick heap allocations.
     ///
     /// # Errors
     /// On the first failing sample the error is returned immediately.
@@ -1645,18 +1645,18 @@ mod tests {
             let s = e.add_stream(format!("s{i}"));
             e.attach(s, q, 1.0, GapPolicy::Skip).unwrap();
         }
-        // Eight attachments, one interned entry: pattern + reversed
-        // cache resident exactly once.
+        // Eight attachments, one interned entry: the pattern resident
+        // exactly once.
         assert_eq!(e.arena().len(), 1);
-        assert_eq!(e.arena().resident_cells(), 6);
+        assert_eq!(e.arena().resident_cells(), 3);
     }
 
     #[test]
     fn fleet_memory_is_queries_m_plus_attachments_columns() {
         // The regression pin for the arena refactor: total cells must be
         // O(queries·m + attachments·m_cols), i.e. the shared pattern
-        // (m) + reversed cache (m) are charged once per query, and only
-        // the DP columns scale with the attachment count.
+        // (m) is charged once per query, and only the DP columns scale
+        // with the attachment count.
         let m = 256usize;
         let query: Vec<f64> = (0..m).map(|i| (i as f64 * 0.1).sin()).collect();
         let build = |streams: usize| {
@@ -1670,9 +1670,9 @@ mod tests {
         };
         let one = build(1).memory_cells();
         let many = build(64).memory_cells();
-        // Exactly the shared 2m cells are *not* replicated per
-        // attachment: many = 2m + 64·(one − 2m).
-        assert_eq!(many - one, 63 * (one - 2 * m), "one={one} many={many}");
+        // Exactly the shared m cells are *not* replicated per
+        // attachment: many = m + 64·(one − m).
+        assert_eq!(many - one, 63 * (one - m), "one={one} many={many}");
         assert!(many < 64 * one, "no sharing gain: one={one} many={many}");
     }
 
@@ -1759,9 +1759,9 @@ mod tests {
         assert_eq!(snap.query_swaps_total, 2);
         assert_eq!(snap.query_generation, 2);
         // The old entries were released: one live query of length 2,
-        // charged once (2m = 4 cells), not once per attachment.
+        // charged once (m = 2 cells), not once per attachment.
         assert_eq!(e.arena().len(), 1);
-        assert_eq!(e.arena().resident_cells(), 4);
+        assert_eq!(e.arena().resident_cells(), 2);
     }
 
     #[test]

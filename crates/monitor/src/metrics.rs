@@ -27,7 +27,7 @@
 //! | `spring_missing_samples_total` | counter | samples | NaN/non-finite readings seen |
 //! | `spring_tick_latency_seconds` | histogram | seconds | per-attachment time per tick, sampled 1/64: a single `step` on the per-sample path, a sampled frame's mean per tick on the batched paths (engine `push_batch`, runner workers) |
 //! | `spring_detection_delay_ticks` | histogram | ticks | `t_confirm − t_e` per match (paper "output time") |
-//! | `spring_memory_bytes` | gauge | bytes | live algorithmic state across monitors (the per-thread batch frame is scratch, not counted) |
+//! | `spring_memory_bytes` | gauge | bytes | live algorithmic state across monitors (DP columns and lane scratch) |
 //! | `spring_memory_cells` | gauge | cells | live DTW cells — the `O(m)` quantity of Theorem 2 (DP columns only, no frames) |
 //! | `spring_query_swaps_total` | counter | swaps | fleet-wide query hot-swaps applied |
 //! | `spring_query_generation` | gauge | generation | latest query generation published by a hot-swap |

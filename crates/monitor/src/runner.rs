@@ -8,10 +8,11 @@
 //! coordination. Workers ingest a frame at a time through the same
 //! `Attachment::ingest_frame` path as [`crate::Engine::push_batch`]:
 //! each attachment steps the frame's runs of present samples with one
-//! `Monitor::step_batch` (the wavefront kernel for SPRING monitors),
-//! and the frame's events are merged back into sample-major order (by
-//! tick, then attachment) before they reach the shared [`MatchSink`],
-//! so the sink sees exactly a per-sample loop's sequence.
+//! `Monitor::step_batch` (idle skip plus the banded column kernel for
+//! SPRING monitors), and the frame's events are merged back into
+//! sample-major order (by tick, then attachment) before they reach the
+//! shared [`MatchSink`], so the sink sees exactly a per-sample loop's
+//! sequence.
 //!
 //! Each worker has its own stream table (pending frames and attachment
 //! counts behind the worker's own lock), bounded channel, checkpoint,

@@ -141,10 +141,9 @@ fn live_memory_gauges_track_the_o_m_bound_and_release_on_drop() {
         engine.attach(stream, q, 1.0, GapPolicy::Skip).unwrap();
         engine.push(stream, &0.5).unwrap();
         let snap = metrics.snapshot();
-        // SPRING keeps O(m) cells: the DP columns and wavefront frame
-        // per attachment plus the shared arena entry (pattern +
-        // reversed cache, charged once per query) — and certainly not
-        // O(ticks).
+        // SPRING keeps O(m) cells: the DP columns and lane scratch per
+        // attachment plus the shared arena entry (the pattern, charged
+        // once per query) — and certainly not O(ticks).
         assert!(snap.memory_cells > 0);
         assert!(
             snap.memory_cells <= (10 * (m as u64 + 1)),

@@ -1,30 +1,34 @@
 //! Differential suite for the SoA STWM kernel (DESIGN.md §6g).
 //!
-//! Pins the reduction-order contract: the ε-banded column kernel
-//! (`Spring::step`) and the wavefront frame path (`Monitor::step_batch`)
-//! must report exactly the matches of the scalar Eq. (7)/(8) reference,
-//! and keep columns **ε-equivalent** to it: every cell at or below ε is
+//! Pins the reduction-order contract: the ε-banded column kernel, per
+//! sample (`Spring::step`) and batched (`Monitor::step_batch`), must
+//! report exactly the matches of the scalar Eq. (7)/(8) reference, and
+//! keep columns **ε-equivalent** to it: every cell at or below ε is
 //! bit-identical (`f64::to_bits`) in distance and start, and every other
 //! cell is above ε on both sides. This holds across the generated
 //! scenario grid — NaN-gap bursts, plateaus, coarse tie grids, `ε = 0`
 //! thresholds and full-band ones. On x86-64 this exercises the explicit
-//! SSE2/AVX2/AVX-512 lanes the CPU reports; elsewhere, the portable
-//! ones (pinned on x86-64 too by the kernel's own unit tests, which
-//! also hold the unbanded kernel to strict bit-exactness).
+//! SSE2/AVX2 lanes the CPU reports; elsewhere, the portable ones
+//! (pinned on x86-64 too by the kernel's own unit tests, which also
+//! hold the unbanded kernel to strict bit-exactness).
 //!
 //! A second grid of serving-shaped streams — a random walk far from the
 //! query with warped copies planted after long idle stretches — holds
 //! the idle skip (an empty band costs one distance per tick) to the same
 //! contract on every stepping path, after every batch.
 //!
+//! `BestMatch` (Problem 1) bands its matrix at its best distance so far;
+//! over both grids its answer must stay bit-identical to an unbanded
+//! matrix's on every stepping path.
+//!
 //! Also covers checkpoint cross-compatibility: a snapshot written by a
-//! reference-stepped monitor restores into the frame path (and vice
+//! reference-stepped monitor restores into the batch path (and vice
 //! versa) with ε-equivalent columns afterwards, so mixed-version
 //! runner fleets can hand checkpoints across the kernel boundary.
 
 use spring_core::monitor::Monitor;
 use spring_core::types::Match;
-use spring_core::{Spring, SpringConfig, SpringSnapshot};
+use spring_core::{BestMatch, Spring, SpringConfig, SpringSnapshot, Stwm};
 use spring_testkit::Scenario;
 use spring_util::Rng;
 
@@ -87,8 +91,8 @@ fn kernel_step_is_bit_exact_with_reference_across_the_scenario_grid() {
     }
 }
 
-/// The wavefront frame path (`step_batch`, including mid-frame
-/// invalidation + tail refill on reports) against the scalar reference.
+/// The batch path (`step_batch`, including invalidation on reports
+/// mid-batch) against the scalar reference.
 #[test]
 fn frame_step_batch_is_bit_exact_with_reference_across_the_scenario_grid() {
     let mut rng = Rng::seed_from_u64(0xD1FF_0002);
@@ -228,6 +232,94 @@ fn idle_stretches_skip_exactly_on_every_stepping_path() {
         }
     }
     assert!(reported > 240, "the planted copies must match: {reported}");
+}
+
+/// The answer of an unbanded matrix (`Stwm::new`, every row computed)
+/// stepped per sample: a strict-`<` minimum of `d(t, m)`, so the
+/// earliest of equal distances wins, as `BestMatch::best` reports it.
+struct UnbandedBest {
+    stwm: Stwm,
+    best: Option<Match>,
+}
+
+impl UnbandedBest {
+    fn new(query: &[f64]) -> Self {
+        let stwm = Stwm::new(query).unwrap();
+        UnbandedBest { stwm, best: None }
+    }
+
+    fn step(&mut self, x: f64) {
+        self.stwm.step(x);
+        let d = self.stwm.current_distance();
+        if d < self.best.map_or(f64::INFINITY, |b| b.distance) {
+            let (start, end) = (self.stwm.current_start(), self.stwm.tick());
+            self.best = Some(Match {
+                start,
+                end,
+                distance: d,
+                reported_at: end,
+                group_start: start,
+                group_end: end,
+            });
+        }
+    }
+}
+
+/// Bit-level key of a best-match answer.
+fn best_key(best: Option<Match>) -> Option<(u64, u64, u64, u64)> {
+    best.map(|b| (b.start, b.end, b.distance.to_bits(), b.reported_at))
+}
+
+/// Steps `BestMatch` over `stream` on every stepping path — per-sample
+/// `BestMatch::step` (batch 0) and `Monitor::step_batch` at batch
+/// 1/3/8/13/64 — beside an unbanded twin, and demands the same answer,
+/// bit for bit, after every batch.
+fn assert_best_match_is_unbanded(query: &[f64], stream: &[f64], ctx: &str) {
+    for batch in [0usize, 1, 3, 8, 13, 64] {
+        let mut twin = UnbandedBest::new(query);
+        let mut mon = BestMatch::new(query).unwrap();
+        let mut out = Vec::new();
+        for (k, chunk) in stream.chunks(batch.max(1)).enumerate() {
+            chunk.iter().for_each(|&x| twin.step(x));
+            if batch == 0 {
+                chunk.iter().for_each(|&x| _ = mon.step(x));
+            } else {
+                Monitor::step_batch(&mut mon, chunk, &mut out).unwrap();
+            }
+            assert_eq!(
+                best_key(mon.best()),
+                best_key(twin.best),
+                "{ctx} batch={batch} chunk {k}: best diverged from the unbanded matrix"
+            );
+        }
+        assert!(out.is_empty(), "{ctx}: best-match never reports mid-stream");
+    }
+}
+
+/// `BestMatch` banded at its best distance so far against an unbanded
+/// twin, over the scenario grid (values near the query: the band moves
+/// on most ticks) and the idle-heavy serving-shaped grid (long runs of
+/// samples the band skips after the best is found).
+#[test]
+fn best_match_band_is_bit_exact_with_an_unbanded_matrix_on_every_stepping_path() {
+    let mut rng = Rng::seed_from_u64(0xD1FF_0005);
+    let mut done = 0;
+    while done < SCENARIOS {
+        let sc = Scenario::generate(&mut rng);
+        let stream = sc.effective_stream();
+        if stream.is_empty() {
+            continue;
+        }
+        done += 1;
+        assert_best_match_is_unbanded(&sc.query, &stream, &format!("scenario {done} ({sc:?})"));
+    }
+    for scenario in 0..120 {
+        let m = rng.usize_range(1, 48);
+        let level = rng.f64_range(-10.0, 10.0);
+        let query = smooth_query(&mut rng, m, level);
+        let stream = idle_heavy_stream(&mut rng, &query, scenario % 4 == 3);
+        assert_best_match_is_unbanded(&query, &stream, &format!("idle-heavy {scenario} m={m}"));
+    }
 }
 
 /// Restores a JSON round-tripped snapshot into a fresh monitor.
