@@ -9,6 +9,13 @@
 //! `step_batch` (idle runs skipped a chunk at a time), which is where
 //! the speedup comes from.
 //!
+//! The `batch_ingest_fanout/q32` row pushes 64-sample frames through
+//! an engine with a metrics registry and 32 m = 64 attachments on one
+//! stream, almost all idle ([`spring_bench::fanout`], the shape of
+//! springbench's `fanout_q32`): it prices the per-frame and
+//! per-attachment work around the kernel, which a fan-out server pays
+//! 32 times per frame.
+//!
 //! The runner rows time processing, not enqueue: every timed iteration
 //! pushes [`RUNNER_SAMPLES`] samples in `push_batch` calls of the batch
 //! size, then waits on a `sync` barrier, so the workers' DP work runs
@@ -20,11 +27,13 @@
 use std::hint::black_box;
 use std::sync::Arc;
 
+use spring_bench::fanout;
 use spring_bench::harness::Bench;
 use spring_core::{Spring, SpringConfig};
 use spring_data::util::sine;
 use spring_monitor::{
-    CountingSink, Event, GapPolicy, QueryId, Runner, RunnerAttachment, SpringEngine, StreamId,
+    CountingSink, Event, GapPolicy, Metrics, QueryId, Runner, RunnerAttachment, SpringEngine,
+    StreamId,
 };
 
 const BATCHES: [usize; 4] = [1, 4, 64, 1024];
@@ -105,7 +114,24 @@ fn bench_runner_batches() {
     }
 }
 
+/// The fan-out engine, registry on, one 64-sample frame per iteration
+/// (cycling through a stream with planted copies, so matches fire).
+fn bench_fanout() {
+    let b = Bench::new("batch_ingest_fanout");
+    let (mut engine, stream) = fanout::engine(Some(Arc::new(Metrics::new())));
+    let xs = fanout::stream(256);
+    let mut frames = xs.chunks(fanout::FRAME).cycle();
+    let mut out: Vec<Event> = Vec::new();
+    b.bench_elems("q32", fanout::FRAME as u64, || {
+        out.clear();
+        let frame = frames.next().unwrap();
+        engine.push_batch(stream, frame, &mut out).unwrap();
+        black_box(out.len());
+    });
+}
+
 fn main() {
     bench_engine_batches();
     bench_runner_batches();
+    bench_fanout();
 }

@@ -23,7 +23,15 @@
 //! long-lived monitor, so the band sits at the best distance found so
 //! far, as it does over most of a long stream.
 //!
-//! The engine and runner workers call `step_batch`. Shares of the
+//! The engine and runner workers call `Monitor::step_run`: the same
+//! loop as `step_batch`, minus its non-finite scan, which the frame scan
+//! already did once for all of a stream's attachments, and with the
+//! frame's 8-sample chunk ranges, so the idle skip proves a chunk lying
+//! on one side of `y_1` idle with one distance instead of eight. These
+//! rows time `step_batch`, one monitor alone with no frame scan, whose
+//! skip tests each chunk itself; the fan-out gain shows in
+//! `batch_ingest_fanout/q32` and `metrics_overhead`'s
+//! `engine_push_batch_q32` rows instead. Shares of the
 //! (attachment, sample) pairs per path with `step_batch(64)` on the
 //! springbench seed-1 inputs:
 //!

@@ -11,6 +11,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
 
+use spring_bench::fanout;
 use spring_bench::harness::{fmt_time, Bench};
 use spring_data::MaskedChirp;
 use spring_monitor::{GapPolicy, Metrics, SpringEngine};
@@ -64,6 +65,43 @@ fn bench_engine_push(b: &Bench, m: usize) {
     );
 }
 
+/// The fan-out pair: 32 m = 64 attachments on one stream, 64-sample
+/// frames through `Engine::push_batch` ([`spring_bench::fanout`]), with
+/// and without a registry. Reported per stream sample.
+fn bench_engine_push_batch_fanout(b: &Bench) {
+    let xs = fanout::stream(256);
+    let run = |with_metrics: bool| {
+        let metrics = with_metrics.then(|| Arc::new(Metrics::new()));
+        let (mut eng, stream) = fanout::engine(metrics);
+        let mut frames = xs.chunks(fanout::FRAME).cycle();
+        let mut out = Vec::new();
+        let id = format!(
+            "engine_push_batch_q{}_{}",
+            fanout::QUERIES,
+            if with_metrics {
+                "metrics_on"
+            } else {
+                "metrics_off"
+            }
+        );
+        b.bench_elems(&id, fanout::FRAME as u64, || {
+            out.clear();
+            eng.push_batch(stream, frames.next().unwrap(), &mut out)
+                .unwrap();
+            black_box(out.len());
+        }) / fanout::FRAME as f64
+    };
+    let off = run(false);
+    let on = run(true);
+    let overhead = (on - off) / off * 100.0;
+    println!(
+        "metrics_overhead/engine_push_batch_q{}   off {}  on {}  overhead {overhead:+.2}% (per stream sample)",
+        fanout::QUERIES,
+        fmt_time(off),
+        fmt_time(on),
+    );
+}
+
 fn bench_primitives(b: &Bench) {
     let metrics = Metrics::new();
     b.bench("counter_inc", || {
@@ -86,5 +124,6 @@ fn main() {
     for m in [64usize, 256] {
         bench_engine_push(&b, m);
     }
+    bench_engine_push_batch_fanout(&b);
     bench_primitives(&b);
 }

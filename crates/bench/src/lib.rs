@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod fanout;
 pub mod harness;
 
 use std::time::Instant;

@@ -73,7 +73,7 @@ impl<K: DistanceKernel> BestMatch<K> {
     /// best improved at this tick.
     pub fn step(&mut self, x: f64) -> bool {
         debug_assert!(x.is_finite(), "stream value must be finite");
-        if self.stwm.skip_idle(std::slice::from_ref(&x)) == 1 {
+        if self.stwm.skip_idle(std::slice::from_ref(&x), 0, &[]) == 1 {
             return false;
         }
         self.stwm.step(x);

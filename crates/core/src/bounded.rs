@@ -148,7 +148,7 @@ impl<K: DistanceKernel> BoundedSpring<K> {
     /// nothing to capture or confirm.
     pub fn step(&mut self, x: f64) -> Option<Match> {
         debug_assert!(x.is_finite(), "stream value must be finite");
-        if self.stwm.skip_idle(std::slice::from_ref(&x)) == 1 {
+        if self.stwm.skip_idle(std::slice::from_ref(&x), 0, &[]) == 1 {
             return None;
         }
         self.stwm.step(x);

@@ -94,7 +94,7 @@ pub use best::BestMatch;
 pub use bounded::{BoundedConfig, BoundedSpring};
 pub use error::SpringError;
 pub use mem::MemoryUse;
-pub use monitor::{Monitor, MonitorSpec, MonitorVariant, ScalarMonitor};
+pub use monitor::{FrameScan, Monitor, MonitorSpec, MonitorVariant, ScalarMonitor};
 pub use naive::NaiveMonitor;
 pub use path::PathSpring;
 pub use slope::SlopeLimited;

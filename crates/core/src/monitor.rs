@@ -24,10 +24,13 @@
 //! [`MonitorSpec`] builds one from a plain description — the single
 //! construction path used by the CLI and examples.
 
+use std::borrow::Borrow;
+
 use spring_dtw::kernels::Kernel;
 
 use crate::bounded::{BoundedConfig, BoundedSpring};
 use crate::error::SpringError;
+use crate::stwm::IDLE_CHUNK;
 use crate::types::Match;
 use crate::{BestMatch, NormalizedSpring, PathSpring, SlopeLimited, Spring, SpringConfig};
 
@@ -133,11 +136,38 @@ pub trait Monitor {
         out: &mut Vec<Match>,
     ) -> Result<(), SpringError> {
         for s in samples {
-            if let Some(m) = self.step(std::borrow::Borrow::borrow(s))? {
+            if let Some(m) = self.step(s.borrow())? {
                 out.push(m);
             }
         }
         Ok(())
+    }
+
+    /// Scans a frame of a stream once for every monitor attached to
+    /// it, before any of them steps it (see [`FrameScan`]). The default
+    /// records the missing samples; scalar monitors that use the chunk
+    /// ranges record those too.
+    fn scan_frame(samples: &[<Self::Sample as ToOwned>::Owned], scan: &mut FrameScan) {
+        scan.scan_missing(samples.iter().map(|s| Self::is_missing(s.borrow())));
+    }
+
+    /// [`step_batch`](Monitor::step_batch) over `run`, a run of present
+    /// samples that starts at offset `at` of a frame described by `scan`
+    /// ([`Monitor::scan_frame`]). A monitor may take what the scan
+    /// already knows instead of scanning the run again. The default
+    /// is `step_batch`.
+    ///
+    /// # Errors
+    /// As [`step_batch`](Monitor::step_batch).
+    fn step_run(
+        &mut self,
+        run: &[<Self::Sample as ToOwned>::Owned],
+        at: usize,
+        scan: &FrameScan,
+        out: &mut Vec<Match>,
+    ) -> Result<(), SpringError> {
+        let _ = (at, scan);
+        self.step_batch(run, out)
     }
 
     /// Declares end-of-stream; flushes a pending optimum. Idempotent.
@@ -207,6 +237,63 @@ pub trait Monitor {
     /// Tags the monitor with a query generation after a hot-swap
     /// rebuild. A no-op for monitors without swap support.
     fn set_generation(&mut self, _generation: u64) {}
+}
+
+/// What one pass over a stream's frame tells every monitor attached to
+/// the stream: the offsets of its missing samples and, for a scalar
+/// frame, the `(min, max)` of each chunk the idle skip tests at once.
+/// The engine and the runner workers fill one per frame
+/// ([`Monitor::scan_frame`]) and hand it to every attachment's
+/// [`Monitor::step_run`], so a fact of the frame is found once, not
+/// once per attachment.
+#[derive(Debug, Default)]
+pub struct FrameScan {
+    /// Offsets of the missing samples, ascending.
+    missing: Vec<usize>,
+    /// `(min, max)` of each frame-aligned chunk; empty unless scanned
+    /// by [`FrameScan::scan_scalar`]. A chunk that holds a missing
+    /// sample is never tested by its range.
+    ranges: Vec<(f64, f64)>,
+}
+
+impl FrameScan {
+    /// Offsets of the frame's missing samples, ascending.
+    pub fn missing(&self) -> &[usize] {
+        &self.missing
+    }
+
+    /// The chunk ranges (empty when the frame was not scanned as
+    /// scalars).
+    pub(crate) fn ranges(&self) -> &[(f64, f64)] {
+        &self.ranges
+    }
+
+    /// Records the missing samples only: `missing` yields one flag per
+    /// sample of the frame.
+    pub(crate) fn scan_missing(&mut self, missing: impl Iterator<Item = bool>) {
+        self.ranges.clear();
+        self.missing.clear();
+        self.missing
+            .extend(missing.enumerate().filter(|&(_, m)| m).map(|(i, _)| i));
+    }
+
+    /// Scans a scalar frame: the non-finite samples and each chunk's
+    /// range, in one pass.
+    pub(crate) fn scan_scalar(&mut self, samples: &[f64]) {
+        self.ranges.clear();
+        self.missing.clear();
+        for (c, chunk) in samples.chunks(IDLE_CHUNK).enumerate() {
+            let (mut lo, mut hi, mut finite) = (f64::INFINITY, f64::NEG_INFINITY, true);
+            for &x in chunk {
+                (lo, hi, finite) = (lo.min(x), hi.max(x), finite & x.is_finite());
+            }
+            self.ranges.push((lo, hi));
+            if !finite {
+                let bad = chunk.iter().enumerate().filter(|(_, x)| !x.is_finite());
+                self.missing.extend(bad.map(|(i, _)| c * IDLE_CHUNK + i));
+            }
+        }
+    }
 }
 
 /// A description of a scalar monitor, buildable against any query — the
@@ -384,6 +471,20 @@ impl Monitor for ScalarMonitor {
         // One dispatch per *batch*: reaches the variant's optimized
         // override (Spring, NormalizedSpring) or its default loop.
         dispatch!(self, m => Monitor::step_batch(m, samples, out))
+    }
+
+    fn scan_frame(samples: &[f64], scan: &mut FrameScan) {
+        scan.scan_scalar(samples);
+    }
+
+    fn step_run(
+        &mut self,
+        run: &[f64],
+        at: usize,
+        scan: &FrameScan,
+        out: &mut Vec<Match>,
+    ) -> Result<(), SpringError> {
+        dispatch!(self, m => Monitor::step_run(m, run, at, scan, out))
     }
 
     fn finish(&mut self) -> Option<Match> {
@@ -623,6 +724,24 @@ mod tests {
             assert_eq!(Monitor::tick(&m), 0, "{spec:?}");
             assert!(out.is_empty());
         }
+    }
+
+    #[test]
+    fn a_frame_scan_finds_missing_samples_and_chunk_ranges_in_one_pass() {
+        let mut frame: Vec<f64> = (0..19).map(|i| i as f64).collect();
+        frame[3] = f64::NAN;
+        frame[17] = f64::NEG_INFINITY;
+        let mut scan = FrameScan::default();
+        scan.scan_scalar(&frame);
+        assert_eq!(scan.missing(), &[3, 17]);
+        // Three chunks of 8, 8 and 3; a NaN does not narrow a range.
+        assert_eq!(scan.ranges()[..2], [(0.0, 7.0), (8.0, 15.0)]);
+        assert_eq!(scan.ranges()[2].1, 18.0);
+        // The generic scan finds the same gaps and no ranges.
+        scan.scan_missing(frame.iter().map(|x| !x.is_finite()));
+        assert_eq!((scan.missing(), scan.ranges()), (&[3, 17][..], &[][..]));
+        scan.scan_scalar(&[]);
+        assert!(scan.missing().is_empty() && scan.ranges().is_empty());
     }
 
     #[test]

@@ -17,6 +17,7 @@ use spring_dtw::kernels::{DistanceKernel, Squared};
 
 use crate::error::{check_epsilon, SpringError};
 use crate::mem::MemoryUse;
+use crate::monitor::FrameScan;
 use crate::policy::{ColumnOps, DisjointPolicy};
 use crate::stwm::Stwm;
 use crate::types::Match;
@@ -210,7 +211,7 @@ impl<K: DistanceKernel> Spring<K> {
     /// use [`Spring::step_checked`] on untrusted input.
     pub fn step(&mut self, x: f64) -> Option<Match> {
         debug_assert!(x.is_finite(), "stream value must be finite");
-        if self.stwm.skip_idle(std::slice::from_ref(&x)) == 1 {
+        if self.stwm.skip_idle(std::slice::from_ref(&x), 0, &[]) == 1 {
             return None;
         }
         self.stwm.step(x);
@@ -248,6 +249,29 @@ impl<K: DistanceKernel> Spring<K> {
         report
     }
 
+    /// Steps finite `samples`: a loop of the idle skip (empty ε-band,
+    /// `‖x − y_1‖ > ε`: one distance per sample, or per chunk with the
+    /// frame's `ranges`, and no column fill) and one banded column.
+    /// `samples[0]` sits at offset `at` of the frame `ranges` describe
+    /// (see `Stwm::skip_idle`).
+    fn step_present(
+        &mut self,
+        samples: &[f64],
+        at: usize,
+        ranges: &[(f64, f64)],
+        out: &mut Vec<Match>,
+    ) {
+        let mut k = 0;
+        while k < samples.len() {
+            k += self.stwm.skip_idle(&samples[k..], at + k, ranges);
+            if let Some(&x) = samples.get(k) {
+                self.stwm.step(x);
+                out.extend(self.after_column());
+                k += 1;
+            }
+        }
+    }
+
     /// Declares the end of the stream: reports the still-pending group
     /// optimum, if any. Idempotent.
     pub fn finish(&mut self) -> Option<Match> {
@@ -274,10 +298,8 @@ impl<K: DistanceKernel> crate::monitor::Monitor for Spring<K> {
         self.step_checked(*sample)
     }
 
-    /// Batch path: after one scan for the first non-finite sample, a
-    /// loop that consumes the run of idle samples (empty ε-band,
-    /// `‖x − y_1‖ > ε`) with one distance each and no column fill, then
-    /// steps the next sample through the banded column kernel. Same
+    /// Batch path: after one scan for the first non-finite sample,
+    /// `Spring::step_present` over the samples before it. Same
     /// matches as per-sample stepping, with ε-equivalent columns.
     /// Matches append to the caller-owned `out`; the steady state
     /// allocates nothing.
@@ -289,21 +311,32 @@ impl<K: DistanceKernel> crate::monitor::Monitor for Spring<K> {
             true => None,
             false => samples.iter().position(|x| !x.is_finite()),
         };
-        let mut rest = &samples[..bad.unwrap_or(samples.len())];
-        while !rest.is_empty() {
-            rest = &rest[self.stwm.skip_idle(rest)..];
-            if let Some((&x, tail)) = rest.split_first() {
-                self.stwm.step(x);
-                out.extend(self.after_column());
-                rest = tail;
-            }
-        }
+        self.step_present(&samples[..bad.unwrap_or(samples.len())], 0, &[], out);
         match bad {
             Some(_) => Err(SpringError::NonFiniteInput {
                 tick: self.stwm.tick() + 1,
             }),
             None => Ok(()),
         }
+    }
+
+    /// The engine's path: the frame scan already found the run's
+    /// samples finite, and its chunk ranges let the idle skip prove a
+    /// chunk idle with one distance.
+    fn step_run(
+        &mut self,
+        run: &[f64],
+        at: usize,
+        scan: &FrameScan,
+        out: &mut Vec<Match>,
+    ) -> Result<(), SpringError> {
+        debug_assert!(run.iter().all(|x| x.is_finite()), "a run is present");
+        self.step_present(run, at, scan.ranges(), out);
+        Ok(())
+    }
+
+    fn scan_frame(samples: &[f64], scan: &mut FrameScan) {
+        scan.scan_scalar(samples);
     }
 
     fn finish(&mut self) -> Option<Match> {

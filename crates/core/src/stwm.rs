@@ -25,8 +25,9 @@ use crate::kernel::{self, Scratch};
 use crate::mem::MemoryUse;
 
 /// Samples [`Stwm::skip_idle`] tests per chunk without an early exit:
-/// wide enough for the compares to vectorize.
-const IDLE_CHUNK: usize = 8;
+/// wide enough for the compares to vectorize. A frame scan
+/// ([`crate::monitor::FrameScan`]) records one range per chunk.
+pub(crate) const IDLE_CHUNK: usize = 8;
 
 /// Rolling two-column STWM between an evolving stream and a fixed query.
 ///
@@ -210,22 +211,47 @@ impl<K: DistanceKernel> Stwm<K> {
     /// values. With `eps = +∞` no distance is above ε, and a NaN
     /// distance stops the run.
     ///
+    /// Samples are tested [`IDLE_CHUNK`] at a time. `ranges`, when not
+    /// empty, holds the `(min, max)` of each chunk of the frame that
+    /// `xs` starts at offset `offset` of ([`crate::monitor::FrameScan`]),
+    /// and the chunks follow the frame's grid; otherwise they start at
+    /// `xs[0]`. A whole chunk that lies on one side of `y_1` is idle
+    /// when its end nearest `y_1` is: the rounded `dist(x, y_1)` of a
+    /// [`DistanceKernel`] is monotone in `x` on each side of `y_1`, so
+    /// no sample of the chunk is nearer: one distance for the chunk, from
+    /// ranges found once for every matrix on the stream. Any other whole
+    /// chunk is tested with one
+    /// pass without an early exit, so the compares vectorize, and from
+    /// the first chunk that holds a busy sample on, one sample at a
+    /// time.
+    ///
     /// Samples must be finite: an infinite one would count as idle.
-    pub(crate) fn skip_idle(&mut self, xs: &[f64]) -> usize {
+    pub(crate) fn skip_idle(&mut self, xs: &[f64], offset: usize, ranges: &[(f64, f64)]) -> usize {
         if self.top_prev != 0 {
             return 0;
         }
         let (kernel, y1, eps) = (self.kernel, self.query.samples()[0], self.eps);
-        let idle = |x: &f64| kernel.dist(*x, y1) > eps;
-        // Whole chunks first, each tested without an early exit so the
-        // compiler can vectorize the compares; from the first chunk that
-        // holds a busy sample on, one sample at a time.
-        let whole = xs
-            .chunks_exact(IDLE_CHUNK)
-            .take_while(|c| c.iter().fold(true, |all, x| all & idle(x)))
-            .count()
-            * IDLE_CHUNK;
-        let k = whole + xs[whole..].iter().take_while(|x| idle(x)).count();
+        let idle = |x: f64| kernel.dist(x, y1) > eps;
+        let proven = |&(lo, hi): &(f64, f64)| (hi < y1 && idle(hi)) || (lo > y1 && idle(lo));
+        let base = if ranges.is_empty() { 0 } else { offset };
+        let mut k = 0;
+        while k < xs.len() {
+            let start = base + k;
+            let end = (k + IDLE_CHUNK - start % IDLE_CHUNK).min(xs.len());
+            let chunk = &xs[k..end];
+            let all_idle = <&[f64; IDLE_CHUNK]>::try_from(chunk).is_ok_and(|whole| {
+                ranges.get(start / IDLE_CHUNK).is_some_and(proven)
+                    || whole.iter().fold(true, |all, &x| all & idle(x))
+            });
+            if all_idle {
+                k = end;
+                continue;
+            }
+            k += chunk.iter().take_while(|&&x| idle(x)).count();
+            if k < end {
+                break;
+            }
+        }
         if k > 0 {
             self.t += k as u64;
             // The star cell too: a fresh matrix still holds +∞ in row 0.
@@ -537,21 +563,78 @@ mod tests {
         let query = [1.0, 2.0, 3.0];
         let mut stwm = Stwm::new(&query).unwrap().with_band(4.0);
         // 10 and 20 are idle (distance to y_1 above 4), 2 is not.
-        assert_eq!(stwm.skip_idle(&[10.0, 20.0, 2.0, 30.0]), 2);
+        assert_eq!(stwm.skip_idle(&[10.0, 20.0, 2.0, 30.0], 0, &[]), 2);
         assert_eq!(stwm.tick(), 2);
         assert_eq!(stwm.distances()[..2], [0.0, 361.0]);
         assert_eq!(stwm.starts()[..2], [2, 2]);
         assert!(stwm.distances()[2..].iter().all(|d| d.is_infinite()));
         // The band stays empty, so the skip resumes where it stopped...
-        assert_eq!(stwm.skip_idle(&[2.0]), 0);
+        assert_eq!(stwm.skip_idle(&[2.0], 0, &[]), 0);
         stwm.step(2.0);
         // ...but not while the band holds a row at or below ε.
         assert_eq!(stwm.top(), 3);
-        assert_eq!(stwm.skip_idle(&[30.0]), 0);
+        assert_eq!(stwm.skip_idle(&[30.0], 0, &[]), 0);
         assert_eq!(stwm.tick(), 3);
         // An unbanded matrix never skips: no distance is above +∞.
         let mut full = Stwm::new(&query).unwrap();
-        assert_eq!(full.skip_idle(&[1e300, 1e200]), 0);
+        assert_eq!(full.skip_idle(&[1e300, 1e200], 0, &[]), 0);
+    }
+
+    #[test]
+    fn chunk_ranges_skip_exactly_what_per_sample_tests_skip() {
+        // Frames drawn from values at, beside and far from y_1 (±0.0 and
+        // magnitudes where the squared distance overflows to +∞
+        // included), skipped from every offset with and without the
+        // frame scan's chunk ranges: the same count and the same cells.
+        use crate::monitor::FrameScan;
+        use spring_dtw::Kernel;
+        use spring_util::Rng;
+        let mut rng = Rng::seed_from_u64(0x5C4A);
+        let mut scan = FrameScan::default();
+        for round in 0..400 {
+            let y1 = [0.0, -0.0, 5.0, 1e154][round % 4];
+            let kernel = [Kernel::Squared, Kernel::Absolute][round / 4 % 2];
+            let eps = [0.0, 1.0, 4.0, f64::MAX][round / 8 % 4];
+            // Either side alone makes whole chunks the ranges can prove.
+            let pool = match rng.usize_range(0, 3) {
+                0 => vec![
+                    y1,
+                    -y1,
+                    y1 + 1.0,
+                    y1 - 3.0,
+                    40.0,
+                    -40.0,
+                    1e154,
+                    -1e154,
+                    1e200,
+                ],
+                1 => vec![y1 + 1.0, y1 + 3.0, 40.0, 1e154, 1e200],
+                _ => vec![y1 - 1.0, y1 - 3.0, -40.0, -1e154, -1e200],
+            };
+            let len = rng.usize_range(0, 30);
+            let frame: Vec<f64> = (0..len)
+                .map(|_| pool[rng.usize_range(0, pool.len())])
+                .collect();
+            scan.scan_scalar(&frame);
+            let query = [y1, y1 + 2.0];
+            for at in 0..=len {
+                let fresh = || Stwm::with_kernel(&query, kernel).unwrap().with_band(eps);
+                let (mut plain, mut ranged) = (fresh(), fresh());
+                let want = plain.skip_idle(&frame[at..], 0, &[]);
+                let got = ranged.skip_idle(&frame[at..], at, scan.ranges());
+                let ctx = format!("y1={y1} {kernel:?} eps={eps} frame={frame:?} at={at}");
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(ranged.tick(), plain.tick(), "{ctx}");
+                let bits = |s: &Stwm<Kernel>| {
+                    s.distances()
+                        .iter()
+                        .map(|d| d.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&ranged), bits(&plain), "{ctx}");
+                assert_eq!(ranged.starts(), plain.starts(), "{ctx}");
+            }
+        }
     }
 
     #[test]

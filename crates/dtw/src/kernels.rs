@@ -14,10 +14,16 @@
 /// * `dist(a, b) >= 0.0`
 /// * `dist(a, a) == 0.0`
 /// * `dist(a, b) == dist(b, a)`
+/// * `dist(x, b)` is monotone in `x` on each side of `b`: non-increasing
+///   for `x ≤ b`, non-decreasing for `x ≥ b`
 ///
-/// These are exactly the properties the correctness proofs of the paper
-/// rely on (non-negativity makes the star row the unconditional minimum of
-/// column 0, which is what makes star-padding sound).
+/// The first three are exactly the properties the correctness proofs of
+/// the paper rely on (non-negativity makes the star row the
+/// unconditional minimum of column 0, which is what makes star-padding
+/// sound). Monotonicity lets the idle skip prove a whole chunk of
+/// samples farther than ε from `y_1` from the chunk's end nearest
+/// `y_1`. Both built-in kernels keep it after rounding, since rounded
+/// subtraction, `abs` and squaring are monotone.
 pub trait DistanceKernel: Copy + Send + Sync + 'static {
     /// Distance between two samples.
     fn dist(&self, x: f64, y: f64) -> f64;
@@ -98,6 +104,22 @@ mod tests {
                 let d = k.dist(a, b);
                 assert!(d >= 0.0, "non-negativity for {}", k.name());
                 assert_eq!(d, k.dist(b, a), "symmetry for {}", k.name());
+            }
+        }
+        // Monotone on each side of `b`, across magnitudes where the
+        // squared kernel rounds coarsely or overflows to +∞.
+        let grid = [
+            -1e200, -1e154, -3.0, -1.0, -0.0, 0.0, 1e-300, 2.0, 1e154, 1e200,
+        ];
+        for &b in &grid {
+            for w in grid.windows(2) {
+                let (x0, x1) = (w[0], w[1]);
+                if x1 <= b {
+                    assert!(k.dist(x0, b) >= k.dist(x1, b), "{} left of {b}", k.name());
+                }
+                if x0 >= b {
+                    assert!(k.dist(x0, b) <= k.dist(x1, b), "{} right of {b}", k.name());
+                }
             }
         }
     }

@@ -23,14 +23,15 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
-use spring_core::monitor::{Monitor, MonitorVariant};
+use spring_core::monitor::{FrameScan, Monitor, MonitorVariant};
 use spring_core::{
     Match, MonitorSpec, QueryArena, ScalarMonitor, Spring, SpringConfig, SpringError, VectorSpring,
 };
 use spring_dtw::Kernel;
 
-use crate::metrics::{Metrics, TickRecorder};
+use crate::metrics::{Metrics, TickRecorder, LATENCY_SAMPLE_EVERY};
 use crate::trace::{EventKind as TraceKind, TraceHandle, Tracer};
 
 /// Identifier of a registered stream.
@@ -229,29 +230,25 @@ impl<M: Monitor> Attachment<M> {
         self
     }
 
-    /// Attaches this monitor to a metrics registry. The first sampled
-    /// tick initializes its share of the live memory gauges; dropping
-    /// the attachment releases it. Monitors borrowing a shared arena
-    /// query also take one fleet-wide reference on its resident cells.
+    /// Attaches this monitor to a metrics registry and adds its share of
+    /// the live memory gauges; dropping the attachment releases it.
+    /// Monitors borrowing a shared arena query also take one fleet-wide
+    /// reference on its resident cells.
     pub(crate) fn set_metrics(&mut self, metrics: &Arc<Metrics>) {
-        self.recorder = Some(Self::make_recorder(metrics, &self.monitor));
-    }
-
-    fn make_recorder(metrics: &Arc<Metrics>, monitor: &M) -> TickRecorder {
         let mut rec = TickRecorder::new(Arc::clone(metrics));
-        if let Some(fp) = monitor.query_fingerprint() {
-            rec.retain_shared(fp, monitor.shared_memory_cells());
+        if let Some(fp) = self.monitor.query_fingerprint() {
+            rec.retain_shared(fp, self.monitor.shared_memory_cells());
         }
-        rec
+        self.recorder = Some(rec);
+        self.refresh_memory();
     }
 
-    /// Offset of the first sample in `samples` this attachment rejects:
-    /// a missing one under [`GapPolicy::Fail`].
-    fn first_rejected(&self, samples: &[Owned<M>]) -> Option<usize> {
-        if self.gap_policy != GapPolicy::Fail {
-            return None;
+    /// Brings this monitor's share of the live memory gauges up to date
+    /// (a write only when it changed).
+    fn refresh_memory(&mut self) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.set_memory(self.monitor.memory_use(), self.monitor.memory_cells());
         }
-        samples.iter().position(|s| M::is_missing(s.borrow()))
     }
 
     fn event(&self, m: Match) -> Event {
@@ -265,20 +262,32 @@ impl<M: Monitor> Attachment<M> {
     }
 
     /// Consumes one raw sample: resolves the gap policy, steps the
-    /// monitor, wraps a confirmed match into an [`Event`].
+    /// monitor, wraps a confirmed match into an [`Event`], and records
+    /// the tick into the metrics registry, if any.
     pub(crate) fn ingest(&mut self, sample: &M::Sample) -> Result<Option<Event>, MonitorError> {
         crate::fail_point!(
             "attachment::ingest",
             MonitorError::Injected("attachment::ingest")
         );
-        self.step_one(sample)
+        let started = self.recorder.as_mut().and_then(TickRecorder::begin_tick);
+        let stepped = self.step_sample(sample);
+        let monitor = &self.monitor;
+        if let Some(rec) = self.recorder.as_mut() {
+            let hit = stepped.as_ref().ok().and_then(Option::as_ref);
+            rec.end_tick(started, hit.map(|e| &e.m), M::is_missing(sample), || {
+                (monitor.memory_use(), monitor.memory_cells())
+            });
+        }
+        stepped
     }
 
-    /// Consumes one frame of raw samples: each run of present samples
-    /// is stepped with one [`Monitor::step_batch`] and counted once by
-    /// the recorder; missing samples take [`Attachment::ingest`]'s
-    /// per-sample gap path. Events are appended to `scratch` tagged with
-    /// their frame offset and this attachment's `rank`.
+    /// Consumes one frame of raw samples, already scanned into
+    /// `scratch.scan` ([`Monitor::scan_frame`]): each run of present
+    /// samples is stepped with one [`Monitor::step_run`]; each missing
+    /// sample takes the per-sample gap path. Events are appended to `scratch` tagged with
+    /// their frame offset and this attachment's `rank`, and the missing
+    /// samples consumed are counted into it. Metrics are the caller's
+    /// ([`ingest_frame`] records them once per frame).
     ///
     /// # Errors
     /// `(offset, error)` of the first failing sample. Samples before it
@@ -294,31 +303,32 @@ impl<M: Monitor> Attachment<M> {
             "attachment::ingest",
             (0, MonitorError::Injected("attachment::ingest"))
         );
-        let mut at = 0;
-        while at < samples.len() {
-            let rest = &samples[at..];
-            let run = rest
-                .iter()
-                .position(|s| M::is_missing(s.borrow()))
-                .unwrap_or(rest.len());
-            if run == 0 {
-                let hit = self.step_one(rest[0].borrow()).map_err(|e| (at, e))?;
-                scratch.events.extend(hit.map(|event| FrameEvent {
-                    offset: at,
-                    rank,
-                    event,
-                }));
-                at += 1;
-            } else {
-                self.step_run(&rest[..run], at, rank, scratch)?;
-                at += run;
+        // `at`: the next sample to step; `g`: the next missing sample.
+        let (mut at, mut g) = (0, 0);
+        loop {
+            let gap = match scratch.scan.missing().get(g) {
+                Some(&k) if k < samples.len() => k,
+                _ => samples.len(),
+            };
+            if gap > at {
+                self.step_run(&samples[at..gap], at, rank, scratch)?;
             }
+            let Some(sample) = samples.get(gap) else {
+                return Ok(());
+            };
+            scratch.missing += 1;
+            let hit = self.step_sample(sample.borrow()).map_err(|e| (gap, e))?;
+            scratch.events.extend(hit.map(|event| FrameEvent {
+                offset: gap,
+                rank,
+                event,
+            }));
+            (at, g) = (gap + 1, g + 1);
         }
-        Ok(())
     }
 
     /// Steps a run of present samples starting at frame offset `at`
-    /// through [`Monitor::step_batch`].
+    /// through [`Monitor::step_run`].
     fn step_run(
         &mut self,
         run: &[Owned<M>],
@@ -326,18 +336,16 @@ impl<M: Monitor> Attachment<M> {
         rank: usize,
         scratch: &mut FrameScratch,
     ) -> Result<(), (usize, MonitorError)> {
-        let started = self
-            .recorder
-            .as_mut()
-            .and_then(|rec| rec.begin_frame(run.len()));
         let before = self.monitor.tick();
         scratch.hits.clear();
-        let stepped = self.monitor.step_batch(run, &mut scratch.hits);
+        let stepped = self
+            .monitor
+            .step_run(run, at, &scratch.scan, &mut scratch.hits);
         let consumed = match stepped {
             Ok(()) => run.len(),
             Err(_) => (self.monitor.tick() - before) as usize,
         };
-        // Like `step_one`, a failing sample still counts as seen.
+        // Like `step_sample`, a failing sample still counts as seen.
         self.ticks += (consumed + usize::from(stepped.is_err())) as u64;
         if matches!(self.gap_policy, GapPolicy::CarryForward) {
             let last: &M::Sample = run[consumed.min(run.len() - 1)].borrow();
@@ -353,35 +361,23 @@ impl<M: Monitor> Attachment<M> {
                 event: self.event(*hit),
             });
         }
-        let monitor = &self.monitor;
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.record_run(started, consumed as u64, &scratch.hits, || {
-                (monitor.memory_use(), monitor.memory_cells())
-            });
-        }
         stepped.map_err(|e| (at + consumed, e.into()))
     }
 
-    /// [`Attachment::ingest`] past its failpoint.
-    fn step_one(&mut self, sample: &M::Sample) -> Result<Option<Event>, MonitorError> {
+    /// Counts one tick, resolves the gap policy for `sample` and steps
+    /// the monitor: the metric-free core of [`Attachment::ingest`] and
+    /// the gap path of [`Attachment::ingest_frame`].
+    fn step_sample(&mut self, sample: &M::Sample) -> Result<Option<Event>, MonitorError> {
         self.ticks += 1;
-        let started = self.recorder.as_mut().and_then(TickRecorder::begin_tick);
-        let missing = M::is_missing(sample);
-        let resolved: Option<&M::Sample> = if missing {
+        let resolved: Option<&M::Sample> = if M::is_missing(sample) {
             match self.gap_policy {
                 GapPolicy::Skip => None,
                 GapPolicy::CarryForward => self.last_observed.as_ref().map(Borrow::borrow),
                 GapPolicy::Fail => {
-                    let monitor = &self.monitor;
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.end_tick(started, None, true, || {
-                            (monitor.memory_use(), monitor.memory_cells())
-                        });
-                    }
                     return Err(MonitorError::MissingSample {
                         stream: self.stream,
                         tick: self.ticks,
-                    });
+                    })
                 }
             }
         } else {
@@ -394,19 +390,14 @@ impl<M: Monitor> Attachment<M> {
             Some(x) => self.monitor.step(x)?,
             None => None,
         };
-        let event = hit.map(|m| self.event(m));
-        let monitor = &self.monitor;
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.end_tick(started, event.as_ref().map(|e| &e.m), missing, || {
-                (monitor.memory_use(), monitor.memory_cells())
-            });
-        }
-        Ok(event)
+        Ok(hit.map(|m| self.event(m)))
     }
 
     /// An independent copy of this attachment's monitoring state: same
-    /// monitor, gap state, and tick counter, but a *fresh* metrics
-    /// recorder (so live-memory gauge shares are not double-released).
+    /// monitor, gap state, and tick counter, but no metrics recorder. A
+    /// copy is not a live monitor, so it holds no share of the memory
+    /// gauges and no reference on its shared query; a copy that goes
+    /// live again is given one with [`Attachment::set_metrics`].
     ///
     /// This is the [`crate::Runner`] supervisor's in-memory checkpoint:
     /// a worker periodically forks its shard so a restarted worker can
@@ -425,10 +416,7 @@ impl<M: Monitor> Attachment<M> {
             builder: self.builder.clone(),
             last_observed: self.last_observed.clone(),
             ticks: self.ticks,
-            recorder: self
-                .recorder
-                .as_ref()
-                .map(|r| Self::make_recorder(r.metrics(), &self.monitor)),
+            recorder: None,
         }
     }
 
@@ -487,20 +475,49 @@ pub(crate) struct FrameEvent {
     pub(crate) event: Event,
 }
 
-/// Reusable buffers of frame-at-a-time ingestion: one per engine and
-/// per runner worker, so the steady state allocates nothing.
+/// Reusable state of frame-at-a-time ingestion: one per engine and per
+/// runner worker, so the steady state allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct FrameScratch {
-    /// One run's matches from [`Monitor::step_batch`].
+    /// The frame's one pass: missing samples and chunk ranges.
+    scan: FrameScan,
+    /// One run's matches from [`Monitor::step_run`].
     hits: Vec<Match>,
     /// The frame's events; sample-major after [`ingest_frame`].
     pub(crate) events: Vec<FrameEvent>,
+    /// Missing samples the frame's attachments consumed.
+    missing: u64,
+    /// Stream ticks ingested through frames so far: the clock of the
+    /// tick-latency sampling.
+    clock: u64,
+    /// Frames timed so far.
+    timed: u64,
+}
+
+impl FrameScratch {
+    /// Advances the sampling clock by a frame of `len` stream ticks and
+    /// returns a start time when the frame is timed: the first frame,
+    /// then each frame that reaches a multiple of
+    /// [`LATENCY_SAMPLE_EVERY`] stream ticks.
+    fn time_frame(&mut self, len: usize) -> Option<Instant> {
+        let first = self.clock == 0;
+        let crosses = self.clock % LATENCY_SAMPLE_EVERY + len as u64 >= LATENCY_SAMPLE_EVERY;
+        self.clock += len as u64;
+        (first || crosses).then(Instant::now)
+    }
 }
 
 /// Steps one frame of a stream through its attachments (`indices` into
 /// `attachments`, in attach order) one attachment at a time, then sorts
 /// `scratch.events` into the order a sample-major loop produces them:
 /// by frame offset, then attachment.
+///
+/// The frame is scanned once ([`Monitor::scan_frame`]) for all of its
+/// attachments, and recorded into `metrics` once: the attachment-ticks,
+/// missing samples and matches, and on a timed frame (one per
+/// [`LATENCY_SAMPLE_EVERY`] stream ticks) the mean time per
+/// attachment-tick and any change in one attachment's memory, taking
+/// the attachments in turn.
 ///
 /// # Errors
 /// `(offset, error)` of the first failure in sample-major order. Every
@@ -516,15 +533,20 @@ pub(crate) fn ingest_frame<M: Monitor>(
     indices: &[usize],
     samples: &[Owned<M>],
     scratch: &mut FrameScratch,
+    metrics: Option<&Metrics>,
 ) -> Result<(), (usize, MonitorError)> {
     scratch.events.clear();
-    // The first (offset, rank) a Fail attachment rejects.
-    let mut stop = indices
-        .iter()
-        .enumerate()
-        .filter_map(|(rank, &i)| attachments[i].first_rejected(samples).map(|k| (k, rank)))
-        .min();
+    scratch.missing = 0;
+    M::scan_frame(samples, &mut scratch.scan);
+    let timed = metrics.and_then(|_| scratch.time_frame(samples.len()));
+    // The first missing sample stops the frame at the first Fail
+    // attachment: (offset, rank).
+    let mut stop = scratch.scan.missing().first().and_then(|&k| {
+        let fail = |&i: &usize| attachments[i].gap_policy == GapPolicy::Fail;
+        indices.iter().position(fail).map(|r| (k, r))
+    });
     let mut failure = None;
+    let mut ticks = 0;
     for (rank, &i) in indices.iter().enumerate() {
         // Attachments up to the stopping one still see the stopping
         // tick; the ones after it stop before it.
@@ -533,7 +555,11 @@ pub(crate) fn ingest_frame<M: Monitor>(
             Some((k, _)) => k,
             None => samples.len(),
         };
-        if let Err((k, e)) = attachments[i].ingest_frame(&samples[..len], rank, scratch) {
+        let att = &mut attachments[i];
+        let before = att.ticks;
+        let ingested = att.ingest_frame(&samples[..len], rank, scratch);
+        ticks += att.ticks - before;
+        if let Err((k, e)) = ingested {
             stop = Some((k, rank));
             failure = Some((k, e));
             scratch.events.retain(|ev| (ev.offset, ev.rank) < (k, rank));
@@ -542,6 +568,28 @@ pub(crate) fn ingest_frame<M: Monitor>(
     scratch
         .events
         .sort_unstable_by_key(|ev| (ev.offset, ev.rank));
+    if let Some(metrics) = metrics {
+        metrics.ticks.add(ticks);
+        if scratch.missing > 0 {
+            metrics.missing.add(scratch.missing);
+        }
+        for ev in &scratch.events {
+            metrics.record_match(&ev.event.m);
+        }
+        if let Some(t0) = timed {
+            if ticks > 0 {
+                let per_tick = t0.elapsed().as_secs_f64() / ticks as f64;
+                metrics.tick_latency.observe(per_tick);
+            }
+            // One attachment's memory per timed frame, in turn: a
+            // monitor's memory changes rarely (attach, swap and detach
+            // set it at once), and reading it is a cost per attachment.
+            if let Some(&i) = indices.get(scratch.timed as usize % indices.len().max(1)) {
+                attachments[i].refresh_memory();
+            }
+            scratch.timed += 1;
+        }
+    }
     failure.map_or(Ok(()), Err)
 }
 
@@ -882,6 +930,12 @@ impl<M: Monitor> Engine<M> {
             .map(|a| a.monitor.variant())
     }
 
+    /// The monitor of an attachment: its tick, pending candidate and
+    /// matrix, read in place.
+    pub fn monitor(&self, id: AttachmentId) -> Option<&M> {
+        self.attachments.get(id.0 as usize).map(|a| &a.monitor)
+    }
+
     /// Ticks pushed so far on a stream.
     pub fn stream_ticks(&self, id: StreamId) -> Option<u64> {
         self.streams.get(id.0 as usize).map(|s| s.ticks)
@@ -994,7 +1048,14 @@ impl<M: Monitor> Engine<M> {
                 })
         });
         let fit = misfit.as_ref().map_or(samples.len(), |&(at, _)| at);
-        let (end, seen, result) = match ingest_frame(attachments, indices, &samples[..fit], frame) {
+        let ingested = ingest_frame(
+            attachments,
+            indices,
+            &samples[..fit],
+            frame,
+            metrics.as_deref(),
+        );
+        let (end, seen, result) = match ingested {
             // A failing tick is counted, like per-sample `push`.
             Err((at, e)) => (at, at + 1, Err(e)),
             Ok(()) => match misfit {

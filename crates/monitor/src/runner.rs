@@ -543,7 +543,9 @@ where
                     // Frame-at-a-time, like the Engine: each attachment
                     // steps the whole frame, and the sink gets the
                     // events back in sample-major order.
-                    let processed = match ingest_frame(&mut atts, &indices, &samples, &mut frame) {
+                    let metrics = ctx.metrics.as_deref();
+                    let ingested = ingest_frame(&mut atts, &indices, &samples, &mut frame, metrics);
+                    let processed = match ingested {
                         Ok(()) => samples.len(),
                         Err((at, e)) => {
                             // The frame tail is dropped with the rest of
@@ -1339,7 +1341,13 @@ where
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .iter()
-                .map(Attachment::fork)
+                .map(|checkpointed| {
+                    let mut att = checkpointed.fork();
+                    if let Some(m) = &self.metrics {
+                        att.set_metrics(m);
+                    }
+                    att
+                })
                 .collect();
             let (tx, rx) = sync_channel(QUEUE_DEPTH);
             slot.handle = Some(self.start_worker(w, &slot.shared, atts, rx));

@@ -4,8 +4,12 @@
 
 use std::sync::Arc;
 
+use spring_core::monitor::Monitor;
+use spring_core::Spring;
+use spring_dtw::Kernel;
 use spring_monitor::{
-    CountingSink, GapPolicy, Metrics, QueryId, Runner, RunnerAttachment, SpringEngine, StreamId,
+    AttachmentId, CountingSink, GapPolicy, Metrics, MetricsSnapshot, QueryId, Runner,
+    RunnerAttachment, SpringEngine, StreamId,
 };
 
 /// A value stream that contains the `[0, 9, 0]` pattern every 8 ticks.
@@ -156,6 +160,144 @@ fn live_memory_gauges_track_the_o_m_bound_and_release_on_drop() {
     let snap = metrics.snapshot();
     assert_eq!(snap.memory_cells, 0);
     assert_eq!(snap.memory_bytes, 0);
+}
+
+/// Attachments of the fan-out counting tests, all on one stream.
+const FANOUT: usize = 32;
+/// Samples per frame in the fan-out counting tests.
+const FRAME: usize = 64;
+
+/// Query `k` of the fan-out tests: a ramp in its own value band.
+fn fan_query(k: usize) -> Vec<f64> {
+    (0..16).map(|i| 8.0 * k as f64 + i as f64 * 0.25).collect()
+}
+
+/// Quiet samples far above every query, with query 3 planted once per
+/// 512 ticks.
+fn fan_stream(frames: usize) -> Vec<f64> {
+    let mut xs = vec![1000.0; frames * FRAME];
+    for start in (100..xs.len().saturating_sub(16)).step_by(512) {
+        xs[start..start + 16].copy_from_slice(&fan_query(3));
+    }
+    xs
+}
+
+/// The memory gauges must equal what the live monitors hold: every
+/// monitor's bytes and DP cells, plus each distinct shared query's
+/// cells once.
+fn assert_memory_is_live(snap: &MetricsSnapshot, monitors: &[Spring<Kernel>], ctx: &str) {
+    let bytes: usize = monitors.iter().map(Monitor::memory_use).sum();
+    let mut shared = std::collections::HashMap::new();
+    for m in monitors {
+        shared.insert(m.query_fingerprint().unwrap(), m.shared_memory_cells());
+    }
+    let cells =
+        monitors.iter().map(Monitor::memory_cells).sum::<usize>() + shared.values().sum::<usize>();
+    assert_eq!(
+        (snap.memory_bytes, snap.memory_cells),
+        (bytes as u64, cells as u64),
+        "{ctx}: live memory"
+    );
+}
+
+/// Per-frame recording through `Engine::push_batch`: 32 attachments on
+/// one stream cost one latency observation per frame at most, not one
+/// per attachment, while the tick counter stays exact and the memory
+/// gauges follow attach and hot-swap at once.
+#[test]
+fn fan_out_records_latency_once_per_frame_on_the_engine() {
+    let metrics = Arc::new(Metrics::new());
+    let mut engine = SpringEngine::new();
+    engine.set_metrics(Arc::clone(&metrics));
+    let s = engine.add_stream("s");
+    let mut queries = Vec::new();
+    for k in 0..FANOUT {
+        let q = engine.add_query(format!("q{k}"), fan_query(k)).unwrap();
+        engine.attach(s, q, 1.0, GapPolicy::Skip).unwrap();
+        queries.push(q);
+    }
+    let live = |engine: &SpringEngine| -> Vec<Spring<Kernel>> {
+        (0..FANOUT)
+            .map(|k| engine.monitor(AttachmentId(k as u32)).unwrap().clone())
+            .collect()
+    };
+    assert_memory_is_live(&metrics.snapshot(), &live(&engine), "after attach");
+    let frames = 40;
+    let xs = fan_stream(frames);
+    let mut events = Vec::new();
+    for frame in xs.chunks(FRAME) {
+        engine.push_batch(s, frame, &mut events).unwrap();
+    }
+    assert!(!events.is_empty(), "the planted copies must match");
+    let snap = metrics.snapshot();
+    assert_eq!(snap.ticks_total, (FANOUT * xs.len()) as u64);
+    assert_eq!(snap.matches_total, events.len() as u64);
+    assert!(snap.tick_latency.count >= 1);
+    assert!(
+        snap.tick_latency.count <= frames as u64,
+        "{} latency observations over {frames} frames",
+        snap.tick_latency.count
+    );
+    assert_memory_is_live(&snap, &live(&engine), "after ingest");
+    engine.swap_query(queries[5], vec![0.5; 40]).unwrap();
+    assert_memory_is_live(&metrics.snapshot(), &live(&engine), "after swap");
+}
+
+/// The same fan-out on a two-worker runner, with an attachment added,
+/// a query swapped and an attachment detached at run time.
+#[test]
+fn fan_out_records_latency_once_per_frame_on_the_runner() {
+    let metrics = Arc::new(Metrics::new());
+    let spring = |k: usize, query: &[f64]| {
+        RunnerAttachment::spring(StreamId(0), QueryId(k as u32), query, 1.0, GapPolicy::Skip)
+            .unwrap()
+    };
+    let bare = |query: &[f64]| {
+        Spring::with_kernel(query, spring_core::SpringConfig::new(1.0), Kernel::Squared).unwrap()
+    };
+    let attachments = (0..FANOUT).map(|k| spring(k, &fan_query(k))).collect();
+    let sink = Arc::new(CountingSink::new(FANOUT + 1));
+    let mut runner =
+        Runner::spawn_with_metrics(attachments, 2, 1, sink.clone(), Some(Arc::clone(&metrics)))
+            .unwrap();
+    runner.set_max_batch(FRAME);
+    let mut live: Vec<Spring<Kernel>> = (0..FANOUT).map(|k| bare(&fan_query(k))).collect();
+    assert_memory_is_live(&metrics.snapshot(), &live, "after spawn");
+    let frames = 40;
+    let xs = fan_stream(frames);
+    for frame in xs.chunks(FRAME) {
+        runner.push_batch(StreamId(0), frame).unwrap();
+    }
+    runner.sync(StreamId(0)).unwrap();
+    let snap = metrics.snapshot();
+    assert_eq!(snap.ticks_total, (FANOUT * xs.len()) as u64);
+    assert!(snap.matches_total > 0, "the planted copies must match");
+    assert!(snap.tick_latency.count >= 1);
+    assert!(
+        snap.tick_latency.count <= frames as u64,
+        "{} latency observations over {frames} frames",
+        snap.tick_latency.count
+    );
+    assert_memory_is_live(&snap, &live, "after ingest");
+    let extra = runner.attach(spring(FANOUT, &fan_query(FANOUT))).unwrap();
+    runner.sync(StreamId(0)).unwrap();
+    live.push(bare(&fan_query(FANOUT)));
+    assert_memory_is_live(&metrics.snapshot(), &live, "after attach");
+    runner.swap_query(QueryId(5), &[0.5; 40]).unwrap();
+    runner.sync(StreamId(0)).unwrap();
+    live[5] = bare(&[0.5; 40]);
+    assert_memory_is_live(&metrics.snapshot(), &live, "after swap");
+    runner.detach(extra).unwrap();
+    runner.sync(StreamId(0)).unwrap();
+    live.pop();
+    assert_memory_is_live(&metrics.snapshot(), &live, "after detach");
+    runner.shutdown().unwrap();
+    let snap = metrics.snapshot();
+    assert_eq!(
+        (snap.memory_bytes, snap.memory_cells),
+        (0, 0),
+        "after shutdown"
+    );
 }
 
 /// Minimal validator for the Prometheus text exposition format

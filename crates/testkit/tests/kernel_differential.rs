@@ -17,6 +17,16 @@
 //! the idle skip (an empty band costs one distance per tick) to the same
 //! contract on every stepping path, after every batch.
 //!
+//! A third grid runs many attachments on one stream through
+//! `Engine::push_batch` and a two-worker `Runner`, where the frame scan
+//! lets the idle skip prove a whole chunk idle from the chunk's range
+//! and one distance: events, per-attachment ticks and ε-equivalent
+//! columns must equal each attachment stepped alone with `step_batch`,
+//! across chunk ends equal to `y_1`, ±0.0, magnitudes where the squared
+//! distance overflows, both kernels, frames that are not whole chunks,
+//! and a missing sample at every offset of a frame under every gap
+//! policy.
+//!
 //! `BestMatch` (Problem 1) bands its matrix at its best distance so far;
 //! over both grids its answer must stay bit-identical to an unbanded
 //! matrix's on every stepping path.
@@ -26,9 +36,17 @@
 //! versa) with ε-equivalent columns afterwards, so mixed-version
 //! runner fleets can hand checkpoints across the kernel boundary.
 
-use spring_core::monitor::Monitor;
+use std::sync::Arc;
+
+use spring_core::monitor::{Monitor, MonitorVariant};
 use spring_core::types::Match;
 use spring_core::{BestMatch, Spring, SpringConfig, SpringSnapshot, Stwm};
+use spring_dtw::kernels::DistanceKernel;
+use spring_dtw::Kernel;
+use spring_monitor::{
+    AttachmentId, Event, GapPolicy, Metrics, MonitorError, QueryId, Runner, RunnerAttachment,
+    SpringEngine, StreamId, VecSink,
+};
 use spring_testkit::Scenario;
 use spring_util::Rng;
 
@@ -45,7 +63,7 @@ fn render(matches: &[Match]) -> Vec<String> {
 
 /// ε-equivalence of the two monitors' current columns: a cell at or
 /// below ε on either side has the same bits and start on both.
-fn assert_columns_match(reference: &Spring, other: &Spring, ctx: &str) {
+fn assert_columns_match<K: DistanceKernel>(reference: &Spring<K>, other: &Spring<K>, ctx: &str) {
     let eps = reference.epsilon();
     let (rd, rs) = (reference.stwm().distances(), reference.stwm().starts());
     let (od, os) = (other.stwm().distances(), other.stwm().starts());
@@ -232,6 +250,369 @@ fn idle_stretches_skip_exactly_on_every_stepping_path() {
         }
     }
     assert!(reported > 240, "the planted copies must match: {reported}");
+}
+
+/// One attachment of a fan-out scenario.
+#[derive(Debug, Clone)]
+struct Fan {
+    query: Vec<f64>,
+    eps: f64,
+    kernel: Kernel,
+    gap: GapPolicy,
+}
+
+impl Fan {
+    fn monitor(&self) -> Spring<Kernel> {
+        Spring::with_kernel(&self.query, SpringConfig::new(self.eps), self.kernel).unwrap()
+    }
+}
+
+/// Many attachments on one stream, pushed in frames of `frame` samples.
+#[derive(Debug)]
+struct FanOut {
+    fans: Vec<Fan>,
+    stream: Vec<f64>,
+    frame: usize,
+}
+
+/// Frame lengths: whole chunks of 8 and not.
+const FRAMES: [usize; 5] = [5, 13, 64, 67, 100];
+
+/// A fan-out scenario of kind `kind % 3`:
+///
+/// * 0 — queries in their own value bands with a walk far above all of
+///   them and warped copies planted, as on a many-query server;
+/// * 1 — a walk on a coarse grid whose values are the queries' `y_1`,
+///   so chunk minima and maxima often equal `y_1` exactly;
+/// * 2 — ±0.0 and magnitudes near 1e154, where the squared distance
+///   overflows to +∞, with `y_1` among them and ε up to `f64::MAX`.
+///
+/// `gaps` are the policies the attachments draw from.
+fn fan_out(rng: &mut Rng, kind: usize, gaps: &[GapPolicy]) -> FanOut {
+    let n = rng.usize_range(8, 41);
+    let fan = |query: Vec<f64>, eps: f64, rng: &mut Rng| Fan {
+        query,
+        eps,
+        kernel: [Kernel::Squared, Kernel::Absolute][rng.usize_range(0, 2)],
+        gap: gaps[rng.usize_range(0, gaps.len())],
+    };
+    let mut fans = Vec::new();
+    let mut stream = Vec::new();
+    match kind % 3 {
+        0 => {
+            for k in 0..n {
+                let m = rng.usize_range(1, 24);
+                let eps = [0.0, 0.5, 0.05 * m as f64, 0.5 * m as f64][rng.usize_range(0, 4)];
+                let query = smooth_query(rng, m, 8.0 * k as f64);
+                fans.push(fan(query, eps, rng));
+            }
+            let level = 8.0 * n as f64 + 40.0;
+            let mut walk = level;
+            for _ in 0..rng.usize_range(3, 8) {
+                for _ in 0..rng.usize_range(0, 120) {
+                    walk = (walk + 0.5 * rng.normal()).clamp(level - 3.0, level + 3.0);
+                    stream.push(walk);
+                }
+                let planted = &fans[rng.usize_range(0, n)].query;
+                let noise = rng.f64_range(0.0, 0.3);
+                stream.extend(warped_copy(rng, planted, noise));
+            }
+        }
+        1 => {
+            let grid = |rng: &mut Rng| rng.usize_range(0, 12) as f64 * 0.5;
+            for _ in 0..n {
+                let m = rng.usize_range(1, 12);
+                let mut query = vec![grid(rng)];
+                query.extend((1..m).map(|_| grid(rng)));
+                let eps = [0.0, 0.25, 1.0][rng.usize_range(0, 3)];
+                fans.push(fan(query, eps, rng));
+            }
+            stream.extend((0..rng.usize_range(100, 400)).map(|_| grid(rng)));
+        }
+        _ => {
+            let values = [0.0, -0.0, 1e154, -1e154, 1.5e154, -1.5e154, 3.0, -3.0];
+            let pick = |rng: &mut Rng| values[rng.usize_range(0, values.len())];
+            for _ in 0..n {
+                let m = rng.usize_range(1, 6);
+                let query = (0..m).map(|_| pick(rng)).collect();
+                let eps = [0.0, 1.0, 1e300, f64::MAX][rng.usize_range(0, 4)];
+                fans.push(fan(query, eps, rng));
+            }
+            // Runs of one value, so whole chunks sit on one side.
+            while stream.len() < 300 {
+                let x = pick(rng);
+                stream.extend(std::iter::repeat_n(x, rng.usize_range(1, 20)));
+            }
+        }
+    }
+    let frame = FRAMES[rng.usize_range(0, FRAMES.len())];
+    FanOut {
+        fans,
+        stream,
+        frame,
+    }
+}
+
+/// Where a per-sample loop stops on the scenario's stream: the first
+/// missing sample and the rank of the first `Fail` attachment, if both
+/// exist.
+fn stop_of(sc: &FanOut) -> Option<(usize, usize)> {
+    let k = sc.stream.iter().position(|x| !x.is_finite())?;
+    let r = sc.fans.iter().position(|f| f.gap == GapPolicy::Fail)?;
+    Some((k, r))
+}
+
+/// A reference match tagged `(offset in the stream, rank)`.
+type Tagged = (usize, usize, Match);
+
+/// Each attachment stepped alone: frame by frame, `step_batch` on each
+/// run of present samples and the gap policy on each missing one, up
+/// to the per-sample stopping point. Returns the monitors and the
+/// events tagged `(offset in the stream, rank)`, in sample-major order.
+fn fan_reference(sc: &FanOut) -> (Vec<Spring<Kernel>>, Vec<Tagged>) {
+    let stop = stop_of(sc);
+    let mut monitors = Vec::new();
+    let mut events = Vec::new();
+    let mut hits = Vec::new();
+    for (rank, fan) in sc.fans.iter().enumerate() {
+        let limit = match stop {
+            Some((k, r)) if rank <= r => k + 1,
+            Some((k, _)) => k,
+            None => sc.stream.len(),
+        };
+        let mut mon = fan.monitor();
+        let mut last = None;
+        for f0 in (0..limit).step_by(sc.frame) {
+            let end = (f0 + sc.frame).min(limit);
+            let mut t = f0;
+            while t < end {
+                if sc.stream[t].is_finite() {
+                    let run_end = (t..end).find(|&i| !sc.stream[i].is_finite()).unwrap_or(end);
+                    let before = mon.tick();
+                    hits.clear();
+                    Monitor::step_batch(&mut mon, &sc.stream[t..run_end], &mut hits).unwrap();
+                    for h in &hits {
+                        events.push((t + (h.reported_at - before - 1) as usize, rank, *h));
+                    }
+                    last = Some(sc.stream[run_end - 1]);
+                    t = run_end;
+                } else {
+                    if let (GapPolicy::CarryForward, Some(x)) = (fan.gap, last) {
+                        events.extend(mon.step(x).map(|h| (t, rank, h)));
+                    }
+                    t += 1;
+                }
+            }
+        }
+        monitors.push(mon);
+    }
+    events.sort_by_key(|&(offset, rank, _)| (offset, rank));
+    (monitors, events)
+}
+
+fn fan_event(stream: StreamId, rank: usize, m: Match) -> Event {
+    Event {
+        stream,
+        query: QueryId(rank as u32),
+        attachment: AttachmentId(rank as u32),
+        variant: MonitorVariant::Spring,
+        m,
+    }
+}
+
+/// Bit-level rendering of events (see [`render`]).
+fn render_events(events: &[Event]) -> Vec<String> {
+    events.iter().map(|e| format!("{e:?}")).collect()
+}
+
+/// The engine's transcript, per-attachment state and error against
+/// the per-attachment reference.
+fn check_engine(sc: &FanOut, ctx: &str) {
+    let (reference, want) = fan_reference(sc);
+    let stop = stop_of(sc);
+    let mut e = SpringEngine::new();
+    e.set_metrics(Arc::new(Metrics::new()));
+    let s = e.add_stream("s");
+    for (k, fan) in sc.fans.iter().enumerate() {
+        let q = e.add_query(format!("q{k}"), fan.query.clone()).unwrap();
+        e.attach_with_kernel(s, q, fan.eps, fan.gap, fan.kernel)
+            .unwrap();
+    }
+    let mut got = Vec::new();
+    let failed = sc
+        .stream
+        .chunks(sc.frame)
+        .find_map(|chunk| e.push_batch(s, chunk, &mut got).err());
+    // The engine drops the failing tick's events, like per-sample push.
+    let cut = stop.map_or(usize::MAX, |(k, _)| k);
+    let mut expect: Vec<Event> = want
+        .iter()
+        .filter(|&&(offset, _, _)| offset < cut)
+        .map(|&(_, rank, m)| fan_event(s, rank, m))
+        .collect();
+    match stop {
+        Some((k, _)) => {
+            let tick = k as u64 + 1;
+            assert_eq!(
+                failed,
+                Some(MonitorError::MissingSample { stream: s, tick }),
+                "{ctx}"
+            );
+        }
+        None => assert_eq!(failed, None, "{ctx}"),
+    }
+    for (rank, mon) in reference.iter().enumerate() {
+        let ectx = format!("{ctx} attachment {rank}");
+        let engine_mon = e.monitor(AttachmentId(rank as u32)).unwrap();
+        assert_eq!(engine_mon.tick(), mon.tick(), "{ectx}: ticks");
+        assert_eq!(
+            format!("{:?}", engine_mon.pending()),
+            format!("{:?}", mon.pending()),
+            "{ectx}: pending candidate"
+        );
+        assert_columns_match(mon, engine_mon, &ectx);
+    }
+    if stop.is_none() {
+        got.extend(e.finish_stream(s).unwrap());
+        for (rank, mut mon) in reference.into_iter().enumerate() {
+            expect.extend(mon.finish().map(|m| fan_event(s, rank, m)));
+        }
+    }
+    assert_eq!(
+        render_events(&got),
+        render_events(&expect),
+        "{ctx}: engine events"
+    );
+}
+
+/// The same scenario on two streams of a two-worker runner: each
+/// stream's sink transcript is the per-attachment reference's, cut
+/// where a per-sample runner stops.
+fn check_runner(sc: &FanOut, ctx: &str) {
+    let (reference, want) = fan_reference(sc);
+    let stop = stop_of(sc);
+    let n = sc.fans.len();
+    let streams = [StreamId(0), StreamId(1)];
+    let attachments = streams
+        .iter()
+        .flat_map(|&s| {
+            sc.fans.iter().enumerate().map(move |(k, fan)| {
+                RunnerAttachment::new(s, QueryId(k as u32), fan.monitor(), fan.gap)
+            })
+        })
+        .collect();
+    let sink = Arc::new(VecSink::new());
+    let metrics = Some(Arc::new(Metrics::new()));
+    let mut runner = Runner::spawn_with_metrics(attachments, 2, 1, sink.clone(), metrics).unwrap();
+    runner.set_max_batch(sc.frame);
+    let mut expect: Vec<(u32, Match)> = want
+        .iter()
+        .filter(|&&(offset, rank, _)| stop.is_none_or(|stop| (offset, rank) < stop))
+        .map(|&(_, rank, m)| (rank as u32, m))
+        .collect();
+    for &s in &streams {
+        // A worker stopped by a gap may fail later pushes.
+        let _ = runner.push_batch(s, &sc.stream);
+    }
+    match stop {
+        Some((k, _)) => {
+            let tick = k as u64 + 1;
+            let err = runner.shutdown().unwrap_err();
+            assert!(
+                matches!(err, MonitorError::MissingSample { tick: t, .. } if t == tick),
+                "{ctx}: {err:?}"
+            );
+        }
+        None => {
+            for &s in &streams {
+                runner.finish_stream(s).unwrap();
+            }
+            runner.shutdown().unwrap();
+            for (rank, mut mon) in reference.into_iter().enumerate() {
+                expect.extend(mon.finish().map(|m| (rank as u32, m)));
+            }
+        }
+    }
+    let events = sink.events();
+    for (w, &s) in streams.iter().enumerate() {
+        let got: Vec<(u32, Match)> = events
+            .iter()
+            .filter(|e| e.stream == s)
+            .inspect(|e| assert_eq!(e.attachment.0 as usize, w * n + e.query.0 as usize))
+            .map(|e| (e.query.0, e.m))
+            .collect();
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{expect:?}"),
+            "{ctx}: runner stream {}",
+            s.0
+        );
+    }
+}
+
+/// Plants one missing sample in frame `j` at offset `j % frame` for
+/// every frame, so one stream covers every offset once it has `frame`
+/// frames.
+fn with_rolling_gaps(sc: &mut FanOut) {
+    let frame = sc.frame;
+    for j in 0..sc.stream.len() / frame {
+        sc.stream[j * frame + j % frame] = f64::NAN;
+    }
+}
+
+/// The shared idle bound against per-attachment stepping on
+/// many-attachment, idle-heavy streams through the engine and the
+/// runner, with `Skip` and `CarryForward` gaps at rolling offsets.
+#[test]
+fn the_shared_idle_bound_keeps_every_attachment_exact_on_the_engine_and_the_runner() {
+    let mut rng = Rng::seed_from_u64(0xD1FF_0006);
+    let gaps = [GapPolicy::Skip, GapPolicy::CarryForward];
+    let mut reported = 0;
+    for scenario in 0..90 {
+        let mut sc = fan_out(&mut rng, scenario, &gaps);
+        if scenario % 2 == 1 {
+            // Long enough to cover every offset of the frame.
+            while sc.stream.len() < sc.frame * (sc.frame + 1) {
+                sc.stream.extend_from_within(..sc.stream.len().min(500));
+            }
+            with_rolling_gaps(&mut sc);
+        }
+        let ctx = format!(
+            "scenario {scenario} kind {} frame {}",
+            scenario % 3,
+            sc.frame
+        );
+        reported += fan_reference(&sc).1.len();
+        check_engine(&sc, &ctx);
+        if scenario % 3 == 0 {
+            check_runner(&sc, &ctx);
+        }
+    }
+    assert!(reported > 200, "the planted copies must match: {reported}");
+}
+
+/// A missing sample at every offset of a frame, for every frame length,
+/// with `Fail` attachments among the others: the frame stops where a
+/// per-sample loop stops, on the engine and the runner.
+#[test]
+fn a_fail_gap_at_every_frame_offset_stops_where_per_attachment_stepping_does() {
+    let mut rng = Rng::seed_from_u64(0xD1FF_0007);
+    let gaps = [GapPolicy::Skip, GapPolicy::CarryForward, GapPolicy::Fail];
+    for frame in FRAMES {
+        for offset in 0..frame {
+            let mut sc = fan_out(&mut rng, offset, &gaps);
+            sc.frame = frame;
+            let failing = rng.usize_range(0, sc.fans.len());
+            sc.fans[failing].gap = GapPolicy::Fail;
+            let at = (2 * frame + offset).min(sc.stream.len() - 1);
+            sc.stream[at] = f64::NAN;
+            let ctx = format!("frame {frame} offset {offset}");
+            check_engine(&sc, &ctx);
+            if offset % 4 == 0 {
+                check_runner(&sc, &ctx);
+            }
+        }
+    }
 }
 
 /// The answer of an unbanded matrix (`Stwm::new`, every row computed)
