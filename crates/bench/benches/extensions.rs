@@ -1,6 +1,6 @@
-//! Ablations for the post-paper extensions: what do length bounds,
-//! streaming normalization, and the coarse FTW-style pruning stage cost
-//! or save?
+//! Ablations for the post-paper monitor variants: what do length bounds,
+//! streaming normalization and slope limits cost per tick against plain
+//! SPRING?
 
 use std::hint::black_box;
 
@@ -8,12 +8,7 @@ use spring_bench::harness::Bench;
 use spring_core::{
     BoundedConfig, BoundedSpring, NormalizedSpring, SlopeLimited, Spring, SpringConfig,
 };
-use spring_data::noise::Gaussian;
-use spring_data::util::sine;
 use spring_data::MaskedChirp;
-use spring_dtw::coarse::{coarse_lower_bound, CoarseSeq};
-use spring_dtw::full::dtw_distance_with;
-use spring_dtw::kernels::Squared;
 
 fn workload() -> (Vec<f64>, Vec<f64>) {
     let mut cfg = MaskedChirp::small();
@@ -60,31 +55,6 @@ fn bench_monitor_variants() {
     }
 }
 
-/// Coarse lower bound vs exact DTW at several resolutions.
-fn bench_coarse_bound() {
-    let b = Bench::new("coarse_bound");
-    let mut g = Gaussian::new(5);
-    let x: Vec<f64> = sine(2_048, 100.0, 1.0, 0.0)
-        .into_iter()
-        .map(|v| v + g.sample() * 0.1)
-        .collect();
-    let y: Vec<f64> = sine(2_048, 90.0, 1.1, 0.4)
-        .into_iter()
-        .map(|v| v + g.sample() * 0.1)
-        .collect();
-    for segments in [16usize, 64, 256] {
-        let xc = CoarseSeq::new(&x, segments).unwrap();
-        let yc = CoarseSeq::new(&y, segments).unwrap();
-        b.bench(&format!("coarse_s{segments}"), || {
-            black_box(coarse_lower_bound(&xc, &yc, Squared));
-        });
-    }
-    b.bench("exact_dtw_n2048", || {
-        black_box(dtw_distance_with(&x, &y, Squared).unwrap());
-    });
-}
-
 fn main() {
     bench_monitor_variants();
-    bench_coarse_bound();
 }

@@ -9,16 +9,16 @@
 //!
 //! This benchmark measures exactly those claims: the same engine, same
 //! stream, with no tracer / a disabled tracer / an enabled sampled
-//! tracer — plus the raw cost of one ring write and one snapshot.
+//! tracer, timed in interleaved rounds by [`Bench::compare`] — plus the
+//! raw cost of one ring write and one snapshot.
 //! No gate enforces the budgets: `scripts/bench_compare.sh` tracks
 //! other families, and one smoke batch cannot resolve a 1% difference.
 //! The overhead percentages are printed for a full-mode run to check
 //! by eye.
 
 use std::hint::black_box;
-use std::time::Duration;
 
-use spring_bench::harness::{fmt_time, Bench};
+use spring_bench::harness::Bench;
 use spring_data::MaskedChirp;
 use spring_monitor::trace::EventKind;
 use spring_monitor::{GapPolicy, SpringEngine, Tracer};
@@ -68,26 +68,26 @@ fn engine(m: usize, mode: Mode) -> (SpringEngine, spring_monitor::StreamId) {
 }
 
 fn bench_engine_push(b: &Bench, m: usize) {
-    let values = stream_values(4_000);
-    let run = |mode: Mode| {
+    let values = &stream_values(4_000);
+    let pushes = |mode: Mode| {
         let (mut eng, stream) = engine(m, mode);
         let mut i = 0;
-        let id = format!("engine_push_m{m}_{}", mode.id());
-        b.bench(&id, || {
+        move || {
             black_box(eng.push(stream, &values[i % values.len()]).unwrap());
             i += 1;
-        })
+        }
     };
-    let none = run(Mode::Untraced);
-    let off = run(Mode::Disabled);
-    let on = run(Mode::Sampled);
-    println!(
-        "trace_overhead/engine_push_m{m}            none {}  off {} ({:+.2}%)  on {} ({:+.2}%)",
-        fmt_time(none),
-        fmt_time(off),
-        (off - none) / none * 100.0,
-        fmt_time(on),
-        (on - none) / none * 100.0,
+    let mut none = pushes(Mode::Untraced);
+    let mut off = pushes(Mode::Disabled);
+    let mut on = pushes(Mode::Sampled);
+    let id = |mode: Mode| format!("engine_push_m{m}_{}", mode.id());
+    b.compare(
+        1,
+        &mut [
+            (&id(Mode::Untraced), &mut none),
+            (&id(Mode::Disabled), &mut off),
+            (&id(Mode::Sampled), &mut on),
+        ],
     );
 }
 
@@ -107,11 +107,7 @@ fn bench_primitives(b: &Bench) {
 }
 
 fn main() {
-    // Same discipline as metrics_overhead: the off/on comparison divides
-    // nearly-equal numbers, so each side needs a stable noise floor.
-    let b = Bench::new("trace_overhead")
-        .target(Duration::from_millis(120))
-        .samples(9);
+    let b = Bench::new("trace_overhead");
     for m in [64usize, 256] {
         bench_engine_push(&b, m);
     }

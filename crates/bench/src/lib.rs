@@ -12,9 +12,8 @@
 //!
 //! Microbenches (`cargo bench`, self-contained [`harness`]): `per_tick`
 //! (SPRING vs Naive cost per tick), `dtw_kernels` (kernel ablation),
-//! `lower_bounds` (stored-set pruning), `monitor_scaling` (engine
-//! attachments / runner workers ablation), `extensions` (variant
-//! overhead).
+//! `monitor_scaling` (engine attachments / runner workers ablation),
+//! `extensions` (variant overhead).
 //!
 //! This library holds the shared measurement utilities.
 

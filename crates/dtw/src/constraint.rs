@@ -3,10 +3,9 @@
 //! The indexing literature the paper reviews (Keogh VLDB'02, Zhu–Shasha
 //! SIGMOD'03, Rabiner–Juang) limits the scope of the warping path with
 //! global constraints — the Sakoe–Chiba band and the Itakura
-//! parallelogram. We implement both so the stored-set search in
-//! [`crate::search`] and the band-aware lower bounds in
-//! [`crate::lower_bounds`] have a substrate, and so constrained DTW can be
-//! compared against SPRING in the ablation benches.
+//! parallelogram. We implement both for `spring dtw --band` and so
+//! constrained DTW can be compared against SPRING's unconstrained
+//! subsequence matching.
 
 use crate::error::{check_sequence, DtwError};
 use crate::kernels::DistanceKernel;

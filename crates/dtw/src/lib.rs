@@ -12,19 +12,7 @@
 //! * [`matrix`] — the dense time warping matrix used for path recovery and
 //!   for the paper's worked example (Fig. 5).
 //! * [`constraint`] — global warping constraints (Sakoe–Chiba band,
-//!   Itakura parallelogram) as used by the indexing literature the paper
-//!   builds on (Keogh, Zhu–Shasha).
-//! * [`lower_bounds`] — LB_Kim, LB_Yi and LB_Keogh lower bounds with
-//!   envelope computation, all proved (and property-tested) to never
-//!   exceed the true DTW distance.
-//! * [`paa`] — Piecewise Aggregate Approximation, used by the
-//!   coarse-level search in [`search`].
-//! * [`coarse`] — FTW-style coarse range representation whose DTW lower
-//!   bound enables successive-refinement search (the authors' PODS'05
-//!   predecessor of SPRING).
-//! * [`search`] — whole-sequence nearest-neighbour / range search over a
-//!   stored set with a lower-bound cascade (the "stored data set" setting
-//!   of Sec. 2.1 that SPRING complements).
+//!   Itakura parallelogram), behind `spring dtw --band`.
 //! * [`multivariate`] — DTW over `k`-dimensional elements (Sec. 5.3).
 //!
 //! All distances are `f64`; all routines are deterministic and
@@ -33,22 +21,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod coarse;
 pub mod constraint;
 pub mod error;
 pub mod full;
 pub mod kernels;
-pub mod lower_bounds;
 pub mod matrix;
 pub mod multivariate;
-pub mod paa;
-pub mod search;
 
-pub use coarse::{coarse_lower_bound, CoarseSeq};
 pub use constraint::GlobalConstraint;
 pub use error::DtwError;
 pub use full::{dtw_distance, dtw_distance_with, dtw_with_path, WarpingPath};
 pub use kernels::{Absolute, DistanceKernel, Kernel, Squared};
-pub use lower_bounds::{lb_keogh, lb_kim, lb_yi, Envelope};
 pub use matrix::WarpingMatrix;
-pub use paa::paa as paa_reduce;

@@ -1,12 +1,11 @@
 //! Randomized property tests for the post-paper extensions (bounded
-//! matching, streaming normalization, coarse bounds, vector streams) plus
+//! matching, streaming normalization, vector streams) plus
 //! failure injection with extreme inputs. Driven by the seeded
 //! [`spring::util::Rng`], so every run is deterministic.
 
 use spring::core::{
     BoundedConfig, BoundedSpring, Match, NormalizedSpring, Spring, SpringConfig, VectorSpring,
 };
-use spring::dtw::coarse::{coarse_lower_bound, CoarseSeq};
 use spring::dtw::kernels::Squared;
 use spring::dtw::{dtw_distance_with, multivariate::dtw_multivariate};
 use spring::util::Rng;
@@ -59,24 +58,6 @@ fn unbounded_config_matches_plain_spring() {
         let mut expected: Vec<Match> = stream.iter().filter_map(|&x| plain.step(x)).collect();
         expected.extend(plain.finish());
         assert_eq!(bounded, expected);
-    }
-}
-
-#[test]
-fn coarse_bound_is_sound_at_every_resolution() {
-    let mut rng = Rng::seed_from_u64(0xC0A);
-    for _ in 0..48 {
-        let x = seq(&mut rng, 48);
-        let y = seq(&mut rng, 48);
-        let true_d = dtw_distance_with(&x, &y, Squared).unwrap();
-        for w in [1usize, 2, 4, 8] {
-            let wx = w.min(x.len());
-            let wy = w.min(y.len());
-            let xc = CoarseSeq::new(&x, wx).unwrap();
-            let yc = CoarseSeq::new(&y, wy).unwrap();
-            let lb = coarse_lower_bound(&xc, &yc, Squared);
-            assert!(lb <= true_d + 1e-9, "w = {w}: {lb} > {true_d}");
-        }
     }
 }
 
