@@ -1,11 +1,14 @@
 //! Overhead of the observability layer on the monitoring hot path.
 //!
 //! The metrics registry budgets 5% of the ingest path (DESIGN §6c):
-//! latency sampling is 1-in-64 ticks, match and tick counters are
-//! relaxed atomics. This benchmark measures that claim — the same
-//! engine, same stream, with and without a registry attached, timed in
-//! interleaved rounds by [`Bench::compare`] — plus the raw cost of the
-//! metric primitives themselves.
+//! latency is timed on one frame per 64 stream ticks, match and tick
+//! counters are relaxed atomics. Per-sample `Engine::push` steps a
+//! one-sample frame through the same path as `Engine::push_batch`, so
+//! both pairs below pay the same per-frame recording. This benchmark
+//! measures that claim — the same engine, same stream, with and
+//! without a registry attached, timed in interleaved rounds by
+//! [`Bench::compare`] — plus the raw cost of the metric primitives
+//! themselves.
 
 use std::hint::black_box;
 use std::sync::Arc;

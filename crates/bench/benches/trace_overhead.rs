@@ -3,9 +3,10 @@
 //! The tracing layer claims (DESIGN §6j):
 //! * **recorder registered but disabled** — the per-tick cost is one
 //!   branch on a relaxed atomic: ≤ 1% on `Engine::push`;
-//! * **recorder enabled, 1-in-64 span sampling** — the ingest spans ride
-//!   the same sampling discipline as the metrics latency histogram:
-//!   ≤ 5% on `Engine::push`.
+//! * **recorder enabled, 1-in-64 span sampling** — `Engine::push`
+//!   steps a one-sample frame and records one `ingest` span per 64
+//!   pushes, the cadence of the metrics latency histogram, and no
+//!   frame span: ≤ 5% on `Engine::push`.
 //!
 //! This benchmark measures exactly those claims: the same engine, same
 //! stream, with no tracer / a disabled tracer / an enabled sampled

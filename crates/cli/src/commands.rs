@@ -5,14 +5,14 @@ use std::io::{self, BufRead, Write};
 use std::path::Path;
 
 use spring_core::stored::best_subsequence_match_with;
-use spring_core::{Monitor, MonitorSpec, ScalarMonitor, Spring, SpringSnapshot};
+use spring_core::{Match, Monitor, MonitorSpec, ScalarMonitor, Spring, SpringSnapshot};
 use spring_data::io::{read_csv, write_csv};
 use spring_data::{MaskedChirp, Seismic, Sunspots, Temperature, TimeSeries};
 use spring_dtw::constraint::{dtw_constrained, GlobalConstraint};
 use spring_dtw::{dtw_distance_with, dtw_with_path, Kernel};
 use spring_monitor::{
-    GapPolicy, Metrics, QueryId, RestartPolicy, Runner, RunnerAttachment, StreamId, TickRecorder,
-    TraceEventKind, TraceHandle, Tracer, VecSink,
+    GapPolicy, Metrics, MixedEngine, QueryId, RestartPolicy, Runner, RunnerAttachment, StreamId,
+    Tracer, VecSink,
 };
 
 use crate::args::{ArgError, Parsed};
@@ -64,9 +64,9 @@ USAGE:
                    [--gap skip|carry] [--min-len N --max-len N | --max-run R | --normalize W]
                    [--resume SNAP.json] [--checkpoint SNAP.json] [--stats] [--batch N]
                    [--shards N [--linger-ms MS]] [--trace OUT.json]
-                   (--batch: samples stepped per ingestion batch, default 64;
-                    output is identical for every N — --batch 1 is the
-                    per-sample loop. --shards: run through an N-worker
+                   (--batch: readings pushed per ingestion frame, default 64;
+                    output is identical for every N — --batch 1 pushes
+                    one reading a frame. --shards: run through an N-worker
                     runner instead of the inline monitor — the transcript
                     is identical; --linger-ms bounds how long a partial
                     frame may wait before being flushed. --trace: write a
@@ -135,8 +135,9 @@ fn parse_gap(p: &Parsed) -> Result<GapPolicy, CliError> {
     }
 }
 
-/// Streams values line by line into `f`. `NaN`/`nan` (or unparsable gaps)
-/// are passed through as NaN; `#` comments and blank lines are skipped.
+/// Streams values line by line into `f`. `NaN`/`nan` pass through as
+/// NaN; `#` comments and blank lines are skipped; any other line that is
+/// not a number is an error naming its line number.
 fn for_each_value<R: BufRead>(
     reader: R,
     mut f: impl FnMut(f64) -> Result<(), CliError>,
@@ -231,64 +232,48 @@ pub(crate) fn spec_from_flags(p: &Parsed, epsilon: f64) -> Result<MonitorSpec, C
     })
 }
 
-/// Steps the pending sample batch through the monitor, prints its
-/// matches, and (under `--stats`) drives the metrics registry so the
-/// counter totals are exactly those of a per-sample loop.
-///
-/// Mirrors per-sample error semantics: on a step error, the consumed
-/// prefix's matches are still printed before the error is returned.
-#[allow(clippy::too_many_arguments)]
-fn flush_monitor_batch(
-    spring: &mut ScalarMonitor,
+/// Prints one numbered match line of the `monitor` transcript.
+fn write_match(out: &mut dyn Write, count: &mut u64, m: &Match, suffix: &str) -> io::Result<()> {
+    *count += 1;
+    writeln!(
+        out,
+        "match {count}: ticks {}..={} len {} distance {:.6} reported_at {}{suffix}",
+        m.start,
+        m.end,
+        m.len(),
+        m.distance,
+        m.reported_at
+    )
+}
+
+/// Pushes the buffered raw readings through the inline monitor's engine
+/// as one frame and prints its matches. On an error the matches before
+/// the failing reading are printed first.
+fn push_readings(
+    engine: &mut MixedEngine,
+    stream: StreamId,
     buf: &mut Vec<f64>,
-    hits: &mut Vec<spring_core::Match>,
-    missing_in_buf: &mut u64,
-    recorder: &mut Option<TickRecorder>,
-    trace: &TraceHandle,
     count: &mut u64,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
     if buf.is_empty() {
         return Ok(());
     }
-    let started = recorder.as_mut().and_then(|r| r.begin_frame(buf.len()));
-    let step_span = trace.now();
-    let before = Monitor::tick(spring);
-    hits.clear();
-    let stepped = Monitor::step_batch(spring, buf, hits);
-    let consumed = Monitor::tick(spring) - before;
-    trace.span(step_span, TraceEventKind::StepBatch, buf.len() as u64);
-    for m in hits.iter() {
-        trace.instant(TraceEventKind::Match, m.end);
-    }
-    if let Some(rec) = recorder.as_mut() {
-        rec.record_frame(
-            started,
-            consumed,
-            (*missing_in_buf).min(consumed),
-            hits,
-            || (Monitor::memory_use(spring), Monitor::memory_cells(spring)),
-        );
-    }
-    for m in hits.iter() {
-        *count += 1;
-        writeln!(
-            out,
-            "match {count}: ticks {}..={} len {} distance {:.6} reported_at {}",
-            m.start,
-            m.end,
-            m.len(),
-            m.distance,
-            m.reported_at
-        )?;
-    }
+    let mut events = Vec::new();
+    let pushed = engine.push_batch(stream, buf, &mut events);
     buf.clear();
-    *missing_in_buf = 0;
-    stepped.map_err(|e| CliError::Compute(e.to_string()))
+    for ev in &events {
+        write_match(out, count, &ev.m, "")?;
+    }
+    pushed.map_err(|e| CliError::Compute(e.to_string()))
 }
 
 /// `spring monitor` — disjoint queries over a stream, optionally with
 /// length bounds, a slope limit, or sliding-window normalization.
+///
+/// The inline run is an engine with one stream and one attachment: raw
+/// readings go in `--batch`-sized frames through
+/// [`MixedEngine::push_batch`], which resolves gaps under `--gap`.
 pub fn monitor(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let p = Parsed::parse(
         argv,
@@ -323,13 +308,11 @@ pub fn monitor(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "--linger-ms requires --shards (the inline monitor has no frame buffer)".into(),
         ));
     }
-    // `--stats`: instrument every tick through the same metrics layer the
-    // engine uses, and print the summary table after the run.
-    let mut recorder = p
-        .has("stats")
-        .then(|| TickRecorder::new(std::sync::Arc::new(Metrics::new())));
+    let compute = |e: spring_monitor::MonitorError| CliError::Compute(e.to_string());
     let checkpoint_path = p.get("checkpoint").map(str::to_string);
-    let mut spring = if let Some(resume_path) = p.get("resume") {
+    let mut engine = MixedEngine::new();
+    let stream = engine.add_stream("stream");
+    let attachment = if let Some(resume_path) = p.get("resume") {
         // Resuming: query and epsilon come from the snapshot; if the
         // flags are also given, they must agree. Only the plain monitor
         // checkpoints, so variant flags are rejected.
@@ -362,9 +345,12 @@ pub fn monitor(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 )));
             }
         }
-        ScalarMonitor::Spring(
-            Spring::restore(&snap, kernel).map_err(|e| CliError::Compute(e.to_string()))?,
-        )
+        let q = engine
+            .add_query("query", snap.query.clone())
+            .map_err(compute)?;
+        engine.attach_monitor(stream, q, gap, move |_| {
+            Spring::restore(&snap, kernel).map(ScalarMonitor::Spring)
+        })
     } else {
         let query = read_csv_named(p.require("query")?)?;
         let epsilon: f64 = p.require_parsed("epsilon", "number")?;
@@ -374,83 +360,41 @@ pub fn monitor(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 "--resume/--checkpoint only apply to the plain monitor".into(),
             ));
         }
-        spec.build(&query.values, kernel)
-            .map_err(|e| CliError::Compute(e.to_string()))?
-    };
-    // Batched ingestion: parse into a reusable buffer and step whole
-    // slices through `Monitor::step_batch` — `--batch 1` reproduces the
-    // historical per-sample loop exactly (and is the default contract:
-    // output and stats are batch-invariant either way).
+        let q = engine.add_query("query", query.values).map_err(compute)?;
+        engine.attach_monitor(stream, q, gap, move |q| spec.build(q, kernel))
+    }
+    .map_err(compute)?;
+    // `--stats`: the engine records into a registry, printed as the
+    // summary table after the run.
+    if p.has("stats") {
+        engine.set_metrics(std::sync::Arc::new(Metrics::new()));
+    }
+    // `--trace`: frame spans and match instants on a single "monitor"
+    // track, exported as Chrome trace-event JSON.
+    let tracer = Tracer::new();
+    if trace_out.is_some() {
+        tracer.set_enabled(true);
+        engine.set_tracer(&tracer, "monitor");
+    }
+    // Output is batch-invariant: `--batch 1` steps one reading a frame.
     let batch_size: usize = p
         .get_parsed("batch", "integer")?
         .unwrap_or(spring_monitor::DEFAULT_MAX_BATCH)
         .max(1);
-    // `--trace`: record every `step_batch` span and match instant on a
-    // single "monitor" track, exported as Chrome trace-event JSON.
-    let tracer = Tracer::new();
-    let trace = if trace_out.is_some() {
-        tracer.set_enabled(true);
-        tracer.register("monitor")
-    } else {
-        TraceHandle::off()
-    };
     let mut buf: Vec<f64> = Vec::with_capacity(batch_size);
-    let mut hits: Vec<spring_core::Match> = Vec::new();
-    let mut missing_in_buf = 0u64;
-    let mut last = None;
     let mut count = 0u64;
     for_each_value(open_stream(&p)?, |v| {
-        if v.is_finite() {
-            last = Some(v);
-            buf.push(v);
-        } else {
-            match (gap, last) {
-                (GapPolicy::CarryForward, Some(prev)) => {
-                    missing_in_buf += 1;
-                    buf.push(prev);
-                }
-                _ => {
-                    // Skipped readings still count as (missing) ticks.
-                    if let Some(rec) = recorder.as_mut() {
-                        let started = rec.begin_tick();
-                        rec.end_tick(started, None, true, || {
-                            (Monitor::memory_use(&spring), Monitor::memory_cells(&spring))
-                        });
-                    }
-                    return Ok(()); // skip
-                }
-            }
+        buf.push(v);
+        if buf.len() < batch_size {
+            return Ok(());
         }
-        if buf.len() >= batch_size {
-            flush_monitor_batch(
-                &mut spring,
-                &mut buf,
-                &mut hits,
-                &mut missing_in_buf,
-                &mut recorder,
-                &trace,
-                &mut count,
-                &mut *out,
-            )?;
-        }
-        Ok(())
+        push_readings(&mut engine, stream, &mut buf, &mut count, &mut *out)
     })?;
-    // Linger-free: the trailing partial batch is flushed before any
-    // checkpoint/finish handling below.
-    flush_monitor_batch(
-        &mut spring,
-        &mut buf,
-        &mut hits,
-        &mut missing_in_buf,
-        &mut recorder,
-        &trace,
-        &mut count,
-        out,
-    )?;
+    push_readings(&mut engine, stream, &mut buf, &mut count, out)?;
     if let Some(path) = checkpoint_path {
         // The stream continues in a later run: persist state instead of
         // flushing the pending group.
-        let ScalarMonitor::Spring(plain) = &spring else {
+        let Some(ScalarMonitor::Spring(plain)) = engine.monitor(attachment) else {
             unreachable!("variant flags were rejected above");
         };
         std::fs::write(&path, plain.snapshot().to_json_string())
@@ -458,31 +402,17 @@ pub fn monitor(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(
             out,
             "checkpoint written to {path} at tick {}",
-            Monitor::tick(&spring)
+            Monitor::tick(plain)
         )?;
-    } else if let Some(m) = Monitor::finish(&mut spring) {
-        if let Some(rec) = &recorder {
-            rec.metrics().record_match(&m);
+    } else {
+        for ev in engine.finish_stream(stream).map_err(compute)? {
+            write_match(out, &mut count, &ev.m, " (stream end)")?;
         }
-        trace.instant(TraceEventKind::Match, m.end);
-        count += 1;
-        writeln!(
-            out,
-            "match {count}: ticks {}..={} len {} distance {:.6} reported_at {} (stream end)",
-            m.start,
-            m.end,
-            m.len(),
-            m.distance,
-            m.reported_at
-        )?;
     }
-    writeln!(
-        out,
-        "{count} match(es) over {} ticks",
-        Monitor::tick(&spring)
-    )?;
-    if let Some(rec) = &recorder {
-        write!(out, "{}", rec.metrics().snapshot().render_table())?;
+    let ticks = engine.monitor(attachment).map_or(0, Monitor::tick);
+    writeln!(out, "{count} match(es) over {ticks} ticks")?;
+    if let Some(metrics) = engine.metrics() {
+        write!(out, "{}", metrics.snapshot().render_table())?;
     }
     write_trace_export(&tracer, trace_out.as_deref(), out)?;
     Ok(())
@@ -602,18 +532,8 @@ fn monitor_sharded(
     }
     let mut count = 0u64;
     for (i, ev) in sink.events().iter().enumerate() {
-        let m = &ev.m;
-        count += 1;
         let suffix = if i < mid { "" } else { " (stream end)" };
-        writeln!(
-            out,
-            "match {count}: ticks {}..={} len {} distance {:.6} reported_at {}{suffix}",
-            m.start,
-            m.end,
-            m.len(),
-            m.distance,
-            m.reported_at
-        )?;
+        write_match(out, &mut count, &ev.m, suffix)?;
     }
     writeln!(out, "{count} match(es) over {ticks} ticks")?;
     if let Some(m) = &metrics {
@@ -999,7 +919,7 @@ mod tests {
         let dir = tmpdir("clitrace");
         let q = write_series(&dir, "q.csv", &[11.0, 6.0, 9.0, 4.0]);
         let s = write_series(&dir, "s.csv", &[5.0, 12.0, 6.0, 10.0, 6.0, 5.0, 13.0]);
-        // Inline path: `step_batch` spans + match instants on one track.
+        // Inline path: frame spans + match instants on one track.
         // Sharded path: the worker's frame spans on `worker-N`.
         for (file, extra, track) in [
             ("inline.json", "", "monitor"),
@@ -1047,8 +967,8 @@ mod tests {
     #[test]
     fn monitor_output_is_batch_invariant() {
         // `--batch N` must never change what is printed: same matches,
-        // same counts, same stats totals for every batch size (1 is the
-        // historical per-sample loop).
+        // same counts, same stats totals for every batch size (1 pushes
+        // one reading a frame).
         let dir = tmpdir("batchinv");
         let q = write_series(&dir, "q.csv", &[0.0, 9.0, 0.0]);
         let s = dir.join("s.csv");
@@ -1138,10 +1058,11 @@ mod tests {
             };
             assert_eq!(got, want, "{extra} diverged from the inline monitor");
         }
-        // `--stats` agrees too, bar the rows that measure the deployment
-        // (latency, frames, memory) or exist only under `--shards`.
+        // `--stats` agrees too, frames included, bar the rows that
+        // measure the deployment (latency, memory) or exist only under
+        // `--shards`.
         let stats = |text: String| -> Vec<String> {
-            let own = ["tick latency", "ingest batches", "live memory", "shard "];
+            let own = ["tick latency", "live memory", "shard "];
             text.lines()
                 .filter(|l| !own.iter().any(|k| l.starts_with(k)))
                 .map(str::to_owned)
@@ -1575,6 +1496,37 @@ mod checkpoint_cli_tests {
         assert!(reference.contains("ticks 7..=9"), "{reference}");
         assert!(part1.contains("ticks 2..=4"), "{part1}");
         assert!(part2.contains("ticks 7..=9"), "{part2}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_keeps_the_snapshot_query_generation() {
+        let dir = tmpdir("generation");
+        let q = dir.join("q.csv");
+        write_csv(&TimeSeries::new("q", vec![0.0, 9.0, 0.0]), &q).unwrap();
+        let s = dir.join("s.csv");
+        write_csv(&TimeSeries::new("s", vec![50.0, 0.0, 9.0]), &s).unwrap();
+        let (snap, next) = (dir.join("snap.json"), dir.join("next.json"));
+        let run = |args: String| monitor(&argv(&args), &mut Vec::new()).unwrap();
+        let read = |path: &Path| {
+            SpringSnapshot::parse_json(&std::fs::read_to_string(path).unwrap()).unwrap()
+        };
+        run(format!(
+            "--query {} --epsilon 1 --stream {} --checkpoint {}",
+            q.display(),
+            s.display(),
+            snap.display()
+        ));
+        let mut swapped = read(&snap);
+        swapped.generation = 3;
+        std::fs::write(&snap, swapped.to_json_string()).unwrap();
+        run(format!(
+            "--resume {} --stream {} --checkpoint {}",
+            snap.display(),
+            s.display(),
+            next.display()
+        ));
+        assert_eq!(read(&next).generation, 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 

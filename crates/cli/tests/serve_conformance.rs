@@ -3,25 +3,29 @@
 //! The contract under test: whatever the clients do to the byte stream
 //! — partial writes cut inside numbers, pipelined samples, slow reads,
 //! mid-line disconnects, hundreds of concurrent connections — every
-//! completed session's match transcript is **identical** to what the
-//! inline `spring monitor` pipeline reports for the same samples, for
-//! every shards × batch configuration. The scripted clients come from
-//! `spring_testkit::net`; the oracle is the in-process `monitor`
-//! subcommand over a temp CSV of the same values.
+//! completed session's match transcript is **identical** to what a
+//! bare monitor reports for the same samples, for every shards × batch
+//! configuration. The scripted clients come from `spring_testkit::net`;
+//! the oracle is the differential fuzzer's reference,
+//! `spring_testkit::differential::run_bare`: per-sample `Monitor::step`
+//! with gaps carried forward. It shares no ingestion code with the
+//! server, so a fault in the frame path cannot hide in the oracle too;
+//! `spring monitor` steps through the same `ingest_frame` as serve.
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 use spring_cli::serve::{serve_listener, ServeOptions};
 use spring_core::MonitorSpec;
-use spring_data::io::write_csv;
-use spring_data::TimeSeries;
 use spring_dtw::Kernel;
+use spring_monitor::GapPolicy;
+use spring_testkit::differential::run_bare;
 use spring_testkit::net::{
     canonical_matches, run_client, run_clients, sample_script, split_script, ClientOp, ClientScript,
 };
+use spring_testkit::Scenario;
 use spring_util::rng::Rng;
 
 const QUERY: [f64; 3] = [0.0, 9.0, 0.0];
@@ -49,34 +53,25 @@ fn tmpdir(name: &str) -> PathBuf {
     p
 }
 
-fn write_series(dir: &Path, name: &str, values: &[f64]) -> PathBuf {
-    let path = dir.join(name);
-    write_csv(&TimeSeries::new(name, values.to_vec()), &path).unwrap();
-    path
-}
-
-/// The oracle: the inline `spring monitor` transcript for `samples`,
-/// canonicalized. Serve's carry-forward gap handling corresponds to
-/// `--gap carry`.
-fn inline_monitor_matches(dir: &Path, tag: &str, samples: &[f64]) -> Vec<String> {
-    let qpath = write_series(dir, &format!("{tag}-query.csv"), &QUERY);
-    let spath = write_series(dir, &format!("{tag}-stream.csv"), samples);
-    let argv: Vec<String> = [
-        "--query",
-        qpath.to_str().unwrap(),
-        "--epsilon",
-        &EPSILON.to_string(),
-        "--stream",
-        spath.to_str().unwrap(),
-        "--gap",
-        "carry",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let mut out = Vec::new();
-    spring_cli::commands::monitor(&argv, &mut out).unwrap();
-    canonical_matches(&String::from_utf8(out).unwrap())
+/// The oracle: `samples` through a bare monitor, stepped one sample at
+/// a time with serve's carry-forward gap handling, each match in the
+/// form [`canonical_matches`] gives a transcript line.
+fn reference_matches(samples: &[f64]) -> Vec<String> {
+    let scenario = Scenario {
+        stream: samples.to_vec(),
+        query: QUERY.to_vec(),
+        epsilon: EPSILON,
+        gap_policy: GapPolicy::CarryForward,
+    };
+    let spec = MonitorSpec::Spring { epsilon: EPSILON };
+    run_bare(&scenario, spec)
+        .unwrap()
+        .iter()
+        .map(|m| {
+            let (start, end, len, d) = (m.start, m.end, m.len(), m.distance);
+            format!("ticks {start}..={end} len {len} distance {d:.6}")
+        })
+        .collect()
 }
 
 fn server_options(shards: usize, batch: usize, accept_limit: usize) -> ServeOptions {
@@ -146,17 +141,12 @@ fn assert_paper_guarantees(transcript: &str, context: &str) -> usize {
 /// The headline check: shards {1,2,4} × batch {1,64}, concurrent
 /// clients mixing clean writes, seeded byte-boundary splits, and slow
 /// readers — every transcript byte-identical (canonicalized) to the
-/// inline monitor run on the same samples, and every match line
+/// bare monitor run on the same samples, and every match line
 /// keeping the paper's guarantees.
 #[test]
 fn transcripts_match_inline_monitor_across_configs() {
-    let dir = tmpdir("matrix");
     let streams = client_streams();
-    let expected: Vec<Vec<String>> = streams
-        .iter()
-        .enumerate()
-        .map(|(i, s)| inline_monitor_matches(&dir, &format!("c{i}"), s))
-        .collect();
+    let expected: Vec<Vec<String>> = streams.iter().map(|s| reference_matches(s)).collect();
     // At least one stream must actually match, or the test is vacuous.
     assert!(expected.iter().any(|m| !m.is_empty()), "{expected:?}");
     let mut rng = Rng::seed_from_u64(0x5EEDED);
@@ -207,9 +197,8 @@ fn transcripts_match_inline_monitor_across_configs() {
 #[test]
 fn multiplexes_256_concurrent_connections() {
     const N: usize = 256;
-    let dir = tmpdir("fanout");
     let samples = [50.0, 50.0, 0.0, 9.0, 0.0, 50.0, 50.0];
-    let expected = inline_monitor_matches(&dir, "fanout", &samples);
+    let expected = reference_matches(&samples);
     assert!(!expected.is_empty());
     let (addr, server) = start_server(server_options(4, 8, N));
     // Hold every connection open concurrently: all N connect and send
@@ -265,9 +254,8 @@ fn multiplexes_256_concurrent_connections() {
 /// connections — the loop pauses *that* connection and keeps serving.
 #[test]
 fn stalled_writer_does_not_stall_live_clients() {
-    let dir = tmpdir("stall");
     let samples = [50.0, 50.0, 0.0, 9.0, 0.0, 50.0, 50.0];
-    let expected = inline_monitor_matches(&dir, "stall", &samples);
+    let expected = reference_matches(&samples);
     let (addr, server) = start_server(server_options(2, 1, 9));
     // The stalled connection: keeps pumping matching patterns, never
     // reads a byte, never closes. Its socket's receive window fills;
@@ -309,9 +297,8 @@ fn stalled_writer_does_not_stall_live_clients() {
 /// connections.
 #[test]
 fn mid_line_disconnect_cleans_up_and_serving_continues() {
-    let dir = tmpdir("abort");
     let samples = [50.0, 50.0, 0.0, 9.0, 0.0, 50.0, 50.0];
-    let expected = inline_monitor_matches(&dir, "abort", &samples);
+    let expected = reference_matches(&samples);
     let (addr, server) = start_server(server_options(2, 3, 2));
     let aborter = ClientScript {
         ops: vec![
@@ -359,9 +346,8 @@ fn tracing_enabled_transcripts_are_byte_identical() {
 /// transcript as polite line-at-a-time interaction.
 #[test]
 fn fully_pipelined_session_is_equivalent() {
-    let dir = tmpdir("pipeline");
     let samples = [30.0, 0.0, 9.0, 0.0, 30.0, 0.1, 8.9, 0.0, 30.0];
-    let expected = inline_monitor_matches(&dir, "pipeline", &samples);
+    let expected = reference_matches(&samples);
     assert!(!expected.is_empty());
     let mut blob = Vec::new();
     for v in samples {

@@ -14,10 +14,9 @@
 //!
 //! Missing samples (any sample `M::is_missing` reports true, e.g. NaN)
 //! are handled per attachment via a [`GapPolicy`]. The gap handling and
-//! tick bookkeeping live in one shared code path: `Attachment::ingest`
-//! for one sample ([`Engine::push`]) and `Attachment::ingest_frame` for
-//! a frame, used by both [`Engine::push_batch`] and the threaded
-//! [`crate::Runner`]'s workers.
+//! tick bookkeeping live in one code path, `ingest_frame`: a frame
+//! for [`Engine::push_batch`] and the threaded [`crate::Runner`]'s
+//! workers, a one-sample frame for [`Engine::push`].
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -31,7 +30,7 @@ use spring_core::{
 };
 use spring_dtw::Kernel;
 
-use crate::metrics::{Metrics, TickRecorder, LATENCY_SAMPLE_EVERY};
+use crate::metrics::{MemoryShare, Metrics, LATENCY_SAMPLE_EVERY};
 use crate::trace::{EventKind as TraceKind, TraceHandle, Tracer};
 
 /// Identifier of a registered stream.
@@ -180,10 +179,10 @@ pub(crate) fn validate_query_samples<M: Monitor>(samples: &[Owned<M>]) -> Result
 
 /// One (stream, query) attachment: a monitor plus its gap handling.
 ///
-/// This is the code path shared by [`Engine::push`],
-/// [`Engine::push_batch`] and the [`crate::Runner`] worker loop, so
-/// single- and multi-threaded deployments behave identically tick for
-/// tick.
+/// Every tick reaches it through [`ingest_frame`], the code path shared
+/// by [`Engine::push`], [`Engine::push_batch`] and the [`crate::Runner`]
+/// worker loop, so single- and multi-threaded deployments behave
+/// identically tick for tick.
 pub(crate) struct Attachment<M: Monitor> {
     pub(crate) id: AttachmentId,
     pub(crate) stream: StreamId,
@@ -198,8 +197,9 @@ pub(crate) struct Attachment<M: Monitor> {
     last_observed: Option<Owned<M>>,
     /// Samples seen by this attachment (including missing ones).
     ticks: u64,
-    /// Observability hook (`None` keeps the hot path metric-free).
-    recorder: Option<TickRecorder>,
+    /// This monitor's share of the memory gauges (`None` without a
+    /// metrics registry).
+    memory: Option<MemoryShare>,
 }
 
 impl<M: Monitor> Attachment<M> {
@@ -219,7 +219,7 @@ impl<M: Monitor> Attachment<M> {
             builder: None,
             last_observed: None,
             ticks: 0,
-            recorder: None,
+            memory: None,
         }
     }
 
@@ -235,19 +235,19 @@ impl<M: Monitor> Attachment<M> {
     /// Monitors borrowing a shared arena query also take one fleet-wide
     /// reference on its resident cells.
     pub(crate) fn set_metrics(&mut self, metrics: &Arc<Metrics>) {
-        let mut rec = TickRecorder::new(Arc::clone(metrics));
+        let mut share = MemoryShare::new(Arc::clone(metrics));
         if let Some(fp) = self.monitor.query_fingerprint() {
-            rec.retain_shared(fp, self.monitor.shared_memory_cells());
+            share.retain_shared(fp, self.monitor.shared_memory_cells());
         }
-        self.recorder = Some(rec);
+        self.memory = Some(share);
         self.refresh_memory();
     }
 
     /// Brings this monitor's share of the live memory gauges up to date
     /// (a write only when it changed).
     fn refresh_memory(&mut self) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.set_memory(self.monitor.memory_use(), self.monitor.memory_cells());
+        if let Some(share) = self.memory.as_mut() {
+            share.set(self.monitor.memory_use(), self.monitor.memory_cells());
         }
     }
 
@@ -261,26 +261,6 @@ impl<M: Monitor> Attachment<M> {
         }
     }
 
-    /// Consumes one raw sample: resolves the gap policy, steps the
-    /// monitor, wraps a confirmed match into an [`Event`], and records
-    /// the tick into the metrics registry, if any.
-    pub(crate) fn ingest(&mut self, sample: &M::Sample) -> Result<Option<Event>, MonitorError> {
-        crate::fail_point!(
-            "attachment::ingest",
-            MonitorError::Injected("attachment::ingest")
-        );
-        let started = self.recorder.as_mut().and_then(TickRecorder::begin_tick);
-        let stepped = self.step_sample(sample);
-        let monitor = &self.monitor;
-        if let Some(rec) = self.recorder.as_mut() {
-            let hit = stepped.as_ref().ok().and_then(Option::as_ref);
-            rec.end_tick(started, hit.map(|e| &e.m), M::is_missing(sample), || {
-                (monitor.memory_use(), monitor.memory_cells())
-            });
-        }
-        stepped
-    }
-
     /// Consumes one frame of raw samples, already scanned into
     /// `scratch.scan` ([`Monitor::scan_frame`]): each run of present
     /// samples is stepped with one [`Monitor::step_run`]; each missing
@@ -291,8 +271,8 @@ impl<M: Monitor> Attachment<M> {
     ///
     /// # Errors
     /// `(offset, error)` of the first failing sample. Samples before it
-    /// are consumed and their events appended, as a per-sample
-    /// [`Attachment::ingest`] loop would leave them.
+    /// are consumed and their events appended, as a per-sample loop
+    /// would leave them.
     pub(crate) fn ingest_frame(
         &mut self,
         samples: &[Owned<M>],
@@ -365,8 +345,7 @@ impl<M: Monitor> Attachment<M> {
     }
 
     /// Counts one tick, resolves the gap policy for `sample` and steps
-    /// the monitor: the metric-free core of [`Attachment::ingest`] and
-    /// the gap path of [`Attachment::ingest_frame`].
+    /// the monitor: the gap path of [`Attachment::ingest_frame`].
     fn step_sample(&mut self, sample: &M::Sample) -> Result<Option<Event>, MonitorError> {
         self.ticks += 1;
         let resolved: Option<&M::Sample> = if M::is_missing(sample) {
@@ -394,7 +373,7 @@ impl<M: Monitor> Attachment<M> {
     }
 
     /// An independent copy of this attachment's monitoring state: same
-    /// monitor, gap state, and tick counter, but no metrics recorder. A
+    /// monitor, gap state, and tick counter, but no metrics. A
     /// copy is not a live monitor, so it holds no share of the memory
     /// gauges and no reference on its shared query; a copy that goes
     /// live again is given one with [`Attachment::set_metrics`].
@@ -416,7 +395,7 @@ impl<M: Monitor> Attachment<M> {
             builder: self.builder.clone(),
             last_observed: self.last_observed.clone(),
             ticks: self.ticks,
-            recorder: None,
+            memory: None,
         }
     }
 
@@ -446,8 +425,8 @@ impl<M: Monitor> Attachment<M> {
         self.monitor = monitor;
         self.last_observed = None;
         self.ticks = 0;
-        if let Some(rec) = &self.recorder {
-            let metrics = Arc::clone(rec.metrics());
+        if let Some(share) = &self.memory {
+            let metrics = Arc::clone(share.metrics());
             self.set_metrics(&metrics);
         }
         Ok(())
@@ -457,8 +436,8 @@ impl<M: Monitor> Attachment<M> {
     /// group optimum.
     pub(crate) fn flush(&mut self) -> Option<Event> {
         let event = self.monitor.finish().map(|m| self.event(m));
-        if let (Some(rec), Some(ev)) = (&self.recorder, &event) {
-            rec.metrics().record_match(&ev.m);
+        if let (Some(share), Some(ev)) = (&self.memory, &event) {
+            share.metrics().record_match(&ev.m);
         }
         event
     }
@@ -496,14 +475,14 @@ pub(crate) struct FrameScratch {
 
 impl FrameScratch {
     /// Advances the sampling clock by a frame of `len` stream ticks and
-    /// returns a start time when the frame is timed: the first frame,
-    /// then each frame that reaches a multiple of
-    /// [`LATENCY_SAMPLE_EVERY`] stream ticks.
+    /// returns a start time when the frame is timed: when it holds
+    /// stream tick 1, 1 + [`LATENCY_SAMPLE_EVERY`], 1 + 2 ×
+    /// [`LATENCY_SAMPLE_EVERY`], …
     fn time_frame(&mut self, len: usize) -> Option<Instant> {
-        let first = self.clock == 0;
-        let crosses = self.clock % LATENCY_SAMPLE_EVERY + len as u64 >= LATENCY_SAMPLE_EVERY;
+        let into = self.clock % LATENCY_SAMPLE_EVERY;
+        let timed = len > 0 && (into == 0 || into + len as u64 > LATENCY_SAMPLE_EVERY);
         self.clock += len as u64;
-        (first || crosses).then(Instant::now)
+        timed.then(Instant::now)
     }
 }
 
@@ -629,8 +608,11 @@ pub struct Engine<M: Monitor> {
     /// Flight-recorder hook (see [`Engine::set_tracer`]); the default
     /// [`TraceHandle::off`] keeps ingestion trace-free.
     trace: TraceHandle,
-    /// [`Engine::push_batch`]'s reused frame buffers.
+    /// The reused frame buffers of [`Engine::push`] and
+    /// [`Engine::push_batch`].
     frame: FrameScratch,
+    /// [`Engine::push`]'s one-sample frame, reused across pushes.
+    one: Vec<Owned<M>>,
 }
 
 /// Engine over the paper's plain disjoint-query monitor.
@@ -658,6 +640,7 @@ impl<M: Monitor> Default for Engine<M> {
             metrics: None,
             trace: TraceHandle::off(),
             frame: FrameScratch::default(),
+            one: Vec::new(),
         }
     }
 }
@@ -725,7 +708,7 @@ impl<M: Monitor> Engine<M> {
         name: impl Into<String>,
         samples: Vec<Owned<M>>,
     ) -> Result<QueryId, MonitorError> {
-        Self::check_query_samples(&samples)?;
+        validate_query_samples::<M>(&samples)?;
         let id = QueryId(self.queries.len() as u32);
         self.queries.push(QueryDef {
             name: name.into(),
@@ -733,12 +716,6 @@ impl<M: Monitor> Engine<M> {
             generation: 0,
         });
         Ok(id)
-    }
-
-    /// The registration-time validation shared by [`Engine::add_query`]
-    /// and [`Engine::swap_query`].
-    fn check_query_samples(samples: &[Owned<M>]) -> Result<(), MonitorError> {
-        validate_query_samples::<M>(samples)
     }
 
     /// Atomically replaces the pattern behind a registered query and
@@ -764,7 +741,7 @@ impl<M: Monitor> Engine<M> {
         query: QueryId,
         samples: Vec<Owned<M>>,
     ) -> Result<u64, MonitorError> {
-        Self::check_query_samples(&samples)?;
+        validate_query_samples::<M>(&samples)?;
         let def = self
             .queries
             .get(query.0 as usize)
@@ -860,8 +837,9 @@ impl<M: Monitor> Engine<M> {
             .get(query.0 as usize)
             .ok_or(MonitorError::UnknownQuery(query))?;
         let mut monitor = build(&def.samples)?;
-        // Late attachments join the query at its current generation.
-        monitor.set_generation(def.generation);
+        // Late attachments join the query at its current generation; a
+        // monitor restored from a later one keeps its own.
+        monitor.set_generation(monitor.generation().max(def.generation));
         if let Some(expected) = monitor.channels() {
             let state = &mut self.streams[stream.0 as usize];
             match state.channels {
@@ -945,9 +923,10 @@ impl<M: Monitor> Engine<M> {
     /// the events confirmed at this tick across the stream's
     /// attachments.
     ///
-    /// In the steady (no-match) state this performs **no heap
-    /// allocation**: the stream's attachment indices are borrowed, not
-    /// cloned, and the returned `Vec` only allocates when an event is
+    /// The sample is stepped as a one-sample frame, through the same
+    /// path as [`Engine::push_batch`]. In the steady (no-match) state
+    /// this performs **no heap allocation**: the frame's one slot is
+    /// reused, and the returned `Vec` only allocates when an event is
     /// actually confirmed. High-throughput callers should prefer
     /// [`Engine::push_batch`], which amortizes the per-call overhead
     /// over a whole frame.
@@ -956,39 +935,17 @@ impl<M: Monitor> Engine<M> {
         stream: StreamId,
         sample: &M::Sample,
     ) -> Result<Vec<Event>, MonitorError> {
-        // Split borrow: indices stay borrowed from `by_stream` while the
-        // attachments are stepped (no per-tick clone of the index vec).
-        let Engine {
-            streams,
-            attachments,
-            by_stream,
-            trace,
-            ..
-        } = self;
-        let state = streams
-            .get_mut(stream.0 as usize)
-            .ok_or(MonitorError::UnknownStream(stream))?;
-        if let Some(expected) = state.channels {
-            let found = M::sample_dim(sample);
-            if found != expected {
-                return Err(MonitorError::Spring(SpringError::DimensionMismatch {
-                    expected,
-                    found,
-                }));
-            }
+        let mut one = std::mem::take(&mut self.one);
+        match one.first_mut() {
+            Some(slot) => sample.clone_into(slot),
+            None => one.push(sample.to_owned()),
         }
-        state.ticks += 1;
-        let span = trace.sampled_now();
+        let span = self.trace.sampled_now();
         let mut events = Vec::new(); // allocation-free until a match lands
-        if let Some(indices) = by_stream.get(&stream) {
-            for &idx in indices {
-                events.extend(attachments[idx].ingest(sample)?);
-            }
-            trace.span(span, TraceKind::Ingest, indices.len() as u64);
-        }
-        for ev in &events {
-            trace.instant(TraceKind::Match, ev.m.end);
-        }
+        let ingested = self.ingest(stream, &one, &mut events);
+        self.one = one;
+        let attachments = ingested?;
+        self.trace.span(span, TraceKind::Ingest, attachments as u64);
         Ok(events)
     }
 
@@ -999,7 +956,7 @@ impl<M: Monitor> Engine<M> {
     /// sample, but the work is done a frame at a time: the stream state
     /// and attachment indices are resolved once, the channel width is
     /// checked up front, each attachment steps its runs of present
-    /// samples with one [`Monitor::step_batch`] (idle skip plus the
+    /// samples with one [`Monitor::step_run`] (idle skip plus the
     /// banded column kernel for SPRING monitors), and the events are
     /// merged back into sample-major order. The steady state performs
     /// zero per-tick heap allocations.
@@ -1015,6 +972,32 @@ impl<M: Monitor> Engine<M> {
         samples: &[Owned<M>],
         out: &mut Vec<Event>,
     ) -> Result<(), MonitorError> {
+        // Frame-granular span (one per batch, not per tick): recorded
+        // whenever tracing is enabled.
+        let frame_span = self.trace.now();
+        if let Some(metrics) = &self.metrics {
+            // An unknown stream ingests no frame.
+            if self.stream_ticks(stream).is_some() {
+                metrics.record_batch(samples.len());
+            }
+        }
+        self.ingest(stream, samples, out)?;
+        self.trace
+            .span(frame_span, TraceKind::Frame, samples.len() as u64);
+        Ok(())
+    }
+
+    /// The tick path of [`Engine::push`] and [`Engine::push_batch`]:
+    /// cuts the frame at the first sample of the wrong width, steps the
+    /// rest through [`ingest_frame`], counts the stream's ticks and
+    /// appends the events to `out`, each with a match instant. Returns
+    /// the stream's attachment count.
+    fn ingest(
+        &mut self,
+        stream: StreamId,
+        samples: &[Owned<M>],
+        out: &mut Vec<Event>,
+    ) -> Result<usize, MonitorError> {
         let Engine {
             streams,
             attachments,
@@ -1027,12 +1010,6 @@ impl<M: Monitor> Engine<M> {
         let state = streams
             .get_mut(stream.0 as usize)
             .ok_or(MonitorError::UnknownStream(stream))?;
-        if let Some(metrics) = metrics {
-            metrics.record_batch(samples.len());
-        }
-        // Frame-granular span (one per batch, not per tick): recorded
-        // whenever tracing is enabled.
-        let frame_span = trace.now();
         let indices: &[usize] = by_stream.get(&stream).map_or(&[], Vec::as_slice);
         // A sample of the wrong width fails before any attachment sees
         // it, so the frame is cut there.
@@ -1056,22 +1033,21 @@ impl<M: Monitor> Engine<M> {
             metrics.as_deref(),
         );
         let (end, seen, result) = match ingested {
-            // A failing tick is counted, like per-sample `push`.
+            // A tick that fails in a monitor is counted; a wrong-width
+            // one is not.
             Err((at, e)) => (at, at + 1, Err(e)),
             Ok(()) => match misfit {
                 Some((at, e)) => (at, at, Err(e)),
-                None => (fit, fit, Ok(())),
+                None => (fit, fit, Ok(indices.len())),
             },
         };
         state.ticks += seen as u64;
-        // Per-sample `push` drops the failing tick's events.
+        // The failing tick's events are dropped.
         for ev in frame.events.iter().take_while(|ev| ev.offset < end) {
             trace.instant(TraceKind::Match, ev.event.m.end);
             out.push(ev.event);
         }
-        result?;
-        trace.span(frame_span, TraceKind::Frame, samples.len() as u64);
-        Ok(())
+        result
     }
 
     /// Declares a stream finished, flushing pending group optima on all
@@ -1094,6 +1070,9 @@ impl<M: Monitor> Engine<M> {
             }
         }
         trace.span(span, TraceKind::Flush, u64::from(stream.0));
+        for ev in &events {
+            trace.instant(TraceKind::Match, ev.m.end);
+        }
         Ok(events)
     }
 

@@ -15,7 +15,7 @@
 //! | `runner::worker::recv` | worker loop, before each message is processed | `Panic` (kill the worker), `Delay` (slow worker ⇒ queue saturation / backpressure) |
 //! | `runner::worker::frame` | worker loop, before a frame's samples are ingested | `Panic` (kill the worker at a frame boundary), `Delay` (slow frame processing) |
 //! | `runner::sink` | worker loop, before each `MatchSink::on_match` | `Panic` (crashing sink), `Delay` (slow sink) |
-//! | `attachment::ingest` | `Attachment::ingest` (per sample) and `Attachment::ingest_frame` (once per frame and attachment), before gap resolution | `Error` (injected ingestion error), `Panic`, `Delay` |
+//! | `attachment::ingest` | `Attachment::ingest_frame` (once per frame and attachment, a one-sample frame per `Engine::push`), before gap resolution | `Error` (injected ingestion error), `Panic`, `Delay` |
 //! | `serve::accept` | `spring serve` event loop, before each `accept(2)` | `Error` (transient accept failure — the server must keep serving), `Delay` (slow accept path), `Panic` |
 //! | `serve::read` | `spring serve` event loop, before each connection `read(2)` | `Error` (connection read fault ⇒ that connection is dropped, others live on), `Delay`, `Panic` |
 //! | `serve::write` | `spring serve` event loop, before each connection `write(2)` | `Error` (connection write fault ⇒ that connection is dropped, others live on), `Delay`, `Panic` |

@@ -93,7 +93,7 @@ pub use engine::{
 };
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot, ShardMetrics,
-    ShardSnapshot, TickRecorder,
+    ShardSnapshot,
 };
 pub use runner::{
     RestartPolicy, Runner, RunnerAttachment, ShardedRunner, CHECKPOINT_EVERY, DEFAULT_MAX_BATCH,

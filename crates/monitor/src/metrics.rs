@@ -9,11 +9,10 @@
 //!
 //! * [`Metrics`] — the registry threaded through [`crate::Engine`],
 //!   [`crate::Runner`], `spring serve`, and `spring monitor --stats`.
-//! * [`TickRecorder`] — the per-monitor hot-path hook: counts ticks,
-//!   matches, missing samples; samples tick latency 1-in-
-//!   [`LATENCY_SAMPLE_EVERY`] ticks; keeps the live memory gauges in
-//!   sync (and releases them on drop, so the gauges track *live*
-//!   monitors only).
+//!   Every attachment tick reaches it through the engine's frame path
+//!   (`ingest_frame`), which counts ticks, matches and missing samples
+//!   once per frame and times one frame per [`LATENCY_SAMPLE_EVERY`]
+//!   stream ticks.
 //! * [`MetricsSnapshot`] — a consistent point-in-time read, renderable
 //!   as Prometheus text exposition ([`MetricsSnapshot::to_prometheus`])
 //!   or as a human summary table ([`MetricsSnapshot::render_table`]).
@@ -25,7 +24,7 @@
 //! | `spring_ticks_total` | counter | samples | attachment-ticks ingested |
 //! | `spring_matches_total` | counter | matches | confirmed matches (incl. end-of-stream flushes) |
 //! | `spring_missing_samples_total` | counter | samples | NaN/non-finite readings seen |
-//! | `spring_tick_latency_seconds` | histogram | seconds | time per attachment-tick, sampled: one `step` in 64 per attachment on the per-sample path; on the batched paths (engine `push_batch`, runner workers) one timed frame per 64 stream ticks per engine or worker, observed as the frame's time over its attachment-ticks |
+//! | `spring_tick_latency_seconds` | histogram | seconds | time per attachment-tick, sampled: one timed frame per 64 stream ticks per engine or worker (a one-sample `Engine::push` is a frame too), observed as the frame's time over its attachment-ticks |
 //! | `spring_detection_delay_ticks` | histogram | ticks | `t_confirm − t_e` per match (paper "output time") |
 //! | `spring_memory_bytes` | gauge | bytes | live algorithmic state across monitors (DP columns and lane scratch) |
 //! | `spring_memory_cells` | gauge | cells | live DTW cells — the `O(m)` quantity of Theorem 2 (DP columns only, no frames) |
@@ -46,9 +45,10 @@
 //!
 //! The budget is 5% of the ingest path. The exact counters are relaxed
 //! atomic increments (single-digit ns); the latency histogram is fed
-//! only on sampled ticks, and a memory gauge is written only when a
-//! monitor's share changed. The batched paths record a frame once for
-//! all of its attachments, not once per attachment.
+//! only on timed frames, and a memory gauge is written only when a
+//! monitor's share changed. Every path records a frame once for all of
+//! its attachments, not once per attachment; a per-sample
+//! `Engine::push` is a one-sample frame.
 //! The `metrics_overhead` bench measures both paths as off/on pairs,
 //! timed in 15 interleaved rounds whose per-round on/off ratio it
 //! summarizes as a median and interquartile range (IQR). Three full runs
@@ -56,26 +56,26 @@
 //! attachments on one stream, 64-sample frames through
 //! `Engine::push_batch`) read medians of +5.4%, +7.5% and +6.6%, with
 //! IQRs of −3.5% to +22.5%, +3.5% to +10.8% and +5.4% to +7.0%;
-//! `engine_push_m64` (per-sample `push`) read +4.5%, +3.5% and +2.3%,
-//! with IQRs of −3.7% to +14.5%, −0.8% to +8.1% and −3.4% to +3.8%.
-//! Every IQR but one straddles 5% and the third batched run lies wholly
-//! above it, so the budget is unresolved on both paths, with the
-//! batched path more likely over than under. What is left per frame
-//! is two clock reads, two histogram observations, one counter add and
-//! one attachment's memory check.
+//! `engine_push_m64` (per-sample `push`, since stepped as a one-sample
+//! frame) read +2.6%, +2.4% and +1.8%, with IQRs of +1.9% to +3.0%,
+//! +1.3% to +3.1% and +0.1% to +3.6%. The per-sample path is within
+//! budget; the batched runs straddle 5% but for the third, which lies
+//! wholly above it, so the budget is unresolved there, more likely over
+//! than under. What is left per frame is two clock reads, two histogram
+//! observations, one counter add and one attachment's memory check.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::time::Instant;
 
 use spring_core::mem::format_bytes;
 use spring_core::Match;
 
-/// Tick latency is timed on one tick in this many (per attachment); all
-/// other metrics are exact. Sampling keeps the two `Instant` reads off
-/// the common path, where they would otherwise rival the `O(m)` step
-/// cost for short queries.
+/// Tick latency is timed on one frame per this many stream ticks (per
+/// engine or runner worker): the frame holding stream tick 1, 65, 129,
+/// …; all other metrics are exact. Sampling keeps the two `Instant`
+/// reads off the common path, where they would otherwise rival the
+/// `O(m)` step cost for short queries.
 pub const LATENCY_SAMPLE_EVERY: u64 = 64;
 
 /// A monotonically increasing event count (relaxed atomics: cheap on the
@@ -141,9 +141,9 @@ impl Gauge {
 /// A fixed-bucket histogram: lock-free observation, Prometheus-style
 /// cumulative export.
 ///
-/// The value sum is kept in fixed point (units of 10⁻⁹, saturating) so
-/// it fits one atomic without locking; at nanosecond resolution that is
-/// exact for latencies and for integer tick delays.
+/// The value sum is an `f64` kept as bits in one atomic, so it needs no
+/// lock: exact for integer tick delays (below 2⁵³), and for latencies
+/// within `f64` rounding, fractions of a nanosecond included.
 #[derive(Debug)]
 pub struct Histogram {
     /// Finite upper bounds, strictly increasing; an implicit `+Inf`
@@ -152,8 +152,8 @@ pub struct Histogram {
     /// Per-bucket (non-cumulative) counts; `len == bounds.len() + 1`.
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
-    /// Sum of observed values in units of 1e-9 (saturating).
-    sum_nanos: AtomicU64,
+    /// Sum of observed values, as `f64` bits.
+    sum_bits: AtomicU64,
 }
 
 impl Histogram {
@@ -165,7 +165,7 @@ impl Histogram {
             bounds: bounds.to_vec(),
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
-            sum_nanos: AtomicU64::new(0),
+            sum_bits: AtomicU64::new(0f64.to_bits()),
         }
     }
 
@@ -203,8 +203,10 @@ impl Histogram {
             .unwrap_or(self.bounds.len());
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        let nanos = (v.max(0.0) * 1e9).min(u64::MAX as f64) as u64;
-        self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
+        let add = |bits| Some((f64::from_bits(bits) + v).to_bits());
+        let _ = self
+            .sum_bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
     }
 
     /// Total observations.
@@ -224,7 +226,7 @@ impl Histogram {
         HistogramSnapshot {
             buckets,
             count: self.count.load(Ordering::Relaxed),
-            sum: self.sum_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
+            sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
         }
     }
 }
@@ -237,7 +239,7 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(f64, u64)>,
     /// Total observations.
     pub count: u64,
-    /// Sum of observed values (nanosecond-resolution fixed point).
+    /// Sum of observed values.
     pub sum: f64,
 }
 
@@ -303,8 +305,8 @@ pub struct ShardMetrics {
 ///
 /// Create one (usually inside an `Arc`), hand clones to the engine
 /// ([`crate::Engine::set_metrics`]), the runner
-/// ([`crate::Runner::spawn_with_observability`]), or a manual
-/// [`TickRecorder`]; read it at any time via [`Metrics::snapshot`].
+/// ([`crate::Runner::spawn_with_observability`]) or serve; read it at
+/// any time via [`Metrics::snapshot`].
 #[derive(Debug)]
 pub struct Metrics {
     /// Attachment-ticks ingested (`spring_ticks_total`).
@@ -700,7 +702,7 @@ impl MetricsSnapshot {
         };
         histogram(
             "spring_tick_latency_seconds",
-            "Time per attachment-tick, sampled 1-in-64 ticks (per attachment on push, per engine or worker on frames).",
+            "Time per attachment-tick, one timed frame per 64 stream ticks per engine or worker.",
             &self.tick_latency,
         );
         histogram(
@@ -843,46 +845,42 @@ impl MetricsSnapshot {
     }
 }
 
-/// Hot-path instrumentation for one monitor: wraps each tick with
-/// [`TickRecorder::begin_tick`] / [`TickRecorder::end_tick`].
+/// One live monitor's share of the memory gauges.
 ///
-/// Owns the monitor's contribution to the live memory gauges and gives
-/// it back on drop, so `spring_memory_bytes`/`spring_memory_cells`
-/// reflect monitors that are actually alive.
+/// Gives the share back on drop, so `spring_memory_bytes`/
+/// `spring_memory_cells` reflect monitors that are actually alive.
 #[derive(Debug)]
-pub struct TickRecorder {
+pub(crate) struct MemoryShare {
     metrics: Arc<Metrics>,
-    ticks: u64,
     last_bytes: i64,
     last_cells: i64,
-    /// Fingerprint of the shared query entry this recorder holds a
+    /// Fingerprint of the shared query entry this share holds a
     /// [`Metrics::retain_query`] reference on, released on drop.
     shared_query: Option<u64>,
 }
 
-impl TickRecorder {
-    /// A recorder feeding `metrics`.
-    pub fn new(metrics: Arc<Metrics>) -> Self {
-        TickRecorder {
+impl MemoryShare {
+    /// An empty share of `metrics`' gauges.
+    pub(crate) fn new(metrics: Arc<Metrics>) -> Self {
+        MemoryShare {
             metrics,
-            ticks: 0,
             last_bytes: 0,
             last_cells: 0,
             shared_query: None,
         }
     }
 
-    /// The registry this recorder feeds.
-    pub fn metrics(&self) -> &Arc<Metrics> {
+    /// The registry this share feeds.
+    pub(crate) fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
     }
 
-    /// Declares that the instrumented monitor borrows the shared query
-    /// entry `fingerprint` holding `cells` resident cells. The entry is
+    /// Declares that the monitor borrows the shared query entry
+    /// `fingerprint` holding `cells` resident cells. The entry is
     /// counted into `spring_memory_cells` once fleet-wide (not once per
-    /// attachment) and released when the recorder drops. Re-declaring
+    /// attachment) and released when the share drops. Re-declaring
     /// (after a hot-swap) releases the previous entry first.
-    pub fn retain_shared(&mut self, fingerprint: u64, cells: usize) {
+    pub(crate) fn retain_shared(&mut self, fingerprint: u64, cells: usize) {
         if let Some(prev) = self.shared_query.take() {
             self.metrics.release_query(prev);
         }
@@ -890,46 +888,10 @@ impl TickRecorder {
         self.shared_query = Some(fingerprint);
     }
 
-    /// Marks the start of a tick; returns a start time on sampled ticks
-    /// (the first tick is always sampled, so gauges initialize early).
+    /// Sets the monitor's share of the live memory gauges to `bytes` and
+    /// `cells`, writing the shared gauges only when the share changed.
     #[inline]
-    pub fn begin_tick(&mut self) -> Option<Instant> {
-        self.ticks += 1;
-        (self.ticks % LATENCY_SAMPLE_EVERY == 1).then(Instant::now)
-    }
-
-    /// Marks the end of a tick: counts it (plus the optional confirmed
-    /// match and missing-sample flag), and on sampled ticks records the
-    /// elapsed latency and refreshes the memory gauges from `memory`
-    /// (`(bytes, cells)`; only invoked on sampled ticks).
-    #[inline]
-    pub fn end_tick(
-        &mut self,
-        started: Option<Instant>,
-        hit: Option<&Match>,
-        missing: bool,
-        memory: impl FnOnce() -> (usize, usize),
-    ) {
-        let m = &self.metrics;
-        m.ticks.inc();
-        if missing {
-            m.missing.inc();
-        }
-        if let Some(hit) = hit {
-            m.record_match(hit);
-        }
-        if let Some(t0) = started {
-            m.tick_latency.observe(t0.elapsed().as_secs_f64());
-            let (bytes, cells) = memory();
-            self.set_memory(bytes, cells);
-        }
-    }
-
-    /// Sets the instrumented monitor's share of the live memory gauges
-    /// to `bytes` and `cells`, writing the shared gauges only when the
-    /// share changed.
-    #[inline]
-    pub fn set_memory(&mut self, bytes: usize, cells: usize) {
+    pub(crate) fn set(&mut self, bytes: usize, cells: usize) {
         let (bytes, cells) = (bytes as i64, cells as i64);
         if (bytes, cells) != (self.last_bytes, self.last_cells) {
             self.metrics.memory_bytes.add(bytes - self.last_bytes);
@@ -937,57 +899,9 @@ impl TickRecorder {
             (self.last_bytes, self.last_cells) = (bytes, cells);
         }
     }
-
-    /// Marks the start of an ingestion frame of `upcoming` ticks;
-    /// returns a start time when the frame covers a sampled tick (so
-    /// latency sampling keeps roughly the per-tick cadence regardless of
-    /// the batch size).
-    #[inline]
-    pub fn begin_frame(&mut self, upcoming: usize) -> Option<Instant> {
-        let first = self.ticks == 0;
-        let crosses = (self.ticks % LATENCY_SAMPLE_EVERY) + upcoming as u64 >= LATENCY_SAMPLE_EVERY;
-        (first || crosses).then(Instant::now)
-    }
-
-    /// Batch counterpart of [`TickRecorder::end_tick`]: counts `ticks`
-    /// ingested ticks (of which `missing` were gap-filled), records the
-    /// frame's size and every confirmed match in `hits`, and — on
-    /// sampled frames — observes the mean per-tick latency and refreshes
-    /// the live memory gauges from `memory` (`(bytes, cells)`).
-    ///
-    /// Counter totals are exactly those of an [`TickRecorder::end_tick`]
-    /// loop over the same ticks, so `--stats` output is batch-invariant.
-    #[inline]
-    pub fn record_frame(
-        &mut self,
-        started: Option<Instant>,
-        ticks: u64,
-        missing: u64,
-        hits: &[Match],
-        memory: impl FnOnce() -> (usize, usize),
-    ) {
-        let m = &self.metrics;
-        if ticks > 0 {
-            m.record_batch(ticks as usize);
-        }
-        m.missing.add(missing);
-        m.ticks.add(ticks);
-        for hit in hits {
-            m.record_match(hit);
-        }
-        self.ticks += ticks;
-        if let Some(t0) = started {
-            if ticks > 0 {
-                m.tick_latency
-                    .observe(t0.elapsed().as_secs_f64() / ticks as f64);
-            }
-            let (bytes, cells) = memory();
-            self.set_memory(bytes, cells);
-        }
-    }
 }
 
-impl Drop for TickRecorder {
+impl Drop for MemoryShare {
     fn drop(&mut self) {
         self.metrics.memory_bytes.add(-self.last_bytes);
         self.metrics.memory_cells.add(-self.last_cells);
@@ -1060,27 +974,17 @@ mod tests {
     }
 
     #[test]
-    fn recorder_samples_first_tick_and_tracks_memory_deltas() {
+    fn memory_share_tracks_deltas_and_releases_on_drop() {
         let metrics = Arc::new(Metrics::new());
-        let mut rec = TickRecorder::new(Arc::clone(&metrics));
-        let started = rec.begin_tick();
-        assert!(started.is_some(), "first tick must be sampled");
-        rec.end_tick(started, None, false, || (1000, 125));
+        let mut share = MemoryShare::new(Arc::clone(&metrics));
+        share.set(1000, 125);
         assert_eq!(metrics.memory_bytes.get(), 1000);
         assert_eq!(metrics.memory_cells.get(), 125);
-        assert_eq!(metrics.ticks.get(), 1);
-        assert_eq!(metrics.tick_latency.count(), 1);
-        // Unsampled ticks leave the gauges and histogram untouched.
-        let started = rec.begin_tick();
-        assert!(started.is_none());
-        rec.end_tick(started, Some(&hit(5, 7)), true, || unreachable!());
-        assert_eq!(metrics.ticks.get(), 2);
-        assert_eq!(metrics.missing.get(), 1);
-        assert_eq!(metrics.matches.get(), 1);
-        assert_eq!(metrics.detection_delay.snapshot().sum, 2.0);
-        assert_eq!(metrics.tick_latency.count(), 1);
-        // Dropping the recorder releases its live-memory share.
-        drop(rec);
+        share.set(1200, 150);
+        assert_eq!(metrics.memory_bytes.get(), 1200);
+        assert_eq!(metrics.memory_cells.get(), 150);
+        // Dropping the share releases it.
+        drop(share);
         assert_eq!(metrics.memory_bytes.get(), 0);
         assert_eq!(metrics.memory_cells.get(), 0);
     }
@@ -1088,25 +992,25 @@ mod tests {
     #[test]
     fn shared_query_cells_are_counted_once_per_fingerprint() {
         let metrics = Arc::new(Metrics::new());
-        let mut recs: Vec<TickRecorder> = (0..3)
-            .map(|_| TickRecorder::new(Arc::clone(&metrics)))
+        let mut shares: Vec<MemoryShare> = (0..3)
+            .map(|_| MemoryShare::new(Arc::clone(&metrics)))
             .collect();
         // Three attachments borrow the same 512-cell query entry: the
         // gauge charges it once.
-        for rec in &mut recs {
-            rec.retain_shared(0xABCD, 512);
+        for share in &mut shares {
+            share.retain_shared(0xABCD, 512);
         }
         assert_eq!(metrics.memory_cells.get(), 512);
         // A different query adds its own share.
-        let mut other = TickRecorder::new(Arc::clone(&metrics));
+        let mut other = MemoryShare::new(Arc::clone(&metrics));
         other.retain_shared(0x1234, 100);
         assert_eq!(metrics.memory_cells.get(), 612);
-        // Swapping a recorder to a new fingerprint releases the old ref
+        // Swapping a share to a new fingerprint releases the old ref
         // without disturbing the survivors' share.
-        recs[0].retain_shared(0x1234, 100);
+        shares[0].retain_shared(0x1234, 100);
         assert_eq!(metrics.memory_cells.get(), 612);
         // Dropping the last holders releases each entry exactly once.
-        drop(recs);
+        drop(shares);
         assert_eq!(metrics.memory_cells.get(), 100);
         drop(other);
         assert_eq!(metrics.memory_cells.get(), 0);
@@ -1127,14 +1031,51 @@ mod tests {
 
     #[test]
     fn latency_sampling_rate_is_one_in_sixty_four() {
+        // Per-sample `Engine::push` steps one-sample frames: the push
+        // holding stream tick 1, 65, 129, … is timed, the rest are not.
         let metrics = Arc::new(Metrics::new());
-        let mut rec = TickRecorder::new(Arc::clone(&metrics));
-        for _ in 0..(LATENCY_SAMPLE_EVERY * 3) {
-            let t = rec.begin_tick();
-            rec.end_tick(t, None, false, || (0, 0));
+        let tracer = crate::Tracer::new();
+        tracer.set_enabled(true);
+        let mut engine = crate::SpringEngine::new();
+        engine.set_metrics(Arc::clone(&metrics));
+        engine.set_tracer(&tracer, "engine");
+        let s = engine.add_stream("s");
+        let q = engine.add_query("q", vec![0.0, 10.0, 0.0]).unwrap();
+        engine.attach(s, q, 1.0, crate::GapPolicy::Skip).unwrap();
+        engine.push(s, &50.0).unwrap();
+        assert_eq!(metrics.tick_latency.count(), 1, "first push is timed");
+        for _ in 1..(LATENCY_SAMPLE_EVERY * 3) {
+            engine.push(s, &50.0).unwrap();
         }
         assert_eq!(metrics.tick_latency.count(), 3);
         assert_eq!(metrics.ticks.get(), LATENCY_SAMPLE_EVERY * 3);
+        assert_eq!(metrics.batch_len.count(), 0, "a push is not a batch");
+        // 256 pushes in all: four sampled `ingest` spans, no frame span.
+        for _ in 0..LATENCY_SAMPLE_EVERY {
+            engine.push(s, &50.0).unwrap();
+        }
+        let kinds: Vec<_> = tracer.snapshot().tracks[0]
+            .events
+            .iter()
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(kinds, [crate::TraceEventKind::Ingest; 4]);
+    }
+
+    #[test]
+    fn histogram_sums_keep_fractions_of_a_nanosecond() {
+        let h = Histogram::latency_buckets();
+        for _ in 0..1000 {
+            h.observe(3.9e-9);
+        }
+        let mean = h.snapshot().mean();
+        assert!((mean / 3.9e-9 - 1.0).abs() < 1e-3, "mean {mean} s");
+        // Integer detection delays still sum exactly.
+        let delays = Histogram::delay_buckets();
+        for d in [0.0, 3.0, 1024.0, 7.0] {
+            delays.observe(d);
+        }
+        assert_eq!(delays.snapshot().sum, 1034.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! coordination. Workers ingest a frame at a time through the same
 //! `Attachment::ingest_frame` path as [`crate::Engine::push_batch`]:
 //! each attachment steps the frame's runs of present samples with one
-//! `Monitor::step_batch` (idle skip plus the banded column kernel for
+//! `Monitor::step_run` (idle skip plus the banded column kernel for
 //! SPRING monitors), and the frame's events are merged back into
 //! sample-major order (by tick, then attachment) before they reach the
 //! shared [`MatchSink`], so the sink sees exactly a per-sample loop's

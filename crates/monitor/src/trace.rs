@@ -15,8 +15,8 @@
 //! Two shapes, mirroring the Chrome trace-event model the exporter
 //! targets:
 //!
-//! * **spans** (`ph:"X"`, a duration): `ingest`, `frame`, `step_batch`,
-//!   `checkpoint`, `replay`, `flush`;
+//! * **spans** (`ph:"X"`, a duration): `ingest`, `frame`, `checkpoint`,
+//!   `replay`, `flush`;
 //! * **instants** (`ph:"i"`, a point): `match`, `query_swap`,
 //!   `worker_restart`, `shard_route`, `reactor_wakeup`,
 //!   `backpressure_pause`/`resume`/`drop`, `conn_open`/`conn_close`.
@@ -80,8 +80,6 @@ pub enum EventKind {
     /// Span: one ingestion frame through an engine or worker (`arg` =
     /// samples in the frame).
     Frame = 2,
-    /// Span: one kernel `step_batch` call (`arg` = samples stepped).
-    StepBatch = 3,
     /// Span: one checkpoint fork (`arg` = messages since the last).
     Checkpoint = 4,
     /// Span: one post-restart log replay (`arg` = messages replayed).
@@ -121,7 +119,6 @@ impl EventKind {
         match self {
             EventKind::Ingest => "ingest",
             EventKind::Frame => "frame",
-            EventKind::StepBatch => "step_batch",
             EventKind::Checkpoint => "checkpoint",
             EventKind::Replay => "replay",
             EventKind::Flush => "flush",
@@ -149,7 +146,6 @@ impl EventKind {
         Some(match raw {
             1 => EventKind::Ingest,
             2 => EventKind::Frame,
-            3 => EventKind::StepBatch,
             4 => EventKind::Checkpoint,
             5 => EventKind::Replay,
             6 => EventKind::Flush,
@@ -598,8 +594,8 @@ impl TraceHandle {
     /// Sampled span start for per-tick hot paths: counts every
     /// call, returns a timestamp for 1 in
     /// [`DEFAULT_SAMPLE_EVERY`] of them
-    /// (the first sampled call is tick 1, mirroring
-    /// [`crate::metrics::TickRecorder`]).
+    /// (the first sampled call is tick 1, as with the engine's timed
+    /// frames).
     #[inline]
     pub fn sampled_now(&mut self) -> Option<u64> {
         let (inner, _) = self.shared.as_ref()?;

@@ -2,8 +2,9 @@
 //!
 //! The serve event loop's contract is *transcript equivalence*: whatever
 //! the chunking, pacing, or concurrency of its clients, each connection
-//! must see exactly the matches the inline `spring monitor` pipeline
-//! reports for the same samples. This module supplies the adversarial
+//! must see exactly the matches a bare monitor stepped one sample at a
+//! time ([`crate::differential::run_bare`]) reports for the same
+//! samples. This module supplies the adversarial
 //! client side of that check, with no dependency on the CLI crate (the
 //! CLI depends on the testkit, so the comparison itself lives in
 //! `crates/cli/tests/`):

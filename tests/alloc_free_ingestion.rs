@@ -1,7 +1,7 @@
 //! Steady-state ingestion must be allocation-free (PR 4 acceptance
 //! criterion): once an `Engine` and its caller-owned buffers are warmed
 //! up, neither `Engine::push` nor `Engine::push_batch` may touch the
-//! heap on the hot path.
+//! heap on the hot path, on scalar or vector streams.
 //!
 //! The test swaps in a counting `#[global_allocator]` shim (this
 //! integration-test binary is its own crate, so the umbrella library's
@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use spring_monitor::{Event, GapPolicy, SpringEngine};
+use spring_monitor::{Event, GapPolicy, SpringEngine, VectorEngine};
 
 /// Counts every allocation routed through the global allocator.
 struct CountingAlloc {
@@ -111,8 +111,8 @@ fn steady_state_push_and_push_batch_do_not_allocate() {
     );
 
     // Steady state, per-sample path: the returned `Vec` stays empty
-    // (`Vec::new` is allocation-free) and the attachment indices are
-    // borrowed, not cloned.
+    // (`Vec::new` is allocation-free) and the one-sample frame's slot is
+    // reused.
     let mut per_sample = u64::MAX;
     for _pass in 0..2 {
         let before = allocations();
@@ -125,5 +125,25 @@ fn steady_state_push_and_push_batch_do_not_allocate() {
     assert_eq!(
         per_sample, 0,
         "Engine::push allocated {per_sample} times over 256 steady-state ticks"
+    );
+    // Steady state, vector pushes: the one-sample frame's slot keeps its
+    // `Vec`, so copying each row into it allocates nothing.
+    let mut vectors = VectorEngine::new();
+    let feed = vectors.add_channel_stream("feed", 2);
+    let blip = vec![vec![0.0, 0.0], vec![5.0, -5.0], vec![0.0, 0.0]];
+    let q = vectors.add_query("blip", blip).unwrap();
+    vectors.attach(feed, q, 1e-6, GapPolicy::Skip).unwrap();
+    let mut vector_pushes = u64::MAX;
+    for _pass in 0..2 {
+        let before = allocations();
+        for t in 0..256 {
+            let row = [(t as f64 * 0.05).sin() + 40.0, 40.0];
+            assert!(vectors.push(feed, &row[..]).unwrap().is_empty());
+        }
+        vector_pushes = allocations() - before;
+    }
+    assert_eq!(
+        vector_pushes, 0,
+        "VectorEngine::push allocated {vector_pushes} times over 256 steady-state rows"
     );
 }
