@@ -1,7 +1,7 @@
 //! Subcommand implementations, writing to any `io::Write` so tests can
 //! capture output.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::Path;
 
 use spring_core::stored::best_subsequence_match_with;
@@ -11,8 +11,8 @@ use spring_data::{MaskedChirp, Seismic, Sunspots, Temperature, TimeSeries};
 use spring_dtw::constraint::{dtw_constrained, GlobalConstraint};
 use spring_dtw::{dtw_distance_with, dtw_with_path, Kernel};
 use spring_monitor::{
-    GapPolicy, Metrics, MixedEngine, QueryId, RestartPolicy, Runner, RunnerAttachment, StreamId,
-    Tracer, VecSink,
+    ChannelSink, GapPolicy, Metrics, MixedEngine, QueryId, RestartPolicy, Runner, RunnerAttachment,
+    StreamId, Tracer,
 };
 
 use crate::args::{ArgError, Parsed};
@@ -63,26 +63,29 @@ USAGE:
   spring monitor   --query Q.csv --epsilon N [--stream S.csv] [--kernel squared|absolute]
                    [--gap skip|carry] [--min-len N --max-len N | --max-run R | --normalize W]
                    [--resume SNAP.json] [--checkpoint SNAP.json] [--stats] [--batch N]
-                   [--shards N [--linger-ms MS]] [--trace OUT.json]
+                   [--shards N] [--trace OUT.json]
                    (--batch: readings pushed per ingestion frame, default 64;
-                    output is identical for every N — --batch 1 pushes
-                    one reading a frame. --shards: run through an N-worker
-                    runner instead of the inline monitor — the transcript
-                    is identical; --linger-ms bounds how long a partial
-                    frame may wait before being flushed. --trace: write a
-                    Chrome trace-event flight recording of the run; without
-                    it the recorder stays off)
+                    a partial frame goes out whenever the input drains, so
+                    a live pipe sees each match as soon as its producer
+                    pauses; output is identical for every N — --batch 1
+                    pushes one reading a frame. --shards: run through an
+                    N-worker runner instead of the inline monitor — the
+                    transcript is identical. --trace: write a Chrome
+                    trace-event flight recording of the run; without it
+                    the recorder stays off)
   spring bestmatch --query Q.csv [--stream S.csv] [--kernel squared|absolute]
   spring topk      --query Q.csv --k N [--stream S.csv] [--kernel squared|absolute]
   spring dtw       A.csv B.csv [--kernel squared|absolute] [--band R] [--path]
   spring serve     --query Q.csv --epsilon N [--port P] [--kernel squared|absolute] [--once]
                    [--min-len N --max-len N | --max-run R | --normalize W] [--batch N]
-                   [--shards N] [--linger-ms MS] [--max-conns N] [--trace-dir DIR]
+                   [--shards N] [--max-conns N] [--trace-dir DIR]
                    (one acceptor thread multiplexes all connections through a
                     readiness event loop; HTTP `GET /metrics` on the same port
                     serves Prometheus text; connections are placed on one of
                     --shards runner workers by stream-id hash, default
-                    min(8, cores);
+                    min(8, cores); --batch: samples per frame, default 64 —
+                    a partial frame is flushed when its connection's input
+                    drains, so matches never wait for a frame to fill;
                     --max-conns caps concurrent connections, default 1024;
                     --trace-dir enables the flight recorder: `GET /trace`,
                     the `trace dump` verb, and automatic postmortem dumps
@@ -135,28 +138,44 @@ fn parse_gap(p: &Parsed) -> Result<GapPolicy, CliError> {
     }
 }
 
-/// Streams values line by line into `f`. `NaN`/`nan` pass through as
-/// NaN; `#` comments and blank lines are skipped; any other line that is
-/// not a number is an error naming its line number.
-fn for_each_value<R: BufRead>(
-    reader: R,
-    mut f: impl FnMut(f64) -> Result<(), CliError>,
+/// What [`for_each_value`] hands its callback.
+enum Input {
+    /// The next reading.
+    Value(f64),
+    /// No complete line is buffered, so the next read may block until
+    /// the producer writes more (or the input ended): readings held for
+    /// a frame go out now.
+    Drained,
+}
+
+/// Streams values line by line into `f`, with [`Input::Drained`] before
+/// every read that may block and at the end. `NaN`/`nan` pass through
+/// as NaN; `#` comments and blank lines are skipped; any other line that
+/// is not a number is an error naming its line number.
+fn for_each_value<R: Read>(
+    mut reader: io::BufReader<R>,
+    mut f: impl FnMut(Input) -> Result<(), CliError>,
 ) -> Result<(), CliError> {
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
+    let mut line = String::new();
+    let mut lineno = 0u64;
+    loop {
+        if !reader.buffer().contains(&b'\n') {
+            f(Input::Drained)?;
+        }
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            return f(Input::Drained);
+        }
+        lineno += 1;
+        let text = line.trim();
+        if text.is_empty() || text.starts_with('#') {
             continue;
         }
-        let v: f64 = line.parse().map_err(|_| {
-            CliError::Compute(format!(
-                "stream line {}: `{line}` is not a number",
-                lineno + 1
-            ))
+        let v: f64 = text.parse().map_err(|_| {
+            CliError::Compute(format!("stream line {lineno}: `{text}` is not a number"))
         })?;
-        f(v)?;
+        f(Input::Value(v))?;
     }
-    Ok(())
 }
 
 /// Reads a CSV series, attaching the file path to any I/O error.
@@ -164,26 +183,25 @@ fn read_csv_named(path: &str) -> Result<TimeSeries, CliError> {
     read_csv(Path::new(path)).map_err(|e| CliError::Compute(format!("{path}: {e}")))
 }
 
-fn open_stream(p: &Parsed) -> Result<Box<dyn BufRead>, CliError> {
-    match p.get("stream") {
-        Some(path) => {
-            let file =
-                std::fs::File::open(path).map_err(|e| CliError::Compute(format!("{path}: {e}")))?;
-            Ok(Box::new(io::BufReader::new(file)))
-        }
-        None => Ok(Box::new(io::BufReader::new(io::stdin()))),
-    }
+fn open_stream(p: &Parsed) -> Result<io::BufReader<Box<dyn Read>>, CliError> {
+    let source: Box<dyn Read> = match p.get("stream") {
+        Some(path) => Box::new(
+            std::fs::File::open(path).map_err(|e| CliError::Compute(format!("{path}: {e}")))?,
+        ),
+        None => Box::new(io::stdin()),
+    };
+    Ok(io::BufReader::new(source))
 }
 
 /// Collects the finite stream values, counting dropped (NaN/inf) lines.
-fn collect_finite(reader: Box<dyn BufRead>) -> Result<(Vec<f64>, usize), CliError> {
+fn collect_finite(reader: io::BufReader<Box<dyn Read>>) -> Result<(Vec<f64>, usize), CliError> {
     let mut values = Vec::new();
     let mut dropped = 0usize;
-    for_each_value(reader, |v| {
-        if v.is_finite() {
-            values.push(v);
-        } else {
-            dropped += 1;
+    for_each_value(reader, |input| {
+        match input {
+            Input::Value(v) if v.is_finite() => values.push(v),
+            Input::Value(_) => dropped += 1,
+            Input::Drained => {}
         }
         Ok(())
     })?;
@@ -291,7 +309,6 @@ pub fn monitor(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "checkpoint",
             "batch",
             "shards",
-            "linger-ms",
             "trace",
         ],
         &["stats"],
@@ -302,11 +319,6 @@ pub fn monitor(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let trace_out = p.get("trace").map(std::path::PathBuf::from);
     if let Some(shards) = p.get_parsed::<usize>("shards", "integer")? {
         return monitor_sharded(&p, shards, kernel, gap, out);
-    }
-    if p.get("linger-ms").is_some() {
-        return Err(CliError::Compute(
-            "--linger-ms requires --shards (the inline monitor has no frame buffer)".into(),
-        ));
     }
     let compute = |e: spring_monitor::MonitorError| CliError::Compute(e.to_string());
     let checkpoint_path = p.get("checkpoint").map(str::to_string);
@@ -381,16 +393,19 @@ pub fn monitor(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         .get_parsed("batch", "integer")?
         .unwrap_or(spring_monitor::DEFAULT_MAX_BATCH)
         .max(1);
+    // A frame goes out when it fills or when the input drains, so a
+    // live pipe sees each match as soon as its producer pauses.
     let mut buf: Vec<f64> = Vec::with_capacity(batch_size);
     let mut count = 0u64;
-    for_each_value(open_stream(&p)?, |v| {
-        buf.push(v);
-        if buf.len() < batch_size {
-            return Ok(());
+    for_each_value(open_stream(&p)?, |input| {
+        if let Input::Value(v) = input {
+            buf.push(v);
+            if buf.len() < batch_size {
+                return Ok(());
+            }
         }
         push_readings(&mut engine, stream, &mut buf, &mut count, &mut *out)
     })?;
-    push_readings(&mut engine, stream, &mut buf, &mut count, out)?;
     if let Some(path) = checkpoint_path {
         // The stream continues in a later run: persist state instead of
         // flushing the pending group.
@@ -441,7 +456,10 @@ fn write_trace_export(
 /// `(stream end)`), then the `N match(es) over T ticks` summary. Every
 /// reading is pushed and the attachment resolves gaps under the `--gap`
 /// policy, so it steps exactly the samples the inline monitor would and
-/// its `--stats` recorder counts the missing ones.
+/// its `--stats` recorder counts the missing ones. Frames are cut where
+/// the inline path cuts them: when full, and when the input drains —
+/// then the partial frame is flushed, the worker is synced, and its
+/// matches are printed before the next read may block.
 fn monitor_sharded(
     p: &Parsed,
     shards: usize,
@@ -461,7 +479,8 @@ fn monitor_sharded(
         .build(&query.values, kernel)
         .map_err(|e| CliError::Compute(e.to_string()))?;
     let metrics = p.has("stats").then(|| std::sync::Arc::new(Metrics::new()));
-    let sink = std::sync::Arc::new(VecSink::new());
+    let (tx, matches) = std::sync::mpsc::channel();
+    let sink = std::sync::Arc::new(ChannelSink::new(tx));
     let stream_id = StreamId(0);
     let attachment = RunnerAttachment::new(stream_id, QueryId(0), monitor, gap);
     // `--trace`: every worker and supervisor records into its own ring
@@ -485,38 +504,40 @@ fn monitor_sharded(
         .unwrap_or(spring_monitor::DEFAULT_MAX_BATCH)
         .max(1);
     runner.set_max_batch(batch);
-    if let Some(ms) = p.get_parsed::<u64>("linger-ms", "integer")? {
-        runner.set_linger(std::time::Duration::from_millis(ms));
-    }
     // `ticks` counts the samples the monitor steps: present readings,
     // plus carried ones once a reading has been seen.
     let mut ticks = 0u64;
     let mut seen = false;
     let mut push_err = None;
-    for_each_value(open_stream(p)?, |v| {
-        seen |= v.is_finite();
-        if v.is_finite() || (gap == GapPolicy::CarryForward && seen) {
-            ticks += 1;
-        }
-        if push_err.is_none() {
-            if let Err(e) = runner.push(stream_id, &v) {
-                push_err = Some(e);
+    let mut count = 0u64;
+    for_each_value(open_stream(p)?, |input| {
+        match input {
+            Input::Value(v) => {
+                seen |= v.is_finite();
+                if v.is_finite() || (gap == GapPolicy::CarryForward && seen) {
+                    ticks += 1;
+                }
+                if push_err.is_none() {
+                    push_err = runner.push(stream_id, &v).err();
+                }
+            }
+            Input::Drained => {
+                // Wait for the worker to step the partial frame, then
+                // print the matches it reached.
+                if push_err.is_none() {
+                    push_err = runner
+                        .flush(stream_id)
+                        .and_then(|()| runner.sync(stream_id))
+                        .err();
+                }
+                for ev in matches.try_iter() {
+                    write_match(&mut *out, &mut count, &ev.m, "")?;
+                }
             }
         }
         Ok(())
     })?;
-    // Flush the trailing partial frame and wait for the worker to drain,
-    // so `mid` below holds exactly the in-stream matches; everything the
-    // finish adds afterwards is the pending-group (stream end) match.
-    if push_err.is_none() {
-        if let Err(e) = runner
-            .flush(stream_id)
-            .and_then(|()| runner.sync(stream_id))
-        {
-            push_err = Some(e);
-        }
-    }
-    let mid = sink.events().len();
+    // Every match the finish adds is the pending-group (stream end) one.
     if push_err.is_none() {
         if let Err(e) = runner.finish_stream(stream_id) {
             push_err = Some(e);
@@ -530,10 +551,8 @@ fn monitor_sharded(
     if let Some(e) = push_err {
         return Err(CliError::Compute(e.to_string()));
     }
-    let mut count = 0u64;
-    for (i, ev) in sink.events().iter().enumerate() {
-        let suffix = if i < mid { "" } else { " (stream end)" };
-        write_match(out, &mut count, &ev.m, suffix)?;
+    for ev in matches.try_iter() {
+        write_match(out, &mut count, &ev.m, " (stream end)")?;
     }
     writeln!(out, "{count} match(es) over {ticks} ticks")?;
     if let Some(m) = &metrics {
@@ -1017,7 +1036,7 @@ mod tests {
     fn sharded_monitor_transcript_matches_the_inline_monitor() {
         // `--shards N` deploys the same run through an N-worker Runner;
         // the printed transcript must be byte-identical to the inline
-        // path for every shard count, batch size, and linger setting —
+        // path for every shard count and batch size —
         // including the `(stream end)` tag on the pending-group match
         // and the gap handling.
         let dir = tmpdir("shardeq");
@@ -1047,7 +1066,6 @@ mod tests {
             " --shards 2",
             " --shards 4 --batch 1",
             " --shards 2 --batch 3",
-            " --shards 2 --linger-ms 2",
             " --shards 2 --gap carry",
         ] {
             let got = run(extra);
@@ -1098,15 +1116,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("--shards"), "{err}");
-        let err = monitor(
-            &argv(&format!(
-                "--query {} --epsilon 1 --linger-ms 5",
-                q.display()
-            )),
-            &mut Vec::new(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("--linger-ms"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -51,8 +51,15 @@
 //! `spring_conn_dropped_total` and the per-worker `spring_shard_*`
 //! series), anything else a 404.
 //!
-//! `--shards`, `--batch`, and `--linger-ms` keep their semantics
-//! byte-identical to the blocking implementation; `--max-conns` caps
+//! A partial frame is flushed when its connection's input drains: once
+//! no decoded event is left and the socket has nothing more to read,
+//! [`Runner::flush`] hands the frame to its worker. A match is therefore
+//! reported as soon as the client pauses, never held until the frame
+//! fills, and with no timer. Frames end on the same ticks in every
+//! transcript, so output is identical for every `--batch`.
+//!
+//! `--shards` and `--batch` keep their semantics byte-identical to the
+//! blocking implementation; `--max-conns` caps
 //! concurrent connections (excess connections get one `error:` line
 //! and are closed). `--once` serves a single connection then exits
 //! (used by the tests; production deployments run without it).
@@ -115,16 +122,19 @@ pub struct ServeOptions {
     /// Serve a single connection, then return.
     pub once: bool,
     /// Samples per runner frame (`--batch`, clamped to ≥ 1). Output is
-    /// identical for every value — `1` is per-sample messaging; matches
-    /// are still delivered at every frame flush, and a client EOF
-    /// flushes the trailing partial frame immediately.
+    /// identical for every value — `1` is per-sample messaging. A frame
+    /// is enqueued when it fills, and a partial one when the client's
+    /// input drains (or at a command mark or EOF), so a match is never
+    /// held back waiting for more samples.
     pub batch: usize,
     /// Runner workers connections are hashed across (`--shards`,
     /// clamped to ≥ 1).
     pub shards: usize,
-    /// Optional linger deadline for partial frames (`--linger-ms`):
-    /// with it, a partial frame is flushed by the runner's janitor once
-    /// it is this old, instead of waiting for the frame to fill.
+    /// Frozen: kept only so existing `ServeOptions` literals (the
+    /// benchmark's checks build one) still compile. Partial frames are
+    /// flushed when a connection's input drains, so there is no linger
+    /// timer; [`serve_listener`] rejects `Some(_)` and callers pass
+    /// `None`.
     pub linger: Option<Duration>,
     /// Concurrent-connection cap (`--max-conns`): connections beyond it
     /// receive one `error:` line and are closed.
@@ -338,6 +348,12 @@ struct Conn {
     ticks: u64,
     /// The client's write side is done (EOF seen).
     eof: bool,
+    /// The input drained and its partial frame is not yet flushed: set
+    /// when a read returns `WouldBlock`, or when reads stop for a mark
+    /// (once the mark lifts, a socket that still holds bytes is reported
+    /// readable again, and that read clears the flag). Cleared by a read
+    /// that returns bytes and by the flush.
+    drained: bool,
     /// Flush remaining output, then close (once no mark is in flight).
     closing: bool,
     /// Interest currently registered with the reactor.
@@ -464,6 +480,7 @@ impl EventLoop<'_> {
                 session: false,
                 ticks: 0,
                 eof: false,
+                drained: false,
                 closing: false,
                 registered: Interest::READ,
                 bp_paused: false,
@@ -496,7 +513,11 @@ impl EventLoop<'_> {
         };
         let mut failed = false;
         for _ in 0..READS_PER_EVENT {
-            if conn.shared.paused() || conn.eof || conn.closing {
+            if conn.eof || conn.closing {
+                break;
+            }
+            if conn.shared.paused() {
+                conn.drained = true;
                 break;
             }
             match sys_read(&mut conn.sock, &mut self.read_buf) {
@@ -505,11 +526,15 @@ impl EventLoop<'_> {
                     conn.parser.finish(&mut conn.pending);
                 }
                 Ok(n) => {
+                    conn.drained = false;
                     self.metrics.conn_read_bytes.add(n as u64);
                     conn.parser.feed(&self.read_buf[..n], &mut conn.pending);
                     self.process(&mut conn);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    conn.drained = true;
+                    break;
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     // Reset mid-stream: nothing more to tell the client.
@@ -527,7 +552,8 @@ impl EventLoop<'_> {
     }
 
     /// Runs the connection's protocol state machine over its decoded
-    /// events until it empties, pauses on a mark, or closes.
+    /// events until it empties, pauses on a mark, or closes, then flushes
+    /// the partial frame if that emptied a drained input.
     fn process(&mut self, conn: &mut Conn) {
         if !conn.session
             && !conn.closing
@@ -650,6 +676,21 @@ impl EventLoop<'_> {
             } else {
                 // Connected and hung up without a single line.
                 conn.closing = true;
+            }
+        }
+        if conn.drained
+            && conn.session
+            && !conn.closing
+            && !conn.shared.paused()
+            && conn.pending.is_empty()
+        {
+            // The client paused: no more samples are coming for now, so
+            // the partial frame goes to the worker and its matches are
+            // reported without waiting for the frame to fill.
+            conn.drained = false;
+            if let Err(e) = self.runner.flush(conn.stream_id) {
+                conn.eof = true;
+                self.end_session(conn, Some(e.to_string()));
             }
         }
     }
@@ -879,11 +920,32 @@ impl EventLoop<'_> {
 
 /// Serves connections from an already-bound listener. Exposed so tests
 /// can bind an ephemeral port; `run_serve` is the CLI entry point.
+///
+/// # Errors
+/// Rejects `opts.linger = Some(_)` (there is no linger timer: see
+/// [`ServeOptions::linger`]); otherwise I/O and runner failures.
 pub fn serve_listener(
     listener: TcpListener,
     opts: ServeOptions,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
+    serve_with_reactor(listener, opts, out, Reactor::new()?)
+}
+
+/// [`serve_listener`] on a given reactor (the tests pick its backend).
+pub(crate) fn serve_with_reactor(
+    listener: TcpListener,
+    opts: ServeOptions,
+    out: &mut dyn Write,
+    mut reactor: Reactor,
+) -> Result<(), CliError> {
+    if opts.linger.is_some() {
+        return Err(CliError::Compute(
+            "serve has no linger timer: partial frames are flushed when a \
+             connection's input drains; pass `linger: None`"
+                .into(),
+        ));
+    }
     writeln!(out, "listening on {}", listener.local_addr()?)?;
     out.flush()?;
     // `TcpListener::bind` hardcodes a backlog of 128; a burst of
@@ -897,7 +959,6 @@ pub fn serve_listener(
     // connection's attachment feeds them, and any `GET /metrics`
     // connection scrapes the registry.
     let metrics = Arc::new(Metrics::new());
-    let mut reactor = Reactor::new()?;
     let sink = Arc::new(ServeSink {
         conns: RwLock::default(),
         waker: reactor.waker(),
@@ -921,9 +982,6 @@ pub fn serve_listener(
     )
     .map_err(|e| CliError::Compute(e.to_string()))?;
     runner.set_max_batch(opts.batch.max(1));
-    if let Some(linger) = opts.linger {
-        runner.set_linger(linger);
-    }
     let accept_limit = if opts.once {
         Some(1)
     } else {
@@ -990,7 +1048,6 @@ pub fn run_serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "normalize",
             "batch",
             "shards",
-            "linger-ms",
             "max-conns",
             "trace-dir",
         ],
@@ -1010,9 +1067,6 @@ pub fn run_serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         .get_parsed("shards", "integer")?
         .unwrap_or_else(default_shards)
         .max(1);
-    let linger = p
-        .get_parsed::<u64>("linger-ms", "integer")?
-        .map(Duration::from_millis);
     let max_conns: usize = p
         .get_parsed("max-conns", "integer")?
         .unwrap_or(DEFAULT_MAX_CONNS)
@@ -1028,7 +1082,7 @@ pub fn run_serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             once: p.has("once"),
             batch,
             shards,
-            linger,
+            linger: None,
             max_conns,
             accept_limit: None,
             trace_dir,
@@ -1187,37 +1241,60 @@ mod tests {
     }
 
     #[test]
-    fn linger_delivers_partial_frame_matches_before_eof() {
-        // Large frames + a linger: the match from a partial frame must
-        // arrive without the client closing its write side first.
-        let (addr, server) = start_with(ServeOptions {
-            query: vec![0.0, 9.0, 0.0],
-            spec: MonitorSpec::Spring { epsilon: 1.0 },
-            kernel: Kernel::Squared,
-            once: true,
-            batch: 1024, // would buffer forever without the linger
-            shards: 2,
-            linger: Some(Duration::from_millis(5)),
-            max_conns: 64,
-            accept_limit: None,
-            trace_dir: None,
-        });
-        let mut conn = TcpStream::connect(addr).unwrap();
-        for v in [50.0, 50.0, 0.0, 9.0, 0.0, 50.0, 50.0] {
-            writeln!(conn, "{v}").unwrap();
+    fn drained_input_delivers_partial_frame_matches_before_eof() {
+        // Seven samples never fill a frame of 64 or 1024: the match must
+        // arrive while the client's write side is still open, because the
+        // server flushes the partial frame once the socket drains. Behind
+        // `bad` the samples wait for its error mark and are pushed when
+        // the mark lifts the pause, with no read left to see the socket
+        // drain: they must be flushed too.
+        let plain = ["50", "50", "0", "9", "0", "50", "50"];
+        let after_error = ["bad", "50", "50", "0", "9", "0", "50", "50"];
+        for batch in [1024, 64] {
+            for lines in [&plain[..], &after_error[..]] {
+                let (addr, server) = start_with(ServeOptions {
+                    batch,
+                    ..opts(vec![0.0, 9.0, 0.0], 1.0)
+                });
+                let mut conn = TcpStream::connect(addr).unwrap();
+                // A held match shows as a timeout, not a hung test.
+                conn.set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                conn.write_all(format!("{}\n", lines.join("\n")).as_bytes())
+                    .unwrap();
+                let mut reader = BufReader::new(conn.try_clone().unwrap());
+                let mut before = Vec::new();
+                while !before.last().is_some_and(|l: &String| l.contains("match")) {
+                    let mut line = String::new();
+                    assert!(reader.read_line(&mut line).unwrap() > 0, "{before:?}");
+                    before.push(line);
+                }
+                let want: &[&str] = match lines[0] {
+                    "bad" => &["error: `bad` is not a number\n", "match ticks 3..=5"],
+                    _ => &["match ticks 3..=5"],
+                };
+                assert_eq!(before.len(), want.len(), "batch {batch}: {before:?}");
+                for (got, want) in before.iter().zip(want) {
+                    assert!(got.starts_with(want), "batch {batch}: {before:?}");
+                }
+                conn.shutdown(std::net::Shutdown::Write).unwrap();
+                let mut rest = String::new();
+                reader.read_to_string(&mut rest).unwrap();
+                server.join().unwrap();
+                assert!(rest.contains("done 1 match(es) over 7 ticks"), "{rest}");
+            }
         }
-        conn.flush().unwrap();
-        // Read the match line while the connection is still open for
-        // writing: only the janitor can have flushed the frame.
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("match ticks 3..=5"), "{line}");
-        conn.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut rest = String::new();
-        reader.read_to_string(&mut rest).unwrap();
-        server.join().unwrap();
-        assert!(rest.contains("done 1 match(es) over 7 ticks"), "{rest}");
+    }
+
+    #[test]
+    fn serve_listener_rejects_a_linger() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let opts = ServeOptions {
+            linger: Some(Duration::from_millis(5)),
+            ..opts(vec![0.0, 9.0, 0.0], 1.0)
+        };
+        let err = serve_listener(listener, opts, &mut Vec::new()).unwrap_err();
+        assert!(err.to_string().contains("no linger timer"), "{err}");
     }
 
     #[test]
@@ -1638,21 +1715,21 @@ mod tests {
     #[test]
     fn poll_backend_serves_the_same_protocol() {
         // Exercise the portable poll(2) fallback end-to-end.
-        std::env::set_var("SPRING_REACTOR", "poll");
-        let (addr, server) = start(vec![0.0, 9.0, 0.0], 1.0);
-        let result = (|| {
-            let mut conn = TcpStream::connect(addr)?;
-            for v in [50.0, 50.0, 0.0, 9.0, 0.0, 50.0, 50.0] {
-                writeln!(conn, "{v}")?;
-            }
-            conn.shutdown(std::net::Shutdown::Write)?;
-            let mut response = String::new();
-            conn.read_to_string(&mut response)?;
-            Ok::<_, std::io::Error>(response)
-        })();
-        std::env::remove_var("SPRING_REACTOR");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let reactor = Reactor::with_backend(reactor::BackendKind::Poll).unwrap();
+        let server = std::thread::spawn(move || {
+            let opts = opts(vec![0.0, 9.0, 0.0], 1.0);
+            serve_with_reactor(listener, opts, &mut Vec::new(), reactor).unwrap();
+        });
+        let mut conn = TcpStream::connect(addr).unwrap();
+        for v in [50.0, 50.0, 0.0, 9.0, 0.0, 50.0, 50.0] {
+            writeln!(conn, "{v}").unwrap();
+        }
+        conn.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut response = String::new();
+        conn.read_to_string(&mut response).unwrap();
         server.join().unwrap();
-        let response = result.unwrap();
         assert!(response.contains("match ticks 3..=5"), "{response}");
         assert!(
             response.contains("done 1 match(es) over 7 ticks"),

@@ -399,20 +399,14 @@ impl<M: Monitor> Attachment<M> {
         }
     }
 
-    /// Rebuilds this attachment's monitor from its stored recipe
-    /// against `samples` — the hot-swap path. Fresh DP state, gap state
-    /// and tick counter (detach-and-reattach semantics); the new
-    /// monitor is stamped with `generation` and the shared-cell metrics
-    /// reference is re-pointed at the new query entry.
+    /// Builds the monitor a query swap installs ([`Attachment::install`]):
+    /// this attachment's stored recipe applied to `samples`, stamped
+    /// with `generation`. The attachment itself is untouched.
     ///
     /// # Errors
     /// Fails when no recipe was stored (pre-built monitor) or the
     /// builder rejects the new samples.
-    pub(crate) fn apply_swap(
-        &mut self,
-        samples: &[Owned<M>],
-        generation: u64,
-    ) -> Result<(), MonitorError> {
+    pub(crate) fn rebuild(&self, samples: &[Owned<M>], generation: u64) -> Result<M, MonitorError> {
         let builder = self.builder.as_ref().ok_or_else(|| {
             MonitorError::Spring(SpringError::InvalidQuery(
                 "attachment was built from a pre-constructed monitor; \
@@ -422,6 +416,14 @@ impl<M: Monitor> Attachment<M> {
         })?;
         let mut monitor = builder(samples)?;
         monitor.set_generation(generation);
+        Ok(monitor)
+    }
+
+    /// Installs a monitor from [`Attachment::rebuild`]: fresh DP state,
+    /// gap state and tick counter (detach-and-reattach semantics), and
+    /// the shared-cell metrics reference re-pointed at the new query
+    /// entry.
+    pub(crate) fn install(&mut self, monitor: M) {
         self.monitor = monitor;
         self.last_observed = None;
         self.ticks = 0;
@@ -429,7 +431,6 @@ impl<M: Monitor> Attachment<M> {
             let metrics = Arc::clone(share.metrics());
             self.set_metrics(&metrics);
         }
-        Ok(())
     }
 
     /// Declares end-of-stream on this attachment, flushing a pending
@@ -753,14 +754,7 @@ impl<M: Monitor> Engine<M> {
             if att.query != query {
                 continue;
             }
-            let builder = att.builder.as_ref().ok_or_else(|| {
-                MonitorError::Spring(SpringError::InvalidQuery(
-                    "attachment was built from a pre-constructed monitor; \
-                     it has no stored recipe to rebuild on a query swap"
-                        .into(),
-                ))
-            })?;
-            let mut monitor = builder(&samples)?;
+            let monitor = att.rebuild(&samples, generation)?;
             if let Some(found) = monitor.channels() {
                 if let Some(expected) = self.streams[att.stream.0 as usize].channels {
                     if found != expected {
@@ -771,7 +765,6 @@ impl<M: Monitor> Engine<M> {
                     }
                 }
             }
-            monitor.set_generation(generation);
             rebuilt.push((idx, monitor));
         }
         // Phase 2: commit — republish the definition and flip every
@@ -780,13 +773,7 @@ impl<M: Monitor> Engine<M> {
         def.samples = samples;
         def.generation = generation;
         for (idx, monitor) in rebuilt {
-            let att = &mut self.attachments[idx];
-            att.monitor = monitor;
-            att.last_observed = None;
-            att.ticks = 0;
-            if let Some(metrics) = &self.metrics {
-                att.set_metrics(metrics); // re-point the shared-cell ref
-            }
+            self.attachments[idx].install(monitor);
         }
         // Entries for the old pattern may now be unreferenced.
         self.arena.gc();

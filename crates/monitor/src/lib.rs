@@ -23,8 +23,10 @@
 //!   pending frames, checkpoints, supervision and backpressure, so
 //!   pushes to streams on different workers share no lock. Worker
 //!   failures surface as [`MonitorError::WorkerLost`] instead of silent
-//!   sample loss; attachments can be added and removed at runtime, and
-//!   an optional linger deadline bounds match latency on slow streams.
+//!   sample loss; attachments can be added and removed at runtime. The
+//!   runner keeps no timer: a caller that owns a slow input calls
+//!   [`Runner::flush`] when that input drains, so a partial frame's
+//!   matches are reported without waiting for the frame to fill.
 //! * [`metrics`] — dependency-free observability: atomic counters,
 //!   gauges, and fixed-bucket histograms behind a shared [`Metrics`]
 //!   registry (tick latency, match counts, detection delay, queue

@@ -8,9 +8,9 @@
 //! * **epoll** on Linux (`epoll_create1`/`epoll_ctl`/`epoll_wait`,
 //!   level-triggered) — O(ready) wakeups, the production backend;
 //! * **`poll(2)`** everywhere else (and on Linux via
-//!   `SPRING_REACTOR=poll`, which is how the test suite exercises the
-//!   fallback on the machines we actually run on) — O(registered) per
-//!   wait, fine for hundreds of descriptors.
+//!   [`Reactor::with_backend`], which is how the test suite exercises
+//!   the fallback on the machines we actually run on) — O(registered)
+//!   per wait, fine for hundreds of descriptors.
 //!
 //! The syscall surface lives in the private `sys` submodule, the crate's one
 //! sanctioned unsafe region: raw `extern "C"` prototypes against the
@@ -108,7 +108,7 @@ pub enum BackendKind {
 const WAKER_TOKEN: usize = usize::MAX;
 
 /// A cloneable handle that interrupts a blocked [`Reactor::wait`] from
-/// another thread (match sinks, janitors, completion workers).
+/// another thread (match sinks, runner workers).
 #[derive(Debug, Clone)]
 pub struct Waker {
     tx: Arc<UdpSocket>,
@@ -165,22 +165,13 @@ impl std::fmt::Debug for Reactor {
 
 impl Reactor {
     /// Creates a reactor on the platform's preferred backend: epoll on
-    /// Linux (unless `SPRING_REACTOR=poll` forces the fallback, which
-    /// the test suite uses to exercise both paths), `poll(2)` on other
-    /// Unix systems.
+    /// Linux, `poll(2)` on other Unix systems.
     pub fn new() -> io::Result<Reactor> {
-        #[cfg(target_os = "linux")]
-        {
-            if std::env::var_os("SPRING_REACTOR").is_some_and(|v| v == "poll") {
-                Reactor::with_backend(BackendKind::Poll)
-            } else {
-                Reactor::with_backend(BackendKind::Epoll)
-            }
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Reactor::with_backend(BackendKind::Poll)
-        }
+        Reactor::with_backend(if cfg!(target_os = "linux") {
+            BackendKind::Epoll
+        } else {
+            BackendKind::Poll
+        })
     }
 
     /// Creates a reactor on a specific backend. [`BackendKind::Epoll`]

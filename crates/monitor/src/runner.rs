@@ -24,10 +24,12 @@
 //!
 //! **Frames.** Channels carry frames of up to [`Runner::max_batch`]
 //! consecutive samples of one stream, shared as `Arc<[_]>` by the
-//! channel and the replay log. Flushing is linger-free by default: a
-//! partial frame waits for [`Runner::flush`], [`Runner::finish_stream`]
-//! or [`Runner::shutdown`] (`max_batch = 1` is per-sample messaging),
-//! unless [`Runner::set_linger`] starts a janitor with a deadline.
+//! channel and the replay log. A partial frame waits for
+//! [`Runner::flush`], [`Runner::finish_stream`] or [`Runner::shutdown`]
+//! (`max_batch = 1` is per-sample messaging): the runner keeps no
+//! timer, so a caller that owns a slow input calls [`Runner::flush`]
+//! when that input drains, and matches in the partial frame are
+//! reported then rather than when the frame fills.
 //! Attach, detach, swap, sync and marks ([`Runner::mark`]: a callback
 //! run in the stream's queue order) travel the same logged message
 //! path, so a restarted worker reconstructs them.
@@ -51,7 +53,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::{self, JoinHandle, ThreadId};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use spring_core::monitor::Monitor;
 
@@ -359,10 +361,6 @@ struct WorkerSlot<M: Monitor> {
 struct StreamEntry<M: Monitor> {
     /// Samples awaiting a full frame.
     pending: Vec<Owned<M>>,
-    /// When the oldest pending sample arrived (stamped only while a
-    /// linger deadline is configured — the linger-free hot path takes
-    /// no clock reads).
-    since: Option<Instant>,
     /// Live attachments; the entry is removed when this reaches zero.
     attached: usize,
 }
@@ -371,7 +369,6 @@ impl<M: Monitor> Default for StreamEntry<M> {
     fn default() -> Self {
         StreamEntry {
             pending: Vec::new(),
-            since: None,
             attached: 0,
         }
     }
@@ -404,7 +401,7 @@ struct WorkerCtx<M: Monitor> {
 }
 
 /// The runner state shared between the [`Runner`] handle and the
-/// optional linger janitor thread.
+/// heals that dying workers request.
 struct Core<M: Monitor> {
     workers: Vec<Worker<M>>,
     /// Stream and query of every live attachment (control path only).
@@ -413,8 +410,6 @@ struct Core<M: Monitor> {
     generations: Mutex<HashMap<QueryId, u64>>,
     /// Samples per frame (≥ 1).
     max_batch: AtomicUsize,
-    /// Linger deadline for partial frames, nanoseconds; `0` = off.
-    linger: AtomicU64,
     next_attachment: AtomicU32,
     /// Lowest-ranked ingestion error recorded by any worker.
     error: Arc<Mutex<Option<MonitorError>>>,
@@ -428,12 +423,6 @@ struct Core<M: Monitor> {
     me: Weak<Core<M>>,
 }
 
-/// The linger janitor: a thread flushing overdue partial frames.
-struct Janitor {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: JoinHandle<()>,
-}
-
 /// A running pool of monitor workers, with streams placed by id hash.
 ///
 /// Samples are pushed from any thread via [`Runner::push`]; matches
@@ -442,22 +431,11 @@ struct Janitor {
 /// [`Runner::shutdown`] to flush, join, and learn about any failure.
 pub struct Runner<M: Monitor> {
     core: Arc<Core<M>>,
-    janitor: Option<Janitor>,
 }
 
 /// [`Runner`] under the name of the former two-level sharded API, for
 /// callers written against it (such as the benchmark's layer replays).
 pub type ShardedRunner<M> = Runner<M>;
-
-impl<M: Monitor> Drop for Runner<M> {
-    fn drop(&mut self) {
-        if let Some(j) = self.janitor.take() {
-            *j.stop.0.lock().unwrap_or_else(PoisonError::into_inner) = true;
-            j.stop.1.notify_all();
-            let _ = j.handle.join();
-        }
-    }
-}
 
 /// Runs when the worker thread exits abnormally — after recording an
 /// ingestion error (`lost` set) or while unwinding from a panic:
@@ -591,7 +569,7 @@ where
                     failure = atts
                         .iter_mut()
                         .filter(|a| a.query == query)
-                        .find_map(|a| a.apply_swap(&samples, generation).err());
+                        .find_map(|a| a.rebuild(&samples, generation).map(|m| a.install(m)).err());
                     if failure.is_none() {
                         ctx.trace.instant(TraceKind::QuerySwap, generation);
                     }
@@ -751,7 +729,6 @@ where
             homes: Mutex::new(homes),
             generations: Mutex::new(HashMap::new()),
             max_batch: AtomicUsize::new(DEFAULT_MAX_BATCH),
-            linger: AtomicU64::new(0),
             next_attachment: AtomicU32::new(next_id),
             error: Arc::new(Mutex::new(None)),
             metrics,
@@ -764,10 +741,7 @@ where
             let mut slot = core.lock_slot(w);
             slot.handle = Some(core.start_worker(w, &slot.shared, atts, rx));
         }
-        Ok(Runner {
-            core,
-            janitor: None,
-        })
+        Ok(Runner { core })
     }
 
     /// The index of the worker that owns `stream` (a pure function of
@@ -790,48 +764,6 @@ where
     /// The configured frame size (default [`DEFAULT_MAX_BATCH`]).
     pub fn max_batch(&self) -> usize {
         self.core.max_batch.load(Ordering::Relaxed)
-    }
-
-    /// Sets the linger deadline for partial frames: a janitor thread
-    /// flushes any pending frame at least `linger` old, bounding match
-    /// latency on slow streams. `Duration::ZERO` (the default) disables
-    /// it; at `max_batch = 1` a linger changes nothing.
-    pub fn set_linger(&mut self, linger: Duration) {
-        let nanos = u64::try_from(linger.as_nanos()).unwrap_or(u64::MAX);
-        self.core.linger.store(nanos, Ordering::Relaxed);
-        if nanos > 0 && self.janitor.is_none() {
-            let core = Arc::clone(&self.core);
-            let stop = Arc::new((Mutex::new(false), Condvar::new()));
-            let stop2 = Arc::clone(&stop);
-            let handle = thread::spawn(move || {
-                let (lock, cv) = &*stop2;
-                let mut stopped = lock.lock().unwrap_or_else(PoisonError::into_inner);
-                while !*stopped {
-                    // Wake about twice per linger so a frame overstays
-                    // its deadline by at most ~50%.
-                    let nanos = core.linger.load(Ordering::Relaxed);
-                    let interval = match nanos {
-                        0 => Duration::from_millis(50),
-                        n => Duration::from_nanos(n / 2)
-                            .clamp(Duration::from_millis(1), Duration::from_millis(50)),
-                    };
-                    stopped = cv
-                        .wait_timeout(stopped, interval)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                    let nanos = core.linger.load(Ordering::Relaxed);
-                    if !*stopped && nanos > 0 {
-                        core.flush_lingering(Duration::from_nanos(nanos));
-                    }
-                }
-            });
-            self.janitor = Some(Janitor { stop, handle });
-        }
-    }
-
-    /// The configured linger deadline (`Duration::ZERO` = off).
-    pub fn linger(&self) -> Duration {
-        Duration::from_nanos(self.core.linger.load(Ordering::Relaxed))
     }
 
     /// Adds an attachment on the worker that owns its stream and
@@ -1054,7 +986,6 @@ where
     pub fn push(&self, stream: StreamId, sample: &M::Sample) -> Result<(), MonitorError> {
         let core = &self.core;
         core.with_stream(stream, |w, entry| {
-            core.stamp(entry);
             entry.pending.push(sample.to_owned());
             if entry.pending.len() >= core.max_batch.load(Ordering::Relaxed) {
                 core.flush_entry(w, stream, entry)?;
@@ -1081,7 +1012,6 @@ where
                 } else {
                     let room = max_batch.saturating_sub(entry.pending.len()).max(1);
                     let (head, tail) = rest.split_at(room.min(rest.len()));
-                    core.stamp(entry);
                     entry.pending.extend_from_slice(head);
                     rest = tail;
                     if entry.pending.len() >= max_batch {
@@ -1094,7 +1024,9 @@ where
     }
 
     /// Enqueues the stream's pending partial frame immediately (a no-op
-    /// when nothing is buffered).
+    /// when nothing is buffered). The runner has no timer: call this
+    /// when the stream's input drains, so the frame's matches are
+    /// reported without waiting for more samples.
     ///
     /// # Errors
     /// [`MonitorError::WorkerLost`] — see [`Runner::push`].
@@ -1127,11 +1059,7 @@ where
     /// ([`MonitorError::MissingSample`] ordered by (stream, tick) first),
     /// or [`MonitorError::WorkerLost`] when a worker was permanently lost.
     pub fn shutdown(self) -> Result<(), MonitorError> {
-        // Dropping the handle joins the janitor first, so no flush races
-        // the drain; the core keeps the workers alive until it is done.
-        let core = Arc::clone(&self.core);
-        drop(self);
-        core.shutdown()
+        self.core.shutdown()
     }
 }
 
@@ -1173,13 +1101,6 @@ where
         }
     }
 
-    /// Stamps the linger clock when `entry` is about to go non-empty.
-    fn stamp(&self, entry: &mut StreamEntry<M>) {
-        if entry.pending.is_empty() && self.linger.load(Ordering::Relaxed) > 0 {
-            entry.since = Some(Instant::now());
-        }
-    }
-
     /// Enqueues `entry`'s pending frame (a no-op when empty); the
     /// buffer keeps its capacity for the next frame.
     fn flush_entry(
@@ -1193,7 +1114,6 @@ where
         }
         let frame = Frame::<M>::from(entry.pending.as_slice());
         entry.pending.clear();
-        entry.since = None;
         self.send_frame(w, stream, frame)
     }
 
@@ -1207,20 +1127,6 @@ where
             m.record_batch(samples.len());
         }
         self.send(w, Msg::Frame { stream, samples })
-    }
-
-    /// Janitor body: flushes every stream whose partial frame is older
-    /// than `linger`. A lost worker is left for the pusher to discover —
-    /// the janitor only bounds latency.
-    fn flush_lingering(&self, linger: Duration) {
-        for w in 0..self.workers.len() {
-            let mut streams = self.lock_streams(w);
-            for (&stream, entry) in streams.iter_mut() {
-                if entry.since.is_some_and(|t| t.elapsed() >= linger) {
-                    let _ = self.flush_entry(w, stream, entry);
-                }
-            }
-        }
     }
 
     /// Sends one message to worker `w`.
@@ -1955,53 +1861,6 @@ mod tests {
         feed(&runner, 0, &spike_stream(&[4, 15], 25));
         runner.shutdown().unwrap();
         assert_eq!(starts(&sink.inner.events()), vec![5, 16]);
-    }
-
-    // ---- linger --------------------------------------------------------
-
-    #[test]
-    fn linger_flushes_partial_frames_without_an_explicit_flush() {
-        let sink = Arc::new(VecSink::new());
-        let mut runner =
-            SpringRunner::spawn(vec![spike_attachment(0, 0)], 1, sink.clone()).unwrap();
-        runner.set_linger(Duration::from_millis(5));
-        assert_eq!(runner.linger(), Duration::from_millis(5));
-        // 7 samples ≪ DEFAULT_MAX_BATCH: without a linger these would
-        // sit in the pending frame until finish/shutdown.
-        for x in spike_stream(&[2], 7) {
-            runner.push(StreamId(0), &x).unwrap();
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while sink.events().is_empty() {
-            assert!(Instant::now() < deadline, "linger janitor never flushed");
-            thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(sink.events()[0].m.start, 3);
-        runner.shutdown().unwrap();
-    }
-
-    #[test]
-    fn linger_transcript_matches_linger_free_at_batch_one() {
-        // At max_batch = 1 no partial frame ever exists, so a configured
-        // linger must not change the transcript in any way.
-        let run = |linger: Option<Duration>| {
-            let sink = Arc::new(VecSink::new());
-            let mut runner =
-                SpringRunner::spawn(vec![spike_attachment(0, 0)], 1, sink.clone()).unwrap();
-            runner.set_max_batch(1);
-            if let Some(d) = linger {
-                runner.set_linger(d);
-            }
-            feed(&runner, 0, &spike_stream(&[3, 10, 17], 26));
-            runner.shutdown().unwrap();
-            sink.events()
-                .iter()
-                .map(|e| (e.m.start, e.m.end, e.m.distance.to_bits()))
-                .collect::<Vec<_>>()
-        };
-        let free = run(None);
-        assert!(!free.is_empty());
-        assert_eq!(free, run(Some(Duration::from_millis(1))));
     }
 
     // ---- supervision ---------------------------------------------------

@@ -285,7 +285,7 @@ const SWAPPED_QUERY: u32 = 1;
 /// replaces the monitor, discarding its pending groups unreported),
 /// then a freshly built new-query monitor over the suffix (with
 /// `finish`). Tick numbering and gap carry-state restart at the swap
-/// boundary, exactly like `Attachment::apply_swap`.
+/// boundary, exactly like `Attachment::install`.
 pub fn run_bare_swapped(
     sc: &Scenario,
     spec: MonitorSpec,
