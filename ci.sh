@@ -49,6 +49,9 @@ cargo build --release
 echo "==> cargo check springbench (the frozen benchmark builds against this API)"
 cargo check --offline --all-targets --manifest-path springbench/Cargo.toml
 
+echo "==> cargo test springbench (its verifier and engine replay)"
+cargo test --offline --release --manifest-path springbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 

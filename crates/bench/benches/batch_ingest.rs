@@ -9,12 +9,19 @@
 //! `step_batch` (idle runs skipped a chunk at a time), which is where
 //! the speedup comes from.
 //!
-//! The `batch_ingest_fanout/q32` row pushes 64-sample frames through
-//! an engine with a metrics registry and 32 m = 64 attachments on one
-//! stream, almost all idle ([`spring_bench::fanout`], the shape of
-//! springbench's `fanout_q32`): it prices the per-frame and
-//! per-attachment work around the kernel, which a fan-out server pays
-//! 32 times per frame.
+//! The `batch_ingest_engine/push` row times per-sample `Engine::push`
+//! itself on the `b1` engine: one sample per call, through the same
+//! one-sample frame path as `b1`'s `push_batch`, plus the copy into
+//! the engine's sample slot and the returned `Vec`.
+//!
+//! The `batch_ingest_fanout/q{1,8,32,56}` rows push 64-sample frames
+//! through an engine with a metrics registry and 1, 8, 32 or 56
+//! m = 64 attachments on one stream, almost all idle
+//! ([`spring_bench::fanout`]). They price the per-frame and
+//! per-attachment work around the kernel, not springbench's
+//! `fanout_q32`, whose plants make most of its time column fills; the
+//! slope from `q1` to `q56` is the cost of one idle attachment per
+//! frame.
 //!
 //! The runner rows time processing, not enqueue: every timed iteration
 //! pushes [`RUNNER_SAMPLES`] samples in `push_batch` calls of the batch
@@ -51,18 +58,24 @@ fn refill(samples: &mut [f64], t: &mut u64) {
     *t += samples.len() as u64;
 }
 
-/// Single-threaded engine: one stream, [`PATTERNS`] attachments, whole
-/// slices through `push_batch` into a reused event buffer.
+/// One stream with [`PATTERNS`] attachments.
+fn engine() -> (SpringEngine, StreamId) {
+    let mut engine = SpringEngine::new();
+    let stream = engine.add_stream("s");
+    for k in 0..PATTERNS {
+        let pattern = sine(64, 12.0 + k as f64, 1.0, 0.0);
+        let q = engine.add_query(format!("q{k}"), pattern).unwrap();
+        engine.attach(stream, q, 1.0, GapPolicy::Skip).unwrap();
+    }
+    (engine, stream)
+}
+
+/// Single-threaded engine: whole slices through `push_batch` into a
+/// reused event buffer, then one sample per `Engine::push`.
 fn bench_engine_batches() {
     let b = Bench::new("batch_ingest_engine");
     for batch in BATCHES {
-        let mut engine = SpringEngine::new();
-        let stream = engine.add_stream("s");
-        for k in 0..PATTERNS {
-            let pattern = sine(64, 12.0 + k as f64, 1.0, 0.0);
-            let q = engine.add_query(format!("q{k}"), pattern).unwrap();
-            engine.attach(stream, q, 1.0, GapPolicy::Skip).unwrap();
-        }
+        let (mut engine, stream) = engine();
         let mut t = 0u64;
         let mut samples = vec![0.0f64; batch];
         let mut out: Vec<Event> = Vec::new();
@@ -73,6 +86,13 @@ fn bench_engine_batches() {
             black_box(out.len());
         });
     }
+    let (mut engine, stream) = engine();
+    let mut t = 0u64;
+    let mut sample = [0.0f64];
+    b.bench_elems("push", 1, || {
+        refill(&mut sample, &mut t);
+        black_box(engine.push(stream, &sample[0]).unwrap());
+    });
 }
 
 /// Threaded runner: one stream with [`PATTERNS`] attachments on a 1- or
@@ -114,20 +134,23 @@ fn bench_runner_batches() {
     }
 }
 
-/// The fan-out engine, registry on, one 64-sample frame per iteration
-/// (cycling through a stream with planted copies, so matches fire).
+/// The fan-out engine at each attachment count, registry on, one
+/// 64-sample frame per iteration (cycling through a stream with planted
+/// copies, so matches fire).
 fn bench_fanout() {
     let b = Bench::new("batch_ingest_fanout");
-    let (mut engine, stream) = fanout::engine(Some(Arc::new(Metrics::new())));
-    let xs = fanout::stream(256);
-    let mut frames = xs.chunks(fanout::FRAME).cycle();
-    let mut out: Vec<Event> = Vec::new();
-    b.bench_elems("q32", fanout::FRAME as u64, || {
-        out.clear();
-        let frame = frames.next().unwrap();
-        engine.push_batch(stream, frame, &mut out).unwrap();
-        black_box(out.len());
-    });
+    for queries in [1, 8, 32, 56] {
+        let (mut engine, stream) = fanout::engine(Some(Arc::new(Metrics::new())), queries);
+        let xs = fanout::stream(256, queries);
+        let mut frames = xs.chunks(fanout::FRAME).cycle();
+        let mut out: Vec<Event> = Vec::new();
+        b.bench_elems(&format!("q{queries}"), fanout::FRAME as u64, || {
+            out.clear();
+            let frame = frames.next().unwrap();
+            engine.push_batch(stream, frame, &mut out).unwrap();
+            black_box(out.len());
+        });
+    }
 }
 
 fn main() {

@@ -23,24 +23,29 @@
 //! long-lived monitor, so the band sits at the best distance found so
 //! far, as it does over most of a long stream.
 //!
-//! The engine and runner workers call `Monitor::step_run`: the same
-//! loop as `step_batch`, minus its non-finite scan, which the frame scan
-//! already did once for all of a stream's attachments, and with the
-//! frame's 8-sample chunk ranges, so the idle skip proves a chunk lying
-//! on one side of `y_1` idle with one distance instead of eight. These
-//! rows time `step_batch`, one monitor alone with no frame scan, whose
-//! skip tests each chunk itself; the fan-out gain shows in
-//! `batch_ingest_fanout/q32` and `metrics_overhead`'s
+//! The engine and runner workers first offer each attachment the whole
+//! frame (`Monitor::skip_frame`): with an empty band and every sample
+//! idle, one range test on the frame's `(min, max)` (or a test per
+//! chunk) consumes it at once. Other frames go to `Monitor::step_run`:
+//! the same loop as `step_batch`, minus its non-finite scan, which the
+//! frame scan already did once for all of a stream's attachments, and
+//! with the frame's 8-sample chunk ranges, so the idle skip proves a
+//! chunk lying on one side of `y_1` idle with one distance instead of
+//! eight. These rows time `step_batch`, one monitor alone with no frame
+//! scan, whose skip tests each chunk itself; the fan-out gain shows in
+//! the `batch_ingest_fanout/q{1,8,32,56}` and `metrics_overhead`'s
 //! `engine_push_batch_q32` rows instead. Shares of the
-//! (attachment, sample) pairs per path with `step_batch(64)` on the
-//! springbench seed-1 inputs:
+//! (attachment, sample) pairs per path with `step_batch(64)`, and of
+//! the (attachment, 64-sample frame) pairs consumed whole by
+//! `skip_frame`, on the springbench seed-1 inputs (stream 0, or every
+//! churn session):
 //!
-//! | workload        | idle skip | banded columns |
-//! |-----------------|-----------|----------------|
-//! | `wire_m16`      | 99.0%     | 1.03%          |
-//! | `wire_m512`     | 56.5%     | 43.5%          |
-//! | `fanout_q32`    | 99.2%     | 0.84%          |
-//! | `session_churn` | 72.8%     | 27.2%          |
+//! | workload        | idle skip | banded columns | whole frame idle |
+//! |-----------------|-----------|----------------|------------------|
+//! | `wire_m16`      | 99.0%     | 1.03%          | 95.7%            |
+//! | `wire_m512`     | 56.5%     | 43.5%          | 51.8%            |
+//! | `fanout_q32`    | 99.2%     | 0.84%          | 98.4%            |
+//! | `session_churn` | 72.8%     | 27.2%          | 51.6%            |
 //!
 //! So the `soa_` rows here, whose band is nearly full, bound the
 //! kernel's speed, not a server's.

@@ -63,9 +63,10 @@ fn bench_engine_push(b: &Bench, m: usize) {
 /// frames through `Engine::push_batch` ([`spring_bench::fanout`]), with
 /// and without a registry. Reported per 64-sample frame.
 fn bench_engine_push_batch_fanout(b: &Bench) {
-    let xs = fanout::stream(256);
+    let q = 32;
+    let xs = fanout::stream(256, q);
     let frames = |metrics: Option<Arc<Metrics>>| {
-        let (mut eng, stream) = fanout::engine(metrics);
+        let (mut eng, stream) = fanout::engine(metrics, q);
         let mut frames = xs.chunks(fanout::FRAME).cycle();
         let mut out = Vec::new();
         move || {
@@ -76,7 +77,6 @@ fn bench_engine_push_batch_fanout(b: &Bench) {
         }
     };
     let (mut off, mut on) = (frames(None), frames(Some(Arc::new(Metrics::new()))));
-    let q = fanout::QUERIES;
     b.compare(
         fanout::FRAME as u64,
         &mut [

@@ -339,6 +339,12 @@ impl<K: DistanceKernel> crate::monitor::Monitor for Spring<K> {
         scan.scan_scalar(samples);
     }
 
+    /// A frame the scan proves idle (`Stwm::skip_frame`): no column and
+    /// no policy step, as on every idle tick of `step_run`.
+    fn skip_frame(&mut self, frame: &[f64], scan: &FrameScan) -> bool {
+        self.stwm.skip_frame(frame, scan)
+    }
+
     fn finish(&mut self) -> Option<Match> {
         Spring::finish(self)
     }

@@ -262,9 +262,11 @@ impl<M: Monitor> Attachment<M> {
     }
 
     /// Consumes one frame of raw samples, already scanned into
-    /// `scratch.scan` ([`Monitor::scan_frame`]): each run of present
-    /// samples is stepped with one [`Monitor::step_run`]; each missing
-    /// sample takes the per-sample gap path. Events are appended to `scratch` tagged with
+    /// `scratch.scan` ([`Monitor::scan_frame`]): a frame the monitor
+    /// proves idle ([`Monitor::skip_frame`]) is consumed at once;
+    /// otherwise each run of present samples is stepped with one
+    /// [`Monitor::step_run`] and each missing sample takes the
+    /// per-sample gap path. Events are appended to `scratch` tagged with
     /// their frame offset and this attachment's `rank`, and the missing
     /// samples consumed are counted into it. Metrics are the caller's
     /// ([`ingest_frame`] records them once per frame).
@@ -283,6 +285,15 @@ impl<M: Monitor> Attachment<M> {
             "attachment::ingest",
             (0, MonitorError::Injected("attachment::ingest"))
         );
+        // A frame the monitor proves idle skips the step path.
+        if self.monitor.skip_frame(samples, &scratch.scan) {
+            self.ticks += samples.len() as u64;
+            if let (GapPolicy::CarryForward, Some(last)) = (self.gap_policy, samples.last()) {
+                let last: &M::Sample = last.borrow();
+                self.last_observed = Some(last.to_owned());
+            }
+            return Ok(());
+        }
         // `at`: the next sample to step; `g`: the next missing sample.
         let (mut at, mut g) = (0, 0);
         loop {
@@ -1799,5 +1810,53 @@ mod tests {
             .is_err());
         assert!(e.add_query("empty", vec![]).is_err());
         assert!(e.add_query("nan", vec![vec![f64::NAN, 1.0]]).is_err());
+    }
+
+    /// `attachment::ingest` is hit once per frame and attachment, also
+    /// on frames every attachment proves idle at once, and an `Error`
+    /// there fails the attachment's frame at offset 0: the attachments
+    /// ranked before it consumed the frame, the ones from it on did
+    /// not, and the stream counts the failing tick.
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn an_injected_ingest_error_fails_an_idle_frame_at_offset_zero() {
+        use crate::failpoints::{self, FailAction, FailRule};
+        const SITE: &str = "attachment::ingest";
+        const ATTACHMENTS: u64 = 4;
+        const FRAME: u64 = 16;
+        let _guard = failpoints::exclusive();
+        let mut e = SpringEngine::new();
+        let s = e.add_stream("s");
+        for k in 0..ATTACHMENTS {
+            let q = e.add_query(format!("q{k}"), vec![0.0, 10.0, 0.0]).unwrap();
+            e.attach(s, q, 1.0, GapPolicy::Skip).unwrap();
+        }
+        let idle = [50.0; FRAME as usize];
+        // The hit after two frames, the one of rank 1 in frame 2, fails.
+        let fail = FailRule::new(FailAction::Error).times(1);
+        failpoints::configure(SITE, fail.clone().after(2 * ATTACHMENTS + 1));
+        let mut out = Vec::new();
+        for f in 0..5 {
+            let pushed = e.push_batch(s, &idle, &mut out);
+            let want = match f {
+                2 => Err(MonitorError::Injected(SITE)),
+                _ => Ok(()),
+            };
+            assert_eq!(pushed, want, "frame {f}");
+            assert_eq!(failpoints::hits(SITE), (f + 1) * ATTACHMENTS, "frame {f}");
+        }
+        assert_eq!(failpoints::fired(SITE), 1);
+        assert!(out.is_empty());
+        assert_eq!(e.stream_ticks(s), Some(4 * FRAME + 1));
+        for k in 0..ATTACHMENTS {
+            let tick = e.monitor(AttachmentId(k as u32)).unwrap().tick();
+            assert_eq!(tick, if k == 0 { 5 * FRAME } else { 4 * FRAME }, "rank {k}");
+        }
+        // The driver itself reports the failing offset of the frame.
+        failpoints::configure(SITE, fail.after(2));
+        let indices = e.by_stream[&s].clone();
+        let ingested = ingest_frame(&mut e.attachments, &indices, &idle, &mut e.frame, None);
+        assert_eq!(ingested, Err((0, MonitorError::Injected(SITE))));
+        assert_eq!(failpoints::hits(SITE), ATTACHMENTS);
     }
 }

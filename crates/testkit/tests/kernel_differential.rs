@@ -20,12 +20,13 @@
 //! A third grid runs many attachments on one stream through
 //! `Engine::push_batch` and a two-worker `Runner`, where the frame scan
 //! lets the idle skip prove a whole chunk idle from the chunk's range
-//! and one distance: events, per-attachment ticks and ε-equivalent
+//! and one distance, and a whole frame from the frame's range:
+//! events, per-attachment ticks and ε-equivalent
 //! columns must equal each attachment stepped alone with `step_batch`,
 //! across chunk ends equal to `y_1`, ±0.0, magnitudes where the squared
 //! distance overflows, both kernels, frames that are not whole chunks,
 //! and a missing sample at every offset of a frame under every gap
-//! policy.
+//! policy. Hand-built frames pin the edges of the whole-frame proof.
 //!
 //! `BestMatch` (Problem 1) bands its matrix at its best distance so far;
 //! over both grids its answer must stay bit-identical to an unbanded
@@ -439,10 +440,11 @@ fn check_engine(sc: &FanOut, ctx: &str) {
             .unwrap();
     }
     let mut got = Vec::new();
-    let failed = sc
-        .stream
-        .chunks(sc.frame)
-        .find_map(|chunk| e.push_batch(s, chunk, &mut got).err());
+    // Frames of one sample go through `Engine::push`.
+    let failed = sc.stream.chunks(sc.frame).find_map(|chunk| match sc.frame {
+        1 => e.push(s, &chunk[0]).map(|events| got.extend(events)).err(),
+        _ => e.push_batch(s, chunk, &mut got).err(),
+    });
     // The engine drops the failing tick's events, like per-sample push.
     let cut = stop.map_or(usize::MAX, |(k, _)| k);
     let mut expect: Vec<Event> = want
@@ -612,6 +614,116 @@ fn a_fail_gap_at_every_frame_offset_stops_where_per_attachment_stepping_does() {
                 check_runner(&sc, &ctx);
             }
         }
+    }
+}
+
+/// The fan-out scenario of hand-built `frames` (each `frame` samples
+/// long but the last), with one attachment per `(y_1, ε)` of `queries`
+/// under each kernel and each gap policy of `gaps`. Query `k` is
+/// `[y_1, y_1 + 2, y_1 + 1]`.
+fn edge_fan_out(queries: &[(f64, f64)], gaps: &[GapPolicy], frames: Vec<Vec<f64>>) -> FanOut {
+    let frame = frames[0].len();
+    let mut fans = Vec::new();
+    for &(y1, eps) in queries {
+        for kernel in [Kernel::Squared, Kernel::Absolute] {
+            for &gap in gaps {
+                let query = vec![y1, y1 + 2.0, y1 + 1.0];
+                fans.push(Fan {
+                    query,
+                    eps,
+                    kernel,
+                    gap,
+                });
+            }
+        }
+    }
+    FanOut {
+        fans,
+        stream: frames.concat(),
+        frame,
+    }
+}
+
+/// Frames at the edges of the whole-frame idle proof, where an
+/// attachment with an empty band consumes a frame at once when the
+/// frame scan's ranges prove every sample idle. Against per-attachment
+/// stepping on the engine (`Engine::push` for one-sample frames) and
+/// the runner:
+///
+/// * a frame whose range ends exactly at `y_1` (its minimum or maximum
+///   is `y_1`, ±0.0 included), which must wake the attachment;
+/// * a frame that straddles `y_1` with every sample idle, one side per
+///   8-sample chunk, which only its chunks prove;
+/// * ε = 0 and ε = `f64::MAX` on values of ±1e154, whose squared
+///   distances overflow to +∞ (a `Spring` rejects ε = +∞; the matrix's
+///   own tests cover that band);
+/// * a `CarryForward` attachment idle for a whole frame on a fresh
+///   stream, then a missing sample: the value carried is the idle
+///   frame's last sample, so the attachment takes that tick.
+#[test]
+fn whole_frame_idle_proofs_keep_every_attachment_exact_at_their_edges() {
+    let both = [GapPolicy::Skip, GapPolicy::CarryForward];
+    for frame in [1, 8, 13, 16] {
+        let idle = vec![50.0; frame];
+        // A frame of samples 9, 10, … on side `sign` of 0 with `x` at
+        // offset `k`.
+        let edge = |k: usize, x: f64, sign: f64| -> Vec<f64> {
+            let away = |i: usize| sign * (9.0 + i as f64);
+            (0..frame)
+                .map(|i| if i == k { x } else { away(i) })
+                .collect()
+        };
+        let mut frames = vec![idle.clone()];
+        for k in [0, frame / 2, frame - 1] {
+            for (x, sign) in [(0.0, 1.0), (0.0, -1.0), (-0.0, 1.0), (-0.0, -1.0)] {
+                frames.extend([edge(k, x, sign), idle.clone(), idle.clone()]);
+            }
+        }
+        let queries = [0.0, -0.0].map(|y1| [0.0, 1.0, 4.0].map(|eps| (y1, eps)));
+        let sc = edge_fan_out(queries.as_flattened(), &both, frames);
+        check_engine(&sc, &format!("range ends at y_1, frame {frame}"));
+        check_runner(&sc, &format!("range ends at y_1, frame {frame}"));
+
+        // Chunks alternate sides of y_1 = 0; every sample is idle.
+        let straddle = |flip: f64| -> Vec<f64> {
+            let side = |i: usize| flip * if (i / 8).is_multiple_of(2) { -1.0 } else { 1.0 };
+            (0..frame).map(|i| side(i) * (40.0 + i as f64)).collect()
+        };
+        let mut frames = vec![idle.clone()];
+        for round in 0..6 {
+            frames.extend([straddle(1.0), straddle(-1.0)]);
+            // A wake now and then, so the band fills and empties again.
+            if round % 2 == 0 {
+                frames.push(edge(frame / 2, 0.5, 1.0));
+            }
+        }
+        let queries = [0.0, 1.0, 4.0, 100.0].map(|eps| (0.0, eps));
+        let sc = edge_fan_out(&queries, &both, frames);
+        check_engine(&sc, &format!("straddles y_1, frame {frame}"));
+        check_runner(&sc, &format!("straddles y_1, frame {frame}"));
+
+        // Overflow: values and y_1 near ±1e154 at ε = 0 and f64::MAX.
+        let values = [1e154, -1e154, 1.5e154, -1.5e154, 0.0, -0.0, 3.0];
+        let mut frames = Vec::new();
+        for (j, &x) in values.iter().enumerate() {
+            frames.push(vec![x; frame]);
+            let y = values[(j + 1) % values.len()];
+            frames.push((0..frame).map(|i| [x, y][i / 8 % 2]).collect());
+        }
+        let queries = [0.0, 1e154, -1e154, 3.0].map(|y1| [0.0, f64::MAX].map(|eps| (y1, eps)));
+        let sc = edge_fan_out(queries.as_flattened(), &both, frames);
+        check_engine(&sc, &format!("overflow, frame {frame}"));
+        check_runner(&sc, &format!("overflow, frame {frame}"));
+
+        // Carry forward after a whole idle frame on a fresh stream.
+        let mut gap = idle.clone();
+        gap[0] = f64::NAN;
+        let last = edge(frame - 1, 70.0, 1.0);
+        let frames = vec![last, gap, idle.clone(), edge(0, 0.0, 1.0), idle.clone()];
+        let queries = [(0.0, 1.0), (0.0, 0.0), (3.0, 4.0)];
+        let sc = edge_fan_out(&queries, &[GapPolicy::CarryForward], frames);
+        check_engine(&sc, &format!("carry after an idle frame, frame {frame}"));
+        check_runner(&sc, &format!("carry after an idle frame, frame {frame}"));
     }
 }
 
