@@ -385,7 +385,6 @@ pub fn monitor(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     // track, exported as Chrome trace-event JSON.
     let tracer = Tracer::new();
     if trace_out.is_some() {
-        tracer.set_enabled(true);
         engine.set_tracer(&tracer, "monitor");
     }
     // Output is batch-invariant: `--batch 1` steps one reading a frame.
@@ -487,9 +486,6 @@ fn monitor_sharded(
     // (`worker-N` / `supervisor-N` tracks in the export).
     let trace_out = p.get("trace").map(std::path::PathBuf::from);
     let tracer = Tracer::new();
-    if trace_out.is_some() {
-        tracer.set_enabled(true);
-    }
     let mut runner = Runner::spawn_with_observability(
         vec![attachment],
         shards,

@@ -80,8 +80,8 @@ use spring_core::{MonitorSpec, ScalarMonitor};
 use spring_dtw::Kernel;
 use spring_monitor::reactor::{self, Interest, Reactor, Ready, Waker};
 use spring_monitor::{
-    AttachmentId, Event, GapPolicy, MatchSink, Metrics, QueryId, Runner, RunnerAttachment,
-    StreamId, TraceEventKind, TraceHandle, Tracer,
+    AttachmentId, Event, GapPolicy, MatchSink, Metrics, Probe, QueryId, Runner, RunnerAttachment,
+    StreamId, TraceEventKind, TraceSnapshot, Tracer,
 };
 
 use crate::args::Parsed;
@@ -152,11 +152,12 @@ pub struct ServeOptions {
 
 /// Builds one HTTP response: `GET /metrics` serves the Prometheus text
 /// exposition, `GET /trace` a Chrome trace-event JSON snapshot of the
-/// flight recorder, anything else a 404. A `HEAD` request gets the same
+/// flight recorder (an empty one without a tracer), anything else a
+/// 404. A `HEAD` request gets the same
 /// status line and headers, `Content-Length` included, and no body
 /// (RFC 9110 §9.3.2). The connection is closed after the response
 /// (`Connection: close`), so request headers need not be read.
-fn http_response(request_line: &str, metrics: &Metrics, tracer: &Tracer) -> String {
+fn http_response(request_line: &str, metrics: Option<&Metrics>, tracer: Option<&Tracer>) -> String {
     let mut parts = request_line.split_whitespace();
     let head = parts.next() == Some("HEAD");
     let path = parts.next().unwrap_or("/");
@@ -164,13 +165,16 @@ fn http_response(request_line: &str, metrics: &Metrics, tracer: &Tracer) -> Stri
         (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            metrics.snapshot().to_prometheus(),
+            metrics.map_or_else(String::new, Metrics::to_prometheus),
         )
     } else if path == "/trace" {
         (
             "200 OK",
             "application/json; charset=utf-8",
-            tracer.to_chrome_json(),
+            tracer.map_or_else(
+                || TraceSnapshot::default().to_chrome_json(),
+                Tracer::to_chrome_json,
+            ),
         )
     } else {
         (
@@ -370,7 +374,10 @@ struct EventLoop<'a> {
     reactor: &'a mut Reactor,
     runner: Runner<ScalarMonitor>,
     sink: Arc<ServeSink>,
-    metrics: Arc<Metrics>,
+    /// The reactor thread's probe: the server's registry, and with
+    /// `--trace-dir` its ring (reactor wakeups, connection open/close,
+    /// worker placement, backpressure).
+    probe: Probe,
     /// Server-wide query table for the `query`/`attach` verbs: id →
     /// pattern. Seeded with the serve query under id 0; `query update 0`
     /// therefore hot-swaps every default per-connection attachment.
@@ -379,9 +386,8 @@ struct EventLoop<'a> {
     /// then those the `attach` verb added). A stream leaves when its
     /// session ends, so `attach` can never target a finished stream.
     sessions: HashMap<StreamId, Vec<AttachmentId>>,
-    /// The server-wide flight recorder. Inert (never enabled) without
-    /// `--trace-dir`.
-    tracer: Tracer,
+    /// The server-wide flight recorder, present with `--trace-dir`.
+    tracer: Option<Tracer>,
     /// Sequence for `trace dump` file names.
     trace_dumps: u64,
     conns: Vec<Option<Conn>>,
@@ -397,9 +403,6 @@ struct EventLoop<'a> {
     /// The `read(2)` buffer [`EventLoop::on_readable`] fills, reused
     /// like `run`: each read is parsed before the next.
     read_buf: Box<[u8]>,
-    /// The acceptor thread's flight-recorder ring (reactor wakeups,
-    /// connection open/close, worker placement, backpressure).
-    trace: TraceHandle,
 }
 
 impl EventLoop<'_> {
@@ -417,7 +420,7 @@ impl EventLoop<'_> {
                 return Ok(());
             }
             self.reactor.wait(&mut events, Some(WAIT_TIMEOUT))?;
-            self.trace
+            self.probe
                 .instant(TraceEventKind::ReactorWakeup, events.len() as u64);
             for ev in events.iter().copied() {
                 if ev.token == LISTENER_TOKEN {
@@ -457,7 +460,7 @@ impl EventLoop<'_> {
                 let _ = self.reactor.deregister(self.listener.as_raw_fd());
             }
             if self.live() >= self.opts.max_conns.max(1) {
-                self.metrics.conn_dropped.inc();
+                self.probe.count(|m| m.conn_dropped.inc());
                 let mut sock = sock;
                 let _ = sock.write_all(b"error: server at connection capacity\n");
                 if at_limit {
@@ -499,10 +502,8 @@ impl EventLoop<'_> {
                 eprintln!("client register error: {e}");
                 continue;
             }
-            self.trace
-                .instant(TraceEventKind::ConnOpen, u64::from(stream_id.0));
+            self.probe.conn_open(stream_id.0);
             self.conns[token] = Some(conn);
-            self.metrics.connections_open.add(1);
         }
         Ok(())
     }
@@ -527,7 +528,7 @@ impl EventLoop<'_> {
                 }
                 Ok(n) => {
                     conn.drained = false;
-                    self.metrics.conn_read_bytes.add(n as u64);
+                    self.probe.count(|m| m.conn_read_bytes.add(n as u64));
                     conn.parser.feed(&self.read_buf[..n], &mut conn.pending);
                     self.process(&mut conn);
                 }
@@ -588,7 +589,7 @@ impl EventLoop<'_> {
                         Ok(id) => {
                             self.sessions.insert(conn.stream_id, vec![id]);
                             conn.session = true;
-                            self.trace.instant(
+                            self.probe.instant(
                                 TraceEventKind::ShardRoute,
                                 self.runner.worker_of(conn.stream_id) as u64,
                             );
@@ -614,9 +615,9 @@ impl EventLoop<'_> {
             };
             match ev {
                 ProtoEvent::Http(line) => {
-                    conn.shared
-                        .out()
-                        .push_bytes(http_response(&line, &self.metrics, &self.tracer).as_bytes());
+                    let metrics = self.probe.metrics().map(Arc::as_ref);
+                    let response = http_response(&line, metrics, self.tracer.as_ref());
+                    conn.shared.out().push_bytes(response.as_bytes());
                     conn.closing = true;
                     conn.pending.clear();
                 }
@@ -660,7 +661,7 @@ impl EventLoop<'_> {
                 ProtoEvent::Error(line) => {
                     // The error line goes after the matches of every
                     // sample before it; reads resume once it is written.
-                    self.metrics.conn_parse_errors.inc();
+                    self.probe.count(|m| m.conn_parse_errors.inc());
                     conn.shared.paused.store(true, Ordering::Release);
                     let (shared, sink) = (Arc::clone(&conn.shared), Arc::clone(&self.sink));
                     let _ = self.runner.mark(conn.stream_id, move || {
@@ -803,16 +804,14 @@ impl EventLoop<'_> {
                 Ok(format!("ok attach stream {stream} query {query}"))
             }
             Command::TraceDump => {
-                let Some(dir) = &self.opts.trace_dir else {
+                let (Some(dir), Some(tracer)) = (&self.opts.trace_dir, &self.tracer) else {
                     return Err("tracing is off; start the server with --trace-dir".into());
                 };
                 let path = dir.join(format!("trace-{}.json", self.trace_dumps));
                 self.trace_dumps += 1;
                 std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-                self.tracer
-                    .write_chrome_json(&path)
-                    .map_err(|e| e.to_string())?;
-                let events = self.tracer.snapshot().total_events();
+                tracer.write_chrome_json(&path).map_err(|e| e.to_string())?;
+                let events = tracer.snapshot().total_events();
                 Ok(format!(
                     "ok trace dump {} ({events} events)",
                     path.display()
@@ -839,7 +838,7 @@ impl EventLoop<'_> {
         let out_len = conn.shared.out().len();
         if out_len > OUT_HARD_LIMIT {
             // A dead reader: its buffer can only grow. Cut it loose.
-            self.trace.instant(
+            self.probe.instant(
                 TraceEventKind::BackpressureDrop,
                 u64::from(conn.stream_id.0),
             );
@@ -857,7 +856,7 @@ impl EventLoop<'_> {
             } else {
                 TraceEventKind::BackpressureResume
             };
-            self.trace.instant(kind, u64::from(conn.stream_id.0));
+            self.probe.instant(kind, u64::from(conn.stream_id.0));
             conn.bp_paused = congested;
         }
         let desired = Interest {
@@ -902,12 +901,7 @@ impl EventLoop<'_> {
     /// completion in `spring_conn_dropped_total`.
     fn drop_conn(&mut self, conn: Conn, dropped: bool) {
         let _ = self.reactor.deregister(conn.sock.as_raw_fd());
-        self.trace
-            .instant(TraceEventKind::ConnClose, u64::from(conn.stream_id.0));
-        self.metrics.connections_open.add(-1);
-        if dropped {
-            self.metrics.conn_dropped.inc();
-        }
+        self.probe.conn_close(conn.stream_id.0, dropped);
         if let Some(attachments) = self.sessions.remove(&conn.stream_id) {
             for id in attachments {
                 let _ = self.runner.detach(id);
@@ -963,22 +957,21 @@ pub(crate) fn serve_with_reactor(
         conns: RwLock::default(),
         waker: reactor.waker(),
     });
-    // One flight recorder for the whole server. Without `--trace-dir`
-    // it stays disabled and no rings are registered: every handle is
-    // `TraceHandle::off()`, so each hook is one `Option` check.
-    let tracer = Tracer::new();
-    let tracing = opts.trace_dir.is_some();
-    if tracing {
-        tracer.set_enabled(true);
-        tracer.set_postmortem_dir(opts.trace_dir.clone());
-    }
+    // One flight recorder for the whole server, only with `--trace-dir`:
+    // without it no probe holds a ring, so each trace hook is one
+    // `Option` check.
+    let tracer = opts.trace_dir.as_ref().map(|dir| {
+        let tracer = Tracer::new();
+        tracer.set_postmortem_dir(Some(dir.clone()));
+        tracer
+    });
     let mut runner = Runner::spawn_with_observability(
         Vec::new(),
         opts.shards.max(1),
         Arc::clone(&sink) as Arc<dyn MatchSink>,
         Some(Arc::clone(&metrics)),
         spring_monitor::RestartPolicy::default(),
-        tracing.then(|| tracer.clone()),
+        tracer.clone(),
     )
     .map_err(|e| CliError::Compute(e.to_string()))?;
     runner.set_max_batch(opts.batch.max(1));
@@ -987,18 +980,14 @@ pub(crate) fn serve_with_reactor(
     } else {
         opts.accept_limit
     };
-    let trace = if tracing {
-        tracer.register("reactor")
-    } else {
-        TraceHandle::off()
-    };
+    let probe = Probe::new(Some(metrics), tracer.as_ref(), "reactor");
     let mut event_loop = EventLoop {
         listener: &listener,
         opts: &opts,
         reactor: &mut reactor,
         runner,
         sink,
-        metrics,
+        probe,
         queries: HashMap::from([(0u32, opts.query.clone())]),
         sessions: HashMap::new(),
         tracer,
@@ -1010,7 +999,6 @@ pub(crate) fn serve_with_reactor(
         next_stream: 0,
         run: Vec::new(),
         read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
-        trace,
     };
     let result = event_loop.run();
     event_loop
@@ -1427,8 +1415,8 @@ mod tests {
             .unwrap();
         assert!(length > 1000, "a GET would carry the exposition: {http}");
         let (metrics, tracer) = (Metrics::new(), Tracer::new());
-        let get = http_response("GET /nope HTTP/1.1", &metrics, &tracer);
-        let head = http_response("HEAD /nope HTTP/1.1", &metrics, &tracer);
+        let get = http_response("GET /nope HTTP/1.1", Some(&metrics), Some(&tracer));
+        let head = http_response("HEAD /nope HTTP/1.1", Some(&metrics), Some(&tracer));
         assert_eq!(head.as_str(), &get[..get.find("\r\n\r\n").unwrap() + 4]);
         // Unknown paths get a 404, not a protocol error.
         let mut other = TcpStream::connect(addr).unwrap();

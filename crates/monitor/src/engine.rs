@@ -31,7 +31,8 @@ use spring_core::{
 use spring_dtw::Kernel;
 
 use crate::metrics::{MemoryShare, Metrics, LATENCY_SAMPLE_EVERY};
-use crate::trace::{EventKind as TraceKind, TraceHandle, Tracer};
+use crate::probe::Probe;
+use crate::trace::{EventKind as TraceKind, Tracer};
 
 /// Identifier of a registered stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -447,11 +448,7 @@ impl<M: Monitor> Attachment<M> {
     /// Declares end-of-stream on this attachment, flushing a pending
     /// group optimum.
     pub(crate) fn flush(&mut self) -> Option<Event> {
-        let event = self.monitor.finish().map(|m| self.event(m));
-        if let (Some(share), Some(ev)) = (&self.memory, &event) {
-            share.metrics().record_match(&ev.m);
-        }
-        event
+        self.monitor.finish().map(|m| self.event(m))
     }
 }
 
@@ -478,23 +475,20 @@ pub(crate) struct FrameScratch {
     pub(crate) events: Vec<FrameEvent>,
     /// Missing samples the frame's attachments consumed.
     missing: u64,
-    /// Stream ticks ingested through frames so far: the clock of the
-    /// tick-latency sampling.
+    /// Stream ticks ingested through frames so far: the sampling clock.
     clock: u64,
-    /// Frames timed so far.
-    timed: u64,
+    /// Frames sampled so far.
+    sampled: u64,
 }
 
 impl FrameScratch {
-    /// Advances the sampling clock by a frame of `len` stream ticks and
-    /// returns a start time when the frame is timed: when it holds
-    /// stream tick 1, 1 + [`LATENCY_SAMPLE_EVERY`], 1 + 2 ×
-    /// [`LATENCY_SAMPLE_EVERY`], …
-    fn time_frame(&mut self, len: usize) -> Option<Instant> {
+    /// Advances the sampling clock by a frame of `len` stream ticks;
+    /// `true` when the frame is sampled: when it holds stream tick 1,
+    /// 1 + [`LATENCY_SAMPLE_EVERY`], 1 + 2 × [`LATENCY_SAMPLE_EVERY`], …
+    fn sample(&mut self, len: usize) -> bool {
         let into = self.clock % LATENCY_SAMPLE_EVERY;
-        let timed = len > 0 && (into == 0 || into + len as u64 > LATENCY_SAMPLE_EVERY);
         self.clock += len as u64;
-        timed.then(Instant::now)
+        len > 0 && (into == 0 || into + len as u64 > LATENCY_SAMPLE_EVERY)
     }
 }
 
@@ -504,11 +498,13 @@ impl FrameScratch {
 /// by frame offset, then attachment.
 ///
 /// The frame is scanned once ([`Monitor::scan_frame`]) for all of its
-/// attachments, and recorded into `metrics` once: the attachment-ticks,
-/// missing samples and matches, and on a timed frame (one per
-/// [`LATENCY_SAMPLE_EVERY`] stream ticks) the mean time per
-/// attachment-tick and any change in one attachment's memory, taking
-/// the attachments in turn.
+/// attachments, and recorded into `probe` once ([`Probe::frame`]): the
+/// attachment-ticks and missing samples, and for a sampled frame (one
+/// per [`LATENCY_SAMPLE_EVERY`] stream ticks, timed when the probe has
+/// a sink) the mean time per attachment-tick and the `frame` span. A
+/// sampled frame also refreshes one attachment's memory share, taking
+/// the attachments in turn. Matches are the caller's to record, as it
+/// delivers them.
 ///
 /// # Errors
 /// `(offset, error)` of the first failure in sample-major order. Every
@@ -524,12 +520,15 @@ pub(crate) fn ingest_frame<M: Monitor>(
     indices: &[usize],
     samples: &[Owned<M>],
     scratch: &mut FrameScratch,
-    metrics: Option<&Metrics>,
+    probe: &Probe,
 ) -> Result<(), (usize, MonitorError)> {
+    // A sampled frame is timed when the probe has a sink.
+    let sampled = scratch.sample(samples.len());
+    let timed = sampled && (probe.metrics.is_some() || probe.ring.is_some());
+    let started = timed.then(Instant::now);
     scratch.events.clear();
     scratch.missing = 0;
     M::scan_frame(samples, &mut scratch.scan);
-    let timed = metrics.and_then(|_| scratch.time_frame(samples.len()));
     // The first missing sample stops the frame at the first Fail
     // attachment: (offset, rank).
     let mut stop = scratch.scan.missing().first().and_then(|&k| {
@@ -559,27 +558,17 @@ pub(crate) fn ingest_frame<M: Monitor>(
     scratch
         .events
         .sort_unstable_by_key(|ev| (ev.offset, ev.rank));
-    if let Some(metrics) = metrics {
-        metrics.ticks.add(ticks);
-        if scratch.missing > 0 {
-            metrics.missing.add(scratch.missing);
+    // A failing tick is processed too.
+    let processed = failure.as_ref().map_or(samples.len(), |&(k, _)| k + 1);
+    probe.frame(started, processed as u64, ticks, scratch.missing);
+    if sampled {
+        // One attachment's memory per sampled frame, in turn: a
+        // monitor's memory changes rarely (attach, swap and detach set
+        // it at once), and reading it is a cost per attachment.
+        if let Some(&i) = indices.get(scratch.sampled as usize % indices.len().max(1)) {
+            attachments[i].refresh_memory();
         }
-        for ev in &scratch.events {
-            metrics.record_match(&ev.event.m);
-        }
-        if let Some(t0) = timed {
-            if ticks > 0 {
-                let per_tick = t0.elapsed().as_secs_f64() / ticks as f64;
-                metrics.tick_latency.observe(per_tick);
-            }
-            // One attachment's memory per timed frame, in turn: a
-            // monitor's memory changes rarely (attach, swap and detach
-            // set it at once), and reading it is a cost per attachment.
-            if let Some(&i) = indices.get(scratch.timed as usize % indices.len().max(1)) {
-                attachments[i].refresh_memory();
-            }
-            scratch.timed += 1;
-        }
+        scratch.sampled += 1;
     }
     failure.map_or(Ok(()), Err)
 }
@@ -614,12 +603,10 @@ pub struct Engine<M: Monitor> {
     /// patterns here, so attaching one query to many streams allocates
     /// its samples and derived caches exactly once.
     arena: Arc<QueryArena>,
-    /// Observability registry shared by all attachments (see
-    /// [`Engine::set_metrics`]); `None` keeps ingestion metric-free.
-    metrics: Option<Arc<Metrics>>,
-    /// Flight-recorder hook (see [`Engine::set_tracer`]); the default
-    /// [`TraceHandle::off`] keeps ingestion trace-free.
-    trace: TraceHandle,
+    /// The engine's recording hook: the registry shared by all
+    /// attachments ([`Engine::set_metrics`]) and the flight-recorder
+    /// ring ([`Engine::set_tracer`]), each absent until set.
+    probe: Probe,
     /// The reused frame buffers of [`Engine::push`] and
     /// [`Engine::push_batch`].
     frame: FrameScratch,
@@ -649,8 +636,7 @@ impl<M: Monitor> Default for Engine<M> {
             attachments: Vec::new(),
             by_stream: HashMap::new(),
             arena: Arc::new(QueryArena::new()),
-            metrics: None,
-            trace: TraceHandle::off(),
+            probe: Probe::default(),
             frame: FrameScratch::default(),
             one: Vec::new(),
         }
@@ -672,21 +658,20 @@ impl<M: Monitor> Engine<M> {
         for att in &mut self.attachments {
             att.set_metrics(&metrics);
         }
-        self.metrics = Some(metrics);
+        self.probe.metrics = Some(metrics);
     }
 
     /// The registry installed by [`Engine::set_metrics`], if any.
     pub fn metrics(&self) -> Option<&Arc<Metrics>> {
-        self.metrics.as_ref()
+        self.probe.metrics()
     }
 
     /// Connects the engine to a flight recorder: registers a ring under
-    /// `label` and records sampled per-tick ingest spans, frame-fill
-    /// spans, match instants, query-swap instants, and flush spans into
-    /// it. The engine is the ring's single writer. With tracing
-    /// disabled every hook is one branch on a relaxed atomic.
+    /// `label` and records sampled frame spans, match instants,
+    /// query-swap instants, and flush spans into it. The engine is the
+    /// ring's single writer.
     pub fn set_tracer(&mut self, tracer: &Tracer, label: &str) {
-        self.trace = tracer.register(label);
+        self.probe.ring = Some(tracer.register(label));
     }
 
     /// Registers a stream and returns its id.
@@ -788,11 +773,7 @@ impl<M: Monitor> Engine<M> {
         }
         // Entries for the old pattern may now be unreferenced.
         self.arena.gc();
-        if let Some(metrics) = &self.metrics {
-            metrics.query_swaps.inc();
-            metrics.query_generation.set(generation);
-        }
-        self.trace.instant(TraceKind::QuerySwap, generation);
+        self.probe.swapped(generation);
         Ok(generation)
     }
 
@@ -856,7 +837,7 @@ impl<M: Monitor> Engine<M> {
         let idx = self.attachments.len();
         let mut attachment =
             Attachment::new(id, stream, query, monitor, gap_policy).with_builder(Arc::new(build));
-        if let Some(metrics) = &self.metrics {
+        if let Some(metrics) = self.probe.metrics() {
             attachment.set_metrics(metrics);
         }
         self.attachments.push(attachment);
@@ -938,13 +919,10 @@ impl<M: Monitor> Engine<M> {
             Some(slot) => sample.clone_into(slot),
             None => one.push(sample.to_owned()),
         }
-        let span = self.trace.sampled_now();
         let mut events = Vec::new(); // allocation-free until a match lands
         let ingested = self.ingest(stream, &one, &mut events);
         self.one = one;
-        let attachments = ingested?;
-        self.trace.span(span, TraceKind::Ingest, attachments as u64);
-        Ok(events)
+        ingested.map(|()| events)
     }
 
     /// Pushes a whole frame of samples to a stream, appending every
@@ -970,38 +948,29 @@ impl<M: Monitor> Engine<M> {
         samples: &[Owned<M>],
         out: &mut Vec<Event>,
     ) -> Result<(), MonitorError> {
-        // Frame-granular span (one per batch, not per tick): recorded
-        // whenever tracing is enabled.
-        let frame_span = self.trace.now();
-        if let Some(metrics) = &self.metrics {
-            // An unknown stream ingests no frame.
-            if self.stream_ticks(stream).is_some() {
-                metrics.record_batch(samples.len());
-            }
+        // An unknown stream ingests no frame.
+        if self.stream_ticks(stream).is_some() {
+            self.probe
+                .count(|m| m.batch_len.observe(samples.len() as f64));
         }
-        self.ingest(stream, samples, out)?;
-        self.trace
-            .span(frame_span, TraceKind::Frame, samples.len() as u64);
-        Ok(())
+        self.ingest(stream, samples, out)
     }
 
     /// The tick path of [`Engine::push`] and [`Engine::push_batch`]:
     /// cuts the frame at the first sample of the wrong width, steps the
     /// rest through [`ingest_frame`], counts the stream's ticks and
-    /// appends the events to `out`, each with a match instant. Returns
-    /// the stream's attachment count.
+    /// appends the events to `out`, recording each match.
     fn ingest(
         &mut self,
         stream: StreamId,
         samples: &[Owned<M>],
         out: &mut Vec<Event>,
-    ) -> Result<usize, MonitorError> {
+    ) -> Result<(), MonitorError> {
         let Engine {
             streams,
             attachments,
             by_stream,
-            metrics,
-            trace,
+            probe,
             frame,
             ..
         } = self;
@@ -1023,26 +992,20 @@ impl<M: Monitor> Engine<M> {
                 })
         });
         let fit = misfit.as_ref().map_or(samples.len(), |&(at, _)| at);
-        let ingested = ingest_frame(
-            attachments,
-            indices,
-            &samples[..fit],
-            frame,
-            metrics.as_deref(),
-        );
+        let ingested = ingest_frame(attachments, indices, &samples[..fit], frame, probe);
         let (end, seen, result) = match ingested {
             // A tick that fails in a monitor is counted; a wrong-width
             // one is not.
             Err((at, e)) => (at, at + 1, Err(e)),
             Ok(()) => match misfit {
                 Some((at, e)) => (at, at, Err(e)),
-                None => (fit, fit, Ok(indices.len())),
+                None => (fit, fit, Ok(())),
             },
         };
         state.ticks += seen as u64;
         // The failing tick's events are dropped.
         for ev in frame.events.iter().take_while(|ev| ev.offset < end) {
-            trace.instant(TraceKind::Match, ev.event.m.end);
+            probe.matched(&ev.event.m);
             out.push(ev.event);
         }
         result
@@ -1057,19 +1020,18 @@ impl<M: Monitor> Engine<M> {
         let Engine {
             attachments,
             by_stream,
-            trace,
+            probe,
             ..
         } = self;
-        let span = trace.now();
-        let mut events = Vec::new();
-        if let Some(indices) = by_stream.get(&stream) {
-            for &idx in indices {
-                events.extend(attachments[idx].flush());
-            }
-        }
-        trace.span(span, TraceKind::Flush, u64::from(stream.0));
+        let indices: &[usize] = by_stream.get(&stream).map_or(&[], Vec::as_slice);
+        let events: Vec<Event> = probe.span(TraceKind::Flush, u64::from(stream.0), || {
+            indices
+                .iter()
+                .filter_map(|&i| attachments[i].flush())
+                .collect()
+        });
         for ev in &events {
-            trace.instant(TraceKind::Match, ev.m.end);
+            probe.matched(&ev.m);
         }
         Ok(events)
     }
@@ -1855,7 +1817,7 @@ mod tests {
         // The driver itself reports the failing offset of the frame.
         failpoints::configure(SITE, fail.after(2));
         let indices = e.by_stream[&s].clone();
-        let ingested = ingest_frame(&mut e.attachments, &indices, &idle, &mut e.frame, None);
+        let ingested = ingest_frame(&mut e.attachments, &indices, &idle, &mut e.frame, &e.probe);
         assert_eq!(ingested, Err((0, MonitorError::Injected(SITE))));
         assert_eq!(failpoints::hits(SITE), ATTACHMENTS);
     }

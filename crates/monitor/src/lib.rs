@@ -36,7 +36,10 @@
 //!   per-thread event rings holding typed spans and instants with
 //!   nanosecond timestamps, exportable as Chrome trace-event JSON and
 //!   dumped automatically on worker loss. Compiled into every build
-//!   and off until enabled at run time; off, every hook is one branch.
+//!   and off until a tracer is created at run time.
+//! * [`probe`] — one [`Probe`] per recording thread: the one hook
+//!   through which it writes each event to the registry and the ring,
+//!   whichever it holds, with one sampling decision per frame.
 //!
 //! Per-tick cost per attachment is `O(m)` and memory is `O(m)` — SPRING's
 //! guarantees are preserved independently for every (stream, query) pair,
@@ -53,6 +56,7 @@ pub mod engine;
 #[cfg(feature = "failpoints")]
 pub mod failpoints;
 pub mod metrics;
+pub mod probe;
 #[cfg(unix)]
 pub mod reactor;
 pub mod runner;
@@ -97,8 +101,9 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot, ShardMetrics,
     ShardSnapshot,
 };
+pub use probe::Probe;
 pub use runner::{
     RestartPolicy, Runner, RunnerAttachment, ShardedRunner, CHECKPOINT_EVERY, DEFAULT_MAX_BATCH,
 };
 pub use sink::{ChannelSink, CountingSink, FnSink, MatchSink, VecSink};
-pub use trace::{EventKind as TraceEventKind, TraceHandle, TraceSnapshot, Tracer};
+pub use trace::{EventKind as TraceEventKind, TraceSnapshot, Tracer};

@@ -9,10 +9,10 @@
 //!
 //! * [`Metrics`] — the registry threaded through [`crate::Engine`],
 //!   [`crate::Runner`], `spring serve`, and `spring monitor --stats`.
-//!   Every attachment tick reaches it through the engine's frame path
-//!   (`ingest_frame`), which counts ticks, matches and missing samples
-//!   once per frame and times one frame per [`LATENCY_SAMPLE_EVERY`]
-//!   stream ticks.
+//!   Each recording thread writes to it through its [`crate::Probe`],
+//!   which counts ticks and missing samples once per frame, each match
+//!   once, and times one frame per [`LATENCY_SAMPLE_EVERY`] stream
+//!   ticks.
 //! * [`MetricsSnapshot`] — a consistent point-in-time read, renderable
 //!   as Prometheus text exposition ([`MetricsSnapshot::to_prometheus`])
 //!   or as a human summary table ([`MetricsSnapshot::render_table`]).
@@ -49,20 +49,15 @@
 //! monitor's share changed. Every path records a frame once for all of
 //! its attachments, not once per attachment; a per-sample
 //! `Engine::push` is a one-sample frame.
-//! The `metrics_overhead` bench measures both paths as off/on pairs,
-//! timed in 15 interleaved rounds whose per-round on/off ratio it
-//! summarizes as a median and interquartile range (IQR). Three full runs
-//! on a shared 2-vCPU x86-64 host: `engine_push_batch_q32` (32
-//! attachments on one stream, 64-sample frames through
-//! `Engine::push_batch`) read medians of +5.4%, +7.5% and +6.6%, with
-//! IQRs of −3.5% to +22.5%, +3.5% to +10.8% and +5.4% to +7.0%;
-//! `engine_push_m64` (per-sample `push`, since stepped as a one-sample
-//! frame) read +2.6%, +2.4% and +1.8%, with IQRs of +1.9% to +3.0%,
-//! +1.3% to +3.1% and +0.1% to +3.6%. The per-sample path is within
-//! budget; the batched runs straddle 5% but for the third, which lies
-//! wholly above it, so the budget is unresolved there, more likely over
-//! than under. What is left per frame is two clock reads, two histogram
-//! observations, one counter add and one attachment's memory check.
+//! The `metrics_overhead` bench measures both paths as off/on pairs in
+//! 15 interleaved rounds, summarized as the median of the per-round
+//! on/off ratio. Six full runs on a shared 2-vCPU x86-64 host read
+//! `engine_push_batch_q32` (32 attachments, 64-sample frames through
+//! `Engine::push_batch`) at medians of +7.6% to +11.3%, over budget,
+//! and per-sample `engine_push_m64` at +1.0% to +3.0% (DESIGN §6c).
+//! What is left per frame is one sampling decision, one clock pair and
+//! one latency observation on a sampled frame, one `spring_batch_len`
+//! observation, one counter add and one attachment's memory check.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -150,8 +145,8 @@ pub struct Histogram {
     /// bucket catches the rest.
     bounds: Vec<f64>,
     /// Per-bucket (non-cumulative) counts; `len == bounds.len() + 1`.
+    /// Their total is the observation count.
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
     /// Sum of observed values, as `f64` bits.
     sum_bits: AtomicU64,
 }
@@ -164,7 +159,6 @@ impl Histogram {
         Histogram {
             bounds: bounds.to_vec(),
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0f64.to_bits()),
         }
     }
@@ -202,7 +196,6 @@ impl Histogram {
             .position(|&b| v <= b)
             .unwrap_or(self.bounds.len());
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         let add = |bits| Some((f64::from_bits(bits) + v).to_bits());
         let _ = self
             .sum_bits
@@ -211,7 +204,7 @@ impl Histogram {
 
     /// Total observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Point-in-time cumulative view.
@@ -225,7 +218,7 @@ impl Histogram {
         }
         HistogramSnapshot {
             buckets,
-            count: self.count.load(Ordering::Relaxed),
+            count: cumulative,
             sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
         }
     }
@@ -425,12 +418,6 @@ impl Metrics {
     pub fn record_match(&self, m: &Match) {
         self.matches.inc();
         self.detection_delay.observe(m.report_delay() as f64);
-    }
-
-    /// Records one ingestion frame of `len` samples into
-    /// `spring_batch_len` (one observation per batch call/frame).
-    pub fn record_batch(&self, len: usize) {
-        self.batch_len.observe(len as f64);
     }
 
     /// Takes one reference on a shared query entry. The first reference
@@ -1035,7 +1022,6 @@ mod tests {
         // holding stream tick 1, 65, 129, … is timed, the rest are not.
         let metrics = Arc::new(Metrics::new());
         let tracer = crate::Tracer::new();
-        tracer.set_enabled(true);
         let mut engine = crate::SpringEngine::new();
         engine.set_metrics(Arc::clone(&metrics));
         engine.set_tracer(&tracer, "engine");
@@ -1050,7 +1036,7 @@ mod tests {
         assert_eq!(metrics.tick_latency.count(), 3);
         assert_eq!(metrics.ticks.get(), LATENCY_SAMPLE_EVERY * 3);
         assert_eq!(metrics.batch_len.count(), 0, "a push is not a batch");
-        // 256 pushes in all: four sampled `ingest` spans, no frame span.
+        // 256 pushes in all: the four sampled frames are the spans.
         for _ in 0..LATENCY_SAMPLE_EVERY {
             engine.push(s, &50.0).unwrap();
         }
@@ -1059,7 +1045,7 @@ mod tests {
             .iter()
             .map(|e| e.kind)
             .collect();
-        assert_eq!(kinds, [crate::TraceEventKind::Ingest; 4]);
+        assert_eq!(kinds, [crate::TraceEventKind::Frame; 4]);
     }
 
     #[test]

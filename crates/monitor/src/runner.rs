@@ -61,9 +61,10 @@ use crate::engine::{
     ingest_frame, validate_query_samples, Attachment, AttachmentBuilder, AttachmentId,
     FrameScratch, GapPolicy, MonitorError, Owned, QueryId, StreamId,
 };
-use crate::metrics::{Metrics, ShardMetrics};
+use crate::metrics::Metrics;
+use crate::probe::Probe;
 use crate::sink::MatchSink;
-use crate::trace::{EventKind as TraceKind, TraceHandle, Tracer};
+use crate::trace::{EventKind as TraceKind, Tracer};
 
 /// Queue depth per worker (messages, i.e. frames); bounds memory under
 /// bursty producers.
@@ -379,22 +380,20 @@ struct Worker<M: Monitor> {
     slot: Mutex<WorkerSlot<M>>,
     /// The streams placed on this worker that have attachments.
     streams: Mutex<HashMap<StreamId, StreamEntry<M>>>,
-    /// `spring_shard_*{shard=…}` series of this worker.
-    metrics: Option<Arc<ShardMetrics>>,
-    /// Supervisor ring, written only with `slot` locked (single writer).
-    sup_trace: TraceHandle,
+    /// The supervisor's probe, with this worker's `spring_shard_*`
+    /// series; its ring is written only with `slot` locked (single
+    /// writer).
+    probe: Probe,
 }
 
 /// Everything a worker thread needs besides its attachments and channel.
 struct WorkerCtx<M: Monitor> {
     sink: Arc<dyn MatchSink>,
     error: Arc<Mutex<Option<MonitorError>>>,
-    shard: Option<Arc<ShardMetrics>>,
-    metrics: Option<Arc<Metrics>>,
     shared: Arc<WorkerShared<M>>,
-    /// This incarnation's ring (each restart registers a fresh one under
-    /// the same label, so the dead incarnation's events survive).
-    trace: TraceHandle,
+    /// This incarnation's probe (each restart registers a fresh ring
+    /// under the same label, so the dead incarnation's events survive).
+    probe: Probe,
     /// Heals this worker once the incarnation on the given thread has
     /// exited abnormally (see [`Core::revive`]).
     revive: Box<dyn FnOnce(ThreadId) + Send>,
@@ -413,12 +412,13 @@ struct Core<M: Monitor> {
     next_attachment: AtomicU32,
     /// Lowest-ranked ingestion error recorded by any worker.
     error: Arc<Mutex<Option<MonitorError>>>,
+    /// The registry and the flight recorder the workers' probes are
+    /// built from; the tracer is also the source of postmortem dumps on
+    /// worker loss.
     metrics: Option<Arc<Metrics>>,
+    tracer: Option<Tracer>,
     sink: Arc<dyn MatchSink>,
     restart: RestartPolicy,
-    /// Flight recorder (`None` = no tracing); also the source of
-    /// postmortem dumps on worker loss.
-    tracer: Option<Tracer>,
     /// This core, for the heals that dying workers request.
     me: Weak<Core<M>>,
 }
@@ -441,18 +441,16 @@ pub type ShardedRunner<M> = Runner<M>;
 /// ingestion error (`lost` set) or while unwinding from a panic:
 /// increments `spring_worker_lost_total` and hands the heal to a fresh
 /// thread (this one cannot join itself).
-struct WorkerLostGuard {
-    metrics: Option<Arc<Metrics>>,
+struct WorkerLostGuard<'a> {
+    probe: &'a Probe,
     lost: bool,
     revive: Option<Box<dyn FnOnce(ThreadId) + Send>>,
 }
 
-impl Drop for WorkerLostGuard {
+impl Drop for WorkerLostGuard<'_> {
     fn drop(&mut self) {
         if self.lost || thread::panicking() {
-            if let Some(m) = &self.metrics {
-                m.worker_lost.inc();
-            }
+            self.probe.count(|m| m.worker_lost.inc());
             if let Some(revive) = self.revive.take() {
                 let dead = thread::current().id();
                 // Best effort: without the thread, the next send heals.
@@ -460,12 +458,6 @@ impl Drop for WorkerLostGuard {
             }
         }
     }
-}
-
-fn ring(tracer: &Option<Tracer>, label: &str) -> TraceHandle {
-    tracer
-        .as_ref()
-        .map_or_else(TraceHandle::off, |t| t.register(label))
 }
 
 /// The worker thread body: drains its channel, drives its attachments,
@@ -480,20 +472,27 @@ where
     Owned<M>: Clone + Send + Sync,
 {
     thread::spawn(move || {
+        let WorkerCtx {
+            sink,
+            error,
+            shared,
+            probe,
+            revive,
+        } = ctx;
         // Constructed inside the thread so its `Drop` runs here.
         let mut guard = WorkerLostGuard {
-            metrics: ctx.metrics.clone(),
+            probe: &probe,
             lost: false,
-            revive: Some(ctx.revive),
+            revive: Some(revive),
         };
         let deliver = |event: &crate::engine::Event| {
             crate::fail_point!("runner::sink");
-            ctx.trace.instant(TraceKind::Match, event.m.end);
-            ctx.sink.on_match(event);
+            probe.matched(&event.m);
+            sink.on_match(event);
         };
         // Messages applied by this incarnation, continuing the absolute
         // count from the checkpoint it was forked at.
-        let mut applied = ctx.shared.applied.load(Ordering::Acquire);
+        let mut applied = shared.applied.load(Ordering::Acquire);
         // Reused per frame: the stream's attachment positions and the
         // frame's events.
         let mut indices: Vec<usize> = Vec::new();
@@ -502,15 +501,12 @@ where
             crate::fail_point!("runner::worker::recv");
             // Shutdown is never counted into the depth gauge.
             if !matches!(msg, Msg::Shutdown) {
-                if let Some(sm) = &ctx.shard {
-                    sm.queue_depth.add(-1);
-                }
+                probe.queued(-1);
             }
             let mut failure = None;
             match msg {
                 Msg::Frame { stream, samples } => {
                     crate::fail_point!("runner::worker::frame");
-                    let frame_span = ctx.trace.now();
                     indices.clear();
                     indices.extend(
                         atts.iter()
@@ -521,35 +517,25 @@ where
                     // Frame-at-a-time, like the Engine: each attachment
                     // steps the whole frame, and the sink gets the
                     // events back in sample-major order.
-                    let metrics = ctx.metrics.as_deref();
-                    let ingested = ingest_frame(&mut atts, &indices, &samples, &mut frame, metrics);
-                    let processed = match ingested {
-                        Ok(()) => samples.len(),
-                        Err((at, e)) => {
-                            // The frame tail is dropped with the rest of
-                            // the stream.
-                            failure = Some(e);
-                            at + 1
-                        }
-                    };
+                    if let Err((_, e)) =
+                        ingest_frame(&mut atts, &indices, &samples, &mut frame, &probe)
+                    {
+                        // The frame tail is dropped with the rest of the
+                        // stream.
+                        failure = Some(e);
+                    }
                     for ev in &frame.events {
                         deliver(&ev.event);
                     }
-                    ctx.trace
-                        .span(frame_span, TraceKind::Frame, processed as u64);
-                    if let Some(sm) = &ctx.shard {
-                        sm.ticks.add(processed as u64);
-                    }
                 }
                 Msg::FinishStream(stream) => {
-                    let flush_span = ctx.trace.now();
-                    for att in atts.iter_mut().filter(|a| a.stream == stream) {
-                        if let Some(event) = att.flush() {
-                            deliver(&event);
+                    probe.span(TraceKind::Flush, u64::from(stream.0), || {
+                        for att in atts.iter_mut().filter(|a| a.stream == stream) {
+                            if let Some(event) = att.flush() {
+                                deliver(&event);
+                            }
                         }
-                    }
-                    ctx.trace
-                        .span(flush_span, TraceKind::Flush, u64::from(stream.0));
+                    })
                 }
                 Msg::Attach(att) => {
                     // Replays are pruned against the checkpoint; the
@@ -570,37 +556,34 @@ where
                         .iter_mut()
                         .filter(|a| a.query == query)
                         .find_map(|a| a.rebuild(&samples, generation).map(|m| a.install(m)).err());
+                    // The runner counts the swap once, on its control path.
                     if failure.is_none() {
-                        ctx.trace.instant(TraceKind::QuerySwap, generation);
+                        probe.instant(TraceKind::QuerySwap, generation);
                     }
                 }
-                Msg::Mark(mark) => {
-                    let mark_span = ctx.trace.now();
-                    mark.fire();
-                    ctx.trace.span(mark_span, TraceKind::Flush, 0);
-                }
+                Msg::Mark(mark) => probe.span(TraceKind::Flush, 0, || mark.fire()),
                 Msg::Shutdown => break,
             }
             if let Some(e) = failure {
                 // Deliberate stop: record the error, tell the supervisor
                 // not to restart, and drop the receiver so later pushes
                 // fail fast.
-                record_error(&ctx.error, e);
-                ctx.shared.failed.store(true, Ordering::Release);
+                record_error(&error, e);
+                shared.failed.store(true, Ordering::Release);
                 guard.lost = true;
                 break 'recv;
             }
             applied += 1;
-            let behind = applied - ctx.shared.applied.load(Ordering::Relaxed);
+            let behind = applied - shared.applied.load(Ordering::Relaxed);
             if behind >= CHECKPOINT_EVERY {
-                let cp_span = ctx.trace.now();
-                let fork: Vec<Attachment<M>> = atts.iter().map(Attachment::fork).collect();
-                *ctx.shared
-                    .checkpoint
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner) = fork;
-                ctx.shared.applied.store(applied, Ordering::Release);
-                ctx.trace.span(cp_span, TraceKind::Checkpoint, behind);
+                probe.span(TraceKind::Checkpoint, behind, || {
+                    let fork: Vec<Attachment<M>> = atts.iter().map(Attachment::fork).collect();
+                    *shared
+                        .checkpoint
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner) = fork;
+                    shared.applied.store(applied, Ordering::Release);
+                });
             }
         }
     })
@@ -719,8 +702,10 @@ where
                         }),
                     }),
                     streams: Mutex::new(streams),
-                    metrics: metrics.as_ref().map(|m| m.register_shard()),
-                    sup_trace: ring(&tracer, &format!("supervisor-{w}")),
+                    probe: Probe {
+                        shard: metrics.as_ref().map(|m| m.register_shard()),
+                        ..Probe::new(metrics.clone(), tracer.as_ref(), &format!("supervisor-{w}"))
+                    },
                 }
             })
             .collect();
@@ -732,9 +717,9 @@ where
             next_attachment: AtomicU32::new(next_id),
             error: Arc::new(Mutex::new(None)),
             metrics,
+            tracer,
             sink,
             restart,
-            tracer,
             me: me.clone(),
         });
         for (w, (atts, rx)) in placed.into_iter().zip(receivers).enumerate() {
@@ -1124,7 +1109,7 @@ where
         samples: Frame<M>,
     ) -> Result<(), MonitorError> {
         if let Some(m) = &self.metrics {
-            m.record_batch(samples.len());
+            m.batch_len.observe(samples.len() as f64);
         }
         self.send(w, Msg::Frame { stream, samples })
     }
@@ -1148,9 +1133,7 @@ where
         slot.log.push_back((slot.sent, m.clone()));
         // Incremented *before* the send so the worker's decrement never
         // transiently underflows the gauge.
-        if let Some(sm) = &self.workers[w].metrics {
-            sm.queue_depth.add(1);
-        }
+        self.workers[w].probe.queued(1);
         // A failed send means the worker is gone: heal it (the message
         // is already logged, so a successful heal replays it).
         !(slot.sender.send(m).is_err() && self.heal(w, slot).is_err())
@@ -1167,10 +1150,15 @@ where
         let ctx = WorkerCtx {
             sink: Arc::clone(&self.sink),
             error: Arc::clone(&self.error),
-            shard: self.workers[w].metrics.clone(),
-            metrics: self.metrics.clone(),
             shared: Arc::clone(shared),
-            trace: ring(&self.tracer, &format!("worker-{w}")),
+            probe: Probe {
+                shard: self.workers[w].probe.shard.clone(),
+                ..Probe::new(
+                    self.metrics.clone(),
+                    self.tracer.as_ref(),
+                    &format!("worker-{w}"),
+                )
+            },
             revive: {
                 let core = Weak::clone(&self.me);
                 Box::new(move |dead| {
@@ -1229,16 +1217,8 @@ where
                 return Err(MonitorError::WorkerLost);
             }
             slot.restarts += 1;
-            worker.sup_trace.instant(TraceKind::WorkerRestart, w as u64);
-            if let Some(m) = &self.metrics {
-                m.worker_restarts.inc();
-            }
-            if let Some(sm) = &worker.metrics {
-                sm.restarts.inc();
-                // Messages queued at crash time died with the channel;
-                // the replay below re-counts what it resends.
-                sm.queue_depth.set(0);
-            }
+            // The replay below re-counts the queue depth it resends.
+            worker.probe.restarted(w);
             thread::sleep(self.restart.backoff(slot.restarts));
             prune_log(slot);
             let atts: Vec<Attachment<M>> = slot
@@ -1261,18 +1241,17 @@ where
             // Replay the uncheckpointed tail (at-least-once delivery: a
             // match confirmed between the checkpoint and the crash is
             // emitted again here).
-            let replay_span = worker.sup_trace.now();
-            for (_, m) in &slot.log {
-                if let Some(sm) = &worker.metrics {
-                    sm.queue_depth.add(1);
-                }
-                if slot.sender.send(m.clone()).is_err() {
-                    continue 'attempt; // died again mid-replay
-                }
+            let replayed = worker
+                .probe
+                .span(TraceKind::Replay, slot.log.len() as u64, || {
+                    slot.log.iter().all(|(_, m)| {
+                        worker.probe.queued(1);
+                        slot.sender.send(m.clone()).is_ok()
+                    })
+                });
+            if !replayed {
+                continue 'attempt; // died again mid-replay
             }
-            worker
-                .sup_trace
-                .span(replay_span, TraceKind::Replay, slot.log.len() as u64);
             // The dead incarnation's final events, the restart, and the
             // replay are exactly what a postmortem should hold.
             self.postmortem(w, "worker-restarted");

@@ -15,8 +15,8 @@
 //! Two shapes, mirroring the Chrome trace-event model the exporter
 //! targets:
 //!
-//! * **spans** (`ph:"X"`, a duration): `ingest`, `frame`, `checkpoint`,
-//!   `replay`, `flush`;
+//! * **spans** (`ph:"X"`, a duration): `frame`, `checkpoint`, `replay`,
+//!   `flush`;
 //! * **instants** (`ph:"i"`, a point): `match`, `query_swap`,
 //!   `worker_restart`, `shard_route`, `reactor_wakeup`,
 //!   `backpressure_pause`/`resume`/`drop`, `conn_open`/`conn_close`.
@@ -25,21 +25,21 @@
 //!
 //! # Cost discipline
 //!
-//! Tracing follows the 1-in-64 sampling discipline of the metrics
-//! layer ([`crate::metrics::LATENCY_SAMPLE_EVERY`]): per-tick spans go
-//! through [`TraceHandle::sampled_now`], which samples 1 in
-//! [`DEFAULT_SAMPLE_EVERY`] ticks; frame-granular spans and rare
-//! instants are recorded whenever tracing is enabled. The recorder is
-//! compiled into every build and stays off until a caller enables it
-//! (`spring monitor --trace`, `spring serve --trace-dir`): a hook on a
-//! handle with no tracer is one `Option` check, on a disabled tracer
-//! one branch on a relaxed atomic. [`TraceRing`]'s write path is
-//! `#[cold]` and never inlined, so its store sequence stays out of the
-//! engine and worker loops.
+//! Events reach a ring through the recording thread's
+//! [`crate::Probe`], which also feeds the metrics registry: a `frame`
+//! span is recorded only for a sampled frame (one per
+//! [`crate::metrics::LATENCY_SAMPLE_EVERY`] stream ticks), from the same
+//! clock pair as the tick latency; other spans and the instants are
+//! recorded whenever the probe holds a ring. Holding a tracer means
+//! tracing is on: `spring monitor --trace` and `spring serve
+//! --trace-dir` create one, and without it a probe has no ring, so each
+//! hook is one `Option` check. A ring's write path is `#[cold]`
+//! and never inlined, so its store sequence stays out of the engine and
+//! worker loops.
 //!
 //! # Ring protocol
 //!
-//! Each [`TraceRing`] is written by **one** owning thread (the
+//! Each ring is written by **one** owning thread (the
 //! registration contract) and read by any thread (dump/export). Slots
 //! are all-atomic `u64` words guarded by a per-slot sequence: the
 //! writer claims ticket `t`, flips the slot's sequence to the odd
@@ -59,26 +59,20 @@
 //! a readable timeline instead of nothing.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Default per-ring capacity, in events (~200 KiB per track).
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
-/// Per-tick span sampling period, mirroring the metrics discipline
-/// ([`crate::metrics::LATENCY_SAMPLE_EVERY`]).
-pub const DEFAULT_SAMPLE_EVERY: u64 = 64;
-
 /// The typed event catalog. Spans carry a duration; instants are
 /// points. `arg` units per kind are given below.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// Span: one sampled per-tick ingest (`arg` = attachment count).
-    Ingest = 1,
-    /// Span: one ingestion frame through an engine or worker (`arg` =
-    /// samples in the frame).
+    /// Span: one sampled ingestion frame through an engine or worker
+    /// (`arg` = samples in the frame).
     Frame = 2,
     /// Span: one checkpoint fork (`arg` = messages since the last).
     Checkpoint = 4,
@@ -117,7 +111,6 @@ impl EventKind {
     /// The event name shown in `chrome://tracing`.
     pub fn name(self) -> &'static str {
         match self {
-            EventKind::Ingest => "ingest",
             EventKind::Frame => "frame",
             EventKind::Checkpoint => "checkpoint",
             EventKind::Replay => "replay",
@@ -144,7 +137,6 @@ impl EventKind {
     /// slot can never panic the reader).
     pub fn from_u8(raw: u8) -> Option<EventKind> {
         Some(match raw {
-            1 => EventKind::Ingest,
             2 => EventKind::Frame,
             4 => EventKind::Checkpoint,
             5 => EventKind::Replay,
@@ -221,29 +213,21 @@ impl TraceSnapshot {
     /// `ph:"i"`, timestamps in microseconds from the tracer epoch.
     pub fn to_chrome_json(&self) -> String {
         use spring_util::json::Value;
-        let mut events: Vec<Value> = Vec::new();
-        events.push(Value::Obj(vec![
-            ("name".into(), Value::Str("process_name".into())),
-            ("ph".into(), Value::Str("M".into())),
-            ("pid".into(), Value::Num(1.0)),
-            ("tid".into(), Value::Num(0.0)),
-            (
-                "args".into(),
-                Value::Obj(vec![("name".into(), Value::Str("spring".into()))]),
-            ),
-        ]));
-        for (i, track) in self.tracks.iter().enumerate() {
-            let tid = (i + 1) as f64;
-            events.push(Value::Obj(vec![
-                ("name".into(), Value::Str("thread_name".into())),
+        // A metadata record naming the process (tid 0) or a track.
+        let meta = |name: &str, tid: f64, label: &str| {
+            let args = Value::Obj(vec![("name".into(), Value::Str(label.into()))]);
+            Value::Obj(vec![
+                ("name".into(), Value::Str(name.into())),
                 ("ph".into(), Value::Str("M".into())),
                 ("pid".into(), Value::Num(1.0)),
                 ("tid".into(), Value::Num(tid)),
-                (
-                    "args".into(),
-                    Value::Obj(vec![("name".into(), Value::Str(track.label.clone()))]),
-                ),
-            ]));
+                ("args".into(), args),
+            ])
+        };
+        let mut events = vec![meta("process_name", 0.0, "spring")];
+        for (i, track) in self.tracks.iter().enumerate() {
+            let tid = (i + 1) as f64;
+            events.push(meta("thread_name", tid, &track.label));
             for ev in &track.events {
                 let mut fields = vec![
                     ("name".into(), Value::Str(ev.kind.name().into())),
@@ -290,6 +274,7 @@ impl TraceSnapshot {
 
 /// One ring slot: a per-slot sequence plus the event payload, all
 /// plain atomics so readers can race writers without `unsafe`.
+#[derive(Default)]
 struct Slot {
     /// `0` = never written; `2t+1` = ticket `t` in flight;
     /// `2t+2` = ticket `t` published.
@@ -300,53 +285,56 @@ struct Slot {
     arg: AtomicU64,
 }
 
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            ts: AtomicU64::new(0),
-            dur: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            arg: AtomicU64::new(0),
-        }
-    }
-}
-
 /// A fixed-capacity single-writer / many-reader event ring with
 /// flight-recorder overwrite semantics (see the [module
 /// docs](self) for the slot protocol).
-pub struct TraceRing {
+pub(crate) struct TraceRing {
+    /// The tracer's epoch: timestamps are nanoseconds since it.
+    epoch: Instant,
     head: AtomicU64,
     slots: Box<[Slot]>,
 }
 
 impl TraceRing {
-    fn new(capacity: usize) -> TraceRing {
-        let capacity = capacity.max(1);
+    fn new(epoch: Instant, capacity: usize) -> TraceRing {
         TraceRing {
+            epoch,
             head: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
+            slots: (0..capacity.max(1)).map(|_| Slot::default()).collect(),
         }
     }
 
-    /// Capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
+    fn ns(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.epoch).as_nanos() as u64
+    }
+
+    /// Records a span that ran from `start` to `end`.
+    #[inline]
+    pub(crate) fn span(&self, start: Instant, end: Instant, kind: EventKind, arg: u64) {
+        let ts = self.ns(start);
+        self.write(ts, self.ns(end).saturating_sub(ts), kind, arg);
+    }
+
+    /// Records an instant event now.
+    #[inline]
+    pub(crate) fn instant(&self, kind: EventKind, arg: u64) {
+        self.write(self.ns(Instant::now()), 0, kind, arg);
     }
 
     /// Total events ever written.
-    pub fn written(&self) -> u64 {
+    fn written(&self) -> u64 {
         self.head.load(Ordering::Relaxed)
     }
 
     /// Events lost to wraparound so far (exact: every write past
     /// capacity overwrites exactly one older event).
-    pub fn dropped(&self) -> u64 {
+    fn dropped(&self) -> u64 {
         self.written().saturating_sub(self.slots.len() as u64)
     }
 
     /// Records one event. Called only by the ring's owning thread.
-    /// Cold and out of line: the callers' off path stays one branch.
+    /// Cold and out of line, so the store sequence stays out of the
+    /// callers' loops.
     #[cold]
     #[inline(never)]
     fn write(&self, ts_ns: u64, dur_ns: u64, kind: EventKind, arg: u64) {
@@ -366,7 +354,7 @@ impl TraceRing {
     /// Copies out every consistent event, oldest→newest. Slots
     /// mid-write (or overwritten between the two sequence reads)
     /// are skipped, never reported torn.
-    pub fn snapshot(&self) -> (Vec<TraceEvent>, u64, u64) {
+    fn snapshot(&self) -> (Vec<TraceEvent>, u64, u64) {
         let mut events = Vec::with_capacity(self.slots.len());
         for slot in self.slots.iter() {
             let s1 = slot.seq.load(Ordering::Acquire);
@@ -401,7 +389,6 @@ impl TraceRing {
 
 struct Inner {
     epoch: Instant,
-    enabled: AtomicBool,
     capacity: usize,
     rings: Mutex<Vec<(String, Arc<TraceRing>)>>,
     postmortem_dir: Mutex<Option<PathBuf>>,
@@ -409,8 +396,9 @@ struct Inner {
 }
 
 /// The shared trace registry: hands out per-thread rings, owns the
-/// monotonic epoch and the enable switch, snapshots and
-/// exports every ring. Cheap to clone (an `Arc`).
+/// monotonic epoch, snapshots and exports every ring. Holding one means
+/// tracing is on: every [`crate::Probe`] built with it records. Cheap
+/// to clone (an `Arc`).
 #[derive(Clone)]
 pub struct Tracer {
     inner: Arc<Inner>,
@@ -424,7 +412,7 @@ impl Default for Tracer {
 
 impl Tracer {
     /// A tracer with the default per-ring capacity
-    /// ([`DEFAULT_RING_CAPACITY`]), initially disabled.
+    /// ([`DEFAULT_RING_CAPACITY`]).
     pub fn new() -> Tracer {
         Tracer::with_capacity(DEFAULT_RING_CAPACITY)
     }
@@ -434,24 +422,12 @@ impl Tracer {
         Tracer {
             inner: Arc::new(Inner {
                 epoch: Instant::now(),
-                enabled: AtomicBool::new(false),
                 capacity: capacity.max(1),
                 rings: Mutex::new(Vec::new()),
                 postmortem_dir: Mutex::new(None),
                 postmortem_seq: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// Turns event recording on or off (a relaxed store; hooks see
-    /// it on their next event).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.inner.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether recording is currently on.
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
     }
 
     /// Directory for [`Tracer::postmortem_dump`] files (`None`
@@ -466,22 +442,14 @@ impl Tracer {
 
     /// Registers a new ring under `label` (one per owning thread /
     /// component; labels become `chrome://tracing` track names).
-    pub fn register(&self, label: &str) -> TraceHandle {
-        let ring = Arc::new(TraceRing::new(self.inner.capacity));
+    pub(crate) fn register(&self, label: &str) -> Arc<TraceRing> {
+        let ring = Arc::new(TraceRing::new(self.inner.epoch, self.inner.capacity));
         self.inner
             .rings
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push((label.to_string(), Arc::clone(&ring)));
-        TraceHandle {
-            shared: Some((Arc::clone(&self.inner), ring)),
-            ticks: 0,
-        }
-    }
-
-    /// Nanoseconds since the tracer epoch.
-    pub fn now_ns(&self) -> u64 {
-        self.inner.epoch.elapsed().as_nanos() as u64
+        ring
     }
 
     /// Freezes every registered ring.
@@ -536,102 +504,12 @@ impl Tracer {
         Some(path)
     }
 
-    /// The configured postmortem directory, if any.
-    pub fn postmortem_dir(&self) -> Option<PathBuf> {
-        self.inner
-            .postmortem_dir
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
     /// Writes the current snapshot as Chrome trace JSON to `path`.
     pub fn write_chrome_json(&self, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_chrome_json())
     }
 }
 
-/// A per-thread recording handle: one ring plus the shared knobs.
-/// With no tracer ([`TraceHandle::off`]) every method is one `Option`
-/// check; with a disabled tracer, one relaxed-atomic branch. The
-/// handle is `Send` but intentionally not shared — each ring has
-/// exactly one writer.
-pub struct TraceHandle {
-    shared: Option<(Arc<Inner>, Arc<TraceRing>)>,
-    /// Local tick counter driving span sampling.
-    ticks: u64,
-}
-
-impl TraceHandle {
-    /// A permanently disabled handle (no tracer attached).
-    pub fn off() -> TraceHandle {
-        TraceHandle {
-            shared: None,
-            ticks: 0,
-        }
-    }
-
-    /// Whether events would currently be recorded.
-    pub fn is_enabled(&self) -> bool {
-        match &self.shared {
-            Some((inner, _)) => inner.enabled.load(Ordering::Relaxed),
-            None => false,
-        }
-    }
-
-    /// Span-start timestamp, or `None` when tracing is off (the
-    /// matching [`TraceHandle::span`] then records nothing).
-    #[inline]
-    pub fn now(&self) -> Option<u64> {
-        match &self.shared {
-            Some((inner, _)) if inner.enabled.load(Ordering::Relaxed) => {
-                Some(inner.epoch.elapsed().as_nanos() as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// Sampled span start for per-tick hot paths: counts every
-    /// call, returns a timestamp for 1 in
-    /// [`DEFAULT_SAMPLE_EVERY`] of them
-    /// (the first sampled call is tick 1, as with the engine's timed
-    /// frames).
-    #[inline]
-    pub fn sampled_now(&mut self) -> Option<u64> {
-        let (inner, _) = self.shared.as_ref()?;
-        if !inner.enabled.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.ticks += 1;
-        if self.ticks % DEFAULT_SAMPLE_EVERY == 1 {
-            Some(inner.epoch.elapsed().as_nanos() as u64)
-        } else {
-            None
-        }
-    }
-
-    /// Records a span begun at `started` (from [`TraceHandle::now`]
-    /// or [`TraceHandle::sampled_now`]); no-op when `started` is
-    /// `None`.
-    #[inline]
-    pub fn span(&self, started: Option<u64>, kind: EventKind, arg: u64) {
-        let Some(ts) = started else { return };
-        if let Some((inner, ring)) = &self.shared {
-            let end = inner.epoch.elapsed().as_nanos() as u64;
-            ring.write(ts, end.saturating_sub(ts), kind, arg);
-        }
-    }
-
-    /// Records an instant event, when tracing is enabled.
-    #[inline]
-    pub fn instant(&self, kind: EventKind, arg: u64) {
-        if let Some((inner, ring)) = &self.shared {
-            if inner.enabled.load(Ordering::Relaxed) {
-                ring.write(inner.epoch.elapsed().as_nanos() as u64, 0, kind, arg);
-            }
-        }
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,25 +517,10 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn disabled_tracer_records_nothing() {
-        let tracer = Tracer::with_capacity(16);
-        let mut h = tracer.register("t");
-        assert!(!h.is_enabled());
-        assert_eq!(h.now(), None);
-        assert_eq!(h.sampled_now(), None);
-        h.span(None, EventKind::Frame, 1);
-        h.instant(EventKind::Match, 2);
-        assert_eq!(tracer.snapshot().total_events(), 0);
-    }
-
-    #[test]
     fn spans_and_instants_record_with_kinds_and_args() {
         let tracer = Tracer::with_capacity(16);
-        tracer.set_enabled(true);
         let h = tracer.register("t");
-        let t0 = h.now();
-        assert!(t0.is_some());
-        h.span(t0, EventKind::Frame, 64);
+        h.span(Instant::now(), Instant::now(), EventKind::Frame, 64);
         h.instant(EventKind::Match, 7);
         let snap = tracer.snapshot();
         assert_eq!(snap.tracks.len(), 1);
@@ -674,22 +537,9 @@ mod tests {
     }
 
     #[test]
-    fn sampling_mirrors_the_1_in_64_discipline() {
-        let tracer = Tracer::with_capacity(1024);
-        tracer.set_enabled(true);
-        let mut h = tracer.register("t");
-        let sampled: Vec<u64> = (1..=256).filter(|_| h.sampled_now().is_some()).collect();
-        assert_eq!(sampled, [1, 65, 129, 193]);
-        // The period is fixed: every further 64 ticks sample exactly once.
-        let next = (0..DEFAULT_SAMPLE_EVERY).filter(|_| h.sampled_now().is_some());
-        assert_eq!(next.count(), 1); // tick 257
-    }
-
-    #[test]
     fn wraparound_preserves_newest_n_ordering_and_exact_drop_count() {
         let cap = 8u64;
         let tracer = Tracer::with_capacity(cap as usize);
-        tracer.set_enabled(true);
         let h = tracer.register("t");
         let total = 21u64;
         for i in 0..total {
@@ -714,7 +564,6 @@ mod tests {
     #[test]
     fn no_overflow_means_no_drops() {
         let tracer = Tracer::with_capacity(32);
-        tracer.set_enabled(true);
         let h = tracer.register("t");
         for i in 0..32 {
             h.instant(EventKind::ConnOpen, i);
@@ -729,19 +578,18 @@ mod tests {
         // W writer threads hammer their own rings (the single-writer
         // contract) while this thread snapshots continuously. Every
         // event a snapshot reports must be internally consistent:
-        // arg == !dur (bitwise), an invariant every writer maintains.
+        // arg == !ts (bitwise), an invariant every writer maintains.
         let writers = 4;
         let iters: u64 = if cfg!(miri) { 64 } else { 20_000 };
         let tracer = Tracer::with_capacity(32);
-        tracer.set_enabled(true);
         let stop = Arc::new(AtomicBool::new(false));
         let handles: Vec<_> = (0..writers)
             .map(|w| {
                 let h = tracer.register(&format!("w{w}"));
                 std::thread::spawn(move || {
                     for i in 0..iters {
-                        // dur and arg are coupled; a torn slot breaks it.
-                        h.span(Some(i), EventKind::Frame, !i);
+                        // ts and arg are coupled; a torn slot breaks it.
+                        h.write(i, 0, EventKind::Frame, !i);
                     }
                 })
             })
@@ -751,9 +599,8 @@ mod tests {
             let snap = tracer.snapshot();
             for track in &snap.tracks {
                 for e in &track.events {
-                    // span() stores dur = end - ts; here ts is the fake
-                    // counter i, so reconstruct i from the ticket — the
-                    // slot protocol guarantees arg matches it.
+                    // ts is the fake counter i; the slot protocol
+                    // guarantees arg matches it.
                     assert_eq!(e.arg, !e.ts_ns, "torn event: {e:?}");
                 }
                 seen += track.events.len();
@@ -777,10 +624,8 @@ mod tests {
     fn chrome_json_shape_is_loadable() {
         use spring_util::json::Value;
         let tracer = Tracer::with_capacity(16);
-        tracer.set_enabled(true);
-        let mut h = tracer.register("worker-0");
-        let t0 = h.sampled_now();
-        h.span(t0, EventKind::Ingest, 3);
+        let h = tracer.register("worker-0");
+        h.span(Instant::now(), Instant::now(), EventKind::Frame, 3);
         h.instant(EventKind::QuerySwap, 1);
         let json = tracer.to_chrome_json();
         let doc = Value::parse(&json).expect("chrome trace JSON parses");
@@ -821,7 +666,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("spring-trace-pm-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let tracer = Tracer::with_capacity(16);
-        tracer.set_enabled(true);
         let h = tracer.register("worker-0");
         h.instant(EventKind::WorkerRestart, 2);
         assert_eq!(tracer.postmortem_dump("x"), None, "no dir configured yet");
@@ -842,7 +686,7 @@ mod tests {
                 assert!(!kind.name().is_empty());
             }
         }
-        assert!(EventKind::Ingest.is_span());
+        assert!(EventKind::Frame.is_span());
         assert!(!EventKind::Match.is_span());
     }
 }

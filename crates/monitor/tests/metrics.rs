@@ -8,8 +8,8 @@ use spring_core::monitor::Monitor;
 use spring_core::Spring;
 use spring_dtw::Kernel;
 use spring_monitor::{
-    AttachmentId, CountingSink, GapPolicy, Metrics, MetricsSnapshot, QueryId, Runner,
-    RunnerAttachment, SpringEngine, StreamId,
+    AttachmentId, CountingSink, GapPolicy, Metrics, MetricsSnapshot, QueryId, RestartPolicy,
+    Runner, RunnerAttachment, SpringEngine, StreamId, TraceEventKind, Tracer,
 };
 
 /// A value stream that contains the `[0, 9, 0]` pattern every 8 ticks.
@@ -200,54 +200,79 @@ fn assert_memory_is_live(snap: &MetricsSnapshot, monitors: &[Spring<Kernel>], ct
     );
 }
 
+/// The `frame` spans a tracer holds, as their frame lengths in order.
+fn frame_spans(tracer: &Tracer) -> Vec<u64> {
+    let snap = tracer.snapshot();
+    let events = snap.tracks.iter().flat_map(|t| &t.events);
+    let frames = events.filter(|e| e.kind == TraceEventKind::Frame);
+    frames.map(|e| e.arg).collect()
+}
+
 /// Per-frame recording through `Engine::push_batch`: 32 attachments on
-/// one stream cost one latency observation per frame at most, not one
-/// per attachment, while the tick counter stays exact and the memory
-/// gauges follow attach and hot-swap at once.
+/// one stream cost one latency observation per sampled frame at most,
+/// not one per attachment, while the tick counter stays exact and the
+/// memory gauges follow attach and hot-swap at once. For frames of 1,
+/// 13 and 64 samples, one sampling decision feeds both the latency
+/// histogram and the `frame` spans, and a tracer without a registry
+/// records the same spans.
 #[test]
 fn fan_out_records_latency_once_per_frame_on_the_engine() {
-    let metrics = Arc::new(Metrics::new());
-    let mut engine = SpringEngine::new();
-    engine.set_metrics(Arc::clone(&metrics));
-    let s = engine.add_stream("s");
-    let mut queries = Vec::new();
-    for k in 0..FANOUT {
-        let q = engine.add_query(format!("q{k}"), fan_query(k)).unwrap();
-        engine.attach(s, q, 1.0, GapPolicy::Skip).unwrap();
-        queries.push(q);
-    }
+    let build = |metrics: Option<&Arc<Metrics>>, tracer: &Tracer| {
+        let mut engine = SpringEngine::new();
+        if let Some(metrics) = metrics {
+            engine.set_metrics(Arc::clone(metrics));
+        }
+        engine.set_tracer(tracer, "engine");
+        let s = engine.add_stream("s");
+        let mut queries = Vec::new();
+        for k in 0..FANOUT {
+            let q = engine.add_query(format!("q{k}"), fan_query(k)).unwrap();
+            engine.attach(s, q, 1.0, GapPolicy::Skip).unwrap();
+            queries.push(q);
+        }
+        (engine, s, queries)
+    };
     let live = |engine: &SpringEngine| -> Vec<Spring<Kernel>> {
         (0..FANOUT)
             .map(|k| engine.monitor(AttachmentId(k as u32)).unwrap().clone())
             .collect()
     };
-    assert_memory_is_live(&metrics.snapshot(), &live(&engine), "after attach");
     let frames = 40;
     let xs = fan_stream(frames);
-    let mut events = Vec::new();
-    for frame in xs.chunks(FRAME) {
-        engine.push_batch(s, frame, &mut events).unwrap();
+    for len in [1, 13, FRAME] {
+        let metrics = Arc::new(Metrics::new());
+        let (tracer, alone) = (Tracer::new(), Tracer::new());
+        let (mut engine, s, queries) = build(Some(&metrics), &tracer);
+        let (mut traced, t, _) = build(None, &alone);
+        assert_memory_is_live(&metrics.snapshot(), &live(&engine), "after attach");
+        let mut events = Vec::new();
+        for frame in xs.chunks(len) {
+            engine.push_batch(s, frame, &mut events).unwrap();
+            traced.push_batch(t, frame, &mut Vec::new()).unwrap();
+        }
+        assert!(!events.is_empty(), "the planted copies must match");
+        let snap = metrics.snapshot();
+        assert_eq!(snap.ticks_total, (FANOUT * xs.len()) as u64);
+        assert_eq!(snap.matches_total, events.len() as u64);
+        assert!(snap.tick_latency.count >= 1);
+        assert!(
+            snap.tick_latency.count <= frames as u64,
+            "{} latency observations over {frames} frames",
+            snap.tick_latency.count
+        );
+        let spans = frame_spans(&tracer);
+        assert_eq!(spans.len() as u64, snap.tick_latency.count, "len {len}");
+        assert_eq!(frame_spans(&alone), spans, "len {len}");
+        assert_memory_is_live(&snap, &live(&engine), "after ingest");
+        engine.swap_query(queries[5], vec![0.5; 40]).unwrap();
+        assert_memory_is_live(&metrics.snapshot(), &live(&engine), "after swap");
     }
-    assert!(!events.is_empty(), "the planted copies must match");
-    let snap = metrics.snapshot();
-    assert_eq!(snap.ticks_total, (FANOUT * xs.len()) as u64);
-    assert_eq!(snap.matches_total, events.len() as u64);
-    assert!(snap.tick_latency.count >= 1);
-    assert!(
-        snap.tick_latency.count <= frames as u64,
-        "{} latency observations over {frames} frames",
-        snap.tick_latency.count
-    );
-    assert_memory_is_live(&snap, &live(&engine), "after ingest");
-    engine.swap_query(queries[5], vec![0.5; 40]).unwrap();
-    assert_memory_is_live(&metrics.snapshot(), &live(&engine), "after swap");
 }
 
 /// The same fan-out on a two-worker runner, with an attachment added,
 /// a query swapped and an attachment detached at run time.
 #[test]
 fn fan_out_records_latency_once_per_frame_on_the_runner() {
-    let metrics = Arc::new(Metrics::new());
     let spring = |k: usize, query: &[f64]| {
         RunnerAttachment::spring(StreamId(0), QueryId(k as u32), query, 1.0, GapPolicy::Skip)
             .unwrap()
@@ -255,49 +280,68 @@ fn fan_out_records_latency_once_per_frame_on_the_runner() {
     let bare = |query: &[f64]| {
         Spring::with_kernel(query, spring_core::SpringConfig::new(1.0), Kernel::Squared).unwrap()
     };
-    let attachments = (0..FANOUT).map(|k| spring(k, &fan_query(k))).collect();
-    let sink = Arc::new(CountingSink::new(FANOUT + 1));
-    let mut runner =
-        Runner::spawn_with_metrics(attachments, 2, 1, sink.clone(), Some(Arc::clone(&metrics)))
-            .unwrap();
-    runner.set_max_batch(FRAME);
-    let mut live: Vec<Spring<Kernel>> = (0..FANOUT).map(|k| bare(&fan_query(k))).collect();
-    assert_memory_is_live(&metrics.snapshot(), &live, "after spawn");
+    let spawn = |metrics: Option<Arc<Metrics>>, tracer: &Tracer, len: usize| {
+        let attachments = (0..FANOUT).map(|k| spring(k, &fan_query(k))).collect();
+        let sink = Arc::new(CountingSink::new(FANOUT + 1));
+        let restart = RestartPolicy::default();
+        let tracer = Some(tracer.clone());
+        let mut runner =
+            Runner::spawn_with_observability(attachments, 2, sink, metrics, restart, tracer)
+                .unwrap();
+        runner.set_max_batch(len);
+        runner
+    };
     let frames = 40;
     let xs = fan_stream(frames);
-    for frame in xs.chunks(FRAME) {
-        runner.push_batch(StreamId(0), frame).unwrap();
+    for len in [1, 13, FRAME] {
+        let metrics = Arc::new(Metrics::new());
+        let (tracer, alone) = (Tracer::new(), Tracer::new());
+        let runner = spawn(Some(Arc::clone(&metrics)), &tracer, len);
+        let traced = spawn(None, &alone, len);
+        let mut live: Vec<Spring<Kernel>> = (0..FANOUT).map(|k| bare(&fan_query(k))).collect();
+        assert_memory_is_live(&metrics.snapshot(), &live, "after spawn");
+        for frame in xs.chunks(FRAME) {
+            runner.push_batch(StreamId(0), frame).unwrap();
+            traced.push_batch(StreamId(0), frame).unwrap();
+        }
+        for r in [&runner, &traced] {
+            r.flush(StreamId(0)).unwrap();
+            r.sync(StreamId(0)).unwrap();
+        }
+        let snap = metrics.snapshot();
+        assert_eq!(snap.ticks_total, (FANOUT * xs.len()) as u64);
+        assert!(snap.matches_total > 0, "the planted copies must match");
+        assert!(snap.tick_latency.count >= 1);
+        assert!(
+            snap.tick_latency.count <= frames as u64,
+            "{} latency observations over {frames} frames",
+            snap.tick_latency.count
+        );
+        let spans = frame_spans(&tracer);
+        assert_eq!(spans.len() as u64, snap.tick_latency.count, "len {len}");
+        assert_eq!(frame_spans(&alone), spans, "len {len}");
+        traced.shutdown().unwrap();
+        assert_memory_is_live(&snap, &live, "after ingest");
+        let extra = runner.attach(spring(FANOUT, &fan_query(FANOUT))).unwrap();
+        runner.sync(StreamId(0)).unwrap();
+        live.push(bare(&fan_query(FANOUT)));
+        assert_memory_is_live(&metrics.snapshot(), &live, "after attach");
+        runner.swap_query(QueryId(5), &[0.5; 40]).unwrap();
+        runner.sync(StreamId(0)).unwrap();
+        live[5] = bare(&[0.5; 40]);
+        assert_memory_is_live(&metrics.snapshot(), &live, "after swap");
+        runner.detach(extra).unwrap();
+        runner.sync(StreamId(0)).unwrap();
+        live.pop();
+        assert_memory_is_live(&metrics.snapshot(), &live, "after detach");
+        runner.shutdown().unwrap();
+        let snap = metrics.snapshot();
+        assert_eq!(
+            (snap.memory_bytes, snap.memory_cells),
+            (0, 0),
+            "after shutdown"
+        );
     }
-    runner.sync(StreamId(0)).unwrap();
-    let snap = metrics.snapshot();
-    assert_eq!(snap.ticks_total, (FANOUT * xs.len()) as u64);
-    assert!(snap.matches_total > 0, "the planted copies must match");
-    assert!(snap.tick_latency.count >= 1);
-    assert!(
-        snap.tick_latency.count <= frames as u64,
-        "{} latency observations over {frames} frames",
-        snap.tick_latency.count
-    );
-    assert_memory_is_live(&snap, &live, "after ingest");
-    let extra = runner.attach(spring(FANOUT, &fan_query(FANOUT))).unwrap();
-    runner.sync(StreamId(0)).unwrap();
-    live.push(bare(&fan_query(FANOUT)));
-    assert_memory_is_live(&metrics.snapshot(), &live, "after attach");
-    runner.swap_query(QueryId(5), &[0.5; 40]).unwrap();
-    runner.sync(StreamId(0)).unwrap();
-    live[5] = bare(&[0.5; 40]);
-    assert_memory_is_live(&metrics.snapshot(), &live, "after swap");
-    runner.detach(extra).unwrap();
-    runner.sync(StreamId(0)).unwrap();
-    live.pop();
-    assert_memory_is_live(&metrics.snapshot(), &live, "after detach");
-    runner.shutdown().unwrap();
-    let snap = metrics.snapshot();
-    assert_eq!(
-        (snap.memory_bytes, snap.memory_cells),
-        (0, 0),
-        "after shutdown"
-    );
 }
 
 /// Minimal validator for the Prometheus text exposition format

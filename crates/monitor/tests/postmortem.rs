@@ -47,7 +47,6 @@ fn injected_worker_panic_writes_a_postmortem_trace() {
     );
     let dir = tmpdir();
     let tracer = Tracer::new();
-    tracer.set_enabled(true);
     tracer.set_postmortem_dir(Some(dir.clone()));
     let attachments = vec![RunnerAttachment::spring(
         StreamId(0),

@@ -8,35 +8,54 @@
 //! `#![forbid(unsafe_code)]` is unaffected) and asserts a zero
 //! allocation delta across thousands of steady-state ticks.
 //!
-//! This file intentionally contains a single `#[test]`: a second test
-//! running concurrently in the same binary would allocate on another
-//! thread and poison the counter.
+//! Only the allocations of the thread that drives the engine count, and
+//! only inside a measured window ([`measure`]): the test harness's own
+//! threads (libtest's main thread keeps books while the test runs) can
+//! allocate at any time without failing the test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use spring_monitor::{Event, GapPolicy, SpringEngine, VectorEngine};
 
-/// Counts every allocation routed through the global allocator.
+thread_local! {
+    /// Set on the measuring thread for the length of a measured window.
+    /// `const`-initialized and without a destructor, so reading it from
+    /// inside the allocator never allocates.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts the allocations the measuring thread makes while
+/// [`MEASURING`] is set.
 struct CountingAlloc {
     allocs: AtomicU64,
 }
 
-// SAFETY: defers every operation to `System`, only adding a relaxed
-// atomic increment on the allocating entry points.
+impl CountingAlloc {
+    fn count(&self) {
+        if MEASURING.try_with(Cell::get).unwrap_or(false) {
+            self.allocs.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+// SAFETY: defers every operation to `System`, only adding a
+// thread-local read and a relaxed atomic increment on the allocating
+// entry points.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
+        self.count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
+        self.count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
+        self.count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -50,8 +69,13 @@ static ALLOC: CountingAlloc = CountingAlloc {
     allocs: AtomicU64::new(0),
 };
 
-fn allocations() -> u64 {
-    ALLOC.allocs.load(Ordering::Relaxed)
+/// The allocations this thread makes while running `f`.
+fn measure(f: impl FnOnce()) -> u64 {
+    let before = ALLOC.allocs.load(Ordering::Relaxed);
+    MEASURING.set(true);
+    f();
+    MEASURING.set(false);
+    ALLOC.allocs.load(Ordering::Relaxed) - before
 }
 
 #[test]
@@ -97,13 +121,13 @@ fn steady_state_push_and_push_batch_do_not_allocate() {
     // Steady state, batched path: zero per-tick heap allocations.
     let mut batched = u64::MAX;
     for _pass in 0..2 {
-        let before = allocations();
-        for _ in 0..64 {
-            refill(&mut samples);
-            out.clear();
-            engine.push_batch(stream, &samples, &mut out).unwrap();
-        }
-        batched = allocations() - before;
+        batched = measure(|| {
+            for _ in 0..64 {
+                refill(&mut samples);
+                out.clear();
+                engine.push_batch(stream, &samples, &mut out).unwrap();
+            }
+        });
     }
     assert_eq!(
         batched, 0,
@@ -115,12 +139,12 @@ fn steady_state_push_and_push_batch_do_not_allocate() {
     // reused.
     let mut per_sample = u64::MAX;
     for _pass in 0..2 {
-        let before = allocations();
-        for _ in 0..256 {
-            let events = engine.push(stream, &0.25).unwrap();
-            assert!(events.is_empty());
-        }
-        per_sample = allocations() - before;
+        per_sample = measure(|| {
+            for _ in 0..256 {
+                let events = engine.push(stream, &0.25).unwrap();
+                assert!(events.is_empty());
+            }
+        });
     }
     assert_eq!(
         per_sample, 0,
@@ -135,12 +159,12 @@ fn steady_state_push_and_push_batch_do_not_allocate() {
     vectors.attach(feed, q, 1e-6, GapPolicy::Skip).unwrap();
     let mut vector_pushes = u64::MAX;
     for _pass in 0..2 {
-        let before = allocations();
-        for t in 0..256 {
-            let row = [(t as f64 * 0.05).sin() + 40.0, 40.0];
-            assert!(vectors.push(feed, &row[..]).unwrap().is_empty());
-        }
-        vector_pushes = allocations() - before;
+        vector_pushes = measure(|| {
+            for t in 0..256 {
+                let row = [(t as f64 * 0.05).sin() + 40.0, 40.0];
+                assert!(vectors.push(feed, &row[..]).unwrap().is_empty());
+            }
+        });
     }
     assert_eq!(
         vector_pushes, 0,
