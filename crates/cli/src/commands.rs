@@ -10,10 +10,7 @@ use spring_data::io::{read_csv, write_csv};
 use spring_data::{MaskedChirp, Seismic, Sunspots, Temperature, TimeSeries};
 use spring_dtw::constraint::{dtw_constrained, GlobalConstraint};
 use spring_dtw::{dtw_distance_with, dtw_with_path, Kernel};
-use spring_monitor::{
-    ChannelSink, GapPolicy, Metrics, MixedEngine, QueryId, RestartPolicy, Runner, RunnerAttachment,
-    StreamId, Tracer,
-};
+use spring_monitor::{GapPolicy, Metrics, MixedEngine, StreamId, Tracer};
 
 use crate::args::{ArgError, Parsed};
 
@@ -63,14 +60,12 @@ USAGE:
   spring monitor   --query Q.csv --epsilon N [--stream S.csv] [--kernel squared|absolute]
                    [--gap skip|carry] [--min-len N --max-len N | --max-run R | --normalize W]
                    [--resume SNAP.json] [--checkpoint SNAP.json] [--stats] [--batch N]
-                   [--shards N] [--trace OUT.json]
+                   [--trace OUT.json]
                    (--batch: readings pushed per ingestion frame, default 64;
                     a partial frame goes out whenever the input drains, so
                     a live pipe sees each match as soon as its producer
                     pauses; output is identical for every N — --batch 1
-                    pushes one reading a frame. --shards: run through an
-                    N-worker runner instead of the inline monitor — the
-                    transcript is identical. --trace: write a Chrome
+                    pushes one reading a frame. --trace: write a Chrome
                     trace-event flight recording of the run; without it
                     the recorder stays off)
   spring bestmatch --query Q.csv [--stream S.csv] [--kernel squared|absolute]
@@ -308,7 +303,6 @@ pub fn monitor(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "resume",
             "checkpoint",
             "batch",
-            "shards",
             "trace",
         ],
         &["stats"],
@@ -317,9 +311,6 @@ pub fn monitor(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let kernel = parse_kernel(&p)?;
     let gap = parse_gap(&p)?;
     let trace_out = p.get("trace").map(std::path::PathBuf::from);
-    if let Some(shards) = p.get_parsed::<usize>("shards", "integer")? {
-        return monitor_sharded(&p, shards, kernel, gap, out);
-    }
     let compute = |e: spring_monitor::MonitorError| CliError::Compute(e.to_string());
     let checkpoint_path = p.get("checkpoint").map(str::to_string);
     let mut engine = MixedEngine::new();
@@ -428,133 +419,14 @@ pub fn monitor(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     if let Some(metrics) = engine.metrics() {
         write!(out, "{}", metrics.snapshot().render_table())?;
     }
-    write_trace_export(&tracer, trace_out.as_deref(), out)?;
-    Ok(())
-}
-
-/// Exports the flight recorder to `path` (when `--trace` was given) and
-/// notes where it went, so the user can load it in `chrome://tracing`.
-fn write_trace_export(
-    tracer: &Tracer,
-    path: Option<&Path>,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let Some(path) = path else { return Ok(()) };
-    tracer
-        .write_chrome_json(path)
-        .map_err(|e| CliError::Compute(format!("{}: {e}", path.display())))?;
-    writeln!(out, "trace written to {}", path.display())?;
-    Ok(())
-}
-
-/// `spring monitor --shards N` — the same monitoring run, deployed
-/// through a [`Runner`] of `N` workers instead of the inline monitor loop.
-///
-/// The printed transcript is identical to the inline path: matches in
-/// stream order (the trailing pending-group match tagged
-/// `(stream end)`), then the `N match(es) over T ticks` summary. Every
-/// reading is pushed and the attachment resolves gaps under the `--gap`
-/// policy, so it steps exactly the samples the inline monitor would and
-/// its `--stats` recorder counts the missing ones. Frames are cut where
-/// the inline path cuts them: when full, and when the input drains —
-/// then the partial frame is flushed, the worker is synced, and its
-/// matches are printed before the next read may block.
-fn monitor_sharded(
-    p: &Parsed,
-    shards: usize,
-    kernel: Kernel,
-    gap: GapPolicy,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    if p.get("resume").is_some() || p.get("checkpoint").is_some() {
-        return Err(CliError::Compute(
-            "--resume/--checkpoint are incompatible with --shards".into(),
-        ));
+    // Note where the trace went, so the user can load it in
+    // `chrome://tracing`.
+    if let Some(path) = trace_out {
+        tracer
+            .write_chrome_json(&path)
+            .map_err(|e| CliError::Compute(format!("{}: {e}", path.display())))?;
+        writeln!(out, "trace written to {}", path.display())?;
     }
-    let query = read_csv_named(p.require("query")?)?;
-    let epsilon: f64 = p.require_parsed("epsilon", "number")?;
-    let spec = spec_from_flags(p, epsilon)?;
-    let monitor = spec
-        .build(&query.values, kernel)
-        .map_err(|e| CliError::Compute(e.to_string()))?;
-    let metrics = p.has("stats").then(|| std::sync::Arc::new(Metrics::new()));
-    let (tx, matches) = std::sync::mpsc::channel();
-    let sink = std::sync::Arc::new(ChannelSink::new(tx));
-    let stream_id = StreamId(0);
-    let attachment = RunnerAttachment::new(stream_id, QueryId(0), monitor, gap);
-    // `--trace`: every worker and supervisor records into its own ring
-    // (`worker-N` / `supervisor-N` tracks in the export).
-    let trace_out = p.get("trace").map(std::path::PathBuf::from);
-    let tracer = Tracer::new();
-    let mut runner = Runner::spawn_with_observability(
-        vec![attachment],
-        shards,
-        sink.clone(),
-        metrics.clone(),
-        RestartPolicy::default(),
-        trace_out.is_some().then(|| tracer.clone()),
-    )
-    .map_err(|e| CliError::Compute(e.to_string()))?;
-    let batch: usize = p
-        .get_parsed("batch", "integer")?
-        .unwrap_or(spring_monitor::DEFAULT_MAX_BATCH)
-        .max(1);
-    runner.set_max_batch(batch);
-    // `ticks` counts the samples the monitor steps: present readings,
-    // plus carried ones once a reading has been seen.
-    let mut ticks = 0u64;
-    let mut seen = false;
-    let mut push_err = None;
-    let mut count = 0u64;
-    for_each_value(open_stream(p)?, |input| {
-        match input {
-            Input::Value(v) => {
-                seen |= v.is_finite();
-                if v.is_finite() || (gap == GapPolicy::CarryForward && seen) {
-                    ticks += 1;
-                }
-                if push_err.is_none() {
-                    push_err = runner.push(stream_id, &v).err();
-                }
-            }
-            Input::Drained => {
-                // Wait for the worker to step the partial frame, then
-                // print the matches it reached.
-                if push_err.is_none() {
-                    push_err = runner
-                        .flush(stream_id)
-                        .and_then(|()| runner.sync(stream_id))
-                        .err();
-                }
-                for ev in matches.try_iter() {
-                    write_match(&mut *out, &mut count, &ev.m, "")?;
-                }
-            }
-        }
-        Ok(())
-    })?;
-    // Every match the finish adds is the pending-group (stream end) one.
-    if push_err.is_none() {
-        if let Err(e) = runner.finish_stream(stream_id) {
-            push_err = Some(e);
-        }
-    }
-    // The recorded worker error (surfaced by shutdown) takes precedence
-    // over the secondary WorkerLost a push may have observed.
-    runner
-        .shutdown()
-        .map_err(|e| CliError::Compute(e.to_string()))?;
-    if let Some(e) = push_err {
-        return Err(CliError::Compute(e.to_string()));
-    }
-    for ev in matches.try_iter() {
-        write_match(out, &mut count, &ev.m, " (stream end)")?;
-    }
-    writeln!(out, "{count} match(es) over {ticks} ticks")?;
-    if let Some(m) = &metrics {
-        write!(out, "{}", m.snapshot().render_table())?;
-    }
-    write_trace_export(&tracer, trace_out.as_deref(), out)?;
     Ok(())
 }
 
@@ -934,48 +806,42 @@ mod tests {
         let dir = tmpdir("clitrace");
         let q = write_series(&dir, "q.csv", &[11.0, 6.0, 9.0, 4.0]);
         let s = write_series(&dir, "s.csv", &[5.0, 12.0, 6.0, 10.0, 6.0, 5.0, 13.0]);
-        // Inline path: frame spans + match instants on one track.
-        // Sharded path: the worker's frame spans on `worker-N`.
-        for (file, extra, track) in [
-            ("inline.json", "", "monitor"),
-            ("sharded.json", " --shards 2", "worker-"),
-        ] {
-            let path = dir.join(file);
-            let mut out = Vec::new();
-            monitor(
-                &argv(&format!(
-                    "--query {} --epsilon 15 --stream {} --trace {}{extra}",
-                    q.display(),
-                    s.display(),
-                    path.display()
-                )),
-                &mut out,
-            )
-            .unwrap();
-            let text = String::from_utf8(out).unwrap();
-            assert!(text.contains("1 match(es) over 7 ticks"), "{text}");
-            assert!(
-                text.contains(&format!("trace written to {}", path.display())),
-                "{text}"
-            );
-            let doc = spring_util::json::Value::parse(&std::fs::read_to_string(&path).unwrap())
-                .expect("trace export must be valid JSON");
-            let events = doc
-                .get("traceEvents")
-                .and_then(|v| v.as_arr())
-                .expect("traceEvents array");
-            let named = |name: &str| {
-                events.iter().any(|e| {
-                    e.get("name").and_then(|n| n.as_str()) == Some(name)
-                        || e.get("args")
-                            .and_then(|a| a.get("name"))
-                            .and_then(|n| n.as_str())
-                            .is_some_and(|n| n.contains(name))
-                })
-            };
-            assert!(named("match"), "no match instant in {file}");
-            assert!(named(track), "no {track} track metadata in {file}");
-        }
+        // Frame spans + match instants on one `monitor` track.
+        let path = dir.join("inline.json");
+        let mut out = Vec::new();
+        monitor(
+            &argv(&format!(
+                "--query {} --epsilon 15 --stream {} --trace {}",
+                q.display(),
+                s.display(),
+                path.display()
+            )),
+            &mut out,
+        )
+        .unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("1 match(es) over 7 ticks"), "{text}");
+        assert!(
+            text.contains(&format!("trace written to {}", path.display())),
+            "{text}"
+        );
+        let doc = spring_util::json::Value::parse(&std::fs::read_to_string(&path).unwrap())
+            .expect("trace export must be valid JSON");
+        let events = doc
+            .get("traceEvents")
+            .and_then(|v| v.as_arr())
+            .expect("traceEvents array");
+        let named = |name: &str| {
+            events.iter().any(|e| {
+                e.get("name").and_then(|n| n.as_str()) == Some(name)
+                    || e.get("args")
+                        .and_then(|a| a.get("name"))
+                        .and_then(|n| n.as_str())
+                        .is_some_and(|n| n.contains(name))
+            })
+        };
+        assert!(named("match"), "no match instant");
+        assert!(named("monitor"), "no monitor track metadata");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1025,93 +891,6 @@ mod tests {
             };
             assert_eq!(scrub(&text), scrub(&reference), "--batch {n} diverged");
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_monitor_transcript_matches_the_inline_monitor() {
-        // `--shards N` deploys the same run through an N-worker Runner;
-        // the printed transcript must be byte-identical to the inline
-        // path for every shard count and batch size —
-        // including the `(stream end)` tag on the pending-group match
-        // and the gap handling.
-        let dir = tmpdir("shardeq");
-        let q = write_series(&dir, "q.csv", &[0.0, 9.0, 0.0]);
-        let s = dir.join("s.csv");
-        // A mid-stream occurrence, a NaN gap, and an occurrence at the
-        // very end of the stream (confirmed only by the finish).
-        std::fs::write(&s, "50\n50\n0\n9\n0\n50\nNaN\n50\n50\n0\n9\n0\n").unwrap();
-        let run = |extra: &str| {
-            let mut out = Vec::new();
-            monitor(
-                &argv(&format!(
-                    "--query {} --epsilon 1 --stream {}{extra}",
-                    q.display(),
-                    s.display()
-                )),
-                &mut out,
-            )
-            .unwrap();
-            String::from_utf8(out).unwrap()
-        };
-        let reference = run("");
-        assert!(reference.contains("2 match(es)"), "{reference}");
-        assert!(reference.contains("(stream end)"), "{reference}");
-        for extra in [
-            " --shards 1",
-            " --shards 2",
-            " --shards 4 --batch 1",
-            " --shards 2 --batch 3",
-            " --shards 2 --gap carry",
-        ] {
-            let got = run(extra);
-            let want = if extra.contains("carry") {
-                run(" --gap carry")
-            } else {
-                reference.clone()
-            };
-            assert_eq!(got, want, "{extra} diverged from the inline monitor");
-        }
-        // `--stats` agrees too, frames included, bar the rows that
-        // measure the deployment (latency, memory) or exist only under
-        // `--shards`.
-        let stats = |text: String| -> Vec<String> {
-            let own = ["tick latency", "live memory", "shard "];
-            text.lines()
-                .filter(|l| !own.iter().any(|k| l.starts_with(k)))
-                .map(str::to_owned)
-                .collect()
-        };
-        for gap in ["", " --gap carry"] {
-            let want = stats(run(&format!(" --stats{gap}")));
-            assert!(
-                want.contains(&format!("{:<28} 1", "missing samples")),
-                "{want:?}"
-            );
-            for shards in [" --shards 1", " --shards 2"] {
-                let got = stats(run(&format!(" --stats{gap}{shards}")));
-                assert_eq!(
-                    got, want,
-                    "--stats{gap}{shards} diverged from the inline monitor"
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_monitor_rejects_conflicting_flags() {
-        let dir = tmpdir("shardflags");
-        let q = write_series(&dir, "q.csv", &[0.0, 9.0, 0.0]);
-        let err = monitor(
-            &argv(&format!(
-                "--query {} --epsilon 1 --shards 2 --checkpoint snap.json",
-                q.display()
-            )),
-            &mut Vec::new(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("--shards"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

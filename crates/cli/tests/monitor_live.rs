@@ -1,23 +1,19 @@
 //! `spring monitor` on a live pipe: readings held for a frame are pushed
 //! before every read that may block, so a match is printed while stdin
-//! is still open — inline and through `--shards 2` — instead of when
-//! the frame fills or the pipe closes.
+//! is still open, instead of when the frame fills or the pipe closes.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-fn match_arrives_before_stdin_closes(extra: &[&str]) {
-    let query = std::env::temp_dir().join(format!(
-        "spring-monitor-live-{}{}.csv",
-        std::process::id(),
-        extra.concat()
-    ));
+#[test]
+fn inline_monitor_prints_a_match_before_stdin_closes() {
+    let query =
+        std::env::temp_dir().join(format!("spring-monitor-live-{}.csv", std::process::id()));
     std::fs::write(&query, "0\n9\n0\n").unwrap();
     let mut child = Command::new(env!("CARGO_BIN_EXE_spring"))
         .args(["monitor", "--epsilon", "1", "--query"])
         .arg(&query)
-        .args(extra)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
@@ -44,14 +40,4 @@ fn match_arrives_before_stdin_closes(extra: &[&str]) {
     assert!(child.wait().unwrap().success());
     reader.join().unwrap().unwrap();
     std::fs::remove_file(&query).ok();
-}
-
-#[test]
-fn inline_monitor_prints_a_match_before_stdin_closes() {
-    match_arrives_before_stdin_closes(&[]);
-}
-
-#[test]
-fn sharded_monitor_prints_a_match_before_stdin_closes() {
-    match_arrives_before_stdin_closes(&["--shards", "2"]);
 }

@@ -268,8 +268,8 @@ pub(crate) fn fill_column<K: DistanceKernel>(
 /// [`fill_column`] generalized over the base distance: `fill_base`
 /// receives a `h + 1`-long prefix of the base lane (index 0 unused) and
 /// must fill `base[i] = ‖x − y_i‖` for `i = 1 ..= h`; `row_dist(i)` is
-/// the same distance for one row (the vertical chain). This is how the
-/// multivariate STWM (`crate::vector`), whose element distance sums
+/// the same distance for one row (the vertical chain). This is how a
+/// `k`-channel matrix (`Stwm::step_row`), whose element distance sums
 /// over channels, shares the min-select and carry phases.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_column_with(
@@ -537,6 +537,7 @@ mod tests {
     use super::*;
     use spring_dtw::kernels::{Absolute, Squared};
     use spring_util::Rng;
+    use std::sync::Arc;
 
     /// Every lane implementation this build can run: the portable loop,
     /// then each explicit SIMD width the CPU reports (SSE2, AVX2), so one
@@ -848,6 +849,58 @@ mod tests {
             );
         }
         assert!(!want.is_empty(), "the workload must report");
+    }
+
+    #[test]
+    fn vector_rows_keep_the_banded_kernel_eps_equivalent_to_the_full_column() {
+        // A `k`-channel matrix with an ε-band beside one without (ε = +∞,
+        // every row): after each row step the columns must be
+        // ε-equivalent and the band top tight. Coarse grids make ties and
+        // repeated query rows (vertical chains); planted copies of the
+        // query fill the band from row 1 to m.
+        use crate::arena::QueryRef;
+        use crate::stwm::Stwm;
+        use spring_dtw::Kernel;
+        let mut rng = Rng::seed_from_u64(0x7EC7);
+        for k in [1usize, 3, 8] {
+            for round in 0..8 {
+                let kernel = [Kernel::Squared, Kernel::Absolute][round % 2];
+                let m = rng.usize_range(1, 13);
+                let cell = |rng: &mut Rng| match round / 2 % 2 {
+                    0 => rng.u64_below(3) as f64,
+                    _ => rng.f64_range(-2.0, 2.0),
+                };
+                let row = |rng: &mut Rng| (0..k).map(|_| cell(rng)).collect::<Vec<f64>>();
+                let query: Vec<Vec<f64>> = (0..m).map(|_| row(&mut rng)).collect();
+                let eps = [0.0, 0.5 * k as f64, (m * k) as f64, 1e6][round / 2];
+                let mut stream: Vec<Vec<f64>> = Vec::new();
+                while stream.len() < 80 {
+                    match rng.u64_below(8) {
+                        0 => stream.extend(query.iter().cloned()),
+                        1 | 2 if !stream.is_empty() => {
+                            stream.push(stream[stream.len() - 1].clone())
+                        }
+                        _ => stream.push(row(&mut rng)),
+                    }
+                }
+                let entry = QueryRef::vector(&query).unwrap();
+                let mut full = Stwm::with_rows(Arc::clone(&entry), kernel);
+                let mut banded = Stwm::with_rows(entry, kernel).with_band(eps);
+                for (t, x) in stream.iter().enumerate() {
+                    full.step_row(x).unwrap();
+                    banded.step_row(x).unwrap();
+                    let ctx = format!("k={k} round={round} m={m} eps={eps} t={}", t + 1);
+                    assert_eps_equivalent(
+                        eps,
+                        (full.distances(), full.starts()),
+                        (banded.distances(), banded.starts()),
+                        &ctx,
+                    );
+                    let live = (1..=m).rev().find(|&i| full.distances()[i] <= eps);
+                    assert_eq!(banded.top(), live.unwrap_or(0), "{ctx}: band top");
+                }
+            }
+        }
     }
 
     #[test]

@@ -102,5 +102,5 @@ pub use snapshot::{SpringSnapshot, VectorSnapshot};
 pub use spring::{Spring, SpringConfig};
 pub use stwm::Stwm;
 pub use types::Match;
-pub use vector::{VectorBestMatch, VectorSpring};
+pub use vector::VectorSpring;
 pub use znorm::{NormalizedSpring, RollingStats};

@@ -20,6 +20,7 @@
 use std::sync::Arc;
 
 use spring_dtw::kernels::{DistanceKernel, Squared};
+use spring_dtw::multivariate::element_distance;
 
 use crate::arena::QueryRef;
 use crate::error::SpringError;
@@ -44,9 +45,10 @@ fn range_idle(idle: impl Fn(f64) -> bool, y1: f64, (lo, hi): (f64, f64)) -> bool
 /// Rolling two-column STWM between an evolving stream and a fixed query.
 ///
 /// This type is the shared engine beneath [`crate::Spring`] (disjoint
-/// queries), [`crate::BestMatch`] (best-match queries), and
-/// [`crate::PathSpring`]. It exposes the freshly computed column after
-/// each [`Stwm::step`], so the policy layers above decide what to report.
+/// queries), [`crate::BestMatch`] (best-match queries),
+/// [`crate::PathSpring`] and [`crate::VectorSpring`] (`k`-channel
+/// samples, `Stwm::step_row`). It exposes the freshly computed column
+/// after each step, so the policy layers above decide what to report.
 ///
 /// A matrix built by [`Stwm::new`] (or the other public constructors)
 /// fills every row, bit-identically to [`Stwm::step_reference`].
@@ -125,8 +127,15 @@ impl<K: DistanceKernel> Stwm<K> {
                 query.channels()
             )));
         }
+        Ok(Self::with_rows(query, kernel))
+    }
+
+    /// Creates the STWM over an arena entry of any channel count `k`.
+    /// A `k`-channel matrix is stepped only by [`Stwm::step_row`]: the
+    /// scalar steps and idle skips read the query as `k = 1`.
+    pub(crate) fn with_rows(query: Arc<QueryRef>, kernel: K) -> Self {
         let m = query.len();
-        Ok(Stwm {
+        Stwm {
             y1: query.samples()[0],
             query,
             kernel,
@@ -142,7 +151,7 @@ impl<K: DistanceKernel> Stwm<K> {
             top_cur: 0,
             top_prev: 0,
             scratch: Scratch::new(m),
-        })
+        }
     }
 
     /// Gives the matrix an ε-band (see the type docs): the disjoint
@@ -207,6 +216,46 @@ impl<K: DistanceKernel> Stwm<K> {
             &mut self.scratch,
         );
         self.swap();
+    }
+
+    /// Consumes the next `k`-channel sample of a [`Stwm::with_rows`]
+    /// matrix and fills the column for tick `t + 1`: [`Stwm::step`] with
+    /// the row-`i` base distance summed over the channels,
+    /// `element_distance(x, y_i, kernel)` (Sec. 5.3), on the same band.
+    ///
+    /// # Errors
+    /// Fails when `x` does not have `k` channels; the matrix is then
+    /// unchanged.
+    pub(crate) fn step_row(&mut self, x: &[f64]) -> Result<(), SpringError> {
+        let dim = self.query.channels();
+        if x.len() != dim {
+            return Err(SpringError::DimensionMismatch {
+                expected: dim,
+                found: x.len(),
+            });
+        }
+        self.t += 1;
+        let (rows, kernel) = (self.query.samples(), self.kernel);
+        let row = |i: usize| element_distance(x, &rows[(i - 1) * dim..i * dim], kernel);
+        self.top_cur = kernel::fill_column_with(
+            |base| {
+                for (b, y) in base[1..].iter_mut().zip(rows.chunks_exact(dim)) {
+                    *b = element_distance(x, y, kernel);
+                }
+            },
+            row,
+            self.t,
+            self.eps,
+            &mut self.d_prev,
+            &mut self.s_prev,
+            self.top_prev,
+            &mut self.d_cur,
+            &mut self.s_cur,
+            self.top_cur,
+            &mut self.scratch,
+        );
+        self.swap();
+        Ok(())
     }
 
     /// Consumes the longest prefix of `xs` that leaves the ε-band empty

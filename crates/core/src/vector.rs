@@ -3,8 +3,8 @@
 //! Each time-tick carries a vector of `k` numbers (motion capture:
 //! k = 62 joint velocities) and the query is a `k`-dimensional sequence
 //! of `m` ticks. The element distance becomes the sum of per-channel
-//! kernel distances; the star-padding/STWM machinery is otherwise
-//! unchanged, so all accuracy guarantees carry over.
+//! kernel distances; the star padding and the ε-banded [`Stwm`] are the
+//! scalar monitors' own, so all accuracy guarantees carry over.
 //!
 //! The paper modifies the reporting for motion capture "to report the
 //! starting and ending positions of the range of overlapping
@@ -14,13 +14,13 @@
 use std::sync::Arc;
 
 use spring_dtw::kernels::{DistanceKernel, Squared};
-use spring_dtw::multivariate::element_distance;
 
 use crate::arena::QueryRef;
 use crate::error::{check_epsilon, SpringError};
-use crate::kernel::{self, Scratch};
 use crate::mem::MemoryUse;
-use crate::policy::{ColumnOps, DisjointPolicy};
+use crate::policy::DisjointPolicy;
+use crate::spring::StwmOps;
+use crate::stwm::Stwm;
 use crate::types::Match;
 
 /// Validates a multivariate query and returns its dimensionality.
@@ -46,128 +46,15 @@ pub(crate) fn check_vector_query(query: &[Vec<f64>]) -> Result<usize, SpringErro
     Ok(dim)
 }
 
-/// Rolling STWM over a `k`-dimensional stream.
-///
-/// The query is stored row-major (`m × k`, flattened) for cache-friendly
-/// per-tick scans.
-#[derive(Debug, Clone)]
-struct VectorStwm<K: DistanceKernel> {
-    /// Shared arena entry; samples flattened row-major, row `i` at
-    /// `[i*dim .. (i+1)*dim]`.
-    query: Arc<QueryRef>,
-    dim: usize,
-    m: usize,
-    kernel: K,
-    d_cur: Vec<f64>,
-    d_prev: Vec<f64>,
-    s_cur: Vec<u64>,
-    s_prev: Vec<u64>,
-    t: u64,
-    /// Lane scratch shared with the scalar SoA kernel (`crate::kernel`).
-    scratch: Scratch,
-}
-
-impl<K: DistanceKernel> VectorStwm<K> {
-    fn new(query: &[Vec<f64>], kernel: K) -> Result<Self, SpringError> {
-        Self::from_ref(QueryRef::vector(query)?, kernel)
-    }
-
-    fn from_ref(query: Arc<QueryRef>, kernel: K) -> Result<Self, SpringError> {
-        let dim = query.channels();
-        let m = query.len();
-        Ok(VectorStwm {
-            query,
-            dim,
-            m,
-            kernel,
-            d_cur: vec![f64::INFINITY; m + 1],
-            d_prev: vec![f64::INFINITY; m + 1],
-            s_cur: vec![0; m + 1],
-            s_prev: vec![0; m + 1],
-            t: 0,
-            scratch: Scratch::new(m),
-        })
-    }
-
-    fn step(&mut self, x: &[f64]) -> Result<(), SpringError> {
-        if x.len() != self.dim {
-            return Err(SpringError::DimensionMismatch {
-                expected: self.dim,
-                found: x.len(),
-            });
-        }
-        self.t += 1;
-        // Same two-phase SoA kernel as the scalar STWM; only the base
-        // lane differs (per-row channel sums instead of a 1-D kernel).
-        let query = self.query.samples();
-        let dim = self.dim;
-        let kern = self.kernel;
-        // The multivariate STWM is unbanded: ε = +∞ keeps every row.
-        kernel::fill_column_with(
-            |base| {
-                for (i, b) in base[1..].iter_mut().enumerate() {
-                    *b = element_distance(x, &query[i * dim..(i + 1) * dim], kern);
-                }
-            },
-            |i| element_distance(x, &query[(i - 1) * dim..i * dim], kern),
-            self.t,
-            f64::INFINITY,
-            &mut self.d_prev,
-            &mut self.s_prev,
-            self.m,
-            &mut self.d_cur,
-            &mut self.s_cur,
-            self.m,
-            &mut self.scratch,
-        );
-        std::mem::swap(&mut self.d_cur, &mut self.d_prev);
-        std::mem::swap(&mut self.s_cur, &mut self.s_prev);
-        Ok(())
-    }
-
-    fn bytes(&self) -> usize {
-        self.query.bytes_used()
-            + (self.d_cur.capacity() + self.d_prev.capacity()) * std::mem::size_of::<f64>()
-            + (self.s_cur.capacity() + self.s_prev.capacity()) * std::mem::size_of::<u64>()
-            + self.scratch.bytes()
-    }
-
-    /// Per-attachment mutable cells (columns + scratch), in `f64` units.
-    fn attachment_cells(&self) -> usize {
-        self.d_cur.capacity()
-            + self.d_prev.capacity()
-            + self.s_cur.capacity()
-            + self.s_prev.capacity()
-            + self.scratch.bytes() / std::mem::size_of::<f64>()
-    }
-}
-
-/// Disjoint-query monitor over a `k`-dimensional stream.
+/// Disjoint-query monitor over a `k`-dimensional stream: the disjoint
+/// policy over a `k`-channel [`Stwm`] (`Stwm::step_row`), ε-banded
+/// like [`crate::Spring`]'s. Channel sums are non-negative, so the band
+/// argument holds unchanged: the columns are ε-equivalent to the full
+/// recurrence and the matches are identical.
 #[derive(Debug, Clone)]
 pub struct VectorSpring<K: DistanceKernel = Squared> {
-    stwm: VectorStwm<K>,
+    stwm: Stwm<K>,
     policy: DisjointPolicy,
-}
-
-/// [`ColumnOps`] over a vector-STWM column.
-struct VectorOps<'a, K: DistanceKernel>(&'a mut VectorStwm<K>);
-
-impl<K: DistanceKernel> ColumnOps for VectorOps<'_, K> {
-    fn confirmed(&self, dmin: f64, te: u64) -> bool {
-        (1..=self.0.m).all(|i| self.0.d_prev[i] >= dmin || self.0.s_prev[i] > te)
-    }
-
-    fn invalidate(&mut self, te: u64) {
-        for i in 1..=self.0.m {
-            if self.0.s_prev[i] <= te {
-                self.0.d_prev[i] = f64::INFINITY;
-            }
-        }
-    }
-
-    fn current(&self) -> (f64, u64) {
-        (self.0.d_prev[self.0.m], self.0.s_prev[self.0.m])
-    }
 }
 
 impl VectorSpring<Squared> {
@@ -181,10 +68,7 @@ impl<K: DistanceKernel> VectorSpring<K> {
     /// Vector monitor with an explicit kernel.
     pub fn with_kernel(query: &[Vec<f64>], epsilon: f64, kernel: K) -> Result<Self, SpringError> {
         check_epsilon(epsilon)?;
-        Ok(VectorSpring {
-            stwm: VectorStwm::new(query, kernel)?,
-            policy: DisjointPolicy::new(epsilon),
-        })
+        Self::with_query_ref(QueryRef::vector(query)?, epsilon, kernel)
     }
 
     /// Vector monitor over a shared arena entry (built by
@@ -202,29 +86,29 @@ impl<K: DistanceKernel> VectorSpring<K> {
     ) -> Result<Self, SpringError> {
         check_epsilon(epsilon)?;
         Ok(VectorSpring {
-            stwm: VectorStwm::from_ref(query, kernel)?,
+            stwm: Stwm::with_rows(query, kernel).with_band(epsilon),
             policy: DisjointPolicy::new(epsilon),
         })
     }
 
     /// The shared arena entry backing this monitor.
     pub fn query_ref(&self) -> &Arc<QueryRef> {
-        &self.stwm.query
+        self.stwm.query_ref()
     }
 
     /// Stream dimensionality `k`.
     pub fn dim(&self) -> usize {
-        self.stwm.dim
+        self.stwm.query_ref().channels()
     }
 
     /// Query length `m`.
     pub fn query_len(&self) -> usize {
-        self.stwm.m
+        self.stwm.query_len()
     }
 
     /// Current 1-based tick.
     pub fn tick(&self) -> u64 {
-        self.stwm.t
+        self.stwm.tick()
     }
 
     /// The captured-but-unconfirmed candidate, if any:
@@ -241,9 +125,8 @@ impl<K: DistanceKernel> VectorSpring<K> {
     /// The monitored query, one row per tick.
     pub fn query_rows(&self) -> Vec<Vec<f64>> {
         self.stwm
-            .query
-            .samples()
-            .chunks_exact(self.stwm.dim)
+            .query()
+            .chunks_exact(self.dim())
             .map(<[f64]>::to_vec)
             .collect()
     }
@@ -252,9 +135,9 @@ impl<K: DistanceKernel> VectorSpring<K> {
     #[allow(clippy::type_complexity)] // internal plumbing tuple, consumed once
     pub(crate) fn state(&self) -> (u64, Vec<f64>, Vec<u64>, (f64, u64, u64, u64, u64)) {
         (
-            self.stwm.t,
-            self.stwm.d_prev.clone(),
-            self.stwm.s_prev.clone(),
+            self.stwm.tick(),
+            self.stwm.distances().to_vec(),
+            self.stwm.starts().to_vec(),
             self.policy.state(),
         )
     }
@@ -268,11 +151,7 @@ impl<K: DistanceKernel> VectorSpring<K> {
         starts: &[u64],
         candidate: (f64, u64, u64, u64, u64),
     ) {
-        self.stwm.d_prev.copy_from_slice(distances);
-        self.stwm.s_prev.copy_from_slice(starts);
-        self.stwm.d_cur.fill(f64::INFINITY);
-        self.stwm.s_cur.fill(0);
-        self.stwm.t = tick;
+        self.stwm.load_column(tick, distances, starts);
         self.policy.set_state(candidate);
     }
 
@@ -282,20 +161,20 @@ impl<K: DistanceKernel> VectorSpring<K> {
     /// Fails when `x` has the wrong number of channels; the monitor state
     /// is unchanged in that case.
     pub fn step(&mut self, x: &[f64]) -> Result<Option<Match>, SpringError> {
-        self.stwm.step(x)?;
-        let t = self.stwm.t;
-        Ok(self.policy.step(t, &mut VectorOps(&mut self.stwm)))
+        self.stwm.step_row(x)?;
+        let t = self.stwm.tick();
+        Ok(self.policy.step(t, &mut StwmOps(&mut self.stwm)))
     }
 
     /// Declares the end of the stream, reporting a pending group optimum.
     pub fn finish(&mut self) -> Option<Match> {
-        self.policy.finish(self.stwm.t)
+        self.policy.finish(self.stwm.tick())
     }
 }
 
 impl<K: DistanceKernel> MemoryUse for VectorSpring<K> {
     fn bytes_used(&self) -> usize {
-        self.stwm.bytes()
+        self.stwm.bytes_used()
     }
 }
 
@@ -309,42 +188,10 @@ impl<K: DistanceKernel> crate::monitor::Monitor for VectorSpring<K> {
     fn step(&mut self, sample: &[f64]) -> Result<Option<Match>, SpringError> {
         if sample.iter().any(|v| !v.is_finite()) {
             return Err(SpringError::NonFiniteInput {
-                tick: self.stwm.t + 1,
+                tick: self.stwm.tick() + 1,
             });
         }
         VectorSpring::step(self, sample)
-    }
-
-    /// Optimized batch path: hoists the expected channel count out of
-    /// the loop and preserves the per-sample validation order exactly —
-    /// non-finite components are rejected before the dimension check,
-    /// and the failing sample leaves the state untouched. The column
-    /// recurrence (`VectorStwm::step`) is the same code either way.
-    fn step_batch(
-        &mut self,
-        samples: &[Vec<f64>],
-        out: &mut Vec<Match>,
-    ) -> Result<(), SpringError> {
-        let dim = self.stwm.dim;
-        for x in samples {
-            if x.iter().any(|v| !v.is_finite()) {
-                return Err(SpringError::NonFiniteInput {
-                    tick: self.stwm.t + 1,
-                });
-            }
-            if x.len() != dim {
-                return Err(SpringError::DimensionMismatch {
-                    expected: dim,
-                    found: x.len(),
-                });
-            }
-            self.stwm.step(x)?;
-            let t = self.stwm.t;
-            if let Some(m) = self.policy.step(t, &mut VectorOps(&mut self.stwm)) {
-                out.push(m);
-            }
-        }
-        Ok(())
     }
 
     fn finish(&mut self) -> Option<Match> {
@@ -372,19 +219,15 @@ impl<K: DistanceKernel> crate::monitor::Monitor for VectorSpring<K> {
     }
 
     fn shared_memory_cells(&self) -> usize {
-        self.stwm.query.cells()
+        self.stwm.query_ref().cells()
     }
 
     fn query_fingerprint(&self) -> Option<u64> {
-        Some(self.stwm.query.fingerprint())
+        Some(self.stwm.query_ref().fingerprint())
     }
 
     fn reset(&mut self) {
-        self.stwm.d_cur.fill(f64::INFINITY);
-        self.stwm.d_prev.fill(f64::INFINITY);
-        self.stwm.s_cur.fill(0);
-        self.stwm.s_prev.fill(0);
-        self.stwm.t = 0;
+        self.stwm.reset();
         self.policy = DisjointPolicy::new(self.policy.epsilon);
     }
 
@@ -397,67 +240,7 @@ impl<K: DistanceKernel> crate::monitor::Monitor for VectorSpring<K> {
     }
 
     fn channels(&self) -> Option<usize> {
-        Some(self.stwm.dim)
-    }
-}
-
-/// Best-match monitor over a `k`-dimensional stream.
-#[derive(Debug, Clone)]
-pub struct VectorBestMatch<K: DistanceKernel = Squared> {
-    stwm: VectorStwm<K>,
-    best_distance: f64,
-    best_start: u64,
-    best_end: u64,
-}
-
-impl VectorBestMatch<Squared> {
-    /// Best-match monitor with the paper's default squared kernel.
-    pub fn new(query: &[Vec<f64>]) -> Result<Self, SpringError> {
-        Self::with_kernel(query, Squared)
-    }
-}
-
-impl<K: DistanceKernel> VectorBestMatch<K> {
-    /// Best-match monitor with an explicit kernel.
-    pub fn with_kernel(query: &[Vec<f64>], kernel: K) -> Result<Self, SpringError> {
-        Ok(VectorBestMatch {
-            stwm: VectorStwm::new(query, kernel)?,
-            best_distance: f64::INFINITY,
-            best_start: 0,
-            best_end: 0,
-        })
-    }
-
-    /// Consumes the next sample; returns `true` when the best improved.
-    pub fn step(&mut self, x: &[f64]) -> Result<bool, SpringError> {
-        self.stwm.step(x)?;
-        let dm = self.stwm.d_prev[self.stwm.m];
-        if dm < self.best_distance {
-            self.best_distance = dm;
-            self.best_start = self.stwm.s_prev[self.stwm.m];
-            self.best_end = self.stwm.t;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    }
-
-    /// The best subsequence seen so far.
-    pub fn best(&self) -> Option<Match> {
-        self.best_distance.is_finite().then_some(Match {
-            start: self.best_start,
-            end: self.best_end,
-            distance: self.best_distance,
-            reported_at: self.best_end,
-            group_start: self.best_start,
-            group_end: self.best_end,
-        })
-    }
-}
-
-impl<K: DistanceKernel> MemoryUse for VectorBestMatch<K> {
-    fn bytes_used(&self) -> usize {
-        self.stwm.bytes()
+        Some(self.dim())
     }
 }
 
@@ -523,29 +306,6 @@ mod tests {
             let exact = spring_dtw::multivariate::dtw_multivariate(sub, &query, Squared).unwrap();
             assert!((m.distance - exact).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn best_match_equals_brute_force_multivariate() {
-        let query: Vec<Vec<f64>> = (0..3).map(|i| vec![i as f64, -(i as f64)]).collect();
-        let stream: Vec<Vec<f64>> = (0..25)
-            .map(|t| vec![((t * 3) % 7) as f64, -(((t * 5) % 9) as f64)])
-            .collect();
-        let mut bm = VectorBestMatch::new(&query).unwrap();
-        for x in &stream {
-            bm.step(x).unwrap();
-        }
-        let best = bm.best().unwrap();
-        let mut brute = f64::INFINITY;
-        for ts in 0..stream.len() {
-            for te in ts..stream.len() {
-                let d =
-                    spring_dtw::multivariate::dtw_multivariate(&stream[ts..=te], &query, Squared)
-                        .unwrap();
-                brute = brute.min(d);
-            }
-        }
-        assert!((best.distance - brute).abs() < 1e-9);
     }
 
     #[test]

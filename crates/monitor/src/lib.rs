@@ -13,9 +13,8 @@
 //!   scalar SPRING), [`MixedEngine`] (mixed variants via
 //!   [`spring_core::MonitorSpec`]), [`VectorEngine`] (Sec. 5.3 vector
 //!   streams).
-//! * [`sink`] — pluggable match consumers: collect into a vector, call a
-//!   closure, forward over a channel, or count atomically
-//!   ([`CountingSink`]).
+//! * [`sink`] — pluggable match consumers: collect into a vector
+//!   ([`VecSink`]) or call a closure ([`FnSink`]).
 //! * [`runner`] — a threaded [`Runner`]`<M>`: one set of worker
 //!   threads, each stream placed on one worker by a deterministic FNV-1a
 //!   hash of its id, for deployments where one core cannot sustain
@@ -105,5 +104,5 @@ pub use probe::Probe;
 pub use runner::{
     RestartPolicy, Runner, RunnerAttachment, ShardedRunner, CHECKPOINT_EVERY, DEFAULT_MAX_BATCH,
 };
-pub use sink::{ChannelSink, CountingSink, FnSink, MatchSink, VecSink};
+pub use sink::{FnSink, MatchSink, VecSink};
 pub use trace::{EventKind as TraceEventKind, TraceSnapshot, Tracer};

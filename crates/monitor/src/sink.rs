@@ -1,10 +1,8 @@
 //! Pluggable consumers for match events.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::engine::{AttachmentId, Event};
+use crate::engine::Event;
 
 /// A consumer of confirmed match events. Implementations must be cheap:
 /// they run on the ingestion path.
@@ -64,88 +62,17 @@ impl<F: Fn(&Event) + Send + Sync> MatchSink for FnSink<F> {
     }
 }
 
-/// Forwards events over an mpsc channel (e.g. to an alerting thread).
-/// Events are dropped silently once the receiver disconnects.
-#[derive(Debug, Clone)]
-pub struct ChannelSink {
-    tx: Sender<Event>,
-}
-
-impl ChannelSink {
-    /// A sink forwarding into `tx`.
-    pub fn new(tx: Sender<Event>) -> Self {
-        ChannelSink { tx }
-    }
-}
-
-impl MatchSink for ChannelSink {
-    fn on_match(&self, event: &Event) {
-        let _ = self.tx.send(*event);
-    }
-}
-
-/// Lock-free per-attachment match counters.
-///
-/// The cheapest possible sink: two relaxed atomic increments per event,
-/// no allocation, no locking. This is what throughput benchmarks (e.g.
-/// `monitor_scaling`) should use so the sink itself never becomes the
-/// bottleneck being measured.
-#[derive(Debug)]
-pub struct CountingSink {
-    counts: Vec<AtomicU64>,
-    total: AtomicU64,
-}
-
-impl CountingSink {
-    /// A sink with one counter per attachment id in `0..n_attachments`.
-    ///
-    /// Events whose attachment id falls outside that range still bump the
-    /// grand total but no per-attachment slot.
-    pub fn new(n_attachments: usize) -> Self {
-        CountingSink {
-            counts: (0..n_attachments).map(|_| AtomicU64::new(0)).collect(),
-            total: AtomicU64::new(0),
-        }
-    }
-
-    /// Matches seen so far for one attachment (0 for out-of-range ids).
-    pub fn count(&self, attachment: AttachmentId) -> u64 {
-        self.counts
-            .get(attachment.0 as usize)
-            .map(|c| c.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Total matches seen across all attachments.
-    pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-}
-
-impl MatchSink for CountingSink {
-    fn on_match(&self, event: &Event) {
-        self.total.fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = self.counts.get(event.attachment.0 as usize) {
-            slot.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{QueryId, StreamId};
+    use crate::engine::{AttachmentId, QueryId, StreamId};
     use spring_core::{Match, MonitorVariant};
 
     fn event(start: u64) -> Event {
-        event_for(AttachmentId(0), start)
-    }
-
-    fn event_for(attachment: AttachmentId, start: u64) -> Event {
         Event {
             stream: StreamId(0),
             query: QueryId(0),
-            attachment,
+            attachment: AttachmentId(0),
             variant: MonitorVariant::Spring,
             m: Match {
                 start,
@@ -182,27 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_sink_forwards_and_tolerates_disconnect() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let sink = ChannelSink::new(tx);
-        sink.on_match(&event(3));
-        assert_eq!(rx.recv().unwrap().m.start, 3);
-        drop(rx);
-        sink.on_match(&event(4)); // must not panic
-    }
-
-    #[test]
-    fn counting_sink_counts_per_attachment_and_total() {
-        let sink = CountingSink::new(2);
-        sink.on_match(&event_for(AttachmentId(0), 1));
-        sink.on_match(&event_for(AttachmentId(1), 2));
-        sink.on_match(&event_for(AttachmentId(1), 9));
-        assert_eq!(sink.count(AttachmentId(0)), 1);
-        assert_eq!(sink.count(AttachmentId(1)), 2);
-        assert_eq!(sink.total(), 3);
-    }
-
-    #[test]
     fn vec_sink_survives_a_poisoned_mutex() {
         let sink = VecSink::new();
         sink.on_match(&event(1));
@@ -221,14 +127,5 @@ mod tests {
         sink.on_match(&event(2));
         let starts: Vec<u64> = sink.events().iter().map(|e| e.m.start).collect();
         assert_eq!(starts, vec![1, 2]);
-    }
-
-    #[test]
-    fn counting_sink_out_of_range_only_bumps_total() {
-        let sink = CountingSink::new(1);
-        sink.on_match(&event_for(AttachmentId(7), 1));
-        assert_eq!(sink.count(AttachmentId(7)), 0);
-        assert_eq!(sink.count(AttachmentId(0)), 0);
-        assert_eq!(sink.total(), 1);
     }
 }

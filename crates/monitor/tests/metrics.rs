@@ -8,8 +8,8 @@ use spring_core::monitor::Monitor;
 use spring_core::Spring;
 use spring_dtw::Kernel;
 use spring_monitor::{
-    AttachmentId, CountingSink, GapPolicy, Metrics, MetricsSnapshot, QueryId, RestartPolicy,
-    Runner, RunnerAttachment, SpringEngine, StreamId, TraceEventKind, Tracer,
+    AttachmentId, GapPolicy, Metrics, MetricsSnapshot, QueryId, RestartPolicy, Runner,
+    RunnerAttachment, SpringEngine, StreamId, TraceEventKind, Tracer, VecSink,
 };
 
 /// A value stream that contains the `[0, 9, 0]` pattern every 8 ticks.
@@ -41,12 +41,12 @@ fn runner_snapshots_are_internally_consistent_for_1_2_4_workers() {
                 .unwrap()
             })
             .collect();
-        let sink = Arc::new(CountingSink::new(n_streams));
+        let sink = Arc::new(VecSink::new());
         let runner = Runner::spawn_with_metrics(
             attachments,
             workers,
             1,
-            Arc::<CountingSink>::clone(&sink),
+            Arc::<VecSink>::clone(&sink),
             Some(Arc::clone(&metrics)),
         )
         .unwrap();
@@ -74,7 +74,7 @@ fn runner_snapshots_are_internally_consistent_for_1_2_4_workers() {
         assert_eq!(snap.worker_lost_total, 0, "workers={workers}");
         // Matches flowed through both the sink and the registry.
         assert!(snap.matches_total > 0, "workers={workers}");
-        assert_eq!(sink.total(), snap.matches_total, "workers={workers}");
+        assert_eq!(sink.len() as u64, snap.matches_total, "workers={workers}");
         // The latency histogram sampled ~1/64 of the ticks.
         assert!(
             snap.tick_latency.count >= expected / 64,
@@ -282,7 +282,7 @@ fn fan_out_records_latency_once_per_frame_on_the_runner() {
     };
     let spawn = |metrics: Option<Arc<Metrics>>, tracer: &Tracer, len: usize| {
         let attachments = (0..FANOUT).map(|k| spring(k, &fan_query(k))).collect();
-        let sink = Arc::new(CountingSink::new(FANOUT + 1));
+        let sink = Arc::new(VecSink::new());
         let restart = RestartPolicy::default();
         let tracer = Some(tracer.clone());
         let mut runner =
@@ -447,7 +447,7 @@ fn prometheus_exposition_is_valid_and_complete() {
         GapPolicy::Skip,
     )
     .unwrap()];
-    let sink = Arc::new(CountingSink::new(1));
+    let sink = Arc::new(VecSink::new());
     let runner =
         Runner::spawn_with_metrics(attachments, 1, 1, sink, Some(Arc::clone(&metrics))).unwrap();
     for t in 0..100 {
@@ -512,12 +512,12 @@ mod under_fault {
                 GapPolicy::Skip,
             )
             .unwrap()];
-            let sink = Arc::new(CountingSink::new(1));
+            let sink = Arc::new(VecSink::new());
             let mut runner = Runner::spawn_with_metrics(
                 attachments,
                 2,
                 1,
-                Arc::<CountingSink>::clone(&sink),
+                Arc::<VecSink>::clone(&sink),
                 Some(Arc::clone(&metrics)),
             )
             .unwrap();
@@ -532,7 +532,7 @@ mod under_fault {
             runner.finish_stream(StreamId(0)).unwrap();
             runner.shutdown().unwrap();
             failpoints::clear();
-            (metrics.snapshot(), sink.total())
+            (metrics.snapshot(), sink.len() as u64)
         };
 
         let (clean, clean_matches) = run(false);

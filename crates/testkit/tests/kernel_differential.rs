@@ -28,6 +28,10 @@
 //! and a missing sample at every offset of a frame under every gap
 //! policy. Hand-built frames pin the edges of the whole-frame proof.
 //!
+//! Vector rows: the scenario grid copied into two identical channels
+//! must give `VectorSpring` at 2ε, bare and through the engine, exactly
+//! the scalar matches at ε with the distance doubled.
+//!
 //! `BestMatch` (Problem 1) bands its matrix at its best distance so far;
 //! over both grids its answer must stay bit-identical to an unbanded
 //! matrix's on every stepping path.
@@ -41,12 +45,12 @@ use std::sync::Arc;
 
 use spring_core::monitor::{Monitor, MonitorVariant};
 use spring_core::types::Match;
-use spring_core::{BestMatch, Spring, SpringConfig, SpringSnapshot, Stwm};
+use spring_core::{BestMatch, Spring, SpringConfig, SpringSnapshot, Stwm, VectorSpring};
 use spring_dtw::kernels::DistanceKernel;
 use spring_dtw::Kernel;
 use spring_monitor::{
     AttachmentId, Event, GapPolicy, Metrics, MonitorError, QueryId, Runner, RunnerAttachment,
-    SpringEngine, StreamId, VecSink,
+    SpringEngine, StreamId, VecSink, VectorEngine,
 };
 use spring_testkit::Scenario;
 use spring_util::Rng;
@@ -144,6 +148,67 @@ fn frame_step_batch_is_bit_exact_with_reference_across_the_scenario_grid() {
             format!("{:?}", framed.pending()),
             "{ctx}: pending candidate diverged"
         );
+    }
+}
+
+/// Each scenario's stream and query copied into two identical channels.
+/// Doubling is exact in binary floating point, so every cell, tie and
+/// band top of the `k = 2` matrix is the scalar one × 2: `VectorSpring`
+/// at 2ε, bare and through `VectorEngine` `push` / `push_batch`, must
+/// report exactly the scalar matches at ε, with the distance doubled
+/// bit for bit, under both kernels and the scenario's gap policy.
+#[test]
+fn two_identical_channels_report_the_scalar_matches_at_twice_the_distance() {
+    let mut rng = Rng::seed_from_u64(0xD1FF_0006);
+    let twice = |xs: &[f64]| xs.iter().map(|&x| vec![x, x]).collect::<Vec<_>>();
+    let mut done = 0;
+    while done < SCENARIOS {
+        let sc = Scenario::generate(&mut rng);
+        let stream = sc.effective_stream();
+        if stream.is_empty() {
+            continue;
+        }
+        done += 1;
+        let (query, eps) = (twice(&sc.query), 2.0 * sc.epsilon);
+        for kernel in [Kernel::Squared, Kernel::Absolute] {
+            let config = SpringConfig::new(sc.epsilon);
+            let mut scalar = Spring::with_kernel(&sc.query, config, kernel).unwrap();
+            let mut want: Vec<Match> = stream
+                .iter()
+                .filter_map(|&x| scalar.step_reference(x))
+                .collect();
+            want.extend(scalar.finish());
+            for m in &mut want {
+                m.distance *= 2.0;
+            }
+            let ctx = format!("scenario {done} {kernel:?} ({sc:?})");
+            let mut bare = VectorSpring::with_kernel(&query, eps, kernel).unwrap();
+            let mut got = Vec::new();
+            for x in twice(&stream) {
+                got.extend(bare.step(&x).unwrap());
+            }
+            got.extend(bare.finish());
+            assert_eq!(render(&want), render(&got), "{ctx}: bare");
+            for batch in [1usize, 3, 64] {
+                let mut e = VectorEngine::new();
+                let s = e.add_channel_stream("s", 2);
+                let q = e.add_query("q", query.clone()).unwrap();
+                e.attach_monitor(s, q, sc.gap_policy, move |rows| {
+                    VectorSpring::with_kernel(rows, eps, kernel)
+                })
+                .unwrap();
+                let mut events = Vec::new();
+                for chunk in twice(&sc.stream).chunks(batch) {
+                    match batch {
+                        1 => events.extend(e.push(s, &chunk[0]).unwrap()),
+                        _ => e.push_batch(s, chunk, &mut events).unwrap(),
+                    }
+                }
+                events.extend(e.finish_stream(s).unwrap());
+                let got: Vec<Match> = events.iter().map(|ev| ev.m).collect();
+                assert_eq!(render(&want), render(&got), "{ctx} batch {batch}: engine");
+            }
+        }
     }
 }
 
