@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # The full local CI gate: formatting, lints, release build, tests, docs,
-# and (with --quick) a bench smoke run that writes BENCH_SMOKE.json.
+# and (with --quick) a bench smoke run compared against BENCH_SMOKE.json.
 # Usage: ./ci.sh [--quick] [--miri]
 #   --quick   additionally run every benchmark for one calibrated ~2 ms
-#             batch (SPRING_BENCH_SMOKE=1) and assemble the results into
-#             BENCH_SMOKE.json — "do the benches still run?", not a
-#             performance measurement.
+#             batch (SPRING_BENCH_SMOKE=1), compare the results warn-only
+#             against the committed BENCH_SMOKE.json baseline, and
+#             assemble them into target/bench-smoke/BENCH_SMOKE.json —
+#             "do the benches still run?", not a performance measurement.
+#             The committed baseline is never rewritten here; see
+#             CONTRIBUTING.md for refreshing it deliberately.
 #   --miri    additionally run the kernel + snapshot tests under Miri:
 #             they cover spring-core's only unsafe code, the SSE2/AVX2
 #             min-select (needs a nightly toolchain with the miri
@@ -119,22 +122,25 @@ if [ "$quick" -eq 1 ]; then
     fi
   done
   # Regression tripwire: compare against the committed BENCH_SMOKE.json
-  # baseline *before* overwriting it. Smoke timings are a single
-  # calibrated batch on whatever machine this is, so locally the shared
-  # comparison script runs warn-only — it flags "look at this", it does
-  # not fail the gate. The hosted bench-compare job enforces the same
-  # thresholds against the PR's merge-base for real.
+  # baseline. Smoke timings are a single calibrated batch on whatever
+  # machine this is, so locally the shared comparison script runs
+  # warn-only — it flags "look at this", it does not fail the gate. The
+  # hosted bench-compare job enforces the same thresholds against the
+  # PR's merge-base for real.
   if [ -f BENCH_SMOKE.json ]; then
     scripts/bench_compare.sh --warn-only BENCH_SMOKE.json "$jsonl"
   fi
-  # Assemble the JSON-lines file into a single JSON document.
+  # Assemble the JSON-lines file into a single JSON document under
+  # target/, so one noisy batch never becomes the next baseline.
+  smoke_out="target/bench-smoke/BENCH_SMOKE.json"
+  mkdir -p "$(dirname "$smoke_out")"
   {
     printf '{\n  "mode": "smoke",\n  "results": [\n'
     awk 'NR>1 { printf ",\n" } { printf "    %s", $0 }' "$jsonl"
     printf '\n  ]\n}\n'
-  } > BENCH_SMOKE.json
+  } > "$smoke_out"
   count="$(wc -l < "$jsonl")"
-  echo "wrote BENCH_SMOKE.json ($count results)"
+  echo "wrote $smoke_out ($count results; BENCH_SMOKE.json is unchanged)"
 fi
 
 echo "CI gate passed."

@@ -65,10 +65,16 @@ fn bench_vector_spring() {
         let query: Vec<Vec<f64>> = (0..m)
             .map(|i| (0..k).map(|c| ((i * c) as f64 * 0.1).sin()).collect())
             .collect();
-        let sample: Vec<f64> = (0..k).map(|c| (c as f64 * 0.2).cos()).collect();
-        let mut vs = VectorSpring::new(&query, 10.0).unwrap();
+        // The stream cycles through the query's rows, and ε = 4km bounds
+        // every cell the column fill computes (a row's distance is at
+        // most 4k for samples in [-1, 1]^k): the ε-band keeps every row,
+        // so a tick fills the whole m × k column.
+        let epsilon = (4 * k * m) as f64;
+        let mut vs = VectorSpring::new(&query, epsilon).unwrap();
+        let mut i = 0;
         b.bench_elems(&format!("k{k}"), k as u64, || {
-            black_box(vs.step(&sample).unwrap());
+            black_box(vs.step(&query[i % m]).unwrap());
+            i += 1;
         });
     }
 }

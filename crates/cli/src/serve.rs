@@ -33,7 +33,9 @@
 //! An `error:` line or the final `done` line must come *after* every
 //! match for samples pushed before it, so it is written by a
 //! [`Runner::mark`]: a callback the stream's own worker runs in queue
-//! order, behind those samples. Nothing waits for a mark. While one is
+//! order, behind those samples. EOF ends the session with one
+//! [`Runner::end_stream`], whose marks write the `done` line around the
+//! stream-end flush. Nothing waits for a mark. While one is
 //! in flight the connection's reads stay paused (so command replies
 //! keep their place in the transcript), other connections keep
 //! streaming, and a stalled worker delays only its own streams.
@@ -410,6 +412,13 @@ impl EventLoop<'_> {
         self.conns.iter().filter(|c| c.is_some()).count()
     }
 
+    fn is_paused(&self, token: usize) -> bool {
+        self.conns
+            .get(token)
+            .and_then(Option::as_ref)
+            .is_some_and(|conn| conn.shared.paused())
+    }
+
     fn run(&mut self) -> Result<(), CliError> {
         self.listener.set_nonblocking(true)?;
         self.reactor
@@ -425,6 +434,15 @@ impl EventLoop<'_> {
             for ev in events.iter().copied() {
                 if ev.token == LISTENER_TOKEN {
                     self.accept_burst()?;
+                } else if ev.closed && self.is_paused(ev.token) {
+                    // Hangup or error on a paused connection: the peer
+                    // is gone, and no interest mask silences the
+                    // report, so drop it now rather than spin until its
+                    // mark lifts the pause. The mark still runs, into a
+                    // buffer nobody reads.
+                    if let Some(conn) = self.conns[ev.token].take() {
+                        self.drop_conn(conn, true);
+                    }
                 } else if ev.readable {
                     self.on_readable(ev.token);
                 }
@@ -696,35 +714,36 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Ends a session without waiting. A mark writes the optional final
-    /// `error:` line and tags the stream-end flush that follows; a
-    /// second mark, behind that flush, writes the `done` line, removes
-    /// the stream from the sink and lets the connection close. The
-    /// stream's attachments are detached behind both.
+    /// Ends a session without waiting, in one worker message
+    /// ([`Runner::end_stream`]). Its first mark writes the optional
+    /// final `error:` line and tags the stream-end flush that follows;
+    /// its second mark, behind that flush, writes the `done` line,
+    /// removes the stream from the sink and lets the connection close.
+    /// The stream's attachments are detached behind both.
     fn end_session(&mut self, conn: &mut Conn, error_line: Option<String>) {
         let stream = conn.stream_id;
         conn.closing = true;
         conn.shared.paused.store(true, Ordering::Release);
-        let shared = Arc::clone(&conn.shared);
-        let _ = self.runner.mark(stream, move || {
-            if let Some(line) = error_line {
-                shared.out().push_line(&format!("error: {line}"));
-            }
-            shared.ended.store(true, Ordering::Release);
-        });
-        let _ = self.runner.finish_stream(stream);
+        self.sessions.remove(&stream);
+        let before = Arc::clone(&conn.shared);
         let (shared, sink, ticks) = (Arc::clone(&conn.shared), Arc::clone(&self.sink), conn.ticks);
-        let _ = self.runner.mark(stream, move || {
-            let count = shared.matches.load(Ordering::Relaxed);
-            shared
-                .out()
-                .push_line(&format!("done {count} match(es) over {ticks} ticks"));
-            sink.remove(stream);
-            shared.resume(&sink.waker);
-        });
-        for id in self.sessions.remove(&stream).unwrap_or_default() {
-            let _ = self.runner.detach(id);
-        }
+        let _ = self.runner.end_stream(
+            stream,
+            move || {
+                if let Some(line) = error_line {
+                    before.out().push_line(&format!("error: {line}"));
+                }
+                before.ended.store(true, Ordering::Release);
+            },
+            move || {
+                let count = shared.matches.load(Ordering::Relaxed);
+                shared
+                    .out()
+                    .push_line(&format!("done {count} match(es) over {ticks} ticks"));
+                sink.remove(stream);
+                shared.resume(&sink.waker);
+            },
+        );
     }
 
     /// Executes one fleet-control verb. Returns the `ok …` reply line,
@@ -1470,6 +1489,70 @@ mod tests {
         // The reactor and connection instrumentation recorded real
         // events (conn_open instants at minimum).
         assert!(!events.is_empty(), "{body}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An HTTP GET against the server; returns the response body.
+    fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        write!(conn, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+        conn.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut http = String::new();
+        conn.read_to_string(&mut http).unwrap();
+        assert!(http.starts_with("HTTP/1.1 200 OK"), "{http}");
+        http.split("\r\n\r\n").nth(1).unwrap().to_string()
+    }
+
+    #[test]
+    fn a_session_costs_a_constant_few_wakeups_and_worker_messages() {
+        // A session's tail (EOF to `done`) must not busy-poll the event
+        // loop, and its end must be one worker message.
+        const SESSIONS: usize = 50;
+        let dir = std::env::temp_dir().join(format!("spring-serve-count-{}", std::process::id()));
+        let mut options = opts(vec![0.0, 9.0, 0.0], 1.0);
+        options.once = false;
+        options.batch = 64;
+        options.accept_limit = Some(SESSIONS + 2);
+        options.trace_dir = Some(dir.clone());
+        let (addr, server) = start_with(options);
+        // 256 samples, so a session is the attach, four full frames and
+        // the end; one write, so the server reads them in one go.
+        let payload: String = (0..256).map(|t| format!("{}\n", t % 7)).collect();
+        for _ in 0..SESSIONS {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.write_all(payload.as_bytes()).unwrap();
+            conn.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut response = String::new();
+            conn.read_to_string(&mut response).unwrap();
+            assert!(response.ends_with("over 256 ticks\n"), "{response}");
+        }
+        let trace = http_get(addr, "/trace");
+        let metrics = http_get(addr, "/metrics");
+        server.join().unwrap();
+        let doc = spring_util::json::Value::parse(&trace).expect("valid chrome-trace JSON");
+        let events = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
+        let count = |name: &str| {
+            events
+                .iter()
+                .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some(name))
+                .count()
+        };
+        let (wakeups, opens) = (count("reactor_wakeup"), count("conn_open"));
+        // The sessions and the `GET /trace` connection itself.
+        assert_eq!(opens, SESSIONS + 1);
+        let per_session = wakeups as f64 / opens as f64;
+        eprintln!("reactor wakeups: {wakeups} over {opens} connections ({per_session:.1} each)");
+        assert!(
+            per_session <= 8.0,
+            "{wakeups} wakeups for {opens} connections"
+        );
+        let messages: u64 = metrics
+            .lines()
+            .filter(|l| l.starts_with("spring_shard_messages_total{"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum();
+        eprintln!("worker messages: {messages} over {SESSIONS} sessions");
+        assert_eq!(messages, 6 * SESSIONS as u64, "{metrics}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -37,6 +37,7 @@
 //! | `spring_shard_ticks_total{shard=…}` | counter | samples | samples processed by runner worker `shard` |
 //! | `spring_shard_queue_depth{shard=…}` | gauge | messages | messages queued to runner worker `shard` |
 //! | `spring_shard_restarts_total{shard=…}` | counter | workers | supervisor restarts of runner worker `shard` |
+//! | `spring_shard_messages_total{shard=…}` | counter | messages | messages sent to runner worker `shard` (replays not counted) |
 //!
 //! A runner worker is labelled `shard` because it owns a hash partition
 //! of the streams: `--shards N` spawns `N` workers.
@@ -292,6 +293,9 @@ pub struct ShardMetrics {
     pub queue_depth: Gauge,
     /// Supervisor restarts of this worker.
     pub restarts: Counter,
+    /// Messages sent to this worker (frames and control messages;
+    /// a restart's replay of its log is not counted again).
+    pub messages: Counter,
 }
 
 /// The metrics registry shared by every instrumented component.
@@ -465,6 +469,7 @@ impl Metrics {
                 ticks: sh.ticks.get(),
                 queue_depth: sh.queue_depth.get(),
                 restarts: sh.restarts.get(),
+                messages: sh.messages.get(),
             })
             .collect();
         MetricsSnapshot {
@@ -504,6 +509,8 @@ pub struct ShardSnapshot {
     pub queue_depth: u64,
     /// Supervisor restarts of this worker so far.
     pub restarts: u64,
+    /// Messages sent to this worker so far (replays not counted).
+    pub messages: u64,
 }
 
 /// A consistent point-in-time view of a [`Metrics`] registry.
@@ -733,6 +740,18 @@ impl MetricsSnapshot {
                     s,
                     "spring_shard_restarts_total{{shard=\"{i}\"}} {}",
                     sh.restarts
+                );
+            }
+            let _ = writeln!(
+                s,
+                "# HELP spring_shard_messages_total Messages sent per runner worker (shard)."
+            );
+            let _ = writeln!(s, "# TYPE spring_shard_messages_total counter");
+            for (i, sh) in self.shards.iter().enumerate() {
+                let _ = writeln!(
+                    s,
+                    "spring_shard_messages_total{{shard=\"{i}\"}} {}",
+                    sh.messages
                 );
             }
         }
@@ -1091,6 +1110,7 @@ mod tests {
             "spring_shard_ticks_total",
             "spring_shard_queue_depth",
             "spring_shard_restarts_total",
+            "spring_shard_messages_total",
             "spring_build_info",
             "spring_uptime_seconds",
         ] {

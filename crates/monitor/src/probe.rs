@@ -122,6 +122,16 @@ impl Probe {
         self.instant(EventKind::QuerySwap, generation);
     }
 
+    /// Records one message sent to the worker: its messages counter
+    /// and its queue-depth gauge.
+    #[inline]
+    pub(crate) fn sent(&self) {
+        if let Some(sh) = &self.shard {
+            sh.messages.inc();
+            sh.queue_depth.add(1);
+        }
+    }
+
     /// Moves the worker's queue-depth gauge by `delta` messages.
     #[inline]
     pub(crate) fn queued(&self, delta: i64) {

@@ -33,7 +33,9 @@
 //! `std`, no extra syscall surface — whose receive end is registered
 //! with the reactor under an internal token. Any thread holding a
 //! clone can interrupt a blocked [`Reactor::wait`]; wakes are drained
-//! internally and never surface as [`Ready`] events.
+//! internally and never surface as [`Ready`] events. Wakes coalesce: a
+//! shared "wake pending" flag lets only the first wake after each
+//! drain send a datagram.
 //!
 //! The reactor never owns the descriptors it watches: callers keep
 //! their `TcpListener`/`TcpStream` values and must
@@ -43,6 +45,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::UdpSocket;
 use std::os::fd::{AsRawFd, RawFd};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,7 +75,11 @@ impl Interest {
         writable: true,
     };
     /// Keep the registration but report nothing (a paused connection:
-    /// backpressure without the churn of deregister/register).
+    /// backpressure without the churn of deregister/register). A peer's
+    /// half-close counts as readability, so it is reported only while
+    /// `readable` is set, on both backends. A hangup or error
+    /// ([`Ready::closed`]) is reported whatever the interest: neither
+    /// `epoll` nor `poll(2)` can mask it.
     pub const NONE: Interest = Interest {
         readable: false,
         writable: false,
@@ -109,17 +116,34 @@ const WAKER_TOKEN: usize = usize::MAX;
 
 /// A cloneable handle that interrupts a blocked [`Reactor::wait`] from
 /// another thread (match sinks, runner workers).
+///
+/// Wakes coalesce. Every clone shares one "wake pending" flag, and
+/// [`Waker::wake`] sends its datagram only when it raises the flag.
+/// [`Reactor::wait`] drains the datagram, then lowers the flag, so a
+/// wake raised after that sends again. A wake that finds the flag
+/// still raised sends nothing: a datagram is pending, and what the
+/// waker published before its wake is visible to the reactor's thread
+/// once the `wait` that drains that datagram returns.
 #[derive(Debug, Clone)]
 pub struct Waker {
-    tx: Arc<UdpSocket>,
+    inner: Arc<WakerInner>,
+}
+
+#[derive(Debug)]
+struct WakerInner {
+    tx: UdpSocket,
+    pending: AtomicBool,
 }
 
 impl Waker {
-    /// Wakes the reactor. Best-effort and non-blocking: if a wake is
-    /// already pending the extra datagram (or a full socket buffer)
-    /// is harmless.
+    /// Wakes the reactor. Non-blocking; at most one datagram is in
+    /// flight per reactor.
     pub fn wake(&self) {
-        let _ = self.tx.send(&[1]);
+        if !self.inner.pending.swap(true, Ordering::AcqRel) && self.inner.tx.send(&[1]).is_err() {
+            // Nothing was sent, so `wait` will not lower the flag:
+            // lower it here, or every later wake would be swallowed.
+            self.inner.pending.store(false, Ordering::Release);
+        }
     }
 }
 
@@ -204,7 +228,12 @@ impl Reactor {
         let mut reactor = Reactor {
             backend,
             waker_rx: rx,
-            waker: Waker { tx: Arc::new(tx) },
+            waker: Waker {
+                inner: Arc::new(WakerInner {
+                    tx,
+                    pending: AtomicBool::new(false),
+                }),
+            },
         };
         reactor.register(reactor.waker_rx.as_raw_fd(), WAKER_TOKEN, Interest::READ)?;
         Ok(reactor)
@@ -310,10 +339,15 @@ impl Reactor {
             }
         }
         if woke {
-            // Drain every pending wake datagram so the level-triggered
-            // registration goes quiet until the next wake().
+            // Drain the wake datagram so the level-triggered
+            // registration goes quiet, then lower the flag so the next
+            // wake() sends again. In this order no wake is lost: one
+            // raised before the swap below is seen by the caller once
+            // `wait` returns (the swap acquires its flag write), and
+            // one after it sends a datagram the drain cannot eat.
             let mut buf = [0u8; 16];
             while self.waker_rx.recv(&mut buf).is_ok() {}
+            self.waker.inner.pending.swap(false, Ordering::AcqRel);
         }
         Ok(out.len())
     }
@@ -474,10 +508,15 @@ mod sys {
             ) -> c_int;
         }
 
+        /// The epoll event mask for `interest`. `EPOLLRDHUP` rides only
+        /// with `EPOLLIN` (which fires on a FIN anyway): the
+        /// registration is level-triggered, so a standing half-close
+        /// would otherwise report a paused or write-only descriptor on
+        /// every wait. `EPOLLHUP`/`EPOLLERR` are always reported.
         fn mask(interest: Interest) -> u32 {
-            let mut m = EPOLLRDHUP; // always learn about peer half-close
+            let mut m = 0;
             if interest.readable {
-                m |= EPOLLIN;
+                m |= EPOLLIN | EPOLLRDHUP;
             }
             if interest.writable {
                 m |= EPOLLOUT;
@@ -729,6 +768,96 @@ mod tests {
                 0,
                 "{kind:?}: drained wakes must not re-report"
             );
+        }
+    }
+
+    /// Writes to `sock` until a write would block, and again after each
+    /// pause that let a write through: the peer never reads, so once a
+    /// write blocks right after a pause no acknowledgement in flight is
+    /// left to free room.
+    fn fill_send_buffer(sock: &mut TcpStream) {
+        let chunk = [0u8; 64 * 1024];
+        loop {
+            let mut wrote = false;
+            loop {
+                match sock.write(&chunk) {
+                    Ok(_) => wrote = true,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) => panic!("filling the send buffer: {e}"),
+                }
+            }
+            if !wrote {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "real sockets; syscalls Miri does not model")]
+    fn half_closed_peer_is_quiet_without_read_interest() {
+        for kind in backends() {
+            // A paused connection (`NONE`), and a write-only one whose
+            // send buffer is full (`WRITE`): neither may report the
+            // peer's half-close, which only read interest asks about.
+            for (interest, full) in [(Interest::NONE, false), (Interest::WRITE, true)] {
+                let mut r = Reactor::with_backend(kind).unwrap();
+                let (peer, mut b) = tcp_pair();
+                if full {
+                    fill_send_buffer(&mut b);
+                }
+                r.register(b.as_raw_fd(), 5, Interest::READ).unwrap();
+                peer.shutdown(std::net::Shutdown::Write).unwrap();
+                // The FIN has arrived once the socket reads EOF.
+                let mut events = Vec::new();
+                let n = r.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+                assert_eq!(n, 1, "{kind:?} {interest:?}");
+                assert!(events[0].readable, "{kind:?} {:?}", events[0]);
+                let mut buf = [0u8; 8];
+                assert_eq!(b.read(&mut buf).unwrap(), 0, "{kind:?}: EOF");
+                r.modify(b.as_raw_fd(), 5, interest).unwrap();
+                assert_eq!(
+                    r.wait(&mut events, Some(Duration::from_millis(20)))
+                        .unwrap(),
+                    0,
+                    "{kind:?} {interest:?}: a half-closed peer must report nothing: {events:?}"
+                );
+                r.deregister(b.as_raw_fd()).unwrap();
+                drop(peer);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "real sockets; syscalls Miri does not model")]
+    fn wakes_coalesce_until_a_wait_drains_them() {
+        for kind in backends() {
+            let mut r = Reactor::with_backend(kind).unwrap();
+            let mut events = Vec::new();
+            for _ in 0..3 {
+                for _ in 0..100 {
+                    r.waker().wake();
+                }
+                assert_eq!(
+                    r.wait(&mut events, Some(Duration::from_millis(0))).unwrap(),
+                    0
+                );
+                // The wait saw the wake and re-armed the waker.
+                assert!(
+                    !r.waker.inner.pending.load(Ordering::Acquire),
+                    "{kind:?}: a drained wake must lower the pending flag"
+                );
+            }
+            // 100 wakes before a drain send one datagram.
+            for _ in 0..100 {
+                r.waker().wake();
+            }
+            let mut buf = [0u8; 16];
+            let mut datagrams = 0;
+            while r.waker_rx.recv(&mut buf).is_ok() {
+                datagrams += 1;
+            }
+            assert_eq!(datagrams, 1, "{kind:?}");
         }
     }
 

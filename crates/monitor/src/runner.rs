@@ -30,9 +30,11 @@
 //! timer, so a caller that owns a slow input calls [`Runner::flush`]
 //! when that input drains, and matches in the partial frame are
 //! reported then rather than when the frame fills.
-//! Attach, detach, swap, sync and marks ([`Runner::mark`]: a callback
-//! run in the stream's queue order) travel the same logged message
-//! path, so a restarted worker reconstructs them.
+//! Attach, detach, swap, sync, marks ([`Runner::mark`]: a callback
+//! run in the stream's queue order) and stream ends
+//! ([`Runner::end_stream`]: marks, flush and detaches in one message)
+//! travel the same logged message path, so a restarted worker
+//! reconstructs them.
 //!
 //! **Failures.** An ingestion error (e.g. [`GapPolicy::Fail`] on a
 //! missing value) stops its worker deliberately: it is not restarted,
@@ -283,7 +285,17 @@ enum Msg<M: Monitor> {
         stream: StreamId,
         samples: Frame<M>,
     },
-    FinishStream(StreamId),
+    /// A stream's end, or a step towards it: the `before` mark, then
+    /// each of the stream's attachments flushes its pending group
+    /// optimum, then the `after` mark; with `detach`, the stream's
+    /// attachments go last. [`Runner::finish_stream`] sends it bare,
+    /// [`Runner::end_stream`] whole.
+    Finish {
+        stream: StreamId,
+        before: Option<Arc<Mark>>,
+        after: Option<Arc<Mark>>,
+        detach: bool,
+    },
     /// Add an attachment to the receiving worker (logged and replayed
     /// like a frame, so restarts reconstruct it).
     Attach(Box<Attachment<M>>),
@@ -313,7 +325,17 @@ where
                 stream: *stream,
                 samples: Arc::clone(samples),
             },
-            Msg::FinishStream(stream) => Msg::FinishStream(*stream),
+            Msg::Finish {
+                stream,
+                before,
+                after,
+                detach,
+            } => Msg::Finish {
+                stream: *stream,
+                before: before.clone(),
+                after: after.clone(),
+                detach: *detach,
+            },
             Msg::Attach(att) => Msg::Attach(Box::new(att.fork())),
             Msg::Detach(id) => Msg::Detach(*id),
             Msg::Swap {
@@ -362,15 +384,15 @@ struct WorkerSlot<M: Monitor> {
 struct StreamEntry<M: Monitor> {
     /// Samples awaiting a full frame.
     pending: Vec<Owned<M>>,
-    /// Live attachments; the entry is removed when this reaches zero.
-    attached: usize,
+    /// Live attachments; the entry is removed when the last one goes.
+    attached: Vec<AttachmentId>,
 }
 
 impl<M: Monitor> Default for StreamEntry<M> {
     fn default() -> Self {
         StreamEntry {
             pending: Vec::new(),
-            attached: 0,
+            attached: Vec::new(),
         }
     }
 }
@@ -528,14 +550,29 @@ where
                         deliver(&ev.event);
                     }
                 }
-                Msg::FinishStream(stream) => {
+                Msg::Finish {
+                    stream,
+                    before,
+                    after,
+                    detach,
+                } => {
                     probe.span(TraceKind::Flush, u64::from(stream.0), || {
+                        // Replayed marks find their callbacks taken.
+                        if let Some(mark) = &before {
+                            mark.fire();
+                        }
                         for att in atts.iter_mut().filter(|a| a.stream == stream) {
                             if let Some(event) = att.flush() {
                                 deliver(&event);
                             }
                         }
-                    })
+                        if let Some(mark) = &after {
+                            mark.fire();
+                        }
+                    });
+                    if detach {
+                        atts.retain(|a| a.stream != stream);
+                    }
                 }
                 Msg::Attach(att) => {
                     // Replays are pruned against the checkpoint; the
@@ -641,7 +678,7 @@ where
     /// The fully explicit constructor.
     ///
     /// * `metrics`: worker `i` reports
-    ///   `spring_shard_{ticks_total,queue_depth,restarts_total}{shard="i"}`,
+    ///   `spring_shard_{ticks_total,queue_depth,restarts_total,messages_total}{shard="i"}`,
     ///   attachments record ticks/matches/latency/memory, and worker
     ///   losses and restarts bump `spring_worker_{lost,restarts}_total`.
     /// * `restart`: supervision ([`RestartPolicy::none`] fails fast).
@@ -673,7 +710,7 @@ where
             let id = AttachmentId(i as u32);
             let w = worker_of(spec.stream, workers);
             homes.insert(id, (spec.stream, spec.query_id));
-            tables[w].entry(spec.stream).or_default().attached += 1;
+            tables[w].entry(spec.stream).or_default().attached.push(id);
             placed[w].push(spec.into_attachment(id, metrics.as_ref()));
         }
         let mut receivers = Vec::with_capacity(workers);
@@ -773,12 +810,12 @@ where
             .flush_entry(w, stream, entry)
             .and_then(|()| core.send(w, Msg::Attach(Box::new(attachment))));
         if let Err(e) = sent {
-            if entry.attached == 0 {
+            if entry.attached.is_empty() {
                 streams.remove(&stream);
             }
             return Err(e);
         }
-        entry.attached += 1;
+        entry.attached.push(id);
         drop(streams);
         core.lock_homes().insert(id, (stream, query));
         Ok(id)
@@ -804,8 +841,8 @@ where
             // Buffered samples still belong to the attachment. A lost
             // worker surfaces on the Detach send below either way.
             let _ = core.flush_entry(w, stream, entry);
-            entry.attached -= 1;
-            if entry.attached == 0 {
+            entry.attached.retain(|&a| a != id);
+            if entry.attached.is_empty() {
                 streams.remove(&stream);
             }
         }
@@ -1028,8 +1065,70 @@ where
     pub fn finish_stream(&self, stream: StreamId) -> Result<(), MonitorError> {
         self.core.with_stream(stream, |w, entry| {
             self.core.flush_entry(w, stream, entry)?;
-            self.core.send(w, Msg::FinishStream(stream))
+            self.core.send(
+                w,
+                Msg::Finish {
+                    stream,
+                    before: None,
+                    after: None,
+                    detach: false,
+                },
+            )
         })
+    }
+
+    /// Ends `stream` in one worker message: flushes its pending frame,
+    /// then in the stream's queue order runs `before`, flushes its
+    /// attachments' pending group optima, runs `after`, and detaches
+    /// every attachment of the stream. It is [`Runner::mark`]`(before)`,
+    /// [`Runner::finish_stream`], [`Runner::mark`]`(after)` and a
+    /// [`Runner::detach`] per attachment, without the extra hand-offs.
+    ///
+    /// `before` and `after` run exactly once, like a mark's callback,
+    /// also when a restart replays the message; they run at once on the
+    /// calling thread, in order, when the stream has no attachments or
+    /// its worker is permanently lost. The stream's table entry is gone
+    /// when this returns, so later pushes to it are dropped.
+    ///
+    /// # Errors
+    /// [`MonitorError::WorkerLost`] when the owning worker is permanently
+    /// lost (`before` and `after` have run by then).
+    pub fn end_stream(
+        &self,
+        stream: StreamId,
+        before: impl FnOnce() + Send + 'static,
+        after: impl FnOnce() + Send + 'static,
+    ) -> Result<(), MonitorError> {
+        let core = &self.core;
+        let (before, after) = (Mark::new(before), Mark::new(after));
+        let w = worker_of(stream, core.workers.len());
+        let mut streams = core.lock_streams(w);
+        let mut entry = streams.remove(&stream);
+        let sent = entry.as_mut().map(|entry| {
+            let msg = Msg::Finish {
+                stream,
+                before: Some(Arc::clone(&before)),
+                after: Some(Arc::clone(&after)),
+                detach: true,
+            };
+            core.flush_entry(w, stream, entry)
+                .and_then(|()| core.send(w, msg))
+        });
+        drop(streams);
+        if let Some(entry) = entry {
+            let mut homes = core.lock_homes();
+            for id in &entry.attached {
+                homes.remove(id);
+            }
+        }
+        match sent {
+            Some(Ok(())) => Ok(()),
+            unsent => {
+                before.fire();
+                after.fire();
+                unsent.unwrap_or(Ok(()))
+            }
+        }
     }
 
     /// Drains all queues, stops the workers, and joins them.
@@ -1131,9 +1230,9 @@ where
         prune_log(slot);
         slot.sent += 1;
         slot.log.push_back((slot.sent, m.clone()));
-        // Incremented *before* the send so the worker's decrement never
-        // transiently underflows the gauge.
-        self.workers[w].probe.queued(1);
+        // Counted *before* the send so the worker's decrement never
+        // transiently underflows the depth gauge.
+        self.workers[w].probe.sent();
         // A failed send means the worker is gone: heal it (the message
         // is already logged, so a successful heal replays it).
         !(slot.sender.send(m).is_err() && self.heal(w, slot).is_err())
@@ -1210,8 +1309,12 @@ where
                 // No worker will reach the logged tail's marks: run them
                 // here, in order (marks already run are no-ops).
                 for (_, m) in &slot.log {
-                    if let Msg::Mark(mark) = m {
-                        mark.fire();
+                    match m {
+                        Msg::Mark(mark) => mark.fire(),
+                        Msg::Finish { before, after, .. } => {
+                            before.iter().chain(after).for_each(|mark| mark.fire());
+                        }
+                        _ => {}
                     }
                 }
                 return Err(MonitorError::WorkerLost);
@@ -1719,6 +1822,80 @@ mod tests {
         assert_eq!(runner.mark(StreamId(0), f), Err(MonitorError::WorkerLost));
         assert_eq!(rx.try_recv(), Ok(true), "ran before returning, inline");
         assert!(runner.shutdown().is_err());
+    }
+
+    #[test]
+    fn end_stream_ends_a_session_in_one_message() {
+        let sink = Arc::new(VecSink::new());
+        let (runner, metrics) = metered(vec![spike_attachment(0, 0)], 1, sink.clone());
+        let second = runner.attach(spike_attachment(0, 1)).unwrap();
+        // Four 64-sample frames; the last spike ends the stream, so only
+        // the stream-end flush reports it.
+        runner
+            .push_batch(StreamId(0), &spike_stream(&[3, 253], 256))
+            .unwrap();
+        let (seen_before, seen_after) = (sink.clone(), sink.clone());
+        let (before, before_rx) = probe_mark(move || starts(&seen_before.events()));
+        let (after, after_rx) = probe_mark(move || starts(&seen_after.events()));
+        runner.end_stream(StreamId(0), before, after).unwrap();
+        assert_eq!(before_rx.recv_timeout(MARK_WAIT), Ok(vec![4, 4]));
+        assert_eq!(after_rx.recv_timeout(MARK_WAIT), Ok(vec![4, 4, 254, 254]));
+        // Every attachment of the stream is gone, on both sides.
+        assert_eq!(table_len(&runner), 0);
+        assert_eq!(
+            runner.detach(second),
+            Err(MonitorError::UnknownAttachment(second))
+        );
+        runner
+            .push_batch(StreamId(0), &spike_stream(&[3], 8))
+            .unwrap();
+        runner.shutdown().unwrap();
+        assert_eq!(sink.events().len(), 4);
+        // The attach, four frames and the end.
+        assert_eq!(metrics.snapshot().shards[0].messages, 6);
+    }
+
+    #[test]
+    fn end_stream_runs_its_marks_once_across_a_worker_restart() {
+        // The first delivery kills the worker after the frame and the
+        // end are queued; the replay reaches the end again, and each
+        // mark still runs once, in order.
+        let sink = Arc::new(FlakySink::new(1));
+        let (mut runner, metrics) = metered(vec![spike_attachment(0, 0)], 1, sink.clone());
+        runner.set_max_batch(32);
+        runner
+            .push_batch(StreamId(0), &spike_stream(&[4, 15], 25))
+            .unwrap();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (b, a) = (Arc::clone(&log), Arc::clone(&log));
+        let (seen, (after, rx)) = (sink.clone(), probe_mark(|| ()));
+        runner
+            .end_stream(
+                StreamId(0),
+                move || b.lock().unwrap().push(starts(&seen.inner.events())),
+                move || {
+                    a.lock().unwrap().push(Vec::new());
+                    after();
+                },
+            )
+            .unwrap();
+        assert_eq!(rx.recv_timeout(MARK_WAIT), Ok(()));
+        runner.shutdown().unwrap();
+        assert_eq!(*log.lock().unwrap(), vec![vec![5, 16], vec![]]);
+        assert_eq!(metrics.snapshot().worker_restarts_total, 1);
+    }
+
+    #[test]
+    fn end_stream_on_an_unwatched_stream_runs_both_marks_inline() {
+        let sink = Arc::new(VecSink::new());
+        let runner = SpringRunner::spawn(vec![spike_attachment(0, 0)], 2, sink).unwrap();
+        let caller = thread::current().id();
+        let (before, before_rx) = probe_mark(move || thread::current().id() == caller);
+        let (after, after_rx) = probe_mark(move || thread::current().id() == caller);
+        runner.end_stream(StreamId(9), before, after).unwrap();
+        assert_eq!(before_rx.try_recv(), Ok(true));
+        assert_eq!(after_rx.try_recv(), Ok(true));
+        runner.shutdown().unwrap();
     }
 
     #[test]
