@@ -98,17 +98,14 @@ USAGE:
 monitor/bestmatch read one value per line from --stream or stdin
 (# comments and blank lines ignored; NaN = missing reading).";
 
-/// Kernel flag parsing, shared with `spring serve`.
-pub(crate) fn kernel_from(p: &Parsed) -> Result<Kernel, CliError> {
-    parse_kernel(p)
-}
-
 /// Query CSV loading, shared with `spring serve`.
 pub(crate) fn read_query(path: &str) -> Result<Vec<f64>, CliError> {
     Ok(read_csv_named(path)?.values)
 }
 
-fn parse_kernel(p: &Parsed) -> Result<Kernel, CliError> {
+/// Kernel flag parsing (`--kernel squared|absolute`), shared with
+/// `spring serve`.
+pub(crate) fn parse_kernel(p: &Parsed) -> Result<Kernel, CliError> {
     match p.get("kernel") {
         None | Some("squared") => Ok(Kernel::Squared),
         Some("absolute") => Ok(Kernel::Absolute),

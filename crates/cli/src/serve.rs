@@ -1064,7 +1064,7 @@ pub fn run_serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let query = crate::commands::read_query(p.require("query")?)?;
     let epsilon: f64 = p.require_parsed("epsilon", "number")?;
     let spec = crate::commands::spec_from_flags(&p, epsilon)?;
-    let kernel = crate::commands::kernel_from(&p)?;
+    let kernel = crate::commands::parse_kernel(&p)?;
     let port: u16 = p.get_parsed("port", "integer")?.unwrap_or(7471);
     let batch: usize = p
         .get_parsed("batch", "integer")?

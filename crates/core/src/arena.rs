@@ -8,7 +8,7 @@
 //! into:
 //!
 //! * an **immutable shared part** — a [`QueryRef`] holding the pattern
-//!   samples, z-norm statistics and an optional default ε, interned
+//!   samples and z-norm statistics, interned
 //!   behind an [`Arc`] and deduplicated by FNV-1a content hash
 //!   (`spring-util::hash`); and
 //! * a **mutable per-attachment part** — the DP distance/start columns
@@ -23,10 +23,11 @@
 //! they mint a private single-use [`QueryRef`] internally, which is
 //! bit-exact with the shared path (same buffers, same kernel calls).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use spring_util::hash::fnv1a;
+use spring_util::hash::{fnv1a, fnv1a_continue};
 
 use crate::error::{check_query, SpringError};
 use crate::mem::MemoryUse;
@@ -37,8 +38,8 @@ use crate::mem::MemoryUse;
 /// A `QueryRef` is always handled as an [`Arc<QueryRef>`]; monitors
 /// borrow the pattern from the `Arc` and keep only their mutable DP
 /// columns per attachment. Content equality is pinned by an FNV-1a
-/// [`fingerprint`](QueryRef::fingerprint) over the sample bits, the
-/// channel count, and the default ε.
+/// [`fingerprint`](QueryRef::fingerprint) over the sample bits and the
+/// channel count.
 #[derive(Debug)]
 pub struct QueryRef {
     /// Pattern samples, flattened row-major: tick `i` occupies
@@ -50,9 +51,7 @@ pub struct QueryRef {
     mean: f64,
     /// Population standard deviation of the flattened samples.
     std: f64,
-    /// Default threshold ε carried with the query, if any.
-    epsilon_default: Option<f64>,
-    /// FNV-1a content hash (samples ⊕ channels ⊕ ε default).
+    /// FNV-1a content hash (channels ⊕ samples).
     hash: u64,
     /// Lazily-built z-normalized variant of a scalar query, computed at
     /// most once per `QueryRef` no matter how many normalized monitors
@@ -61,18 +60,12 @@ pub struct QueryRef {
 }
 
 /// FNV-1a over the exact bit patterns: two queries share an arena slot
-/// iff every sample bit, the channel count, and the ε default agree.
-fn content_hash(samples: &[f64], channels: usize, epsilon_default: Option<f64>) -> u64 {
-    let mut bytes = Vec::with_capacity(samples.len() * 8 + 16);
-    bytes.extend_from_slice(&(channels as u64).to_le_bytes());
-    for &s in samples {
-        bytes.extend_from_slice(&s.to_bits().to_le_bytes());
-    }
-    // `None` is distinguished from every finite ε by a NaN sentinel
-    // (check_epsilon rejects NaN, so no real default collides with it).
-    let eps_bits = epsilon_default.unwrap_or(f64::NAN).to_bits();
-    bytes.extend_from_slice(&eps_bits.to_le_bytes());
-    fnv1a(&bytes)
+/// iff the channel count and every sample bit agree. Hashes in place,
+/// without copying the samples.
+fn content_hash(samples: impl Iterator<Item = f64>, channels: usize) -> u64 {
+    samples.fold(fnv1a(&(channels as u64).to_le_bytes()), |h, s| {
+        fnv1a_continue(h, &s.to_bits().to_le_bytes())
+    })
 }
 
 impl QueryRef {
@@ -82,23 +75,7 @@ impl QueryRef {
     /// Rejects empty or non-finite patterns ([`SpringError::EmptyQuery`]
     /// / [`SpringError::NonFiniteQuery`]).
     pub fn scalar(samples: &[f64]) -> Result<Arc<Self>, SpringError> {
-        Self::scalar_with_default(samples, None)
-    }
-
-    /// Builds a shared scalar query carrying a default threshold ε.
-    ///
-    /// # Errors
-    /// Rejects empty or non-finite patterns.
-    pub fn scalar_with_default(
-        samples: &[f64],
-        epsilon_default: Option<f64>,
-    ) -> Result<Arc<Self>, SpringError> {
-        check_query(samples)?;
-        Ok(Arc::new(Self::assemble(
-            samples.to_vec(),
-            1,
-            epsilon_default,
-        )))
+        Self::flat(samples, 1)
     }
 
     /// Builds a shared multivariate query from one row of channel
@@ -108,24 +85,40 @@ impl QueryRef {
     /// Rejects empty, ragged, zero-channel, or non-finite queries.
     pub fn vector(rows: &[Vec<f64>]) -> Result<Arc<Self>, SpringError> {
         let channels = crate::vector::check_vector_query(rows)?;
-        let mut flat = Vec::with_capacity(rows.len() * channels);
-        for row in rows {
-            flat.extend_from_slice(row);
-        }
-        Ok(Arc::new(Self::assemble(flat, channels, None)))
+        Ok(Arc::new(Self::assemble(rows.concat(), channels)))
     }
 
-    fn assemble(samples: Vec<f64>, channels: usize, epsilon_default: Option<f64>) -> Self {
+    /// Builds a query from samples already flattened row-major, `channels`
+    /// per tick (the checkpoint layout).
+    ///
+    /// # Errors
+    /// Rejects zero channels, a sample count that is not a multiple of
+    /// `channels`, and empty or non-finite patterns.
+    pub(crate) fn flat(samples: &[f64], channels: usize) -> Result<Arc<Self>, SpringError> {
+        if channels == 0 || !samples.len().is_multiple_of(channels) {
+            return Err(SpringError::InvalidQuery(format!(
+                "{} samples do not split into rows of {channels} channels",
+                samples.len()
+            )));
+        }
+        check_query(samples)?;
+        Ok(Arc::new(Self::assemble(samples.to_vec(), channels)))
+    }
+
+    fn assemble(samples: Vec<f64>, channels: usize) -> Self {
+        let hash = content_hash(samples.iter().copied(), channels);
+        Self::with_hash(hash, samples, channels)
+    }
+
+    fn with_hash(hash: u64, samples: Vec<f64>, channels: usize) -> Self {
         let n = samples.len() as f64;
         let mean = samples.iter().sum::<f64>() / n;
         let var = samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-        let hash = content_hash(&samples, channels, epsilon_default);
         QueryRef {
             samples,
             channels,
             mean,
             std: var.sqrt(),
-            epsilon_default,
             hash,
             znormalized: OnceLock::new(),
         }
@@ -162,11 +155,6 @@ impl QueryRef {
         self.std
     }
 
-    /// The default threshold ε carried with the query, if any.
-    pub fn epsilon_default(&self) -> Option<f64> {
-        self.epsilon_default
-    }
-
     /// FNV-1a content fingerprint. Stable across runs and processes, so
     /// it doubles as the arena key and the metrics dedup key.
     pub fn fingerprint(&self) -> u64 {
@@ -194,21 +182,19 @@ impl QueryRef {
         Arc::clone(self.znormalized.get_or_init(|| {
             let z = crate::znorm::znormalize(&self.samples)
                 .expect("samples were validated at construction");
-            Arc::new(QueryRef::assemble(z, 1, self.epsilon_default))
+            Arc::new(QueryRef::assemble(z, 1))
         }))
     }
 
     /// Content equality (used to guard against hash collisions when
     /// interning).
-    fn same_content(&self, samples: &[f64], channels: usize, eps: Option<f64>) -> bool {
+    fn same_content(&self, samples: impl Iterator<Item = f64>, channels: usize) -> bool {
         self.channels == channels
-            && self.epsilon_default.map(f64::to_bits) == eps.map(f64::to_bits)
-            && self.samples.len() == samples.len()
             && self
                 .samples
                 .iter()
-                .zip(samples)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+                .map(|s| s.to_bits())
+                .eq(samples.map(f64::to_bits))
     }
 }
 
@@ -247,34 +233,8 @@ impl QueryArena {
     /// # Errors
     /// Rejects empty or non-finite patterns.
     pub fn intern(&self, samples: &[f64]) -> Result<Arc<QueryRef>, SpringError> {
-        self.intern_with_default(samples, None)
-    }
-
-    /// Interns a scalar pattern carrying a default ε.
-    ///
-    /// # Errors
-    /// Rejects empty or non-finite patterns.
-    pub fn intern_with_default(
-        &self,
-        samples: &[f64],
-        epsilon_default: Option<f64>,
-    ) -> Result<Arc<QueryRef>, SpringError> {
-        let hash = {
-            check_query(samples)?;
-            content_hash(samples, 1, epsilon_default)
-        };
-        let mut entries = self.entries.lock().expect("arena lock poisoned");
-        if let Some(existing) = entries.get(&hash) {
-            if existing.same_content(samples, 1, epsilon_default) {
-                return Ok(Arc::clone(existing));
-            }
-            // A 64-bit hash collision between distinct patterns: hand
-            // out a private (un-interned) entry rather than aliasing.
-            return QueryRef::scalar_with_default(samples, epsilon_default);
-        }
-        let entry = QueryRef::scalar_with_default(samples, epsilon_default)?;
-        entries.insert(hash, Arc::clone(&entry));
-        Ok(entry)
+        check_query(samples)?;
+        Ok(self.lookup(&[samples], 1))
     }
 
     /// Interns a multivariate pattern.
@@ -282,37 +242,28 @@ impl QueryArena {
     /// # Errors
     /// Rejects empty, ragged, zero-channel, or non-finite queries.
     pub fn intern_vector(&self, rows: &[Vec<f64>]) -> Result<Arc<QueryRef>, SpringError> {
-        let entry = QueryRef::vector(rows)?;
-        let mut entries = self.entries.lock().expect("arena lock poisoned");
-        match entries.get(&entry.hash) {
-            Some(existing)
-                if existing.same_content(&entry.samples, entry.channels, entry.epsilon_default) =>
-            {
-                Ok(Arc::clone(existing))
-            }
-            Some(_) => Ok(entry), // collision: private entry
-            None => {
-                entries.insert(entry.hash, Arc::clone(&entry));
-                Ok(entry)
-            }
-        }
+        let channels = crate::vector::check_vector_query(rows)?;
+        Ok(self.lookup(rows, channels))
     }
 
-    /// Republishes an externally-built entry (the hot-swap path): the
-    /// entry becomes the canonical table copy for its fingerprint.
-    pub fn publish(&self, entry: Arc<QueryRef>) -> Arc<QueryRef> {
+    /// The canonical entry for the validated pattern `rows`, read
+    /// row-major. The samples are hashed and compared where they lie
+    /// and copied only when no entry holds them yet, so a cache hit
+    /// allocates nothing.
+    fn lookup<R: Borrow<[f64]>>(&self, rows: &[R], channels: usize) -> Arc<QueryRef> {
+        let samples = || rows.iter().flat_map(|r| r.borrow().iter().copied());
+        let hash = content_hash(samples(), channels);
         let mut entries = self.entries.lock().expect("arena lock poisoned");
-        match entries.get(&entry.hash) {
-            Some(existing)
-                if existing.same_content(&entry.samples, entry.channels, entry.epsilon_default) =>
-            {
-                Arc::clone(existing)
-            }
-            _ => {
-                entries.insert(entry.hash, Arc::clone(&entry));
-                entry
+        if let Some(existing) = entries.get(&hash) {
+            if existing.same_content(samples(), channels) {
+                return Arc::clone(existing);
             }
         }
+        let entry = Arc::new(QueryRef::with_hash(hash, rows.concat(), channels));
+        // On a 64-bit hash collision between distinct patterns the table
+        // keeps its entry and this one stays private rather than aliasing.
+        entries.entry(hash).or_insert_with(|| Arc::clone(&entry));
+        entry
     }
 
     /// Number of interned entries.
@@ -360,15 +311,6 @@ mod tests {
         let c = arena.intern(&[1.0, 2.0, 4.0]).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(arena.len(), 2);
-    }
-
-    #[test]
-    fn epsilon_default_distinguishes_entries() {
-        let arena = QueryArena::new();
-        let a = arena.intern_with_default(&[1.0, 2.0], Some(5.0)).unwrap();
-        let b = arena.intern_with_default(&[1.0, 2.0], Some(6.0)).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(a.epsilon_default(), Some(5.0));
     }
 
     #[test]
@@ -432,16 +374,5 @@ mod tests {
         assert_eq!(arena.gc(), 1);
         assert_eq!(arena.len(), 1);
         assert_eq!(arena.resident_cells(), keep.cells());
-    }
-
-    #[test]
-    fn publish_installs_the_entry_for_its_fingerprint() {
-        let arena = QueryArena::new();
-        let fresh = QueryRef::scalar(&[7.0, 8.0]).unwrap();
-        let canon = arena.publish(Arc::clone(&fresh));
-        assert!(Arc::ptr_eq(&fresh, &canon));
-        // Interning the same content now returns the published entry.
-        let again = arena.intern(&[7.0, 8.0]).unwrap();
-        assert!(Arc::ptr_eq(&again, &fresh));
     }
 }

@@ -98,7 +98,7 @@ pub use monitor::{FrameScan, Monitor, MonitorSpec, MonitorVariant, ScalarMonitor
 pub use naive::NaiveMonitor;
 pub use path::PathSpring;
 pub use slope::SlopeLimited;
-pub use snapshot::{SpringSnapshot, VectorSnapshot};
+pub use snapshot::SpringSnapshot;
 pub use spring::{Spring, SpringConfig};
 pub use stwm::Stwm;
 pub use types::Match;

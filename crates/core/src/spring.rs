@@ -100,12 +100,10 @@ impl<K: DistanceKernel> Spring<K> {
         kernel: K,
     ) -> Result<Self, SpringError> {
         check_epsilon(config.epsilon)?;
-        Ok(Spring {
-            stwm: Stwm::with_kernel(query, kernel)?.with_band(config.epsilon),
-            policy: DisjointPolicy::new(config.epsilon),
-            reported: 0,
-            generation: 0,
-        })
+        Ok(Self::banded(
+            Stwm::with_kernel(query, kernel)?,
+            config.epsilon,
+        ))
     }
 
     /// Monitor over a shared arena entry ([`crate::QueryRef`]): borrows
@@ -121,12 +119,35 @@ impl<K: DistanceKernel> Spring<K> {
         kernel: K,
     ) -> Result<Self, SpringError> {
         check_epsilon(config.epsilon)?;
-        Ok(Spring {
-            stwm: Stwm::with_query_ref(query, kernel)?.with_band(config.epsilon),
-            policy: DisjointPolicy::new(config.epsilon),
+        Ok(Self::banded(
+            Stwm::with_query_ref(query, kernel)?,
+            config.epsilon,
+        ))
+    }
+
+    /// Monitor over an arena entry of any channel count `k`
+    /// ([`crate::VectorSpring`]'s matrix). A `k`-channel monitor is
+    /// stepped only by [`Spring::step_row`].
+    ///
+    /// # Errors
+    /// Rejects an invalid ε.
+    pub(crate) fn with_rows(
+        query: std::sync::Arc<crate::QueryRef>,
+        epsilon: f64,
+        kernel: K,
+    ) -> Result<Self, SpringError> {
+        check_epsilon(epsilon)?;
+        Ok(Self::banded(Stwm::with_rows(query, kernel), epsilon))
+    }
+
+    /// A fresh monitor over `stwm`, banded at the checked `epsilon`.
+    fn banded(stwm: Stwm<K>, epsilon: f64) -> Self {
+        Spring {
+            stwm: stwm.with_band(epsilon),
+            policy: DisjointPolicy::new(epsilon),
             reported: 0,
             generation: 0,
-        })
+        }
     }
 
     /// The shared arena entry backing this monitor.
@@ -241,7 +262,20 @@ impl<K: DistanceKernel> Spring<K> {
         Ok(self.step(x))
     }
 
-    /// The report/capture logic shared by `step` and [`crate::PathSpring`].
+    /// Consumes the next `k`-channel sample of a [`Spring::with_rows`]
+    /// monitor (`Stwm::step_row`), then runs the policy as
+    /// [`Spring::step`] does.
+    ///
+    /// # Errors
+    /// Fails when `x` does not have `k` channels; the monitor is then
+    /// unchanged.
+    pub(crate) fn step_row(&mut self, x: &[f64]) -> Result<Option<Match>, SpringError> {
+        self.stwm.step_row(x)?;
+        Ok(self.after_column())
+    }
+
+    /// The report/capture logic shared by `step`, `step_row` and
+    /// [`crate::PathSpring`].
     pub(crate) fn after_column(&mut self) -> Option<Match> {
         let t = self.stwm.tick();
         let report = self.policy.step(t, &mut StwmOps(&mut self.stwm));

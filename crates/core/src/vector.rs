@@ -3,8 +3,9 @@
 //! Each time-tick carries a vector of `k` numbers (motion capture:
 //! k = 62 joint velocities) and the query is a `k`-dimensional sequence
 //! of `m` ticks. The element distance becomes the sum of per-channel
-//! kernel distances; the star padding and the ε-banded [`Stwm`] are the
-//! scalar monitors' own, so all accuracy guarantees carry over.
+//! kernel distances; the star padding, the ε-banded [`crate::Stwm`] and
+//! the disjoint policy are the scalar [`Spring`]'s own, so all accuracy
+//! guarantees carry over.
 //!
 //! The paper modifies the reporting for motion capture "to report the
 //! starting and ending positions of the range of overlapping
@@ -16,11 +17,10 @@ use std::sync::Arc;
 use spring_dtw::kernels::{DistanceKernel, Squared};
 
 use crate::arena::QueryRef;
-use crate::error::{check_epsilon, SpringError};
+use crate::error::SpringError;
 use crate::mem::MemoryUse;
-use crate::policy::DisjointPolicy;
-use crate::spring::StwmOps;
-use crate::stwm::Stwm;
+use crate::monitor::Monitor;
+use crate::spring::Spring;
 use crate::types::Match;
 
 /// Validates a multivariate query and returns its dimensionality.
@@ -46,16 +46,14 @@ pub(crate) fn check_vector_query(query: &[Vec<f64>]) -> Result<usize, SpringErro
     Ok(dim)
 }
 
-/// Disjoint-query monitor over a `k`-dimensional stream: the disjoint
-/// policy over a `k`-channel [`Stwm`] (`Stwm::step_row`), ε-banded
-/// like [`crate::Spring`]'s. Channel sums are non-negative, so the band
-/// argument holds unchanged: the columns are ε-equivalent to the full
-/// recurrence and the matches are identical.
+/// Disjoint-query monitor over a `k`-dimensional stream: a [`Spring`]
+/// whose ε-banded matrix has `k` channels (`Stwm::step_row`). Channel
+/// sums are non-negative, so the band argument holds unchanged: the
+/// columns are ε-equivalent to the full recurrence and the matches are
+/// identical. The report count, the query generation and the
+/// checkpoint ([`crate::SpringSnapshot`]) are the scalar monitor's own.
 #[derive(Debug, Clone)]
-pub struct VectorSpring<K: DistanceKernel = Squared> {
-    stwm: Stwm<K>,
-    policy: DisjointPolicy,
-}
+pub struct VectorSpring<K: DistanceKernel = Squared>(pub(crate) Spring<K>);
 
 impl VectorSpring<Squared> {
     /// Vector monitor with the paper's default squared kernel.
@@ -67,7 +65,7 @@ impl VectorSpring<Squared> {
 impl<K: DistanceKernel> VectorSpring<K> {
     /// Vector monitor with an explicit kernel.
     pub fn with_kernel(query: &[Vec<f64>], epsilon: f64, kernel: K) -> Result<Self, SpringError> {
-        check_epsilon(epsilon)?;
+        crate::error::check_epsilon(epsilon)?;
         Self::with_query_ref(QueryRef::vector(query)?, epsilon, kernel)
     }
 
@@ -84,75 +82,38 @@ impl<K: DistanceKernel> VectorSpring<K> {
         epsilon: f64,
         kernel: K,
     ) -> Result<Self, SpringError> {
-        check_epsilon(epsilon)?;
-        Ok(VectorSpring {
-            stwm: Stwm::with_rows(query, kernel).with_band(epsilon),
-            policy: DisjointPolicy::new(epsilon),
-        })
+        Spring::with_rows(query, epsilon, kernel).map(VectorSpring)
     }
 
     /// The shared arena entry backing this monitor.
     pub fn query_ref(&self) -> &Arc<QueryRef> {
-        self.stwm.query_ref()
+        self.0.query_ref()
     }
 
     /// Stream dimensionality `k`.
     pub fn dim(&self) -> usize {
-        self.stwm.query_ref().channels()
+        self.query_ref().channels()
     }
 
     /// Query length `m`.
     pub fn query_len(&self) -> usize {
-        self.stwm.query_len()
+        self.0.query_len()
     }
 
     /// Current 1-based tick.
     pub fn tick(&self) -> u64 {
-        self.stwm.tick()
+        self.0.tick()
     }
 
     /// The captured-but-unconfirmed candidate, if any:
     /// `(distance, start, end)`.
     pub fn pending(&self) -> Option<(f64, u64, u64)> {
-        self.policy.pending()
+        self.0.pending()
     }
 
     /// The threshold `ε`.
     pub fn epsilon(&self) -> f64 {
-        self.policy.epsilon
-    }
-
-    /// The monitored query, one row per tick.
-    pub fn query_rows(&self) -> Vec<Vec<f64>> {
-        self.stwm
-            .query()
-            .chunks_exact(self.dim())
-            .map(<[f64]>::to_vec)
-            .collect()
-    }
-
-    /// Snapshot/restore plumbing (see [`crate::snapshot`]).
-    #[allow(clippy::type_complexity)] // internal plumbing tuple, consumed once
-    pub(crate) fn state(&self) -> (u64, Vec<f64>, Vec<u64>, (f64, u64, u64, u64, u64)) {
-        (
-            self.stwm.tick(),
-            self.stwm.distances().to_vec(),
-            self.stwm.starts().to_vec(),
-            self.policy.state(),
-        )
-    }
-
-    /// Restores checkpointed state; the monitor must have been built
-    /// with the snapshot's query and epsilon.
-    pub(crate) fn load_state(
-        &mut self,
-        tick: u64,
-        distances: &[f64],
-        starts: &[u64],
-        candidate: (f64, u64, u64, u64, u64),
-    ) {
-        self.stwm.load_column(tick, distances, starts);
-        self.policy.set_state(candidate);
+        self.0.epsilon()
     }
 
     /// Consumes the next `k`-dimensional sample.
@@ -161,24 +122,23 @@ impl<K: DistanceKernel> VectorSpring<K> {
     /// Fails when `x` has the wrong number of channels; the monitor state
     /// is unchanged in that case.
     pub fn step(&mut self, x: &[f64]) -> Result<Option<Match>, SpringError> {
-        self.stwm.step_row(x)?;
-        let t = self.stwm.tick();
-        Ok(self.policy.step(t, &mut StwmOps(&mut self.stwm)))
+        self.0.step_row(x)
     }
 
     /// Declares the end of the stream, reporting a pending group optimum.
     pub fn finish(&mut self) -> Option<Match> {
-        self.policy.finish(self.stwm.tick())
+        self.0.finish()
     }
 }
 
 impl<K: DistanceKernel> MemoryUse for VectorSpring<K> {
     fn bytes_used(&self) -> usize {
-        self.stwm.bytes_used()
+        self.0.bytes_used()
     }
 }
 
-impl<K: DistanceKernel> crate::monitor::Monitor for VectorSpring<K> {
+/// The scalar monitor's bookkeeping, with `[f64]` samples.
+impl<K: DistanceKernel> Monitor for VectorSpring<K> {
     type Sample = [f64];
 
     fn variant(&self) -> crate::monitor::MonitorVariant {
@@ -186,49 +146,56 @@ impl<K: DistanceKernel> crate::monitor::Monitor for VectorSpring<K> {
     }
 
     fn step(&mut self, sample: &[f64]) -> Result<Option<Match>, SpringError> {
-        if sample.iter().any(|v| !v.is_finite()) {
+        if Self::is_missing(sample) {
             return Err(SpringError::NonFiniteInput {
-                tick: self.stwm.tick() + 1,
+                tick: self.tick() + 1,
             });
         }
         VectorSpring::step(self, sample)
     }
 
     fn finish(&mut self) -> Option<Match> {
-        VectorSpring::finish(self)
+        self.0.finish()
     }
 
     fn query_len(&self) -> usize {
-        VectorSpring::query_len(self)
+        self.0.query_len()
     }
 
     fn epsilon(&self) -> Option<f64> {
-        Some(VectorSpring::epsilon(self))
+        Some(self.0.epsilon())
     }
 
     fn tick(&self) -> u64 {
-        VectorSpring::tick(self)
+        self.0.tick()
     }
 
     fn memory_use(&self) -> usize {
-        self.bytes_used()
+        self.0.memory_use()
     }
 
     fn memory_cells(&self) -> usize {
-        self.stwm.attachment_cells()
+        self.0.memory_cells()
     }
 
     fn shared_memory_cells(&self) -> usize {
-        self.stwm.query_ref().cells()
+        self.0.shared_memory_cells()
     }
 
     fn query_fingerprint(&self) -> Option<u64> {
-        Some(self.stwm.query_ref().fingerprint())
+        self.0.query_fingerprint()
+    }
+
+    fn generation(&self) -> u64 {
+        self.0.generation()
+    }
+
+    fn set_generation(&mut self, generation: u64) {
+        self.0.set_generation(generation);
     }
 
     fn reset(&mut self) {
-        self.stwm.reset();
-        self.policy = DisjointPolicy::new(self.policy.epsilon);
+        Monitor::reset(&mut self.0);
     }
 
     fn is_missing(sample: &[f64]) -> bool {

@@ -268,7 +268,6 @@ impl<K: DistanceKernel> crate::monitor::Monitor for NormalizedSpring<K> {
     /// values the guard rejects.
     fn step_batch(&mut self, samples: &[f64], out: &mut Vec<Match>) -> Result<(), SpringError> {
         let capacity = self.stats.capacity;
-        let offset = self.offset;
         for &x in samples {
             if !x.is_finite() {
                 return Err(SpringError::NonFiniteInput {
@@ -280,13 +279,8 @@ impl<K: DistanceKernel> crate::monitor::Monitor for NormalizedSpring<K> {
                 continue; // warmup: z-scores not meaningful yet
             }
             let z = self.stats.zscore(x);
-            if let Some(mut m) = self.inner.step(z) {
-                m.start += offset;
-                m.end += offset;
-                m.reported_at += offset;
-                m.group_start += offset;
-                m.group_end += offset;
-                out.push(m);
+            if let Some(m) = self.inner.step(z) {
+                out.push(self.shift(m));
             }
         }
         Ok(())

@@ -624,10 +624,6 @@ pub type MixedEngine = Engine<ScalarMonitor>;
 /// Engine over `k`-dimensional vector streams (paper Sec. 5.3).
 pub type VectorEngine = Engine<VectorSpring<Kernel>>;
 
-/// A confirmed match on a vector-stream attachment (kept as an alias:
-/// scalar and vector engines now share one [`Event`] type).
-pub type VectorEvent = Event;
-
 impl<M: Monitor> Default for Engine<M> {
     fn default() -> Self {
         Engine {
@@ -1600,6 +1596,20 @@ mod tests {
         e.attach(s, q, 1.0, GapPolicy::Skip).unwrap();
         assert_eq!(e.stream_channels(s), Some(2));
         assert!(e.push(s, &[1.0][..]).is_err());
+    }
+
+    #[test]
+    fn vector_swap_query_stamps_the_generation_into_monitor_and_checkpoint() {
+        let mut e = VectorEngine::new();
+        let s = e.add_channel_stream("feed", 2);
+        let q = e.add_query("blip", vquery_rows()).unwrap();
+        let a = e.attach(s, q, 1.0, GapPolicy::Skip).unwrap();
+        e.push(s, &quiet_row()).unwrap();
+        let swapped = vec![vec![1.0, 1.0], vec![2.0, -2.0]];
+        assert_eq!(e.swap_query(q, swapped).unwrap(), 1);
+        let monitor = e.monitor(a).unwrap();
+        assert_eq!(monitor.generation(), 1);
+        assert_eq!(monitor.snapshot().generation, 1);
     }
 
     #[test]

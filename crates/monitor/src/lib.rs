@@ -94,7 +94,7 @@ macro_rules! fail_point {
 
 pub use engine::{
     AttachmentId, Engine, Event, GapPolicy, MixedEngine, MonitorError, Owned, QueryId,
-    SpringEngine, StreamId, VectorEngine, VectorEvent,
+    SpringEngine, StreamId, VectorEngine,
 };
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot, ShardMetrics,

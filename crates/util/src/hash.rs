@@ -16,7 +16,14 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Hashes a byte slice with 64-bit FNV-1a.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv1a_continue(FNV_OFFSET, bytes)
+}
+
+/// Continues a 64-bit FNV-1a hash `h` over `bytes`:
+/// `fnv1a_continue(fnv1a(a), b) == fnv1a(a ++ b)`, so a key made of
+/// several pieces hashes without first being copied into one buffer.
+#[must_use]
+pub fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
@@ -45,6 +52,7 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a_continue(fnv1a(b"foo"), b"bar"), 0x85944171f73967e8);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! * [`core`] — the SPRING algorithm itself (star-padding + subsequence
 //!   time warping matrix), best-match and disjoint queries, naive baselines.
 //! * [`dtw`] — the Dynamic Time Warping substrate: kernels, full and
-//!   constrained DTW, warping paths, lower bounds, PAA.
+//!   constrained DTW, warping paths, multivariate DTW.
 //! * [`data`] — deterministic workload generators reproducing the paper's
 //!   datasets, plus dataset I/O.
 //! * [`monitor`] — a multi-stream, multi-query monitoring engine.
