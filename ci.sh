@@ -49,6 +49,12 @@ diff <(monitor_features) <(monitor_features -p spring-cli)
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> 62-channel runs (Fig. 9 mocap output pinned byte for byte)"
+# The only runs of the 62-channel workload; mocap_gestures also drives
+# VectorEngine. Both are deterministic.
+diff tests/fixtures/mocap_gestures.stdout <(cargo run --release -q --example mocap_gestures)
+diff tests/fixtures/fig9_mocap.stdout <(cargo run --release -q -p spring-bench --bin fig9_mocap)
+
 echo "==> cargo check springbench (the frozen benchmark builds against this API)"
 cargo check --offline --all-targets --manifest-path springbench/Cargo.toml
 

@@ -11,8 +11,8 @@
 //!
 //! The `batch_ingest_engine/push` row times per-sample `Engine::push`
 //! itself on the `b1` engine: one sample per call, through the same
-//! one-sample frame path as `b1`'s `push_batch`, plus the copy into
-//! the engine's sample slot and the returned `Vec`.
+//! one-sample frame path as `b1`'s `push_batch`, plus the returned
+//! `Vec`.
 //!
 //! The `batch_ingest_fanout/q{1,8,32,56}` rows push 64-sample frames
 //! through an engine with a metrics registry and 1, 8, 32 or 56

@@ -814,10 +814,12 @@ impl EventLoop<'_> {
                     return Err(format!("no live stream {stream}"));
                 };
                 let kernel = self.opts.kernel;
-                let build = move |q: &[f64]| MonitorSpec::Spring { epsilon }.build(q, kernel);
-                let monitor = build(values).map_err(|e| e.to_string())?;
+                let monitor_spec = MonitorSpec::Spring { epsilon };
+                let monitor = monitor_spec
+                    .build(values, kernel)
+                    .map_err(|e| e.to_string())?;
                 let spec = RunnerAttachment::new(target, QueryId(query), monitor, GapPolicy::Skip)
-                    .with_builder(build);
+                    .with_builder(move |q| monitor_spec.build(q, kernel));
                 let id = self.runner.attach(spec).map_err(|e| e.to_string())?;
                 attachments.push(id);
                 Ok(format!("ok attach stream {stream} query {query}"))

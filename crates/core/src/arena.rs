@@ -23,7 +23,6 @@
 //! they mint a private single-use [`QueryRef`] internally, which is
 //! bit-exact with the shared path (same buffers, same kernel calls).
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -60,54 +59,41 @@ pub struct QueryRef {
 }
 
 /// FNV-1a over the exact bit patterns: two queries share an arena slot
-/// iff the channel count and every sample bit agree. Hashes in place,
-/// without copying the samples.
-fn content_hash(samples: impl Iterator<Item = f64>, channels: usize) -> u64 {
-    samples.fold(fnv1a(&(channels as u64).to_le_bytes()), |h, s| {
-        fnv1a_continue(h, &s.to_bits().to_le_bytes())
-    })
+/// iff the channel count and every sample bit agree.
+fn content_hash(samples: &[f64], channels: usize) -> u64 {
+    samples
+        .iter()
+        .fold(fnv1a(&(channels as u64).to_le_bytes()), |h, s| {
+            fnv1a_continue(h, &s.to_bits().to_le_bytes())
+        })
+}
+
+/// Validates a pattern flattened row-major, `channels` per tick.
+///
+/// # Errors
+/// Rejects zero channels, a sample count that is not a multiple of
+/// `channels`, and empty or non-finite patterns.
+pub(crate) fn check_rows(samples: &[f64], channels: usize) -> Result<(), SpringError> {
+    if channels == 0 || !samples.len().is_multiple_of(channels) {
+        return Err(SpringError::InvalidQuery(format!(
+            "{} samples do not split into rows of {channels} channels",
+            samples.len()
+        )));
+    }
+    check_query(samples)
 }
 
 impl QueryRef {
-    /// Builds a shared scalar query.
-    ///
-    /// # Errors
-    /// Rejects empty or non-finite patterns ([`SpringError::EmptyQuery`]
-    /// / [`SpringError::NonFiniteQuery`]).
-    pub fn scalar(samples: &[f64]) -> Result<Arc<Self>, SpringError> {
-        Self::flat(samples, 1)
-    }
-
-    /// Builds a shared multivariate query from one row of channel
-    /// values per tick (rows are flattened row-major).
-    ///
-    /// # Errors
-    /// Rejects empty, ragged, zero-channel, or non-finite queries.
-    pub fn vector(rows: &[Vec<f64>]) -> Result<Arc<Self>, SpringError> {
-        let channels = crate::vector::check_vector_query(rows)?;
-        Ok(Arc::new(Self::assemble(rows.concat(), channels)))
-    }
-
-    /// Builds a query from samples already flattened row-major, `channels`
-    /// per tick (the checkpoint layout).
+    /// Builds a private query from samples flattened row-major,
+    /// `channels` per tick (1 for a scalar query).
     ///
     /// # Errors
     /// Rejects zero channels, a sample count that is not a multiple of
     /// `channels`, and empty or non-finite patterns.
-    pub(crate) fn flat(samples: &[f64], channels: usize) -> Result<Arc<Self>, SpringError> {
-        if channels == 0 || !samples.len().is_multiple_of(channels) {
-            return Err(SpringError::InvalidQuery(format!(
-                "{} samples do not split into rows of {channels} channels",
-                samples.len()
-            )));
-        }
-        check_query(samples)?;
-        Ok(Arc::new(Self::assemble(samples.to_vec(), channels)))
-    }
-
-    fn assemble(samples: Vec<f64>, channels: usize) -> Self {
-        let hash = content_hash(samples.iter().copied(), channels);
-        Self::with_hash(hash, samples, channels)
+    pub fn flat(samples: &[f64], channels: usize) -> Result<Arc<Self>, SpringError> {
+        check_rows(samples, channels)?;
+        let hash = content_hash(samples, channels);
+        Ok(Arc::new(Self::with_hash(hash, samples.to_vec(), channels)))
     }
 
     fn with_hash(hash: u64, samples: Vec<f64>, channels: usize) -> Self {
@@ -182,19 +168,19 @@ impl QueryRef {
         Arc::clone(self.znormalized.get_or_init(|| {
             let z = crate::znorm::znormalize(&self.samples)
                 .expect("samples were validated at construction");
-            Arc::new(QueryRef::assemble(z, 1))
+            Arc::new(QueryRef::with_hash(content_hash(&z, 1), z, 1))
         }))
     }
 
     /// Content equality (used to guard against hash collisions when
     /// interning).
-    fn same_content(&self, samples: impl Iterator<Item = f64>, channels: usize) -> bool {
+    fn same_content(&self, samples: &[f64], channels: usize) -> bool {
         self.channels == channels
             && self
                 .samples
                 .iter()
                 .map(|s| s.to_bits())
-                .eq(samples.map(f64::to_bits))
+                .eq(samples.iter().map(|s| s.to_bits()))
     }
 }
 
@@ -233,37 +219,34 @@ impl QueryArena {
     /// # Errors
     /// Rejects empty or non-finite patterns.
     pub fn intern(&self, samples: &[f64]) -> Result<Arc<QueryRef>, SpringError> {
-        check_query(samples)?;
-        Ok(self.lookup(&[samples], 1))
+        self.intern_rows(samples, 1)
     }
 
-    /// Interns a multivariate pattern.
+    /// Interns a pattern flattened row-major, `channels` per tick. The
+    /// samples are hashed and compared where they lie and copied only
+    /// when no entry holds them yet, so a cache hit allocates nothing.
     ///
     /// # Errors
-    /// Rejects empty, ragged, zero-channel, or non-finite queries.
-    pub fn intern_vector(&self, rows: &[Vec<f64>]) -> Result<Arc<QueryRef>, SpringError> {
-        let channels = crate::vector::check_vector_query(rows)?;
-        Ok(self.lookup(rows, channels))
-    }
-
-    /// The canonical entry for the validated pattern `rows`, read
-    /// row-major. The samples are hashed and compared where they lie
-    /// and copied only when no entry holds them yet, so a cache hit
-    /// allocates nothing.
-    fn lookup<R: Borrow<[f64]>>(&self, rows: &[R], channels: usize) -> Arc<QueryRef> {
-        let samples = || rows.iter().flat_map(|r| r.borrow().iter().copied());
-        let hash = content_hash(samples(), channels);
+    /// Rejects zero channels, a sample count that is not a multiple of
+    /// `channels`, and empty or non-finite patterns.
+    pub fn intern_rows(
+        &self,
+        samples: &[f64],
+        channels: usize,
+    ) -> Result<Arc<QueryRef>, SpringError> {
+        check_rows(samples, channels)?;
+        let hash = content_hash(samples, channels);
         let mut entries = self.entries.lock().expect("arena lock poisoned");
         if let Some(existing) = entries.get(&hash) {
-            if existing.same_content(samples(), channels) {
-                return Arc::clone(existing);
+            if existing.same_content(samples, channels) {
+                return Ok(Arc::clone(existing));
             }
         }
-        let entry = Arc::new(QueryRef::with_hash(hash, rows.concat(), channels));
+        let entry = Arc::new(QueryRef::with_hash(hash, samples.to_vec(), channels));
         // On a 64-bit hash collision between distinct patterns the table
         // keeps its entry and this one stays private rather than aliasing.
         entries.entry(hash).or_insert_with(|| Arc::clone(&entry));
-        entry
+        Ok(entry)
     }
 
     /// Number of interned entries.
@@ -315,14 +298,14 @@ mod tests {
 
     #[test]
     fn stats_match_the_znorm_definitions() {
-        let q = QueryRef::scalar(&[1.0, 2.0, 3.0]).unwrap();
+        let q = QueryRef::flat(&[1.0, 2.0, 3.0], 1).unwrap();
         assert!((q.mean() - 2.0).abs() < 1e-12);
         assert!((q.std() - (2.0f64 / 3.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn znormalized_variant_is_cached_and_matches_znormalize() {
-        let q = QueryRef::scalar(&[1.0, 5.0, 3.0]).unwrap();
+        let q = QueryRef::flat(&[1.0, 5.0, 3.0], 1).unwrap();
         let z1 = q.znormalized();
         let z2 = q.znormalized();
         assert!(Arc::ptr_eq(&z1, &z2));
@@ -332,26 +315,26 @@ mod tests {
 
     #[test]
     fn vector_queries_flatten_row_major() {
-        let q = QueryRef::vector(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let q = QueryRef::flat(&[1.0, 2.0, 3.0, 4.0], 2).unwrap();
         assert_eq!(q.samples(), &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(q.channels(), 2);
         assert_eq!(q.len(), 2);
         assert_eq!(q.cells(), 4);
         let arena = QueryArena::new();
-        let a = arena
-            .intern_vector(&[vec![1.0, 2.0], vec![3.0, 4.0]])
-            .unwrap();
-        let b = arena
-            .intern_vector(&[vec![1.0, 2.0], vec![3.0, 4.0]])
-            .unwrap();
+        let a = arena.intern_rows(&[1.0, 2.0, 3.0, 4.0], 2).unwrap();
+        let b = arena.intern_rows(&[1.0, 2.0, 3.0, 4.0], 2).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+        assert!(!Arc::ptr_eq(
+            &a,
+            &arena.intern(&[1.0, 2.0, 3.0, 4.0]).unwrap()
+        ));
     }
 
     #[test]
     fn fingerprints_separate_flat_shape_from_channel_shape() {
         // Same flattened samples, different channel structure.
-        let flat = QueryRef::scalar(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        let wide = QueryRef::vector(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let flat = QueryRef::flat(&[1.0, 2.0, 3.0, 4.0], 1).unwrap();
+        let wide = QueryRef::flat(&[1.0, 2.0, 3.0, 4.0], 2).unwrap();
         assert_ne!(flat.fingerprint(), wide.fingerprint());
     }
 
@@ -360,7 +343,8 @@ mod tests {
         let arena = QueryArena::new();
         assert!(arena.intern(&[]).is_err());
         assert!(arena.intern(&[f64::NAN]).is_err());
-        assert!(QueryRef::vector(&[vec![1.0], vec![1.0, 2.0]]).is_err());
+        assert!(arena.intern_rows(&[1.0, 2.0, 3.0], 2).is_err());
+        assert!(arena.intern_rows(&[1.0], 0).is_err());
         assert_eq!(arena.len(), 0);
     }
 

@@ -171,14 +171,6 @@ impl<K: DistanceKernel> crate::monitor::Monitor for BestMatch<K> {
         self.found_at = 0;
         self.flushed = false;
     }
-
-    fn is_missing(sample: &f64) -> bool {
-        !sample.is_finite()
-    }
-
-    fn sample_dim(_sample: &f64) -> usize {
-        1
-    }
 }
 
 #[cfg(test)]

@@ -222,14 +222,6 @@ impl<K: DistanceKernel> crate::monitor::Monitor for BoundedSpring<K> {
         self.stwm.reset();
         self.policy = DisjointPolicy::new(self.config.epsilon);
     }
-
-    fn is_missing(sample: &f64) -> bool {
-        !sample.is_finite()
-    }
-
-    fn sample_dim(_sample: &f64) -> usize {
-        1
-    }
 }
 
 #[cfg(test)]

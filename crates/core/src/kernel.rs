@@ -883,7 +883,7 @@ mod tests {
                         _ => stream.push(row(&mut rng)),
                     }
                 }
-                let entry = QueryRef::vector(&query).unwrap();
+                let entry = QueryRef::flat(&query.concat(), k).unwrap();
                 let mut full = Stwm::with_rows(Arc::clone(&entry), kernel);
                 let mut banded = Stwm::with_rows(entry, kernel).with_band(eps);
                 for (t, x) in stream.iter().enumerate() {

@@ -94,7 +94,9 @@ pub use best::BestMatch;
 pub use bounded::{BoundedConfig, BoundedSpring};
 pub use error::SpringError;
 pub use mem::MemoryUse;
-pub use monitor::{FrameScan, Monitor, MonitorSpec, MonitorVariant, ScalarMonitor};
+pub use monitor::{
+    AsRows, FrameScan, Monitor, MonitorSpec, MonitorVariant, Row, Rows, ScalarMonitor,
+};
 pub use naive::NaiveMonitor;
 pub use path::PathSpring;
 pub use slope::SlopeLimited;

@@ -13,10 +13,10 @@
 //!
 //! [`Monitor`] captures that shape so the multi-stream engine, the
 //! threaded runner, and the CLI can be written **once**, generically,
-//! instead of once per variant. The associated [`Monitor::Sample`] type
-//! distinguishes scalar monitors (`Sample = f64`) from vector monitors
-//! (`Sample = [f64]`); carry-forward buffering works for both through
-//! `ToOwned` (`f64 → f64`, `[f64] → Vec<f64>`).
+//! instead of once per variant. Every frame of a stream is one flat
+//! row-major `&[f64]` of rows of `k` values (k = 1 for scalars); [`Row`]
+//! views the [`Monitor::Sample`] one step takes (`f64` or `[f64]`) as
+//! such a row.
 //!
 //! For deployments that mix *variants* on one stream (e.g. a raw and a
 //! z-normalized attachment side by side, paper Sec. 5.1), the
@@ -24,7 +24,8 @@
 //! [`MonitorSpec`] builds one from a plain description — the single
 //! construction path used by the CLI and examples.
 
-use std::borrow::Borrow;
+use std::borrow::Cow;
+use std::ops::Deref;
 
 use spring_dtw::kernels::Kernel;
 
@@ -74,6 +75,136 @@ impl std::fmt::Display for MonitorVariant {
     }
 }
 
+/// A sample viewed as a row of a stream's frame: `f64` is a 1-value
+/// row, `[f64]` is itself.
+pub trait Row {
+    /// The width every sample of this type has, when the type fixes it
+    /// (1 for `f64`; `None` for `[f64]`, whose width is the stream's).
+    const WIDTH: Option<usize>;
+
+    /// This sample as a row.
+    fn as_row(&self) -> &[f64];
+
+    /// The sample a row holds. A row of an `f64` stream has one value.
+    fn from_row(row: &[f64]) -> &Self;
+}
+
+impl Row for f64 {
+    const WIDTH: Option<usize> = Some(1);
+
+    fn as_row(&self) -> &[f64] {
+        std::slice::from_ref(self)
+    }
+
+    fn from_row(row: &[f64]) -> &f64 {
+        &row[0]
+    }
+}
+
+impl Row for [f64] {
+    const WIDTH: Option<usize> = None;
+
+    fn as_row(&self) -> &[f64] {
+        self
+    }
+
+    fn from_row(row: &[f64]) -> &[f64] {
+        row
+    }
+}
+
+/// Flat row-major values read as rows of `channels` values: a query
+/// pattern as an attachment's builder receives it. It dereferences to
+/// the values, so a scalar builder takes it as its `&[f64]` pattern.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    /// The values, row-major.
+    pub values: &'a [f64],
+    /// Values per row.
+    pub channels: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// `values` read as rows of `channels` values.
+    pub fn new(values: &'a [f64], channels: usize) -> Self {
+        Rows { values, channels }
+    }
+}
+
+impl Deref for Rows<'_> {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        self.values
+    }
+}
+
+/// Rows as a caller holds them. Flat values carry no width: a frame's
+/// are read at its stream's width, a pattern's as one channel. Nested
+/// rows (one `Vec<f64>` per row) and [`Rows`] carry theirs.
+pub trait AsRows {
+    /// The values, flat and row-major, and the row width when the form
+    /// carries one.
+    ///
+    /// # Errors
+    /// Nested rows of unequal widths ([`SpringError::DimensionMismatch`]).
+    fn flat(&self) -> Result<(Cow<'_, [f64]>, Option<usize>), SpringError>;
+
+    /// The rows as a query pattern: its values and its width.
+    ///
+    /// # Errors
+    /// Ragged rows, zero channels, and an empty or non-finite pattern.
+    fn pattern(&self) -> Result<(Cow<'_, [f64]>, usize), SpringError> {
+        let (values, width) = self.flat()?;
+        let channels = width.unwrap_or(1);
+        crate::arena::check_rows(&values, channels)?;
+        Ok((values, channels))
+    }
+}
+
+impl AsRows for [f64] {
+    fn flat(&self) -> Result<(Cow<'_, [f64]>, Option<usize>), SpringError> {
+        Ok((Cow::Borrowed(self), None))
+    }
+}
+
+impl<const N: usize> AsRows for [f64; N] {
+    fn flat(&self) -> Result<(Cow<'_, [f64]>, Option<usize>), SpringError> {
+        self.as_slice().flat()
+    }
+}
+
+impl AsRows for Vec<f64> {
+    fn flat(&self) -> Result<(Cow<'_, [f64]>, Option<usize>), SpringError> {
+        self.as_slice().flat()
+    }
+}
+
+impl AsRows for Rows<'_> {
+    fn flat(&self) -> Result<(Cow<'_, [f64]>, Option<usize>), SpringError> {
+        Ok((Cow::Borrowed(self.values), Some(self.channels)))
+    }
+}
+
+impl AsRows for [Vec<f64>] {
+    fn flat(&self) -> Result<(Cow<'_, [f64]>, Option<usize>), SpringError> {
+        let expected = self.first().map_or(0, Vec::len);
+        match self.iter().find(|row| row.len() != expected) {
+            Some(row) => Err(SpringError::DimensionMismatch {
+                expected,
+                found: row.len(),
+            }),
+            None => Ok((Cow::Owned(self.concat()), Some(expected))),
+        }
+    }
+}
+
+impl AsRows for Vec<Vec<f64>> {
+    fn flat(&self) -> Result<(Cow<'_, [f64]>, Option<usize>), SpringError> {
+        self.as_slice().flat()
+    }
+}
+
 /// A streaming subsequence monitor: consumes one sample per tick,
 /// occasionally confirms a [`Match`].
 ///
@@ -85,9 +216,8 @@ impl std::fmt::Display for MonitorVariant {
 /// # Contract
 ///
 /// * [`step`](Monitor::step) is called once per stream tick with a
-///   *present* sample; missing ticks are the caller's concern (gap
-///   policies live in the engine layer, which uses
-///   [`is_missing`](Monitor::is_missing) to detect them).
+///   *present* sample; missing ticks (a row with a non-finite value)
+///   are the caller's concern (gap policies live in the engine layer).
 /// * [`finish`](Monitor::finish) declares end-of-stream and flushes an
 ///   unconfirmed pending optimum; it is idempotent — a second call
 ///   returns `None`.
@@ -96,9 +226,8 @@ impl std::fmt::Display for MonitorVariant {
 ///   many streams in sequence.
 pub trait Monitor {
     /// One stream sample: `f64` for scalar monitors, `[f64]` for vector
-    /// monitors. `ToOwned` supplies the owned form used by carry-forward
-    /// buffering (`f64` / `Vec<f64>`).
-    type Sample: ?Sized + ToOwned;
+    /// monitors.
+    type Sample: ?Sized + Row;
 
     /// Which variant this monitor is (tags engine events).
     fn variant(&self) -> MonitorVariant;
@@ -110,16 +239,15 @@ pub trait Monitor {
     /// are rejected without mutating monitor state.
     fn step(&mut self, sample: &Self::Sample) -> Result<Option<Match>, SpringError>;
 
-    /// Consumes a batch of samples, appending every confirmed match to
-    /// `out` in tick order. Semantically identical to calling
-    /// [`step`](Monitor::step) once per sample — a batch of one is the
-    /// per-sample path — but implementations may override it to hoist
-    /// per-step invariant loads (ε, `m`, band bounds) out of the loop
-    /// and amortize dispatch, writing into the caller-owned buffer so
-    /// the steady state performs **no per-tick allocation**.
+    /// Consumes a batch of samples, a flat frame of
+    /// [`channels`](Monitor::channels) values per tick, appending every
+    /// confirmed match to `out` in tick order. Semantically identical
+    /// to calling [`step`](Monitor::step) once per row — a batch of one
+    /// is the per-sample path — but implementations may override it to
+    /// hoist per-step invariant loads (ε, `m`, band bounds) out of the
+    /// loop and amortize dispatch, writing into the caller-owned buffer
+    /// so the steady state performs **no per-tick allocation**.
     ///
-    /// Samples are the *owned* form (`f64` / `Vec<f64>`) so carry-forward
-    /// buffers and framed channels can hand their storage over directly.
     /// A match's [`Match::reported_at`] is the [`tick`](Monitor::tick)
     /// of the sample that confirmed it; the frame-at-a-time engine and
     /// runner use it to put each match back in its place in the frame.
@@ -129,39 +257,25 @@ pub trait Monitor {
     /// samples before it are fully consumed (their confirmed matches are
     /// already in `out`), the failing sample does not mutate state, and
     /// samples after it are not consumed — exactly the state a
-    /// per-sample loop would leave behind.
-    fn step_batch(
-        &mut self,
-        samples: &[<Self::Sample as ToOwned>::Owned],
-        out: &mut Vec<Match>,
-    ) -> Result<(), SpringError> {
-        for s in samples {
-            if let Some(m) = self.step(s.borrow())? {
-                out.push(m);
-            }
+    /// per-sample loop would leave behind. A trailing short row fails
+    /// as a row of the wrong width.
+    fn step_batch(&mut self, samples: &[f64], out: &mut Vec<Match>) -> Result<(), SpringError> {
+        for row in samples.chunks(self.channels()) {
+            out.extend(self.step(Self::Sample::from_row(row))?);
         }
         Ok(())
     }
 
-    /// Scans a frame of a stream once for every monitor attached to
-    /// it, before any of them steps it (see [`FrameScan`]). The default
-    /// records the missing samples; scalar monitors that use the chunk
-    /// ranges record those too.
-    fn scan_frame(samples: &[<Self::Sample as ToOwned>::Owned], scan: &mut FrameScan) {
-        scan.scan_missing(samples.iter().map(|s| Self::is_missing(s.borrow())));
-    }
-
     /// [`step_batch`](Monitor::step_batch) over `run`, a run of present
-    /// samples that starts at offset `at` of a frame described by `scan`
-    /// ([`Monitor::scan_frame`]). A monitor may take what the scan
-    /// already knows instead of scanning the run again. The default
-    /// is `step_batch`.
+    /// rows that starts at row `at` of a frame described by `scan`. A
+    /// monitor may take what the scan already knows instead of scanning
+    /// the run again. The default is `step_batch`.
     ///
     /// # Errors
     /// As [`step_batch`](Monitor::step_batch).
     fn step_run(
         &mut self,
-        run: &[<Self::Sample as ToOwned>::Owned],
+        run: &[f64],
         at: usize,
         scan: &FrameScan,
         out: &mut Vec<Match>,
@@ -178,7 +292,7 @@ pub trait Monitor {
     /// [`step_run`](Monitor::step_run); the monitor's state afterwards
     /// must be the one `step_run` over the frame would leave. The
     /// default shows nothing.
-    fn skip_frame(&mut self, frame: &[<Self::Sample as ToOwned>::Owned], scan: &FrameScan) -> bool {
+    fn skip_frame(&mut self, frame: &[f64], scan: &FrameScan) -> bool {
         let _ = (frame, scan);
         false
     }
@@ -212,17 +326,10 @@ pub trait Monitor {
     /// query and configuration.
     fn reset(&mut self);
 
-    /// True when `sample` denotes a missing observation (any non-finite
-    /// component).
-    fn is_missing(sample: &Self::Sample) -> bool;
-
-    /// Number of channels in `sample` (1 for scalars).
-    fn sample_dim(sample: &Self::Sample) -> usize;
-
-    /// Channels this monitor expects per sample; `None` for scalar
-    /// monitors (which accept exactly one).
-    fn channels(&self) -> Option<usize> {
-        None
+    /// Channels this monitor expects per sample (1 for scalar
+    /// monitors).
+    fn channels(&self) -> usize {
+        1
     }
 
     /// Cells of *shared* arena state this monitor borrows (the pattern
@@ -253,61 +360,47 @@ pub trait Monitor {
 }
 
 /// What one pass over a stream's frame tells every monitor attached to
-/// the stream: the offsets of its missing samples and, for a scalar
-/// frame, the `(min, max)` of each chunk the idle skip tests at once
-/// and of the whole frame. The engine and the runner workers fill one
-/// per frame ([`Monitor::scan_frame`]) and hand it to every
-/// attachment's [`Monitor::skip_frame`] and [`Monitor::step_run`], so
-/// a fact of the frame is found once, not once per attachment.
+/// the stream: the rows that hold a missing (non-finite) value and, for
+/// a frame of one channel, the `(min, max)` of each chunk the idle skip
+/// tests at once and of the whole frame. The engine and the runner
+/// workers fill one per frame ([`FrameScan::scan`]) and hand it to
+/// every attachment's [`Monitor::skip_frame`] and
+/// [`Monitor::step_run`], so a fact of the frame is found once, not
+/// once per attachment.
 #[derive(Debug, Default)]
 pub struct FrameScan {
-    /// Offsets of the missing samples, ascending.
+    /// Offsets of the missing rows, ascending.
     missing: Vec<usize>,
-    /// `(min, max)` of each frame-aligned chunk; empty unless scanned
-    /// by [`FrameScan::scan_scalar`]. A chunk that holds a missing
-    /// sample is never tested by its range.
-    ranges: Vec<(f64, f64)>,
+    /// `(min, max)` of each frame-aligned chunk; empty unless the frame
+    /// has one channel. A chunk that holds a missing sample is never
+    /// tested by its range.
+    pub(crate) ranges: Vec<(f64, f64)>,
     /// `(min, max)` of the whole frame, folded from `ranges`; `None`
-    /// unless a non-empty frame was scanned by
-    /// [`FrameScan::scan_scalar`].
-    range: Option<(f64, f64)>,
+    /// unless a non-empty frame of one channel was scanned.
+    pub(crate) range: Option<(f64, f64)>,
 }
 
 impl FrameScan {
-    /// Offsets of the frame's missing samples, ascending.
+    /// Offsets of the frame's missing rows, ascending.
     pub fn missing(&self) -> &[usize] {
         &self.missing
     }
 
-    /// The chunk ranges (empty when the frame was not scanned as
-    /// scalars).
-    pub(crate) fn ranges(&self) -> &[(f64, f64)] {
-        &self.ranges
-    }
-
-    /// The `(min, max)` of the whole frame, when it was scanned as
-    /// scalars.
-    pub(crate) fn range(&self) -> Option<(f64, f64)> {
-        self.range
-    }
-
-    /// Records the missing samples only: `missing` yields one flag per
-    /// sample of the frame.
-    pub(crate) fn scan_missing(&mut self, missing: impl Iterator<Item = bool>) {
+    /// Scans `frame`, flat rows of `channels` values: its missing rows
+    /// and, for one channel, each chunk's range and the frame's, in one
+    /// pass.
+    pub fn scan(&mut self, frame: &[f64], channels: usize) {
         self.ranges.clear();
+        self.missing.clear();
         self.range = None;
-        self.missing.clear();
-        self.missing
-            .extend(missing.enumerate().filter(|&(_, m)| m).map(|(i, _)| i));
-    }
-
-    /// Scans a scalar frame: the non-finite samples, each chunk's range
-    /// and the frame's, in one pass.
-    pub(crate) fn scan_scalar(&mut self, samples: &[f64]) {
-        self.ranges.clear();
-        self.missing.clear();
+        if channels > 1 {
+            let rows = frame.chunks_exact(channels).enumerate();
+            let bad = rows.filter(|(_, row)| row.iter().any(|x| !x.is_finite()));
+            self.missing.extend(bad.map(|(i, _)| i));
+            return;
+        }
         let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for (c, chunk) in samples.chunks(IDLE_CHUNK).enumerate() {
+        for (c, chunk) in frame.chunks(IDLE_CHUNK).enumerate() {
             let (mut lo, mut hi, mut finite) = (f64::INFINITY, f64::NEG_INFINITY, true);
             for &x in chunk {
                 (lo, hi, finite) = (lo.min(x), hi.max(x), finite & x.is_finite());
@@ -319,7 +412,7 @@ impl FrameScan {
                 self.missing.extend(bad.map(|(i, _)| c * IDLE_CHUNK + i));
             }
         }
-        self.range = (!samples.is_empty()).then_some((min, max));
+        self.range = (!frame.is_empty()).then_some((min, max));
     }
 }
 
@@ -500,10 +593,6 @@ impl Monitor for ScalarMonitor {
         dispatch!(self, m => Monitor::step_batch(m, samples, out))
     }
 
-    fn scan_frame(samples: &[f64], scan: &mut FrameScan) {
-        scan.scan_scalar(samples);
-    }
-
     fn step_run(
         &mut self,
         run: &[f64],
@@ -561,14 +650,6 @@ impl Monitor for ScalarMonitor {
     fn reset(&mut self) {
         dispatch!(self, m => Monitor::reset(m))
     }
-
-    fn is_missing(sample: &f64) -> bool {
-        !sample.is_finite()
-    }
-
-    fn sample_dim(_sample: &f64) -> usize {
-        1
-    }
 }
 
 #[cfg(test)]
@@ -611,7 +692,7 @@ mod tests {
                 m.memory_cells() > 0 && m.memory_cells() <= m.memory_use(),
                 "{spec:?}"
             );
-            assert_eq!(m.channels(), None);
+            assert_eq!(m.channels(), 1);
         }
     }
 
@@ -763,29 +844,44 @@ mod tests {
         frame[3] = f64::NAN;
         frame[17] = f64::NEG_INFINITY;
         let mut scan = FrameScan::default();
-        scan.scan_scalar(&frame);
+        scan.scan(&frame, 1);
         assert_eq!(scan.missing(), &[3, 17]);
         // Three chunks of 8, 8 and 3; a NaN does not narrow a range.
-        assert_eq!(scan.ranges()[..2], [(0.0, 7.0), (8.0, 15.0)]);
-        assert_eq!(scan.ranges()[2].1, 18.0);
-        // The generic scan finds the same gaps and no ranges.
-        scan.scan_missing(frame.iter().map(|x| !x.is_finite()));
-        assert_eq!((scan.missing(), scan.ranges()), (&[3, 17][..], &[][..]));
-        assert_eq!(scan.range(), None);
+        assert_eq!(scan.ranges[..2], [(0.0, 7.0), (8.0, 15.0)]);
+        assert_eq!(scan.ranges[2].1, 18.0);
+        // Read as rows of two, the same values miss rows 1 and 8 (the
+        // odd value out is no row) and have no ranges.
+        scan.scan(&frame, 2);
+        assert_eq!((scan.missing(), &scan.ranges[..]), (&[1, 8][..], &[][..]));
+        assert_eq!(scan.range, None);
         // The frame's range is folded from the chunks'.
         let mut whole = frame.clone();
         whole[17] = 17.0;
-        scan.scan_scalar(&whole);
-        assert_eq!(scan.range(), Some((0.0, 18.0)));
-        scan.scan_scalar(&[]);
-        assert!(scan.missing().is_empty() && scan.ranges().is_empty());
-        assert_eq!(scan.range(), None);
+        scan.scan(&whole, 1);
+        assert_eq!(scan.range, Some((0.0, 18.0)));
+        scan.scan(&[], 1);
+        assert!(scan.missing().is_empty() && scan.ranges.is_empty());
+        assert_eq!(scan.range, None);
     }
 
     #[test]
-    fn is_missing_matches_non_finiteness() {
-        assert!(ScalarMonitor::is_missing(&f64::NAN));
-        assert!(ScalarMonitor::is_missing(&f64::INFINITY));
-        assert!(!ScalarMonitor::is_missing(&0.0));
+    fn samples_are_rows_and_rows_flatten() {
+        assert_eq!((2.5).as_row(), &[2.5]);
+        assert_eq!(f64::from_row(&[2.5]), &2.5);
+        assert_eq!(<[f64]>::from_row(&[1.0, 2.0]).as_row(), &[1.0, 2.0]);
+        let nested = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
+        let (values, width) = nested.flat().unwrap();
+        assert_eq!((&values[..], width), (&[1.0, 2.0, 3.0, 4.0][..], Some(2)));
+        assert_eq!([1.0, 2.0].flat().unwrap().1, None);
+        assert_eq!(Rows::new(&[1.0, 2.0], 2).pattern().unwrap().1, 2);
+        assert!(matches!(
+            vec![vec![1.0, 2.0], vec![3.0]].flat(),
+            Err(SpringError::DimensionMismatch {
+                expected: 2,
+                found: 1
+            })
+        ));
+        assert!(Rows::new(&[1.0, 2.0, 3.0], 2).pattern().is_err());
+        assert!(vec![f64::NAN].pattern().is_err());
     }
 }

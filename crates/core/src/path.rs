@@ -288,14 +288,6 @@ impl<K: DistanceKernel> crate::monitor::Monitor for PathSpring<K> {
         self.last_gc = 0;
         self.peak_nodes = 0;
     }
-
-    fn is_missing(sample: &f64) -> bool {
-        !sample.is_finite()
-    }
-
-    fn sample_dim(_sample: &f64) -> usize {
-        1
-    }
 }
 
 #[cfg(test)]

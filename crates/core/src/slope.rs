@@ -349,14 +349,6 @@ impl<K: DistanceKernel> crate::monitor::Monitor for SlopeLimited<K> {
         self.t = 0;
         self.policy = DisjointPolicy::new(self.policy.epsilon);
     }
-
-    fn is_missing(sample: &f64) -> bool {
-        !sample.is_finite()
-    }
-
-    fn sample_dim(_sample: &f64) -> usize {
-        1
-    }
 }
 
 /// Whole-sequence slope-limited DTW (fixed start, both sequences fully

@@ -365,12 +365,8 @@ impl<K: DistanceKernel> crate::monitor::Monitor for Spring<K> {
         out: &mut Vec<Match>,
     ) -> Result<(), SpringError> {
         debug_assert!(run.iter().all(|x| x.is_finite()), "a run is present");
-        self.step_present(run, at, scan.ranges(), out);
+        self.step_present(run, at, &scan.ranges, out);
         Ok(())
-    }
-
-    fn scan_frame(samples: &[f64], scan: &mut FrameScan) {
-        scan.scan_scalar(samples);
     }
 
     /// A frame the scan proves idle (`Stwm::skip_frame`): no column and
@@ -426,14 +422,6 @@ impl<K: DistanceKernel> crate::monitor::Monitor for Spring<K> {
         self.stwm.reset();
         self.policy = DisjointPolicy::new(self.policy.epsilon);
         self.reported = 0;
-    }
-
-    fn is_missing(sample: &f64) -> bool {
-        !sample.is_finite()
-    }
-
-    fn sample_dim(_sample: &f64) -> usize {
-        1
     }
 }
 

@@ -111,7 +111,7 @@ impl<K: DistanceKernel> Stwm<K> {
     /// single-use [`QueryRef`] (use [`Stwm::with_query_ref`] to share
     /// one arena entry across monitors).
     pub fn with_kernel(query: &[f64], kernel: K) -> Result<Self, SpringError> {
-        Self::with_query_ref(QueryRef::scalar(query)?, kernel)
+        Self::with_query_ref(QueryRef::flat(query, 1)?, kernel)
     }
 
     /// Creates the STWM over a shared arena entry: the monitor borrows
@@ -355,8 +355,8 @@ impl<K: DistanceKernel> Stwm<K> {
         }
         let (kernel, y1, eps) = (self.kernel, self.y1, self.eps);
         let idle = |x: f64| kernel.dist(x, y1) > eps;
-        let by_range = scan.range().is_some_and(|r| range_idle(idle, y1, r));
-        if !by_range && self.idle_len(xs, 0, scan.ranges()) < xs.len() {
+        let by_range = scan.range.is_some_and(|r| range_idle(idle, y1, r));
+        if !by_range && self.idle_len(xs, 0, &scan.ranges) < xs.len() {
             return false;
         }
         self.idle_through(xs.len(), last);
@@ -727,13 +727,13 @@ mod tests {
             let frame: Vec<f64> = (0..len)
                 .map(|_| pool[rng.usize_range(0, pool.len())])
                 .collect();
-            scan.scan_scalar(&frame);
+            scan.scan(&frame, 1);
             let query = [y1, y1 + 2.0];
             for at in 0..=len {
                 let fresh = || Stwm::with_kernel(&query, kernel).unwrap().with_band(eps);
                 let (mut plain, mut ranged) = (fresh(), fresh());
                 let want = plain.skip_idle(&frame[at..], 0, &[]);
-                let got = ranged.skip_idle(&frame[at..], at, scan.ranges());
+                let got = ranged.skip_idle(&frame[at..], at, &scan.ranges);
                 let ctx = format!("y1={y1} {kernel:?} eps={eps} frame={frame:?} at={at}");
                 assert_eq!(got, want, "{ctx}");
                 assert_eq!(ranged.tick(), plain.tick(), "{ctx}");
@@ -787,7 +787,7 @@ mod tests {
                     pool[rng.usize_range(first, pool.len())]
                 })
                 .collect();
-            scan.scan_scalar(&frame);
+            scan.scan(&frame, 1);
             let query = [y1, y1 + 2.0];
             let fresh = || Stwm::with_kernel(&query, kernel).unwrap().with_band(eps);
             let (mut plain, mut framed) = (fresh(), fresh());
@@ -798,7 +798,7 @@ mod tests {
             let xs = &frame[..cut];
             let ctx = format!("y1={y1} {kernel:?} eps={eps} frame={frame:?} cut={cut}");
             let skipped = framed.skip_frame(xs, &scan);
-            let want = plain.skip_idle(xs, 0, scan.ranges());
+            let want = plain.skip_idle(xs, 0, &scan.ranges);
             assert_eq!(skipped, want == cut, "{ctx}");
             if skipped {
                 proven += 1;
@@ -824,10 +824,10 @@ mod tests {
         // an empty frame.
         let mut stwm = Stwm::new(&[1.0, 2.0]).unwrap().with_band(4.0);
         stwm.step(1.0);
-        scan.scan_scalar(&[30.0; 8]);
+        scan.scan(&[30.0; 8], 1);
         assert!(!stwm.skip_frame(&[30.0; 8], &scan));
         let mut fresh = Stwm::new(&[1.0, 2.0]).unwrap().with_band(4.0);
-        scan.scan_scalar(&[30.0, f64::NAN, 30.0]);
+        scan.scan(&[30.0, f64::NAN, 30.0], 1);
         assert!(!fresh.skip_frame(&[30.0, f64::NAN, 30.0], &scan));
         assert!(!fresh.skip_frame(&[], &scan));
         assert_eq!(fresh.tick(), 0);

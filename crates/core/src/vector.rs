@@ -19,32 +19,9 @@ use spring_dtw::kernels::{DistanceKernel, Squared};
 use crate::arena::QueryRef;
 use crate::error::SpringError;
 use crate::mem::MemoryUse;
-use crate::monitor::Monitor;
+use crate::monitor::{AsRows, Monitor};
 use crate::spring::Spring;
 use crate::types::Match;
-
-/// Validates a multivariate query and returns its dimensionality.
-pub(crate) fn check_vector_query(query: &[Vec<f64>]) -> Result<usize, SpringError> {
-    if query.is_empty() {
-        return Err(SpringError::EmptyQuery);
-    }
-    let dim = query[0].len();
-    if dim == 0 {
-        return Err(SpringError::InvalidQuery("query has zero channels".into()));
-    }
-    for (idx, row) in query.iter().enumerate() {
-        if row.len() != dim {
-            return Err(SpringError::InvalidQuery(format!(
-                "query row {idx} has {} channels, expected {dim}",
-                row.len()
-            )));
-        }
-        if row.iter().any(|v| !v.is_finite()) {
-            return Err(SpringError::NonFiniteQuery { index: idx });
-        }
-    }
-    Ok(dim)
-}
 
 /// Disjoint-query monitor over a `k`-dimensional stream: a [`Spring`]
 /// whose ε-banded matrix has `k` channels (`Stwm::step_row`). Channel
@@ -57,20 +34,30 @@ pub struct VectorSpring<K: DistanceKernel = Squared>(pub(crate) Spring<K>);
 
 impl VectorSpring<Squared> {
     /// Vector monitor with the paper's default squared kernel.
-    pub fn new(query: &[Vec<f64>], epsilon: f64) -> Result<Self, SpringError> {
+    pub fn new(query: &(impl AsRows + ?Sized), epsilon: f64) -> Result<Self, SpringError> {
         Self::with_kernel(query, epsilon, Squared)
     }
 }
 
 impl<K: DistanceKernel> VectorSpring<K> {
-    /// Vector monitor with an explicit kernel.
-    pub fn with_kernel(query: &[Vec<f64>], epsilon: f64, kernel: K) -> Result<Self, SpringError> {
+    /// Vector monitor with an explicit kernel over `query`: nested rows,
+    /// [`crate::monitor::Rows`], or flat values as one channel.
+    ///
+    /// # Errors
+    /// Rejects an invalid ε and a ragged, zero-channel, empty or
+    /// non-finite query.
+    pub fn with_kernel(
+        query: &(impl AsRows + ?Sized),
+        epsilon: f64,
+        kernel: K,
+    ) -> Result<Self, SpringError> {
         crate::error::check_epsilon(epsilon)?;
-        Self::with_query_ref(QueryRef::vector(query)?, epsilon, kernel)
+        let (values, channels) = query.pattern()?;
+        Self::with_query_ref(QueryRef::flat(&values, channels)?, epsilon, kernel)
     }
 
     /// Vector monitor over a shared arena entry (built by
-    /// [`QueryRef::vector`] or [`crate::QueryArena::intern_vector`]):
+    /// [`crate::QueryArena::intern_rows`]):
     /// borrows the flattened pattern, allocating only the
     /// per-attachment DP columns. Bit-identical to
     /// [`VectorSpring::with_kernel`].
@@ -146,7 +133,7 @@ impl<K: DistanceKernel> Monitor for VectorSpring<K> {
     }
 
     fn step(&mut self, sample: &[f64]) -> Result<Option<Match>, SpringError> {
-        if Self::is_missing(sample) {
+        if sample.iter().any(|v| !v.is_finite()) {
             return Err(SpringError::NonFiniteInput {
                 tick: self.tick() + 1,
             });
@@ -198,16 +185,8 @@ impl<K: DistanceKernel> Monitor for VectorSpring<K> {
         Monitor::reset(&mut self.0);
     }
 
-    fn is_missing(sample: &[f64]) -> bool {
-        sample.iter().any(|v| !v.is_finite())
-    }
-
-    fn sample_dim(sample: &[f64]) -> usize {
-        sample.len()
-    }
-
-    fn channels(&self) -> Option<usize> {
-        Some(self.dim())
+    fn channels(&self) -> usize {
+        self.dim()
     }
 }
 
@@ -292,10 +271,11 @@ mod tests {
         }
         expect.extend(Monitor::finish(&mut per_sample));
 
+        // Flat frames of `batch` rows.
         for batch in [1usize, 3, 64] {
             let mut vs = VectorSpring::new(&query, 1.0).unwrap();
             let mut got = Vec::new();
-            for chunk in stream.chunks(batch) {
+            for chunk in stream.concat().chunks(3 * batch) {
                 Monitor::step_batch(&mut vs, chunk, &mut got).unwrap();
             }
             got.extend(Monitor::finish(&mut vs));
@@ -306,15 +286,14 @@ mod tests {
         // path; the failing sample mutates nothing.
         let mut vs = VectorSpring::new(&query, 1.0).unwrap();
         let mut out = Vec::new();
-        let bad = vec![vec![1.0, 2.0, 3.0], vec![f64::NAN, 2.0]];
+        let bad = [1.0, 2.0, 3.0, f64::NAN, 2.0];
         assert!(matches!(
             Monitor::step_batch(&mut vs, &bad, &mut out),
             Err(SpringError::NonFiniteInput { tick: 2 })
         ));
         assert_eq!(vs.tick(), 1);
-        let short = vec![vec![1.0]];
         assert!(matches!(
-            Monitor::step_batch(&mut vs, &short, &mut out),
+            Monitor::step_batch(&mut vs, &[1.0], &mut out),
             Err(SpringError::DimensionMismatch {
                 expected: 3,
                 found: 1
@@ -341,8 +320,9 @@ mod tests {
 
     #[test]
     fn invalid_queries_rejected() {
-        assert!(VectorSpring::new(&[], 1.0).is_err());
-        assert!(VectorSpring::new(&[vec![]], 1.0).is_err());
+        assert!(VectorSpring::new(&Vec::<Vec<f64>>::new(), 1.0).is_err());
+        assert!(VectorSpring::new(&vec![Vec::new()], 1.0).is_err());
+        assert!(VectorSpring::new(&crate::monitor::Rows::new(&[1.0, 2.0, 3.0], 2), 1.0).is_err());
         let ragged = vec![vec![1.0, 2.0], vec![1.0]];
         assert!(VectorSpring::new(&ragged, 1.0).is_err());
         let nan = vec![vec![f64::NAN]];

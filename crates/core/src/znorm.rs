@@ -172,7 +172,7 @@ impl<K: DistanceKernel> NormalizedSpring<K> {
         window: usize,
         kernel: K,
     ) -> Result<Self, SpringError> {
-        Self::with_query_ref(crate::QueryRef::scalar(query)?, epsilon, window, kernel)
+        Self::with_query_ref(crate::QueryRef::flat(query, 1)?, epsilon, window, kernel)
     }
 
     /// Normalized monitor over a shared arena entry: the z-normalized
@@ -332,14 +332,6 @@ impl<K: DistanceKernel> crate::monitor::Monitor for NormalizedSpring<K> {
     fn reset(&mut self) {
         crate::monitor::Monitor::reset(&mut self.inner);
         self.stats.reset();
-    }
-
-    fn is_missing(sample: &f64) -> bool {
-        !sample.is_finite()
-    }
-
-    fn sample_dim(_sample: &f64) -> usize {
-        1
     }
 }
 

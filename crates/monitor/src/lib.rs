@@ -93,8 +93,8 @@ macro_rules! fail_point {
 }
 
 pub use engine::{
-    AttachmentId, Engine, Event, GapPolicy, MixedEngine, MonitorError, Owned, QueryId,
-    SpringEngine, StreamId, VectorEngine,
+    AttachmentId, Engine, Event, GapPolicy, MixedEngine, MonitorError, QueryId, SpringEngine,
+    StreamId, VectorEngine,
 };
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot, ShardMetrics,

@@ -74,12 +74,4 @@ impl Monitor for BrokenSpring {
         self.inner.reset();
         self.reported = 0;
     }
-
-    fn is_missing(sample: &f64) -> bool {
-        Spring::<Kernel>::is_missing(sample)
-    }
-
-    fn sample_dim(sample: &f64) -> usize {
-        Spring::<Kernel>::sample_dim(sample)
-    }
 }

@@ -135,8 +135,8 @@ fn steady_state_push_and_push_batch_do_not_allocate() {
     );
 
     // Steady state, per-sample path: the returned `Vec` stays empty
-    // (`Vec::new` is allocation-free) and the one-sample frame's slot is
-    // reused.
+    // (`Vec::new` is allocation-free) and the sample is its own
+    // one-sample frame.
     let mut per_sample = u64::MAX;
     for _pass in 0..2 {
         per_sample = measure(|| {
@@ -150,8 +150,7 @@ fn steady_state_push_and_push_batch_do_not_allocate() {
         per_sample, 0,
         "Engine::push allocated {per_sample} times over 256 steady-state ticks"
     );
-    // Steady state, vector pushes: the one-sample frame's slot keeps its
-    // `Vec`, so copying each row into it allocates nothing.
+    // Steady state, vector pushes: a row is its own one-row frame.
     let mut vectors = VectorEngine::new();
     let feed = vectors.add_channel_stream("feed", 2);
     let blip = vec![vec![0.0, 0.0], vec![5.0, -5.0], vec![0.0, 0.0]];
@@ -169,5 +168,24 @@ fn steady_state_push_and_push_batch_do_not_allocate() {
     assert_eq!(
         vector_pushes, 0,
         "VectorEngine::push allocated {vector_pushes} times over 256 steady-state rows"
+    );
+    // Steady state, vector frames: flat rows go to the monitors as they
+    // lie, 64 rows a frame.
+    let rows: Vec<f64> = (0..256)
+        .flat_map(|t| [(t as f64 * 0.05).sin() + 40.0, 40.0])
+        .collect();
+    let mut out: Vec<Event> = Vec::with_capacity(16);
+    let mut vector_frames = u64::MAX;
+    for _pass in 0..2 {
+        vector_frames = measure(|| {
+            for frame in rows.chunks(2 * 64) {
+                vectors.push_batch(feed, frame, &mut out).unwrap();
+            }
+        });
+    }
+    assert!(out.is_empty());
+    assert_eq!(
+        vector_frames, 0,
+        "VectorEngine::push_batch allocated {vector_frames} times over 256 steady-state rows"
     );
 }

@@ -223,6 +223,26 @@ fn runner_equals_engine_for_normalized_spring() {
     }
 }
 
+/// A `VectorEngine` with streams `0..N_STREAMS`, each `channels` wide
+/// and attached to `query` under `policy`.
+fn vector_engine(query: &[Vec<f64>], eps: f64, channels: usize, policy: GapPolicy) -> VectorEngine {
+    let mut engine = VectorEngine::new();
+    let q = engine.add_query("q", query.to_vec()).unwrap();
+    for k in 0..N_STREAMS {
+        let s = engine.add_channel_stream(format!("s{k}"), channels);
+        engine.attach(s, q, eps, policy).unwrap();
+    }
+    engine
+}
+
+/// Vector rows through every ingestion path: per-row `Engine::push` is
+/// the reference; flat frames of 1, 3 and 64 rows through
+/// `Engine::push_batch` and `Runner::push_batch` must give the same
+/// events and the same failures under every gap policy (5% of the rows
+/// hold a NaN). A stream stops at its first failure, a missing row
+/// under `Fail`; each stream gets its own runner there, because the
+/// failure stops the stream's worker. The per-row `Runner::push` must
+/// also match at every worker count.
 #[test]
 fn runner_equals_engine_for_vector_spring() {
     let mut rng = Rng::seed_from_u64(0x53);
@@ -243,41 +263,88 @@ fn runner_equals_engine_for_vector_spring() {
     let query: Vec<Vec<f64>> = (0..5).map(|_| rng.f64_vec(channels, -2.0, 2.0)).collect();
     let eps = 30.0;
 
-    let mut engine = VectorEngine::new();
-    let q = engine.add_query("q", query.clone()).unwrap();
-    let mut reference = Vec::new();
-    for (k, rows) in streams.iter().enumerate() {
-        let s = engine.add_channel_stream(format!("s{k}"), channels);
-        engine.attach(s, q, eps, GapPolicy::Skip).unwrap();
-        for row in rows {
-            reference.extend(engine.push(s, row.as_slice()).unwrap());
-        }
-        reference.extend(engine.finish_stream(s).unwrap());
-    }
-    let reference = sorted_matches(reference);
-    assert!(!reference.is_empty(), "workload must produce events");
-
-    for workers in WORKER_COUNTS {
-        let sink = Arc::new(VecSink::new());
-        let attachments: Vec<_> = (0..N_STREAMS)
-            .map(|k| {
-                RunnerAttachment::new(
-                    StreamId(k as u32),
-                    QueryId(0),
-                    VectorSpring::new(&query, eps).unwrap(),
-                    GapPolicy::Skip,
-                )
-            })
-            .collect();
-        let runner = Runner::spawn(attachments, workers, sink.clone()).unwrap();
+    for policy in [GapPolicy::Skip, GapPolicy::CarryForward, GapPolicy::Fail] {
+        let mut engine = vector_engine(&query, eps, channels, policy);
+        let (mut reference, mut failures) = (Vec::new(), Vec::new());
         for (k, rows) in streams.iter().enumerate() {
-            for row in rows {
-                runner.push(StreamId(k as u32), row.as_slice()).unwrap();
+            let s = StreamId(k as u32);
+            let pushed = rows
+                .iter()
+                .try_for_each(|row| engine.push(s, row).map(|ev| reference.extend(ev)));
+            match pushed {
+                Ok(()) => reference.extend(engine.finish_stream(s).unwrap()),
+                Err(e) => failures.push(e),
             }
-            runner.finish_stream(StreamId(k as u32)).unwrap();
         }
-        runner.shutdown().unwrap();
-        let got = sorted_matches(sink.events());
-        assert_eq!(got, reference, "workers = {workers}");
+        let reference = sorted_matches(reference);
+        assert!(
+            !reference.is_empty(),
+            "{policy:?}: workload must produce events"
+        );
+        assert_eq!(failures.is_empty(), policy != GapPolicy::Fail, "{policy:?}");
+
+        for batch in [1usize, 3, 64] {
+            let ctx = format!("{policy:?} batch {batch}");
+            let mut engine = vector_engine(&query, eps, channels, policy);
+            let (mut got, mut errors) = (Vec::new(), Vec::new());
+            let mut runner_events = Vec::new();
+            for (k, rows) in streams.iter().enumerate() {
+                let s = StreamId(k as u32);
+                let flat = rows.concat();
+                let mut frames = flat.chunks(batch * channels);
+                let failed = match frames.try_for_each(|f| engine.push_batch(s, f, &mut got)) {
+                    Ok(()) => {
+                        got.extend(engine.finish_stream(s).unwrap());
+                        None
+                    }
+                    Err(e) => Some(e),
+                };
+                errors.extend(failed.clone());
+                let sink = Arc::new(VecSink::new());
+                let monitor = VectorSpring::new(&query, eps).unwrap();
+                let att = RunnerAttachment::new(s, QueryId(0), monitor, policy);
+                let runner = Runner::spawn(vec![att], 1, sink.clone()).unwrap();
+                // Pushes behind a failed frame find the worker lost.
+                for frame in flat.chunks(batch * channels) {
+                    let _ = runner.push_batch(s, frame);
+                }
+                let _ = runner.finish_stream(s);
+                assert_eq!(runner.shutdown().err(), failed, "{ctx}: stream {k}");
+                runner_events.extend(sink.events());
+            }
+            assert_eq!(sorted_matches(got), reference, "{ctx}: Engine::push_batch");
+            assert_eq!(errors, failures, "{ctx}: Engine::push_batch");
+            assert_eq!(
+                sorted_matches(runner_events),
+                reference,
+                "{ctx}: Runner::push_batch"
+            );
+        }
+        if policy == GapPolicy::Fail {
+            continue;
+        }
+        for workers in WORKER_COUNTS {
+            let sink = Arc::new(VecSink::new());
+            let attachments: Vec<_> = (0..N_STREAMS)
+                .map(|k| {
+                    RunnerAttachment::new(
+                        StreamId(k as u32),
+                        QueryId(0),
+                        VectorSpring::new(&query, eps).unwrap(),
+                        policy,
+                    )
+                })
+                .collect();
+            let runner = Runner::spawn(attachments, workers, sink.clone()).unwrap();
+            for (k, rows) in streams.iter().enumerate() {
+                for row in rows {
+                    runner.push(StreamId(k as u32), row.as_slice()).unwrap();
+                }
+                runner.finish_stream(StreamId(k as u32)).unwrap();
+            }
+            runner.shutdown().unwrap();
+            let got = sorted_matches(sink.events());
+            assert_eq!(got, reference, "{policy:?} workers = {workers}");
+        }
     }
 }
