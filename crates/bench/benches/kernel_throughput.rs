@@ -48,17 +48,32 @@
 //! | `session_churn` | 72.8%     | 27.2%          | 51.6%            |
 //!
 //! So the `soa_` rows here, whose band is nearly full, bound the
-//! kernel's speed, not a server's.
+//! kernel's speed, not a server's. The one row shaped like a server's
+//! workload is `soa_batch64_m512_planted`: time-warped copies of an
+//! m = 512 query planted about every 1,024 samples in far-off noise,
+//! at ε = 0.25·m, as in springbench's `wire_m512`. Its printed line
+//! gives its share of banded columns and of `left` rows (rows within
+//! ε where Eq. (8) picks the in-column `left` cell) beside
+//! `wire_m512`'s 43.5% and 17.8%. Only those `left` rows reach the
+//! column kernel's serial chain: the carry guesses that `left` loses,
+//! fills every row as one vector pass and repairs the runs where it
+//! wins, so the fewer `left` rows, the closer a column comes to the
+//! lane phase's speed. The `_fullband` rows are the opposite case:
+//! every row computed, whatever their `left` structure.
 //!
 //! On x86-64 the column kernel runs the explicit `core::arch`
 //! min-select (AVX2 where the CPU reports it, else SSE2). All paths
 //! report the same matches; only the time differs.
 
+use std::f64::consts::TAU;
 use std::hint::black_box;
 
 use spring_bench::harness::{fmt_time, Bench};
-use spring_core::{BestMatch, Spring, SpringConfig};
+use spring_core::stwm::Step;
+use spring_core::{BestMatch, Spring, SpringConfig, Stwm};
 use spring_data::MaskedChirp;
+use spring_dtw::kernels::{DistanceKernel, Squared};
+use spring_util::Rng;
 
 const BATCH: usize = 64;
 
@@ -78,12 +93,83 @@ fn fixtures(m: usize, offset: f64) -> (Vec<f64>, Vec<f64>) {
     (query, values)
 }
 
+/// Samples in the `_planted` stream.
+const PLANTED_LEN: usize = 65_536;
+
+/// The `_planted` fixture, shaped like springbench's `wire_m512`: a
+/// smooth length-`m` query around 5 and its time-warped copies
+/// (resampled to 0.8–1.25× its length, plus a little Gaussian noise)
+/// planted about every 1,024 samples in a bounded random walk around
+/// 500, far above the query.
+fn planted_fixtures(m: usize) -> (Vec<f64>, Vec<f64>) {
+    let mut rng = Rng::seed_from_u64(0x0512);
+    let query: Vec<f64> = (0..m)
+        .map(|i| {
+            let x = TAU * i as f64 / m as f64;
+            5.0 + 2.0 * (x + 0.7).sin() + 0.6 * (3.0 * x + 2.1).sin()
+        })
+        .collect();
+    let mut walk = 500.0;
+    let mut stream = Vec::with_capacity(PLANTED_LEN + 2 * m);
+    while stream.len() < PLANTED_LEN {
+        let gap = rng.usize_range(512, 1_536).saturating_sub(m).max(m);
+        for _ in 0..gap {
+            walk = (walk + 0.2 * rng.normal()).clamp(490.0, 510.0);
+            stream.push(walk);
+        }
+        let len = ((m as f64 * rng.f64_range(0.8, 1.25)).round() as usize).max(2);
+        for j in 0..len {
+            let pos = j as f64 * (m - 1) as f64 / (len - 1) as f64;
+            let (i, frac) = (pos.floor() as usize, pos.fract());
+            let v = match i + 1 < m {
+                true => query[i] * (1.0 - frac) + query[i + 1] * frac,
+                false => query[m - 1],
+            };
+            stream.push(v + 0.05 * rng.normal());
+        }
+    }
+    stream.truncate(PLANTED_LEN);
+    (query, stream)
+}
+
+/// Shares of the `_planted` workload's columns the band computes (the
+/// rest take the idle skip: empty band, sample farther than `eps` from
+/// `y_1`), and of the rows at or below each column's highest row within
+/// `eps` where `left` wins Eq. (8). Counted on a bare STWM (no disjoint
+/// reset), as springbench's `wire_m512` figures were.
+fn planted_shares(query: &[f64], values: &[f64], eps: f64) -> (f64, f64) {
+    let mut stwm = Stwm::new(query).unwrap();
+    let (mut banded, mut band_rows, mut left_rows) = (0usize, 0usize, 0usize);
+    let mut top_prev = 0;
+    let mut left = vec![false; query.len() + 1];
+    for &x in values {
+        stwm.step_traced(x, |i, step| left[i] = step == Step::Left);
+        if top_prev > 0 || Squared.dist(x, query[0]) <= eps {
+            banded += 1;
+        }
+        let d = stwm.distances();
+        top_prev = (1..d.len()).rev().find(|&i| d[i] <= eps).unwrap_or(0);
+        band_rows += top_prev;
+        left_rows += left[1..=top_prev].iter().filter(|&&l| l).count();
+    }
+    (
+        banded as f64 / values.len() as f64,
+        left_rows as f64 / band_rows.max(1) as f64,
+    )
+}
+
 /// `step_batch` over 64-sample frames: the production hot path (idle
 /// skip plus banded columns). `tag` names the threshold (and offset) in
 /// the row name.
 fn bench_step_batch(b: &Bench, m: usize, eps: f64, offset: f64, tag: &str) -> f64 {
     let (query, values) = fixtures(m, offset);
-    let mut spring = Spring::new(&query, SpringConfig::new(eps)).unwrap();
+    bench_step_batch_on(b, &query, &values, eps, tag)
+}
+
+/// [`bench_step_batch`] over a given query and stream.
+fn bench_step_batch_on(b: &Bench, query: &[f64], values: &[f64], eps: f64, tag: &str) -> f64 {
+    let m = query.len();
+    let mut spring = Spring::new(query, SpringConfig::new(eps)).unwrap();
     let mut out = Vec::new();
     let frames: Vec<&[f64]> = values.chunks_exact(BATCH).collect();
     let mut i = 0;
@@ -192,6 +278,17 @@ fn main() {
             column / soa
         ));
     }
+    // ε = 0.25·m, springbench's threshold.
+    let (query, values) = planted_fixtures(512);
+    let eps = 0.25 * query.len() as f64;
+    let soa = bench_step_batch_on(&b, &query, &values, eps, "_planted");
+    let (banded, left) = planted_shares(&query, &values, eps);
+    lines.push(format!(
+        "kernel_throughput: m=512   planted: batch {:>10}  banded columns {:.1}% (wire_m512 43.5%)  left rows {:.1}% (wire_m512 17.8%)",
+        fmt_time(soa),
+        100.0 * banded,
+        100.0 * left
+    ));
     let soa = bench_step_batch(&b, 64, 100.0, IDLE_OFFSET, "_idle");
     let column = bench_column(&b, 64, 100.0, IDLE_OFFSET, "_idle");
     lines.push(format!(

@@ -18,10 +18,14 @@
 //!    `sd[i]` following the same selection mask. `min⁻` prefers the
 //!    *down* cell on ties — the Eq. (8) tie order with the in-column
 //!    *left* cell peeled off.
-//! 2. **Carry phase** (sequential but branchless): per row `i`, compare
-//!    the freshly computed left neighbour `d(t, i−1)` against `dd[i]`
-//!    and finish `d(t, i) = base[i] + min(left, dd[i])`, the start lane
-//!    again following the mask.
+//! 2. **Carry phase** (speculative): per row `i`, compare the finished
+//!    left neighbour `d(t, i−1)` against `dd[i]` and finish
+//!    `d(t, i) = base[i] + min(left, dd[i])`, the start lane again
+//!    following the mask. Only rows where `left` wins need the
+//!    neighbour's value, so the carry first guesses that `left` loses
+//!    everywhere, `base[i] + dd[i]` in one lane pass, then finds the
+//!    rows where the guess fails with a chunked compare and runs the
+//!    serial chain only over those runs (see [`carry`]).
 //!
 //! ## ε-band
 //!
@@ -49,7 +53,13 @@
 //! inputs are rejected before the column fill) the two predicates are
 //! equivalent by transitivity, every select is an element-wise IEEE
 //! comparison, and the single f64 addition `base + dbest` happens in
-//! the same order in both forms — so scalar reference, portable chunked
+//! the same order in both forms. The speculative carry changes none of
+//! this: a guessed row is `base[i] + dd[i]`, the very addition the
+//! chain makes when `left` loses, and it stands only where the chain's
+//! own comparison `left ≤ dd[i]`, made on the finished `left`, is
+//! false; every other row comes from the chain itself. So cell for cell
+//! the same comparison picks the same operand for the same single
+//! addition, and scalar reference, portable chunked
 //! kernel, and the explicit SIMD paths produce bit-identical columns
 //! (`f64::to_bits`) over the rows they compute, which the unit tests
 //! below pin and the differential suite
@@ -65,8 +75,10 @@
 //! `f64` comparison mask; with only the portable select the
 //! `kernel_throughput` `column_*` rows measured 1.35–1.7× slower on an
 //! x86-64 host. The base-distance fill and the carry phase stay in
-//! portable Rust (the former autovectorizes, the latter is a serial
-//! chain). Other targets run the portable select loop, which stays
+//! portable Rust: the base fill, the carry's guess pass and its chunked
+//! compare autovectorize (fixed-size chunks, no carried dependency), and
+//! its repair runs are a serial chain. Other targets run the portable
+//! select loop, which stays
 //! compiled on `x86_64` too so the bit-exactness tests pin every lane
 //! width against the reference. The `simd` module is the only `unsafe`
 //! code in the crate (which is otherwise `deny(unsafe_code)`); the
@@ -189,11 +201,19 @@ fn min_select_portable(
 }
 
 /// Carry phase: finishes rows `1 ..= h` (`h = base.len() − 1`) with
-/// the in-column *left* dependency, branchlessly, and returns the
-/// highest of those rows at or below `eps` (0 if none). `d_cur[0]` /
-/// `s_cur[0]` must already hold the star cell `(0, t)`; `base`/`dd`/`sd`
-/// are the scratch lanes. Picking `left` iff `left ≤ dd[i]` reproduces
-/// the Eq. (8) tie order exactly (see the module docs).
+/// the in-column *left* dependency and returns the highest of those
+/// rows at or below `eps` (0 if none). `d_cur[0]` / `s_cur[0]` must
+/// already hold the star cell `(0, t)`; `base`/`dd`/`sd` are the
+/// scratch lanes. Row `i` picks `left` iff `left ≤ dd[i]`, which
+/// reproduces the Eq. (8) tie order exactly (see the module docs).
+///
+/// It guesses that `left` loses every row: one lane pass writes
+/// `base[i] + dd[i]` with start `sd[i]`. A chunked scan
+/// ([`first_left`]) then finds the first row whose final predecessor
+/// passes `left ≤ dd[i]`, and the serial chain repairs rows from there
+/// while `left` keeps winning. The row where it loses already holds its
+/// guess, so the scan resumes one row above it. Row 1 reads the star
+/// cell, `0 ≤ dd[1]`, and always starts a run.
 #[inline]
 fn carry(
     base: &[f64],
@@ -204,22 +224,55 @@ fn carry(
     eps: f64,
 ) -> usize {
     let h = base.len() - 1;
-    let mut left = d_cur[0];
-    let mut sleft = s_cur[0];
-    for i in 1..=h {
-        let take_left = left <= dd[i];
-        let dbest = if take_left { left } else { dd[i] };
-        let s = if take_left { sleft } else { sd[i] };
-        left = base[i] + dbest;
-        sleft = s;
-        d_cur[i] = left;
-        s_cur[i] = s;
+    let (dd, sd) = (&dd[..=h], &sd[..=h]);
+    let (d, s) = (&mut d_cur[..=h], &mut s_cur[..=h]);
+    for (((d, s), (&b, &x)), &sx) in d[1..]
+        .iter_mut()
+        .zip(&mut s[1..])
+        .zip(base[1..].iter().zip(&dd[1..]))
+        .zip(&sd[1..])
+    {
+        *d = b + x;
+        *s = sx;
     }
-    // Scanned after the loop: one compare while the band is full, a
-    // few rows while it moves, all h only when it collapses. A select
-    // inside the latency-bound loop measured ≈7% slower per full column
-    // (m = 256, x86-64).
-    band_top(&d_cur[..=h], eps)
+    let mut i = 1;
+    while i <= h {
+        let (mut left, sleft) = (d[i - 1], s[i - 1]);
+        while i <= h && left <= dd[i] {
+            left += base[i];
+            d[i] = left;
+            s[i] = sleft;
+            i += 1;
+        }
+        i = first_left(d, dd, i + 1);
+    }
+    // Scanned after the carry: one compare while the band is full, a
+    // few rows while it moves, all h only when it collapses.
+    band_top(d, eps)
+}
+
+/// The first row `j ≥ from` of `d` (rows `1 ..= h`, `h = d.len() − 1`)
+/// whose guess is wrong, `d[j − 1] ≤ dd[j]`, or `h + 1` if there is
+/// none. Rows below `from` must be final, so the first row that fires
+/// reads a final predecessor. The compare runs [`LANES`] rows per
+/// branch: a chunk with no row firing is skipped whole.
+#[inline]
+fn first_left(d: &[f64], dd: &[f64], from: usize) -> usize {
+    let h = d.len() - 1;
+    let mut j = from;
+    while j + LANES <= h + 1 {
+        let left: &[f64; LANES] = d[j - 1..][..LANES].try_into().expect("LANES rows");
+        let merged: &[f64; LANES] = dd[j..][..LANES].try_into().expect("LANES rows");
+        let fired = left
+            .iter()
+            .zip(merged)
+            .fold(false, |any, (l, x)| any | (l <= x));
+        if fired {
+            break;
+        }
+        j += LANES;
+    }
+    (j..=h).find(|&j| d[j - 1] <= dd[j]).unwrap_or(h + 1)
 }
 
 /// The highest row `i ≥ 1` of column `d` with `d[i] ≤ eps` (0 if none),
@@ -662,6 +715,140 @@ mod tests {
         assert_eq!((dd[3], sd[3]), (2.0, 11));
         // i = 4: both ∞, tie -> down (s 13).
         assert_eq!((dd[4], sd[4]), (f64::INFINITY, 13));
+    }
+
+    /// The serial carry chain [`carry`] must match bit for bit: per row,
+    /// `left` iff `left ≤ dd[i]`, then one addition.
+    fn carry_serial(
+        base: &[f64],
+        dd: &[f64],
+        sd: &[u64],
+        d_cur: &mut [f64],
+        s_cur: &mut [u64],
+        eps: f64,
+    ) -> usize {
+        let h = base.len() - 1;
+        let mut left = d_cur[0];
+        let mut sleft = s_cur[0];
+        for i in 1..=h {
+            let take_left = left <= dd[i];
+            let dbest = if take_left { left } else { dd[i] };
+            let s = if take_left { sleft } else { sd[i] };
+            left = base[i] + dbest;
+            sleft = s;
+            d_cur[i] = left;
+            s_cur[i] = s;
+        }
+        band_top(&d_cur[..=h], eps)
+    }
+
+    /// Runs [`carry`] and [`carry_serial`] on the same lanes (rows
+    /// above `h` and the column's tail hold junk that must survive) and
+    /// demands equal distance bits, starts and tops. `ctx` names the
+    /// case, built only on a failure.
+    fn assert_carry_matches(
+        base: &[f64],
+        dd: &[f64],
+        sd: &[u64],
+        eps: f64,
+        ctx: impl Fn() -> String,
+    ) {
+        let h = base.len() - 1;
+        let len = h + 1 + LANES;
+        let mut want_d = vec![-7.0; len];
+        let mut want_s = vec![u64::MAX; len];
+        (want_d[0], want_s[0]) = (0.0, 5);
+        let (mut d, mut s) = (want_d.clone(), want_s.clone());
+        let want_top = carry_serial(base, dd, sd, &mut want_d, &mut want_s, eps);
+        let top = carry(base, dd, sd, &mut d, &mut s, eps);
+        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&d), bits(&want_d), "{}: distances", ctx());
+        assert_eq!(s, want_s, "{}: starts", ctx());
+        assert_eq!(top, want_top, "{}: top", ctx());
+    }
+
+    /// How row `i` of a crafted lane meets its `left` cell.
+    #[derive(Debug, Clone, Copy)]
+    enum Row {
+        /// `left` wins strictly: `dd[i]` lies above it.
+        Above,
+        /// `left` wins an exact tie, `dd[i] == left`.
+        Tie,
+        /// `left` wins against `dd[i] = +∞`.
+        Inf,
+        /// `left` loses: `dd[i]` lies below it (when `left` is 0 it
+        /// cannot, and ties instead).
+        Loses,
+    }
+
+    /// Crafts `(base, dd, sd)` for rows `1 ..= rows.len()` so that row
+    /// `i + 1` meets its `left` cell as `rows[i]` says, walking the
+    /// serial chain; `base` cycles through `bases`.
+    fn craft(rows: &[Row], bases: &[f64]) -> (Vec<f64>, Vec<f64>, Vec<u64>) {
+        let h = rows.len();
+        let mut base = vec![f64::NAN; h + 1];
+        let mut dd = vec![f64::NAN; h + 1];
+        let sd: Vec<u64> = (0..=h as u64).map(|i| 100 + i).collect();
+        let mut left = 0.0;
+        for (i, row) in (1..=h).zip(rows) {
+            base[i] = bases[i % bases.len()];
+            dd[i] = match row {
+                Row::Above => left + 1.5,
+                Row::Tie => left,
+                Row::Inf => f64::INFINITY,
+                Row::Loses if left > 0.0 => left * 0.5,
+                Row::Loses => 0.0,
+            };
+            left = left.min(dd[i]) + base[i];
+        }
+        (base, dd, sd)
+    }
+
+    #[test]
+    fn speculative_carry_matches_the_serial_chain_on_crafted_lanes() {
+        // Row 1 always wins (its `left` is the star cell, 0). Beside it,
+        // one more `left` run on rows a ..= b for every 2 ≤ a ≤ b ≤ h,
+        // h = 1 ..= 3·LANES + 1: runs that start and end at every offset
+        // inside a chunk, at row h and across chunk boundaries, one row
+        // after the first run (a = 3) or glued to it (a = 2). Each run
+        // wins strictly, by exact ties or against +∞; bases with zero
+        // rows make `left` stay 0, where it cannot lose.
+        let bases: [&[f64]; 3] = [&[1.0, 0.25, 3.0], &[0.0, 2.0], &[0.0]];
+        let wins = [Row::Above, Row::Tie, Row::Inf];
+        for h in 1..=3 * LANES + 1 {
+            // `0..=0` holds no row: row 1's run alone.
+            let runs = (2..=h).flat_map(|a| (a..=h).map(move |b| a..=b));
+            for run in std::iter::once(0..=0).chain(runs) {
+                for win in wins {
+                    // Each base cycle with its own ε, so the returned top
+                    // falls at row 0, inside the column and at row h.
+                    for (bases, eps) in bases.iter().zip([2.0, 0.0, f64::INFINITY]) {
+                        let rows: Vec<Row> = (1..=h)
+                            .map(|i| match i == 1 || run.contains(&i) {
+                                true => win,
+                                false => Row::Loses,
+                            })
+                            .collect();
+                        let (base, dd, sd) = craft(&rows, bases);
+                        let ctx = || format!("h={h} run {run:?} {win:?} {bases:?} eps={eps}");
+                        assert_carry_matches(&base, &dd, &sd, eps, ctx);
+                    }
+                }
+            }
+        }
+        // Random mixes of every row kind, several runs per column; a
+        // `+∞` base makes `left` itself `+∞`, so `+∞` rows then tie.
+        let mut rng = Rng::seed_from_u64(0xCA22);
+        let kinds = [Row::Above, Row::Tie, Row::Inf, Row::Loses, Row::Loses];
+        let grid = [0.0, 0.5, 1.0, 0.0, 0.5, 1.0, f64::INFINITY];
+        for round in 0..500 {
+            let h = rng.usize_range(1, 4 * LANES + 2);
+            let rows: Vec<Row> = (0..h).map(|_| kinds[rng.usize_range(0, 5)]).collect();
+            let bases: Vec<f64> = (0..5).map(|_| grid[rng.usize_range(0, 7)]).collect();
+            let (base, dd, sd) = craft(&rows, &bases);
+            let ctx = || format!("round {round}: {rows:?} {bases:?}");
+            assert_carry_matches(&base, &dd, &sd, 1.0, ctx);
+        }
     }
 
     /// A banded column pair stepped by [`fill_column_on`] on `lanes`
